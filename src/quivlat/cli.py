@@ -35,11 +35,13 @@ def _default_bound() -> int:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    # FileNotFoundError is left to main(), which reports it as FileNotFound.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("%s: %s" % (path, exc))
+    except (json.JSONDecodeError, IsADirectoryError, PermissionError,
+            UnicodeDecodeError) as exc:
+        raise ParseError("%s: %s" % (path, exc))
 
 
 def _load_rep(path: str) -> Rep:

@@ -49,10 +49,6 @@ class NonFreeCokernel(QuivlatError):
     code = "NonFreeCokernel"
 
 
-class RankMismatch(QuivlatError):
-    code = "RankMismatch"
-
-
 class Inconclusive(QuivlatError):
     """A bounded search was exhausted without settling the question."""
 

@@ -28,11 +28,9 @@ from .quiver import Rep, RepMorphism, base_change
 from .rings import (
     ExactMatrix,
     RingHom,
-    cokernel_data,
+    _hom_ext_data,
     constant_rank,
-    kernel_data,
     presentation_base_change,
-    solve,
 )
 
 
@@ -102,16 +100,6 @@ def _unflatten_arrow(x: Rep, y: Rep, vec):
     return tuple(mats)
 
 
-def _flatten_vertex(x: Rep, y: Rep, mats):
-    vec = []
-    for i in range(x.quiver.vertex_count):
-        m = mats[i]
-        for c in range(m.cols):
-            for r in range(m.rows):
-                vec.append(m.entries[r][c])
-    return tuple(vec)
-
-
 class HomExtResult:
     """Hom and Ext of a fixed pair, with explicit witnesses available.
 
@@ -119,14 +107,18 @@ class HomExtResult:
     hom_generators lists one morphism per Hom invariant factor, in the same
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
     a C1 tuple of matrices mapping onto that generator of the cokernel.
+
+    Construction diagonalises the differential exactly once, tracking the
+    right transform (whose columns give the Hom generators) and the inverse
+    of the left transform (whose columns give the Ext cocycles); both
+    modules are read off that one worksheet.
     """
 
     def __init__(self, x: Rep, y: Rep):
         self.x = x
         self.y = y
         self.differential = differential(x, y)
-        self.hom, self._hom_vecs = kernel_data(self.differential)
-        self.ext, self._ext_vecs = cokernel_data(self.differential)
+        self.hom, self._hom_vecs, self.ext, self._ext_vecs = _hom_ext_data(self.differential)
         self._hom_gens = None
         self._ext_cocycles = None
 
@@ -182,13 +174,12 @@ def is_exceptional(x: Rep) -> bool:
     if not (he.hom.is_free and he.hom.free_rank == 1):
         return False
     ring = x.ring
-    gen_vec = he._hom_vecs[0]
-    ident = tuple(ExactMatrix.identity(ring, d) for d in x.dims)
-    id_vec = _flatten_vertex(x, x, ident)
-    a = ExactMatrix(ring, len(gen_vec), 1, tuple((v,) for v in gen_vec))
-    b = ExactMatrix(ring, len(id_vec), 1, tuple((v,) for v in id_vec))
-    sol = solve(a, b)
-    return sol is not None and ring.is_unit(sol.entries[0][0])
+    gen = _unflatten_vertex(x, x, he._hom_vecs[0])
+    # r * gen = id forces r * u = 1 for any diagonal entry u of gen, so gen
+    # must be u * id for that unit u.
+    u = next(m.entries[0][0] for m in gen if m.rows)
+    return ring.is_unit(u) and all(
+        m == ExactMatrix.identity(ring, m.rows).scale(u) for m in gen)
 
 
 def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:

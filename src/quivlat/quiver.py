@@ -40,6 +40,13 @@ from . import rings as _rings
 DimVector = tuple  # tuple[int, ...], one entry per vertex
 
 
+def _json_int(value) -> int:
+    """An integer read from JSON; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError("integer expected, got %r" % (value,))
+    return value
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Finite quiver: vertex count plus a tuple of (tail, head) pairs, 1-based."""
@@ -110,8 +117,8 @@ class Quiver:
     @staticmethod
     def from_json(data) -> "Quiver":
         try:
-            n = int(data["vertices"])
-            arrows = tuple((int(t), int(h)) for t, h in data["arrows"])
+            n = _json_int(data["vertices"])
+            arrows = tuple((_json_int(t), _json_int(h)) for t, h in data["arrows"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("malformed quiver record") from exc
         return Quiver(n, arrows)
@@ -215,17 +222,20 @@ class Rep:
         try:
             ring = RingSpec.parse(data["ring"])
             quiver = Quiver.from_json(data["quiver"])
-            dims = tuple(int(d) for d in data["dims"])
+            dims = tuple(_json_int(d) for d in data["dims"])
             raw_mats = list(data["mats"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError("malformed representation record") from exc
+        if len(dims) != quiver.vertex_count:
+            raise ParseError("need %d dimensions, got %d" % (
+                quiver.vertex_count, len(dims)))
         if len(raw_mats) != quiver.arrow_count:
             raise ParseError("need %d arrow matrices, got %d" % (
                 quiver.arrow_count, len(raw_mats)))
         mats = []
         for a, flat in enumerate(raw_mats):
-            r = dims[quiver.head(a)] if quiver.vertex_count else 0
-            c = dims[quiver.tail(a)] if quiver.vertex_count else 0
+            r = dims[quiver.head(a)]
+            c = dims[quiver.tail(a)]
             if not isinstance(flat, list) or len(flat) != r * c:
                 raise ParseError("arrow %d needs %d entries" % (a, r * c))
             entries = [ring.entry_from_json(x) for x in flat]

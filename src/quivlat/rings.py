@@ -20,6 +20,16 @@ the latter two are canonicalised separately by a Howell-form pass, which
 is what :func:`kernel_basis` uses for its generating sets; the Howell form
 of a row span may need more rows than the input matrix has, so it cannot
 serve as the shape-preserving two-sided form.
+
+Each public function eliminates once, tracking only the transforms it
+reads: :func:`normal_form` all four (over the fields one row reduction);
+:func:`solve` the left and right transforms; :func:`is_invertible` none;
+:func:`kernel_data` and :func:`kernel_basis` the right transform;
+:func:`cokernel` none; :func:`cokernel_data` the inverse left transform;
+:func:`cokernel_projection` the left transform.  Hom and Ext of a quiver
+pair share one elimination tracking the right and inverse left transforms.
+``ModulePresentation.from_invariant_factors`` diagonalises its diagonal
+relation matrix once, to canonicalise arbitrary input.
 """
 
 from __future__ import annotations
@@ -479,6 +489,8 @@ class RingSpec:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad rational literal %r" % value) from exc
         if self.kind == "Feps" and isinstance(value, (list, tuple)):
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in value):
+                raise ParseError("bad entry %r for ring %s" % (value, self))
             return self.canon(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return self.canon(value)
@@ -625,9 +637,6 @@ class ExactMatrix:
             raise DimensionMismatch("column counts %d vs %d" % (self.cols, other.cols))
         return ExactMatrix(self.ring, self.rows + other.rows, self.cols,
                            self.entries + other.entries)
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.entries)
 
     def is_zero(self) -> bool:
         z = self.ring.is_zero
@@ -902,8 +911,11 @@ class _Worksheet:
             if lead == self.rows:
                 break
 
-    def diagonal(self):
-        return [self.n[i][i] for i in range(min(self.rows, self.cols))]
+    def diagonal(self, length: int) -> list:
+        """The diagonal of N, padded with zeros to the given length."""
+        limit = min(self.rows, self.cols)
+        zero = self.ring.zero
+        return [self.n[i][i] if i < limit else zero for i in range(length)]
 
     def matrix(self) -> ExactMatrix:
         return ExactMatrix(self.ring, self.rows, self.cols,
@@ -980,10 +992,8 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     ring = a.ring
     ws = _diagonal_sheet(a, need_left=True, need_right=True)
     c = ws.left_matrix().mul(b)
-    limit = min(a.rows, a.cols)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        d = ws.n[i][i] if i < limit else ring.zero
+    for i, d in enumerate(ws.diagonal(a.rows)):
         for jc in range(b.cols):
             rhs = c.entries[i][jc]
             if ring.is_zero(d):
@@ -1003,7 +1013,7 @@ def is_invertible(mat: ExactMatrix) -> bool:
         return False
     ring = mat.ring
     ws = _diagonal_sheet(mat)
-    return all(ring.is_unit(d) for d in ws.diagonal())
+    return all(ring.is_unit(d) for d in ws.diagonal(mat.rows))
 
 
 def invert(mat: ExactMatrix) -> ExactMatrix:
@@ -1136,34 +1146,27 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
-def kernel_basis(a: ExactMatrix) -> ExactMatrix:
-    """Matrix whose columns generate {x : a*x = 0}.
-
-    Over the fields and Z the columns are a basis of the kernel (free).
-    Over Z/m and the truncated rings they are the Howell-canonical
-    generating set of the kernel submodule.
-    """
-    ring = a.ring
-    ws = _diagonal_sheet(a, need_right=True)
-    limit = min(a.rows, a.cols)
-    right = ws.right_matrix()
-    gens = []
-    for j in range(a.cols):
-        d = ws.n[j][j] if j < limit else ring.zero
+def _kernel_read(ws: _Worksheet) -> tuple:
+    """kernel_data read off a diagonalised sheet that tracks ``right``."""
+    ring = ws.ring
+    torsion_factors = []
+    torsion_gens = []
+    free_gens = []
+    for j, d in enumerate(ws.diagonal(ws.cols)):
         g = ring.ann_gen(d)
         if ring.is_zero(g):
             continue
-        col = right.column(j)
-        if g == ring.one:
-            gens.append(col)
+        col = tuple(row[j] for row in ws.right)
+        if ring.is_unit(g):
+            free_gens.append(col)
         else:
-            gens.append(tuple(ring.mul(g, x) for x in col))
-    if ring.kind in ("Zmod", "Feps"):
-        gens = howell_rows(ring, gens)
-    if not gens:
-        return ExactMatrix.zeros(ring, a.cols, 0)
-    data = tuple(zip(*gens))
-    return ExactMatrix(ring, a.cols, len(gens), data)
+            torsion_factors.append(ring.ann_gen(g))
+            torsion_gens.append(tuple(ring.mul(g, x) for x in col))
+    # The diagonal is a canonical divisibility chain with zeros last, so
+    # these factors are already the invariant factors: no second elimination.
+    factors = tuple(torsion_factors) + (ring.zero,) * len(free_gens)
+    relations = block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors])
+    return ModulePresentation(ring, len(factors), relations, factors), torsion_gens + free_gens
 
 
 def kernel_data(a: ExactMatrix) -> tuple:
@@ -1177,27 +1180,23 @@ def kernel_data(a: ExactMatrix) -> tuple:
     vector generates the summand of the k-th invariant factor (torsion in
     chain order, then one vector per free summand), matching cokernel_data.
     """
+    return _kernel_read(_diagonal_sheet(a, need_right=True))
+
+
+def kernel_basis(a: ExactMatrix) -> ExactMatrix:
+    """Matrix whose columns generate {x : a*x = 0}.
+
+    Over the fields and Z the columns are a basis of the kernel (free).
+    Over Z/m and the truncated rings they are the Howell-canonical
+    generating set of the kernel submodule.
+    """
     ring = a.ring
-    ws = _diagonal_sheet(a, need_right=True)
-    limit = min(a.rows, a.cols)
-    right = ws.right_matrix()
-    torsion_factors = []
-    torsion_gens = []
-    free_gens = []
-    for j in range(a.cols):
-        d = ws.n[j][j] if j < limit else ring.zero
-        g = ring.ann_gen(d)
-        if ring.is_zero(g):
-            continue
-        col = right.column(j)
-        if ring.is_unit(g):
-            free_gens.append(col)
-        else:
-            torsion_factors.append(ring.ann_gen(g))
-            torsion_gens.append(tuple(ring.mul(g, x) for x in col))
-    factors = tuple(torsion_factors) + (ring.zero,) * len(free_gens)
-    pres = ModulePresentation.from_invariant_factors(ring, factors)
-    return pres, torsion_gens + free_gens
+    _, gens = kernel_data(a)
+    if ring.kind in ("Zmod", "Feps"):
+        gens = howell_rows(ring, gens)
+    if not gens:
+        return ExactMatrix.zeros(ring, a.cols, 0)
+    return ExactMatrix(ring, a.cols, len(gens), tuple(zip(*gens)))
 
 
 @dataclass(frozen=True)
@@ -1229,12 +1228,7 @@ class ModulePresentation:
     @staticmethod
     def from_invariant_factors(ring: RingSpec, factors: Sequence) -> "ModulePresentation":
         """Presentation of a direct sum of cyclic modules R/(d)."""
-        factors = [ring.canon(d) for d in factors]
-        rel = ExactMatrix(ring, len(factors), len(factors),
-                          tuple(tuple(factors[i] if i == j else ring.zero
-                                      for j in range(len(factors)))
-                                for i in range(len(factors))))
-        return cokernel(rel)
+        return cokernel(block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors]))
 
 
 def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
@@ -1244,13 +1238,30 @@ def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
     return tuple(torsion + [ring.zero] * free)
 
 
+def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
+    """Cokernel presentation of a, plus one vector per generator.
+
+    Read off a diagonalised sheet of a.  The generators sit at the non-unit
+    diagonal positions, torsion in chain order and then the free ones.  The
+    vector of a generator is its preimage (a column of left_inv) when the
+    sheet tracks left_inv, else its projection row (a row of left) when the
+    sheet tracks left; with neither, no vectors are returned.
+    """
+    ring = a.ring
+    diag = ws.diagonal(a.rows)
+    idx = ([i for i, d in enumerate(diag) if not ring.is_zero(d) and not ring.is_unit(d)]
+           + [i for i, d in enumerate(diag) if ring.is_zero(d)])
+    pres = ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx))
+    if ws.left_inv is not None:
+        return pres, [tuple(row[i] for row in ws.left_inv) for i in idx]
+    if ws.left is not None:
+        return pres, [tuple(ws.left[i]) for i in idx]
+    return pres, []
+
+
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
-    ring = a.ring
-    ws = _diagonal_sheet(a)
-    limit = min(a.rows, a.cols)
-    diag = [ws.n[i][i] if i < limit else ring.zero for i in range(a.rows)]
-    return ModulePresentation(ring, a.rows, a, _chain_factors(ring, diag))
+    return _cokernel_read(_diagonal_sheet(a), a)[0]
 
 
 def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
@@ -1259,17 +1270,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     The k-th returned vector maps onto the k-th listed invariant-factor
     generator of the cokernel under the projection R^rows -> coker.
     """
-    ring = a.ring
-    ws = _diagonal_sheet(a, need_left_inv=True)
-    limit = min(a.rows, a.cols)
-    diag = [ws.n[i][i] if i < limit else ring.zero for i in range(a.rows)]
-    left_inv = ws.left_inv_matrix()
-    torsion_idx = [i for i, d in enumerate(diag)
-                   if not ring.is_zero(d) and not ring.is_unit(d)]
-    free_idx = [i for i, d in enumerate(diag) if ring.is_zero(d)]
-    reps = [left_inv.column(i) for i in torsion_idx + free_idx]
-    pres = ModulePresentation(ring, a.rows, a, _chain_factors(ring, diag))
-    return pres, reps
+    return _cokernel_read(_diagonal_sheet(a, need_left_inv=True), a)
 
 
 def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
@@ -1279,15 +1280,16 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     R^rows onto coker(a), or None when the cokernel has a torsion summand
     and no such free presentation exists.
     """
-    ring = a.ring
-    ws = _diagonal_sheet(a, need_left=True)
-    limit = min(a.rows, a.cols)
-    diag = [ws.n[i][i] if i < limit else ring.zero for i in range(a.rows)]
-    if any(not ring.is_zero(d) and not ring.is_unit(d) for d in diag):
+    pres, rows = _cokernel_read(_diagonal_sheet(a, need_left=True), a)
+    if not pres.is_free:
         return None
-    left = ws.left_matrix()
-    free_rows = tuple(left.entries[i] for i, d in enumerate(diag) if ring.is_zero(d))
-    return ExactMatrix(ring, len(free_rows), a.rows, free_rows)
+    return ExactMatrix(a.ring, len(rows), a.rows, tuple(rows))
+
+
+def _hom_ext_data(a: ExactMatrix) -> tuple:
+    """kernel_data(a) + cokernel_data(a) from one diagonalisation of a."""
+    ws = _diagonal_sheet(a, need_right=True, need_left_inv=True)
+    return _kernel_read(ws) + _cokernel_read(ws, a)
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:
@@ -1389,10 +1391,6 @@ class RingHom:
         if k == "TruncatedPolyToPrimeField":
             return x[0]
         return self.target.canon(x[: self.target.n])
-
-    @property
-    def is_surjective(self) -> bool:
-        return self.kind not in ("IntToRationals", "PrimeFieldToTruncatedPoly")
 
     @property
     def has_nilpotent_kernel(self) -> bool:

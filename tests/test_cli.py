@@ -184,6 +184,15 @@ def test_parse_failures_exit_two(files, capsys):
     assert code == 2 and rep["error"] == "ParseError"
 
 
+def test_unreadable_files_exit_two(files, tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00\x81 not utf-8")
+    for path in (str(tmp_path), str(binary)):
+        code, out = run(capsys, "rigid", "--rep", path, "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
+
+
 def test_argparse_rejections(files, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -216,6 +216,57 @@ def test_exceptional_basics(ring):
     assert is_rigid(doubled) and not is_exceptional(doubled)
 
 
+def test_one_diagonalisation_per_hom_ext(monkeypatch):
+    from quivlat import homology, rings
+    calls = []
+    diagonalize = rings._Worksheet.diagonalize
+
+    def counted(ws):
+        calls.append(ws.ring)
+        return diagonalize(ws)
+
+    monkeypatch.setattr(rings._Worksheet, "diagonalize", counted)
+    homology._hom_ext_cached.cache_clear()
+    x = projective_rep(Zmod(6), K2, 1)
+    hom_ext(x, x)
+    assert len(calls) == 1
+    assert is_exceptional(x)
+    assert len(calls) == 1
+
+
+def _exceptional_by_solve(x):
+    """is_exceptional as first written: solve r * generator = identity."""
+    from quivlat.rings import ExactMatrix, solve
+    he = hom_ext(x, x)
+    if not he.ext.is_zero or not (he.hom.is_free and he.hom.free_rank == 1):
+        return False
+    ring = x.ring
+    gen_vec = he._hom_vecs[0]
+    # the identity morphism, flattened column-major vertex by vertex
+    id_vec = tuple(ring.one if r == c else ring.zero
+                   for d in x.dims for c in range(d) for r in range(d))
+    a = ExactMatrix(ring, len(gen_vec), 1, tuple((v,) for v in gen_vec))
+    b = ExactMatrix(ring, len(id_vec), 1, tuple((v,) for v in id_vec))
+    sol = solve(a, b)
+    return sol is not None and ring.is_unit(sol.entries[0][0])
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12),
+                                  Feps(2, 2), Feps(3, 3)], ids=str)
+def test_is_exceptional_matches_solve_rule(ring):
+    from quivlat.verify import random_rep
+    rng = random.Random(12)
+    found = 0
+    for _ in range(30):
+        q = rng.choice((A2, A3, K2))
+        dims = tuple(rng.randint(0, 2) for _ in range(q.vertex_count))
+        x = random_rep(ring, q, dims, rng)
+        want = _exceptional_by_solve(x)
+        assert is_exceptional(x) == want
+        found += want
+    assert found
+
+
 def test_rigid_hom_ext_ranks_contract():
     x = Rep.simple(ZZ, K2, 2)
     y = projective_rep(ZZ, K2, 1)

@@ -71,6 +71,15 @@ def test_quiver_json_round_trip():
         Quiver.from_json({"vertices": 2, "arrows": [[1]]})
 
 
+def test_quiver_from_json_rejects_non_integers():
+    for bad in ({"vertices": 2.0, "arrows": [[1, 2]]},
+                {"vertices": True, "arrows": []},
+                {"vertices": 2, "arrows": [[1.5, 2]]},
+                {"vertices": 2, "arrows": [[1, True]]}):
+        with pytest.raises(ParseError):
+            Quiver.from_json(bad)
+
+
 def test_topological_order():
     assert A3.topological_order() == (0, 1, 2)
     assert Quiver(2, ((2, 1),)).topological_order() == (1, 0)
@@ -121,6 +130,21 @@ def test_rep_json_round_trip():
     with pytest.raises(ParseError):
         Rep.from_json({"ring": "Z", "quiver": A2.to_json(),
                        "dims": [1, 1], "mats": [[1, 2]]})
+
+
+def test_rep_from_json_rejects_short_dims():
+    record = Rep.simple(ZZ, A2, 1).to_json()
+    record["dims"] = [1]
+    with pytest.raises(ParseError):
+        Rep.from_json(record)
+
+
+def test_rep_from_json_rejects_non_integer_dims():
+    for dims in ([1.9, 1], [True, 0]):
+        record = Rep.simple(ZZ, A2, 1).to_json()
+        record["dims"] = dims
+        with pytest.raises(ParseError):
+            Rep.from_json(record)
 
 
 def test_simple_and_zero():

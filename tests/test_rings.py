@@ -120,6 +120,15 @@ def test_units_and_inverses():
                     ring.inv(a)
 
 
+def test_feps_entry_from_json_rejects_non_int_coefficients():
+    from quivlat.errors import ParseError
+    ring = Feps(2, 2)
+    assert ring.entry_from_json([1, 3]) == (1, 1)
+    for bad in ([1.7, True], [1, 1.0], [True, 0], ["1", 0]):
+        with pytest.raises(ParseError):
+            ring.entry_from_json(bad)
+
+
 def test_ring_spec_parse_round_trip():
     for ring in (ZZ, QQ, GF(2), GF(97), Zmod(4), Zmod(360), Feps(2, 2), Feps(5, 4)):
         assert RingSpec.parse(str(ring)) == ring
@@ -326,6 +335,19 @@ def test_kernel_data_presents_the_kernel(ring):
         assert module_size(ring, pres.invariant_factors) == len(want)
         for g in gens:
             assert all(ring.is_zero(v) for v in matvec(ring, a, g))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12),
+                                  Feps(2, 2), Feps(3, 3)], ids=str)
+def test_kernel_data_presentation_is_canonical(ring):
+    # kernel_data reads its factors off the normal form without eliminating
+    # again, so they must already be what from_invariant_factors produces
+    rng = random.Random(11)
+    for _ in range(20):
+        a = rand_matrix(ring, rng.randint(0, 4), rng.randint(0, 5), rng, span=6)
+        pres, _ = kernel_data(a)
+        assert pres == ModulePresentation.from_invariant_factors(
+            ring, pres.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
