@@ -30,12 +30,20 @@ reads: :func:`normal_form` all four (over the fields one row reduction);
 pair share one elimination tracking the right and inverse left transforms.
 ``ModulePresentation.from_invariant_factors`` diagonalises its diagonal
 relation matrix once, to canonicalise arbitrary input.
+
+Elimination does its row and column operations through one small kernel
+table per ring kind (plain ``x + c*y`` over Z and Q, one reduction mod m
+per entry over F_p and Z/m, a truncated product over Feps), chosen once
+per worksheet.  The kernels skip zero multiplicands, which dominate the
+sparse differentials and the identity-like transforms, and the values they
+store are bit-identical to element-wise ``RingSpec.add``/``RingSpec.mul``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -47,16 +55,20 @@ from .errors import (
     NotComputable,
     NotProjective,
     ParseError,
+    TheoremViolation,
 )
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _MR_WITNESSES (Sorenson & Webster,
+# Math. Comp. 2017): below it _is_prime is proven, at or above it not.
+_PRIME_PROOF_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond any modulus we meet
+    # deterministic Miller-Rabin for n < _PRIME_PROOF_BOUND
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
@@ -108,6 +120,13 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _check_prime_provable(p: int):
+    if p >= _PRIME_PROOF_BOUND:
+        raise NotComputable(
+            "primality of %d is not provable here: the test is proven only "
+            "below %d" % (p, _PRIME_PROOF_BOUND))
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """One of the supported coefficient rings.
@@ -126,12 +145,14 @@ class RingSpec:
             if self.p or self.m or self.n:
                 raise ParseError("%s takes no parameters" % self.kind)
         elif self.kind == "F":
+            _check_prime_provable(self.p)
             if not _is_prime(self.p):
                 raise ParseError("F:%d needs a prime" % self.p)
         elif self.kind == "Zmod":
             if self.m < 2:
                 raise ParseError("Zmod needs modulus >= 2")
         elif self.kind == "Feps":
+            _check_prime_provable(self.p)
             if not _is_prime(self.p):
                 raise ParseError("Feps:%d:%d needs a prime" % (self.p, self.n))
             if self.n < 1:
@@ -238,10 +259,14 @@ class RingSpec:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ParseError("integer entry expected, got %r" % (x,))
             return x % (self.p if k == "F" else self.m)
-        # Feps: accept an int (constant) or a coefficient sequence
+        # Feps: accept an int (constant) or a list or tuple of int coefficients
         if isinstance(x, int) and not isinstance(x, bool):
             return (x % self.p,) + (0,) * (self.n - 1)
-        coeffs = tuple(int(c) % self.p for c in x)
+        p = self.p
+        coeffs = (tuple([c % p for c in x if type(c) is int])
+                  if isinstance(x, (list, tuple)) else None)
+        if coeffs is None or len(coeffs) != len(x):
+            raise ParseError("bad entry %r for ring %s" % (x, self))
         if len(coeffs) > self.n:
             if any(coeffs[self.n:]):
                 raise ParseError("coefficient list longer than truncation order")
@@ -489,8 +514,6 @@ class RingSpec:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad rational literal %r" % value) from exc
         if self.kind == "Feps" and isinstance(value, (list, tuple)):
-            if any(isinstance(c, bool) or not isinstance(c, int) for c in value):
-                raise ParseError("bad entry %r for ring %s" % (value, self))
             return self.canon(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return self.canon(value)
@@ -667,26 +690,173 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
 # two-sided diagonalisation with tracked transforms
 
 
+class _PlainKernels:
+    """Row and column kernels over Z and Q: plain ``x + c*y``.
+
+    Every kernel skips a position whose multiplicand is zero (the 2x2
+    combinations one where both inputs are zero) and leaves its value as it
+    is; element-wise arithmetic would compute that same value there, so the
+    results are identical to it.  Row kernels return a new list; column
+    kernels update ``row[j]`` in each row of a list of rows in place.
+    """
+
+    is_zero = staticmethod(operator.not_)
+
+    def row_axpy(self, dst, src, c):
+        """dst + c*src"""
+        return [x + c * y if y else x for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        """row[j] += c*row[k] in every row"""
+        for row in rows:
+            y = row[k]
+            if y:
+                row[j] = row[j] + c * y
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        """(s*ri + t*rj, u*ri + v*rj)"""
+        return ([s * x + t * y if x or y else x for x, y in zip(ri, rj)],
+                [u * x + v * y if x or y else y for x, y in zip(ri, rj)])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        """(row[i], row[j]) <- (s*row[i] + t*row[j], u*row[i] + v*row[j])"""
+        for row in rows:
+            x, y = row[i], row[j]
+            if x or y:
+                row[i] = s * x + t * y
+                row[j] = u * x + v * y
+
+
+class _ModKernels:
+    """The kernels of _PlainKernels over F_p and Z/m: one ``% m`` per entry."""
+
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def row_axpy(self, dst, src, c):
+        m = self.m
+        return [(x + c * y) % m if y else x for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        m = self.m
+        for row in rows:
+            y = row[k]
+            if y:
+                row[j] = (row[j] + c * y) % m
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        m = self.m
+        return ([(s * x + t * y) % m if x or y else x for x, y in zip(ri, rj)],
+                [(u * x + v * y) % m if x or y else y for x, y in zip(ri, rj)])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        m = self.m
+        for row in rows:
+            x, y = row[i], row[j]
+            if x or y:
+                row[i] = (s * x + t * y) % m
+                row[j] = (u * x + v * y) % m
+
+
+class _EpsKernels:
+    """The kernels of _PlainKernels over F_p[e]/(e^n).
+
+    Each call unpacks its multipliers once into the (i, c_i, range(n - i))
+    of their nonzero coefficients; entries are reduced mod p once, at the end.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.zero = (0,) * n
+        self.is_zero = self.zero.__eq__
+        self._ranges = [range(n - i) for i in range(n)]
+
+    def _terms(self, c):
+        return [(i, ci, self._ranges[i]) for i, ci in enumerate(c) if ci]
+
+    def _fma(self, x, terms, y, terms2=(), y2=None):
+        """x + c*y (+ c2*y2) for multipliers unpacked by _terms."""
+        out = list(x)
+        for i, ci, js in terms:
+            for j in js:
+                out[i + j] += ci * y[j]
+        for i, ci, js in terms2:
+            for j in js:
+                out[i + j] += ci * y2[j]
+        p = self.p
+        return tuple([v % p for v in out])
+
+    def row_axpy(self, dst, src, c):
+        z, fma, tc = self.zero, self._fma, self._terms(c)
+        return [x if y == z else fma(x, tc, y) for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        z, fma, tc = self.zero, self._fma, self._terms(c)
+        for row in rows:
+            y = row[k]
+            if y != z:
+                row[j] = fma(row[j], tc, y)
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        z, fma = self.zero, self._fma
+        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
+        pairs = list(zip(ri, rj))
+        return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
+                [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        z, fma = self.zero, self._fma
+        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
+        for row in rows:
+            x, y = row[i], row[j]
+            if x != z or y != z:
+                row[i] = fma(z, ts, x, tt, y)
+                row[j] = fma(z, tu, x, tv, y)
+
+
+_PLAIN_KERNELS = _PlainKernels()
+
+
+def _kernels(ring: RingSpec):
+    """The row and column kernels of a ring, chosen by its kind."""
+    if ring.kind == "F":
+        return _ModKernels(ring.p)
+    if ring.kind == "Zmod":
+        return _ModKernels(ring.m)
+    if ring.kind == "Feps":
+        return _EpsKernels(ring.p, ring.n)
+    return _PLAIN_KERNELS
+
+
 class _Worksheet:
     """Mutable matrix plus whichever transforms the caller asked for.
 
     Maintains N = left * M * right, left_inv = left^-1, right_inv = right^-1.
+    Every row and column operation runs through the one kernel table of the
+    ring's kind (``_kernels``).  The kernels skip zero multiplicands, so a
+    sparse row costs little more than its nonzero entries; the values they
+    store are bit-identical to element-wise ``ring.add``/``ring.mul``.
     """
 
     def __init__(self, mat: ExactMatrix, need_left, need_right,
                  need_left_inv, need_right_inv):
         self.ring = mat.ring
+        self.kernels = _kernels(mat.ring)
         self.rows = mat.rows
         self.cols = mat.cols
         self.n = [list(row) for row in mat.entries]
-        ident = lambda k: [[self.ring.one if i == j else self.ring.zero
-                            for j in range(k)] for i in range(k)]
+        zero, one = mat.ring.zero, mat.ring.one
+        ident = lambda k: [[one if i == j else zero for j in range(k)]
+                           for i in range(k)]
         self.left = ident(mat.rows) if need_left else None
         self.left_inv = ident(mat.rows) if need_left_inv else None
         self.right = ident(mat.cols) if need_right else None
         self.right_inv = ident(mat.cols) if need_right_inv else None
 
     # row ops: N <- E N, left <- E left, left_inv <- left_inv E^-1
+    # A scaling by u is the axpy x + (u - 1)*x of a row or column onto itself.
 
     def swap_rows(self, i, j):
         if i == j:
@@ -699,51 +869,37 @@ class _Worksheet:
                 row[i], row[j] = row[j], row[i]
 
     def scale_row(self, i, u):
-        ring = self.ring
-        mul = ring.mul
-        self.n[i] = [mul(u, x) for x in self.n[i]]
+        ring, kern = self.ring, self.kernels
+        c = ring.sub(u, ring.one)
+        self.n[i] = kern.row_axpy(self.n[i], self.n[i], c)
         if self.left is not None:
-            self.left[i] = [mul(u, x) for x in self.left[i]]
+            self.left[i] = kern.row_axpy(self.left[i], self.left[i], c)
         if self.left_inv is not None:
-            uinv = ring.inv(u)
-            for row in self.left_inv:
-                row[i] = mul(row[i], uinv)
+            kern.col_axpy(self.left_inv, i, i, ring.sub(ring.inv(u), ring.one))
 
     def addmul_row(self, i, j, c):
         """row_i += c * row_j"""
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        self.n[i] = [add(x, mul(c, y)) for x, y in zip(self.n[i], self.n[j])]
+        kern = self.kernels
+        self.n[i] = kern.row_axpy(self.n[i], self.n[j], c)
         if self.left is not None:
-            self.left[i] = [add(x, mul(c, y))
-                            for x, y in zip(self.left[i], self.left[j])]
+            self.left[i] = kern.row_axpy(self.left[i], self.left[j], c)
         if self.left_inv is not None:
-            nc = ring.neg(c)
-            for row in self.left_inv:
-                row[j] = add(row[j], mul(nc, row[i]))
+            kern.col_axpy(self.left_inv, j, i, self.ring.neg(c))
 
     def rows2(self, i, j, s, t, u, v):
         """(row_i, row_j) <- (s,t; u,v) (row_i, row_j); determinant a unit."""
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-
-        def combine(ri, rj):
-            new_i = [add(mul(s, x), mul(t, y)) for x, y in zip(ri, rj)]
-            new_j = [add(mul(u, x), mul(v, y)) for x, y in zip(ri, rj)]
-            return new_i, new_j
-
-        self.n[i], self.n[j] = combine(self.n[i], self.n[j])
+        ring, kern = self.ring, self.kernels
+        self.n[i], self.n[j] = kern.row_comb(self.n[i], self.n[j], s, t, u, v)
         if self.left is not None:
-            self.left[i], self.left[j] = combine(self.left[i], self.left[j])
+            self.left[i], self.left[j] = kern.row_comb(
+                self.left[i], self.left[j], s, t, u, v)
         if self.left_inv is not None:
+            mul = ring.mul
             det = ring.sub(mul(s, v), mul(t, u))
             dinv = ring.inv(det)
             a, b = mul(dinv, v), ring.neg(mul(dinv, t))
             c, d = ring.neg(mul(dinv, u)), mul(dinv, s)
-            for row in self.left_inv:
-                x, y = row[i], row[j]
-                row[i] = add(mul(x, a), mul(y, c))
-                row[j] = add(mul(x, b), mul(y, d))
+            kern.col_comb(self.left_inv, i, j, a, c, b, d)
 
     # column ops: N <- N F, right <- right F, right_inv <- F^-1 right_inv
 
@@ -760,65 +916,52 @@ class _Worksheet:
             ri[i], ri[j] = ri[j], ri[i]
 
     def scale_col(self, j, u):
-        ring = self.ring
-        mul = ring.mul
-        for row in self.n:
-            row[j] = mul(row[j], u)
+        ring, kern = self.ring, self.kernels
+        c = ring.sub(u, ring.one)
+        kern.col_axpy(self.n, j, j, c)
         if self.right is not None:
-            for row in self.right:
-                row[j] = mul(row[j], u)
+            kern.col_axpy(self.right, j, j, c)
         if self.right_inv is not None:
-            uinv = ring.inv(u)
-            self.right_inv[j] = [mul(uinv, x) for x in self.right_inv[j]]
+            ri = self.right_inv
+            ri[j] = kern.row_axpy(ri[j], ri[j], ring.sub(ring.inv(u), ring.one))
 
     def addmul_col(self, j, k, c):
         """col_j += c * col_k"""
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        for row in self.n:
-            row[j] = add(row[j], mul(c, row[k]))
+        kern = self.kernels
+        kern.col_axpy(self.n, j, k, c)
         if self.right is not None:
-            for row in self.right:
-                row[j] = add(row[j], mul(c, row[k]))
+            kern.col_axpy(self.right, j, k, c)
         if self.right_inv is not None:
-            nc = ring.neg(c)
             ri = self.right_inv
-            ri[k] = [add(x, mul(nc, y)) for x, y in zip(ri[k], ri[j])]
+            ri[k] = kern.row_axpy(ri[k], ri[j], self.ring.neg(c))
 
     def cols2(self, i, j, s, t, u, v):
         """(col_i, col_j) <- (col_i, col_j) (s,u; t,v): col_i' = s c_i + t c_j."""
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        for row in self.n:
-            x, y = row[i], row[j]
-            row[i] = add(mul(s, x), mul(t, y))
-            row[j] = add(mul(u, x), mul(v, y))
+        ring, kern = self.ring, self.kernels
+        kern.col_comb(self.n, i, j, s, t, u, v)
         if self.right is not None:
-            for row in self.right:
-                x, y = row[i], row[j]
-                row[i] = add(mul(s, x), mul(t, y))
-                row[j] = add(mul(u, x), mul(v, y))
+            kern.col_comb(self.right, i, j, s, t, u, v)
         if self.right_inv is not None:
+            mul = ring.mul
             det = ring.sub(mul(s, v), mul(t, u))
             dinv = ring.inv(det)
             a, b = mul(dinv, v), ring.neg(mul(dinv, u))
             c, d = ring.neg(mul(dinv, t)), mul(dinv, s)
             ri = self.right_inv
-            new_i = [add(mul(a, x), mul(b, y)) for x, y in zip(ri[i], ri[j])]
-            new_j = [add(mul(c, x), mul(d, y)) for x, y in zip(ri[i], ri[j])]
-            ri[i], ri[j] = new_i, new_j
+            ri[i], ri[j] = kern.row_comb(ri[i], ri[j], a, b, c, d)
 
     # -- the reduction -------------------------------------------------------
 
     def _find_pivot(self, s):
         ring = self.ring
+        is_zero = self.kernels.is_zero
         best = None
         best_size = None
         for i in range(s, self.rows):
             row = self.n[i]
             for j in range(s, self.cols):
                 x = row[j]
-                if ring.is_zero(x):
+                if is_zero(x):
                     continue
                 size = ring.pivot_size(x)
                 if size == 1:
@@ -827,14 +970,21 @@ class _Worksheet:
                     best, best_size = (i, j), size
         return best
 
+    def _divisibility_size(self, x):
+        """pivot_size, with zero above every nonzero element."""
+        return math.inf if self.kernels.is_zero(x) else self.ring.pivot_size(x)
+
     def _clear_position(self, s):
         ring = self.ring
+        is_zero = self.kernels.is_zero
+        n = self.n
+        size = self._divisibility_size(n[s][s])
         while True:
             for i in range(s + 1, self.rows):
-                b = self.n[i][s]
-                if ring.is_zero(b):
+                b = n[i][s]
+                if is_zero(b):
                     continue
-                a = self.n[s][s]
+                a = n[s][s]
                 q = ring.solve_scalar(a, b)
                 if q is not None:
                     self.addmul_row(i, s, ring.neg(q))
@@ -842,21 +992,29 @@ class _Worksheet:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self.rows2(s, i, sx, tx, ux, vx)
             for j in range(s + 1, self.cols):
-                b = self.n[s][j]
-                if ring.is_zero(b):
+                b = n[s][j]
+                if is_zero(b):
                     continue
-                a = self.n[s][s]
+                a = n[s][s]
                 q = ring.solve_scalar(a, b)
                 if q is not None:
                     self.addmul_col(j, s, ring.neg(q))
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self.cols2(s, j, sx, tx, ux, vx)
-            if not any(not ring.is_zero(self.n[i][s])
-                       for i in range(s + 1, self.rows)):
-                if not any(not ring.is_zero(self.n[s][j])
-                           for j in range(s + 1, self.cols)):
+            if all(is_zero(n[i][s]) for i in range(s + 1, self.rows)):
+                if all(is_zero(n[s][j]) for j in range(s + 1, self.cols)):
                     return
+            # A pass of solve_scalar steps alone leaves row and column s
+            # clear, so this pass made a gcdex step; each one replaces the
+            # pivot a by a gcd of a and an entry a does not divide, which
+            # strictly shrinks its size.  That bounds the number of passes.
+            new_size = self._divisibility_size(n[s][s])
+            if new_size >= size:
+                raise TheoremViolation(
+                    "gcdex step did not shrink pivot %r at position %d over %s"
+                    % (n[s][s], s, ring))
+            size = new_size
 
     def diagonalize(self):
         ring = self.ring
@@ -891,11 +1049,12 @@ class _Worksheet:
     def rref(self):
         """Reduced row echelon over a field; column transforms untouched."""
         ring = self.ring
+        is_zero = self.kernels.is_zero
         lead = 0
         for j in range(self.cols):
             piv = None
             for i in range(lead, self.rows):
-                if not ring.is_zero(self.n[i][j]):
+                if not is_zero(self.n[i][j]):
                     piv = i
                     break
             if piv is None:
@@ -905,7 +1064,7 @@ class _Worksheet:
             if v != ring.one:
                 self.scale_row(lead, ring.inv(v))
             for i in range(self.rows):
-                if i != lead and not ring.is_zero(self.n[i][j]):
+                if i != lead and not is_zero(self.n[i][j]):
                     self.addmul_row(i, lead, ring.neg(self.n[i][j]))
             lead += 1
             if lead == self.rows:

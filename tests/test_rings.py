@@ -129,6 +129,62 @@ def test_feps_entry_from_json_rejects_non_int_coefficients():
             ring.entry_from_json(bad)
 
 
+@pytest.mark.parametrize("bad", ["10", [1.7, 0], [True, 1], 1.5, None],
+                         ids=["string", "float-coeff", "bool-coeff", "float", "none"])
+def test_feps_matrix_entries_reject_non_int_coefficients(bad):
+    from quivlat.errors import ParseError
+    with pytest.raises(ParseError):
+        ExactMatrix(Feps(2, 2), 1, 1, ((bad,),))
+
+
+PSI_12 = 318665857834031151167461     # least strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981    # least strong pseudoprime to bases 2..41
+
+
+def test_prime_parameters_below_the_proof_bound():
+    from quivlat.errors import ParseError
+    for make in (GF, lambda p: Feps(p, 2)):
+        with pytest.raises(ParseError):
+            make(PSI_12)
+        largest_prime_below = 3317044064679887385961813
+        assert make(largest_prime_below).p == largest_prime_below
+
+
+def test_prime_parameters_at_or_above_the_proof_bound():
+    from quivlat.errors import NotComputable
+    next_prime = 3317044064679887385962123
+    for p in (PSI_13, next_prime):
+        for make in (GF, lambda p: Feps(p, 2)):
+            with pytest.raises(NotComputable, match=str(PSI_13)):
+                make(p)
+        with pytest.raises(NotComputable):
+            RingSpec.parse("F:%d" % p)
+
+
+def test_clear_position_raises_when_gcdex_does_not_shrink(monkeypatch):
+    import signal
+    from quivlat.errors import TheoremViolation
+
+    def swap(self, a, b):
+        # unimodular, but leaves the pivot as large as before
+        return b, self.zero, self.one, self.one, self.zero
+
+    def hung(signum, frame):
+        raise AssertionError("_clear_position did not terminate")
+
+    monkeypatch.setattr(RingSpec, "gcdex", swap)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        with pytest.raises(TheoremViolation):
+            normal_form(ExactMatrix.from_rows(ZZ, [[2], [3]]))
+        with pytest.raises(TheoremViolation):
+            normal_form(ExactMatrix.from_rows(Zmod(12), [[4, 6]]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_ring_spec_parse_round_trip():
     for ring in (ZZ, QQ, GF(2), GF(97), Zmod(4), Zmod(360), Feps(2, 2), Feps(5, 4)):
         assert RingSpec.parse(str(ring)) == ring
