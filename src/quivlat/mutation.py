@@ -19,6 +19,7 @@ case split cannot escape silently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,7 @@ from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
+    _exact_dims,
     cokernel_rep,
     kernel_rep,
     tensor_free,
@@ -339,32 +341,25 @@ def braid_act(seq: ExcSequence, i: int, *, inverse: bool = False) -> ExcSequence
     return ExcSequence(items)
 
 
-def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
-    """Breadth-first search of the braid orbit of a sequence.
+def _orbit_members(start: ExcSequence, bound: int):
+    """Each dimension vector of the pruned braid orbit with its first witness.
 
-    Explores generators in index order, each followed by its inverse, and
-    never enqueues a sequence containing a member whose total dimension
-    exceeds the bound, which makes the reachable state space finite and the
-    traversal deterministic.  With target_dims set, returns the first
-    member representation found with that dimension vector, or None when
-    the pruned orbit is exhausted.  Without it, returns a dict mapping each
-    dimension vector seen to its first witness representation.
+    Breadth-first from start, generators in index order, each followed by
+    its inverse; a sequence with a member of total dimension above the bound
+    is never enqueued.  Yields member representations, one per dimension
+    vector, in the order first seen.
     """
     if bound < 1:
         raise BoundExceeded("bound must be positive")
-    if target_dims is not None:
-        target_dims = tuple(int(d) for d in target_dims)
-    found = {}
-    seen = set()
-    queue = [start]
-    seen.add(start.dims_tuple())
+    yielded = set()
+    seen = {start.dims_tuple()}
+    queue = deque([start])
     while queue:
-        seq = queue.pop(0)
+        seq = queue.popleft()
         for rep in seq.items:
-            if rep.dims not in found:
-                found[rep.dims] = rep
-                if target_dims is not None and rep.dims == target_dims:
-                    return rep
+            if rep.dims not in yielded:
+                yielded.add(rep.dims)
+                yield rep
         for i in range(1, len(seq)):
             for inverse in (False, True):
                 nxt = braid_act(seq, i, inverse=inverse)
@@ -375,6 +370,23 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
                     continue
                 seen.add(key)
                 queue.append(nxt)
-    if target_dims is not None:
-        return None
-    return found
+
+
+def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
+    """Breadth-first search of the braid orbit of a sequence.
+
+    Explores generators in index order, each followed by its inverse, and
+    never enqueues a sequence containing a member whose total dimension
+    exceeds the bound, which makes the reachable state space finite and the
+    traversal deterministic.  With target_dims set (exact ints), returns the
+    first member representation found with that dimension vector, or None
+    when the pruned orbit is exhausted.  Without it, returns a dict mapping
+    each dimension vector seen to its first witness representation.
+    Classification and construction in structure share one such walk of the
+    integral standard sequence per quiver and bound.
+    """
+    members = _orbit_members(start, bound)
+    if target_dims is None:
+        return {rep.dims: rep for rep in members}
+    target_dims = _exact_dims(target_dims)
+    return next((rep for rep in members if rep.dims == target_dims), None)

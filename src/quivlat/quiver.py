@@ -124,6 +124,19 @@ class Quiver:
         return Quiver(n, arrows)
 
 
+def _exact_dims(dims) -> tuple:
+    """A dimension vector as a tuple of exact ints; anything else is refused."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise DimensionMismatch(
+            "dimension vector must be a sequence, got %r" % (dims,)) from None
+    if any(type(d) is not int for d in dims):
+        raise DimensionMismatch(
+            "dimension vector entries must be ints, got %r" % (dims,))
+    return dims
+
+
 def euler_form(quiver: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """Bilinear form sum_i a_i b_i - sum_{arrows} a_tail b_head."""
     alpha, beta = tuple(alpha), tuple(beta)

@@ -14,6 +14,13 @@ The three constructive results living here:
     the decomposition is found by a bounded search over candidate roots and
     certified by an explicit isomorphism assembled from evaluation maps and
     splitting sections.
+
+Classification and construction share one integral orbit walk per quiver
+and bound: schur_root_status, exceptional_lattice, generic_dims and the
+candidate roots of decompose_rigid all read witnesses over Z from it, and
+each query advances the walk only as far as it needs.  Nothing is searched
+over Q: mutation commutes with the flat base change Z -> Q, so both orbits
+pass through the same dimension vectors in the same order.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .errors import (
@@ -37,11 +43,12 @@ from .errors import (
     TheoremViolation,
 )
 from .homology import differential, hom_ext, is_exceptional, is_rigid, _unflatten_vertex
-from .mutation import _evaluation_map, orbit_search, standard_sequence
+from .mutation import _evaluation_map, _orbit_members, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
+    _exact_dims,
     base_change,
     cokernel_rep,
     direct_sum_many,
@@ -52,7 +59,6 @@ from .quiver import (
 from .rings import (
     ExactMatrix,
     GF,
-    QQ,
     RingHom,
     RingSpec,
     ZZ,
@@ -67,25 +73,50 @@ SCHUR_PREFILTER_FALSE = "prefilter_false"
 SCHUR_BOUNDED_FALSE = "bounded_false"
 
 
-@lru_cache(maxsize=None)
-def _schur_orbit(ring: RingSpec, quiver: Quiver, bound: int):
-    """All dimension vectors of braid-orbit members within the bound.
+# (ring, quiver, bound) -> (member generator, dict dims -> first witness)
+_WALKS = {}
 
-    Exhaustive, so keep the bound tight; single-root queries should go
-    through _schur_witness, which stops as soon as the target appears.
+
+def _walk(ring: RingSpec, quiver: Quiver, bound: int, alpha=None) -> dict:
+    """Witnesses of the shared braid-orbit walk, advanced until alpha is seen.
+
+    One walk of the standard sequence per (ring, quiver, bound) serves every
+    query: it resumes where the last query stopped, so no prefix of the
+    orbit is searched twice.  With alpha None the walk is run to the end.
+    A walk whose advance raised is dropped, so a later query starts afresh
+    instead of reading a half-consumed walk as exhausted.
     """
-    return orbit_search(standard_sequence(ring, quiver), bound=bound)
+    key = (ring, quiver, bound)
+    walk = _WALKS.get(key)
+    if walk is None:
+        walk = _WALKS[key] = (
+            _orbit_members(standard_sequence(ring, quiver), bound), {})
+    members, found = walk
+    if alpha not in found:
+        try:
+            for rep in members:
+                found[rep.dims] = rep
+                if rep.dims == alpha:
+                    break
+        except BaseException:
+            _WALKS.pop(key, None)
+            raise
+    return found
 
 
-@lru_cache(maxsize=None)
+def _schur_orbit(ring: RingSpec, quiver: Quiver, bound: int) -> dict:
+    """All dimension vectors of braid-orbit members within the bound."""
+    return _walk(ring, quiver, bound)
+
+
 def _schur_witness(ring: RingSpec, quiver: Quiver, alpha: tuple,
                    bound: int) -> Optional[Rep]:
     """First braid-orbit member of dimension vector alpha, or None."""
-    return orbit_search(standard_sequence(ring, quiver), alpha, bound=bound)
+    return _walk(ring, quiver, bound, alpha).get(alpha)
 
 
 def _check_dim_vector(quiver: Quiver, alpha) -> tuple:
-    alpha = tuple(int(d) for d in alpha)
+    alpha = _exact_dims(alpha)
     if len(alpha) != quiver.vertex_count:
         raise DimensionMismatch("dimension vector length %d, need %d" % (
             len(alpha), quiver.vertex_count))
@@ -99,12 +130,15 @@ def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
 
     "prefilter_false" is definitive (an exceptional representation forces
     euler_form(alpha, alpha) = 1); "bounded_false" only says the pruned
-    orbit did not reach alpha.
+    orbit did not reach alpha.  The orbit is walked over Z: by flatness,
+    mutation over Z and over Q passes through the same dimension vectors,
+    and the integral witness found here is the one exceptional_lattice
+    builds from.
     """
     alpha = _check_dim_vector(quiver, alpha)
     if tits_form(quiver, alpha) != 1:
         return SCHUR_PREFILTER_FALSE
-    if _schur_witness(QQ, quiver, alpha, bound) is not None:
+    if _schur_witness(ZZ, quiver, alpha, bound) is not None:
         return SCHUR_REAL
     return SCHUR_BOUNDED_FALSE
 
@@ -113,14 +147,8 @@ def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
     return schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
 
 
-def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
-                        *, bound: int = 60) -> Rep:
-    """Exceptional representation of dimension vector alpha over the ring.
-
-    The witness is found by integral orbit search and transported along the
-    canonical map from Z; the result is re-verified to be exceptional over
-    the target ring.
-    """
+def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
+    """Exceptional lattice over Z carrying alpha; raises if none is found."""
     alpha = _check_dim_vector(quiver, alpha)
     status = schur_root_status(quiver, alpha, bound=bound)
     if status == SCHUR_PREFILTER_FALSE:
@@ -130,16 +158,23 @@ def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
         raise BoundExceeded(
             "no exceptional representation of %r found within bound %d" % (
                 list(alpha), bound))
-    over_z = _schur_witness(ZZ, quiver, alpha, bound)
-    if over_z is None:
-        raise BoundExceeded(
-            "integral orbit search missed %r within bound %d" % (
-                list(alpha), bound))
+    return _schur_witness(ZZ, quiver, alpha, bound)
+
+
+def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
+                        *, bound: int = 60) -> Rep:
+    """Exceptional representation of dimension vector alpha over the ring.
+
+    The witness is the integral one that classified alpha, transported
+    along the canonical map from Z; the result is re-verified to be
+    exceptional over the target ring.
+    """
+    over_z = _integral_witness(quiver, alpha, bound)
     out = over_z if ring == ZZ else base_change(over_z, canonical_hom(ZZ, ring))
     if not is_exceptional(out):
         raise TheoremViolation(
             "constructed representation of %r is not exceptional over %s" % (
-                list(alpha), ring))
+                list(over_z.dims), ring))
     return out
 
 
@@ -152,17 +187,12 @@ class GenericDims:
 
 
 def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
-    """Hom and Ext ranks between the exceptional representations over Q."""
-    reps = []
-    for root in (alpha, beta):
-        root = _check_dim_vector(quiver, root)
-        status = schur_root_status(quiver, root, bound=bound)
-        if status == SCHUR_PREFILTER_FALSE:
-            raise NotSchurRoot("%r is not a real Schur root" % (list(root),))
-        if status == SCHUR_BOUNDED_FALSE:
-            raise BoundExceeded("%r not reached within bound %d" % (
-                list(root), bound))
-        reps.append(_schur_witness(QQ, quiver, root, bound))
+    """Hom and Ext ranks between the exceptional representations over Q.
+
+    Read off as free ranks over Z of the integral witnesses from the shared
+    orbit walk; by flatness these are the dimensions over Q.
+    """
+    reps = [_integral_witness(quiver, root, bound) for root in (alpha, beta)]
     he = hom_ext(reps[0], reps[1])
     dims = GenericDims(he.hom.free_rank, he.ext.free_rank)
     if dims.hom_rank - dims.ext_rank != euler_form(quiver, reps[0].dims, reps[1].dims):
@@ -254,7 +284,7 @@ def _candidate_roots(quiver: Quiver, dims, bound: int):
     Candidates have total dimension at most sum(dims), so the exhaustive
     orbit enumeration can be capped there regardless of the search bound.
     """
-    orbit = _schur_orbit(QQ, quiver, min(bound, sum(dims)))
+    orbit = _schur_orbit(ZZ, quiver, min(bound, sum(dims)))
     return sorted(d for d in orbit
                   if any(d) and all(a <= b for a, b in zip(d, dims)))
 

@@ -234,3 +234,19 @@ def test_orbit_search_three_kronecker_fibonacci():
 def test_orbit_search_bound_guard():
     with pytest.raises(BoundExceeded):
         orbit_search(standard_sequence(ZZ, A2), bound=0)
+
+
+@pytest.mark.parametrize("target", [(1.9, 2.2), (True, 2), ("1", "2"), 12], ids=repr)
+def test_orbit_search_target_needs_exact_ints(target):
+    with pytest.raises(DimensionMismatch):
+        orbit_search(standard_sequence(ZZ, K2), target, bound=9)
+
+
+@pytest.mark.parametrize("quiver,bound", [(A2, 12), (A3, 12), (K2, 12), (K3, 12)],
+                         ids=("A2", "A3", "kronecker", "3-kronecker"))
+def test_orbit_over_q_and_z_see_the_same_dims_in_order(quiver, bound):
+    # mutation commutes with the flat base change Z -> Q, so the integral
+    # walk alone decides which roots the orbit reaches, and in which order
+    over_q = orbit_search(standard_sequence(QQ, quiver), bound=bound)
+    over_z = orbit_search(standard_sequence(ZZ, quiver), bound=bound)
+    assert list(over_q) == list(over_z)

@@ -4,18 +4,22 @@ import random
 
 import pytest
 
+from quivlat import mutation, structure
 from quivlat.errors import (
     BoundExceeded,
+    DimensionMismatch,
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
 )
 from quivlat.homology import hom_ext, is_exceptional, is_rigid
+from quivlat.mutation import orbit_search, standard_sequence
 from quivlat.quiver import (
     Quiver,
     Rep,
     base_change,
     direct_sum_many,
+    euler_form,
     is_isomorphic_rigid,
     projective_rep,
     tensor_free,
@@ -100,6 +104,74 @@ def test_generic_dims_frozen():
     assert (gd.hom_rank, gd.ext_rank) == (0, 1)
     gd = generic_dims(A3, (0, 1, 1), (1, 1, 0), bound=10)
     assert (gd.hom_rank, gd.ext_rank) == (1, 0)
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 2), (True, 2), ("1", "2"), 12], ids=repr)
+def test_dimension_vectors_need_exact_ints(alpha):
+    with pytest.raises(DimensionMismatch):
+        exceptional_lattice(K2, alpha)
+    with pytest.raises(DimensionMismatch):
+        schur_root_status(K2, alpha)
+
+
+@pytest.mark.parametrize("quiver", (A3, K2), ids=("A3", "kronecker"))
+def test_generic_dims_are_the_ranks_over_q(quiver):
+    roots = sorted(orbit_search(standard_sequence(ZZ, quiver), bound=7))
+    to_q = canonical_hom(ZZ, QQ)
+    for alpha in roots:
+        xa = base_change(exceptional_lattice(quiver, alpha, bound=7), to_q)
+        for beta in roots:
+            xb = base_change(exceptional_lattice(quiver, beta, bound=7), to_q)
+            he = hom_ext(xa, xb)
+            gd = generic_dims(quiver, alpha, beta, bound=7)
+            assert (gd.hom_rank, gd.ext_rank) == (he.hom.free_rank, he.ext.free_rank)
+            assert gd.hom_rank - gd.ext_rank == euler_form(quiver, alpha, beta)
+
+
+# ---------------------------------------------------------------------------
+# the shared integral orbit walk
+
+
+@pytest.fixture
+def fresh_walks(monkeypatch):
+    monkeypatch.setattr(structure, "_WALKS", {})
+
+
+@pytest.mark.parametrize("largest_first", (False, True), ids=("smallest", "largest"))
+@pytest.mark.parametrize("quiver", (A2, A3, K2), ids=("A2", "A3", "kronecker"))
+def test_shared_walk_gives_the_fresh_search_witnesses(fresh_walks, quiver, largest_first):
+    bound = 12
+    roots = sorted(orbit_search(standard_sequence(ZZ, quiver), bound=bound),
+                   key=sum, reverse=largest_first)
+    for alpha in roots:
+        fresh = orbit_search(standard_sequence(ZZ, quiver), alpha, bound=bound)
+        assert structure._schur_witness(ZZ, quiver, alpha, bound) == fresh
+        assert exceptional_lattice(quiver, alpha, bound=bound) == fresh
+    assert list(structure._schur_orbit(ZZ, quiver, bound)) == list(
+        orbit_search(standard_sequence(ZZ, quiver), bound=bound))
+
+
+class _Deadline(BaseException):
+    """Stands in for an interrupt or an alarm raised mid-walk."""
+
+
+def test_interrupted_walk_does_not_poison_later_queries(fresh_walks, monkeypatch):
+    original = mutation.braid_act
+    calls = []
+
+    def braid_act_failing_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise _Deadline()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mutation, "braid_act", braid_act_failing_once)
+    with pytest.raises(_Deadline):
+        schur_root_status(K2, (5, 6), bound=12)
+    assert len(calls) == 3
+    assert schur_root_status(K2, (5, 6), bound=12) == SCHUR_REAL
+    fresh = orbit_search(standard_sequence(ZZ, K2), (5, 6), bound=12)
+    assert structure._schur_witness(ZZ, K2, (5, 6), 12) == fresh
 
 
 # ---------------------------------------------------------------------------
