@@ -32,11 +32,13 @@ pair share one elimination tracking the right and inverse left transforms.
 relation matrix once, to canonicalise arbitrary input.
 
 Elimination does its row and column operations through one small kernel
-table per ring kind (plain ``x + c*y`` over Z and Q, one reduction mod m
-per entry over F_p and Z/m, a truncated product over Feps), chosen once
-per worksheet.  The kernels skip zero multiplicands, which dominate the
-sparse differentials and the identity-like transforms, and the values they
-store are bit-identical to element-wise ``RingSpec.add``/``RingSpec.mul``.
+table per ring kind (plain ``x + c*y`` over Z, the same on numerator and
+denominator ints with one ``Fraction`` built per stored entry over Q, one
+reduction mod m per entry over F_p and Z/m, a truncated product over
+Feps), chosen once per worksheet.  The kernels skip zero multiplicands,
+which dominate the sparse differentials and the identity-like transforms,
+and the values they store are bit-identical to element-wise
+``RingSpec.add``/``RingSpec.mul``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -88,6 +91,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# "n" or "n/d" in ASCII decimal digits; int() alone would also take "+3",
+# " 3", "1_0" and non-ASCII digits, and "/-2" would give a negative denominator.
+_RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
     old_r, r = a, b
@@ -103,20 +111,34 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+# Trial division in _factorize stops below this; a cofactor left below its
+# square has no two prime factors, so it is prime.
+_TRIAL_DIVISION_BOUND = 1 << 16
+
+
 def _factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division; moduli here are small."""
+    """Prime factorization of m >= 1 by trial division below
+    _TRIAL_DIVISION_BOUND.  The cofactor left is accepted when it is 1,
+    below the bound squared, or proven prime by _is_prime; otherwise
+    NotComputable is raised instead of dividing on without end."""
     out = []
+    n = m
     d = 2
-    while d * d <= m:
-        if m % d == 0:
+    while d * d <= n and d < _TRIAL_DIVISION_BOUND:
+        if n % d == 0:
             k = 0
-            while m % d == 0:
-                m //= d
+            while n % d == 0:
+                n //= d
                 k += 1
             out.append((d, k))
         d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
+    if n > 1:
+        if (n >= _TRIAL_DIVISION_BOUND ** 2
+                and not (n < _PRIME_PROOF_BOUND and _is_prime(n))):
+            raise NotComputable(
+                "cannot factor %d: the cofactor %d has no prime factor below "
+                "%d and is not provably prime" % (m, n, _TRIAL_DIVISION_BOUND))
+        out.append((n, 1))
     return out
 
 
@@ -508,11 +530,14 @@ class RingSpec:
 
     def entry_from_json(self, value):
         if self.kind == "Q" and isinstance(value, str):
-            num, _, den = value.partition("/")
+            match = _RATIONAL_LITERAL.fullmatch(value)
             try:
-                return Fraction(int(num), int(den or "1"))
+                if match:
+                    return Fraction(int(match[1]), int(match[2] or "1"))
             except (ValueError, ZeroDivisionError) as exc:
+                # a zero denominator, or more digits than int() converts
                 raise ParseError("bad rational literal %r" % value) from exc
+            raise ParseError("bad rational literal %r" % value)
         if self.kind == "Feps" and isinstance(value, (list, tuple)):
             return self.canon(value)
         if isinstance(value, int) and not isinstance(value, bool):
@@ -691,7 +716,7 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
 
 
 class _PlainKernels:
-    """Row and column kernels over Z and Q: plain ``x + c*y``.
+    """Row and column kernels over Z: plain ``x + c*y``.
 
     Every kernel skips a position whose multiplicand is zero (the 2x2
     combinations one where both inputs are zero) and leaves its value as it
@@ -725,6 +750,73 @@ class _PlainKernels:
             if x or y:
                 row[i] = s * x + t * y
                 row[j] = u * x + v * y
+
+
+def _q_comb(sn, sd, xn, xd, tn, td, yn, yd):
+    """s*x + t*y as a Fraction, from the numerators and denominators."""
+    if sd == 1 and xd == 1 and td == 1 and yd == 1:
+        return Fraction(sn * xn + tn * yn)
+    dx, dy = sd * xd, td * yd
+    return Fraction(sn * xn * dy + tn * yn * dx, dx * dy)
+
+
+class _RationalKernels:
+    """The kernels of _PlainKernels over Q, on numerator and denominator ints.
+
+    Each call reads the numerator and denominator of its multipliers once
+    and those of each operand once per entry (``as_integer_ratio``),
+    multiplies and adds on ints and stores one ``Fraction(n, d)`` per entry
+    it writes, or ``Fraction(n)`` when every denominator involved is 1.
+    Fraction normalises, so every stored value is the one ``x + c*y`` gives,
+    repr included.  Zero multiplicands are skipped as in _PlainKernels.  The
+    axpy kernels, which do almost all of the work over Q, are written out.
+    """
+
+    is_zero = staticmethod(operator.not_)
+
+    def row_axpy(self, dst, src, c):
+        cn, cd = c.as_integer_ratio()
+        out = []
+        for x, y in zip(dst, src):
+            if y:
+                xn, xd = x.as_integer_ratio()
+                yn, yd = y.as_integer_ratio()
+                if xd == 1 and yd == 1 and cd == 1:
+                    x = Fraction(xn + cn * yn)
+                else:
+                    d = cd * yd
+                    x = Fraction(xn * d + cn * yn * xd, xd * d)
+            out.append(x)
+        return out
+
+    def col_axpy(self, rows, j, k, c):
+        cn, cd = c.as_integer_ratio()
+        for row in rows:
+            y = row[k]
+            if y:
+                xn, xd = row[j].as_integer_ratio()
+                yn, yd = y.as_integer_ratio()
+                if xd == 1 and yd == 1 and cd == 1:
+                    row[j] = Fraction(xn + cn * yn)
+                else:
+                    d = cd * yd
+                    row[j] = Fraction(xn * d + cn * yn * xd, xd * d)
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        pairs = [[x, y] for x, y in zip(ri, rj)]
+        self.col_comb(pairs, 0, 1, s, t, u, v)
+        return [x for x, _ in pairs], [y for _, y in pairs]
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        (sn, sd), (tn, td) = s.as_integer_ratio(), t.as_integer_ratio()
+        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
+        for row in rows:
+            x, y = row[i], row[j]
+            if x or y:
+                xn, xd = x.as_integer_ratio()
+                yn, yd = y.as_integer_ratio()
+                row[i] = _q_comb(sn, sd, xn, xd, tn, td, yn, yd)
+                row[j] = _q_comb(un, ud, xn, xd, vn, vd, yn, yd)
 
 
 class _ModKernels:
@@ -817,10 +909,13 @@ class _EpsKernels:
 
 
 _PLAIN_KERNELS = _PlainKernels()
+_RATIONAL_KERNELS = _RationalKernels()
 
 
 def _kernels(ring: RingSpec):
     """The row and column kernels of a ring, chosen by its kind."""
+    if ring.kind == "Q":
+        return _RATIONAL_KERNELS
     if ring.kind == "F":
         return _ModKernels(ring.p)
     if ring.kind == "Zmod":

@@ -161,6 +161,79 @@ def test_prime_parameters_at_or_above_the_proof_bound():
             RingSpec.parse("F:%d" % p)
 
 
+def _semiprime_above_proof_bound():
+    from quivlat.rings import _is_prime
+    p = 2 ** 46
+    while not _is_prime(p):
+        p += 1
+    q = p + 2
+    while not _is_prime(q):
+        q += 1
+    return p, p * q
+
+
+def test_factorize_refuses_large_semiprimes_quickly():
+    import signal
+    from quivlat.errors import NotComputable
+
+    def hung(signum, frame):
+        raise AssertionError("factorization did not stop")
+
+    p, big = _semiprime_above_proof_bound()
+    below_proof_bound = 100000007 * 100000037
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        for m in (big, below_proof_bound):
+            free = ModulePresentation.from_invariant_factors(Zmod(m), [0])
+            with pytest.raises(NotComputable, match="%d" % m):
+                constant_rank(free)
+        with pytest.raises(NotComputable, match="%d" % big):
+            canonical_hom(Zmod(big), Zmod(p)).has_nilpotent_kernel
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_factorize_small_and_provably_prime_cofactors():
+    from quivlat.rings import _factorize
+    assert _factorize(4) == [(2, 2)]
+    assert _factorize(6) == [(2, 1), (3, 1)]
+    assert _factorize(8) == [(2, 3)]
+    assert _factorize(9) == [(3, 2)]
+    assert _factorize(12) == [(2, 2), (3, 1)]
+    assert _factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
+    assert _factorize(3 * (2 ** 61 - 1)) == [(3, 1), (2 ** 61 - 1, 1)]
+    nilpotent = {(m, d): canonical_hom(Zmod(m), Zmod(d)).has_nilpotent_kernel
+                 for m in (4, 6, 8, 9, 12) for d in range(2, m + 1) if m % d == 0}
+    assert sorted(k for k, v in nilpotent.items() if v) == [
+        (4, 2), (8, 2), (8, 4), (9, 3), (12, 6)]
+    ranks = {m: [constant_rank(ModulePresentation.from_invariant_factors(Zmod(m), f))
+                 for f in ([0, 0], [0, 1], [1, 1], [])]
+             for m in (4, 6, 8, 9, 12)}
+    assert ranks == {m: [2, 1, 0, 0] for m in (4, 6, 8, 9, 12)}
+    assert constant_rank(ModulePresentation.from_invariant_factors(Zmod(12), [3, 4])) == 1
+    assert constant_rank(ModulePresentation.from_invariant_factors(Zmod(12), [4, 0])) is None
+
+
+@pytest.mark.parametrize("bad", ["1_0", "٣", "  3", "3 ", "+3", "3/ 4", "1/-2",
+                                 "1/0", "", "-", "/2", "3/", "1/2/3", "3\n", "0x10",
+                                 "1" * 5000])
+def test_rational_literals_are_ascii_with_a_positive_denominator(bad):
+    from quivlat.errors import ParseError
+    with pytest.raises(ParseError):
+        QQ.entry_from_json(bad)
+
+
+def test_rational_literals_round_trip():
+    for text, value in (("3", Fraction(3)), ("-0", Fraction(0)), ("6/4", Fraction(3, 2)),
+                        ("-7/2", Fraction(-7, 2)), ("007/0010", Fraction(7, 10))):
+        assert QQ.entry_from_json(text) == value
+    for value in (Fraction(0), Fraction(5), Fraction(-3, 4), Fraction(10 ** 40 + 1, 7)):
+        back = QQ.entry_from_json(QQ.entry_to_json(value))
+        assert back == value and type(back) is Fraction
+
+
 def test_clear_position_raises_when_gcdex_does_not_shrink(monkeypatch):
     import signal
     from quivlat.errors import TheoremViolation
