@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .errors import ParseError, QuivlatError
+from .errors import BoundExceeded, IncompatibleBase, NotSchurRoot, ParseError, QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, is_rigid
 from .mutation import MutationResult, braid_act, left_mutate, right_mutate, standard_sequence
 from .quiver import Quiver, Rep, base_change
@@ -35,12 +35,15 @@ def _default_bound() -> int:
 
 
 def _load_json(path: str):
-    # FileNotFoundError is left to main(), which reports it as FileNotFound.
+    # FileNotFoundError is left to main(), which reports it as FileNotFound;
+    # any other OSError and anything json refuses (ValueError, or a
+    # RecursionError on deep nesting) is a ParseError.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError) as exc:
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError("%s: %s" % (path, exc))
 
 
@@ -84,7 +87,6 @@ def _check_quiver(args, *reps) -> None:
         quiver = _load_quiver(args.quiver)
         for rep in reps:
             if rep.quiver != quiver:
-                from .errors import IncompatibleBase
                 raise IncompatibleBase("representation does not live on the given quiver")
 
 
@@ -157,10 +159,8 @@ def _cmd_schur(args) -> dict:
     dims = _parse_dims(args.dims)
     status = schur_root_status(quiver, dims, bound=args.bound)
     if status == "prefilter_false":
-        from .errors import NotSchurRoot
         raise NotSchurRoot("dimension vector %s fails the unit quadratic-form test" % (dims,))
     if status == "bounded_false":
-        from .errors import BoundExceeded
         raise BoundExceeded("no exceptional representation of dimension %s found "
                             "within total dimension %d" % (dims, args.bound))
     return {"schema": SCHEMA, "verb": "schur", "dims": list(dims),

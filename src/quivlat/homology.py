@@ -71,33 +71,21 @@ def differential(x: Rep, y: Rep) -> ExactMatrix:
     return ExactMatrix(ring, rows, cols, tuple(tuple(r) for r in data))
 
 
+def _unflatten(x: Rep, shapes, vec):
+    """Split a flat vector into column-major blocks of the given shapes."""
+    mats = []
+    pos = 0
+    for r_, c_ in shapes:
+        block = vec[pos:pos + r_ * c_]
+        entries = tuple(tuple(block[c * r_ + r] for c in range(c_)) for r in range(r_))
+        mats.append(ExactMatrix(x.ring, r_, c_, entries))
+        pos += r_ * c_
+    return tuple(mats)
+
+
 def _unflatten_vertex(x: Rep, y: Rep, vec):
     """Split a C0 vector into one matrix per vertex."""
-    ring = x.ring
-    mats = []
-    pos = 0
-    for i in range(x.quiver.vertex_count):
-        r_, c_ = y.dims[i], x.dims[i]
-        block = vec[pos:pos + r_ * c_]
-        entries = tuple(tuple(block[c * r_ + r] for c in range(c_)) for r in range(r_))
-        mats.append(ExactMatrix(ring, r_, c_, entries))
-        pos += r_ * c_
-    return tuple(mats)
-
-
-def _unflatten_arrow(x: Rep, y: Rep, vec):
-    """Split a C1 vector into one matrix per arrow."""
-    ring = x.ring
-    q = x.quiver
-    mats = []
-    pos = 0
-    for a in range(q.arrow_count):
-        r_, c_ = y.dims[q.head(a)], x.dims[q.tail(a)]
-        block = vec[pos:pos + r_ * c_]
-        entries = tuple(tuple(block[c * r_ + r] for c in range(c_)) for r in range(r_))
-        mats.append(ExactMatrix(ring, r_, c_, entries))
-        pos += r_ * c_
-    return tuple(mats)
+    return _unflatten(x, zip(y.dims, x.dims), vec)
 
 
 class HomExtResult:
@@ -133,8 +121,11 @@ class HomExtResult:
     @property
     def ext_cocycles(self):
         if self._ext_cocycles is None:
+            q = self.x.quiver   # one C1 block per arrow
+            shapes = [(self.y.dims[q.head(a)], self.x.dims[q.tail(a)])
+                      for a in range(q.arrow_count)]
             self._ext_cocycles = tuple(
-                _unflatten_arrow(self.x, self.y, v) for v in self._ext_vecs)
+                _unflatten(self.x, shapes, v) for v in self._ext_vecs)
         return self._ext_cocycles
 
     def __repr__(self):
@@ -161,12 +152,14 @@ def is_rigid(x: Rep) -> bool:
     return hom_ext(x, x).ext.is_zero
 
 
+@lru_cache(maxsize=None)
 def is_exceptional(x: Rep) -> bool:
     """True when X is rigid and r -> r * id is an isomorphism R -> End(X).
 
     Requires End(X) free of rank one with the identity as a unit multiple
     of the generator; a rank-one endomorphism ring whose generator is not
-    a unit multiple of the identity is rejected.
+    a unit multiple of the identity is rejected.  Cached like hom_ext:
+    every sequence check and every construction asks it again.
     """
     he = hom_ext(x, x)
     if not he.ext.is_zero:

@@ -7,20 +7,22 @@ Hom and Ext cannot both be nonzero, and the mutated object is built from
 explicit witnesses:
 
   - Hom = Ext = 0: nothing to do, the pair simply transposes.
-  - Ext(X, Y) free of rank d: the universal (co)extension with X^d or Y^d.
-  - Hom(X, Y) free of rank h: the universal evaluation map X^h -> Y (left)
-    or coevaluation X -> Y^h (right), which is forced to be vertexwise
-    injective or vertexwise surjective; the mutation is its cokernel or
-    kernel.
+  - Ext(X, Y) free of rank d: the universal extension of X^d by Y.
+  - Hom(X, Y) free of rank h: the universal evaluation map X^h -> Y, which
+    is forced to be vertexwise injective or vertexwise surjective; the
+    mutation is its cokernel or kernel.
 
-Every mutation revalidates that the output pair is exceptional, so a false
-case split cannot escape silently.
+Right mutation is the transpose dual of left mutation on the opposite
+quiver, so the case split above is written once.  Every mutation
+revalidates that the output pair is exceptional, so a false case split
+cannot escape silently.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (
@@ -39,6 +41,7 @@ from .quiver import (
     RepMorphism,
     _exact_dims,
     cokernel_rep,
+    euler_form,
     kernel_rep,
     tensor_free,
 )
@@ -60,10 +63,11 @@ class MutationResult:
     """Mutated representation plus the witnesses that produced it.
 
     kind is one of Unchanged, UniversalExtension, KernelOfUniversalMap,
-    CokernelOfUniversalMap.  universal_map is the evaluation map in the two
-    Hom cases.  witness_in is the monomorphism into the middle or ambient
-    term (sub inclusion, kernel inclusion); witness_out is the epimorphism
-    out of it (quotient projection, cokernel projection).
+    CokernelOfUniversalMap.  universal_map is the evaluation map X^h -> Y
+    (left) or the coevaluation X -> Y^h (right) in the two Hom cases.
+    witness_in is the monomorphism into the middle or ambient term (sub
+    inclusion, kernel inclusion); witness_out is the epimorphism out of it
+    (quotient projection, cokernel projection).
     """
 
     kind: str
@@ -73,18 +77,14 @@ class MutationResult:
     witness_out: Optional[RepMorphism] = None
 
 
-def _require_mutation_ring(ring: RingSpec):
-    if ring.kind not in _MUTATION_RINGS:
+def _pair_hom_ext(x: Rep, y: Rep):
+    """hom_ext(x, y) once the ring and the pair are checked fit to mutate."""
+    if x.ring.kind not in _MUTATION_RINGS:
         raise NotComputable(
-            "mutation needs Z, Q or a prime field, not %s" % ring)
-
-
-def _vertexwise_mono(f: RepMorphism) -> bool:
-    return all(kernel_basis(m).cols == 0 for m in f.vertex_maps)
-
-
-def _vertexwise_epi(f: RepMorphism) -> bool:
-    return all(cokernel(m).is_zero for m in f.vertex_maps)
+            "mutation needs Z, Q or a prime field, not %s" % x.ring)
+    if not is_exceptional_pair(x, y):
+        raise PreconditionViolated("(x, y) is not an exceptional pair")
+    return hom_ext(x, y)
 
 
 def _free_rank_or_violation(pres, label: str) -> int:
@@ -109,20 +109,6 @@ def _evaluation_map(x: Rep, y: Rep, gens) -> RepMorphism:
     return RepMorphism(src, y, tuple(maps))
 
 
-def _coevaluation_map(x: Rep, y: Rep, gens) -> RepMorphism:
-    """Universal map X -> Y^h with block rows the Hom generators."""
-    ring = x.ring
-    h = len(gens)
-    tgt = tensor_free(y, h)
-    maps = []
-    for i in range(x.quiver.vertex_count):
-        m = ExactMatrix.zeros(ring, 0, x.dims[i])
-        for g in gens:
-            m = m.vstack(g.vertex_maps[i])
-        maps.append(m)
-    return RepMorphism(x, tgt, tuple(maps))
-
-
 def _extension_middle(x: Rep, y: Rep, cocycles) -> Rep:
     """Middle term of 0 -> Y -> E -> X^d -> 0 with the given classes."""
     ring = x.ring
@@ -142,25 +128,6 @@ def _extension_middle(x: Rep, y: Rep, cocycles) -> Rep:
     return Rep(ring, q, dims, tuple(mats))
 
 
-def _coextension_middle(x: Rep, y: Rep, cocycles) -> Rep:
-    """Middle term of 0 -> Y^d -> E -> X -> 0 with the given classes."""
-    ring = x.ring
-    q = x.quiver
-    d = len(cocycles)
-    dims = tuple(d * y.dims[i] + x.dims[i] for i in range(q.vertex_count))
-    mats = []
-    for a in range(q.arrow_count):
-        t, h = q.tail(a), q.head(a)
-        c = ExactMatrix.zeros(ring, 0, x.dims[t])
-        for z in cocycles:
-            c = c.vstack(z[a])
-        top = block_diag(ring, [y.mats[a]] * d).hstack(c)
-        bottom = ExactMatrix.zeros(ring, x.dims[h], d * y.dims[t]).hstack(
-            x.mats[a])
-        mats.append(top.vstack(bottom))
-    return Rep(ring, q, dims, tuple(mats))
-
-
 def _sub_quot_witnesses(sub: Rep, middle: Rep, quot: Rep):
     """Inclusion of the leading block and projection onto the trailing one."""
     ring = middle.ring
@@ -175,96 +142,89 @@ def _sub_quot_witnesses(sub: Rep, middle: Rep, quot: Rep):
             RepMorphism(middle, quot, tuple(proj)))
 
 
-def _check_output_pair(first: Rep, second: Rep):
-    if not is_exceptional_pair(first, second):
-        raise TheoremViolation("mutated pair failed the exceptionality check")
+def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
+    """Left mutation of (X, Y) from the presentations of Hom(X, Y) and
+    Ext(X, Y), the Hom generators and the Ext cocycles."""
+    if hom.is_zero and ext.is_zero:
+        return MutationResult("Unchanged", y)
+    if not hom.is_zero and not ext.is_zero:
+        raise TheoremViolation(
+            "exceptional pair with Hom and Ext both nonzero")
+    if hom.is_zero:
+        d = _free_rank_or_violation(ext, "Ext")
+        middle = _extension_middle(x, y, cocycles)
+        win, wout = _sub_quot_witnesses(y, middle, tensor_free(x, d))
+        return MutationResult("UniversalExtension", middle,
+                              witness_in=win, witness_out=wout)
+    _free_rank_or_violation(hom, "Hom")
+    ev = _evaluation_map(x, y, gens)
+    mono = all(kernel_basis(m).cols == 0 for m in ev.vertex_maps)
+    epi = all(cokernel(m).is_zero for m in ev.vertex_maps)
+    if mono and epi:
+        raise TheoremViolation("universal map is an isomorphism")
+    if epi:
+        ker, incl = kernel_rep(ev)
+        return MutationResult("KernelOfUniversalMap", ker,
+                              universal_map=ev, witness_in=incl)
+    if mono:
+        try:
+            cok, proj = cokernel_rep(ev)
+        except NonFreeCokernel as exc:
+            raise TheoremViolation(
+                "universal map has torsion cokernel: %s" % exc) from exc
+        return MutationResult("CokernelOfUniversalMap", cok,
+                              universal_map=ev, witness_out=proj)
+    raise NeitherMonoNorEpi(
+        "universal map is neither injective nor surjective")
+
+
+def _dual(x: Rep) -> Rep:
+    """Transpose dual on the opposite quiver: every arrow matrix transposed."""
+    opposite = Quiver(x.quiver.vertex_count,
+                      tuple((h, t) for t, h in x.quiver.arrows))
+    return Rep(x.ring, opposite, x.dims, tuple(m.transpose() for m in x.mats))
+
+
+def _dual_map(f: Optional[RepMorphism]) -> Optional[RepMorphism]:
+    """The transpose dual Df : DY -> DX of f : X -> Y."""
+    if f is None:
+        return None
+    return RepMorphism(_dual(f.target), _dual(f.source),
+                       tuple(m.transpose() for m in f.vertex_maps))
+
+
+_DUAL_KIND = {"KernelOfUniversalMap": "CokernelOfUniversalMap",
+              "CokernelOfUniversalMap": "KernelOfUniversalMap"}
 
 
 def left_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult:
     """Left mutation of the exceptional pair (X, Y); (L, X) is again exceptional."""
-    _require_mutation_ring(x.ring)
-    if not is_exceptional_pair(x, y):
-        raise PreconditionViolated("(x, y) is not an exceptional pair")
-    he = hom_ext(x, y)
-    hom_zero, ext_zero = he.hom.is_zero, he.ext.is_zero
-    if hom_zero and ext_zero:
-        out = MutationResult("Unchanged", y)
-    elif not hom_zero and not ext_zero:
-        raise TheoremViolation(
-            "exceptional pair with Hom and Ext both nonzero")
-    elif hom_zero:
-        d = _free_rank_or_violation(he.ext, "Ext")
-        middle = _extension_middle(x, y, he.ext_cocycles)
-        win, wout = _sub_quot_witnesses(y, middle, tensor_free(x, d))
-        out = MutationResult("UniversalExtension", middle,
-                             witness_in=win, witness_out=wout)
-    else:
-        _free_rank_or_violation(he.hom, "Hom")
-        ev = _evaluation_map(x, y, he.hom_generators)
-        mono, epi = _vertexwise_mono(ev), _vertexwise_epi(ev)
-        if mono and epi:
-            raise TheoremViolation("universal map is an isomorphism")
-        if epi:
-            ker, incl = kernel_rep(ev)
-            out = MutationResult("KernelOfUniversalMap", ker,
-                                 universal_map=ev, witness_in=incl)
-        elif mono:
-            try:
-                cok, proj = cokernel_rep(ev)
-            except NonFreeCokernel as exc:
-                raise TheoremViolation(
-                    "universal map has torsion cokernel: %s" % exc) from exc
-            out = MutationResult("CokernelOfUniversalMap", cok,
-                                 universal_map=ev, witness_out=proj)
-        else:
-            raise NeitherMonoNorEpi(
-                "universal map X^h -> Y is neither injective nor surjective")
-    if check_result:
-        _check_output_pair(out.rep, x)
+    he = _pair_hom_ext(x, y)
+    out = _left_mutation(x, y, he.hom, he.ext, he.hom_generators,
+                         he.ext_cocycles)
+    if check_result and not is_exceptional_pair(out.rep, x):
+        raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
 
 
 def right_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult:
-    """Right mutation of the exceptional pair (X, Y); (Y, R) is again exceptional."""
-    _require_mutation_ring(x.ring)
-    if not is_exceptional_pair(x, y):
-        raise PreconditionViolated("(x, y) is not an exceptional pair")
-    he = hom_ext(x, y)
-    hom_zero, ext_zero = he.hom.is_zero, he.ext.is_zero
-    if hom_zero and ext_zero:
-        out = MutationResult("Unchanged", x)
-    elif not hom_zero and not ext_zero:
-        raise TheoremViolation(
-            "exceptional pair with Hom and Ext both nonzero")
-    elif hom_zero:
-        d = _free_rank_or_violation(he.ext, "Ext")
-        middle = _coextension_middle(x, y, he.ext_cocycles)
-        win, wout = _sub_quot_witnesses(tensor_free(y, d), middle, x)
-        out = MutationResult("UniversalExtension", middle,
-                             witness_in=win, witness_out=wout)
-    else:
-        _free_rank_or_violation(he.hom, "Hom")
-        coev = _coevaluation_map(x, y, he.hom_generators)
-        mono, epi = _vertexwise_mono(coev), _vertexwise_epi(coev)
-        if mono and epi:
-            raise TheoremViolation("universal map is an isomorphism")
-        if epi:
-            ker, incl = kernel_rep(coev)
-            out = MutationResult("KernelOfUniversalMap", ker,
-                                 universal_map=coev, witness_in=incl)
-        elif mono:
-            try:
-                cok, proj = cokernel_rep(coev)
-            except NonFreeCokernel as exc:
-                raise TheoremViolation(
-                    "universal map has torsion cokernel: %s" % exc) from exc
-            out = MutationResult("CokernelOfUniversalMap", cok,
-                                 universal_map=coev, witness_out=proj)
-        else:
-            raise NeitherMonoNorEpi(
-                "universal map X -> Y^h is neither injective nor surjective")
-    if check_result:
-        _check_output_pair(y, out.rep)
+    """Right mutation of the exceptional pair (X, Y); (Y, R) is again exceptional.
+
+    R is the transpose dual of the left mutation of (DY, DX) on the opposite
+    quiver, and duality swaps kernels with cokernels, inclusions with
+    projections.  Hom(DY, DX) and Ext(DY, DX) are those of (X, Y) transposed.
+    """
+    he = _pair_hom_ext(x, y)
+    dual = _left_mutation(
+        _dual(y), _dual(x), he.hom, he.ext,
+        tuple(_dual_map(g) for g in he.hom_generators),
+        tuple(tuple(m.transpose() for m in z) for z in he.ext_cocycles))
+    out = MutationResult(_DUAL_KIND.get(dual.kind, dual.kind), _dual(dual.rep),
+                         universal_map=_dual_map(dual.universal_map),
+                         witness_in=_dual_map(dual.witness_out),
+                         witness_out=_dual_map(dual.witness_in))
+    if check_result and not is_exceptional_pair(y, out.rep):
+        raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
 
 
@@ -382,11 +342,59 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
     first member representation found with that dimension vector, or None
     when the pruned orbit is exhausted.  Without it, returns a dict mapping
     each dimension vector seen to its first witness representation.
-    Classification and construction in structure share one such walk of the
-    integral standard sequence per quiver and bound.
+    _dims_orbit walks the same states of the standard sequence on dimension
+    vectors alone.
     """
     members = _orbit_members(start, bound)
     if target_dims is None:
         return {rep.dims: rep for rep in members}
     target_dims = _exact_dims(target_dims)
     return next((rep for rep in members if rep.dims == target_dims), None)
+
+
+def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
+    """Dimension vector of a mutation, from those of the pair alone.
+
+    With e = dim X, f = dim Y and c = <e, f> the Euler form, dim L_X Y =
+    +-(f - c e) and dim R_Y X = +-(e - c f), signed nonnegative
+    (Crawley-Boevey 1993, Ringel 1994); any other vector breaks the theorem.
+    """
+    v = tuple(b - c * a for a, b in zip(e, f))
+    if not any(v) or min(v) < 0 < max(v):
+        raise TheoremViolation("mutation of %r past %r has dimension vector "
+                               "+-%r" % (list(f), list(e), list(v)))
+    return tuple(abs(x) for x in v)
+
+
+@lru_cache(maxsize=None)
+def _dims_orbit(quiver: Quiver, bound: int) -> tuple:
+    """The states of _orbit_members(standard sequence) as dimension vectors.
+
+    Same breadth-first order, generator order and pruning.  Returns (steps,
+    first): steps maps each state to its parent state and the generator
+    (i, inverse) that first reached it, None for the start; first maps each
+    dimension vector to the state it is first seen in, in that order.
+    """
+    if bound < 1:
+        raise BoundExceeded("bound must be positive")
+    start = tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
+                  for v in quiver.topological_order())
+    steps, first = {start: None}, {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for dims in state:
+            first.setdefault(dims, state)
+        for i in range(1, len(state)):
+            e, f = state[i - 1], state[i]
+            c = euler_form(quiver, e, f)
+            for inverse in (False, True):
+                pair = (f, _mutated_dims(e, f, c)) if inverse else (
+                    _mutated_dims(f, e, c), e)
+                if sum(pair[inverse]) > bound:   # the mutated member
+                    continue
+                nxt = state[:i - 1] + pair + state[i + 1:]
+                if nxt not in steps:
+                    steps[nxt] = (state, i, inverse)
+                    queue.append(nxt)
+    return steps, first

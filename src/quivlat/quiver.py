@@ -356,17 +356,10 @@ def direct_sum_injections(x: Rep, y: Rep) -> tuple:
 
 
 def direct_sum_projections(x: Rep, y: Rep) -> tuple:
-    """Canonical projections of direct_sum(x, y) onto x and y."""
-    s = direct_sum(x, y)
-    ring = x.ring
-    pr_x, pr_y = [], []
-    for i in range(x.quiver.vertex_count):
-        dx, dy = x.dims[i], y.dims[i]
-        px = ExactMatrix.identity(ring, dx).hstack(ExactMatrix.zeros(ring, dx, dy))
-        py = ExactMatrix.zeros(ring, dy, dx).hstack(ExactMatrix.identity(ring, dy))
-        pr_x.append(px)
-        pr_y.append(py)
-    return RepMorphism(s, x, tuple(pr_x)), RepMorphism(s, y, tuple(pr_y))
+    """Canonical projections of direct_sum(x, y): the injections transposed."""
+    return tuple(RepMorphism(inj.target, inj.source,
+                             tuple(m.transpose() for m in inj.vertex_maps))
+                 for inj in direct_sum_injections(x, y))
 
 
 def tensor_free(x: Rep, k: int) -> Rep:

@@ -116,11 +116,24 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
 _TRIAL_DIVISION_BOUND = 1 << 16
 
 
+def _iroot(n: int, k: int) -> int:
+    """Integer k-th root: the largest r with r ** k <= n, for n >= 1."""
+    if k == 2:
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // k)   # at least the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 by trial division below
-    _TRIAL_DIVISION_BOUND.  The cofactor left is accepted when it is 1,
-    below the bound squared, or proven prime by _is_prime; otherwise
-    NotComputable is raised instead of dividing on without end."""
+    _TRIAL_DIVISION_BOUND.  The cofactor left is accepted when it is 1 or
+    an exact power q^k of a q proven prime by _is_prime (below the bound
+    squared it is prime); otherwise NotComputable is raised instead of
+    dividing on without end."""
     out = []
     n = m
     d = 2
@@ -133,12 +146,18 @@ def _factorize(m: int) -> list[tuple[int, int]]:
             out.append((d, k))
         d += 1 if d == 2 else 2
     if n > 1:
-        if (n >= _TRIAL_DIVISION_BOUND ** 2
-                and not (n < _PRIME_PROOF_BOUND and _is_prime(n))):
+        # every prime factor left exceeds the bound 2^16, so there are at
+        # most bit_length(n) / 16 of them
+        for k in range(1, n.bit_length() // 16 + 2):
+            q = _iroot(n, k)
+            if q ** k == n and q < _PRIME_PROOF_BOUND and _is_prime(q):
+                out.append((q, k))
+                break
+        else:
             raise NotComputable(
                 "cannot factor %d: the cofactor %d has no prime factor below "
-                "%d and is not provably prime" % (m, n, _TRIAL_DIVISION_BOUND))
-        out.append((n, 1))
+                "%d and is not a power of a provable prime" % (
+                    m, n, _TRIAL_DIVISION_BOUND))
     return out
 
 

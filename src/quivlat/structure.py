@@ -15,12 +15,15 @@ The three constructive results living here:
     certified by an explicit isomorphism assembled from evaluation maps and
     splitting sections.
 
-Classification and construction share one integral orbit walk per quiver
-and bound: schur_root_status, exceptional_lattice, generic_dims and the
-candidate roots of decompose_rigid all read witnesses over Z from it, and
-each query advances the walk only as far as it needs.  Nothing is searched
-over Q: mutation commutes with the flat base change Z -> Q, so both orbits
-pass through the same dimension vectors in the same order.
+Classification walks the braid orbit of the standard sequence on dimension
+vectors alone (mutation._dims_orbit, one walk per quiver and bound), so
+schur_root_status and the candidate roots of decompose_rigid build no
+representation.  A witness is built only when asked for, by
+exceptional_lattice or generic_dims: the braid word that first reached its
+root is replayed over Z from the standard sequence, and every sequence
+built on the way is kept for later replays.  Nothing is searched over Q:
+mutation commutes with the flat base change Z -> Q, so both orbits pass
+through the same dimension vectors in the same order.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import (
     AmbiguousDecomposition,
@@ -43,7 +45,7 @@ from .errors import (
     TheoremViolation,
 )
 from .homology import differential, hom_ext, is_exceptional, is_rigid, _unflatten_vertex
-from .mutation import _evaluation_map, _orbit_members, standard_sequence
+from .mutation import ExcSequence, _dims_orbit, _evaluation_map, braid_act, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
@@ -73,46 +75,29 @@ SCHUR_PREFILTER_FALSE = "prefilter_false"
 SCHUR_BOUNDED_FALSE = "bounded_false"
 
 
-# (ring, quiver, bound) -> (member generator, dict dims -> first witness)
-_WALKS = {}
+# (quiver, bound, state) -> the integral ExcSequence of that orbit state
+_BUILT = {}
 
 
-def _walk(ring: RingSpec, quiver: Quiver, bound: int, alpha=None) -> dict:
-    """Witnesses of the shared braid-orbit walk, advanced until alpha is seen.
+def _orbit_sequence(quiver: Quiver, bound: int, state: tuple) -> ExcSequence:
+    """Integral sequence of a state of _dims_orbit(quiver, bound).
 
-    One walk of the standard sequence per (ring, quiver, bound) serves every
-    query: it resumes where the last query stopped, so no prefix of the
-    orbit is searched twice.  With alpha None the walk is run to the end.
-    A walk whose advance raised is dropped, so a later query starts afresh
-    instead of reading a half-consumed walk as exhausted.
+    Replays over Z the braid word of the state's breadth-first parents,
+    from the nearest state already built or else the standard sequence.
+    A sequence is stored only once its braid_act has returned, so an
+    interrupted replay leaves nothing half built behind.
     """
-    key = (ring, quiver, bound)
-    walk = _WALKS.get(key)
-    if walk is None:
-        walk = _WALKS[key] = (
-            _orbit_members(standard_sequence(ring, quiver), bound), {})
-    members, found = walk
-    if alpha not in found:
-        try:
-            for rep in members:
-                found[rep.dims] = rep
-                if rep.dims == alpha:
-                    break
-        except BaseException:
-            _WALKS.pop(key, None)
-            raise
-    return found
-
-
-def _schur_orbit(ring: RingSpec, quiver: Quiver, bound: int) -> dict:
-    """All dimension vectors of braid-orbit members within the bound."""
-    return _walk(ring, quiver, bound)
-
-
-def _schur_witness(ring: RingSpec, quiver: Quiver, alpha: tuple,
-                   bound: int) -> Optional[Rep]:
-    """First braid-orbit member of dimension vector alpha, or None."""
-    return _walk(ring, quiver, bound, alpha).get(alpha)
+    steps = _dims_orbit(quiver, bound)[0]
+    path = []
+    while (quiver, bound, state) not in _BUILT and steps[state] is not None:
+        path.append(state)
+        state = steps[state][0]
+    seq = _BUILT.get((quiver, bound, state)) or standard_sequence(ZZ, quiver)
+    _BUILT[quiver, bound, state] = seq
+    for state in reversed(path):
+        _, i, inverse = steps[state]
+        seq = _BUILT[quiver, bound, state] = braid_act(seq, i, inverse=inverse)
+    return seq
 
 
 def _check_dim_vector(quiver: Quiver, alpha) -> tuple:
@@ -130,15 +115,14 @@ def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
 
     "prefilter_false" is definitive (an exceptional representation forces
     euler_form(alpha, alpha) = 1); "bounded_false" only says the pruned
-    orbit did not reach alpha.  The orbit is walked over Z: by flatness,
-    mutation over Z and over Q passes through the same dimension vectors,
-    and the integral witness found here is the one exceptional_lattice
-    builds from.
+    orbit did not reach alpha.  The orbit is walked on dimension vectors,
+    which the mutation formulas determine, so no representation is built;
+    exceptional_lattice replays a witness for alpha only when asked.
     """
     alpha = _check_dim_vector(quiver, alpha)
     if tits_form(quiver, alpha) != 1:
         return SCHUR_PREFILTER_FALSE
-    if _schur_witness(ZZ, quiver, alpha, bound) is not None:
+    if alpha in _dims_orbit(quiver, bound)[1]:
         return SCHUR_REAL
     return SCHUR_BOUNDED_FALSE
 
@@ -148,7 +132,7 @@ def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
 
 
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
-    """Exceptional lattice over Z carrying alpha; raises if none is found."""
+    """orbit_search's witness over Z for alpha; raises if there is none."""
     alpha = _check_dim_vector(quiver, alpha)
     status = schur_root_status(quiver, alpha, bound=bound)
     if status == SCHUR_PREFILTER_FALSE:
@@ -158,7 +142,8 @@ def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
         raise BoundExceeded(
             "no exceptional representation of %r found within bound %d" % (
                 list(alpha), bound))
-    return _schur_witness(ZZ, quiver, alpha, bound)
+    state = _dims_orbit(quiver, bound)[1][alpha]
+    return _orbit_sequence(quiver, bound, state)[state.index(alpha)]
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
@@ -189,8 +174,8 @@ class GenericDims:
 def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
     """Hom and Ext ranks between the exceptional representations over Q.
 
-    Read off as free ranks over Z of the integral witnesses from the shared
-    orbit walk; by flatness these are the dimensions over Q.
+    Read off as free ranks over Z of the integral witnesses replayed from
+    the orbit walk; by flatness these are the dimensions over Q.
     """
     reps = [_integral_witness(quiver, root, bound) for root in (alpha, beta)]
     he = hom_ext(reps[0], reps[1])
@@ -284,7 +269,7 @@ def _candidate_roots(quiver: Quiver, dims, bound: int):
     Candidates have total dimension at most sum(dims), so the exhaustive
     orbit enumeration can be capped there regardless of the search bound.
     """
-    orbit = _schur_orbit(ZZ, quiver, min(bound, sum(dims)))
+    orbit = _dims_orbit(quiver, min(bound, sum(dims)))[1]
     return sorted(d for d in orbit
                   if any(d) and all(a <= b for a, b in zip(d, dims)))
 

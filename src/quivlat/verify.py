@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import Inconclusive, QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, is_rigid, rigid_hom_ext_ranks
-from .mutation import ExcSequence, braid_act, left_mutate, orbit_search, right_mutate, standard_sequence
+from .mutation import ExcSequence, _dims_orbit, braid_act, left_mutate, orbit_search, right_mutate, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
@@ -24,7 +24,7 @@ from .quiver import (
     tensor_free,
 )
 from .rings import ExactMatrix, Feps, GF, QQ, RingSpec, ZZ, Zmod, canonical_hom, invert
-from .structure import _schur_orbit, decompose_rigid, exceptional_lattice, generic_dims
+from .structure import decompose_rigid, exceptional_lattice, generic_dims
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -184,7 +184,7 @@ def _suite_braid(seed, size):
 
 
 def _roots_for(quiver: Quiver, bound: int = 8):
-    return sorted(_schur_orbit(ZZ, quiver, bound))
+    return sorted(_dims_orbit(quiver, bound)[1])
 
 
 def _suite_theorem_a(seed, size):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quivlat import cli
 from quivlat.cli import main
 from quivlat.quiver import Quiver, Rep, direct_sum
 from quivlat.rings import GF, ZZ
@@ -191,6 +192,35 @@ def test_unreadable_files_exit_two(files, tmp_path, capsys):
         code, out = run(capsys, "rigid", "--rep", path, "--format", "json")
         assert code == 2
         assert json.loads(out)["error"] == "ParseError"
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path, s1: s1 + "/x",
+    lambda tmp_path, s1: str(tmp_path / ("x" * 300)),
+    lambda tmp_path, s1: _write(tmp_path / "deep.json", "[" * 200000),
+    lambda tmp_path, s1: _write(tmp_path / "long.json", "1" * 5000),
+], ids=("below-a-file", "name-too-long", "nested-too-deep", "integer-too-long"))
+def test_unloadable_files_exit_two(files, tmp_path, capsys, make):
+    code, out = run(capsys, "rigid", "--rep", make(tmp_path, files["s1"]),
+                    "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"] == "ParseError"
+
+
+def test_permission_denied_exits_two(files, capsys, monkeypatch):
+    # the tests may run as root, who can read any file, so open is stubbed
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    code, rep = run_json(capsys, "rigid", "--rep", files["s1"])
+    assert code == 2 and rep["error"] == "ParseError"
+    assert "Permission denied" in rep["message"]
 
 
 def test_argparse_rejections(files, capsys):

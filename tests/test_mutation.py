@@ -23,8 +23,15 @@ from quivlat.mutation import (
     right_mutate,
     standard_sequence,
 )
-from quivlat.quiver import Quiver, Rep, is_isomorphic_rigid, projective_rep, tits_form
-from quivlat.rings import GF, QQ, ZZ, Zmod
+from quivlat.quiver import (
+    Quiver,
+    Rep,
+    is_isomorphic_rigid,
+    projective_rep,
+    tensor_free,
+    tits_form,
+)
+from quivlat.rings import GF, QQ, ZZ, Zmod, cokernel, kernel_basis
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -131,6 +138,41 @@ def test_mutation_witnesses_compose_to_zero():
     ext_case = left_mutate(s1, s2)
     # sub then quotient of the universal extension dies
     assert ext_case.witness_out.compose(ext_case.witness_in).is_zero
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_right_mutation_witnesses_compose_to_zero(ring):
+    # right mutation dualises left mutation, so each witness must come back
+    # with its direction and its kernel/cokernel role exchanged
+    s1, s2, p1 = trio(ring)
+    ker_case = right_mutate(p1, s1)
+    coev = ker_case.universal_map
+    assert ker_case.kind == "KernelOfUniversalMap"
+    assert (coev.source, coev.target) == (p1, tensor_free(s1, 1))
+    assert (ker_case.witness_in.source, ker_case.witness_in.target) == (ker_case.rep, p1)
+    assert ker_case.witness_out is None
+    assert coev.compose(ker_case.witness_in).is_zero
+    assert all(kernel_basis(m).cols == 0 for m in ker_case.witness_in.vertex_maps)
+
+    coker_case = right_mutate(s2, p1)
+    coev = coker_case.universal_map
+    assert coker_case.kind == "CokernelOfUniversalMap"
+    assert (coev.source, coev.target) == (s2, tensor_free(p1, 1))
+    assert (coker_case.witness_out.source, coker_case.witness_out.target) == (
+        tensor_free(p1, 1), coker_case.rep)
+    assert coker_case.witness_in is None
+    assert coker_case.witness_out.compose(coev).is_zero
+    assert all(cokernel(m).is_zero for m in coker_case.witness_out.vertex_maps)
+
+    ext_case = right_mutate(s1, s2)
+    win, wout = ext_case.witness_in, ext_case.witness_out
+    assert ext_case.kind == "UniversalExtension" and ext_case.universal_map is None
+    # 0 -> Y^d -> E -> X -> 0
+    assert (win.source, win.target, wout.source, wout.target) == (
+        tensor_free(s2, 1), ext_case.rep, ext_case.rep, s1)
+    assert wout.compose(win).is_zero
+    assert all(kernel_basis(m).cols == 0 for m in win.vertex_maps)
+    assert all(cokernel(m).is_zero for m in wout.vertex_maps)
 
 
 def test_universal_extension_on_kronecker():

@@ -196,6 +196,7 @@ def test_factorize_refuses_large_semiprimes_quickly():
 
 
 def test_factorize_small_and_provably_prime_cofactors():
+    from quivlat.errors import NotProjective
     from quivlat.rings import _factorize
     assert _factorize(4) == [(2, 2)]
     assert _factorize(6) == [(2, 1), (3, 1)]
@@ -204,6 +205,18 @@ def test_factorize_small_and_provably_prime_cofactors():
     assert _factorize(12) == [(2, 2), (3, 1)]
     assert _factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
     assert _factorize(3 * (2 ** 61 - 1)) == [(3, 1), (2 ** 61 - 1, 1)]
+    q = 65537
+    assert _factorize(q ** 2) == [(q, 2)]
+    assert _factorize(q ** 3) == [(q, 3)]
+    assert _factorize(3 * q ** 2) == [(3, 1), (q, 2)]
+    assert _factorize(5 * (2 ** 61 - 1) ** 7) == [(5, 1), (2 ** 61 - 1, 7)]
+    big_square = Zmod(q ** 2)
+    assert constant_rank(ModulePresentation.from_invariant_factors(
+        big_square, [0, 0, 1])) == 2
+    assert constant_rank(ModulePresentation.from_invariant_factors(
+        big_square, [0, q ** 2])) == 2
+    with pytest.raises(NotProjective):
+        constant_rank(ModulePresentation.from_invariant_factors(big_square, [0, q]))
     nilpotent = {(m, d): canonical_hom(Zmod(m), Zmod(d)).has_nilpotent_kernel
                  for m in (4, 6, 8, 9, 12) for d in range(2, m + 1) if m % d == 0}
     assert sorted(k for k, v in nilpotent.items() if v) == [

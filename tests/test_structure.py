@@ -129,34 +129,45 @@ def test_generic_dims_are_the_ranks_over_q(quiver):
 
 
 # ---------------------------------------------------------------------------
-# the shared integral orbit walk
+# the dimension-vector orbit walk and replayed witnesses
+
+A3_OP = Quiver(3, ((2, 1), (3, 2)))
+K3 = Quiver(2, ((1, 2), (1, 2), (1, 2)))
+TRIANGLE = Quiver(3, ((1, 2), (2, 3), (1, 3)))
+WALKED = [(K2, 20), (A3, 12), (A3_OP, 12), (K3, 14), (TRIANGLE, 10)]
+WALKED_IDS = ("kronecker", "A3", "A3-opposite", "3-kronecker", "triangle")
 
 
 @pytest.fixture
-def fresh_walks(monkeypatch):
-    monkeypatch.setattr(structure, "_WALKS", {})
+def fresh_replays(monkeypatch):
+    monkeypatch.setattr(structure, "_BUILT", {})
+
+
+@pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
+def test_dims_walk_visits_the_representation_walk_in_order(quiver, bound):
+    members = mutation._orbit_members(standard_sequence(ZZ, quiver), bound)
+    assert list(mutation._dims_orbit(quiver, bound)[1]) == [r.dims for r in members]
 
 
 @pytest.mark.parametrize("largest_first", (False, True), ids=("smallest", "largest"))
-@pytest.mark.parametrize("quiver", (A2, A3, K2), ids=("A2", "A3", "kronecker"))
-def test_shared_walk_gives_the_fresh_search_witnesses(fresh_walks, quiver, largest_first):
-    bound = 12
-    roots = sorted(orbit_search(standard_sequence(ZZ, quiver), bound=bound),
-                   key=sum, reverse=largest_first)
-    for alpha in roots:
-        fresh = orbit_search(standard_sequence(ZZ, quiver), alpha, bound=bound)
-        assert structure._schur_witness(ZZ, quiver, alpha, bound) == fresh
-        assert exceptional_lattice(quiver, alpha, bound=bound) == fresh
-    assert list(structure._schur_orbit(ZZ, quiver, bound)) == list(
-        orbit_search(standard_sequence(ZZ, quiver), bound=bound))
+@pytest.mark.parametrize("quiver,bound", [(A2, 12)] + WALKED,
+                         ids=("A2",) + WALKED_IDS)
+def test_shared_walk_gives_the_fresh_search_witnesses(fresh_replays, quiver, bound,
+                                                      largest_first):
+    orbit = orbit_search(standard_sequence(ZZ, quiver), bound=bound)
+    for alpha in sorted(orbit, key=sum, reverse=largest_first):
+        assert exceptional_lattice(quiver, alpha, bound=bound) == orbit[alpha]
+        assert schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
+    for (q, b, state), seq in structure._BUILT.items():
+        assert (q, b) == (quiver, bound) and seq.dims_tuple() == state
 
 
 class _Deadline(BaseException):
-    """Stands in for an interrupt or an alarm raised mid-walk."""
+    """Stands in for an interrupt or an alarm raised mid-replay."""
 
 
-def test_interrupted_walk_does_not_poison_later_queries(fresh_walks, monkeypatch):
-    original = mutation.braid_act
+def test_interrupted_replay_does_not_poison_later_queries(fresh_replays, monkeypatch):
+    original = structure.braid_act
     calls = []
 
     def braid_act_failing_once(*args, **kwargs):
@@ -165,13 +176,51 @@ def test_interrupted_walk_does_not_poison_later_queries(fresh_walks, monkeypatch
             raise _Deadline()
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(mutation, "braid_act", braid_act_failing_once)
+    monkeypatch.setattr(structure, "braid_act", braid_act_failing_once)
     with pytest.raises(_Deadline):
-        schur_root_status(K2, (5, 6), bound=12)
+        exceptional_lattice(K2, (5, 6), bound=12)
     assert len(calls) == 3
-    assert schur_root_status(K2, (5, 6), bound=12) == SCHUR_REAL
-    fresh = orbit_search(standard_sequence(ZZ, K2), (5, 6), bound=12)
-    assert structure._schur_witness(ZZ, K2, (5, 6), 12) == fresh
+    # the start and the two sequences whose braid_act returned, nothing more
+    assert len(structure._BUILT) == 3
+    for (_, _, state), seq in structure._BUILT.items():
+        assert seq.dims_tuple() == state
+    orbit = orbit_search(standard_sequence(ZZ, K2), bound=12)
+    for alpha in ((5, 6), (3, 4), (6, 5)):
+        assert exceptional_lattice(K2, alpha, bound=12) == orbit[alpha]
+
+
+def test_schur_status_at_the_default_bound_needs_no_representations():
+    import signal
+
+    def hung(signum, frame):
+        raise AssertionError("classification did not stop")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        assert schur_root_status(K2, (31, 32)) == SCHUR_BOUNDED_FALSE
+        assert schur_root_status(K2, (29, 30)) == SCHUR_REAL
+        assert schur_root_status(TRIANGLE, (20, 20, 21)) == SCHUR_BOUNDED_FALSE
+        assert schur_root_status(TRIANGLE, (20, 19, 19)) == SCHUR_REAL
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_bounds_walk_and_replay_without_recursion(fresh_replays, monkeypatch):
+    assert schur_root_status(K2, (4999, 5000), bound=10000) == SCHUR_REAL
+    assert schur_root_status(K2, (5000, 5001), bound=10000) == SCHUR_BOUNDED_FALSE
+    calls = []
+
+    def braid_act_counting(seq, i, *, inverse=False):
+        calls.append((i, inverse))
+        return seq
+
+    # replaying a braid word of length 4999 only counts its letters here
+    monkeypatch.setattr(structure, "braid_act", braid_act_counting)
+    state = mutation._dims_orbit(K2, 10000)[1][(4999, 5000)]
+    structure._orbit_sequence(K2, 10000, state)
+    assert len(calls) == 4999
 
 
 # ---------------------------------------------------------------------------
