@@ -96,10 +96,14 @@ class HomExtResult:
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
     a C1 tuple of matrices mapping onto that generator of the cokernel.
 
-    Construction diagonalises the differential exactly once, tracking the
-    right transform (whose columns give the Hom generators) and the inverse
-    of the left transform (whose columns give the Ext cocycles); both
-    modules are read off that one worksheet.
+    Construction eliminates the differential exactly once.  Over Z, Z/m
+    and Feps it diagonalises, then replays its trail of operations on just
+    the wanted columns of the right transform (the Hom generators) and of
+    the inverse left transform (the Ext cocycles).  Over Q and F_p it
+    row-reduces with no transform: the Hom generators are the reduced
+    kernel basis, one per non-pivot column, and the Ext cocycles are the
+    unit vectors at the rows that are not pivot rows.  Both modules are
+    read off that one pass.
     """
 
     def __init__(self, x: Rep, y: Rep):

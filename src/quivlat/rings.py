@@ -24,12 +24,19 @@ serve as the shape-preserving two-sided form.
 Each public function eliminates once, tracking only the transforms it
 reads: :func:`normal_form` all four (over the fields one row reduction);
 :func:`solve` the left and right transforms; :func:`is_invertible` none;
-:func:`kernel_data` and :func:`kernel_basis` the right transform;
-:func:`cokernel` none; :func:`cokernel_data` the inverse left transform;
-:func:`cokernel_projection` the left transform.  Hom and Ext of a quiver
-pair share one elimination tracking the right and inverse left transforms.
-``ModulePresentation.from_invariant_factors`` diagonalises its diagonal
-relation matrix once, to canonicalise arbitrary input.
+:func:`cokernel` none; :func:`cokernel_projection` the left transform.
+:func:`kernel_data`, :func:`kernel_basis` and :func:`cokernel_data`, and
+Hom and Ext of a quiver pair (which share one elimination), read only a
+few columns of the right or inverse left transform: the elimination keeps
+a trail of its operations and replays it, in reverse, on just those
+columns.
+Over Q and F_p, where a kernel basis and a complement of the image follow
+from the rank profile, :func:`kernel_data`, :func:`kernel_basis`,
+:func:`cokernel`, :func:`cokernel_data` and Hom and Ext instead read off one
+Gauss-Jordan row reduction with no column operations and no transforms
+(fraction-free over Q).  ``ModulePresentation.from_invariant_factors``
+eliminates its diagonal relation matrix once, to canonicalise arbitrary
+input.
 
 Elimination does its row and column operations through one small kernel
 table per ring kind (plain ``x + c*y`` over Z, the same on numerator and
@@ -94,6 +101,9 @@ def _is_prime(n: int) -> bool:
 # "n" or "n/d" in ASCII decimal digits; int() alone would also take "+3",
 # " 3", "1_0" and non-ASCII digits, and "/-2" would give a negative denominator.
 _RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a ring spec parameter, by the same rule
+_DECIMAL_LITERAL = re.compile(r"[0-9]+")
+_RING_ARITY = {"Z": 0, "Q": 0, "F": 1, "Zmod": 1, "Feps": 2}
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -161,6 +171,12 @@ def _factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+# Largest truncation order n of Feps:p:n.  Every element is a length-n tuple
+# and a product costs about n^2/2 coefficient products, so one matrix entry
+# of a larger order already takes longer than a whole small elimination.
+_FEPS_MAX_ORDER = 64
+
+
 def _check_prime_provable(p: int):
     if p >= _PRIME_PROOF_BOUND:
         raise NotComputable(
@@ -198,6 +214,10 @@ class RingSpec:
                 raise ParseError("Feps:%d:%d needs a prime" % (self.p, self.n))
             if self.n < 1:
                 raise ParseError("Feps truncation order must be >= 1")
+            if self.n > _FEPS_MAX_ORDER:
+                raise NotComputable(
+                    "Feps truncation order %d exceeds the bound %d"
+                    % (self.n, _FEPS_MAX_ORDER))
         else:
             raise ParseError("unknown ring kind %r" % (self.kind,))
 
@@ -214,21 +234,25 @@ class RingSpec:
 
     @staticmethod
     def parse(text: str) -> "RingSpec":
-        parts = text.strip().split(":")
+        """The ring of "Z", "Q", "F:p", "Zmod:m" or "Feps:p:n", parameters
+        in ASCII decimal digits only."""
+        if not isinstance(text, str):
+            raise ParseError("ring spec must be a string, got %r" % (text,))
+        kind, *params = text.strip().split(":")
+        if (_RING_ARITY.get(kind) != len(params)
+                or not all(_DECIMAL_LITERAL.fullmatch(x) for x in params)):
+            raise ParseError("bad ring spec %r" % text)
         try:
-            if parts[0] == "Z" and len(parts) == 1:
-                return ZZ
-            if parts[0] == "Q" and len(parts) == 1:
-                return QQ
-            if parts[0] == "F" and len(parts) == 2:
-                return RingSpec("F", p=int(parts[1]))
-            if parts[0] == "Zmod" and len(parts) == 2:
-                return RingSpec("Zmod", m=int(parts[1]))
-            if parts[0] == "Feps" and len(parts) == 3:
-                return RingSpec("Feps", p=int(parts[1]), n=int(parts[2]))
-        except ValueError as exc:
+            values = [int(x) for x in params]
+        except ValueError as exc:   # more digits than int() converts
             raise ParseError("bad ring spec %r" % text) from exc
-        raise ParseError("bad ring spec %r" % text)
+        if kind == "F":
+            return RingSpec("F", p=values[0])
+        if kind == "Zmod":
+            return RingSpec("Zmod", m=values[0])
+        if kind == "Feps":
+            return RingSpec("Feps", p=values[0], n=values[1])
+        return ZZ if kind == "Z" else QQ
 
     # -- structural properties --------------------------------------------
 
@@ -952,10 +976,16 @@ class _Worksheet:
     ring's kind (``_kernels``).  The kernels skip zero multiplicands, so a
     sparse row costs little more than its nonzero entries; the values they
     store are bit-identical to element-wise ``ring.add``/``ring.mul``.
+
+    With ``trail`` the diagonalisation also notes each operation it does,
+    so that a few columns of right or left_inv can be replayed afterwards
+    (``right_columns``, ``left_inv_columns``) instead of tracking the whole
+    transforms.  Over Z their entries can run to many thousands of digits
+    while N stays small, so a transform costs far more than N.
     """
 
     def __init__(self, mat: ExactMatrix, need_left, need_right,
-                 need_left_inv, need_right_inv):
+                 need_left_inv, need_right_inv, trail=False):
         self.ring = mat.ring
         self.kernels = _kernels(mat.ring)
         self.rows = mat.rows
@@ -968,6 +998,13 @@ class _Worksheet:
         self.left_inv = ident(mat.rows) if need_left_inv else None
         self.right = ident(mat.cols) if need_right else None
         self.right_inv = ident(mat.cols) if need_right_inv else None
+        self.trail = [] if trail else None
+
+    def _step(self, op, *args):
+        """Do one row or column operation, noting it on the trail if kept."""
+        if self.trail is not None:
+            self.trail.append((op, args))
+        getattr(self, op)(*args)
 
     # row ops: N <- E N, left <- E left, left_inv <- left_inv E^-1
     # A scaling by u is the axpy x + (u - 1)*x of a row or column onto itself.
@@ -1101,10 +1138,10 @@ class _Worksheet:
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
                 if q is not None:
-                    self.addmul_row(i, s, ring.neg(q))
+                    self._step("addmul_row", i, s, ring.neg(q))
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self.rows2(s, i, sx, tx, ux, vx)
+                    self._step("rows2", s, i, sx, tx, ux, vx)
             for j in range(s + 1, self.cols):
                 b = n[s][j]
                 if is_zero(b):
@@ -1112,10 +1149,10 @@ class _Worksheet:
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
                 if q is not None:
-                    self.addmul_col(j, s, ring.neg(q))
+                    self._step("addmul_col", j, s, ring.neg(q))
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self.cols2(s, j, sx, tx, ux, vx)
+                    self._step("cols2", s, j, sx, tx, ux, vx)
             if all(is_zero(n[i][s]) for i in range(s + 1, self.rows)):
                 if all(is_zero(n[s][j]) for j in range(s + 1, self.cols)):
                     return
@@ -1137,8 +1174,10 @@ class _Worksheet:
             piv = self._find_pivot(s)
             if piv is None:
                 break
-            self.swap_rows(s, piv[0])
-            self.swap_cols(s, piv[1])
+            if piv[0] != s:
+                self._step("swap_rows", s, piv[0])
+            if piv[1] != s:
+                self._step("swap_cols", s, piv[1])
             self._clear_position(s)
         # divisibility chain, zeros sinking to the end
         changed = True
@@ -1148,7 +1187,7 @@ class _Worksheet:
                 a, b = self.n[i][i], self.n[i + 1][i + 1]
                 if ring.divides(a, b):
                     continue
-                self.addmul_row(i, i + 1, ring.one)
+                self._step("addmul_row", i, i + 1, ring.one)
                 self._clear_position(i)
                 changed = True
         # canonical generators on the diagonal
@@ -1158,7 +1197,7 @@ class _Worksheet:
                 continue
             u = ring.unit_to_canonical(d)
             if u != ring.one:
-                self.scale_row(i, u)
+                self._step("scale_row", i, u)
 
     def rref(self):
         """Reduced row echelon over a field; column transforms untouched."""
@@ -1183,6 +1222,64 @@ class _Worksheet:
             lead += 1
             if lead == self.rows:
                 break
+
+    def right_columns(self, js) -> list:
+        """Columns js of right, as tuples, replayed from the trail.
+
+        right is F_1 F_2 ... F_K for the column operations F_k in order, so
+        its columns js are F_1 (F_2 (... F_K e_js)): the operations run in
+        reverse, each as the row operation of the same matrix on the rows of
+        just those columns, through the same kernels.
+        """
+        if not js:
+            return []
+        kern = self.kernels
+        x = self._unit_columns(self.cols, js)
+        for op, args in reversed(self.trail):
+            if op == "addmul_col":   # col_j += c col_k is row_k += c row_j
+                j, k, c = args
+                x[k] = kern.row_axpy(x[k], x[j], c)
+            elif op == "cols2":
+                i, j, s, t, u, v = args
+                x[i], x[j] = kern.row_comb(x[i], x[j], s, u, t, v)
+            elif op == "swap_cols":
+                i, j = args
+                x[i], x[j] = x[j], x[i]
+        return list(zip(*x))
+
+    def left_inv_columns(self, idx) -> list:
+        """Columns idx of left_inv, as tuples, replayed from the trail.
+
+        left_inv is E_1^-1 E_2^-1 ... E_K^-1 for the row operations E_k in
+        order; as in right_columns the inverses run in reverse on the rows
+        of just the wanted columns.
+        """
+        if not idx:
+            return []
+        ring, kern = self.ring, self.kernels
+        mul = ring.mul
+        x = self._unit_columns(self.rows, idx)
+        for op, args in reversed(self.trail):
+            if op == "addmul_row":
+                i, j, c = args
+                x[i] = kern.row_axpy(x[i], x[j], ring.neg(c))
+            elif op == "rows2":
+                i, j, s, t, u, v = args
+                dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
+                x[i], x[j] = kern.row_comb(x[i], x[j], mul(dinv, v), ring.neg(mul(dinv, t)),
+                                           ring.neg(mul(dinv, u)), mul(dinv, s))
+            elif op == "swap_rows":
+                i, j = args
+                x[i], x[j] = x[j], x[i]
+            elif op == "scale_row":   # by u^-1, as the axpy x + (u^-1 - 1)*x
+                i, u = args
+                x[i] = kern.row_axpy(x[i], x[i], ring.sub(ring.inv(u), ring.one))
+        return list(zip(*x))
+
+    def _unit_columns(self, size, picks) -> list:
+        """The rows of the matrix whose columns are e_p (p in picks)."""
+        zero, one = self.ring.zero, self.ring.one
+        return [[one if p == r else zero for p in picks] for r in range(size)]
 
     def diagonal(self, length: int) -> list:
         """The diagonal of N, padded with zeros to the given length."""
@@ -1212,8 +1309,9 @@ class _Worksheet:
 
 
 def _diagonal_sheet(mat: ExactMatrix, need_left=False, need_right=False,
-                    need_left_inv=False, need_right_inv=False) -> _Worksheet:
-    ws = _Worksheet(mat, need_left, need_right, need_left_inv, need_right_inv)
+                    need_left_inv=False, need_right_inv=False,
+                    trail=False) -> _Worksheet:
+    ws = _Worksheet(mat, need_left, need_right, need_left_inv, need_right_inv, trail)
     ws.diagonalize()
     return ws
 
@@ -1420,16 +1518,14 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 
 
 def _kernel_read(ws: _Worksheet) -> tuple:
-    """kernel_data read off a diagonalised sheet that tracks ``right``."""
+    """kernel_data read off a diagonalised sheet that keeps its trail."""
     ring = ws.ring
     torsion_factors = []
     torsion_gens = []
     free_gens = []
-    for j, d in enumerate(ws.diagonal(ws.cols)):
-        g = ring.ann_gen(d)
-        if ring.is_zero(g):
-            continue
-        col = tuple(row[j] for row in ws.right)
+    anns = [(j, ring.ann_gen(d)) for j, d in enumerate(ws.diagonal(ws.cols))]
+    anns = [(j, g) for j, g in anns if not ring.is_zero(g)]
+    for (j, g), col in zip(anns, ws.right_columns([j for j, _ in anns])):
         if ring.is_unit(g):
             free_gens.append(col)
         else:
@@ -1438,8 +1534,100 @@ def _kernel_read(ws: _Worksheet) -> tuple:
     # The diagonal is a canonical divisibility chain with zeros last, so
     # these factors are already the invariant factors: no second elimination.
     factors = tuple(torsion_factors) + (ring.zero,) * len(free_gens)
+    return _kernel_presentation(ring, factors), torsion_gens + free_gens
+
+
+def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation":
     relations = block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors])
-    return ModulePresentation(ring, len(factors), relations, factors), torsion_gens + free_gens
+    return ModulePresentation(ring, len(factors), relations, factors)
+
+
+def _field_reduce(a: ExactMatrix) -> tuple:
+    """Gauss-Jordan row reduction over Q or F_p, tracking no transform.
+
+    Returns the pivot columns, the original indices of the pivot rows and
+    the reduced pivot rows.  No row moves and no column operation is done;
+    each column's pivot is the candidate row with the fewest nonzeros.  Over
+    F_p every pivot is scaled to 1.  Over Q each row is first scaled by the
+    lcm of its denominators, and the reduction is fraction-free Gauss-Jordan
+    on those ints (Bareiss), every update dividing exactly by the previous
+    pivot.  A step leaves a row with zero in its column as it is, tagged
+    with the pivot it was last updated at, and the next step that touches
+    the row folds in the skipped exact rescaling; so each returned row is a
+    nonzero multiple of its fraction-free value.
+    """
+    rows = [list(row) for row in a.entries]
+    rational = a.ring.kind == "Q"
+    if rational:
+        for i, row in enumerate(rows):
+            lcm = math.lcm(*[x.denominator for x in row])
+            rows[i] = [x.numerator * (lcm // x.denominator) for x in row]
+        stamp = [1] * a.rows
+        den = 1
+    else:
+        p = a.ring.p
+    pivot_cols, pivot_rows = [], []
+    free = list(range(a.rows))
+    for c in range(a.cols):
+        cands = [i for i in free if rows[i][c]]
+        if not cands:
+            continue
+        r = max(cands, key=lambda i: rows[i].count(0))
+        free.remove(r)
+        pivot_cols.append(c)
+        pivot_rows.append(r)
+        piv = rows[r]
+        if rational:
+            if stamp[r] != den:
+                piv = rows[r] = [x * den // stamp[r] for x in piv]
+            den = stamp[r] = piv[c]
+            for j, row in enumerate(rows):
+                f = row[c]
+                if f and j != r:
+                    # Bareiss's (den*t - t[c]*piv) / previous, for the row
+                    # t = row*previous/s brought up to date, is this, exactly
+                    s = stamp[j]
+                    rows[j] = [(den * x - f * y) // s if x or y else 0
+                               for x, y in zip(row, piv)]
+                    stamp[j] = den
+        else:
+            if piv[c] != 1:
+                inv = pow(piv[c], -1, p)
+                piv = rows[r] = [x * inv % p for x in piv]
+            for j, row in enumerate(rows):
+                f = row[c]
+                if f and j != r:
+                    rows[j] = [(x - f * y) % p if y else x for x, y in zip(row, piv)]
+    return pivot_cols, pivot_rows, [rows[r] for r in pivot_rows]
+
+
+def _field_hom_ext(a: ExactMatrix) -> tuple:
+    """kernel_data(a) + cokernel_data(a) over Q or F_p, read off _field_reduce.
+
+    The kernel vectors are the reduced kernel basis: one per non-pivot
+    column f, with 1 at f and -R[k][f] / R[k][pc_k] at each pivot column
+    pc_k.  The cokernel vectors are the unit vectors at the rows that are
+    not pivot rows.  The pivot rows of a have full rank, so a column of a
+    that vanishes on them vanishes, and these vectors complement the column
+    span.  Every invariant factor is zero.
+    """
+    ring = a.ring
+    rational = ring.kind == "Q"
+    pivot_cols, pivot_rows, reduced = _field_reduce(a)
+    zero, one = ring.zero, ring.one
+    hom_vecs = []
+    for f in sorted(set(range(a.cols)).difference(pivot_cols)):
+        vec = [zero] * a.cols
+        vec[f] = one
+        for pc, row in zip(pivot_cols, reduced):
+            if row[f]:
+                # the pivots are 1 over F_p
+                vec[pc] = Fraction(-row[f], row[pc]) if rational else -row[f] % ring.p
+        hom_vecs.append(tuple(vec))
+    ext_vecs = [tuple(one if k == i else zero for k in range(a.rows))
+                for i in sorted(set(range(a.rows)).difference(pivot_rows))]
+    return (_kernel_presentation(ring, (zero,) * len(hom_vecs)), hom_vecs,
+            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_vecs)), ext_vecs)
 
 
 def kernel_data(a: ExactMatrix) -> tuple:
@@ -1452,8 +1640,12 @@ def kernel_data(a: ExactMatrix) -> tuple:
     (every nonzero d over a domain) contributes nothing.  The k-th returned
     vector generates the summand of the k-th invariant factor (torsion in
     chain order, then one vector per free summand), matching cokernel_data.
+    Over the fields the vectors are the reduced kernel basis of one
+    transform-free row reduction.
     """
-    return _kernel_read(_diagonal_sheet(a, need_right=True))
+    if a.ring.is_field:
+        return _field_hom_ext(a)[:2]
+    return _kernel_read(_diagonal_sheet(a, trail=True))
 
 
 def kernel_basis(a: ExactMatrix) -> ExactMatrix:
@@ -1517,7 +1709,7 @@ def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
     Read off a diagonalised sheet of a.  The generators sit at the non-unit
     diagonal positions, torsion in chain order and then the free ones.  The
     vector of a generator is its preimage (a column of left_inv) when the
-    sheet tracks left_inv, else its projection row (a row of left) when the
+    sheet keeps its trail, else its projection row (a row of left) when the
     sheet tracks left; with neither, no vectors are returned.
     """
     ring = a.ring
@@ -1525,8 +1717,8 @@ def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
     idx = ([i for i, d in enumerate(diag) if not ring.is_zero(d) and not ring.is_unit(d)]
            + [i for i, d in enumerate(diag) if ring.is_zero(d)])
     pres = ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx))
-    if ws.left_inv is not None:
-        return pres, [tuple(row[i] for row in ws.left_inv) for i in idx]
+    if ws.trail is not None:
+        return pres, ws.left_inv_columns(idx)
     if ws.left is not None:
         return pres, [tuple(ws.left[i]) for i in idx]
     return pres, []
@@ -1534,6 +1726,8 @@ def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
+    if a.ring.is_field:
+        return _field_hom_ext(a)[2]
     return _cokernel_read(_diagonal_sheet(a), a)[0]
 
 
@@ -1541,9 +1735,13 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     """Cokernel presentation plus preimage vectors of its generators.
 
     The k-th returned vector maps onto the k-th listed invariant-factor
-    generator of the cokernel under the projection R^rows -> coker.
+    generator of the cokernel under the projection R^rows -> coker.  Over
+    the fields they are unit vectors, read off one transform-free row
+    reduction.
     """
-    return _cokernel_read(_diagonal_sheet(a, need_left_inv=True), a)
+    if a.ring.is_field:
+        return _field_hom_ext(a)[2:]
+    return _cokernel_read(_diagonal_sheet(a, trail=True), a)
 
 
 def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
@@ -1560,8 +1758,16 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def _hom_ext_data(a: ExactMatrix) -> tuple:
-    """kernel_data(a) + cokernel_data(a) from one diagonalisation of a."""
-    ws = _diagonal_sheet(a, need_right=True, need_left_inv=True)
+    """kernel_data(a) + cokernel_data(a) from one elimination of a.
+
+    Over the fields that is one transform-free row reduction
+    (_field_reduce); over the other rings one diagonalisation keeping its
+    trail, from which the wanted columns of the right and inverse left
+    transforms are replayed.
+    """
+    if a.ring.is_field:
+        return _field_hom_ext(a)
+    ws = _diagonal_sheet(a, trail=True)
     return _kernel_read(ws) + _cokernel_read(ws, a)
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import Inconclusive, QuivlatError
-from .homology import check_base_change, hom_ext, is_exceptional, is_rigid, rigid_hom_ext_ranks
-from .mutation import ExcSequence, _dims_orbit, braid_act, left_mutate, orbit_search, right_mutate, standard_sequence
+from .errors import QuivlatError
+from .homology import check_base_change, hom_ext, is_exceptional, rigid_hom_ext_ranks
+from .mutation import ExcSequence, _dims_orbit, braid_act, orbit_search, standard_sequence
 from .quiver import (
     Quiver,
     Rep,

@@ -1,6 +1,9 @@
 """Command-line behavior: verbs, exit codes, and byte-stable JSON."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -254,3 +257,26 @@ def test_text_format_lines(files, capsys):
     lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
     assert lines["rigid"] == "True"
     assert lines["verb"] == "rigid"
+
+
+def _limit_address_space():
+    import resource
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("ring", ["Feps:2:65", "Feps:2:300000000"])
+def test_oversized_feps_order_exits_without_traceback(files, ring):
+    # In a child process under a 1 GiB address-space limit, where building
+    # the ring's elements without the bound dies with a MemoryError.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivlat.cli", "construct", "--quiver", files["k2"],
+         "--ring", ring, "--dims", "1,2", "--format", "json"],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode in (1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == "NotComputable"
+    assert "order %s exceeds the bound" % ring.split(":")[2] in report["message"]

@@ -1,0 +1,230 @@
+"""The transform-free row reduction that serves Hom, Ext, kernels and
+cokernels over Q and F_p.
+
+The reference is the two-sided diagonalisation these read-offs used before
+(``_diagonal_sheet`` with ``_kernel_read`` and ``_cokernel_read``), which
+still serves the other rings and normal_form, solve and is_invertible.  The
+read-off must give the reference's presentations exactly; its vectors are a
+different basis, so they are checked by their defining properties instead:
+the Hom vectors are cols - rank independent vectors of the kernel, and the
+Ext vectors complement the column span.
+
+Stdlib only, so it also runs without pytest:
+    PYTHONPATH=src python tests/test_field_reduce.py
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from quivlat import homology, rings
+from quivlat.homology import differential, hom_ext, is_exceptional
+from quivlat.quiver import Quiver, Rep, projective_rep
+from quivlat.rings import (
+    GF,
+    QQ,
+    ExactMatrix,
+    Zmod,
+    cokernel,
+    cokernel_data,
+    kernel_basis,
+    kernel_data,
+    normal_form,
+)
+
+KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+A3 = Quiver(3, ((1, 2), (2, 3)))
+# Q in three entry kinds: integral, proper fractions, and ~10^30 numerators
+# over ~10^12 denominators, which make the fraction-free pivots large.
+CASES = (("integral", QQ), ("fractional", QQ), ("huge", QQ),
+         ("field", GF(2)), ("field", GF(3)))
+SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 12), (12, 9))
+
+
+def _entry(kind, ring, rng):
+    if kind == "field":
+        return rng.randrange(ring.p)
+    if kind == "integral":
+        return Fraction(rng.randint(-6, 6))
+    if kind == "fractional":
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12))
+
+
+def _random_matrix(kind, ring, rows, cols, density, rng):
+    return ExactMatrix(ring, rows, cols, tuple(
+        tuple(_entry(kind, ring, rng) if rng.random() < density else ring.zero
+              for _ in range(cols)) for _ in range(rows)))
+
+
+def _matrices(kind, ring, rng):
+    """Sparse, dense and rank-deficient matrices of every shape in SHAPES."""
+    for rows, cols in SHAPES:
+        yield _random_matrix(kind, ring, rows, cols, 0.2, rng)
+        yield _random_matrix(kind, ring, rows, cols, 0.9, rng)
+        inner = max(1, min(rows, cols) // 3)
+        yield _random_matrix(kind, ring, rows, inner, 0.7, rng).mul(
+            _random_matrix(kind, ring, inner, cols, 0.7, rng))
+
+
+def _random_pair(kind, ring, quiver, rng):
+    def rep():
+        dims = tuple(rng.randint(0, 4) for _ in range(quiver.vertex_count))
+        mats = tuple(_random_matrix(kind, ring, dims[quiver.head(a)],
+                                    dims[quiver.tail(a)], 0.8, rng)
+                     for a in range(quiver.arrow_count))
+        return Rep(ring, quiver, dims, mats)
+    return rep(), rep()
+
+
+def _differentials(kind, ring, rng):
+    for quiver in (KRONECKER, A3):
+        for _ in range(6):
+            yield differential(*_random_pair(kind, ring, quiver, rng))
+
+
+def _columns(ring, height, vecs):
+    """The matrix whose columns are the given vectors of length height."""
+    return ExactMatrix(ring, height, len(vecs),
+                       tuple(tuple(v[i] for v in vecs) for i in range(height)))
+
+
+def _rank(mat):
+    """Rank by the reference diagonalisation."""
+    ws = rings._diagonal_sheet(mat)
+    return sum(not mat.ring.is_zero(d) for d in ws.diagonal(min(mat.rows, mat.cols)))
+
+
+def _hadamard_bits(a):
+    """Bits of Hadamard's bound on every minor of a with each row scaled by
+    the lcm of its denominators, as the reduction over Q scales it."""
+    bits = 0
+    for row in a.entries:
+        lcm = math.lcm(*[x.denominator for x in row])
+        bits += (sum((x * lcm) ** 2 for x in row).numerator.bit_length() + 1) // 2
+    return bits
+
+
+def check_reduction(a):
+    ring = a.ring
+    pivot_cols, pivot_rows, reduced = rings._field_reduce(a)
+    assert len(pivot_cols) == len(pivot_rows) == len(reduced) == _rank(a)
+    assert pivot_cols == sorted(set(pivot_cols))
+    assert len(set(pivot_rows)) == len(pivot_rows)
+    # the pivot rows of the input alone have full rank
+    picked = ExactMatrix(ring, len(pivot_rows), a.cols,
+                         tuple(a.entries[i] for i in pivot_rows))
+    assert _rank(picked) == len(pivot_rows)
+    # each reduced row is a multiple of the reduced row echelon form's row,
+    # which normal_form still computes by its own elimination
+    rref = normal_form(a).nf.entries
+    for k, (c, row) in enumerate(zip(pivot_cols, reduced)):
+        if ring == QQ:
+            assert tuple(Fraction(x, row[c]) for x in row) == rref[k]
+        else:
+            assert tuple(x * pow(row[c], -1, ring.p) % ring.p for x in row) == rref[k]
+    if ring == QQ:
+        # each stored row is its fraction-free row, whose entries are minors,
+        # times a ratio of two minors: no entry exceeds the bound squared
+        bound = 2 * _hadamard_bits(a) + 1
+        assert all(abs(x).bit_length() <= bound for row in reduced for x in row)
+
+
+def check_read_off(a):
+    check_reduction(a)
+    ring = a.ring
+    hom, hom_vecs, ext, ext_vecs = rings._hom_ext_data(a)
+    ws = rings._diagonal_sheet(a, trail=True)
+    ref_hom, ref_ext = rings._kernel_read(ws)[0], rings._cokernel_read(ws, a)[0]
+    for new, ref in ((hom, ref_hom), (ext, ref_ext)):
+        assert new == ref and repr(new) == repr(ref), (new, ref)
+    rank = _rank(a)
+    # Hom: cols - rank independent vectors, each in the kernel
+    assert len(hom_vecs) == a.cols - rank
+    assert a.mul(_columns(ring, a.cols, hom_vecs)).is_zero()
+    assert _rank(_columns(ring, a.cols, hom_vecs)) == len(hom_vecs)
+    # Ext: rows - rank vectors that with the column span fill R^rows
+    assert len(ext_vecs) == a.rows - rank
+    assert _rank(a.hstack(_columns(ring, a.rows, ext_vecs))) == a.rows
+    element = Fraction if ring == QQ else int
+    assert all(type(x) is element for v in hom_vecs + ext_vecs for x in v)
+    # the public read-offs come from the same pass
+    assert kernel_data(a) == (hom, hom_vecs)
+    assert cokernel_data(a) == (ext, ext_vecs)
+    assert cokernel(a) == ext
+    assert kernel_basis(a) == _columns(ring, a.cols, hom_vecs)
+
+
+def test_read_off_on_random_matrices():
+    for kind, ring in CASES:
+        rng = random.Random("matrices:%s:%s" % (kind, ring))
+        for a in _matrices(kind, ring, rng):
+            check_read_off(a)
+
+
+def test_read_off_on_random_quiver_differentials():
+    for kind, ring in CASES:
+        rng = random.Random("pairs:%s:%s" % (kind, ring))
+        for a in _differentials(kind, ring, rng):
+            check_read_off(a)
+
+
+def test_field_hom_ext_never_diagonalises():
+    calls = []
+    diagonalize = rings._Worksheet.diagonalize
+
+    def counted(ws):
+        calls.append(ws.ring)
+        return diagonalize(ws)
+
+    rings._Worksheet.diagonalize = counted
+    try:
+        homology._hom_ext_cached.cache_clear()
+        for ring in (QQ, GF(3)):
+            x = projective_rep(ring, KRONECKER, 1)
+            hom_ext(x, x)
+            assert is_exceptional(x)
+            rng = random.Random("count:%s" % ring)
+            kind = "fractional" if ring == QQ else "field"
+            for quiver in (KRONECKER, A3):
+                hom_ext(*_random_pair(kind, ring, quiver, rng))
+        assert calls == []
+        # the counter is live: a non-field ring still diagonalises once
+        x = projective_rep(Zmod(6), KRONECKER, 1)
+        hom_ext(x, x)
+        assert calls == [Zmod(6)]
+    finally:
+        rings._Worksheet.diagonalize = diagonalize
+        homology._hom_ext_cached.cache_clear()
+
+
+class _NoWorksheet(rings._Worksheet):
+    def __init__(self, *args):
+        raise AssertionError("a transform-free read-off over a field built a _Worksheet")
+
+
+def test_field_read_offs_build_no_worksheet():
+    saved = rings._Worksheet
+    rings._Worksheet = _NoWorksheet
+    try:
+        homology._hom_ext_cached.cache_clear()
+        for kind, ring in CASES:
+            rng = random.Random("no-sheet:%s:%s" % (kind, ring))
+            a = _random_matrix(kind, ring, 5, 7, 0.6, rng)
+            kernel_data(a)
+            kernel_basis(a)
+            cokernel(a)
+            cokernel_data(a)
+            hom_ext(*_random_pair(kind, ring, KRONECKER, rng))
+    finally:
+        rings._Worksheet = saved
+        homology._hom_ext_cached.cache_clear()
+
+
+if __name__ == "__main__":
+    import sys
+    for name, fn in sorted(globals().items()):
+        if name.startswith("test_") and callable(fn):
+            fn()
+            print("ok", name)
+    print("all passed on Python", sys.version.split()[0])

@@ -280,6 +280,42 @@ def test_ring_spec_parse_round_trip():
             RingSpec.parse(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "F:\u0663", "Zmod:1_0", "F: 3", "F:+3", "Feps:2:+2", "Feps:\uff12:2",
+    "Zmod:0x10", "F:3.0", "F:3:", "Z:", "Q:0", "Feps:2", "F:" + "9" * 5000])
+def test_ring_spec_parameters_are_ascii_decimal(text):
+    from quivlat.errors import ParseError
+    with pytest.raises(ParseError):
+        RingSpec.parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "Z", "Q", "F:2", "F:97", "Zmod:4", "Zmod:360", "Feps:2:2", "Feps:5:4", "Feps:3:64"])
+def test_ring_spec_text_round_trips(text):
+    assert str(RingSpec.parse(text)) == text
+
+
+def test_ring_spec_parse_and_rep_records_refuse_non_strings():
+    from quivlat.errors import ParseError
+    from quivlat.quiver import Rep
+    for spec in (5, None, ["Z"]):
+        with pytest.raises(ParseError):
+            RingSpec.parse(spec)
+        with pytest.raises(ParseError):
+            Rep.from_json({"ring": spec, "quiver": {"vertices": 1, "arrows": []},
+                           "dims": [1], "mats": []})
+
+
+def test_feps_truncation_order_is_bounded_up_front():
+    from quivlat.errors import NotComputable
+    from quivlat.rings import _FEPS_MAX_ORDER
+    assert Feps(2, _FEPS_MAX_ORDER).n == _FEPS_MAX_ORDER
+    for n in (_FEPS_MAX_ORDER + 1, 300000000):
+        with pytest.raises(NotComputable, match="order %d exceeds the bound %d" % (
+                n, _FEPS_MAX_ORDER)):
+            Feps(2, n)
+
+
 # ---------------------------------------------------------------------------
 # normal forms against defining equations and sympy
 
@@ -364,6 +400,34 @@ def test_rref_over_fields():
                 mine = sum(1 for i in range(res.nf.rows)
                            if any(not ring.is_zero(v) for v in res.nf.entries[i]))
                 assert mine == pivots
+
+
+def test_trail_replays_tracked_transform_columns():
+    """Columns of right and left_inv replayed from a diagonalisation's trail
+    equal those of the tracked transforms, entry for entry."""
+    from quivlat import rings
+    from quivlat.homology import differential
+    from quivlat.quiver import Quiver
+    from quivlat.verify import random_rep
+
+    rng = random.Random(14)
+    kronecker = Quiver(2, ((1, 2), (1, 2)))
+    for ring in (ZZ, Zmod(4), Zmod(12), Feps(2, 2), Feps(3, 3)):
+        mats = [rand_matrix(ring, r, c, rng, span=3)
+                for r, c in ((0, 3), (3, 0), (1, 1), (4, 4), (6, 7), (8, 5))]
+        mats += [differential(random_rep(ring, kronecker, (3, 4), rng),
+                              random_rep(ring, kronecker, (3, 4), rng)) for _ in range(3)]
+        for a in mats:
+            tracked = rings._diagonal_sheet(a, need_right=True, need_left_inv=True)
+            replayed = rings._diagonal_sheet(a, trail=True)
+            assert replayed.right is None and replayed.left_inv is None
+            assert replayed.n == tracked.n
+            right = [tuple(row[j] for row in tracked.right) for j in range(a.cols)]
+            left_inv = [tuple(row[i] for row in tracked.left_inv) for i in range(a.rows)]
+            assert replayed.right_columns(range(a.cols)) == right, (ring, a)
+            assert replayed.left_inv_columns(range(a.rows)) == left_inv, (ring, a)
+            picks = [j for j in range(a.cols) if rng.random() < 0.5][::-1]
+            assert replayed.right_columns(picks) == [right[j] for j in picks]
 
 
 # ---------------------------------------------------------------------------
