@@ -235,6 +235,8 @@ _HANDLERS = {
 def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     if "quiver" in names:
         sub.add_argument("--quiver", help="quiver JSON file")
+    if "needs-quiver" in names:
+        sub.add_argument("--quiver", required=True, help="quiver JSON file")
     if "rep" in names:
         sub.add_argument("--rep", required=True, help="representation JSON file")
     if "pair" in names:
@@ -275,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--side", choices=("left", "right"), default="left",
                      help="mutation side (default left)")
     sub = verbs.add_parser("braid", help="act on the standard exceptional sequence")
-    _add_common(sub, "quiver", "ring")
+    _add_common(sub, "needs-quiver", "ring")
     sub.add_argument("--word", default="1",
                      help="comma-separated braid letters; negative means inverse (default 1)")
     sub = verbs.add_parser("schur", help="classify a dimension vector")
-    _add_common(sub, "quiver", "dims", "bound")
+    _add_common(sub, "needs-quiver", "dims", "bound")
     sub = verbs.add_parser("construct", help="build the exceptional representation of a root")
-    _add_common(sub, "quiver", "dims", "ring", "bound")
+    _add_common(sub, "needs-quiver", "dims", "ring", "bound")
     sub = verbs.add_parser("decompose", help="split a rigid representation into exceptional summands")
     _add_common(sub, "quiver", "rep", "ring", "prime", "bound")
     sub = verbs.add_parser("lift", help="lift a rigid representation along a nilpotent reduction")

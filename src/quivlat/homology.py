@@ -97,7 +97,7 @@ class HomExtResult:
     a C1 tuple of matrices mapping onto that generator of the cokernel.
 
     Construction eliminates the differential exactly once.  Over Z, Z/m
-    and Feps it diagonalises, then replays its trail of operations on just
+    and Feps it diagonalises, then replays its recorded operations on just
     the wanted columns of the right transform (the Hom generators) and of
     the inverse left transform (the Ext cocycles).  Over Q and F_p it
     row-reduces with no transform: the Hom generators are the reduced

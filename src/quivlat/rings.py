@@ -21,31 +21,31 @@ is what :func:`kernel_basis` uses for its generating sets; the Howell form
 of a row span may need more rows than the input matrix has, so it cannot
 serve as the shape-preserving two-sided form.
 
-Each public function eliminates once, tracking only the transforms it
-reads: :func:`normal_form` all four (over the fields one row reduction);
-:func:`solve` the left and right transforms; :func:`is_invertible` none;
-:func:`cokernel` none; :func:`cokernel_projection` the left transform.
-:func:`kernel_data`, :func:`kernel_basis` and :func:`cokernel_data`, and
-Hom and Ext of a quiver pair (which share one elimination), read only a
-few columns of the right or inverse left transform: the elimination keeps
-a trail of its operations and replays it, in reverse, on just those
-columns.
-Over Q and F_p, where a kernel basis and a complement of the image follow
-from the rank profile, :func:`kernel_data`, :func:`kernel_basis`,
-:func:`cokernel`, :func:`cokernel_data` and Hom and Ext instead read off one
-Gauss-Jordan row reduction with no column operations and no transforms
-(fraction-free over Q).  ``ModulePresentation.from_invariant_factors``
-eliminates its diagonal relation matrix once, to canonicalise arbitrary
-input.
+Over Z, Z/m and Feps one diagonalisation records its row and column
+operations and builds no transform; each caller replays the operations on
+just what it reads.  :func:`normal_form` replays them on identities, for
+all four transforms, and :func:`cokernel_projection` for the left one.
+:func:`solve` replays the left transform on the right-hand side and the
+right transform on the diagonal solution.  :func:`kernel_data`,
+:func:`kernel_basis`, :func:`cokernel_data`, and Hom and Ext of a quiver
+pair (which share one elimination) replay them on a few columns of the
+right or inverse left transform.  :func:`is_invertible` and
+:func:`cokernel` read the diagonal alone.
+
+Over Q and F_p all of these instead read off one Gauss-Jordan row
+reduction with no column operations and no transforms (fraction-free over
+Q): of the matrix itself for the rank, kernels, cokernels, Hom and Ext,
+which follow from its rank profile; of [a | I] for :func:`normal_form` and
+:func:`cokernel_projection`; and of [a | b] for :func:`solve`.
+``ModulePresentation.from_invariant_factors`` eliminates its diagonal
+relation matrix once, to canonicalise arbitrary input.
 
 Elimination does its row and column operations through one small kernel
-table per ring kind (plain ``x + c*y`` over Z, the same on numerator and
-denominator ints with one ``Fraction`` built per stored entry over Q, one
-reduction mod m per entry over F_p and Z/m, a truncated product over
-Feps), chosen once per worksheet.  The kernels skip zero multiplicands,
-which dominate the sparse differentials and the identity-like transforms,
-and the values they store are bit-identical to element-wise
-``RingSpec.add``/``RingSpec.mul``.
+table per ring kind (plain ``x + c*y`` over Z, one reduction mod m per
+entry over Z/m, a truncated product over Feps), chosen once per worksheet.
+The kernels skip zero multiplicands, which dominate the sparse
+differentials and the identity-like transforms, and the values they store
+are bit-identical to element-wise ``RingSpec.add``/``RingSpec.mul``.
 """
 
 from __future__ import annotations
@@ -755,7 +755,7 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# two-sided diagonalisation with tracked transforms
+# two-sided diagonalisation, recorded as row and column operations
 
 
 class _PlainKernels:
@@ -793,73 +793,6 @@ class _PlainKernels:
             if x or y:
                 row[i] = s * x + t * y
                 row[j] = u * x + v * y
-
-
-def _q_comb(sn, sd, xn, xd, tn, td, yn, yd):
-    """s*x + t*y as a Fraction, from the numerators and denominators."""
-    if sd == 1 and xd == 1 and td == 1 and yd == 1:
-        return Fraction(sn * xn + tn * yn)
-    dx, dy = sd * xd, td * yd
-    return Fraction(sn * xn * dy + tn * yn * dx, dx * dy)
-
-
-class _RationalKernels:
-    """The kernels of _PlainKernels over Q, on numerator and denominator ints.
-
-    Each call reads the numerator and denominator of its multipliers once
-    and those of each operand once per entry (``as_integer_ratio``),
-    multiplies and adds on ints and stores one ``Fraction(n, d)`` per entry
-    it writes, or ``Fraction(n)`` when every denominator involved is 1.
-    Fraction normalises, so every stored value is the one ``x + c*y`` gives,
-    repr included.  Zero multiplicands are skipped as in _PlainKernels.  The
-    axpy kernels, which do almost all of the work over Q, are written out.
-    """
-
-    is_zero = staticmethod(operator.not_)
-
-    def row_axpy(self, dst, src, c):
-        cn, cd = c.as_integer_ratio()
-        out = []
-        for x, y in zip(dst, src):
-            if y:
-                xn, xd = x.as_integer_ratio()
-                yn, yd = y.as_integer_ratio()
-                if xd == 1 and yd == 1 and cd == 1:
-                    x = Fraction(xn + cn * yn)
-                else:
-                    d = cd * yd
-                    x = Fraction(xn * d + cn * yn * xd, xd * d)
-            out.append(x)
-        return out
-
-    def col_axpy(self, rows, j, k, c):
-        cn, cd = c.as_integer_ratio()
-        for row in rows:
-            y = row[k]
-            if y:
-                xn, xd = row[j].as_integer_ratio()
-                yn, yd = y.as_integer_ratio()
-                if xd == 1 and yd == 1 and cd == 1:
-                    row[j] = Fraction(xn + cn * yn)
-                else:
-                    d = cd * yd
-                    row[j] = Fraction(xn * d + cn * yn * xd, xd * d)
-
-    def row_comb(self, ri, rj, s, t, u, v):
-        pairs = [[x, y] for x, y in zip(ri, rj)]
-        self.col_comb(pairs, 0, 1, s, t, u, v)
-        return [x for x, _ in pairs], [y for _, y in pairs]
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        (sn, sd), (tn, td) = s.as_integer_ratio(), t.as_integer_ratio()
-        (un, ud), (vn, vd) = u.as_integer_ratio(), v.as_integer_ratio()
-        for row in rows:
-            x, y = row[i], row[j]
-            if x or y:
-                xn, xd = x.as_integer_ratio()
-                yn, yd = y.as_integer_ratio()
-                row[i] = _q_comb(sn, sd, xn, xd, tn, td, yn, yd)
-                row[j] = _q_comb(un, ud, xn, xd, vn, vd, yn, yd)
 
 
 class _ModKernels:
@@ -952,13 +885,10 @@ class _EpsKernels:
 
 
 _PLAIN_KERNELS = _PlainKernels()
-_RATIONAL_KERNELS = _RationalKernels()
 
 
 def _kernels(ring: RingSpec):
     """The row and column kernels of a ring, chosen by its kind."""
-    if ring.kind == "Q":
-        return _RATIONAL_KERNELS
     if ring.kind == "F":
         return _ModKernels(ring.p)
     if ring.kind == "Zmod":
@@ -969,137 +899,83 @@ def _kernels(ring: RingSpec):
 
 
 class _Worksheet:
-    """Mutable matrix plus whichever transforms the caller asked for.
+    """A matrix N being diagonalised, and the operations that did it.
 
-    Maintains N = left * M * right, left_inv = left^-1, right_inv = right^-1.
-    Every row and column operation runs through the one kernel table of the
-    ring's kind (``_kernels``).  The kernels skip zero multiplicands, so a
-    sparse row costs little more than its nonzero entries; the values they
-    store are bit-identical to element-wise ``ring.add``/``ring.mul``.
+    N = left * M * right, where row_ops holds the row operations E_1 ... E_K
+    in order, so left = E_K ... E_1, and col_ops the column operations
+    F_1 ... F_L, so right = F_1 ... F_L.  Each operation is stored as the
+    row operation that builds its own matrix from the identity, so a
+    column operation col_j += c*col_k is stored as row_k += c*row_j, and
+    ``apply`` replays either list on the rows of any matrix X:
 
-    With ``trail`` the diagonalisation also notes each operation it does,
-    so that a few columns of right or left_inv can be replayed afterwards
-    (``right_columns``, ``left_inv_columns``) instead of tracking the whole
-    transforms.  Over Z their entries can run to many thousands of digits
-    while N stays small, so a transform costs far more than N.
+    * left * X = apply(X, row_ops)
+    * left^-1 * X = apply(X, reversed(row_ops), True)
+    * right * X = apply(X, reversed(col_ops))
+    * right^-1 * X = apply(X, col_ops, True)
+
+    No transform is built unless a caller replays one, and callers replay
+    only what they read: over Z the transforms' entries can run to many
+    thousands of digits while N stays small.  Every operation runs through
+    the one kernel table of the ring's kind (``_kernels``).
+
+    An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
+    row j to row i, which for i == j scales row i by the unit 1 + c; or
+    (i, j, s, t, u, v), replacing rows i and j by s*row_i + t*row_j and
+    u*row_i + v*row_j, with s*v - t*u a unit.
     """
 
-    def __init__(self, mat: ExactMatrix, need_left, need_right,
-                 need_left_inv, need_right_inv, trail=False):
+    def __init__(self, mat: ExactMatrix):
         self.ring = mat.ring
         self.kernels = _kernels(mat.ring)
         self.rows = mat.rows
         self.cols = mat.cols
         self.n = [list(row) for row in mat.entries]
-        zero, one = mat.ring.zero, mat.ring.one
-        ident = lambda k: [[one if i == j else zero for j in range(k)]
-                           for i in range(k)]
-        self.left = ident(mat.rows) if need_left else None
-        self.left_inv = ident(mat.rows) if need_left_inv else None
-        self.right = ident(mat.cols) if need_right else None
-        self.right_inv = ident(mat.cols) if need_right_inv else None
-        self.trail = [] if trail else None
+        self.row_ops = []
+        self.col_ops = []
 
-    def _step(self, op, *args):
-        """Do one row or column operation, noting it on the trail if kept."""
-        if self.trail is not None:
-            self.trail.append((op, args))
-        getattr(self, op)(*args)
-
-    # row ops: N <- E N, left <- E left, left_inv <- left_inv E^-1
-    # A scaling by u is the axpy x + (u - 1)*x of a row or column onto itself.
-
-    def swap_rows(self, i, j):
-        if i == j:
-            return
-        self.n[i], self.n[j] = self.n[j], self.n[i]
-        if self.left is not None:
-            self.left[i], self.left[j] = self.left[j], self.left[i]
-        if self.left_inv is not None:
-            for row in self.left_inv:
-                row[i], row[j] = row[j], row[i]
-
-    def scale_row(self, i, u):
+    def apply(self, x, ops, inverse=False):
+        """Do the operations ops in order, each inverted if inverse, on the
+        rows of x (a list of row lists) in place; return x."""
         ring, kern = self.ring, self.kernels
-        c = ring.sub(u, ring.one)
-        self.n[i] = kern.row_axpy(self.n[i], self.n[i], c)
-        if self.left is not None:
-            self.left[i] = kern.row_axpy(self.left[i], self.left[i], c)
-        if self.left_inv is not None:
-            kern.col_axpy(self.left_inv, i, i, ring.sub(ring.inv(u), ring.one))
+        for op in ops:
+            if len(op) == 2:
+                i, j = op
+                x[i], x[j] = x[j], x[i]
+            elif len(op) == 3:
+                i, j, c = op
+                if inverse:
+                    c = (ring.sub(ring.inv(ring.add(ring.one, c)), ring.one)
+                         if i == j else ring.neg(c))
+                x[i] = kern.row_axpy(x[i], x[j], c)
+            else:
+                i, j, s, t, u, v = op
+                if inverse:
+                    mul = ring.mul
+                    dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
+                    s, t, u, v = (mul(dinv, v), ring.neg(mul(dinv, t)),
+                                  ring.neg(mul(dinv, u)), mul(dinv, s))
+                x[i], x[j] = kern.row_comb(x[i], x[j], s, t, u, v)
+        return x
 
-    def addmul_row(self, i, j, c):
-        """row_i += c * row_j"""
+    def _row(self, op):
+        """N <- E N for the row operation op, recorded."""
+        self.row_ops.append(op)
+        self.apply(self.n, (op,))
+
+    def _col(self, op):
+        """N <- N F for the matrix F that op builds from the identity, recorded."""
+        self.col_ops.append(op)
         kern = self.kernels
-        self.n[i] = kern.row_axpy(self.n[i], self.n[j], c)
-        if self.left is not None:
-            self.left[i] = kern.row_axpy(self.left[i], self.left[j], c)
-        if self.left_inv is not None:
-            kern.col_axpy(self.left_inv, j, i, self.ring.neg(c))
-
-    def rows2(self, i, j, s, t, u, v):
-        """(row_i, row_j) <- (s,t; u,v) (row_i, row_j); determinant a unit."""
-        ring, kern = self.ring, self.kernels
-        self.n[i], self.n[j] = kern.row_comb(self.n[i], self.n[j], s, t, u, v)
-        if self.left is not None:
-            self.left[i], self.left[j] = kern.row_comb(
-                self.left[i], self.left[j], s, t, u, v)
-        if self.left_inv is not None:
-            mul = ring.mul
-            det = ring.sub(mul(s, v), mul(t, u))
-            dinv = ring.inv(det)
-            a, b = mul(dinv, v), ring.neg(mul(dinv, t))
-            c, d = ring.neg(mul(dinv, u)), mul(dinv, s)
-            kern.col_comb(self.left_inv, i, j, a, c, b, d)
-
-    # column ops: N <- N F, right <- right F, right_inv <- F^-1 right_inv
-
-    def swap_cols(self, i, j):
-        if i == j:
-            return
-        for row in self.n:
-            row[i], row[j] = row[j], row[i]
-        if self.right is not None:
-            for row in self.right:
+        if len(op) == 2:
+            i, j = op
+            for row in self.n:
                 row[i], row[j] = row[j], row[i]
-        if self.right_inv is not None:
-            ri = self.right_inv
-            ri[i], ri[j] = ri[j], ri[i]
-
-    def scale_col(self, j, u):
-        ring, kern = self.ring, self.kernels
-        c = ring.sub(u, ring.one)
-        kern.col_axpy(self.n, j, j, c)
-        if self.right is not None:
-            kern.col_axpy(self.right, j, j, c)
-        if self.right_inv is not None:
-            ri = self.right_inv
-            ri[j] = kern.row_axpy(ri[j], ri[j], ring.sub(ring.inv(u), ring.one))
-
-    def addmul_col(self, j, k, c):
-        """col_j += c * col_k"""
-        kern = self.kernels
-        kern.col_axpy(self.n, j, k, c)
-        if self.right is not None:
-            kern.col_axpy(self.right, j, k, c)
-        if self.right_inv is not None:
-            ri = self.right_inv
-            ri[k] = kern.row_axpy(ri[k], ri[j], self.ring.neg(c))
-
-    def cols2(self, i, j, s, t, u, v):
-        """(col_i, col_j) <- (col_i, col_j) (s,u; t,v): col_i' = s c_i + t c_j."""
-        ring, kern = self.ring, self.kernels
-        kern.col_comb(self.n, i, j, s, t, u, v)
-        if self.right is not None:
-            kern.col_comb(self.right, i, j, s, t, u, v)
-        if self.right_inv is not None:
-            mul = ring.mul
-            det = ring.sub(mul(s, v), mul(t, u))
-            dinv = ring.inv(det)
-            a, b = mul(dinv, v), ring.neg(mul(dinv, u))
-            c, d = ring.neg(mul(dinv, t)), mul(dinv, s)
-            ri = self.right_inv
-            ri[i], ri[j] = kern.row_comb(ri[i], ri[j], a, b, c, d)
+        elif len(op) == 3:
+            k, j, c = op
+            kern.col_axpy(self.n, j, k, c)
+        else:
+            i, j, s, t, u, v = op
+            kern.col_comb(self.n, i, j, s, u, t, v)
 
     # -- the reduction -------------------------------------------------------
 
@@ -1138,21 +1014,24 @@ class _Worksheet:
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
                 if q is not None:
-                    self._step("addmul_row", i, s, ring.neg(q))
+                    self._row((i, s, ring.neg(q)))
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self._step("rows2", s, i, sx, tx, ux, vx)
+                    self._row((s, i, sx, tx, ux, vx))
             for j in range(s + 1, self.cols):
                 b = n[s][j]
                 if is_zero(b):
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
+                # col_j += c*col_s and (col_s, col_j) <- (sx*col_s + tx*col_j,
+                # ux*col_s + vx*col_j), stored as the row operations of their
+                # matrices
                 if q is not None:
-                    self._step("addmul_col", j, s, ring.neg(q))
+                    self._col((s, j, ring.neg(q)))
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self._step("cols2", s, j, sx, tx, ux, vx)
+                    self._col((s, j, sx, ux, tx, vx))
             if all(is_zero(n[i][s]) for i in range(s + 1, self.rows)):
                 if all(is_zero(n[s][j]) for j in range(s + 1, self.cols)):
                     return
@@ -1175,9 +1054,9 @@ class _Worksheet:
             if piv is None:
                 break
             if piv[0] != s:
-                self._step("swap_rows", s, piv[0])
+                self._row((s, piv[0]))
             if piv[1] != s:
-                self._step("swap_cols", s, piv[1])
+                self._col((s, piv[1]))
             self._clear_position(s)
         # divisibility chain, zeros sinking to the end
         changed = True
@@ -1187,7 +1066,7 @@ class _Worksheet:
                 a, b = self.n[i][i], self.n[i + 1][i + 1]
                 if ring.divides(a, b):
                     continue
-                self._step("addmul_row", i, i + 1, ring.one)
+                self._row((i, i + 1, ring.one))
                 self._clear_position(i)
                 changed = True
         # canonical generators on the diagonal
@@ -1197,83 +1076,21 @@ class _Worksheet:
                 continue
             u = ring.unit_to_canonical(d)
             if u != ring.one:
-                self._step("scale_row", i, u)
-
-    def rref(self):
-        """Reduced row echelon over a field; column transforms untouched."""
-        ring = self.ring
-        is_zero = self.kernels.is_zero
-        lead = 0
-        for j in range(self.cols):
-            piv = None
-            for i in range(lead, self.rows):
-                if not is_zero(self.n[i][j]):
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            self.swap_rows(lead, piv)
-            v = self.n[lead][j]
-            if v != ring.one:
-                self.scale_row(lead, ring.inv(v))
-            for i in range(self.rows):
-                if i != lead and not is_zero(self.n[i][j]):
-                    self.addmul_row(i, lead, ring.neg(self.n[i][j]))
-            lead += 1
-            if lead == self.rows:
-                break
+                self._row((i, i, ring.sub(u, ring.one)))
 
     def right_columns(self, js) -> list:
-        """Columns js of right, as tuples, replayed from the trail.
-
-        right is F_1 F_2 ... F_K for the column operations F_k in order, so
-        its columns js are F_1 (F_2 (... F_K e_js)): the operations run in
-        reverse, each as the row operation of the same matrix on the rows of
-        just those columns, through the same kernels.
-        """
+        """Columns js of right, as tuples: the column operations replayed in
+        reverse on just those columns of the identity."""
         if not js:
             return []
-        kern = self.kernels
-        x = self._unit_columns(self.cols, js)
-        for op, args in reversed(self.trail):
-            if op == "addmul_col":   # col_j += c col_k is row_k += c row_j
-                j, k, c = args
-                x[k] = kern.row_axpy(x[k], x[j], c)
-            elif op == "cols2":
-                i, j, s, t, u, v = args
-                x[i], x[j] = kern.row_comb(x[i], x[j], s, u, t, v)
-            elif op == "swap_cols":
-                i, j = args
-                x[i], x[j] = x[j], x[i]
+        x = self.apply(self._unit_columns(self.cols, js), reversed(self.col_ops))
         return list(zip(*x))
 
     def left_inv_columns(self, idx) -> list:
-        """Columns idx of left_inv, as tuples, replayed from the trail.
-
-        left_inv is E_1^-1 E_2^-1 ... E_K^-1 for the row operations E_k in
-        order; as in right_columns the inverses run in reverse on the rows
-        of just the wanted columns.
-        """
+        """Columns idx of left^-1, as tuples, replayed likewise."""
         if not idx:
             return []
-        ring, kern = self.ring, self.kernels
-        mul = ring.mul
-        x = self._unit_columns(self.rows, idx)
-        for op, args in reversed(self.trail):
-            if op == "addmul_row":
-                i, j, c = args
-                x[i] = kern.row_axpy(x[i], x[j], ring.neg(c))
-            elif op == "rows2":
-                i, j, s, t, u, v = args
-                dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
-                x[i], x[j] = kern.row_comb(x[i], x[j], mul(dinv, v), ring.neg(mul(dinv, t)),
-                                           ring.neg(mul(dinv, u)), mul(dinv, s))
-            elif op == "swap_rows":
-                i, j = args
-                x[i], x[j] = x[j], x[i]
-            elif op == "scale_row":   # by u^-1, as the axpy x + (u^-1 - 1)*x
-                i, u = args
-                x[i] = kern.row_axpy(x[i], x[i], ring.sub(ring.inv(u), ring.one))
+        x = self.apply(self._unit_columns(self.rows, idx), reversed(self.row_ops), True)
         return list(zip(*x))
 
     def _unit_columns(self, size, picks) -> list:
@@ -1291,29 +1108,21 @@ class _Worksheet:
         return ExactMatrix(self.ring, self.rows, self.cols,
                            tuple(tuple(r) for r in self.n))
 
-    def left_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.rows, self.rows,
-                           tuple(tuple(r) for r in self.left))
 
-    def left_inv_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.rows, self.rows,
-                           tuple(tuple(r) for r in self.left_inv))
-
-    def right_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.cols, self.cols,
-                           tuple(tuple(r) for r in self.right))
-
-    def right_inv_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.cols, self.cols,
-                           tuple(tuple(r) for r in self.right_inv))
-
-
-def _diagonal_sheet(mat: ExactMatrix, need_left=False, need_right=False,
-                    need_left_inv=False, need_right_inv=False,
-                    trail=False) -> _Worksheet:
-    ws = _Worksheet(mat, need_left, need_right, need_left_inv, need_right_inv, trail)
+def _diagonal_sheet(mat: ExactMatrix) -> _Worksheet:
+    ws = _Worksheet(mat)
     ws.diagonalize()
     return ws
+
+
+def _field_rref(a: ExactMatrix) -> tuple:
+    """The pivot columns and the nonzero rows of the reduced row echelon
+    form of a over Q or F_p, from one _field_reduce."""
+    pivot_cols, _, reduced = _field_reduce(a)
+    if a.ring.kind == "F":   # the pivots are 1 already
+        return pivot_cols, reduced
+    return pivot_cols, [[Fraction(x, row[c]) for x in row]
+                        for c, row in zip(pivot_cols, reduced)]
 
 
 # ---------------------------------------------------------------------------
@@ -1336,37 +1145,67 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     """Canonical two-sided form over the matrix ring.
 
     Over Q and F_p this is the reduced row echelon form (kind
-    "ReducedEchelon", right transform the identity).  Over Z it is the
-    divisibility-chain diagonal with nonnegative entries (kind "Smith").
-    Over Z/m and the truncated rings it is the divisibility-chain diagonal
-    with canonical ideal generators (kind "Howell").
+    "ReducedEchelon", right transform the identity), read off the reduced
+    row echelon form R = left * [mat | I] of one row reduction: left is the
+    identity block of R, so it is canonical too, and left^-1 is the columns
+    of [mat | I] at R's pivots, since R has the identity there.  Over Z it
+    is the divisibility-chain diagonal with nonnegative entries (kind
+    "Smith").  Over Z/m and the truncated rings it is the divisibility-chain
+    diagonal with canonical ideal generators (kind "Howell").  Over these
+    three the transforms are the diagonalisation's operations replayed on
+    identities.
     """
     ring = mat.ring
     if ring.is_field:
-        ws = _Worksheet(mat, True, False, True, False)
-        ws.rref()
-        ident = ExactMatrix.identity(ring, mat.cols)
-        return NormalFormResult(ws.matrix(), ws.left_matrix(), ident,
-                                "ReducedEchelon", ws.left_inv_matrix(), ident)
-    ws = _diagonal_sheet(mat, True, True, True, True)
+        k = mat.cols
+        aug = mat.hstack(ExactMatrix.identity(ring, mat.rows))
+        pivots, rows = _field_rref(aug)
+        ident = ExactMatrix.identity(ring, k)
+        return NormalFormResult(
+            ExactMatrix(ring, mat.rows, k, tuple(tuple(r[:k]) for r in rows)),
+            ExactMatrix(ring, mat.rows, mat.rows, tuple(tuple(r[k:]) for r in rows)),
+            ident, "ReducedEchelon",
+            ExactMatrix(ring, mat.rows, mat.rows,
+                        tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
+            ident)
+    ws = _diagonal_sheet(mat)
+
+    def replayed(size, ops, inverse=False):
+        rows = ws.apply(ws._unit_columns(size, range(size)), ops, inverse)
+        return ExactMatrix(ring, size, size, tuple(tuple(r) for r in rows))
+
     kind = "Smith" if ring.kind == "Z" else "Howell"
-    return NormalFormResult(ws.matrix(), ws.left_matrix(), ws.right_matrix(),
-                            kind, ws.left_inv_matrix(), ws.right_inv_matrix())
+    return NormalFormResult(
+        ws.matrix(), replayed(mat.rows, ws.row_ops), replayed(mat.cols, reversed(ws.col_ops)),
+        kind, replayed(mat.rows, reversed(ws.row_ops), True), replayed(mat.cols, ws.col_ops, True))
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Some X with a*X = b, or None when the system is unsolvable."""
+    """Some X with a*X = b, or None when the system is unsolvable.
+
+    Over Q and F_p X is read off the reduced row echelon form of [a | b],
+    with zero at every non-pivot column of a; the system is unsolvable
+    exactly when a pivot falls in b.
+    """
     if a.ring != b.ring:
         raise IncompatibleRing("mixed rings %s and %s" % (a.ring, b.ring))
     if a.rows != b.rows:
         raise DimensionMismatch("row counts %d vs %d" % (a.rows, b.rows))
     ring = a.ring
-    ws = _diagonal_sheet(a, need_left=True, need_right=True)
-    c = ws.left_matrix().mul(b)
+    if ring.is_field:
+        pivots, rows = _field_rref(a.hstack(b))
+        if pivots and pivots[-1] >= a.cols:
+            return None
+        x = [(ring.zero,) * b.cols] * a.cols
+        for c, row in zip(pivots, rows):
+            x[c] = tuple(row[a.cols:])
+        return ExactMatrix(ring, a.cols, b.cols, tuple(x))
+    ws = _diagonal_sheet(a)
+    c = ws.apply([list(row) for row in b.entries], ws.row_ops)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
         for jc in range(b.cols):
-            rhs = c.entries[i][jc]
+            rhs = c[i][jc]
             if ring.is_zero(d):
                 if not ring.is_zero(rhs):
                     return None
@@ -1375,14 +1214,16 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
             if val is None:
                 return None
             y[i][jc] = val
-    ymat = ExactMatrix(ring, a.cols, b.cols, tuple(tuple(r) for r in y))
-    return ws.right_matrix().mul(ymat)
+    x = ws.apply(y, reversed(ws.col_ops))
+    return ExactMatrix(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
     if mat.rows != mat.cols:
         return False
     ring = mat.ring
+    if ring.is_field:
+        return len(_field_reduce(mat)[0]) == mat.rows
     ws = _diagonal_sheet(mat)
     return all(ring.is_unit(d) for d in ws.diagonal(mat.rows))
 
@@ -1518,7 +1359,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 
 
 def _kernel_read(ws: _Worksheet) -> tuple:
-    """kernel_data read off a diagonalised sheet that keeps its trail."""
+    """kernel_data read off a diagonalised sheet."""
     ring = ws.ring
     torsion_factors = []
     torsion_gens = []
@@ -1645,7 +1486,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     """
     if a.ring.is_field:
         return _field_hom_ext(a)[:2]
-    return _kernel_read(_diagonal_sheet(a, trail=True))
+    return _kernel_read(_diagonal_sheet(a))
 
 
 def kernel_basis(a: ExactMatrix) -> ExactMatrix:
@@ -1704,24 +1545,16 @@ def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
 
 
 def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
-    """Cokernel presentation of a, plus one vector per generator.
+    """Cokernel presentation of a and the diagonal positions of its generators.
 
     Read off a diagonalised sheet of a.  The generators sit at the non-unit
-    diagonal positions, torsion in chain order and then the free ones.  The
-    vector of a generator is its preimage (a column of left_inv) when the
-    sheet keeps its trail, else its projection row (a row of left) when the
-    sheet tracks left; with neither, no vectors are returned.
+    diagonal positions, torsion in chain order and then the free ones.
     """
     ring = a.ring
     diag = ws.diagonal(a.rows)
     idx = ([i for i, d in enumerate(diag) if not ring.is_zero(d) and not ring.is_unit(d)]
            + [i for i, d in enumerate(diag) if ring.is_zero(d)])
-    pres = ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx))
-    if ws.trail is not None:
-        return pres, ws.left_inv_columns(idx)
-    if ws.left is not None:
-        return pres, [tuple(ws.left[i]) for i in idx]
-    return pres, []
+    return ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), idx
 
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
@@ -1735,13 +1568,15 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     """Cokernel presentation plus preimage vectors of its generators.
 
     The k-th returned vector maps onto the k-th listed invariant-factor
-    generator of the cokernel under the projection R^rows -> coker.  Over
-    the fields they are unit vectors, read off one transform-free row
-    reduction.
+    generator of the cokernel under the projection R^rows -> coker: the
+    column of left^-1 at that generator's diagonal position.  Over the
+    fields they are unit vectors, read off one transform-free row reduction.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)[2:]
-    return _cokernel_read(_diagonal_sheet(a, trail=True), a)
+    ws = _diagonal_sheet(a)
+    pres, idx = _cokernel_read(ws, a)
+    return pres, ws.left_inv_columns(idx)
 
 
 def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
@@ -1749,26 +1584,37 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
 
     Returns a (free rank x rows) matrix pi with pi * a = 0 whose rows map
     R^rows onto coker(a), or None when the cokernel has a torsion summand
-    and no such free presentation exists.
+    and no such free presentation exists.  Its rows are the rows of the
+    left transform at the zero rows of the normal form.
     """
-    pres, rows = _cokernel_read(_diagonal_sheet(a, need_left=True), a)
-    if not pres.is_free:
-        return None
-    return ExactMatrix(a.ring, len(rows), a.rows, tuple(rows))
+    ring = a.ring
+    if ring.is_field:
+        res = normal_form(a)
+        rows = [left for left, row in zip(res.left.entries, res.nf.entries)
+                if all(map(ring.is_zero, row))]
+    else:
+        ws = _diagonal_sheet(a)
+        pres, idx = _cokernel_read(ws, a)
+        if not pres.is_free:
+            return None
+        left = ws.apply(ws._unit_columns(a.rows, range(a.rows)), ws.row_ops)
+        rows = [tuple(left[i]) for i in idx]
+    return ExactMatrix(ring, len(rows), a.rows, tuple(rows))
 
 
 def _hom_ext_data(a: ExactMatrix) -> tuple:
     """kernel_data(a) + cokernel_data(a) from one elimination of a.
 
     Over the fields that is one transform-free row reduction
-    (_field_reduce); over the other rings one diagonalisation keeping its
-    trail, from which the wanted columns of the right and inverse left
-    transforms are replayed.
+    (_field_reduce); over the other rings one diagonalisation, whose
+    operations are replayed on the wanted columns of the right and inverse
+    left transforms.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)
-    ws = _diagonal_sheet(a, trail=True)
-    return _kernel_read(ws) + _cokernel_read(ws, a)
+    ws = _diagonal_sheet(a)
+    pres, idx = _cokernel_read(ws, a)
+    return _kernel_read(ws) + (pres, ws.left_inv_columns(idx))
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:

@@ -238,6 +238,18 @@ def test_argparse_rejections(files, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["braid"], ["schur", "--dims", "1,1"],
+                                  ["construct", "--dims", "1,2"]])
+def test_verbs_without_their_quiver_exit_two(argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "quivlat.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "--quiver" in proc.stderr
+
+
 def test_json_byte_stability(files, capsys):
     argv = ("ext", "--rep-x", files["s1"], "--rep-y", files["s2"], "--format", "json")
     _, first = run(capsys, *argv)

@@ -1,13 +1,14 @@
-"""The transform-free row reduction that serves Hom, Ext, kernels and
-cokernels over Q and F_p.
+"""The transform-free row reduction that serves the whole normal-form API
+over Q and F_p.
 
-The reference is the two-sided diagonalisation these read-offs used before
-(``_diagonal_sheet`` with ``_kernel_read`` and ``_cokernel_read``), which
-still serves the other rings and normal_form, solve and is_invertible.  The
-read-off must give the reference's presentations exactly; its vectors are a
-different basis, so they are checked by their defining properties instead:
-the Hom vectors are cols - rank independent vectors of the kernel, and the
-Ext vectors complement the column span.
+The reduction itself is checked against a plain reduced row echelon form
+written here.  The reference for the read-offs is the two-sided
+diagonalisation they used before (``_diagonal_sheet`` with
+``_kernel_read`` and ``_cokernel_read``), which still serves the other
+rings.  The read-off must give the reference's presentations exactly; its
+vectors are a different basis, so they are checked by their defining
+properties instead: the Hom vectors are cols - rank independent vectors of
+the kernel, and the Ext vectors complement the column span.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_field_reduce.py
@@ -27,9 +28,13 @@ from quivlat.rings import (
     Zmod,
     cokernel,
     cokernel_data,
+    cokernel_projection,
+    invert,
+    is_invertible,
     kernel_basis,
     kernel_data,
     normal_form,
+    solve,
 )
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -95,6 +100,27 @@ def _rank(mat):
     return sum(not mat.ring.is_zero(d) for d in ws.diagonal(min(mat.rows, mat.cols)))
 
 
+def _plain_rref(a):
+    """Reduced row echelon form of a by textbook Gauss-Jordan on the
+    ring's own elements, zero rows dropped."""
+    ring = a.ring
+    rows = [list(row) for row in a.entries]
+    lead = 0
+    for c in range(a.cols):
+        piv = next((i for i in range(lead, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = ring.inv(rows[lead][c])
+        rows[lead] = [ring.mul(inv, x) for x in rows[lead]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != lead and f:
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[lead])]
+        lead += 1
+    return [tuple(row) for row in rows[:lead]]
+
+
 def _hadamard_bits(a):
     """Bits of Hadamard's bound on every minor of a with each row scaled by
     the lcm of its denominators, as the reduction over Q scales it."""
@@ -115,9 +141,8 @@ def check_reduction(a):
     picked = ExactMatrix(ring, len(pivot_rows), a.cols,
                          tuple(a.entries[i] for i in pivot_rows))
     assert _rank(picked) == len(pivot_rows)
-    # each reduced row is a multiple of the reduced row echelon form's row,
-    # which normal_form still computes by its own elimination
-    rref = normal_form(a).nf.entries
+    # each reduced row is a multiple of the reduced row echelon form's row
+    rref = _plain_rref(a)
     for k, (c, row) in enumerate(zip(pivot_cols, reduced)):
         if ring == QQ:
             assert tuple(Fraction(x, row[c]) for x in row) == rref[k]
@@ -134,7 +159,7 @@ def check_read_off(a):
     check_reduction(a)
     ring = a.ring
     hom, hom_vecs, ext, ext_vecs = rings._hom_ext_data(a)
-    ws = rings._diagonal_sheet(a, trail=True)
+    ws = rings._diagonal_sheet(a)
     ref_hom, ref_ext = rings._kernel_read(ws)[0], rings._cokernel_read(ws, a)[0]
     for new, ref in ((hom, ref_hom), (ext, ref_ext)):
         assert new == ref and repr(new) == repr(ref), (new, ref)
@@ -215,6 +240,15 @@ def test_field_read_offs_build_no_worksheet():
             kernel_basis(a)
             cokernel(a)
             cokernel_data(a)
+            cokernel_projection(a)
+            normal_form(a)
+            solve(a, a)
+            is_invertible(a)
+            unit_upper = ExactMatrix(ring, 4, 4, tuple(
+                tuple(ring.one if i == j else _entry(kind, ring, rng) if j > i else ring.zero
+                      for j in range(4)) for i in range(4)))
+            assert is_invertible(unit_upper)
+            invert(unit_upper)
             hom_ext(*_random_pair(kind, ring, KRONECKER, rng))
     finally:
         rings._Worksheet = saved

@@ -387,9 +387,8 @@ def test_rref_over_fields():
     for ring in (QQ, GF(2), GF(5)):
         for _ in range(60):
             a = rand_matrix(ring, rng.randint(0, 5), rng.randint(0, 5), rng, span=6)
-            res = normal_form(a)
+            res = check_normal_form_contract(a)
             assert res.kind == "ReducedEchelon"
-            assert res.left.mul(a) == res.nf
             if ring.kind == "Q":
                 ref = Matrix(a.rows, a.cols, [v for row in a.entries for v in row])
                 want = ref.rref()[0]
@@ -402,9 +401,25 @@ def test_rref_over_fields():
                 assert mine == pivots
 
 
-def test_trail_replays_tracked_transform_columns():
-    """Columns of right and left_inv replayed from a diagonalisation's trail
-    equal those of the tracked transforms, entry for entry."""
+def _elementary(ring, size, op):
+    """The matrix of one worksheet operation: op applied to the identity."""
+    m = [[ring.one if i == j else ring.zero for j in range(size)] for i in range(size)]
+    if len(op) == 2:
+        i, j = op
+        m[i], m[j] = m[j], m[i]
+    elif len(op) == 3:
+        i, j, c = op
+        m[i][j] = ring.add(m[i][j], c)
+    else:
+        i, j, s, t, u, v = op
+        m[i][i], m[i][j], m[j][i], m[j][j] = s, t, u, v
+    return ExactMatrix(ring, size, size, tuple(map(tuple, m)))
+
+
+def test_replayed_transforms_match_elementary_products():
+    """The transforms replayed from a diagonalisation's recorded operations
+    are the products of the operations' elementary matrices: left =
+    E_K ... E_1 and right = F_1 ... F_L, multiplied out by ExactMatrix.mul."""
     from quivlat import rings
     from quivlat.homology import differential
     from quivlat.quiver import Quiver
@@ -415,19 +430,26 @@ def test_trail_replays_tracked_transform_columns():
     for ring in (ZZ, Zmod(4), Zmod(12), Feps(2, 2), Feps(3, 3)):
         mats = [rand_matrix(ring, r, c, rng, span=3)
                 for r, c in ((0, 3), (3, 0), (1, 1), (4, 4), (6, 7), (8, 5))]
-        mats += [differential(random_rep(ring, kronecker, (3, 4), rng),
-                              random_rep(ring, kronecker, (3, 4), rng)) for _ in range(3)]
+        mats += [differential(random_rep(ring, kronecker, (2, 3), rng),
+                              random_rep(ring, kronecker, (2, 3), rng)) for _ in range(2)]
         for a in mats:
-            tracked = rings._diagonal_sheet(a, need_right=True, need_left_inv=True)
-            replayed = rings._diagonal_sheet(a, trail=True)
-            assert replayed.right is None and replayed.left_inv is None
-            assert replayed.n == tracked.n
-            right = [tuple(row[j] for row in tracked.right) for j in range(a.cols)]
-            left_inv = [tuple(row[i] for row in tracked.left_inv) for i in range(a.rows)]
-            assert replayed.right_columns(range(a.cols)) == right, (ring, a)
-            assert replayed.left_inv_columns(range(a.rows)) == left_inv, (ring, a)
+            ws = rings._diagonal_sheet(a)
+            left = ExactMatrix.identity(ring, a.rows)
+            for op in ws.row_ops:
+                left = _elementary(ring, a.rows, op).mul(left)
+            right = ExactMatrix.identity(ring, a.cols)
+            for op in ws.col_ops:
+                right = right.mul(_elementary(ring, a.cols, op))
+            res = normal_form(a)
+            assert (res.nf, res.left, res.right) == (ws.matrix(), left, right), (ring, a)
+            assert res.left_inverse.mul(left) == ExactMatrix.identity(ring, a.rows)
+            assert res.right_inverse.mul(right) == ExactMatrix.identity(ring, a.cols)
+            left_inv = list(zip(*res.left_inverse.entries))
+            right_cols = list(zip(*right.entries))
             picks = [j for j in range(a.cols) if rng.random() < 0.5][::-1]
-            assert replayed.right_columns(picks) == [right[j] for j in picks]
+            assert ws.right_columns(picks) == [right_cols[j] for j in picks]
+            picks = [i for i in range(a.rows) if rng.random() < 0.5][::-1]
+            assert ws.left_inv_columns(picks) == [left_inv[i] for i in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +654,7 @@ def test_cokernel_data_generators_project_to_basis():
 
 def test_cokernel_projection_contract():
     rng = random.Random(13)
-    for ring in CHAIN_RINGS:
+    for ring in CHAIN_RINGS + (QQ, GF(3)):
         seen_none = seen_proj = False
         for _ in range(80):
             rows, cols = rng.randint(0, 4), rng.randint(0, 4)
@@ -647,10 +669,13 @@ def test_cokernel_projection_contract():
             assert pi.rows == pres.free_rank
             assert pi.mul(a).is_zero()
             # rows must be completable to a basis: full-rank normal form
-            res = normal_form(pi)
-            diag = [res.nf.entries[i][i] for i in range(min(pi.rows, pi.cols))]
-            assert sum(1 for d in diag if ring.is_unit(d)) == pi.rows
-        assert seen_none and seen_proj
+            nf = normal_form(pi).nf.entries
+            if ring.is_field:   # reduced echelon: a nonzero row per pivot
+                assert sum(1 for row in nf if any(row)) == pi.rows
+            else:
+                diag = [nf[i][i] for i in range(min(pi.rows, pi.cols))]
+                assert sum(1 for d in diag if ring.is_unit(d)) == pi.rows
+        assert seen_proj and (seen_none or ring.is_field)
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +696,15 @@ def test_solve_round_trip(ring):
 
 
 def test_solve_detects_inconsistency():
+    for ring in (QQ, GF(2), GF(3)):
+        # rank 1: equal first two rows, a zero third row
+        a = ExactMatrix(ring, 3, 2, ((1, 1), (1, 1), (0, 0)))
+        assert solve(a, ExactMatrix(ring, 3, 1, ((1,), (0,), (0,)))) is None
+        assert solve(a, ExactMatrix(ring, 3, 1, ((0,), (0,), (1,)))) is None
+        b = ExactMatrix(ring, 3, 2, ((1, 0), (1, 0), (0, 0)))
+        x = solve(a, b)
+        assert x is not None and a.mul(x) == b
+        assert solve(ExactMatrix.zeros(ring, 2, 0), ExactMatrix(ring, 2, 1, ((0,), (1,)))) is None
     a = ExactMatrix(ZZ, 2, 1, ((2,), (0,)))
     b = ExactMatrix(ZZ, 2, 1, ((1,), (0,)))
     assert solve(a, b) is None
@@ -684,7 +718,7 @@ def test_solve_detects_inconsistency():
 
 def test_invert_round_trip():
     rng = random.Random(15)
-    for ring in (ZZ, Zmod(6), GF(5), Feps(2, 2)):
+    for ring in (ZZ, Zmod(6), GF(5), QQ, Feps(2, 2)):
         found = 0
         while found < 10:
             n = rng.randint(1, 4)
@@ -693,6 +727,33 @@ def test_invert_round_trip():
                 continue
             found += 1
             assert a.mul(invert(a)) == ExactMatrix.identity(ring, n)
+
+
+def test_gf2_solve_invertibility_and_projection_exhaustively():
+    """Every GF(2) matrix of every shape up to 3x3 against brute force:
+    solve finds a solution exactly when some vector maps onto b, the matrix
+    is invertible exactly when it maps GF(2)^n onto itself, and
+    cokernel_projection has full row rank, kills a and has as many rows as
+    the cokernel's dimension."""
+    ring = GF(2)
+    for rows, cols in product(range(4), repeat=2):
+        sources = list(product((0, 1), repeat=cols))
+        targets = list(product((0, 1), repeat=rows))
+        for bits in product((0, 1), repeat=rows * cols):
+            a = ExactMatrix(ring, rows, cols,
+                            tuple(bits[i * cols:(i + 1) * cols] for i in range(rows)))
+            image = {matvec(ring, a, x) for x in sources}
+            for b in targets:
+                bmat = ExactMatrix(ring, rows, 1, tuple((v,) for v in b))
+                x = solve(a, bmat)
+                assert (x is not None) == (b in image), (a, b)
+                assert x is None or a.mul(x) == bmat
+            assert is_invertible(a) == (rows == cols and len(image) == len(targets)), a
+            pi = cokernel_projection(a)
+            assert pi.cols == rows and pi.mul(a).is_zero()
+            assert len(image) << pi.rows == len(targets)
+            assert all(any(matvec(ring, pi.transpose(), w))
+                       for w in product((0, 1), repeat=pi.rows) if any(w))
 
 
 def test_constant_rank_distinguishes_projectives():

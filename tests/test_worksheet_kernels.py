@@ -1,15 +1,20 @@
 """The per-ring row and column kernels of _Worksheet against element-wise ops.
 
-_ElementwiseWorksheet keeps the generic row and column operations, written
-with ring.add and ring.mul per element, as the reference.  Every result
-read off an elimination must be identical (equal and of equal repr, so
-equal types too) whichever of the two worksheets ran it.
+_ElementwiseWorksheet does the worksheet's row and column operations with
+ring.add and ring.mul per element, as the reference: its ``apply`` replays
+row operations on any matrix (N and every transform) and its ``_col`` does
+column operations on N.  Every result read off an elimination must be
+identical (equal and of equal repr, so equal types too) whichever of the two
+worksheets ran it.  The worksheet serves Z, Z/m and Feps; over Q and F_p
+the eliminations are a row reduction that never builds one, so the
+elimination comparisons run on the other rings.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_worksheet_kernels.py
 """
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -32,6 +37,7 @@ from quivlat.rings import (
 from quivlat.verify import random_rep
 
 RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 3))
+SHEET_RINGS = tuple(ring for ring in RINGS if not ring.is_field)
 SHAPES = ((0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 7), (8, 5), (10, 12))
 QUIVERS = (
     Quiver(2, ((1, 2), (1, 2))),
@@ -40,99 +46,54 @@ QUIVERS = (
 
 
 class _ElementwiseWorksheet(rings._Worksheet):
-    """The six row and column operations with per-element ring arithmetic."""
+    """apply and _col with per-element ring arithmetic; counts its calls."""
 
-    def scale_row(self, i, u):
+    calls = Counter()
+
+    def apply(self, x, ops, inverse=False):
+        _ElementwiseWorksheet.calls["apply"] += 1
         ring = self.ring
-        mul = ring.mul
-        self.n[i] = [mul(u, x) for x in self.n[i]]
-        if self.left is not None:
-            self.left[i] = [mul(u, x) for x in self.left[i]]
-        if self.left_inv is not None:
-            uinv = ring.inv(u)
-            for row in self.left_inv:
-                row[i] = mul(row[i], uinv)
+        add, mul, neg = ring.add, ring.mul, ring.neg
+        for op in ops:
+            if len(op) == 2:
+                i, j = op
+                x[i], x[j] = x[j], x[i]
+            elif len(op) == 3:
+                i, j, c = op
+                if i == j:   # scaling by the unit 1 + c
+                    u = add(ring.one, c)
+                    u = ring.inv(u) if inverse else u
+                    x[i] = [mul(u, y) for y in x[i]]
+                else:
+                    c = neg(c) if inverse else c
+                    x[i] = [add(y, mul(c, z)) for y, z in zip(x[i], x[j])]
+            else:
+                i, j, s, t, u, v = op
+                if inverse:
+                    dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
+                    s, t, u, v = (mul(dinv, v), neg(mul(dinv, t)),
+                                  neg(mul(dinv, u)), mul(dinv, s))
+                x[i], x[j] = ([add(mul(s, y), mul(t, z)) for y, z in zip(x[i], x[j])],
+                              [add(mul(u, y), mul(v, z)) for y, z in zip(x[i], x[j])])
+        return x
 
-    def addmul_row(self, i, j, c):
+    def _col(self, op):
+        """N <- N F, F the matrix op builds from the identity."""
+        _ElementwiseWorksheet.calls["_col"] += 1
+        self.col_ops.append(op)
         ring = self.ring
         add, mul = ring.add, ring.mul
-        self.n[i] = [add(x, mul(c, y)) for x, y in zip(self.n[i], self.n[j])]
-        if self.left is not None:
-            self.left[i] = [add(x, mul(c, y))
-                            for x, y in zip(self.left[i], self.left[j])]
-        if self.left_inv is not None:
-            nc = ring.neg(c)
-            for row in self.left_inv:
-                row[j] = add(row[j], mul(nc, row[i]))
-
-    def rows2(self, i, j, s, t, u, v):
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-
-        def combine(ri, rj):
-            new_i = [add(mul(s, x), mul(t, y)) for x, y in zip(ri, rj)]
-            new_j = [add(mul(u, x), mul(v, y)) for x, y in zip(ri, rj)]
-            return new_i, new_j
-
-        self.n[i], self.n[j] = combine(self.n[i], self.n[j])
-        if self.left is not None:
-            self.left[i], self.left[j] = combine(self.left[i], self.left[j])
-        if self.left_inv is not None:
-            det = ring.sub(mul(s, v), mul(t, u))
-            dinv = ring.inv(det)
-            a, b = mul(dinv, v), ring.neg(mul(dinv, t))
-            c, d = ring.neg(mul(dinv, u)), mul(dinv, s)
-            for row in self.left_inv:
+        for row in self.n:
+            if len(op) == 2:
+                i, j = op
+                row[i], row[j] = row[j], row[i]
+            elif len(op) == 3:   # F = I + c e_k e_j^T
+                k, j, c = op
+                row[j] = add(row[j], mul(row[k], c))
+            else:                # F restricted to i, j is (s, t; u, v)
+                i, j, s, t, u, v = op
                 x, y = row[i], row[j]
-                row[i] = add(mul(x, a), mul(y, c))
-                row[j] = add(mul(x, b), mul(y, d))
-
-    def scale_col(self, j, u):
-        ring = self.ring
-        mul = ring.mul
-        for row in self.n:
-            row[j] = mul(row[j], u)
-        if self.right is not None:
-            for row in self.right:
-                row[j] = mul(row[j], u)
-        if self.right_inv is not None:
-            uinv = ring.inv(u)
-            self.right_inv[j] = [mul(uinv, x) for x in self.right_inv[j]]
-
-    def addmul_col(self, j, k, c):
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        for row in self.n:
-            row[j] = add(row[j], mul(c, row[k]))
-        if self.right is not None:
-            for row in self.right:
-                row[j] = add(row[j], mul(c, row[k]))
-        if self.right_inv is not None:
-            nc = ring.neg(c)
-            ri = self.right_inv
-            ri[k] = [add(x, mul(nc, y)) for x, y in zip(ri[k], ri[j])]
-
-    def cols2(self, i, j, s, t, u, v):
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        for row in self.n:
-            x, y = row[i], row[j]
-            row[i] = add(mul(s, x), mul(t, y))
-            row[j] = add(mul(u, x), mul(v, y))
-        if self.right is not None:
-            for row in self.right:
-                x, y = row[i], row[j]
-                row[i] = add(mul(s, x), mul(t, y))
-                row[j] = add(mul(u, x), mul(v, y))
-        if self.right_inv is not None:
-            det = ring.sub(mul(s, v), mul(t, u))
-            dinv = ring.inv(det)
-            a, b = mul(dinv, v), ring.neg(mul(dinv, u))
-            c, d = ring.neg(mul(dinv, t)), mul(dinv, s)
-            ri = self.right_inv
-            new_i = [add(mul(a, x), mul(b, y)) for x, y in zip(ri[i], ri[j])]
-            new_j = [add(mul(c, x), mul(d, y)) for x, y in zip(ri[i], ri[j])]
-            ri[i], ri[j] = new_i, new_j
+                row[i], row[j] = add(mul(x, s), mul(y, u)), add(mul(x, t), mul(y, v))
 
 
 @contextmanager
@@ -174,19 +135,24 @@ def _matrices(ring, rng):
             _random_matrix(ring, inner, cols, 0.7, rng))
 
 
-def _elimination_results(a, rng_seed):
+def _entry_points(a, rng_seed):
+    """The public eliminations of a, each as a thunk."""
     rng = random.Random(rng_seed)
     ring = a.ring
     solvable = a.mul(_random_matrix(ring, a.cols, 2, 0.6, rng))
     arbitrary = _random_matrix(ring, a.rows, 2, 0.6, rng)
     return {
-        "normal_form": normal_form(a),
-        "solve(solvable)": solve(a, solvable),
-        "solve(arbitrary)": solve(a, arbitrary),
-        "kernel_data": kernel_data(a),
-        "cokernel_data": cokernel_data(a),
-        "cokernel_projection": cokernel_projection(a),
+        "normal_form": lambda: normal_form(a),
+        "solve(solvable)": lambda: solve(a, solvable),
+        "solve(arbitrary)": lambda: solve(a, arbitrary),
+        "kernel_data": lambda: kernel_data(a),
+        "cokernel_data": lambda: cokernel_data(a),
+        "cokernel_projection": lambda: cokernel_projection(a),
     }
+
+
+def _elimination_results(a, rng_seed):
+    return {key: run() for key, run in _entry_points(a, rng_seed).items()}
 
 
 def _hom_ext_results(x, y):
@@ -197,8 +163,9 @@ def _hom_ext_results(x, y):
 
 def test_each_kernel_matches_elementwise_arithmetic():
     # Direct, because elimination never reaches some kernels on some rings:
-    # over the fields and Feps the pivot divides every entry, so no gcdex
-    # step calls a 2x2 combination.
+    # over Feps the pivot divides every entry, so no gcdex step calls a 2x2
+    # combination, and over Q and F_p only reference code in the tests
+    # runs a worksheet.
     for ring in RINGS:
         rng = random.Random("direct:%s" % ring)
         kern = rings._kernels(ring)
@@ -224,7 +191,7 @@ def test_each_kernel_matches_elementwise_arithmetic():
 
 
 def test_elimination_matches_elementwise_ops():
-    for ring in RINGS:
+    for ring in SHEET_RINGS:
         rng = random.Random("kernels:%s" % ring)
         for idx, a in enumerate(_matrices(ring, rng)):
             new = _elimination_results(a, idx)
@@ -236,7 +203,7 @@ def test_elimination_matches_elementwise_ops():
 
 
 def test_hom_ext_matches_elementwise_ops():
-    for ring in RINGS:
+    for ring in SHEET_RINGS:
         rng = random.Random("hom_ext:%s" % ring)
         for q in QUIVERS:
             for _ in range(4):
@@ -253,9 +220,24 @@ def test_hom_ext_matches_elementwise_ops():
 
 
 def test_reference_is_in_use():
+    """Each entry point compared above runs its row and column operations
+    through the reference while it is swapped in, and not without it."""
+    x = y = random_rep(ZZ, QUIVERS[0], (2, 3), random.Random("in use"))
+    for ring in SHEET_RINGS:
+        a = ExactMatrix(ring, 2, 3, ((2, 4, 1), (6, 3, 5)))
+        for name, run in _entry_points(a, 0).items():
+            _ElementwiseWorksheet.calls.clear()
+            with _elementwise():
+                run()
+            assert _ElementwiseWorksheet.calls["apply"] > 0, (ring, name)
+            assert _ElementwiseWorksheet.calls["_col"] > 0, (ring, name)
+    _ElementwiseWorksheet.calls.clear()
+    _hom_ext_results(x, y)
+    assert not _ElementwiseWorksheet.calls
     with _elementwise():
-        ws = rings._diagonal_sheet(ExactMatrix.identity(ZZ, 2))
-    assert type(ws) is _ElementwiseWorksheet
+        _hom_ext_results(x, y)
+    assert _ElementwiseWorksheet.calls["apply"] > 0
+    assert _ElementwiseWorksheet.calls["_col"] > 0
 
 
 if __name__ == "__main__":
