@@ -42,7 +42,12 @@ def _offsets(sizes):
 
 
 def differential(x: Rep, y: Rep) -> ExactMatrix:
-    """Matrix of f -> (Y_a f_tail - f_head X_a) over the flattened complex."""
+    """Matrix of f -> (Y_a f_tail - f_head X_a) over the flattened complex.
+
+    Built by placement: the row of arrow a at (c, r) holds row r of Y_a in
+    the block of its tail and column c of -X_a in the block of its head.
+    The two overlap in one cell only when a is a loop, where they add.
+    """
     if x.quiver != y.quiver:
         raise IncompatibleBase("representations of different quivers")
     if x.ring != y.ring:
@@ -50,25 +55,26 @@ def differential(x: Rep, y: Rep) -> ExactMatrix:
     ring = x.ring
     q = x.quiver
     n = q.vertex_count
-    c0_sizes = [x.dims[i] * y.dims[i] for i in range(n)]
-    c1_sizes = [x.dims[q.tail(a)] * y.dims[q.head(a)] for a in range(q.arrow_count)]
-    off0 = _offsets(c0_sizes)
-    off1 = _offsets(c1_sizes)
-    rows, cols = off1[-1], off0[-1]
-    data = [[ring.zero] * cols for _ in range(rows)]
+    off0 = _offsets([x.dims[i] * y.dims[i] for i in range(n)])
+    cols = off0[-1]
+    zero = ring.zero
+    data = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
-        ya, xa = y.mats[a], x.mats[a]
+        yt, yh, xh = y.dims[t], y.dims[h], x.dims[h]
+        ya = y.mats[a].entries
+        neg_xa_cols = x.mats[a].neg().transpose().entries
         for c in range(x.dims[t]):
-            for r in range(y.dims[h]):
-                row = off1[a] + c * y.dims[h] + r
-                for rr in range(y.dims[t]):
-                    col = off0[t] + c * y.dims[t] + rr
-                    data[row][col] = ring.add(data[row][col], ya.entries[r][rr])
-                for cc in range(x.dims[h]):
-                    col = off0[h] + cc * y.dims[h] + r
-                    data[row][col] = ring.sub(data[row][col], xa.entries[cc][c])
-    return ExactMatrix(ring, rows, cols, tuple(tuple(r) for r in data))
+            start = off0[t] + c * yt
+            neg_col = neg_xa_cols[c]
+            for r in range(yh):
+                row = [zero] * cols
+                row[start:start + yt] = ya[r]
+                row[off0[h] + r:off0[h] + xh * yh:yh] = neg_col
+                if t == h:
+                    row[start + r] = ring.add(ya[r][r], neg_col[c])
+                data.append(tuple(row))
+    return ExactMatrix._of(ring, len(data), cols, tuple(data))
 
 
 def _unflatten(x: Rep, shapes, vec):
@@ -78,7 +84,7 @@ def _unflatten(x: Rep, shapes, vec):
     for r_, c_ in shapes:
         block = vec[pos:pos + r_ * c_]
         entries = tuple(tuple(block[c * r_ + r] for c in range(c_)) for r in range(r_))
-        mats.append(ExactMatrix(x.ring, r_, c_, entries))
+        mats.append(ExactMatrix._of(x.ring, r_, c_, entries))
         pos += r_ * c_
     return tuple(mats)
 

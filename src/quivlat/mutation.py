@@ -185,11 +185,14 @@ def _dual(x: Rep) -> Rep:
     return Rep(x.ring, opposite, x.dims, tuple(m.transpose() for m in x.mats))
 
 
-def _dual_map(f: Optional[RepMorphism]) -> Optional[RepMorphism]:
-    """The transpose dual Df : DY -> DX of f : X -> Y."""
+def _dual_map(f: Optional[RepMorphism], duals: dict) -> Optional[RepMorphism]:
+    """The transpose dual Df : DY -> DX of f : X -> Y.  duals maps
+    representations to their duals built already; other ends are dualised."""
     if f is None:
         return None
-    return RepMorphism(_dual(f.target), _dual(f.source),
+    dy, dx = duals.get(f.target), duals.get(f.source)
+    return RepMorphism(_dual(f.target) if dy is None else dy,
+                       _dual(f.source) if dx is None else dx,
                        tuple(m.transpose() for m in f.vertex_maps))
 
 
@@ -215,14 +218,19 @@ def right_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult
     projections.  Hom(DY, DX) and Ext(DY, DX) are those of (X, Y) transposed.
     """
     he = _pair_hom_ext(x, y)
+    dx, dy = _dual(x), _dual(y)
+    duals = {x: dx, y: dy}
     dual = _left_mutation(
-        _dual(y), _dual(x), he.hom, he.ext,
-        tuple(_dual_map(g) for g in he.hom_generators),
+        dy, dx, he.hom, he.ext,
+        tuple(_dual_map(g, duals) for g in he.hom_generators),
         tuple(tuple(m.transpose() for m in z) for z in he.ext_cocycles))
-    out = MutationResult(_DUAL_KIND.get(dual.kind, dual.kind), _dual(dual.rep),
-                         universal_map=_dual_map(dual.universal_map),
-                         witness_in=_dual_map(dual.witness_out),
-                         witness_out=_dual_map(dual.witness_in))
+    rep = _dual(dual.rep)
+    # the double dual of a representation is that representation
+    duals = {dx: x, dual.rep: rep}
+    out = MutationResult(_DUAL_KIND.get(dual.kind, dual.kind), rep,
+                         universal_map=_dual_map(dual.universal_map, duals),
+                         witness_in=_dual_map(dual.witness_out, duals),
+                         witness_out=_dual_map(dual.witness_in, duals))
     if check_result and not is_exceptional_pair(y, out.rep):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out

@@ -162,7 +162,7 @@ class Rep:
     mats: tuple = ()
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _exact_dims(self.dims)
         if len(dims) != self.quiver.vertex_count:
             raise DimensionMismatch("need %d dimensions, got %d" % (
                 self.quiver.vertex_count, len(dims)))
@@ -197,7 +197,7 @@ class Rep:
     @staticmethod
     def from_matrix_rows(ring: RingSpec, quiver: Quiver, dims: Sequence[int],
                          mats_rows: Sequence[Sequence[Sequence]]) -> "Rep":
-        dims = tuple(int(d) for d in dims)
+        dims = _exact_dims(dims)
         if len(dims) != quiver.vertex_count:
             raise DimensionMismatch("need %d dimensions, got %d" % (
                 quiver.vertex_count, len(dims)))
@@ -410,8 +410,8 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
         m = [[ring.zero] * dims[t] for _ in range(dims[h])]
         for col, p in enumerate(paths[t]):
             m[index[h][p + (a,)]][col] = ring.one
-        mats.append(ExactMatrix(ring, dims[h], dims[t],
-                                tuple(tuple(r) for r in m)))
+        mats.append(ExactMatrix._of(ring, dims[h], dims[t],
+                                    tuple(tuple(r) for r in m)))
     return Rep(ring, quiver, dims, tuple(mats))
 
 

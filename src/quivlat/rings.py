@@ -46,6 +46,9 @@ entry over Z/m, a truncated product over Feps), chosen once per worksheet.
 The kernels skip zero multiplicands, which dominate the sparse
 differentials and the identity-like transforms, and the values they store
 are bit-identical to element-wise ``RingSpec.add``/``RingSpec.mul``.
+
+Entries are canonicalised once: ``ExactMatrix(...)`` canonicalises outside
+input, and internal producers use the trusted ``ExactMatrix._of``.
 """
 
 from __future__ import annotations
@@ -617,9 +620,16 @@ def Feps(p: int, n: int) -> RingSpec:
 # matrices
 
 
+def _check_shape(rows, cols):
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise DimensionMismatch(
+            "matrix dimensions must be nonnegative ints, got %r x %r" % (rows, cols))
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix with canonicalised entries over a RingSpec."""
+    """Immutable matrix over a RingSpec.  The constructor canonicalises
+    outside input; code inside the package builds canonical entries with _of."""
 
     ring: RingSpec
     rows: int
@@ -627,8 +637,7 @@ class ExactMatrix:
     entries: tuple = ()
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("negative matrix dimensions")
+        _check_shape(self.rows, self.cols)
         data = self.entries
         if len(data) != self.rows:
             raise DimensionMismatch(
@@ -646,6 +655,15 @@ class ExactMatrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _of(ring: RingSpec, rows: int, cols: int, entries: tuple) -> "ExactMatrix":
+        # Trusted, checking nothing: entries must be a tuple of `rows` tuples
+        # of `cols` canonical elements, from ring arithmetic or copied from
+        # matrices over the same ring.
+        mat = object.__new__(ExactMatrix)
+        mat.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
+        return mat
+
+    @staticmethod
     def from_rows(ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
         rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -653,13 +671,15 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "ExactMatrix":
+        _check_shape(rows, cols)
         z = ring.zero
-        return ExactMatrix(ring, rows, cols, tuple((z,) * cols for _ in range(rows)))
+        return ExactMatrix._of(ring, rows, cols, ((z,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: RingSpec, size: int) -> "ExactMatrix":
+        _check_shape(size, size)
         z, o = ring.zero, ring.one
-        return ExactMatrix(
+        return ExactMatrix._of(
             ring, size, size,
             tuple(tuple(o if i == j else z for j in range(size)) for i in range(size)))
 
@@ -677,7 +697,7 @@ class ExactMatrix:
         add = self.ring.add
         data = tuple(tuple(add(a, b) for a, b in zip(ra, rb))
                      for ra, rb in zip(self.entries, other.entries))
-        return ExactMatrix(self.ring, self.rows, self.cols, data)
+        return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def sub(self, other: "ExactMatrix") -> "ExactMatrix":
         return self.add(other.neg())
@@ -685,13 +705,13 @@ class ExactMatrix:
     def neg(self) -> "ExactMatrix":
         neg = self.ring.neg
         data = tuple(tuple(neg(a) for a in row) for row in self.entries)
-        return ExactMatrix(self.ring, self.rows, self.cols, data)
+        return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def scale(self, c) -> "ExactMatrix":
         c = self.ring.canon(c)
         mul = self.ring.mul
         data = tuple(tuple(mul(c, a) for a in row) for row in self.entries)
-        return ExactMatrix(self.ring, self.rows, self.cols, data)
+        return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
@@ -703,7 +723,7 @@ class ExactMatrix:
         dot = self.ring.dot
         bt = tuple(zip(*other.entries))
         data = tuple(tuple(dot(row, col) for col in bt) for row in self.entries)
-        return ExactMatrix(self.ring, self.rows, other.cols, data)
+        return ExactMatrix._of(self.ring, self.rows, other.cols, data)
 
     def transpose(self) -> "ExactMatrix":
         if self.rows and self.cols:
@@ -711,7 +731,7 @@ class ExactMatrix:
         else:
             # degenerate shapes still need the right number of empty rows
             data = tuple(() for _ in range(self.cols))
-        return ExactMatrix(self.ring, self.cols, self.rows, data)
+        return ExactMatrix._of(self.ring, self.cols, self.rows, data)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
@@ -719,15 +739,15 @@ class ExactMatrix:
         if self.rows != other.rows:
             raise DimensionMismatch("row counts %d vs %d" % (self.rows, other.rows))
         data = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        return ExactMatrix(self.ring, self.rows, self.cols + other.cols, data)
+        return ExactMatrix._of(self.ring, self.rows, self.cols + other.cols, data)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
             raise IncompatibleRing("mixed rings")
         if self.cols != other.cols:
             raise DimensionMismatch("column counts %d vs %d" % (self.cols, other.cols))
-        return ExactMatrix(self.ring, self.rows + other.rows, self.cols,
-                           self.entries + other.entries)
+        return ExactMatrix._of(self.ring, self.rows + other.rows, self.cols,
+                               self.entries + other.entries)
 
     def is_zero(self) -> bool:
         z = self.ring.is_zero
@@ -751,7 +771,7 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
             data[r0 + i][c0:c0 + b.cols] = b.entries[i]
         r0 += b.rows
         c0 += b.cols
-    return ExactMatrix(ring, rows, cols, tuple(tuple(r) for r in data))
+    return ExactMatrix._of(ring, rows, cols, tuple(tuple(r) for r in data))
 
 
 # ---------------------------------------------------------------------------
@@ -1105,8 +1125,8 @@ class _Worksheet:
         return [self.n[i][i] if i < limit else zero for i in range(length)]
 
     def matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.rows, self.cols,
-                           tuple(tuple(r) for r in self.n))
+        return ExactMatrix._of(self.ring, self.rows, self.cols,
+                               tuple(tuple(r) for r in self.n))
 
 
 def _diagonal_sheet(mat: ExactMatrix) -> _Worksheet:
@@ -1162,17 +1182,17 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
         pivots, rows = _field_rref(aug)
         ident = ExactMatrix.identity(ring, k)
         return NormalFormResult(
-            ExactMatrix(ring, mat.rows, k, tuple(tuple(r[:k]) for r in rows)),
-            ExactMatrix(ring, mat.rows, mat.rows, tuple(tuple(r[k:]) for r in rows)),
+            ExactMatrix._of(ring, mat.rows, k, tuple(tuple(r[:k]) for r in rows)),
+            ExactMatrix._of(ring, mat.rows, mat.rows, tuple(tuple(r[k:]) for r in rows)),
             ident, "ReducedEchelon",
-            ExactMatrix(ring, mat.rows, mat.rows,
-                        tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
+            ExactMatrix._of(ring, mat.rows, mat.rows,
+                            tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
             ident)
     ws = _diagonal_sheet(mat)
 
     def replayed(size, ops, inverse=False):
         rows = ws.apply(ws._unit_columns(size, range(size)), ops, inverse)
-        return ExactMatrix(ring, size, size, tuple(tuple(r) for r in rows))
+        return ExactMatrix._of(ring, size, size, tuple(tuple(r) for r in rows))
 
     kind = "Smith" if ring.kind == "Z" else "Howell"
     return NormalFormResult(
@@ -1199,7 +1219,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
         x = [(ring.zero,) * b.cols] * a.cols
         for c, row in zip(pivots, rows):
             x[c] = tuple(row[a.cols:])
-        return ExactMatrix(ring, a.cols, b.cols, tuple(x))
+        return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
     ws = _diagonal_sheet(a)
     c = ws.apply([list(row) for row in b.entries], ws.row_ops)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
@@ -1215,7 +1235,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
                 return None
             y[i][jc] = val
     x = ws.apply(y, reversed(ws.col_ops))
-    return ExactMatrix(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
+    return ExactMatrix._of(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
@@ -1379,7 +1399,7 @@ def _kernel_read(ws: _Worksheet) -> tuple:
 
 
 def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation":
-    relations = block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors])
+    relations = block_diag(ring, [ExactMatrix._of(ring, 1, 1, ((d,),)) for d in factors])
     return ModulePresentation(ring, len(factors), relations, factors)
 
 
@@ -1502,7 +1522,7 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
         gens = howell_rows(ring, gens)
     if not gens:
         return ExactMatrix.zeros(ring, a.cols, 0)
-    return ExactMatrix(ring, a.cols, len(gens), tuple(zip(*gens)))
+    return ExactMatrix._of(ring, a.cols, len(gens), tuple(zip(*gens)))
 
 
 @dataclass(frozen=True)
@@ -1599,7 +1619,7 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
             return None
         left = ws.apply(ws._unit_columns(a.rows, range(a.rows)), ws.row_ops)
         rows = [tuple(left[i]) for i in idx]
-    return ExactMatrix(ring, len(rows), a.rows, tuple(rows))
+    return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
 def _hom_ext_data(a: ExactMatrix) -> tuple:

@@ -243,11 +243,11 @@ def _splitting_section(proj: RepMorphism) -> RepMorphism:
                     row[off[i] + c * mid.dims[i] + k] = pi.entries[rr][k]
                 sec_rows.append(tuple(row))
                 rhs_entries.append(ring.one if rr == c else ring.zero)
-    a = ExactMatrix(ring, comm.rows + len(sec_rows), n0,
-                    comm.entries + tuple(sec_rows))
-    b = ExactMatrix(ring, a.rows, 1,
-                    tuple((ring.zero,) for _ in range(comm.rows))
-                    + tuple((v,) for v in rhs_entries))
+    a = ExactMatrix._of(ring, comm.rows + len(sec_rows), n0,
+                        comm.entries + tuple(sec_rows))
+    b = ExactMatrix._of(ring, a.rows, 1,
+                        tuple((ring.zero,) for _ in range(comm.rows))
+                        + tuple((v,) for v in rhs_entries))
     sol = solve(a, b)
     if sol is None:
         raise PeelFailure("projection admits no morphism section")
@@ -423,7 +423,7 @@ def lift_rigid(x: Rep, hom: RingHom) -> Rep:
     mats = []
     for m in x.mats:
         rows = tuple(tuple(hom.section(v) for v in row) for row in m.entries)
-        mats.append(ExactMatrix(hom.source, m.rows, m.cols, rows))
+        mats.append(ExactMatrix._of(hom.source, m.rows, m.cols, rows))
     lifted = Rep(hom.source, x.quiver, x.dims, tuple(mats))
     if base_change(lifted, hom) != x:
         raise TheoremViolation("section failed to invert the hom entrywise")

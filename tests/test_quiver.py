@@ -147,6 +147,16 @@ def test_rep_from_json_rejects_non_integer_dims():
             Rep.from_json(record)
 
 
+@pytest.mark.parametrize("dims", [(1.9, 1.2), ("1", "1"), (True, True), (1, 1.0), None],
+                         ids=["float", "string", "bool", "one-float", "none"])
+def test_rep_dims_must_be_exact_ints(dims):
+    mats = (ExactMatrix(ZZ, 1, 1, ((1,),)), ExactMatrix(ZZ, 1, 1, ((2,),)))
+    with pytest.raises(DimensionMismatch):
+        Rep(ZZ, K2, dims, mats)
+    with pytest.raises(DimensionMismatch):
+        mk(ZZ, K2, dims, [[[1]], [[2]]])
+
+
 def test_simple_and_zero():
     s1 = Rep.simple(ZZ, A2, 1)
     assert s1.dims == (1, 0)

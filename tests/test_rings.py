@@ -6,6 +6,7 @@ direct checks of the defining equations of each output.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from quivlat.errors import DimensionMismatch, ParseError
+from quivlat.quiver import Rep
 from quivlat.rings import (
     ExactMatrix,
     Feps,
@@ -812,6 +815,22 @@ def test_apply_hom_entrywise():
     assert apply_hom(hom, a).entries == ((1, 3), (0, 3))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ExactMatrix.zeros(ZZ, 1.5, 2),
+    lambda: ExactMatrix.zeros(ZZ, 2, True),
+    lambda: ExactMatrix.zeros(ZZ, 0, -1),
+    lambda: ExactMatrix.identity(ZZ, 2.0),
+    lambda: ExactMatrix.identity(ZZ, False),
+    lambda: ExactMatrix(ZZ, 1.0, 1, ((3,),)),
+    lambda: ExactMatrix(ZZ, True, 1, ((3,),)),
+    lambda: ExactMatrix(ZZ, 1, "1", ((3,),)),
+], ids=["zeros-float", "zeros-bool", "zeros-negative", "identity-float",
+        "identity-bool", "float-rows", "bool-rows", "string-cols"])
+def test_matrix_shapes_must_be_exact_ints(make):
+    with pytest.raises(DimensionMismatch):
+        make()
+
+
 def test_block_diag_shape():
     a = ExactMatrix(ZZ, 1, 2, ((1, 2),))
     b = ExactMatrix(ZZ, 2, 1, ((3,), (4,)))
@@ -863,3 +882,59 @@ def test_property_howell_idempotent(m, rows):
 def test_property_kernel_membership(a):
     kb = kernel_basis(a)
     assert a.mul(kb).is_zero()
+
+
+VALIDATED_RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(12), Feps(2, 2), Feps(3, 3))
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _canonical_int(ring, v):
+    """The canonical element for the int v, written out per ring."""
+    if ring.kind == "Z":
+        return v
+    if ring.kind == "Q":
+        return Fraction(v)
+    if ring.kind == "Feps":
+        return (v % ring.p,) + (0,) * (ring.n - 1)
+    return v % (ring.p if ring.kind == "F" else ring.m)
+
+
+def _arrow_record(ring, rows, flat):
+    """A record of the A2 representation whose one matrix has the given rows."""
+    return {"ring": str(ring), "quiver": {"vertices": 2, "arrows": [[1, 2]]},
+            "dims": [2, rows], "mats": [flat]}
+
+
+@given(st.sampled_from(VALIDATED_RINGS),
+       st.lists(st.lists(st.integers(-40, 40), min_size=2, max_size=2),
+                min_size=1, max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_property_validating_constructors_canonicalise_ints(ring, rows):
+    """The validating path still turns int input into canonical elements:
+    Feps int -> tuple, Zmod and F reduced, Q int -> Fraction."""
+    want = tuple(tuple(_canonical_int(ring, v) for v in row) for row in rows)
+    record = _arrow_record(ring, len(rows), [v for row in rows for v in row])
+    for mat in (ExactMatrix(ring, len(rows), 2, tuple(map(tuple, rows))),
+                ExactMatrix.from_rows(ring, rows),
+                Rep.from_json(record).mats[0]):
+        assert mat.entries == want
+        assert repr(mat.entries) == repr(want)   # equal types too
+
+
+_NON_INT_ENTRIES = st.one_of(
+    st.booleans(), st.floats(), st.none(),
+    st.text(max_size=4).filter(lambda t: not _RATIONAL_TEXT.fullmatch(t)))
+
+
+@given(st.sampled_from(VALIDATED_RINGS), _NON_INT_ENTRIES, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_property_validating_constructors_refuse_non_int_entries(ring, bad, pos):
+    """bool, float, str and None entries raise ParseError on the validating path."""
+    flat = [1, 2, 3, 4]
+    flat[pos] = bad
+    rows = (tuple(flat[:2]), tuple(flat[2:]))
+    for make in (lambda: ExactMatrix(ring, 2, 2, rows),
+                 lambda: ExactMatrix.from_rows(ring, rows),
+                 lambda: Rep.from_json(_arrow_record(ring, 2, flat))):
+        with pytest.raises(ParseError):
+            make()
