@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .errors import BoundExceeded, IncompatibleBase, NotSchurRoot, ParseError, QuivlatError
@@ -24,14 +25,24 @@ from .verify import SUITES, run_suite
 SCHEMA = 1
 
 
-def _default_bound() -> int:
+def _parse_int(text: str, what: str) -> int:
+    """An integer in ASCII decimal digits, -?[0-9]+: the one rule for every
+    integer the CLI reads.  int() alone would also take "+3", " 3", "1_0"
+    and non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise ParseError("%s expects an integer, got %r" % (what, text))
+
+
+def _bound(args) -> int:
+    """--bound, else QUIVLAT_BOUND, else 60."""
+    if args.bound is not None:
+        return _parse_int(args.bound, "--bound")
     raw = os.environ.get("QUIVLAT_BOUND")
-    if raw is None:
-        return 60
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError("QUIVLAT_BOUND must be an integer, got %r" % raw)
+    return 60 if raw is None else _parse_int(raw, "QUIVLAT_BOUND")
 
 
 def _load_json(path: str):
@@ -56,17 +67,11 @@ def _load_quiver(path: str) -> Quiver:
 
 
 def _parse_dims(text: str) -> tuple:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError("--dims expects comma-separated integers, got %r" % text)
+    return tuple(_parse_int(part, "--dims entry") for part in text.split(","))
 
 
 def _parse_word(text: str) -> tuple:
-    try:
-        word = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ParseError("--word expects comma-separated nonzero integers, got %r" % text)
+    word = tuple(_parse_int(part, "--word entry") for part in text.split(","))
     if any(w == 0 for w in word):
         raise ParseError("--word entries must be nonzero")
     return word
@@ -157,12 +162,13 @@ def _cmd_braid(args) -> dict:
 def _cmd_schur(args) -> dict:
     quiver = _load_quiver(args.quiver)
     dims = _parse_dims(args.dims)
-    status = schur_root_status(quiver, dims, bound=args.bound)
+    bound = _bound(args)
+    status = schur_root_status(quiver, dims, bound=bound)
     if status == "prefilter_false":
         raise NotSchurRoot("dimension vector %s fails the unit quadratic-form test" % (dims,))
     if status == "bounded_false":
         raise BoundExceeded("no exceptional representation of dimension %s found "
-                            "within total dimension %d" % (dims, args.bound))
+                            "within total dimension %d" % (dims, bound))
     return {"schema": SCHEMA, "verb": "schur", "dims": list(dims),
             "isRealSchurRoot": True, "status": status}
 
@@ -171,7 +177,7 @@ def _cmd_construct(args) -> dict:
     quiver = _load_quiver(args.quiver)
     dims = _parse_dims(args.dims)
     ring = RingSpec.parse(args.ring) if args.ring else ZZ
-    rep = exceptional_lattice(quiver, dims, ring, bound=args.bound)
+    rep = exceptional_lattice(quiver, dims, ring, bound=_bound(args))
     return {"schema": SCHEMA, "verb": "construct", "ring": str(ring),
             "dims": list(dims), "exceptional": True, "rep": rep.to_json()}
 
@@ -179,7 +185,8 @@ def _cmd_construct(args) -> dict:
 def _cmd_decompose(args) -> dict:
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
-    result = decompose_rigid(x, aux_prime=args.prime, bound=args.bound)
+    result = decompose_rigid(x, aux_prime=_parse_int(args.prime, "--prime"),
+                             bound=_bound(args))
     report = result.to_json()
     report.update({"schema": SCHEMA, "verb": "decompose", "ring": str(x.ring)})
     return report
@@ -210,7 +217,8 @@ def _cmd_basechange(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    report = run_suite(args.suite, seed=args.seed, size=args.size)
+    report = run_suite(args.suite, seed=_parse_int(args.seed, "--seed"),
+                       size=_parse_int(args.size, "--size"))
     report["schema"] = SCHEMA
     report["verb"] = "verify"
     return report
@@ -249,10 +257,10 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     if "dims" in names:
         sub.add_argument("--dims", required=True, help="dimension vector, e.g. 1,2,1")
     if "bound" in names:
-        sub.add_argument("--bound", type=int, default=_default_bound(),
+        sub.add_argument("--bound",
                          help="total-dimension search bound (default 60 or QUIVLAT_BOUND)")
     if "prime" in names:
-        sub.add_argument("--prime", type=int, default=2,
+        sub.add_argument("--prime", default="2",
                          help="auxiliary prime for decomposition checks (default 2)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default text)")
@@ -292,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, "quiver", "pair", "ring")
     sub = verbs.add_parser("verify", help="run a randomized self-check suite")
     sub.add_argument("suite", choices=SUITES)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--size", type=int, default=20)
+    sub.add_argument("--seed", default="0")
+    sub.add_argument("--size", default="20")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -47,8 +47,6 @@ from .quiver import (
 )
 from .rings import ExactMatrix, RingSpec, block_diag, cokernel, kernel_basis
 
-_MUTATION_RINGS = ("Z", "Q", "F")
-
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
     """Both exceptional and no maps or extensions from y back to x."""
@@ -79,7 +77,7 @@ class MutationResult:
 
 def _pair_hom_ext(x: Rep, y: Rep):
     """hom_ext(x, y) once the ring and the pair are checked fit to mutate."""
-    if x.ring.kind not in _MUTATION_RINGS:
+    if not x.ring.is_domain:
         raise NotComputable(
             "mutation needs Z, Q or a prime field, not %s" % x.ring)
     if not is_exceptional_pair(x, y):

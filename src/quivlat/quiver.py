@@ -55,15 +55,20 @@ class Quiver:
     arrows: tuple = ()
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ParseError("negative vertex count")
-        fixed = []
-        for a in self.arrows:
-            t, h = a
-            if not (1 <= t <= self.vertex_count and 1 <= h <= self.vertex_count):
+        n = self.vertex_count
+        if type(n) is not int or n < 0:
+            raise ParseError("vertex count must be a nonnegative int, got %r" % (n,))
+        try:
+            arrows = tuple(self.arrows)
+        except TypeError:
+            raise ParseError("arrows must be a sequence, got %r" % (self.arrows,)) from None
+        for a in arrows:
+            if (not isinstance(a, (tuple, list)) or len(a) != 2
+                    or any(type(v) is not int for v in a)):
+                raise ParseError("arrow must be a (tail, head) pair of ints, got %r" % (a,))
+            if not all(1 <= v <= n for v in a):
                 raise ParseError("arrow %r out of range" % (a,))
-            fixed.append((int(t), int(h)))
-        object.__setattr__(self, "arrows", tuple(fixed))
+        object.__setattr__(self, "arrows", tuple(tuple(a) for a in arrows))
 
     @property
     def arrow_count(self) -> int:
@@ -117,9 +122,8 @@ class Quiver:
     @staticmethod
     def from_json(data) -> "Quiver":
         try:
-            n = _json_int(data["vertices"])
-            arrows = tuple((_json_int(t), _json_int(h)) for t, h in data["arrows"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, arrows = data["vertices"], data["arrows"]
+        except (KeyError, TypeError) as exc:
             raise ParseError("malformed quiver record") from exc
         return Quiver(n, arrows)
 
@@ -422,7 +426,7 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
 def kernel_rep(f: RepMorphism) -> tuple:
     """Kernel subrepresentation and its inclusion; ring must be a field or Z."""
     ring = f.source.ring
-    if ring.kind not in ("Z", "Q", "F"):
+    if not ring.is_domain:
         raise NotComputable("representation kernels need a field or Z, not %s" % ring)
     x = f.source
     q = x.quiver
@@ -449,7 +453,7 @@ def cokernel_rep(f: RepMorphism) -> tuple:
     representation on free modules presents it, so NonFreeCokernel.
     """
     ring = f.source.ring
-    if ring.kind not in ("Z", "Q", "F"):
+    if not ring.is_domain:
         raise NotComputable("representation cokernels need a field or Z, not %s" % ring)
     y = f.target
     q = y.quiver
@@ -511,7 +515,7 @@ def is_isomorphic_rigid(x: Rep, y: Rep) -> bool:
     if ring.is_finite and ring.size ** r <= _ISO_ENUM_LIMIT:
         coeff_space = itertools.product(list(ring.elements()), repeat=r)
         complete = True
-    elif ring.kind in ("Z", "Q") and r <= _ISO_INT_DIM_LIMIT:
+    elif not ring.is_finite and r <= _ISO_INT_DIM_LIMIT:
         coeff_space = itertools.product((0, 1, -1), repeat=r)
         complete = False
     else:

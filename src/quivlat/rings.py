@@ -40,12 +40,16 @@ which follow from its rank profile; of [a | I] for :func:`normal_form` and
 ``ModulePresentation.from_invariant_factors`` eliminates its diagonal
 relation matrix once, to canonicalise arbitrary input.
 
-Elimination does its row and column operations through one small kernel
-table per ring kind (plain ``x + c*y`` over Z, one reduction mod m per
-entry over Z/m, a truncated product over Feps), chosen once per worksheet.
-The kernels skip zero multiplicands, which dominate the sparse
-differentials and the identity-like transforms, and the values they store
-are bit-identical to element-wise ``RingSpec.add``/``RingSpec.mul``.
+Each ring is an instance of one class per family: integers (Z), rationals
+(Q, with Z's arithmetic on Fractions), modular (F:p and Z/m in one
+implementation) and truncated (Feps).  The class holds the element
+arithmetic and the row and column kernels that elimination and Howell
+canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
+m per entry over Z/m, a truncated product over Feps.  The kernels skip zero
+multiplicands, which dominate the sparse differentials and the
+identity-like transforms, and the values they store are bit-identical to
+element-wise ``add``/``mul``.  A ring hom is fixed by its two rings and
+picks its per-entry map once.
 
 Entries are canonicalised once: ``ExactMatrix(...)`` canonicalises outside
 input, and internal producers use the trusted ``ExactMatrix._of``.
@@ -106,7 +110,6 @@ def _is_prime(n: int) -> bool:
 _RATIONAL_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 # a ring spec parameter, by the same rule
 _DECIMAL_LITERAL = re.compile(r"[0-9]+")
-_RING_ARITY = {"Z": 0, "Q": 0, "F": 1, "Zmod": 1, "Feps": 2}
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -187,12 +190,28 @@ def _check_prime_provable(p: int):
             "below %d" % (p, _PRIME_PROOF_BOUND))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RingSpec:
     """One of the supported coefficient rings.
 
     kind is "Z", "Q", "F" (prime field, parameter p), "Zmod" (parameter m)
-    or "Feps" (truncated polynomials, parameters p and n).
+    or "Feps" (truncated polynomials, parameters p and n).  RingSpec(...)
+    returns an instance of the class of its kind (_KINDS), which checks its
+    parameters and holds the element arithmetic:
+
+    * zero, one, is_field, is_domain, is_finite, and size and elements()
+      of a finite ring;
+    * canon(x), the canonical element of liberal input; add, neg, sub, mul;
+      dot(xs, ys), a sum of products; is_zero, is_unit, inv;
+    * solve_scalar(a, c), some x with a*x = c, or None; divides;
+      gcdex(a, b) = (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
+      s*v - t*u a unit, so the 2x2 transform is invertible;
+    * canonical_gen(x) and ann_gen(x), the canonical generators of the
+      ideal (x) and of the annihilator of x; unit_to_canonical(x), a unit u
+      with u*x = canonical_gen(x); pivot_size(x), the pivoting weight of a
+      nonzero x, 1 exactly on units;
+    * entry_from_json and entry_to_json;
+    * the row and column kernels of elimination (see _Integers).
     """
 
     kind: str
@@ -200,40 +219,31 @@ class RingSpec:
     m: int = 0
     n: int = 0
 
+    def __new__(cls, kind=None, p=0, m=0, n=0):
+        # copy and pickle call the class of a kind with no arguments
+        if cls is RingSpec:
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ParseError("unknown ring kind %r" % (kind,))
+            cls = _KINDS[kind][0]
+        return object.__new__(cls)
+
     def __post_init__(self):
-        if self.kind in ("Z", "Q"):
-            if self.p or self.m or self.n:
-                raise ParseError("%s takes no parameters" % self.kind)
-        elif self.kind == "F":
-            _check_prime_provable(self.p)
-            if not _is_prime(self.p):
-                raise ParseError("F:%d needs a prime" % self.p)
-        elif self.kind == "Zmod":
-            if self.m < 2:
-                raise ParseError("Zmod needs modulus >= 2")
-        elif self.kind == "Feps":
-            _check_prime_provable(self.p)
-            if not _is_prime(self.p):
-                raise ParseError("Feps:%d:%d needs a prime" % (self.p, self.n))
-            if self.n < 1:
-                raise ParseError("Feps truncation order must be >= 1")
-            if self.n > _FEPS_MAX_ORDER:
-                raise NotComputable(
-                    "Feps truncation order %d exceeds the bound %d"
-                    % (self.n, _FEPS_MAX_ORDER))
-        else:
-            raise ParseError("unknown ring kind %r" % (self.kind,))
+        # a kind takes exact ints for the parameters _KINDS lists, and no others
+        takes = _KINDS[self.kind][1]
+        for name in ("p", "m", "n"):
+            value = getattr(self, name)
+            if type(value) is not int or (value and name not in takes):
+                raise ParseError("bad parameter %s=%r for ring kind %s"
+                                 % (name, value, self.kind))
 
     # -- textual spec ------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.kind == "F":
-            return "F:%d" % self.p
-        if self.kind == "Zmod":
-            return "Zmod:%d" % self.m
-        if self.kind == "Feps":
-            return "Feps:%d:%d" % (self.p, self.n)
-        return self.kind
+        return ":".join([self.kind] + ["%d" % getattr(self, name)
+                                       for name in _KINDS[self.kind][1]])
+
+    def __repr__(self) -> str:
+        return "RingSpec(kind=%r, p=%r, m=%r, n=%r)" % (self.kind, self.p, self.m, self.n)
 
     @staticmethod
     def parse(text: str) -> "RingSpec":
@@ -242,92 +252,375 @@ class RingSpec:
         if not isinstance(text, str):
             raise ParseError("ring spec must be a string, got %r" % (text,))
         kind, *params = text.strip().split(":")
-        if (_RING_ARITY.get(kind) != len(params)
+        names = _KINDS[kind][1] if kind in _KINDS else None
+        if (names is None or len(names) != len(params)
                 or not all(_DECIMAL_LITERAL.fullmatch(x) for x in params)):
             raise ParseError("bad ring spec %r" % text)
         try:
             values = [int(x) for x in params]
         except ValueError as exc:   # more digits than int() converts
             raise ParseError("bad ring spec %r" % text) from exc
-        if kind == "F":
-            return RingSpec("F", p=values[0])
-        if kind == "Zmod":
-            return RingSpec("Zmod", m=values[0])
-        if kind == "Feps":
-            return RingSpec("Feps", p=values[0], n=values[1])
-        return ZZ if kind == "Z" else QQ
+        return RingSpec(kind, **dict(zip(names, values)))
 
-    # -- structural properties --------------------------------------------
-
-    @property
-    def is_field(self) -> bool:
-        return self.kind in ("Q", "F")
-
-    @property
-    def is_domain(self) -> bool:
-        return self.kind in ("Z", "Q", "F")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind in ("F", "Zmod", "Feps")
+    # -- what every class shares ---------------------------------------------
 
     @property
     def size(self) -> int:
-        if self.kind == "F":
-            return self.p
-        if self.kind == "Zmod":
-            return self.m
-        if self.kind == "Feps":
-            return self.p ** self.n
         raise IncompatibleRing("ring %s is not finite" % self)
 
     def elements(self):
         """Iterate every element of a finite ring, deterministically."""
-        if self.kind == "F":
-            return range(self.p)
-        if self.kind == "Zmod":
-            return range(self.m)
-        if self.kind == "Feps":
-            return (tuple(reversed(t)) for t in
-                    itertools.product(range(self.p), repeat=self.n))
         raise IncompatibleRing("ring %s is not finite" % self)
 
-    # -- element arithmetic ------------------------------------------------
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
-    @property
-    def zero(self):
-        if self.kind == "Q":
-            return _FRACTION_ZERO
-        if self.kind == "Feps":
-            return (0,) * self.n
-        return 0
+    def divides(self, a, b) -> bool:
+        return self.solve_scalar(a, b) is not None
 
-    @property
-    def one(self):
-        if self.kind == "Q":
-            return _FRACTION_ONE
-        if self.kind == "Feps":
-            return (1,) + (0,) * (self.n - 1)
-        return 1
+    def gcdex(self, a, b):
+        if self.is_zero(b):
+            return a, self.one, self.zero, self.zero, self.one
+        if self.is_zero(a):
+            return b, self.zero, self.one, self.one, self.zero
+        return self._gcdex(a, b)
+
+    def entry_from_json(self, value):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return self.canon(value)
+        raise ParseError("bad entry %r for ring %s" % (value, self))
+
+    def entry_to_json(self, x):
+        return x
+
+    def _map_to(self, target):
+        """The per-entry map of the canonical hom to a target other than
+        this ring, or None when there is none (see RingHom)."""
+        return None
+
+
+class _Integers(RingSpec):
+    """Z, on plain ints.
+
+    Its row and column kernels do plain ``x + c*y``; _Rationals inherits
+    them with this arithmetic.  Every kernel skips a position whose
+    multiplicand is zero (the 2x2 combinations one where both inputs are
+    zero) and leaves its value as it is; element-wise arithmetic would
+    compute that same value there, so the results are identical to it.  Row
+    kernels return a new list; column kernels update ``row[j]`` in each row
+    of a list of rows in place.
+    """
+
+    zero, one = 0, 1
+    is_field, is_domain, is_finite = False, True, False
+    is_zero = staticmethod(operator.not_)
 
     def canon(self, x):
-        """Canonical representative of x, accepting liberal input forms."""
-        k = self.kind
-        if k == "Z":
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ParseError("integer entry expected, got %r" % (x,))
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ParseError("integer entry expected, got %r" % (x,))
+        return x
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def dot(self, xs, ys):
+        return sum([x * y for x, y in zip(xs, ys)], self.zero)
+
+    def is_unit(self, a) -> bool:
+        return a in (1, -1)
+
+    def inv(self, a):
+        if a in (1, -1):
+            return a
+        raise IncompatibleRing("%r is not an integer unit" % a)
+
+    def solve_scalar(self, a, c):
+        if not c:
+            return 0
+        if not a:
+            return None
+        return c // a if c % a == 0 else None
+
+    def _gcdex(self, a, b):
+        g, s, t = _egcd(a, b)
+        return g, s, t, -(b // g), a // g
+
+    def canonical_gen(self, x):
+        return abs(x)
+
+    def ann_gen(self, x):
+        return self.zero if x else self.one
+
+    def unit_to_canonical(self, x):
+        return -1 if x < 0 else 1
+
+    def pivot_size(self, x) -> int:
+        return abs(x)
+
+    def _map_to(self, target):
+        return target.canon   # Z is initial: an integer goes to its image
+
+    # -- row and column kernels of elimination -------------------------------
+
+    def row_axpy(self, dst, src, c):
+        """dst + c*src"""
+        return [x + c * y if y else x for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        """row[j] += c*row[k] in every row"""
+        for row in rows:
+            y = row[k]
+            if y:
+                row[j] = row[j] + c * y
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        """(s*ri + t*rj, u*ri + v*rj)"""
+        return ([s * x + t * y if x or y else x for x, y in zip(ri, rj)],
+                [u * x + v * y if x or y else y for x, y in zip(ri, rj)])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        """(row[i], row[j]) <- (s*row[i] + t*row[j], u*row[i] + v*row[j])"""
+        for row in rows:
+            x, y = row[i], row[j]
+            if x or y:
+                row[i] = s * x + t * y
+                row[j] = u * x + v * y
+
+
+class _Rationals(_Integers):
+    """Q, on Fractions, with the plain arithmetic and kernels of Z."""
+
+    zero, one = Fraction(0), Fraction(1)
+    is_field = True
+
+    def canon(self, x):
+        if isinstance(x, Fraction):
             return x
-        if k == "Q":
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, int) and not isinstance(x, bool):
-                return Fraction(x)
-            raise ParseError("rational entry expected, got %r" % (x,))
-        if k in ("F", "Zmod"):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ParseError("integer entry expected, got %r" % (x,))
-            return x % (self.p if k == "F" else self.m)
-        # Feps: accept an int (constant) or a list or tuple of int coefficients
+        if isinstance(x, int) and not isinstance(x, bool):
+            return Fraction(x)
+        raise ParseError("rational entry expected, got %r" % (x,))
+
+    def is_unit(self, a) -> bool:
+        return a != 0
+
+    def inv(self, a):
+        return self.one / a
+
+    def solve_scalar(self, a, c):
+        if not c:
+            return self.zero
+        if not a:
+            return None
+        return self.one / a * c
+
+    def _gcdex(self, a, b):
+        return a, self.one, self.zero, -(b * (self.one / a)), self.one
+
+    def canonical_gen(self, x):
+        return self.one if x else self.zero
+
+    def unit_to_canonical(self, x):
+        return self.one / x if x else self.one
+
+    def pivot_size(self, x) -> int:
+        return 1
+
+    def entry_from_json(self, value):
+        if isinstance(value, str):
+            match = _RATIONAL_LITERAL.fullmatch(value)
+            try:
+                if match:
+                    return Fraction(int(match[1]), int(match[2] or "1"))
+            except (ValueError, ZeroDivisionError) as exc:
+                # a zero denominator, or more digits than int() converts
+                raise ParseError("bad rational literal %r" % value) from exc
+            raise ParseError("bad rational literal %r" % value)
+        return super().entry_from_json(value)
+
+    def entry_to_json(self, x):
+        return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+    def _map_to(self, target):
+        return None
+
+
+class _Modular(RingSpec):
+    """Z/m on ints in [0, m), and F:p as Z/p.
+
+    Over a prime modulus the ideal arithmetic of Z/m is the field's: the
+    gcd of a nonzero element with the modulus is 1.  Only gcdex differs
+    from a field's own choice, and its value is a valid one over a field
+    too.  The kernels are those of Z with one reduction mod m per entry.
+    """
+
+    zero, one = 0, 1
+    is_finite = True
+    is_zero = staticmethod(operator.not_)
+
+    def __post_init__(self):
+        super().__post_init__()
+        field = self.kind == "F"
+        if field:
+            _check_prime_provable(self.p)
+            if not _is_prime(self.p):
+                raise ParseError("F:%d needs a prime" % self.p)
+        elif self.m < 2:
+            raise ParseError("Zmod needs modulus >= 2")
+        self.__dict__.update(is_field=field, is_domain=field, _mod=self.p or self.m)
+
+    @property
+    def size(self) -> int:
+        return self._mod
+
+    def elements(self):
+        return range(self._mod)
+
+    def canon(self, x):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ParseError("integer entry expected, got %r" % (x,))
+        return x % self._mod
+
+    def add(self, a, b):
+        return (a + b) % self._mod
+
+    def neg(self, a):
+        return -a % self._mod
+
+    def mul(self, a, b):
+        return a * b % self._mod
+
+    def dot(self, xs, ys):
+        return sum(x * y for x, y in zip(xs, ys)) % self._mod
+
+    def is_unit(self, a) -> bool:
+        return math.gcd(a, self._mod) == 1
+
+    def inv(self, a):
+        return pow(a, -1, self._mod)
+
+    def solve_scalar(self, a, c):
+        if not c:
+            return 0
+        if not a:
+            return None
+        m = self._mod
+        g = math.gcd(a, m)
+        if c % g:
+            return None
+        mg = m // g
+        if mg == 1:
+            return 0
+        return (c // g) * pow(a // g, -1, mg) % mg
+
+    def _gcdex(self, a, b):
+        m = self._mod
+        g, s, t = _egcd(a, b)
+        return g % m, s % m, t % m, (-(b // g)) % m, (a // g) % m
+
+    def canonical_gen(self, x):
+        return math.gcd(x, self._mod) % self._mod
+
+    def ann_gen(self, x):
+        return (self._mod // math.gcd(x, self._mod)) % self._mod
+
+    def unit_to_canonical(self, x):
+        if not x:
+            return 1
+        m = self._mod
+        g = math.gcd(x, m)
+        d = x // g
+        mg = m // g
+        w = 0 if mg == 1 else pow(d, -1, mg)
+        for kk in range(g + 1):
+            cand = w + kk * mg
+            if math.gcd(cand % m, m) == 1:
+                return cand % m
+        raise IncompatibleRing("no unit lift found")  # pragma: no cover
+
+    def pivot_size(self, x) -> int:
+        return math.gcd(x, self._mod)
+
+    def _residue(self, x, pivot):
+        """Canonical residue of x modulo the ideal (pivot)."""
+        return x % math.gcd(pivot, self._mod)
+
+    def _map_to(self, target):
+        if self.is_field:   # F_p -> F_p[e]/(e^n), onto the constants
+            if isinstance(target, _Truncated) and target.p == self.p:
+                return target.canon
+        elif (isinstance(target, _Modular) and not target.is_field
+              and self.m % target.m == 0):
+            return target.m.__rmod__   # x -> x % m'
+        return None
+
+    # -- row and column kernels of elimination -------------------------------
+
+    def row_axpy(self, dst, src, c):
+        m = self._mod
+        return [(x + c * y) % m if y else x for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        m = self._mod
+        for row in rows:
+            y = row[k]
+            if y:
+                row[j] = (row[j] + c * y) % m
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        m = self._mod
+        return ([(s * x + t * y) % m if x or y else x for x, y in zip(ri, rj)],
+                [(u * x + v * y) % m if x or y else y for x, y in zip(ri, rj)])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        m = self._mod
+        for row in rows:
+            x, y = row[i], row[j]
+            if x or y:
+                row[i] = (s * x + t * y) % m
+                row[j] = (u * x + v * y) % m
+
+
+class _Truncated(RingSpec):
+    """F_p[e]/(e^n) on length-n tuples of coefficients in [0, p).
+
+    Its kernels unpack each multiplier once into the (i, c_i, range(n - i))
+    of its nonzero coefficients and reduce each entry mod p once, at the
+    end; a zero entry is one equal to the zero tuple.
+    """
+
+    is_field = is_domain = False
+    is_finite = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        p, n = self.p, self.n
+        _check_prime_provable(p)
+        if not _is_prime(p):
+            raise ParseError("Feps:%d:%d needs a prime" % (p, n))
+        if n < 1:
+            raise ParseError("Feps truncation order must be >= 1")
+        if n > _FEPS_MAX_ORDER:
+            raise NotComputable(
+                "Feps truncation order %d exceeds the bound %d" % (n, _FEPS_MAX_ORDER))
+        self.__dict__.update(zero=(0,) * n, one=(1,) + (0,) * (n - 1),
+                             _ranges=tuple(range(n - i) for i in range(n)))
+
+    @property
+    def size(self) -> int:
+        return self.p ** self.n
+
+    def elements(self):
+        return (tuple(reversed(t)) for t in
+                itertools.product(range(self.p), repeat=self.n))
+
+    def canon(self, x):
+        """An int (constant) or a list or tuple of int coefficients."""
         if isinstance(x, int) and not isinstance(x, bool):
             return (x % self.p,) + (0,) * (self.n - 1)
         p = self.p
@@ -341,98 +634,49 @@ class RingSpec:
             coeffs = coeffs[: self.n]
         return coeffs + (0,) * (self.n - len(coeffs))
 
+    # canon takes exactly the JSON entry forms, and refuses others as bad entries
+    entry_from_json = canon
+
+    def entry_to_json(self, x):
+        return list(x)
+
     def add(self, a, b):
-        k = self.kind
-        if k == "F":
-            return (a + b) % self.p
-        if k == "Zmod":
-            return (a + b) % self.m
-        if k == "Feps":
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
-        return a + b
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def neg(self, a):
-        k = self.kind
-        if k == "F":
-            return -a % self.p
-        if k == "Zmod":
-            return -a % self.m
-        if k == "Feps":
-            p = self.p
-            return tuple(-x % p for x in a)
-        return -a
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        p = self.p
+        return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        k = self.kind
-        if k == "F":
-            return a * b % self.p
-        if k == "Zmod":
-            return a * b % self.m
-        if k == "Feps":
-            p, n = self.p, self.n
-            out = [0] * n
+        p, n = self.p, self.n
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(n - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] = (out[i + j] + ai * bj) % p
+        return tuple(out)
+
+    def dot(self, xs, ys):
+        p, n = self.p, self.n
+        out = [0] * n
+        for a, b in zip(xs, ys):
             for i, ai in enumerate(a):
                 if ai:
                     for j in range(n - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] = (out[i + j] + ai * bj) % p
-            return tuple(out)
-        return a * b
-
-    def dot(self, xs, ys) -> object:
-        """Sum of products; one reduction at the end where that is cheaper."""
-        k = self.kind
-        if k == "F":
-            return sum(x * y for x, y in zip(xs, ys)) % self.p
-        if k == "Zmod":
-            return sum(x * y for x, y in zip(xs, ys)) % self.m
-        if k == "Feps":
-            p, n = self.p, self.n
-            out = [0] * n
-            for a, b in zip(xs, ys):
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j in range(n - i):
-                            if b[j]:
-                                out[i + j] += ai * b[j]
-            return tuple(c % p for c in out)
-        total = self.zero
-        for x, y in zip(xs, ys):
-            total += x * y
-        return total
+                        if b[j]:
+                            out[i + j] += ai * b[j]
+        return tuple(c % p for c in out)
 
     def is_zero(self, a) -> bool:
-        if self.kind == "Feps":
-            return not any(a)
-        return a == 0
+        return not any(a)
 
     def is_unit(self, a) -> bool:
-        k = self.kind
-        if k == "Z":
-            return a in (1, -1)
-        if k in ("Q", "F"):
-            return not self.is_zero(a)
-        if k == "Zmod":
-            return math.gcd(a, self.m) == 1
         return a[0] != 0
 
     def inv(self, a):
-        k = self.kind
-        if k == "Z":
-            if a in (1, -1):
-                return a
-            raise IncompatibleRing("%r is not an integer unit" % a)
-        if k == "Q":
-            return _FRACTION_ONE / a
-        if k == "F":
-            return pow(a, -1, self.p)
-        if k == "Zmod":
-            return pow(a, -1, self.m)
         # power series inversion, coefficient by coefficient
         if a[0] == 0:
             raise IncompatibleRing("non-unit in truncated ring")
@@ -446,35 +690,18 @@ class RingSpec:
             out[kk] = (-c0inv * acc) % p
         return tuple(out)
 
-    # -- divisibility and ideals -------------------------------------------
-
     def _val(self, a) -> int:
-        """e-adic valuation in a truncated ring; n means zero."""
+        """e-adic valuation; n means zero."""
         for i, c in enumerate(a):
             if c:
                 return i
         return self.n
 
     def solve_scalar(self, a, c):
-        """Some x with a*x = c, or None."""
         if self.is_zero(c):
             return self.zero
-        k = self.kind
         if self.is_zero(a):
             return None
-        if k == "Z":
-            return c // a if c % a == 0 else None
-        if k in ("Q", "F"):
-            return self.mul(self.inv(a), c)
-        if k == "Zmod":
-            m = self.m
-            g = math.gcd(a, m)
-            if c % g:
-                return None
-            mg = m // g
-            if mg == 1:
-                return 0
-            return (c // g) * pow(a // g, -1, mg) % mg
         va, vc = self._val(a), self._val(c)
         if va > vc:
             return None
@@ -482,55 +709,20 @@ class RingSpec:
         quot = self.mul(self.inv(unit), c)
         return tuple(quot[va:]) + (0,) * va
 
-    def divides(self, a, b) -> bool:
-        return self.solve_scalar(a, b) is not None
-
-    def gcdex(self, a, b):
-        """Return (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
-        s*v - t*u a unit, so the 2x2 transform is invertible."""
-        if self.is_zero(b):
-            return a, self.one, self.zero, self.zero, self.one
-        if self.is_zero(a):
-            return b, self.zero, self.one, self.one, self.zero
-        k = self.kind
-        if k in ("Q", "F"):
-            return a, self.one, self.zero, self.neg(self.mul(b, self.inv(a))), self.one
-        if k == "Z":
-            g, s, t = _egcd(a, b)
-            return g, s, t, -(b // g), a // g
-        if k == "Zmod":
-            m = self.m
-            g, s, t = _egcd(a, b)
-            return g % m, s % m, t % m, (-(b // g)) % m, (a // g) % m
-        va, vb = self._val(a), self._val(b)
-        if va <= vb:
+    def _gcdex(self, a, b):
+        if self._val(a) <= self._val(b):
             q = self.solve_scalar(a, b)
             return a, self.one, self.zero, self.neg(q), self.one
         q = self.solve_scalar(b, a)
         return b, self.zero, self.one, self.one, self.neg(q)
 
     def canonical_gen(self, x):
-        """The canonical generator of the ideal (x)."""
-        k = self.kind
-        if k == "Z":
-            return abs(x)
-        if k in ("Q", "F"):
-            return self.zero if self.is_zero(x) else self.one
-        if k == "Zmod":
-            return math.gcd(x, self.m) % self.m
         v = self._val(x)
         if v >= self.n:
             return self.zero
         return tuple(1 if i == v else 0 for i in range(self.n))
 
     def ann_gen(self, x):
-        """Canonical generator of the annihilator ideal of x."""
-        k = self.kind
-        if k in ("Z", "Q", "F"):
-            return self.one if self.is_zero(x) else self.zero
-        if k == "Zmod":
-            m = self.m
-            return (m // math.gcd(x, m)) % m
         v = self._val(x)
         w = self.n - v
         if w >= self.n:
@@ -538,70 +730,83 @@ class RingSpec:
         return tuple(1 if i == w else 0 for i in range(self.n))
 
     def unit_to_canonical(self, x):
-        """A unit u with u*x equal to canonical_gen(x)."""
-        k = self.kind
         if self.is_zero(x):
             return self.one
-        if k == "Z":
-            return -1 if x < 0 else 1
-        if k in ("Q", "F"):
-            return self.inv(x)
-        if k == "Zmod":
-            m = self.m
-            g = math.gcd(x, m)
-            d = x // g
-            mg = m // g
-            w = 0 if mg == 1 else pow(d, -1, mg)
-            for kk in range(g + 1):
-                cand = w + kk * mg
-                if math.gcd(cand % m, m) == 1:
-                    return cand % m
-            raise IncompatibleRing("no unit lift found")  # pragma: no cover
         v = self._val(x)
-        unit_part = tuple(x[v:]) + (0,) * v
-        return self.inv(unit_part)
+        return self.inv(tuple(x[v:]) + (0,) * v)
 
     def pivot_size(self, x) -> int:
-        """Selection weight for pivoting; 1 exactly on units."""
-        k = self.kind
-        if k == "Z":
-            return abs(x)
-        if k in ("Q", "F"):
-            return 1
-        if k == "Zmod":
-            return math.gcd(x, self.m)
         return self._val(x) + 1
 
-    # -- JSON entry forms ---------------------------------------------------
+    def _residue(self, x, pivot):
+        """Canonical residue of x modulo the ideal (pivot): the coefficients
+        below the valuation of pivot."""
+        v = self._val(pivot)
+        return tuple(c if i < v else 0 for i, c in enumerate(x))
 
-    def entry_from_json(self, value):
-        if self.kind == "Q" and isinstance(value, str):
-            match = _RATIONAL_LITERAL.fullmatch(value)
-            try:
-                if match:
-                    return Fraction(int(match[1]), int(match[2] or "1"))
-            except (ValueError, ZeroDivisionError) as exc:
-                # a zero denominator, or more digits than int() converts
-                raise ParseError("bad rational literal %r" % value) from exc
-            raise ParseError("bad rational literal %r" % value)
-        if self.kind == "Feps" and isinstance(value, (list, tuple)):
-            return self.canon(value)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return self.canon(value)
-        raise ParseError("bad entry %r for ring %s" % (value, self))
+    def _map_to(self, target):
+        if target.p != self.p:
+            return None
+        if isinstance(target, _Truncated):   # drop the orders from target.n on
+            return operator.itemgetter(slice(target.n)) if target.n <= self.n else None
+        return operator.itemgetter(0) if target.is_field else None   # F_p
 
-    def entry_to_json(self, x):
-        if self.kind == "Q":
-            return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
-        if self.kind == "Feps":
-            return list(x)
-        return x
+    # -- row and column kernels of elimination -------------------------------
 
+    def _terms(self, c):
+        return [(i, ci, self._ranges[i]) for i, ci in enumerate(c) if ci]
+
+    def _fma(self, x, terms, y, terms2=(), y2=None):
+        """x + c*y (+ c2*y2) for multipliers unpacked by _terms."""
+        out = list(x)
+        for i, ci, js in terms:
+            for j in js:
+                out[i + j] += ci * y[j]
+        for i, ci, js in terms2:
+            for j in js:
+                out[i + j] += ci * y2[j]
+        p = self.p
+        return tuple([v % p for v in out])
+
+    def row_axpy(self, dst, src, c):
+        z, fma, tc = self.zero, self._fma, self._terms(c)
+        return [x if y == z else fma(x, tc, y) for x, y in zip(dst, src)]
+
+    def col_axpy(self, rows, j, k, c):
+        z, fma, tc = self.zero, self._fma, self._terms(c)
+        for row in rows:
+            y = row[k]
+            if y != z:
+                row[j] = fma(row[j], tc, y)
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        z, fma = self.zero, self._fma
+        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
+        pairs = list(zip(ri, rj))
+        return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
+                [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
+
+    def col_comb(self, rows, i, j, s, t, u, v):
+        z, fma = self.zero, self._fma
+        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
+        for row in rows:
+            x, y = row[i], row[j]
+            if x != z or y != z:
+                row[i] = fma(z, ts, x, tt, y)
+                row[j] = fma(z, tu, x, tv, y)
+
+
+# kind -> (the class of its rings, the parameters its spec takes)
+_KINDS = {
+    "Z": (_Integers, ()),
+    "Q": (_Rationals, ()),
+    "F": (_Modular, ("p",)),
+    "Zmod": (_Modular, ("m",)),
+    "Feps": (_Truncated, ("p", "n")),
+}
 
 ZZ = RingSpec("Z")
 QQ = RingSpec("Q")
-_FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
 
 
 def GF(p: int) -> RingSpec:
@@ -778,145 +983,6 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
 # two-sided diagonalisation, recorded as row and column operations
 
 
-class _PlainKernels:
-    """Row and column kernels over Z: plain ``x + c*y``.
-
-    Every kernel skips a position whose multiplicand is zero (the 2x2
-    combinations one where both inputs are zero) and leaves its value as it
-    is; element-wise arithmetic would compute that same value there, so the
-    results are identical to it.  Row kernels return a new list; column
-    kernels update ``row[j]`` in each row of a list of rows in place.
-    """
-
-    is_zero = staticmethod(operator.not_)
-
-    def row_axpy(self, dst, src, c):
-        """dst + c*src"""
-        return [x + c * y if y else x for x, y in zip(dst, src)]
-
-    def col_axpy(self, rows, j, k, c):
-        """row[j] += c*row[k] in every row"""
-        for row in rows:
-            y = row[k]
-            if y:
-                row[j] = row[j] + c * y
-
-    def row_comb(self, ri, rj, s, t, u, v):
-        """(s*ri + t*rj, u*ri + v*rj)"""
-        return ([s * x + t * y if x or y else x for x, y in zip(ri, rj)],
-                [u * x + v * y if x or y else y for x, y in zip(ri, rj)])
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        """(row[i], row[j]) <- (s*row[i] + t*row[j], u*row[i] + v*row[j])"""
-        for row in rows:
-            x, y = row[i], row[j]
-            if x or y:
-                row[i] = s * x + t * y
-                row[j] = u * x + v * y
-
-
-class _ModKernels:
-    """The kernels of _PlainKernels over F_p and Z/m: one ``% m`` per entry."""
-
-    is_zero = staticmethod(operator.not_)
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def row_axpy(self, dst, src, c):
-        m = self.m
-        return [(x + c * y) % m if y else x for x, y in zip(dst, src)]
-
-    def col_axpy(self, rows, j, k, c):
-        m = self.m
-        for row in rows:
-            y = row[k]
-            if y:
-                row[j] = (row[j] + c * y) % m
-
-    def row_comb(self, ri, rj, s, t, u, v):
-        m = self.m
-        return ([(s * x + t * y) % m if x or y else x for x, y in zip(ri, rj)],
-                [(u * x + v * y) % m if x or y else y for x, y in zip(ri, rj)])
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        m = self.m
-        for row in rows:
-            x, y = row[i], row[j]
-            if x or y:
-                row[i] = (s * x + t * y) % m
-                row[j] = (u * x + v * y) % m
-
-
-class _EpsKernels:
-    """The kernels of _PlainKernels over F_p[e]/(e^n).
-
-    Each call unpacks its multipliers once into the (i, c_i, range(n - i))
-    of their nonzero coefficients; entries are reduced mod p once, at the end.
-    """
-
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.zero = (0,) * n
-        self.is_zero = self.zero.__eq__
-        self._ranges = [range(n - i) for i in range(n)]
-
-    def _terms(self, c):
-        return [(i, ci, self._ranges[i]) for i, ci in enumerate(c) if ci]
-
-    def _fma(self, x, terms, y, terms2=(), y2=None):
-        """x + c*y (+ c2*y2) for multipliers unpacked by _terms."""
-        out = list(x)
-        for i, ci, js in terms:
-            for j in js:
-                out[i + j] += ci * y[j]
-        for i, ci, js in terms2:
-            for j in js:
-                out[i + j] += ci * y2[j]
-        p = self.p
-        return tuple([v % p for v in out])
-
-    def row_axpy(self, dst, src, c):
-        z, fma, tc = self.zero, self._fma, self._terms(c)
-        return [x if y == z else fma(x, tc, y) for x, y in zip(dst, src)]
-
-    def col_axpy(self, rows, j, k, c):
-        z, fma, tc = self.zero, self._fma, self._terms(c)
-        for row in rows:
-            y = row[k]
-            if y != z:
-                row[j] = fma(row[j], tc, y)
-
-    def row_comb(self, ri, rj, s, t, u, v):
-        z, fma = self.zero, self._fma
-        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
-        pairs = list(zip(ri, rj))
-        return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
-                [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        z, fma = self.zero, self._fma
-        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
-        for row in rows:
-            x, y = row[i], row[j]
-            if x != z or y != z:
-                row[i] = fma(z, ts, x, tt, y)
-                row[j] = fma(z, tu, x, tv, y)
-
-
-_PLAIN_KERNELS = _PlainKernels()
-
-
-def _kernels(ring: RingSpec):
-    """The row and column kernels of a ring, chosen by its kind."""
-    if ring.kind == "F":
-        return _ModKernels(ring.p)
-    if ring.kind == "Zmod":
-        return _ModKernels(ring.m)
-    if ring.kind == "Feps":
-        return _EpsKernels(ring.p, ring.n)
-    return _PLAIN_KERNELS
-
 
 class _Worksheet:
     """A matrix N being diagonalised, and the operations that did it.
@@ -936,7 +1002,7 @@ class _Worksheet:
     No transform is built unless a caller replays one, and callers replay
     only what they read: over Z the transforms' entries can run to many
     thousands of digits while N stays small.  Every operation runs through
-    the one kernel table of the ring's kind (``_kernels``).
+    the row and column kernels of the ring itself.
 
     An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
     row j to row i, which for i == j scales row i by the unit 1 + c; or
@@ -946,7 +1012,6 @@ class _Worksheet:
 
     def __init__(self, mat: ExactMatrix):
         self.ring = mat.ring
-        self.kernels = _kernels(mat.ring)
         self.rows = mat.rows
         self.cols = mat.cols
         self.n = [list(row) for row in mat.entries]
@@ -956,7 +1021,7 @@ class _Worksheet:
     def apply(self, x, ops, inverse=False):
         """Do the operations ops in order, each inverted if inverse, on the
         rows of x (a list of row lists) in place; return x."""
-        ring, kern = self.ring, self.kernels
+        ring = self.ring
         for op in ops:
             if len(op) == 2:
                 i, j = op
@@ -966,7 +1031,7 @@ class _Worksheet:
                 if inverse:
                     c = (ring.sub(ring.inv(ring.add(ring.one, c)), ring.one)
                          if i == j else ring.neg(c))
-                x[i] = kern.row_axpy(x[i], x[j], c)
+                x[i] = ring.row_axpy(x[i], x[j], c)
             else:
                 i, j, s, t, u, v = op
                 if inverse:
@@ -974,7 +1039,7 @@ class _Worksheet:
                     dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
                     s, t, u, v = (mul(dinv, v), ring.neg(mul(dinv, t)),
                                   ring.neg(mul(dinv, u)), mul(dinv, s))
-                x[i], x[j] = kern.row_comb(x[i], x[j], s, t, u, v)
+                x[i], x[j] = ring.row_comb(x[i], x[j], s, t, u, v)
         return x
 
     def _row(self, op):
@@ -985,30 +1050,31 @@ class _Worksheet:
     def _col(self, op):
         """N <- N F for the matrix F that op builds from the identity, recorded."""
         self.col_ops.append(op)
-        kern = self.kernels
         if len(op) == 2:
             i, j = op
             for row in self.n:
                 row[i], row[j] = row[j], row[i]
         elif len(op) == 3:
             k, j, c = op
-            kern.col_axpy(self.n, j, k, c)
+            self.ring.col_axpy(self.n, j, k, c)
         else:
             i, j, s, t, u, v = op
-            kern.col_comb(self.n, i, j, s, u, t, v)
+            self.ring.col_comb(self.n, i, j, s, u, t, v)
 
     # -- the reduction -------------------------------------------------------
+    # Entries are canonical, so an entry is zero exactly when it equals
+    # ring.zero: one comparison, where ring.is_zero would be a call.
 
     def _find_pivot(self, s):
         ring = self.ring
-        is_zero = self.kernels.is_zero
+        zero = ring.zero
         best = None
         best_size = None
         for i in range(s, self.rows):
             row = self.n[i]
             for j in range(s, self.cols):
                 x = row[j]
-                if is_zero(x):
+                if x == zero:
                     continue
                 size = ring.pivot_size(x)
                 if size == 1:
@@ -1019,17 +1085,18 @@ class _Worksheet:
 
     def _divisibility_size(self, x):
         """pivot_size, with zero above every nonzero element."""
-        return math.inf if self.kernels.is_zero(x) else self.ring.pivot_size(x)
+        return math.inf if x == self.ring.zero else self.ring.pivot_size(x)
 
     def _clear_position(self, s):
         ring = self.ring
-        is_zero = self.kernels.is_zero
+        zero = ring.zero
         n = self.n
         size = self._divisibility_size(n[s][s])
         while True:
+            gcdex_step = False
             for i in range(s + 1, self.rows):
                 b = n[i][s]
-                if is_zero(b):
+                if b == zero:
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1038,9 +1105,10 @@ class _Worksheet:
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self._row((s, i, sx, tx, ux, vx))
+                    gcdex_step = True
             for j in range(s + 1, self.cols):
                 b = n[s][j]
-                if is_zero(b):
+                if b == zero:
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1052,13 +1120,15 @@ class _Worksheet:
                 else:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self._col((s, j, sx, ux, tx, vx))
-            if all(is_zero(n[i][s]) for i in range(s + 1, self.rows)):
-                if all(is_zero(n[s][j]) for j in range(s + 1, self.cols)):
-                    return
+                    gcdex_step = True
             # A pass of solve_scalar steps alone leaves row and column s
-            # clear, so this pass made a gcdex step; each one replaces the
-            # pivot a by a gcd of a and an entry a does not divide, which
-            # strictly shrinks its size.  That bounds the number of passes.
+            # clear: a row step changes no entry of row s, and a column step
+            # no entry of column s.  A gcdex step can leave them unclear, so
+            # another pass follows; each gcdex step replaces the pivot a by a
+            # gcd of a and an entry a does not divide, which strictly shrinks
+            # its size.  That bounds the number of passes.
+            if not gcdex_step:
+                return
             new_size = self._divisibility_size(n[s][s])
             if new_size >= size:
                 raise TheoremViolation(
@@ -1261,16 +1331,6 @@ def invert(mat: ExactMatrix) -> ExactMatrix:
 # Howell canonicalisation of row spans (principal ideal rings)
 
 
-def _reduce_entry(ring: RingSpec, x, pivot):
-    """Canonical residue of x modulo the ideal (pivot)."""
-    if ring.kind == "Zmod":
-        g = math.gcd(pivot, ring.m)
-        return x % g if g else x
-    # truncated ring: drop coefficients at or above the pivot valuation
-    v = ring._val(pivot)
-    return tuple(c if i < v else 0 for i, c in enumerate(x))
-
-
 def _lead_index(ring: RingSpec, row) -> int:
     for j, x in enumerate(row):
         if not ring.is_zero(x):
@@ -1285,7 +1345,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     classify submodules of free modules.  The result is canonical: any two
     generating sets of the same span produce identical output.
     """
-    if ring.kind not in ("Zmod", "Feps"):
+    if ring.is_domain:
         raise IncompatibleRing("Howell form needs a finite principal ideal ring")
     width = None
     work = []
@@ -1312,14 +1372,9 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
                 slots[lead] = row
                 continue
             other = slots[lead]
-            a, b = other[lead], row[lead]
-            g, s, t, u, v = ring.gcdex(a, b)
-            new_a = [ring.add(ring.mul(s, x), ring.mul(t, y))
-                     for x, y in zip(other, row)]
-            new_b = [ring.add(ring.mul(u, x), ring.mul(v, y))
-                     for x, y in zip(other, row)]
-            slots[lead] = new_a
-            queue.append(new_b)
+            g, s, t, u, v = ring.gcdex(other[lead], row[lead])
+            slots[lead], row = ring.row_comb(other, row, s, t, u, v)
+            queue.append(row)
         return slots
 
     slots = triangulate(work)
@@ -1335,7 +1390,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
             if clead == width:
                 continue
             # reduce against existing slots to test novelty
-            red = list(cand)
+            red = cand
             while True:
                 rl = _lead_index(ring, red)
                 if rl == width or rl not in slots:
@@ -1344,8 +1399,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
                 q = ring.solve_scalar(piv, red[rl])
                 if q is None:
                     break
-                red = [ring.sub(x, ring.mul(q, y))
-                       for x, y in zip(red, slots[rl])]
+                red = ring.row_axpy(red, slots[rl], ring.neg(q))
             if _lead_index(ring, red) < width:
                 extra.append(cand)
         if not extra:
@@ -1365,12 +1419,11 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
             lead = order[idx]
             piv = out[idx][lead]
             x = out[above][lead]
-            target = _reduce_entry(ring, x, piv)
+            target = ring._residue(x, piv)
             diff = ring.sub(x, target)
             q = ring.solve_scalar(piv, diff)
             if q is not None and not ring.is_zero(q):
-                out[above] = [ring.sub(a, ring.mul(q, b))
-                              for a, b in zip(out[above], out[idx])]
+                out[above] = ring.row_axpy(out[above], out[idx], ring.neg(q))
     return [tuple(r) for r in out]
 
 
@@ -1518,7 +1571,7 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
     """
     ring = a.ring
     _, gens = kernel_data(a)
-    if ring.kind in ("Zmod", "Feps"):
+    if not ring.is_domain:
         gens = howell_rows(ring, gens)
     if not gens:
         return ExactMatrix.zeros(ring, a.cols, 0)
@@ -1645,7 +1698,7 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
     """
     ring = pres.ring
     factors = pres.invariant_factors
-    if ring.kind in ("Z", "Q", "F", "Feps"):
+    if ring.kind != "Zmod":
         # local or domain cases: projective means free here
         for d in factors:
             if not ring.is_zero(d):
@@ -1680,130 +1733,75 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
 # ring homomorphisms
 
 
-_HOM_KINDS = (
-    "Identity",
-    "IntToRationals",
-    "IntToPrimeField",
-    "IntToIntegersMod",
-    "IntToTruncatedPoly",
-    "IntegersModToIntegersMod",
-    "TruncatedPolyToPrimeField",
-    "TruncatedPolyTruncate",
-    "PrimeFieldToTruncatedPoly",
-)
+def _identity(x):
+    return x
 
 
 @dataclass(frozen=True)
 class RingHom:
-    """A supported unital homomorphism between two RingSpecs."""
+    """The canonical unital homomorphism from source to target.
 
-    kind: str
+    The supported ones are the identity; Z -> any ring and F_p ->
+    F_p[e]/(e^n), which send an integer to its image; and the onto maps
+    Z/m -> Z/m' for m' dividing m, F_p[e]/(e^n) -> F_p and F_p[e]/(e^n) ->
+    F_p[e]/(e^k) for k <= n.  Any other pair raises IncompatibleBase.  The
+    per-entry map ``apply`` is chosen once, at construction, by the
+    source's class.
+    """
+
     source: RingSpec
     target: RingSpec
 
     def __post_init__(self):
-        if self.kind not in _HOM_KINDS:
-            raise ParseError("unknown hom kind %r" % (self.kind,))
         s, t = self.source, self.target
-        ok = {
-            "Identity": s == t,
-            "IntToRationals": s.kind == "Z" and t.kind == "Q",
-            "IntToPrimeField": s.kind == "Z" and t.kind == "F",
-            "IntToIntegersMod": s.kind == "Z" and t.kind == "Zmod",
-            "IntToTruncatedPoly": s.kind == "Z" and t.kind == "Feps",
-            "IntegersModToIntegersMod":
-                s.kind == "Zmod" and t.kind == "Zmod" and s.m % t.m == 0,
-            "TruncatedPolyToPrimeField":
-                s.kind == "Feps" and t.kind == "F" and s.p == t.p,
-            "TruncatedPolyTruncate":
-                s.kind == "Feps" and t.kind == "Feps" and s.p == t.p and t.n <= s.n,
-            "PrimeFieldToTruncatedPoly":
-                s.kind == "F" and t.kind == "Feps" and s.p == t.p,
-        }[self.kind]
-        if not ok:
-            raise IncompatibleBase(
-                "no %s hom from %s to %s" % (self.kind, s, t))
+        apply = _identity if s == t else s._map_to(t)
+        if apply is None:
+            raise IncompatibleBase("no canonical hom from %s to %s" % (s, t))
+        object.__setattr__(self, "apply", apply)
 
-    def apply(self, x):
-        k = self.kind
-        if k == "Identity":
-            return x
-        if k in ("IntToRationals", "IntToPrimeField", "IntToIntegersMod",
-                 "IntToTruncatedPoly", "PrimeFieldToTruncatedPoly"):
-            return self.target.canon(x)
-        if k == "IntegersModToIntegersMod":
-            return x % self.target.m
-        if k == "TruncatedPolyToPrimeField":
-            return x[0]
-        return self.target.canon(x[: self.target.n])
+    @property
+    def _onto(self) -> bool:
+        """The identity, and every map out of Z/m or F_p[e]/(e^n): these are
+        onto, and the source's canonical form of a target element is a
+        preimage of it."""
+        return self.source == self.target or not self.source.is_domain
 
     @property
     def has_nilpotent_kernel(self) -> bool:
-        """Surjective with nonzero nilpotent kernel.
+        """Onto with nonzero nilpotent kernel.
 
-        For Z/m -> Z/m' this holds exactly when every prime of m divides
-        m' and m != m' (the prime-power towers p^k -> p^j, j < k, are the
-        typical case).  For truncations it holds exactly when the order
+        The rings are finite here, and the kernel of an onto map of finite
+        rings is nilpotent exactly when every prime of the source's size
+        divides the target's.  For Z/m -> Z/m' that is every prime of m
+        dividing m' (the prime-power towers p^k -> p^j, j < k, are the
+        typical case); for the truncations it holds whenever the order
         genuinely drops.
         """
-        k = self.kind
-        if k == "IntegersModToIntegersMod":
-            if self.source.m == self.target.m:
-                return False
-            rad = 1
-            for q, _ in _factorize(self.source.m):
-                rad *= q
-            return self.target.m % rad == 0
-        if k == "TruncatedPolyToPrimeField":
-            return self.source.n > 1  # kernel (e), nilpotent; zero when n == 1
-        if k == "TruncatedPolyTruncate":
-            return self.target.n < self.source.n
-        return False
+        if not self._onto or self.is_bijective:
+            return False
+        radical = math.prod(q for q, _ in _factorize(self.source.size))
+        return self.target.size % radical == 0
 
     @property
     def is_bijective(self) -> bool:
-        return self.kind == "Identity" or (
-            self.kind == "TruncatedPolyToPrimeField" and self.source.n == 1) or (
-            self.kind == "TruncatedPolyTruncate" and self.source.n == self.target.n) or (
-            self.kind == "IntegersModToIntegersMod" and self.source.m == self.target.m)
+        s, t = self.source, self.target
+        return self._onto and (s == t or s.size == t.size)
 
     def section(self, x):
-        """Canonical preimage of x for the surjective kinds."""
-        k = self.kind
-        if k == "Identity":
-            return x
-        if k == "IntegersModToIntegersMod":
-            return x  # representative in [0, m') lifted as the same integer
-        if k == "TruncatedPolyToPrimeField":
-            return self.source.canon(x)
-        if k == "TruncatedPolyTruncate":
-            return self.source.canon(x)
-        raise NotComputable("no canonical section for %s" % k)
+        """Canonical preimage of x for the onto maps."""
+        if not self._onto:
+            raise NotComputable("no canonical section from %s to %s"
+                                % (self.source, self.target))
+        return self.source.canon(x)
 
 
 def identity_hom(ring: RingSpec) -> RingHom:
-    return RingHom("Identity", ring, ring)
+    return RingHom(ring, ring)
 
 
 def canonical_hom(source: RingSpec, target: RingSpec) -> RingHom:
     """The canonical hom between two supported rings, when one exists."""
-    if source == target:
-        return identity_hom(source)
-    s, t = source.kind, target.kind
-    if s == "Z":
-        kind = {"Q": "IntToRationals", "F": "IntToPrimeField",
-                "Zmod": "IntToIntegersMod", "Feps": "IntToTruncatedPoly"}.get(t)
-        if kind:
-            return RingHom(kind, source, target)
-    if s == "Zmod" and t == "Zmod" and source.m % target.m == 0:
-        return RingHom("IntegersModToIntegersMod", source, target)
-    if s == "Feps" and t == "F" and source.p == target.p:
-        return RingHom("TruncatedPolyToPrimeField", source, target)
-    if s == "Feps" and t == "Feps" and source.p == target.p and target.n <= source.n:
-        return RingHom("TruncatedPolyTruncate", source, target)
-    if s == "F" and t == "Feps" and source.p == target.p:
-        return RingHom("PrimeFieldToTruncatedPoly", source, target)
-    raise IncompatibleBase("no canonical hom from %s to %s" % (source, target))
+    return RingHom(source, target)
 
 
 def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:

@@ -328,7 +328,7 @@ def decompose_rigid(x: Rep, *, aux_prime: int = 2, bound: int = 60) -> RigidDeco
     is checked vertexwise.
     """
     ring = x.ring
-    if ring.kind not in ("Z", "Q", "F"):
+    if not ring.is_domain:
         raise NotComputable(
             "decomposition needs Z, Q or a prime field, not %s" % ring)
     quiver = x.quiver
@@ -341,7 +341,7 @@ def decompose_rigid(x: Rep, *, aux_prime: int = 2, bound: int = 60) -> RigidDeco
                                  for _ in range(quiver.vertex_count)))
         return RigidDecomposition((), (), cert, ())
 
-    fp = ring if ring.kind == "F" else GF(aux_prime)
+    fp = ring if ring.is_finite else GF(aux_prime)
     eff_bound = min(bound, sum(x.dims))
     cands = _candidate_roots(quiver, x.dims, bound)
     fp_reps = {d: exceptional_lattice(quiver, d, fp, bound=eff_bound)

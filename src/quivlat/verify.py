@@ -9,7 +9,6 @@ seed and size.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, rigid_hom_ext_ranks
@@ -38,9 +37,7 @@ SUITES = ("euler", "basechange", "braid", "theoremA", "theoremB", "theoremC")
 def _entry_pool(ring: RingSpec):
     if ring.is_finite:
         return list(ring.elements())
-    if ring.kind == "Q":
-        return [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    return [-2, -1, 0, 1, 2]
+    return [ring.canon(v) for v in (-2, -1, 0, 1, 2)]
 
 
 def random_rep(ring: RingSpec, quiver: Quiver, dims, rng: random.Random) -> Rep:

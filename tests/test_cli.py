@@ -292,3 +292,70 @@ def test_oversized_feps_order_exits_without_traceback(files, ring):
     report = json.loads(proc.stdout)
     assert report["error"] == "NotComputable"
     assert "order %s exceeds the bound" % ring.split(":")[2] in report["message"]
+
+
+# Every integer the CLI reads follows one rule, ASCII -?[0-9]+: int() alone
+# would also take these.
+LOOSE_INTEGERS = ["1_0", " 2", "+3", "٣", "3 ", "0x10", "", "9" * 5000]
+
+
+@pytest.mark.parametrize("text", LOOSE_INTEGERS)
+@pytest.mark.parametrize("flag", ["--bound", "--dims", "--prime", "--word", "--seed",
+                                  "--size", "QUIVLAT_BOUND"])
+def test_loose_integers_exit_two(files, capsys, monkeypatch, flag, text):
+    argv = {
+        "--bound": ["schur", "--quiver", files["k2"], "--dims", "1,2", "--bound", text],
+        "--dims": ["schur", "--quiver", files["k2"], "--dims", "1,%s" % text],
+        "--prime": ["decompose", "--rep", files["rigidk"], "--prime", text],
+        "--word": ["braid", "--quiver", files["k2"], "--word", "1,%s" % text],
+        "--seed": ["verify", "theoremA", "--seed", text],
+        "--size": ["verify", "theoremA", "--size", text],
+        "QUIVLAT_BOUND": ["construct", "--quiver", files["k2"], "--dims", "1,2"],
+    }[flag]
+    if flag == "QUIVLAT_BOUND":
+        monkeypatch.setenv("QUIVLAT_BOUND", text)
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["error"] == "ParseError", rep
+
+
+def test_dims_with_a_digit_separator_are_not_read_as_one_number(files, capsys):
+    # int() reads "1_0" as 10, which would classify (10, 11)
+    code, rep = run_json(capsys, "schur", "--quiver", files["k2"], "--dims", "1_0,11")
+    assert code == 2 and rep["error"] == "ParseError"
+    code, rep = run_json(capsys, "schur", "--quiver", files["k2"], "--dims", " 2,+3")
+    assert code == 2 and rep["error"] == "ParseError"
+
+
+def test_strict_integers_still_read_negatives_and_defaults(files, capsys, monkeypatch):
+    code, rep = run_json(capsys, "braid", "--quiver", files["k2"], "--word", "1,-1")
+    assert code == 0 and rep["word"] == [1, -1]
+    monkeypatch.setenv("QUIVLAT_BOUND", "-1")
+    code, rep = run_json(capsys, "schur", "--quiver", files["k2"], "--dims", "1,2",
+                         "--bound", "8")
+    assert code == 0 and rep["isRealSchurRoot"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--dims", "1,2"],
+    ["construct", "--dims", "1,2"],
+    ["decompose", "--rep", "REP"],
+])
+def test_malformed_bound_environment_exits_two_without_traceback(files, argv):
+    # QUIVLAT_BOUND is read inside main's error handling, and only by the
+    # verbs that take --bound
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    argv = [files["rigidk"] if a == "REP" else a for a in argv]
+    if argv[0] != "decompose":
+        argv += ["--quiver", files["k2"]]
+    env = dict(os.environ, PYTHONPATH=src, QUIVLAT_BOUND="abc")
+    proc = subprocess.run([sys.executable, "-m", "quivlat.cli", *argv, "--format", "json"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == "ParseError" and "QUIVLAT_BOUND" in report["message"]
+    # a verb without --bound does not read it at all
+    proc = subprocess.run([sys.executable, "-m", "quivlat.cli", "ext", "--rep-x",
+                           files["s1"], "--rep-y", files["s2"], "--format", "json"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr

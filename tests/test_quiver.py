@@ -62,6 +62,36 @@ def test_quiver_validation():
     assert Quiver(0, ()).vertex_count == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Quiver(2.5, ()),
+    lambda: Quiver("2", ()),
+    lambda: Quiver(True, ()),
+    lambda: Quiver(None, ()),
+    lambda: Quiver(2, 5),
+    lambda: Quiver(2, None),
+    lambda: Quiver(2, ((1, 2, 3),)),
+    lambda: Quiver(2, ((1,),)),
+    lambda: Quiver(2, ((1, "2"),)),
+    lambda: Quiver(2, ((1.0, 2.0),)),
+    lambda: Quiver(2, ((1, True),)),
+    lambda: Quiver(2, ("12",)),
+    lambda: Quiver(2, (5,)),
+], ids=["float-count", "str-count", "bool-count", "none-count", "int-arrows",
+        "none-arrows", "triple", "single", "str-head", "float-pair", "bool-head",
+        "str-pair", "int-arrow"])
+def test_quiver_rejects_malformed_input_with_parse_error(make):
+    # exact ints and (tail, head) pairs only: nothing is coerced with int(),
+    # and no ValueError or TypeError leaks from unpacking or comparing
+    with pytest.raises(ParseError):
+        make()
+
+
+def test_quiver_accepts_lists_and_stores_tuples():
+    q = Quiver(3, [[1, 2], (2, 3)])
+    assert q.arrows == ((1, 2), (2, 3)) and q == Quiver(3, ((1, 2), (2, 3)))
+    assert hash(q) == hash(Quiver(3, ((1, 2), (2, 3))))
+
+
 def test_quiver_json_round_trip():
     for q in (A2, A3, K2, LOOP):
         assert Quiver.from_json(q.to_json()) == q

@@ -1,7 +1,11 @@
-"""Every name a quivlat module imports is read somewhere in that module.
+"""Every name a quivlat module imports is read somewhere in that module,
+and every private definition is read somewhere in the package.
 
 The package's __init__.py re-exports names it never reads; those it lists
-in __all__ are exempt.  Stdlib only (ast), so it also runs without pytest:
+in __all__ are exempt.  A private definition is a module-level function,
+class or constant, or a method, whose name starts with one underscore (not
+a dunder); a leftover of a refactor that nothing calls any more is one.
+Stdlib only (ast), so it also runs without pytest:
     python tests/test_unused_imports.py
 """
 
@@ -43,6 +47,43 @@ def unused_imports(path):
                   if name not in read)
 
 
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree):
+    """{name: line} of the private module-level functions, classes and
+    constants, and of the private methods of every class, in a module."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((name.id, node.lineno) for target in targets
+                       for name in ast.walk(target) if isinstance(name, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            out.update((item.name, item.lineno) for item in node.body
+                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {name: line for name, line in out.items() if _is_private(name)}
+
+
+def unread_private_definitions(paths):
+    """Sorted (module, line, name) of the private definitions that no module
+    of paths reads, by name or as an attribute."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for name, line in private_definitions(tree).items() if name not in read)
+
+
 def test_scanner_sees_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom math import gcd, lcm\nprint(gcd(os.sep, 1))\n")
@@ -54,6 +95,32 @@ def test_no_module_imports_a_name_it_never_reads():
     assert modules
     found = {path.name: unused_imports(path) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_scanner_sees_unread_private_definitions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "_USED, _UNUSED = 1, 2\n"
+        "_LIMIT: int = 3\n"
+        "def _helper():\n    return _USED\n"
+        "def _dead():\n    return _helper()\n"
+        "class _Hidden:\n"
+        "    def __init__(self):\n        self._run()\n"
+        "    def _run(self):\n        pass\n"
+        "    def _stale(self):\n        pass\n")
+    other = tmp_path / "other.py"
+    other.write_text("from probe import _dead\nprint(_dead(), _LIMIT)\n")
+    assert unread_private_definitions([probe]) == [
+        ("probe.py", 1, "_UNUSED"), ("probe.py", 2, "_LIMIT"), ("probe.py", 5, "_dead"),
+        ("probe.py", 7, "_Hidden"), ("probe.py", 12, "_stale")]
+    assert unread_private_definitions([probe, other]) == [
+        ("probe.py", 1, "_UNUSED"), ("probe.py", 7, "_Hidden"), ("probe.py", 12, "_stale")]
+
+
+def test_every_private_definition_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert unread_private_definitions(modules) == []
 
 
 def test_package_exports_only_bound_names():
@@ -68,5 +135,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         test_scanner_sees_an_unused_import(pathlib.Path(tmp))
     test_no_module_imports_a_name_it_never_reads()
+    with tempfile.TemporaryDirectory() as tmp:
+        test_scanner_sees_unread_private_definitions(pathlib.Path(tmp))
+    test_every_private_definition_is_read()
     test_package_exports_only_bound_names()
     print("all passed")
