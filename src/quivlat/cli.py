@@ -185,8 +185,7 @@ def _cmd_construct(args) -> dict:
 def _cmd_decompose(args) -> dict:
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
-    result = decompose_rigid(x, aux_prime=_parse_int(args.prime, "--prime"),
-                             bound=_bound(args))
+    result = decompose_rigid(x, bound=_bound(args))
     report = result.to_json()
     report.update({"schema": SCHEMA, "verb": "decompose", "ring": str(x.ring)})
     return report
@@ -259,9 +258,6 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     if "bound" in names:
         sub.add_argument("--bound",
                          help="total-dimension search bound (default 60 or QUIVLAT_BOUND)")
-    if "prime" in names:
-        sub.add_argument("--prime", default="2",
-                         help="auxiliary prime for decomposition checks (default 2)")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default text)")
 
@@ -293,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = verbs.add_parser("construct", help="build the exceptional representation of a root")
     _add_common(sub, "needs-quiver", "dims", "ring", "bound")
     sub = verbs.add_parser("decompose", help="split a rigid representation into exceptional summands")
-    _add_common(sub, "quiver", "rep", "ring", "prime", "bound")
+    _add_common(sub, "quiver", "rep", "ring", "bound")
     sub = verbs.add_parser("lift", help="lift a rigid representation along a nilpotent reduction")
     _add_common(sub, "rep", "ring")
     sub = verbs.add_parser("basechange", help="compare transported and recomputed invariants")

@@ -3,6 +3,8 @@
 Every failure that a caller can provoke raises a subclass of QuivlatError
 carrying a stable machine-readable ``code``.  The CLI maps these to exit
 status 1 and a structured error record; anything else escaping is a bug.
+Every class here is raised somewhere in the package; a class left with no
+raiser is dead taxonomy and tests/test_unused_imports.py rejects it.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ class NonFreeCokernel(QuivlatError):
     """Vertexwise cokernel has torsion, so no representation on free modules exists."""
 
     code = "NonFreeCokernel"
-
-
-class Inconclusive(QuivlatError):
-    """A bounded search was exhausted without settling the question."""
-
-    code = "Inconclusive"
 
 
 class PreconditionViolated(QuivlatError):

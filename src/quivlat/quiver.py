@@ -10,14 +10,12 @@ operation must cope with those.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
     CyclicQuiver,
     DimensionMismatch,
-    Inconclusive,
     IncompatibleBase,
     IncompatibleRing,
     NonFreeCokernel,
@@ -448,13 +446,12 @@ def kernel_rep(f: RepMorphism) -> tuple:
 def cokernel_rep(f: RepMorphism) -> tuple:
     """Cokernel representation and its projection.
 
-    Works over fields always, and over Z exactly when every vertexwise
-    cokernel is free; otherwise the quotient carries torsion and no
-    representation on free modules presents it, so NonFreeCokernel.
+    Works over every supported ring exactly when every vertexwise cokernel
+    is free, as it always is over a field; otherwise the quotient carries
+    torsion or is projective but not free, no representation on free
+    modules presents it, and NonFreeCokernel is raised.
     """
     ring = f.source.ring
-    if not ring.is_domain:
-        raise NotComputable("representation cokernels need a field or Z, not %s" % ring)
     y = f.target
     q = y.quiver
     projs = []
@@ -475,64 +472,3 @@ def cokernel_rep(f: RepMorphism) -> tuple:
     cok = Rep(ring, q, dims, tuple(mats))
     proj = RepMorphism(y, cok, tuple(projs))
     return cok, proj
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing for rigid representations
-
-_ISO_ENUM_LIMIT = 10 ** 6
-_ISO_INT_DIM_LIMIT = 8
-
-
-def is_isomorphic_rigid(x: Rep, y: Rep) -> bool:
-    """Decide isomorphism of rigid representations by bounded search.
-
-    Equal rank vectors with a rank-one Hom space reduce to testing one
-    generator for vertexwise invertibility.  Otherwise coefficients of the
-    Hom generating set are enumerated: completely over finite rings (up to
-    10^6 combinations, hence a definite answer), and over Z and Q with
-    coefficients in {-1, 0, 1} up to 8 generators, where exhaustion raises
-    Inconclusive rather than guessing.
-    """
-    _check_compatible(x, y)
-    if x.dims != y.dims:
-        return False
-    if x == y:
-        return True
-    from .homology import hom_ext
-    gens = hom_ext(x, y).hom_generators
-    r = len(gens)
-    if r == 0:
-        return False
-
-    def maps_invertible(maps) -> bool:
-        return all(is_invertible(m) for m in maps)
-
-    if r == 1:
-        return maps_invertible(gens[0].vertex_maps)
-    ring = x.ring
-    base = [g.vertex_maps for g in gens]
-    if ring.is_finite and ring.size ** r <= _ISO_ENUM_LIMIT:
-        coeff_space = itertools.product(list(ring.elements()), repeat=r)
-        complete = True
-    elif not ring.is_finite and r <= _ISO_INT_DIM_LIMIT:
-        coeff_space = itertools.product((0, 1, -1), repeat=r)
-        complete = False
-    else:
-        raise Inconclusive("Hom space too large for bounded search (%d generators)" % r)
-    zero = ring.zero
-    for coeffs in coeff_space:
-        if all(ring.canon(c) == zero for c in coeffs):
-            continue
-        combo = []
-        for i in range(x.quiver.vertex_count):
-            m = ExactMatrix.zeros(ring, y.dims[i], x.dims[i])
-            for c, g in zip(coeffs, base):
-                if ring.canon(c) != zero:
-                    m = m.add(g[i].scale(c))
-            combo.append(m)
-        if maps_invertible(combo):
-            return True
-    if complete:
-        return False
-    raise Inconclusive("bounded coefficient search exhausted")

@@ -1761,10 +1761,8 @@ class RingHom:
 
     @property
     def _onto(self) -> bool:
-        """The identity, and every map out of Z/m or F_p[e]/(e^n): these are
-        onto, and the source's canonical form of a target element is a
-        preimage of it."""
-        return self.source == self.target or not self.source.is_domain
+        """The bijections, and every map out of Z/m or F_p[e]/(e^n)."""
+        return self.is_bijective or not self.source.is_domain
 
     @property
     def has_nilpotent_kernel(self) -> bool:
@@ -1784,14 +1782,19 @@ class RingHom:
 
     @property
     def is_bijective(self) -> bool:
+        """The identity, and the maps between finite rings of one size: the
+        onto ones, and F_p -> F_p[e]/(e), which is injective."""
         s, t = self.source, self.target
-        return self._onto and (s == t or s.size == t.size)
+        return s == t or (s.is_finite and s.size == t.size)
 
     def section(self, x):
-        """Canonical preimage of x for the onto maps."""
+        """Canonical preimage of x for the onto maps: the source's canonical
+        form of x, or for F_p -> F_p[e]/(e) the canonical map back."""
         if not self._onto:
             raise NotComputable("no canonical section from %s to %s"
                                 % (self.source, self.target))
+        if self.source.is_domain and self.source != self.target:
+            return RingHom(self.target, self.source).apply(x)
         return self.source.canon(x)
 
 

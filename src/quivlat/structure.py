@@ -9,19 +9,23 @@ The three constructive results living here:
   - For every real Schur root there is an exceptional representation over
     any supported ring: run the orbit search with integer matrices and
     base-change the witness.
-  - A rigid representation on free modules decomposes, uniquely up to
-    ordering, as a direct sum of multiples of exceptional representations;
-    the decomposition is found by a bounded search over candidate roots and
+  - A rigid representation on free modules, over any supported ring,
+    decomposes uniquely up to ordering as a direct sum of multiples of
+    exceptional representations; the summand roots are read off the
+    dimension vector with generic Ext in integers, and the decomposition is
     certified by an explicit isomorphism assembled from evaluation maps and
-    splitting sections.
+    splitting sections.  Two rigid representations with one dimension
+    vector are therefore isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
 vectors alone (mutation._dims_orbit, one walk per quiver and bound), so
 schur_root_status and the candidate roots of decompose_rigid build no
-representation.  A witness is built only when asked for, by
-exceptional_lattice or generic_dims: the braid word that first reached its
-root is replayed over Z from the standard sequence, and every sequence
-built on the way is kept for later replays.  Nothing is searched over Q:
+representation; nor does the test which candidates are Ext-orthogonal,
+which is Schofield's recursion for generic Ext on dimension vectors.  A
+witness is built only when asked for, by exceptional_lattice or
+generic_dims: the braid word that first reached its root is replayed over
+Z from the standard sequence, and every sequence built on the way is kept
+for later replays.  Nothing is searched over Q:
 mutation commutes with the flat base change Z -> Q, so both orbits pass
 through the same dimension vectors in the same order.
 """
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -37,7 +42,6 @@ from .errors import (
     BoundExceeded,
     DimensionMismatch,
     IncompatibleBase,
-    NotComputable,
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
@@ -50,6 +54,7 @@ from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
+    _check_compatible,
     _exact_dims,
     base_change,
     cokernel_rep,
@@ -60,12 +65,12 @@ from .quiver import (
 )
 from .rings import (
     ExactMatrix,
-    GF,
     RingHom,
     RingSpec,
     ZZ,
     canonical_hom,
     cokernel,
+    invert,
     solve,
 )
 
@@ -266,7 +271,48 @@ def _candidate_roots(quiver: Quiver, dims, bound: int):
                   if any(d) and all(a <= b for a, b in zip(d, dims)))
 
 
-def _root_combinations(quiver: Quiver, dims, cands, ext_orthogonal):
+# quiver -> {dimension vector: its generic subdimension vectors}
+_SUBDIMS = {}
+
+
+def _generic_subdims(quiver: Quiver, alpha: tuple) -> tuple:
+    """The dimension vectors of the subrepresentations of a general
+    representation of dimension alpha, alpha itself first.
+
+    Schofield's recursion: beta is one exactly when ext(beta, alpha - beta)
+    is 0, and ext(beta, gamma) is the largest -<beta', gamma> over the
+    generic subdimension vectors beta' of beta.  The table is filled for
+    every vector below alpha by increasing total, so each test reads only
+    finished entries and nothing recurses.
+    """
+    table = _SUBDIMS.setdefault(quiver, {})
+    if alpha in table:
+        return table[alpha]
+    arrows = [(quiver.tail(a), quiver.head(a)) for a in range(quiver.arrow_count)]
+    for gamma in sorted(itertools.product(*(range(d + 1) for d in alpha)), key=sum):
+        if gamma in table:
+            continue
+        subs = [gamma]
+        for beta in itertools.product(*(range(d + 1) for d in gamma)):
+            rest = [g - b for g, b in zip(gamma, beta)]
+            w = rest[:]                 # <v, rest> is the dot product v . w
+            for t, h in arrows:
+                w[t] -= rest[h]
+            if beta != gamma and all(sum(map(operator.mul, v, w)) >= 0
+                                     for v in table[beta]):
+                subs.append(beta)
+        table[gamma] = tuple(subs)
+    return table[alpha]
+
+
+def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
+    """ext(alpha, beta), the rank of Ext between general representations;
+    for real Schur roots, between their exceptional representations."""
+    return max(-euler_form(quiver, sub, beta)
+               for sub in _generic_subdims(quiver, alpha))
+
+
+def _root_combinations(quiver: Quiver, dims, cands):
     """All multisets of pairwise ext-orthogonal candidates summing to dims."""
     sols = []
 
@@ -278,7 +324,7 @@ def _root_combinations(quiver: Quiver, dims, cands, ext_orthogonal):
             return
         beta = cands[idx]
         extend(idx + 1, remaining, chosen)
-        if not all(ext_orthogonal(beta, g) and ext_orthogonal(g, beta)
+        if not all(_generic_ext(quiver, beta, g) == 0 == _generic_ext(quiver, g, beta)
                    for g, _ in chosen):
             return
         caps = [r // b for r, b in zip(remaining, beta) if b]
@@ -293,12 +339,16 @@ def _root_combinations(quiver: Quiver, dims, cands, ext_orthogonal):
     return sols
 
 
-def _hom_order(roots, fp_reps):
-    """Order roots so nonzero Hom only points forward; lex-least tie-break."""
+def _hom_order(quiver: Quiver, roots):
+    """Order roots so nonzero Hom only points forward; lex-least tie-break.
+
+    The roots are pairwise ext-orthogonal, so Hom between their exceptional
+    representations has rank <a, b>.
+    """
     succ = {r: [] for r in roots}
     indeg = {r: 0 for r in roots}
     for a, b in itertools.permutations(roots, 2):
-        if not hom_ext(fp_reps[a], fp_reps[b]).hom.is_zero:
+        if euler_form(quiver, a, b) > 0:
             succ[a].append(b)
             indeg[b] += 1
     ready = [r for r in roots if indeg[r] == 0]
@@ -316,21 +366,18 @@ def _hom_order(roots, fp_reps):
     return out
 
 
-def decompose_rigid(x: Rep, *, aux_prime: int = 2, bound: int = 60) -> RigidDecomposition:
+def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     """Decompose a rigid representation into exceptional summands, certified.
 
-    The multiset of summand roots is pinned down by a bounded search: every
-    multiset of pairwise ext-orthogonal real Schur roots summing to the
-    dimension vector gives a rigid representation, and two distinct ones of
-    equal dimension vector cannot both exist, so exactly one combination
-    must survive.  The summands are then rebuilt over the base ring, peeled
-    off by split evaluation maps, and reassembled into an isomorphism that
-    is checked vertexwise.
+    Works over every supported ring.  The multiset of summand roots is
+    pinned down by a bounded search: it is the one multiset of pairwise
+    ext-orthogonal real Schur roots summing to the dimension vector, where
+    ext is generic Ext computed in integers from the roots alone.  The
+    summands are then built over the base ring, checked to have no
+    extensions there, peeled off by split evaluation maps, and reassembled
+    into an isomorphism that is checked vertexwise.
     """
     ring = x.ring
-    if not ring.is_domain:
-        raise NotComputable(
-            "decomposition needs Z, Q or a prime field, not %s" % ring)
     quiver = x.quiver
     quiver.topological_order()
     if not is_rigid(x):
@@ -341,23 +388,16 @@ def decompose_rigid(x: Rep, *, aux_prime: int = 2, bound: int = 60) -> RigidDeco
                                  for _ in range(quiver.vertex_count)))
         return RigidDecomposition((), (), cert, ())
 
-    fp = ring if ring.is_finite else GF(aux_prime)
-    eff_bound = min(bound, sum(x.dims))
     cands = _candidate_roots(quiver, x.dims, bound)
-    fp_reps = {d: exceptional_lattice(quiver, d, fp, bound=eff_bound)
-               for d in cands}
-
-    def ext_orthogonal(a, b):
-        return hom_ext(fp_reps[a], fp_reps[b]).ext.is_zero
-
-    sols = _root_combinations(quiver, x.dims, cands, ext_orthogonal)
+    sols = _root_combinations(quiver, x.dims, cands)
     if len(sols) != 1:
         raise AmbiguousDecomposition(
             "%d candidate root combinations for dims %r" % (
                 len(sols), list(x.dims)))
     multiplicity = dict(sols[0])
-    roots = _hom_order(sorted(multiplicity), fp_reps)
+    roots = _hom_order(quiver, sorted(multiplicity))
 
+    eff_bound = min(bound, sum(x.dims))
     lattices = {d: exceptional_lattice(quiver, d, ring, bound=eff_bound)
                 for d in roots}
     for a, b in itertools.product(roots, repeat=2):
@@ -404,6 +444,31 @@ def decompose_rigid(x: Rep, *, aux_prime: int = 2, bound: int = 60) -> RigidDeco
         raise TheoremViolation("assembled decomposition map is not invertible")
     return RigidDecomposition(summands, tuple(roots), certificate,
                               tuple(evaluations))
+
+
+def rigid_isomorphism(x: Rep, y: Rep) -> RepMorphism | None:
+    """An isomorphism x -> y when at least one of them is rigid, else None.
+
+    Rigid representations of one dimension vector have the same summands,
+    so the map is y's decomposition certificate after the inverse of x's,
+    and it is checked vertexwise.  None when the dimension vectors differ
+    or exactly one of x and y is rigid; NotRigid when neither is.
+    """
+    _check_compatible(x, y)
+    if x.dims != y.dims or is_rigid(x) != is_rigid(y):
+        return None
+    # decompose_rigid raises NotRigid when neither is rigid
+    to_x, to_y = decompose_rigid(x).certificate, decompose_rigid(y).certificate
+    iso = RepMorphism(x, y, tuple(b.mul(invert(a)) for a, b in zip(
+        to_x.vertex_maps, to_y.vertex_maps)))
+    if not iso.is_isomorphism():
+        raise TheoremViolation("composed certificates are not invertible")
+    return iso
+
+
+def is_isomorphic_rigid(x: Rep, y: Rep) -> bool:
+    """Whether x and y, at least one of them rigid, are isomorphic."""
+    return rigid_isomorphism(x, y) is not None
 
 
 def lift_rigid(x: Rep, hom: RingHom) -> Rep:

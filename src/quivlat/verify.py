@@ -19,11 +19,10 @@ from .quiver import (
     base_change,
     direct_sum_many,
     euler_form,
-    is_isomorphic_rigid,
     tensor_free,
 )
 from .rings import ExactMatrix, Feps, GF, QQ, RingSpec, ZZ, Zmod, canonical_hom, invert
-from .structure import decompose_rigid, exceptional_lattice, generic_dims
+from .structure import decompose_rigid, exceptional_lattice, generic_dims, is_isomorphic_rigid
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -282,6 +281,7 @@ def _bounded_conjugate(x: Rep, rng: random.Random, limit: int = 10) -> Rep:
 def _suite_theorem_c(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, KRONECKER)
+    rings = (GF(3), Zmod(6), Feps(2, 2), QQ)
     passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
@@ -291,8 +291,10 @@ def _suite_theorem_c(seed, size):
         x = direct_sum_many([tensor_free(lat, m) for _, m, lat in planted])
         x = _bounded_conjugate(x, rng)
         want = sorted((tuple(root), m) for root, m, _ in planted)
+        ring = rings[k % len(rings)]
         try:
-            results = [decompose_rigid(x, aux_prime=p) for p in (2, 3)]
+            results = [decompose_rigid(x),
+                       decompose_rigid(base_change(x, canonical_hom(ZZ, ring)))]
             got = [sorted((tuple(r.dims), m) for r, m in d.summands)
                    for d in results]
             ok = all(g == want for g in got)
@@ -304,7 +306,7 @@ def _suite_theorem_c(seed, size):
         else:
             failures += 1
             if ce is None:
-                ce = {"quiver": q.to_json(), "planted": [
+                ce = {"quiver": q.to_json(), "ring": str(ring), "planted": [
                     {"dims": list(r), "multiplicity": m} for r, m, _ in planted]}
     return _report("theoremC", seed, size, passes, failures, ce)
 

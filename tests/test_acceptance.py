@@ -189,6 +189,9 @@ def test_acceptance_4_exceptional_lattices_exist_and_are_unique(capsys):
     _checked(capsys, 4, body)
 
 
+DECOMPOSITION_RINGS = (ZZ, QQ, GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 2))
+
+
 def test_acceptance_5_decomposition_recovers_planted_summands(capsys):
     def body():
         for quiver in (A2, A3, KRONECKER):
@@ -203,10 +206,11 @@ def test_acceptance_5_decomposition_recovers_planted_summands(capsys):
                              for row in m.entries for v in row), default=0)
                 assert worst <= 10
                 want = sorted((tuple(root), mult) for root, mult, _ in planted)
-                for p in (2, 3, 5):
-                    dec = decompose_rigid(x, aux_prime=p)
+                for ring in DECOMPOSITION_RINGS:
+                    y = x if ring == ZZ else base_change(x, canonical_hom(ZZ, ring))
+                    dec = decompose_rigid(y)
                     got = sorted((tuple(r.dims), m) for r, m in dec.summands)
-                    assert got == want, (quiver, p, want, got)
+                    assert got == want, (quiver, ring, want, got)
                     assert dec.certificate.is_isomorphism()
             elapsed = time.monotonic() - start
             assert elapsed < 60.0, (quiver, elapsed)

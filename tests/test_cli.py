@@ -300,13 +300,12 @@ LOOSE_INTEGERS = ["1_0", " 2", "+3", "٣", "3 ", "0x10", "", "9" * 5000]
 
 
 @pytest.mark.parametrize("text", LOOSE_INTEGERS)
-@pytest.mark.parametrize("flag", ["--bound", "--dims", "--prime", "--word", "--seed",
-                                  "--size", "QUIVLAT_BOUND"])
+@pytest.mark.parametrize("flag", ["--bound", "--dims", "--word", "--seed", "--size",
+                                  "QUIVLAT_BOUND"])
 def test_loose_integers_exit_two(files, capsys, monkeypatch, flag, text):
     argv = {
         "--bound": ["schur", "--quiver", files["k2"], "--dims", "1,2", "--bound", text],
         "--dims": ["schur", "--quiver", files["k2"], "--dims", "1,%s" % text],
-        "--prime": ["decompose", "--rep", files["rigidk"], "--prime", text],
         "--word": ["braid", "--quiver", files["k2"], "--word", "1,%s" % text],
         "--seed": ["verify", "theoremA", "--seed", text],
         "--size": ["verify", "theoremA", "--size", text],

@@ -26,12 +26,12 @@ from quivlat.mutation import (
 from quivlat.quiver import (
     Quiver,
     Rep,
-    is_isomorphic_rigid,
     projective_rep,
     tensor_free,
     tits_form,
 )
 from quivlat.rings import GF, QQ, ZZ, Zmod, cokernel, kernel_basis
+from quivlat.structure import is_isomorphic_rigid
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))

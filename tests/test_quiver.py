@@ -8,13 +8,14 @@ import pytest
 from quivlat.errors import (
     CyclicQuiver,
     DimensionMismatch,
-    Inconclusive,
     IncompatibleBase,
     IncompatibleRing,
     NonFreeCokernel,
     NotComputable,
+    NotRigid,
     ParseError,
 )
+from quivlat.homology import is_rigid
 from quivlat.quiver import (
     Quiver,
     Rep,
@@ -26,13 +27,13 @@ from quivlat.quiver import (
     direct_sum_many,
     direct_sum_projections,
     euler_form,
-    is_isomorphic_rigid,
     kernel_rep,
     projective_rep,
     tensor_free,
     tits_form,
 )
 from quivlat.rings import ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom
+from quivlat.structure import is_isomorphic_rigid, rigid_isomorphism
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -276,7 +277,7 @@ def socle_inclusion(ring):
 
 
 def test_cokernel_rep_of_socle():
-    for ring in (ZZ, QQ, GF(3)):
+    for ring in (ZZ, QQ, GF(3), Zmod(6), Feps(2, 2)):
         coker, proj = cokernel_rep(socle_inclusion(ring))
         assert coker.dims == (1, 0)
         assert proj.source.dims == (1, 1) and proj.target is coker
@@ -303,6 +304,10 @@ def test_cokernel_rep_torsion_rejected():
     double = RepMorphism(two, two, (ExactMatrix(ZZ, 1, 1, ((2,),)),))
     with pytest.raises(NonFreeCokernel):
         cokernel_rep(double)
+    # over Z/6 the cokernel Z/3 of multiplication by 3 is projective, not free
+    six = Rep(Zmod(6), single, (1,), ())
+    with pytest.raises(NonFreeCokernel):
+        cokernel_rep(RepMorphism(six, six, (ExactMatrix(Zmod(6), 1, 1, ((3,),)),)))
 
 
 def test_kernel_rep_unsupported_ring():
@@ -347,14 +352,28 @@ def test_iso_rigid_higher_rank_sum():
     assert is_isomorphic_rigid(x, y)
 
 
-def test_iso_rigid_inconclusive_when_search_space_huge():
+def test_iso_rigid_large_hom_space_gives_a_verified_map():
     ring = GF(5)
     p = projective_rep(ring, A2, 1)
     big = tensor_free(p, 3)
     other = direct_sum_many([p, p, mk(ring, A2, (1, 1), [[[2]]])])
-    # End has rank 9, so 5^9 coefficient vectors exceed the enumeration cap
-    with pytest.raises(Inconclusive):
-        is_isomorphic_rigid(big, other)
+    # Hom has rank 9, 5^9 coefficient vectors
+    assert is_isomorphic_rigid(big, other)
+    iso = rigid_isomorphism(big, other)
+    assert iso.source == big and iso.target == other and iso.is_isomorphism()
+
+
+def test_rigid_isomorphism_needs_a_rigid_input():
+    ring = GF(2)
+    rigid = mk(ring, K2, (1, 2), [[[1], [0]], [[0], [1]]])
+    loose = mk(ring, K2, (1, 2), [[[1], [0]], [[1], [0]]])
+    assert is_rigid(rigid) and not is_rigid(loose)
+    assert rigid_isomorphism(rigid, loose) is None
+    assert rigid_isomorphism(loose, rigid) is None
+    with pytest.raises(NotRigid):
+        rigid_isomorphism(loose, loose)
+    # unequal dimension vectors answer before any rigidity test
+    assert rigid_isomorphism(loose, Rep.simple(ring, K2, 1)) is None
 
 
 def test_iso_rigid_unimodular_conjugation():

@@ -179,6 +179,7 @@ HOMS = {
     (Feps(3, 1), GF(3)): (False, True, True),
     (Feps(3, 2), Feps(3, 1)): (True, False, True),
     (Feps(2, 3), Feps(2, 2)): (True, False, True),
+    (GF(3), Feps(3, 1)): (False, True, True),
     (GF(2), Feps(2, 2)): (False, False, False),
     (GF(3), Feps(3, 2)): (False, False, False),
 }
@@ -193,6 +194,7 @@ VALUES = (
     (Feps(2, 2), GF(2), (1, 1), 1),
     (Feps(3, 3), Feps(3, 2), (1, 2, 1), (1, 2)),
     (GF(2), Feps(2, 2), 1, (1, 0)),
+    (GF(3), Feps(3, 1), 2, (2,)),
     (QQ, QQ, Fraction(1, 3), Fraction(1, 3)),
 )
 

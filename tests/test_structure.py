@@ -20,11 +20,12 @@ from quivlat.quiver import (
     base_change,
     direct_sum_many,
     euler_form,
-    is_isomorphic_rigid,
     projective_rep,
     tensor_free,
 )
-from quivlat.rings import Feps, GF, QQ, ZZ, Zmod, canonical_hom, invert
+from quivlat.rings import (
+    ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom, invert, is_invertible,
+)
 from quivlat.structure import (
     SCHUR_BOUNDED_FALSE,
     SCHUR_PREFILTER_FALSE,
@@ -32,11 +33,13 @@ from quivlat.structure import (
     decompose_rigid,
     exceptional_lattice,
     generic_dims,
+    is_isomorphic_rigid,
     is_real_schur_root,
     lift_rigid,
+    rigid_isomorphism,
     schur_root_status,
 )
-from quivlat.verify import conjugate_rep, random_unimodular
+from quivlat.verify import conjugate_rep, random_unimodular, run_suite
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -224,6 +227,38 @@ def test_large_bounds_walk_and_replay_without_recursion(fresh_replays, monkeypat
 
 
 # ---------------------------------------------------------------------------
+# generic Ext on dimension vectors
+
+
+@pytest.mark.parametrize("quiver", [A2, A3, K2, K3, TRIANGLE],
+                         ids=("A2", "A3", "kronecker", "3-kronecker", "triangle"))
+def test_generic_ext_is_the_ext_of_the_exceptional_witnesses(quiver):
+    roots = [r for r in mutation._dims_orbit(quiver, 12)[1] if any(r) and sum(r) <= 12]
+    assert len(roots) >= 2
+    witnesses = {r: exceptional_lattice(quiver, r, GF(2), bound=12) for r in roots}
+    for alpha in roots:
+        for beta in roots:
+            ext = hom_ext(witnesses[alpha], witnesses[beta]).ext.free_rank
+            assert structure._generic_ext(quiver, alpha, beta) == ext, (alpha, beta)
+
+
+def test_generic_ext_fills_its_table_without_recursion(monkeypatch):
+    monkeypatch.setattr(structure, "_SUBDIMS", {})
+    original, calls = structure._generic_subdims, []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # a recursive fill would call the module's _generic_subdims again
+    monkeypatch.setattr(structure, "_generic_subdims", counting)
+    ext = structure._generic_ext(K2, (20, 21), (0, 1))
+    assert calls == [(K2, (20, 21))]
+    assert ext == -euler_form(K2, (20, 21), (0, 1))
+    assert len(structure._SUBDIMS[K2]) == 21 * 22
+
+
+# ---------------------------------------------------------------------------
 # decomposition of rigid lattices
 
 
@@ -252,8 +287,8 @@ def test_decompose_conjugated_sum_multi_prime():
     x = planted_sum(A3, [((1, 1, 1), 1), ((0, 1, 1), 1)])
     mats = [random_unimodular(d, rng) for d in x.dims]
     y = conjugate_rep(x, mats, [invert(m) for m in mats])
-    for p in (2, 3, 5, 7):
-        out = decompose_rigid(y, aux_prime=p)
+    for ring in (ZZ, GF(2), GF(3), GF(5), GF(7), Zmod(6), Feps(2, 2)):
+        out = decompose_rigid(y if ring == ZZ else base_change(y, canonical_hom(ZZ, ring)))
         assert multiset(out) == [((0, 1, 1), 1), ((1, 1, 1), 1)]
         assert out.certificate.is_isomorphism()
 
@@ -307,6 +342,36 @@ def test_reassembly_matches_input_through_iso_test():
     assert is_isomorphic_rigid(rebuilt, y)
 
 
+def _random_invertible(ring, n, rng):
+    elems = list(ring.elements())
+    while True:
+        m = ExactMatrix(ring, n, n, tuple(tuple(rng.choice(elems) for _ in range(n))
+                                          for _ in range(n)))
+        if is_invertible(m):
+            return m
+
+
+@pytest.mark.parametrize("ring", [Zmod(6), Zmod(12), Feps(3, 2)], ids=str)
+def test_rigid_isomorphism_of_conjugated_sums_over_non_domains(ring):
+    rng = random.Random(str(ring))
+    for quiver, roots in ((K2, ((1, 2), (2, 3))), (A3, ((1, 1, 1), (0, 1, 1))),
+                          (A2, ((1, 0), (1, 1)))):
+        parts = [exceptional_lattice(quiver, r, ring) for r in roots]
+        x = direct_sum_many(parts)
+        for y in (x, direct_sum_many(parts[::-1])):
+            mats = [_random_invertible(ring, d, rng) for d in y.dims]
+            y = conjugate_rep(y, mats, [invert(m) for m in mats])
+            assert hom_ext(x, y).hom.free_rank >= 2
+            iso = rigid_isomorphism(x, y)
+            assert iso.source == x and iso.target == y and iso.is_isomorphism()
+
+
+@pytest.mark.parametrize("suite", ["braid", "theoremB", "theoremC"])
+def test_isomorphism_and_decomposition_suites_pass(suite):
+    report = run_suite(suite, seed=0, size=20)
+    assert report["cases"] == 20 and report["failures"] == 0, report
+
+
 # ---------------------------------------------------------------------------
 # rigidity lifting
 
@@ -329,6 +394,14 @@ def test_lift_rigid_identity_hom():
     x = Rep.simple(GF(3), A2, 1)
     from quivlat.rings import identity_hom
     assert lift_rigid(x, identity_hom(GF(3))) == x
+
+
+def test_lift_rigid_along_the_bijection_onto_feps_order_one():
+    hom = canonical_hom(GF(3), Feps(3, 1))
+    x = exceptional_lattice(K2, (2, 3), GF(3))
+    y = base_change(x, hom)
+    assert y.ring == Feps(3, 1)
+    assert lift_rigid(y, hom) == x
 
 
 def test_lift_rigid_guards():

@@ -1,5 +1,6 @@
 """Every name a quivlat module imports is read somewhere in that module,
-and every private definition is read somewhere in the package.
+every private definition is read somewhere in the package, and every error
+class is raised somewhere in the package.
 
 The package's __init__.py re-exports names it never reads; those it lists
 in __all__ are exempt.  A private definition is a module-level function,
@@ -84,6 +85,34 @@ def unread_private_definitions(paths):
                   for name, line in private_definitions(tree).items() if name not in read)
 
 
+def error_classes(tree):
+    """Names of the classes of an errors module that derive, directly or
+    through each other, from QuivlatError."""
+    names = {"QuivlatError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id in names for base in node.bases):
+            names.add(node.name)
+    return names - {"QuivlatError"}
+
+
+def unraised_errors(paths):
+    """Sorted names of the error classes of errors.py among paths that no
+    raise statement of paths names, as ``raise E``, ``raise E(...)`` or
+    through a module attribute."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    raised = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return sorted(error_classes(trees["errors.py"]) - raised)
+
+
 def test_scanner_sees_an_unused_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom math import gcd, lcm\nprint(gcd(os.sep, 1))\n")
@@ -123,6 +152,33 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(modules) == []
 
 
+def test_scanner_sees_unraised_errors(tmp_path):
+    errors = tmp_path / "errors.py"
+    errors.write_text(
+        "class QuivlatError(Exception):\n    pass\n"
+        "class Bare(QuivlatError):\n    pass\n"
+        "class Called(QuivlatError):\n    pass\n"
+        "class Child(Called):\n    pass\n"
+        "class Dead(Child):\n    pass\n"
+        "class Unrelated(Exception):\n    pass\n")
+    user = tmp_path / "user.py"
+    user.write_text(
+        "from . import errors\nfrom .errors import Bare, Called, Dead\n"
+        "def f(x):\n"
+        "    if x:\n        raise Bare\n"
+        "    if x is None:\n        raise errors.Child('no')\n"
+        "    try:\n        raise Called('yes')\n    except Dead:\n        raise\n")
+    assert unraised_errors([errors, user]) == ["Dead"]
+    assert unraised_errors([errors]) == ["Bare", "Called", "Child", "Dead"]
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert error_classes(tree) == classes - {"QuivlatError"}
+    assert unraised_errors(sorted(PACKAGE.glob("*.py"))) == []
+
+
 def test_package_exports_only_bound_names():
     import quivlat
     assert all(hasattr(quivlat, name) for name in quivlat.__all__)
@@ -138,5 +194,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         test_scanner_sees_unread_private_definitions(pathlib.Path(tmp))
     test_every_private_definition_is_read()
+    with tempfile.TemporaryDirectory() as tmp:
+        test_scanner_sees_unraised_errors(pathlib.Path(tmp))
+    test_every_error_class_is_raised()
     test_package_exports_only_bound_names()
     print("all passed")
