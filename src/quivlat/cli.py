@@ -14,12 +14,13 @@ import os
 import re
 import sys
 
-from .errors import BoundExceeded, IncompatibleBase, NotSchurRoot, ParseError, QuivlatError
+from .errors import IncompatibleBase, ParseError, QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, is_rigid
 from .mutation import MutationResult, braid_act, left_mutate, right_mutate, standard_sequence
 from .quiver import Quiver, Rep, base_change
 from .rings import RingSpec, ZZ, canonical_hom
-from .structure import decompose_rigid, exceptional_lattice, lift_rigid, schur_root_status
+from .structure import (SCHUR_REAL, _require_real_schur, decompose_rigid, exceptional_lattice,
+                        lift_rigid)
 from .verify import SUITES, run_suite
 
 SCHEMA = 1
@@ -161,16 +162,9 @@ def _cmd_braid(args) -> dict:
 
 def _cmd_schur(args) -> dict:
     quiver = _load_quiver(args.quiver)
-    dims = _parse_dims(args.dims)
-    bound = _bound(args)
-    status = schur_root_status(quiver, dims, bound=bound)
-    if status == "prefilter_false":
-        raise NotSchurRoot("dimension vector %s fails the unit quadratic-form test" % (dims,))
-    if status == "bounded_false":
-        raise BoundExceeded("no exceptional representation of dimension %s found "
-                            "within total dimension %d" % (dims, bound))
+    dims = _require_real_schur(quiver, _parse_dims(args.dims), _bound(args))
     return {"schema": SCHEMA, "verb": "schur", "dims": list(dims),
-            "isRealSchurRoot": True, "status": status}
+            "isRealSchurRoot": True, "status": SCHUR_REAL}
 
 
 def _cmd_construct(args) -> dict:

@@ -77,12 +77,6 @@ class NotRigid(QuivlatError):
     code = "NotRigid"
 
 
-class AmbiguousDecomposition(QuivlatError):
-    """Candidate-root combination absent or not unique; signals a bug."""
-
-    code = "AmbiguousDecomposition"
-
-
 class PeelFailure(QuivlatError):
     """Evaluation map failed to split off a summand; signals a bug."""
 

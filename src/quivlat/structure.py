@@ -11,17 +11,18 @@ The three constructive results living here:
     base-change the witness.
   - A rigid representation on free modules, over any supported ring,
     decomposes uniquely up to ordering as a direct sum of multiples of
-    exceptional representations; the summand roots are read off the
-    dimension vector with generic Ext in integers, and the decomposition is
-    certified by an explicit isomorphism assembled from evaluation maps and
-    splitting sections.  Two rigid representations with one dimension
-    vector are therefore isomorphic, through the certificates.
+    exceptional representations; the summand roots are peeled off the
+    dimension vector with Kac's splitting criterion on generic Ext in
+    integers, and the decomposition is certified by an explicit
+    isomorphism assembled from evaluation maps and splitting sections.
+    Two rigid representations with one dimension vector are therefore
+    isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
 vectors alone (mutation._dims_orbit, one walk per quiver and bound), so
-schur_root_status and the candidate roots of decompose_rigid build no
-representation; nor does the test which candidates are Ext-orthogonal,
-which is Schofield's recursion for generic Ext on dimension vectors.  A
+schur_root_status and the summand roots of decompose_rigid build no
+representation; nor does the test whether a root splits off, which is
+Schofield's recursion for generic Ext on dimension vectors.  A
 witness is built only when asked for, by exceptional_lattice or
 generic_dims: the braid word that first reached its root is replayed over
 Z from the standard sequence, and every sequence built on the way is kept
@@ -38,7 +39,6 @@ import operator
 from dataclasses import dataclass
 
 from .errors import (
-    AmbiguousDecomposition,
     BoundExceeded,
     DimensionMismatch,
     IncompatibleBase,
@@ -135,8 +135,9 @@ def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
     return schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
 
 
-def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
-    """orbit_search's witness over Z for alpha; raises if there is none."""
+def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
+    """alpha, checked; NotSchurRoot or BoundExceeded unless the orbit walk
+    within bound reaches it.  No witness is replayed."""
     alpha = _check_dim_vector(quiver, alpha)
     status = schur_root_status(quiver, alpha, bound=bound)
     if status == SCHUR_PREFILTER_FALSE:
@@ -146,6 +147,12 @@ def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
         raise BoundExceeded(
             "no exceptional representation of %r found within bound %d" % (
                 list(alpha), bound))
+    return alpha
+
+
+def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
+    """orbit_search's witness over Z for alpha; raises if there is none."""
+    alpha = _require_real_schur(quiver, alpha, bound)
     state = _dims_orbit(quiver, bound)[1][alpha]
     return _orbit_sequence(quiver, bound, state)[state.index(alpha)]
 
@@ -260,17 +267,6 @@ def _splitting_section(proj: RepMorphism) -> RepMorphism:
     return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, vec))
 
 
-def _candidate_roots(quiver: Quiver, dims, bound: int):
-    """Real Schur roots componentwise below dims, lexicographically sorted.
-
-    Candidates have total dimension at most sum(dims), so the exhaustive
-    orbit enumeration can be capped there regardless of the search bound.
-    """
-    orbit = _dims_orbit(quiver, min(bound, sum(dims)))[1]
-    return sorted(d for d in orbit
-                  if any(d) and all(a <= b for a, b in zip(d, dims)))
-
-
 # quiver -> {dimension vector: its generic subdimension vectors}
 _SUBDIMS = {}
 
@@ -312,31 +308,36 @@ def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
                for sub in _generic_subdims(quiver, alpha))
 
 
-def _root_combinations(quiver: Quiver, dims, cands):
-    """All multisets of pairwise ext-orthogonal candidates summing to dims."""
-    sols = []
+def _generic_ext_into(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
+    """ext(alpha, beta) read off beta's table alone: the largest
+    -<alpha, beta - beta'> over the generic subdimension vectors beta' of
+    beta, since the generic quotients of beta are the beta - beta'."""
+    return max(-euler_form(quiver, alpha, tuple(map(operator.sub, beta, sub)))
+               for sub in _generic_subdims(quiver, beta))
 
-    def extend(idx, remaining, chosen):
-        if not any(remaining):
-            sols.append(tuple(chosen))
-            return
-        if idx == len(cands):
-            return
-        beta = cands[idx]
-        extend(idx + 1, remaining, chosen)
-        if not all(_generic_ext(quiver, beta, g) == 0 == _generic_ext(quiver, g, beta)
-                   for g, _ in chosen):
-            return
-        caps = [r // b for r, b in zip(remaining, beta) if b]
-        top = min(caps) if caps else 0
-        for m in range(1, top + 1):
-            rest = tuple(r - m * b for r, b in zip(remaining, beta))
-            if any(v < 0 for v in rest):
+
+def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
+    """Summand roots of a rigid dimension vector, with multiplicities.
+
+    Kac: a general representation of dimension beta + rest splits as
+    beta (+) rest exactly when ext(beta, rest) = 0 = ext(rest, beta).  So
+    every real Schur root the orbit walk reaches is taken off the remainder
+    while that holds; both exts read only the root's table, never the
+    remainder's.  No summand is larger than dims, so the walk is capped
+    at sum(dims) whatever the bound.
+    """
+    rem, taken = dims, {}
+    for beta in _dims_orbit(quiver, min(bound, sum(dims)))[1]:
+        while any(beta) and all(b <= r for b, r in zip(beta, rem)):
+            rest = tuple(map(operator.sub, rem, beta))
+            if _generic_ext(quiver, beta, rest) or _generic_ext_into(quiver, rest, beta):
                 break
-            extend(idx + 1, rest, chosen + [(beta, m)])
-
-    extend(0, tuple(dims), [])
-    return sols
+            taken[beta] = taken.get(beta, 0) + 1
+            rem = rest
+    if any(rem):
+        raise BoundExceeded(
+            "summand roots of %r lie outside bound %d" % (list(rem), bound))
+    return taken
 
 
 def _hom_order(quiver: Quiver, roots):
@@ -369,10 +370,10 @@ def _hom_order(quiver: Quiver, roots):
 def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     """Decompose a rigid representation into exceptional summands, certified.
 
-    Works over every supported ring.  The multiset of summand roots is
-    pinned down by a bounded search: it is the one multiset of pairwise
-    ext-orthogonal real Schur roots summing to the dimension vector, where
-    ext is generic Ext computed in integers from the roots alone.  The
+    Works over every supported ring.  The summand roots are read off the
+    dimension vector: each real Schur root within the bound is split off
+    the remainder while generic Ext, computed in integers from the root
+    alone, vanishes both ways; BoundExceeded if a remainder is left.  The
     summands are then built over the base ring, checked to have no
     extensions there, peeled off by split evaluation maps, and reassembled
     into an isomorphism that is checked vertexwise.
@@ -388,13 +389,7 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
                                  for _ in range(quiver.vertex_count)))
         return RigidDecomposition((), (), cert, ())
 
-    cands = _candidate_roots(quiver, x.dims, bound)
-    sols = _root_combinations(quiver, x.dims, cands)
-    if len(sols) != 1:
-        raise AmbiguousDecomposition(
-            "%d candidate root combinations for dims %r" % (
-                len(sols), list(x.dims)))
-    multiplicity = dict(sols[0])
+    multiplicity = _summand_roots(quiver, x.dims, bound)
     roots = _hom_order(quiver, sorted(multiplicity))
 
     eff_bound = min(bound, sum(x.dims))

@@ -151,6 +151,16 @@ def test_decompose_report(files, capsys):
     assert rep["verified"] is True
 
 
+def test_decompose_below_a_summand_root_exceeds_the_bound(tmp_path, capsys):
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(direct_sum(
+        exceptional_lattice(K2, (1, 2)), exceptional_lattice(K2, (2, 3))).to_json()))
+    code, rep = run_json(capsys, "decompose", "--rep", str(path), "--bound", "3")
+    assert code == 1 and rep["error"] == "BoundExceeded"
+    code, rep = run_json(capsys, "decompose", "--rep", str(path), "--bound", "5")
+    assert code == 0 and rep["ordering"] == [[1, 2], [2, 3]]
+
+
 def test_lift_report(files, capsys):
     code, rep = run_json(capsys, "lift", "--rep", files["p1f2"], "--ring", "Feps:2:2")
     assert code == 0 and rep["rigid"] is True

@@ -312,6 +312,15 @@ def test_decompose_rejects_non_rigid():
         decompose_rigid(bad)
 
 
+def test_decompose_below_a_summand_root_exceeds_the_bound():
+    # the summand (2,3) is no candidate within bound 3 or 4
+    x = planted_sum(K2, [((1, 2), 1), ((2, 3), 1)])
+    for bound in (3, 4):
+        with pytest.raises(BoundExceeded, match=r"\[2, 3\].*bound %d" % bound):
+            decompose_rigid(x, bound=bound)
+    assert multiset(decompose_rigid(x, bound=5)) == [((1, 2), 1), ((2, 3), 1)]
+
+
 def test_decompose_json_shape():
     x = planted_sum(A2, [((1, 1), 1), ((1, 0), 1)])
     out = decompose_rigid(x)

@@ -1,0 +1,98 @@
+"""The summand roots of decompose_rigid against a multiset search.
+
+structure._summand_roots peels real Schur roots off a dimension vector
+while Kac's splitting criterion holds.  The reference is the exhaustive
+search it replaced: every multiset of pairwise ext-orthogonal real Schur
+roots summing to the vector.  For every vector up to total 12 the peel must
+end with nothing left exactly when the search finds one multiset, and then
+take that multiset.  The second generic Ext the peel reads, ext(rest, beta)
+off beta's table alone, must equal structure._generic_ext everywhere.
+
+Stdlib only, so it also runs without pytest:
+    PYTHONPATH=src python tests/test_summand_peel.py
+"""
+
+import itertools
+
+from quivlat import structure
+from quivlat.errors import BoundExceeded
+from quivlat.mutation import _dims_orbit
+from quivlat.quiver import Quiver
+
+QUIVERS = {
+    "A2": Quiver(2, ((1, 2),)),
+    "A3": Quiver(3, ((1, 2), (2, 3))),
+    "kronecker": Quiver(2, ((1, 2), (1, 2))),
+    "3-kronecker": Quiver(2, ((1, 2), (1, 2), (1, 2))),
+    "triangle": Quiver(3, ((1, 2), (2, 3), (1, 3))),
+}
+TOTAL = 12
+PAIR_TOTAL = 5
+
+
+def _vectors(quiver, total):
+    return [d for d in itertools.product(range(total + 1), repeat=quiver.vertex_count)
+            if 0 < sum(d) <= total]
+
+
+def _root_combinations(quiver, dims):
+    """All multisets of pairwise ext-orthogonal real Schur roots summing to
+    dims, found by backtracking over the roots below dims."""
+    ext = structure._generic_ext
+    cands = sorted(d for d in _dims_orbit(quiver, sum(dims))[1]
+                   if any(d) and all(a <= b for a, b in zip(d, dims)))
+    sols = []
+
+    def extend(idx, remaining, chosen):
+        if not any(remaining):
+            sols.append(tuple(chosen))
+            return
+        if idx == len(cands):
+            return
+        beta = cands[idx]
+        extend(idx + 1, remaining, chosen)
+        if not all(ext(quiver, beta, g) == 0 == ext(quiver, g, beta) for g, _ in chosen):
+            return
+        for m in itertools.count(1):
+            rest = tuple(r - m * b for r, b in zip(remaining, beta))
+            if any(v < 0 for v in rest):
+                break
+            extend(idx + 1, rest, chosen + [(beta, m)])
+
+    extend(0, dims, [])
+    return sols
+
+
+def _peel(quiver, dims):
+    try:
+        return tuple(sorted(structure._summand_roots(quiver, dims, 60).items()))
+    except BoundExceeded:
+        return None
+
+
+def test_peel_takes_the_one_multiset_the_search_finds():
+    for name, quiver in QUIVERS.items():
+        peeled = 0
+        for dims in _vectors(quiver, TOTAL):
+            sols = _root_combinations(quiver, dims)
+            want = tuple(sorted(sols[0])) if len(sols) == 1 else None
+            assert _peel(quiver, dims) == want, (name, dims, sols)
+            peeled += want is not None
+        assert peeled > TOTAL, (name, peeled)
+
+
+def test_ext_off_the_second_table_is_generic_ext():
+    for name, quiver in QUIVERS.items():
+        vectors = [(0,) * quiver.vertex_count] + _vectors(quiver, PAIR_TOTAL)
+        for alpha, beta in itertools.product(vectors, repeat=2):
+            assert (structure._generic_ext_into(quiver, alpha, beta)
+                    == structure._generic_ext(quiver, alpha, beta)), (name, alpha, beta)
+
+
+if __name__ == "__main__":
+    import sys
+    for name, fn in sorted(globals().items()):
+        if name.startswith("test_") and callable(fn):
+            fn()
+            print("ok", name)
+    print("all passed on Python", sys.version.split()[0])
