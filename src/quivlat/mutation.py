@@ -16,6 +16,10 @@ Right mutation is the transpose dual of left mutation on the opposite
 quiver, so the case split above is written once.  Every mutation
 revalidates that the output pair is exceptional, so a false case split
 cannot escape silently.
+
+The braid orbit is walked once, on dimension vectors (_dims_orbit), which
+the Euler form fixes for every mutation; _orbit_sequence builds a state's
+sequence by replaying the braid word that first reached it.
 """
 
 from __future__ import annotations
@@ -75,11 +79,15 @@ class MutationResult:
     witness_out: Optional[RepMorphism] = None
 
 
+def _require_domain(ring: RingSpec) -> None:
+    if not ring.is_domain:
+        raise NotComputable(
+            "mutation needs Z, Q or a prime field, not %s" % ring)
+
+
 def _pair_hom_ext(x: Rep, y: Rep):
     """hom_ext(x, y) once the ring and the pair are checked fit to mutate."""
-    if not x.ring.is_domain:
-        raise NotComputable(
-            "mutation needs Z, Q or a prime field, not %s" % x.ring)
+    _require_domain(x.ring)
     if not is_exceptional_pair(x, y):
         raise PreconditionViolated("(x, y) is not an exceptional pair")
     return hom_ext(x, y)
@@ -198,17 +206,17 @@ _DUAL_KIND = {"KernelOfUniversalMap": "CokernelOfUniversalMap",
               "CokernelOfUniversalMap": "KernelOfUniversalMap"}
 
 
-def left_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult:
+def left_mutate(x: Rep, y: Rep) -> MutationResult:
     """Left mutation of the exceptional pair (X, Y); (L, X) is again exceptional."""
     he = _pair_hom_ext(x, y)
     out = _left_mutation(x, y, he.hom, he.ext, he.hom_generators,
                          he.ext_cocycles)
-    if check_result and not is_exceptional_pair(out.rep, x):
+    if not is_exceptional_pair(out.rep, x):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
 
 
-def right_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult:
+def right_mutate(x: Rep, y: Rep) -> MutationResult:
     """Right mutation of the exceptional pair (X, Y); (Y, R) is again exceptional.
 
     R is the transpose dual of the left mutation of (DY, DX) on the opposite
@@ -229,7 +237,7 @@ def right_mutate(x: Rep, y: Rep, *, check_result: bool = True) -> MutationResult
                          universal_map=_dual_map(dual.universal_map, duals),
                          witness_in=_dual_map(dual.witness_out, duals),
                          witness_out=_dual_map(dual.witness_in, duals))
-    if check_result and not is_exceptional_pair(y, out.rep):
+    if not is_exceptional_pair(y, out.rep):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
 
@@ -300,62 +308,11 @@ def braid_act(seq: ExcSequence, i: int, *, inverse: bool = False) -> ExcSequence
         raise DimensionMismatch("generator index %d out of range" % i)
     x, y = seq.items[i - 1], seq.items[i]
     if inverse:
-        new_pair = (y, right_mutate(x, y, check_result=False).rep)
+        new_pair = (y, right_mutate(x, y).rep)
     else:
-        new_pair = (left_mutate(x, y, check_result=False).rep, x)
+        new_pair = (left_mutate(x, y).rep, x)
     items = seq.items[:i - 1] + new_pair + seq.items[i + 1:]
     return ExcSequence(items)
-
-
-def _orbit_members(start: ExcSequence, bound: int):
-    """Each dimension vector of the pruned braid orbit with its first witness.
-
-    Breadth-first from start, generators in index order, each followed by
-    its inverse; a sequence with a member of total dimension above the bound
-    is never enqueued.  Yields member representations, one per dimension
-    vector, in the order first seen.
-    """
-    if bound < 1:
-        raise BoundExceeded("bound must be positive")
-    yielded = set()
-    seen = {start.dims_tuple()}
-    queue = deque([start])
-    while queue:
-        seq = queue.popleft()
-        for rep in seq.items:
-            if rep.dims not in yielded:
-                yielded.add(rep.dims)
-                yield rep
-        for i in range(1, len(seq)):
-            for inverse in (False, True):
-                nxt = braid_act(seq, i, inverse=inverse)
-                if any(r.total_dim > bound for r in nxt.items):
-                    continue
-                key = nxt.dims_tuple()
-                if key in seen:
-                    continue
-                seen.add(key)
-                queue.append(nxt)
-
-
-def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
-    """Breadth-first search of the braid orbit of a sequence.
-
-    Explores generators in index order, each followed by its inverse, and
-    never enqueues a sequence containing a member whose total dimension
-    exceeds the bound, which makes the reachable state space finite and the
-    traversal deterministic.  With target_dims set (exact ints), returns the
-    first member representation found with that dimension vector, or None
-    when the pruned orbit is exhausted.  Without it, returns a dict mapping
-    each dimension vector seen to its first witness representation.
-    _dims_orbit walks the same states of the standard sequence on dimension
-    vectors alone.
-    """
-    members = _orbit_members(start, bound)
-    if target_dims is None:
-        return {rep.dims: rep for rep in members}
-    target_dims = _exact_dims(target_dims)
-    return next((rep for rep in members if rep.dims == target_dims), None)
 
 
 def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
@@ -373,18 +330,19 @@ def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dims_orbit(quiver: Quiver, bound: int) -> tuple:
-    """The states of _orbit_members(standard sequence) as dimension vectors.
+def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tuple:
+    """orbit_search's walk from start, the dimension vectors of a sequence
+    (by default the standard one), on dimension vectors alone.
 
-    Same breadth-first order, generator order and pruning.  Returns (steps,
-    first): steps maps each state to its parent state and the generator
-    (i, inverse) that first reached it, None for the start; first maps each
-    dimension vector to the state it is first seen in, in that order.
+    Returns (steps, first): steps maps each state to its parent state and
+    the generator (i, inverse) that first reached it, None for the start;
+    first maps each dimension vector to the state it is first seen in, in
+    that order.
     """
     if bound < 1:
         raise BoundExceeded("bound must be positive")
-    start = tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
-                  for v in quiver.topological_order())
+    start = start or tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
+                           for v in quiver.topological_order())
     steps, first = {start: None}, {}
     queue = deque([start])
     while queue:
@@ -397,10 +355,54 @@ def _dims_orbit(quiver: Quiver, bound: int) -> tuple:
             for inverse in (False, True):
                 pair = (f, _mutated_dims(e, f, c)) if inverse else (
                     _mutated_dims(f, e, c), e)
-                if sum(pair[inverse]) > bound:   # the mutated member
-                    continue
                 nxt = state[:i - 1] + pair + state[i + 1:]
-                if nxt not in steps:
+                if nxt not in steps and max(map(sum, nxt)) <= bound:
                     steps[nxt] = (state, i, inverse)
                     queue.append(nxt)
     return steps, first
+
+
+def _orbit_sequence(steps: dict, memo: dict, state: tuple) -> ExcSequence:
+    """The sequence of a state of the _dims_orbit walk with these steps.
+
+    Replays the braid word of the state's breadth-first parents from the
+    nearest state in memo, which holds at least the start.  A sequence is
+    stored in memo only once its braid_act has returned, so an interrupted
+    replay leaves nothing half built behind.
+    """
+    path = []
+    while state not in memo:
+        path.append(state)
+        state = steps[state][0]
+    seq = memo[state]
+    for state in reversed(path):
+        _, i, inverse = steps[state]
+        seq = memo[state] = braid_act(seq, i, inverse=inverse)
+    return seq
+
+
+def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
+    """Breadth-first search of the braid orbit of a sequence.
+
+    Explores generators in index order, each followed by its inverse, and
+    never enqueues a sequence containing a member whose total dimension
+    exceeds the bound (the start is always visited), which makes the
+    reachable state space finite and the traversal deterministic.  With
+    target_dims set (exact ints), returns the first member representation
+    found with that dimension vector, or None when the pruned orbit is
+    exhausted.  Without it, returns a dict mapping each dimension vector
+    seen to its first witness representation.  The walk is on dimension
+    vectors (_dims_orbit); only the states whose members are returned are
+    replayed, through a memo that lives for this call.
+    """
+    if target_dims is not None:
+        target_dims = _exact_dims(target_dims)
+    dims = start.dims_tuple()
+    steps, first = _dims_orbit(start[0].quiver, bound, dims)
+    if len(start) > 1 and target_dims not in dims:
+        # an answer past the start's members needs a mutation
+        _require_domain(start[0].ring)
+    memo = {dims: start}
+    found = {alpha: _orbit_sequence(steps, memo, state)[state.index(alpha)]
+             for alpha, state in first.items() if target_dims in (None, alpha)}
+    return found if target_dims is None else found.get(target_dims)

@@ -188,6 +188,18 @@ class Rep:
     def __repr__(self):
         return "Rep(%s, dims=%r)" % (self.ring, list(self.dims))
 
+    def __hash__(self):
+        # once per instance: every cached hom_ext lookup hashes its arguments
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.ring, self.quiver, self.dims, self.mats))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # str hashes are salted per process: copies and pickles hash afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims)

@@ -19,16 +19,16 @@ The three constructive results living here:
     isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
-vectors alone (mutation._dims_orbit, one walk per quiver and bound), so
+vectors alone (mutation._dims_orbit, the walk orbit_search reads too), so
 schur_root_status and the summand roots of decompose_rigid build no
-representation; nor does the test whether a root splits off, which is
-Schofield's recursion for generic Ext on dimension vectors.  A
-witness is built only when asked for, by exceptional_lattice or
-generic_dims: the braid word that first reached its root is replayed over
-Z from the standard sequence, and every sequence built on the way is kept
-for later replays.  Nothing is searched over Q:
-mutation commutes with the flat base change Z -> Q, so both orbits pass
-through the same dimension vectors in the same order.
+representation; nor do generic_dims and the test whether a root splits
+off, which read Schofield's recursion for generic Ext on dimension
+vectors.  A witness is built only by exceptional_lattice: the braid word
+that first reached its root is replayed over Z from the standard sequence
+(mutation._orbit_sequence), and every sequence built on the way is kept
+for later replays.  Nothing is searched over Q: mutation commutes with the
+flat base change Z -> Q, so both orbits pass through the same dimension
+vectors in the same order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     TheoremViolation,
 )
 from .homology import differential, hom_ext, is_exceptional, is_rigid, _unflatten_vertex
-from .mutation import ExcSequence, _dims_orbit, _evaluation_map, braid_act, standard_sequence
+from .mutation import _dims_orbit, _evaluation_map, _orbit_sequence, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
@@ -79,29 +79,8 @@ SCHUR_PREFILTER_FALSE = "prefilter_false"
 SCHUR_BOUNDED_FALSE = "bounded_false"
 
 
-# (quiver, bound, state) -> the integral ExcSequence of that orbit state
+# (quiver, bound) -> {state of _dims_orbit(quiver, bound): its integral ExcSequence}
 _BUILT = {}
-
-
-def _orbit_sequence(quiver: Quiver, bound: int, state: tuple) -> ExcSequence:
-    """Integral sequence of a state of _dims_orbit(quiver, bound).
-
-    Replays over Z the braid word of the state's breadth-first parents,
-    from the nearest state already built or else the standard sequence.
-    A sequence is stored only once its braid_act has returned, so an
-    interrupted replay leaves nothing half built behind.
-    """
-    steps = _dims_orbit(quiver, bound)[0]
-    path = []
-    while (quiver, bound, state) not in _BUILT and steps[state] is not None:
-        path.append(state)
-        state = steps[state][0]
-    seq = _BUILT.get((quiver, bound, state)) or standard_sequence(ZZ, quiver)
-    _BUILT[quiver, bound, state] = seq
-    for state in reversed(path):
-        _, i, inverse = steps[state]
-        seq = _BUILT[quiver, bound, state] = braid_act(seq, i, inverse=inverse)
-    return seq
 
 
 def _check_dim_vector(quiver: Quiver, alpha) -> tuple:
@@ -153,8 +132,11 @@ def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
     """orbit_search's witness over Z for alpha; raises if there is none."""
     alpha = _require_real_schur(quiver, alpha, bound)
-    state = _dims_orbit(quiver, bound)[1][alpha]
-    return _orbit_sequence(quiver, bound, state)[state.index(alpha)]
+    steps, first = _dims_orbit(quiver, bound)
+    if (quiver, bound) not in _BUILT:   # steps begin at the standard sequence
+        _BUILT[quiver, bound] = {next(iter(steps)): standard_sequence(ZZ, quiver)}
+    state = first[alpha]
+    return _orbit_sequence(steps, _BUILT[quiver, bound], state)[state.index(alpha)]
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
@@ -185,15 +167,14 @@ class GenericDims:
 def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
     """Hom and Ext ranks between the exceptional representations over Q.
 
-    Read off as free ranks over Z of the integral witnesses replayed from
-    the orbit walk; by flatness these are the dimensions over Q.
+    Both roots must be reached by the orbit walk within the bound.  The Ext
+    rank is Schofield's recursion on dimension vectors (_generic_ext), and
+    the Hom rank follows from the Euler form, hom - ext = <alpha, beta>; no
+    witness is built.
     """
-    reps = [_integral_witness(quiver, root, bound) for root in (alpha, beta)]
-    he = hom_ext(reps[0], reps[1])
-    dims = GenericDims(he.hom.free_rank, he.ext.free_rank)
-    if dims.hom_rank - dims.ext_rank != euler_form(quiver, reps[0].dims, reps[1].dims):
-        raise TheoremViolation("hom - ext does not match the bilinear form")
-    return dims
+    alpha, beta = (_require_real_schur(quiver, root, bound) for root in (alpha, beta))
+    ext = _generic_ext(quiver, alpha, beta)
+    return GenericDims(ext + euler_form(quiver, alpha, beta), ext)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Quivers, representations, morphisms, and the constructions between them."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -161,6 +163,26 @@ def test_rep_json_round_trip():
     with pytest.raises(ParseError):
         Rep.from_json({"ring": "Z", "quiver": A2.to_json(),
                        "dims": [1, 1], "mats": [[1, 2]]})
+
+
+def test_rep_hash_is_computed_once_and_not_copied(monkeypatch):
+    calls = []
+    matrix_hash = ExactMatrix.__hash__
+
+    def counting(m):
+        calls.append(m)
+        return matrix_hash(m)
+
+    monkeypatch.setattr(ExactMatrix, "__hash__", counting)
+    x = mk(ZZ, K2, (2, 1), [[[1, 0]], [[3, -2]]])
+    assert hash(x) == hash(x)
+    assert len(calls) == 2          # one per arrow matrix, first hash only
+    y = mk(ZZ, K2, (2, 1), [[[1, 0]], [[3, -2]]])
+    assert y is not x and y == x and hash(y) == hash(x)
+    # a copy or an unpickled rep hashes afresh: str hashes are per process
+    for other in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert "_hash" not in vars(other)
+        assert other == x and hash(other) == hash(x)
 
 
 def test_rep_from_json_rejects_short_dims():

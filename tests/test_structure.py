@@ -146,12 +146,6 @@ def fresh_replays(monkeypatch):
     monkeypatch.setattr(structure, "_BUILT", {})
 
 
-@pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
-def test_dims_walk_visits_the_representation_walk_in_order(quiver, bound):
-    members = mutation._orbit_members(standard_sequence(ZZ, quiver), bound)
-    assert list(mutation._dims_orbit(quiver, bound)[1]) == [r.dims for r in members]
-
-
 @pytest.mark.parametrize("largest_first", (False, True), ids=("smallest", "largest"))
 @pytest.mark.parametrize("quiver,bound", [(A2, 12)] + WALKED,
                          ids=("A2",) + WALKED_IDS)
@@ -161,8 +155,9 @@ def test_shared_walk_gives_the_fresh_search_witnesses(fresh_replays, quiver, bou
     for alpha in sorted(orbit, key=sum, reverse=largest_first):
         assert exceptional_lattice(quiver, alpha, bound=bound) == orbit[alpha]
         assert schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
-    for (q, b, state), seq in structure._BUILT.items():
-        assert (q, b) == (quiver, bound) and seq.dims_tuple() == state
+    for (q, b), memo in structure._BUILT.items():
+        for state, seq in memo.items():
+            assert (q, b) == (quiver, bound) and seq.dims_tuple() == state
 
 
 class _Deadline(BaseException):
@@ -170,7 +165,7 @@ class _Deadline(BaseException):
 
 
 def test_interrupted_replay_does_not_poison_later_queries(fresh_replays, monkeypatch):
-    original = structure.braid_act
+    original = mutation.braid_act
     calls = []
 
     def braid_act_failing_once(*args, **kwargs):
@@ -179,13 +174,13 @@ def test_interrupted_replay_does_not_poison_later_queries(fresh_replays, monkeyp
             raise _Deadline()
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "braid_act", braid_act_failing_once)
+    monkeypatch.setattr(mutation, "braid_act", braid_act_failing_once)
     with pytest.raises(_Deadline):
         exceptional_lattice(K2, (5, 6), bound=12)
     assert len(calls) == 3
     # the start and the two sequences whose braid_act returned, nothing more
-    assert len(structure._BUILT) == 3
-    for (_, _, state), seq in structure._BUILT.items():
+    assert len(structure._BUILT[K2, 12]) == 3
+    for state, seq in structure._BUILT[K2, 12].items():
         assert seq.dims_tuple() == state
     orbit = orbit_search(standard_sequence(ZZ, K2), bound=12)
     for alpha in ((5, 6), (3, 4), (6, 5)):
@@ -220,9 +215,10 @@ def test_large_bounds_walk_and_replay_without_recursion(fresh_replays, monkeypat
         return seq
 
     # replaying a braid word of length 4999 only counts its letters here
-    monkeypatch.setattr(structure, "braid_act", braid_act_counting)
-    state = mutation._dims_orbit(K2, 10000)[1][(4999, 5000)]
-    structure._orbit_sequence(K2, 10000, state)
+    monkeypatch.setattr(mutation, "braid_act", braid_act_counting)
+    steps, first = mutation._dims_orbit(K2, 10000)
+    start = {next(iter(steps)): standard_sequence(ZZ, K2)}
+    mutation._orbit_sequence(steps, start, first[(4999, 5000)])
     assert len(calls) == 4999
 
 
