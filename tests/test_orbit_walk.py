@@ -16,7 +16,6 @@ Stdlib only, so it also runs without pytest:
 import signal
 from collections import deque
 
-from quivlat import mutation
 from quivlat.errors import NotComputable
 from quivlat.mutation import braid_act, orbit_search, standard_sequence
 from quivlat.quiver import Quiver
@@ -75,13 +74,6 @@ def _check_against_the_representation_walk(start, bound):
     non_root = (2,) * len(target)
     assert non_root not in want
     assert orbit_search(start, non_root, bound=bound) is None
-
-
-def test_dims_walk_visits_the_representation_walk_in_order():
-    for name, (quiver, bound) in WALKED.items():
-        members = _orbit_members(standard_sequence(ZZ, quiver), bound)
-        assert list(mutation._dims_orbit(quiver, bound)[1]) == [
-            r.dims for r in members], name
 
 
 def test_orbit_search_is_the_representation_walk_over_z():

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from test_orbit_walk import _orbit_members
+
 from quivlat import mutation, structure
 from quivlat.errors import (
     BoundExceeded,
@@ -144,6 +146,12 @@ WALKED_IDS = ("kronecker", "A3", "A3-opposite", "3-kronecker", "triangle")
 @pytest.fixture
 def fresh_replays(monkeypatch):
     monkeypatch.setattr(structure, "_BUILT", {})
+
+
+@pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
+def test_dims_walk_visits_the_representation_walk_in_order(quiver, bound):
+    members = _orbit_members(standard_sequence(ZZ, quiver), bound)
+    assert list(mutation._dims_orbit(quiver, bound)[1]) == [r.dims for r in members]
 
 
 @pytest.mark.parametrize("largest_first", (False, True), ids=("smallest", "largest"))
