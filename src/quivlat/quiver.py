@@ -10,6 +10,7 @@ operation must cope with those.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,27 @@ from .rings import (
 from . import rings as _rings
 
 DimVector = tuple  # tuple[int, ...], one entry per vertex
+
+
+def _lex_least_order(nodes, succ):
+    """The lexicographically least topological order of nodes, as a list,
+    where succ[v] lists the heads of the edges out of v (Kahn's algorithm
+    with a heap); None when the edges have a cycle."""
+    indeg = dict.fromkeys(nodes, 0)
+    for v in indeg:
+        for w in succ[v]:
+            indeg[w] += 1
+    ready = [v for v in indeg if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order if len(order) == len(indeg) else None
 
 
 def _json_int(value) -> int:
@@ -89,27 +111,14 @@ class Quiver:
 
     def topological_order(self) -> tuple:
         """Lexicographically smallest topological order, 0-based vertices."""
-        n = self.vertex_count
-        indeg = [0] * n
-        out = [[] for _ in range(n)]
+        out = [[] for _ in range(self.vertex_count)]
         for a in range(self.arrow_count):
             t, h = self.tail(a), self.head(a)
             if t == h:
                 raise CyclicQuiver("loop at vertex %d" % (t + 1))
-            indeg[h] += 1
             out[t].append(h)
-        import heapq
-        ready = [v for v in range(n) if indeg[v] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(order) != n:
+        order = _lex_least_order(range(self.vertex_count), out)
+        if order is None:
             raise CyclicQuiver("quiver has a directed cycle")
         return tuple(order)
 

@@ -43,13 +43,14 @@ relation matrix once, to canonicalise arbitrary input.
 Each ring is an instance of one class per family: integers (Z), rationals
 (Q, with Z's arithmetic on Fractions), modular (F:p and Z/m in one
 implementation) and truncated (Feps).  The class holds the element
-arithmetic and the row and column kernels that elimination and Howell
+arithmetic and the two row kernels that elimination, its replays and Howell
 canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
-m per entry over Z/m, a truncated product over Feps.  The kernels skip zero
-multiplicands, which dominate the sparse differentials and the
-identity-like transforms, and the values they store are bit-identical to
-element-wise ``add``/``mul``.  A ring hom is fixed by its two rings and
-picks its per-entry map once.
+m per entry over Z/m, a truncated product over Feps.  A column operation
+runs them on the two columns it touches, unless all it does is zero one
+entry of the pivot row.  The kernels skip zero multiplicands, which
+dominate the sparse differentials and the identity-like transforms, and
+the values they store are bit-identical to element-wise ``add``/``mul``.
+A ring hom is fixed by its two rings and picks its per-entry map once.
 
 Entries are canonicalised once: ``ExactMatrix(...)`` canonicalises outside
 input, and internal producers use the trusted ``ExactMatrix._of``.
@@ -211,7 +212,7 @@ class RingSpec:
       with u*x = canonical_gen(x); pivot_size(x), the pivoting weight of a
       nonzero x, 1 exactly on units;
     * entry_from_json and entry_to_json;
-    * the row and column kernels of elimination (see _Integers).
+    * row_axpy and row_comb, the row kernels of elimination (see _Integers).
     """
 
     kind: str
@@ -302,13 +303,12 @@ class RingSpec:
 class _Integers(RingSpec):
     """Z, on plain ints.
 
-    Its row and column kernels do plain ``x + c*y``; _Rationals inherits
-    them with this arithmetic.  Every kernel skips a position whose
-    multiplicand is zero (the 2x2 combinations one where both inputs are
-    zero) and leaves its value as it is; element-wise arithmetic would
-    compute that same value there, so the results are identical to it.  Row
-    kernels return a new list; column kernels update ``row[j]`` in each row
-    of a list of rows in place.
+    Its two row kernels do plain ``x + c*y``; _Rationals inherits them with
+    this arithmetic.  Each skips a position whose multiplicand is zero
+    (row_comb one where both inputs are zero) and leaves its value as it
+    is; element-wise arithmetic would compute that same value there, so the
+    results are identical to it.  Each returns new lists, of rows or of the
+    columns _Worksheet._col reads out.
     """
 
     zero, one = 0, 1
@@ -366,31 +366,16 @@ class _Integers(RingSpec):
     def _map_to(self, target):
         return target.canon   # Z is initial: an integer goes to its image
 
-    # -- row and column kernels of elimination -------------------------------
+    # -- row kernels of elimination ------------------------------------------
 
     def row_axpy(self, dst, src, c):
         """dst + c*src"""
         return [x + c * y if y else x for x, y in zip(dst, src)]
 
-    def col_axpy(self, rows, j, k, c):
-        """row[j] += c*row[k] in every row"""
-        for row in rows:
-            y = row[k]
-            if y:
-                row[j] = row[j] + c * y
-
     def row_comb(self, ri, rj, s, t, u, v):
         """(s*ri + t*rj, u*ri + v*rj)"""
         return ([s * x + t * y if x or y else x for x, y in zip(ri, rj)],
                 [u * x + v * y if x or y else y for x, y in zip(ri, rj)])
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        """(row[i], row[j]) <- (s*row[i] + t*row[j], u*row[i] + v*row[j])"""
-        for row in rows:
-            x, y = row[i], row[j]
-            if x or y:
-                row[i] = s * x + t * y
-                row[j] = u * x + v * y
 
 
 class _Rationals(_Integers):
@@ -456,7 +441,7 @@ class _Modular(RingSpec):
     Over a prime modulus the ideal arithmetic of Z/m is the field's: the
     gcd of a nonzero element with the modulus is 1.  Only gcdex differs
     from a field's own choice, and its value is a valid one over a field
-    too.  The kernels are those of Z with one reduction mod m per entry.
+    too.  The row kernels are those of Z with one reduction mod m per entry.
     """
 
     zero, one = 0, 1
@@ -559,37 +544,22 @@ class _Modular(RingSpec):
             return target.m.__rmod__   # x -> x % m'
         return None
 
-    # -- row and column kernels of elimination -------------------------------
+    # -- row kernels of elimination ------------------------------------------
 
     def row_axpy(self, dst, src, c):
         m = self._mod
         return [(x + c * y) % m if y else x for x, y in zip(dst, src)]
-
-    def col_axpy(self, rows, j, k, c):
-        m = self._mod
-        for row in rows:
-            y = row[k]
-            if y:
-                row[j] = (row[j] + c * y) % m
 
     def row_comb(self, ri, rj, s, t, u, v):
         m = self._mod
         return ([(s * x + t * y) % m if x or y else x for x, y in zip(ri, rj)],
                 [(u * x + v * y) % m if x or y else y for x, y in zip(ri, rj)])
 
-    def col_comb(self, rows, i, j, s, t, u, v):
-        m = self._mod
-        for row in rows:
-            x, y = row[i], row[j]
-            if x or y:
-                row[i] = (s * x + t * y) % m
-                row[j] = (u * x + v * y) % m
-
 
 class _Truncated(RingSpec):
     """F_p[e]/(e^n) on length-n tuples of coefficients in [0, p).
 
-    Its kernels unpack each multiplier once into the (i, c_i, range(n - i))
+    Its row kernels unpack each multiplier once into the (i, c_i, range(n - i))
     of its nonzero coefficients and reduce each entry mod p once, at the
     end; a zero entry is one equal to the zero tuple.
     """
@@ -751,7 +721,7 @@ class _Truncated(RingSpec):
             return operator.itemgetter(slice(target.n)) if target.n <= self.n else None
         return operator.itemgetter(0) if target.is_field else None   # F_p
 
-    # -- row and column kernels of elimination -------------------------------
+    # -- row kernels of elimination ------------------------------------------
 
     def _terms(self, c):
         return [(i, ci, self._ranges[i]) for i, ci in enumerate(c) if ci]
@@ -772,28 +742,12 @@ class _Truncated(RingSpec):
         z, fma, tc = self.zero, self._fma, self._terms(c)
         return [x if y == z else fma(x, tc, y) for x, y in zip(dst, src)]
 
-    def col_axpy(self, rows, j, k, c):
-        z, fma, tc = self.zero, self._fma, self._terms(c)
-        for row in rows:
-            y = row[k]
-            if y != z:
-                row[j] = fma(row[j], tc, y)
-
     def row_comb(self, ri, rj, s, t, u, v):
         z, fma = self.zero, self._fma
         ts, tt, tu, tv = map(self._terms, (s, t, u, v))
         pairs = list(zip(ri, rj))
         return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
                 [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
-
-    def col_comb(self, rows, i, j, s, t, u, v):
-        z, fma = self.zero, self._fma
-        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
-        for row in rows:
-            x, y = row[i], row[j]
-            if x != z or y != z:
-                row[i] = fma(z, ts, x, tt, y)
-                row[j] = fma(z, tu, x, tv, y)
 
 
 # kind -> (the class of its rings, the parameters its spec takes)
@@ -1002,7 +956,8 @@ class _Worksheet:
     No transform is built unless a caller replays one, and callers replay
     only what they read: over Z the transforms' entries can run to many
     thousands of digits while N stays small.  Every operation runs through
-    the row and column kernels of the ring itself.
+    the ring's two row kernels, a column operation on the columns it
+    touches, save the column step that only zeroes an entry (_clear_position).
 
     An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
     row j to row i, which for i == j scales row i by the unit 1 + c; or
@@ -1048,18 +1003,23 @@ class _Worksheet:
         self.apply(self.n, (op,))
 
     def _col(self, op):
-        """N <- N F for the matrix F that op builds from the identity, recorded."""
+        """N <- N F for the matrix F that op builds from the identity,
+        recorded, by the row kernels on the columns op touches."""
         self.col_ops.append(op)
+        n, ring = self.n, self.ring
         if len(op) == 2:
             i, j = op
-            for row in self.n:
+            for row in n:
                 row[i], row[j] = row[j], row[i]
-        elif len(op) == 3:
+        elif len(op) == 3:   # col_j += c*col_k
             k, j, c = op
-            self.ring.col_axpy(self.n, j, k, c)
+            for row, x in zip(n, ring.row_axpy([r[j] for r in n], [r[k] for r in n], c)):
+                row[j] = x
         else:
             i, j, s, t, u, v = op
-            self.ring.col_comb(self.n, i, j, s, u, t, v)
+            ci, cj = ring.row_comb([r[i] for r in n], [r[j] for r in n], s, u, t, v)
+            for row, x, y in zip(n, ci, cj):
+                row[i], row[j] = x, y
 
     # -- the reduction -------------------------------------------------------
     # Entries are canonical, so an entry is zero exactly when it equals
@@ -1106,6 +1066,9 @@ class _Worksheet:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self._row((s, i, sx, tx, ux, vx))
                     gcdex_step = True
+            # The row steps leave column s as n[s][s]*e_s, so col_j += c*col_s
+            # only zeroes n[s][j], until a gcdex column step mixes in col_j.
+            clean = True
             for j in range(s + 1, self.cols):
                 b = n[s][j]
                 if b == zero:
@@ -1115,12 +1078,15 @@ class _Worksheet:
                 # col_j += c*col_s and (col_s, col_j) <- (sx*col_s + tx*col_j,
                 # ux*col_s + vx*col_j), stored as the row operations of their
                 # matrices
-                if q is not None:
-                    self._col((s, j, ring.neg(q)))
-                else:
+                if q is None:
                     g, sx, tx, ux, vx = ring.gcdex(a, b)
                     self._col((s, j, sx, ux, tx, vx))
-                    gcdex_step = True
+                    gcdex_step, clean = True, False
+                elif clean:
+                    self.col_ops.append((s, j, ring.neg(q)))
+                    n[s][j] = zero
+                else:
+                    self._col((s, j, ring.neg(q)))
             # A pass of solve_scalar steps alone leaves row and column s
             # clear: a row step changes no entry of row s, and a column step
             # no entry of column s.  A gcdex step can leave them unclear, so
@@ -1812,9 +1778,9 @@ def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:
     if mat.ring != hom.source:
         raise IncompatibleBase(
             "matrix over %s, hom expects %s" % (mat.ring, hom.source))
-    f = hom.apply
+    f = hom.apply   # every per-entry map returns canonical target entries
     data = tuple(tuple(f(x) for x in row) for row in mat.entries)
-    return ExactMatrix(hom.target, mat.rows, mat.cols, data)
+    return ExactMatrix._of(hom.target, mat.rows, mat.cols, data)
 
 
 def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePresentation:

@@ -33,7 +33,6 @@ vectors in the same order.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass
@@ -42,6 +41,7 @@ from .errors import (
     BoundExceeded,
     DimensionMismatch,
     IncompatibleBase,
+    NonFreeCokernel,
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
@@ -56,6 +56,7 @@ from .quiver import (
     RepMorphism,
     _check_compatible,
     _exact_dims,
+    _lex_least_order,
     base_change,
     cokernel_rep,
     direct_sum_many,
@@ -69,7 +70,6 @@ from .rings import (
     RingSpec,
     ZZ,
     canonical_hom,
-    cokernel,
     invert,
     solve,
 )
@@ -205,12 +205,6 @@ class RigidDecomposition:
         }
 
 
-def _vertex_split_mono(m: ExactMatrix) -> bool:
-    """Split injectivity of one vertex map: cols <= rows and every invariant
-    factor a unit, which is exactly when the transpose is onto."""
-    return cokernel(m.transpose()).is_zero
-
-
 def _splitting_section(proj: RepMorphism) -> RepMorphism:
     """Morphism section of a projection whose kernel has no extensions back.
 
@@ -328,22 +322,11 @@ def _hom_order(quiver: Quiver, roots):
     representations has rank <a, b>.
     """
     succ = {r: [] for r in roots}
-    indeg = {r: 0 for r in roots}
     for a, b in itertools.permutations(roots, 2):
         if euler_form(quiver, a, b) > 0:
             succ[a].append(b)
-            indeg[b] += 1
-    ready = [r for r in roots if indeg[r] == 0]
-    heapq.heapify(ready)
-    out = []
-    while ready:
-        r = heapq.heappop(ready)
-        out.append(r)
-        for s in succ[r]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(out) != len(roots):
+    out = _lex_least_order(roots, succ)
+    if out is None:
         raise TheoremViolation("Hom relation between summands has a cycle")
     return out
 
@@ -393,10 +376,16 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
                 "Hom(%r, rest) has presentation %r, expected free rank %d" % (
                     list(root), list(he.hom.invariant_factors), mi))
         theta = _evaluation_map(xi, current, he.hom_generators)
-        if not all(_vertex_split_mono(m) for m in theta.vertex_maps):
+        # On every shipped ring a map is split mono exactly when its
+        # cokernel is free of rank rows - cols.
+        try:
+            quot, proj = cokernel_rep(theta)
+        except NonFreeCokernel:
+            quot = None
+        if quot is None or quot.dims != tuple(
+                map(operator.sub, current.dims, theta.source.dims)):
             raise PeelFailure("evaluation map of %r is not split mono" % (
                 list(root),))
-        quot, proj = cokernel_rep(theta)
         section = _splitting_section(proj)
         evaluations.append(theta)
         partial[root] = embed.compose(theta)

@@ -118,9 +118,11 @@ def test_topological_order():
     assert Quiver(2, ((2, 1),)).topological_order() == (1, 0)
     # lex-smallest among valid orders: vertex 2 has no constraints
     assert Quiver(3, ((1, 3),)).topological_order() == (0, 1, 2)
-    with pytest.raises(CyclicQuiver):
+    # parallel arrows count twice towards the head's in-degree
+    assert Quiver(3, ((3, 1), (3, 1), (2, 1))).topological_order() == (1, 2, 0)
+    with pytest.raises(CyclicQuiver, match="loop at vertex 1"):
         LOOP.topological_order()
-    with pytest.raises(CyclicQuiver):
+    with pytest.raises(CyclicQuiver, match="directed cycle"):
         Quiver(2, ((1, 2), (2, 1))).topological_order()
 
 

@@ -10,9 +10,12 @@ from quivlat import mutation, structure
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
+    NonFreeCokernel,
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
+    PeelFailure,
+    TheoremViolation,
 )
 from quivlat.homology import hom_ext, is_exceptional, is_rigid
 from quivlat.mutation import orbit_search, standard_sequence
@@ -343,6 +346,30 @@ def test_decompose_respects_hom_order():
     out = decompose_rigid(x)
     assert out.ordering == ((1, 1), (1, 0))
     assert multiset(out) == [((1, 0), 1), ((1, 1), 2)]
+
+
+def test_decompose_refuses_an_evaluation_map_that_is_not_split_mono(monkeypatch):
+    # split mono is read off the cokernel: free, of rank rows - cols
+    x = planted_sum(K2, [((0, 1), 1), ((1, 2), 2)])
+
+    def torsion(theta):
+        raise NonFreeCokernel("vertex 1 cokernel has torsion")
+
+    def wrong_rank(theta):
+        return theta.target, None
+
+    for fake in (torsion, wrong_rank):
+        monkeypatch.setattr(structure, "cokernel_rep", fake)
+        with pytest.raises(PeelFailure, match=r"evaluation map of \[1, 2\] is not split mono"):
+            decompose_rigid(x)
+
+
+def test_hom_order_is_lex_least_and_refuses_a_cycle():
+    # on A2, Hom(P1, S1) and Hom(S2, P1) are nonzero
+    assert structure._hom_order(A2, [(0, 1), (1, 0), (1, 1)]) == [(0, 1), (1, 1), (1, 0)]
+    # with no arrows <(1, 0), (1, 1)> and <(1, 1), (1, 0)> are both 1
+    with pytest.raises(TheoremViolation, match="has a cycle"):
+        structure._hom_order(Quiver(2, ()), [(1, 0), (1, 1)])
 
 
 def test_reassembly_matches_input_through_iso_test():

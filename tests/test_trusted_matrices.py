@@ -36,6 +36,7 @@ from quivlat.rings import (
     QQ,
     ZZ,
     Zmod,
+    apply_hom,
     canonical_hom,
     cokernel_projection,
     identity_hom,
@@ -47,6 +48,9 @@ from quivlat.structure import decompose_rigid, exceptional_lattice, lift_rigid
 
 RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(12), Feps(2, 2), Feps(3, 3))
 MUTATION_RINGS = tuple(ring for ring in RINGS if ring.kind in ("Z", "Q", "F"))
+# every kind of canonical hom: Z -> each ring, and the maps out of Z/m, Feps and F_p
+HOM_PAIRS = tuple((ZZ, ring) for ring in RINGS) + (
+    (Zmod(12), Zmod(4)), (Feps(3, 3), Feps(3, 2)), (Feps(3, 2), GF(3)), (GF(3), Feps(3, 1)))
 A2 = Quiver(2, ((1, 2),))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 LOOP = Quiver(1, ((1, 1),))
@@ -187,6 +191,24 @@ def test_structure_and_mutation_build_canonical_matrices():
                 right_mutate(x, y)
     for ring in RINGS:
         assert _checked_of.calls[str(ring)] > 0, ring
+
+
+def test_apply_hom_builds_canonical_matrices():
+    """apply_hom builds on the trusted path, since every hom's per-entry map
+    returns canonical target entries; the result is the public
+    constructor's on the same entries."""
+    rng = random.Random("apply_hom")
+    for source, target in HOM_PAIRS:
+        hom = canonical_hom(source, target)
+        _checked_of.calls.clear()
+        for rows, cols in ((0, 2), (2, 0), (3, 4)):
+            a = _matrix(source, rows, cols, rng)
+            with _checking():
+                got = apply_hom(hom, a)
+            want = ExactMatrix(target, rows, cols,
+                               tuple(tuple(map(hom.apply, row)) for row in a.entries))
+            assert got == want and repr(got) == repr(want), (source, target)
+        assert _checked_of.calls[str(target)] > 0, (source, target)
 
 
 # ---------------------------------------------------------------------------

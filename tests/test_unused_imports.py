@@ -1,6 +1,7 @@
 """Every name a quivlat module imports is read somewhere in that module,
-every private definition is read somewhere in the package, and every error
-class is raised somewhere in the package.
+every private definition is read somewhere in the package, every method
+and class attribute of the ring classes is read somewhere in the package,
+and every error class is raised somewhere in the package.
 
 The package's __init__.py re-exports names it never reads; those it lists
 in __all__ are exempt.  A private definition is a module-level function,
@@ -85,6 +86,42 @@ def unread_private_definitions(paths):
                   for name, line in private_definitions(tree).items() if name not in read)
 
 
+# RingSpec and the classes of its kinds, in rings.py
+RING_CLASSES = ("RingSpec", "_Integers", "_Rationals", "_Modular", "_Truncated")
+
+
+def class_members(tree, classes):
+    """{(class, name): line} of the methods and class attributes, dunders
+    aside, that the bodies of the named classes of a module define."""
+    out = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in classes):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [name.id for target in targets
+                         for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                names = []
+            out.update(((node.name, name), item.lineno) for name in names
+                       if not (name.startswith("__") and name.endswith("__")))
+    return out
+
+
+def unread_class_members(paths, module, classes):
+    """Sorted (class, line, name) of the methods and class attributes of
+    the named classes of module that no module of paths reads as an
+    attribute: a ring method that elimination stopped calling is one."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((cls, line, name) for (cls, name), line
+                  in class_members(trees[module], classes).items() if name not in read)
+
+
 def error_classes(tree):
     """Names of the classes of an errors module that derive, directly or
     through each other, from QuivlatError."""
@@ -152,6 +189,33 @@ def test_every_private_definition_is_read():
     assert unread_private_definitions(modules) == []
 
 
+def test_scanner_sees_unread_class_members(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class Base:\n"
+        "    kind: str\n"
+        "    zero, one = 0, 1\n"
+        "    def __init__(self):\n        self.kind = 'x'\n"
+        "    def add(self, a, b):\n        return a + b\n"
+        "    def scale_col(self, rows, c):\n        pass\n"
+        "class Child(Base):\n"
+        "    one = 2\n"
+        "    label = add = staticmethod(max)\n"
+        "class Other:\n"
+        "    def unread(self):\n        pass\n")
+    user = tmp_path / "user.py"
+    user.write_text("from probe import Child\nr = Child()\nprint(r.add(r.one, r.kind))\n")
+    assert unread_class_members([probe, user], "probe.py", ("Base", "Child")) == [
+        ("Base", 3, "zero"), ("Base", 8, "scale_col"), ("Child", 12, "label")]
+    assert unread_class_members([probe], "probe.py", ("Child",)) == [
+        ("Child", 11, "one"), ("Child", 12, "add"), ("Child", 12, "label")]
+
+
+def test_every_ring_class_member_is_read():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert unread_class_members(modules, "rings.py", RING_CLASSES) == []
+
+
 def test_scanner_sees_unraised_errors(tmp_path):
     errors = tmp_path / "errors.py"
     errors.write_text(
@@ -194,6 +258,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         test_scanner_sees_unread_private_definitions(pathlib.Path(tmp))
     test_every_private_definition_is_read()
+    with tempfile.TemporaryDirectory() as tmp:
+        test_scanner_sees_unread_class_members(pathlib.Path(tmp))
+    test_every_ring_class_member_is_read()
     with tempfile.TemporaryDirectory() as tmp:
         test_scanner_sees_unraised_errors(pathlib.Path(tmp))
     test_every_error_class_is_raised()
