@@ -24,12 +24,13 @@ from .errors import (
     PreconditionViolated,
     TheoremViolation,
 )
-from .quiver import Rep, RepMorphism, base_change
+from .quiver import Rep, RepMorphism, base_change, euler_form
 from .rings import (
     ExactMatrix,
     RingHom,
     _hom_ext_data,
     constant_rank,
+    is_invertible,
     presentation_base_change,
 )
 
@@ -166,23 +167,30 @@ def is_rigid(x: Rep) -> bool:
 def is_exceptional(x: Rep) -> bool:
     """True when X is rigid and r -> r * id is an isomorphism R -> End(X).
 
-    Requires End(X) free of rank one with the identity as a unit multiple
-    of the generator; a rank-one endomorphism ring whose generator is not
-    a unit multiple of the identity is rejected.  Cached like hom_ext:
-    every sequence check and every construction asks it again.
+    That holds exactly when the self-differential D is invertible with the
+    column k of one diagonal cell removed: write f = f_k * id + u with
+    u_k = 0, then D f = D u, so ker D = R * id and coker D = 0 exactly when
+    u -> D u is bijective.  The cell taken is the first of the first
+    nonzero vertex, column 0, since the vertices before it have no cells.
+    A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
+    the rest square; any other d (the zero rep too) is not exceptional.
+    Cached like hom_ext: every sequence check and every construction asks
+    it again.
     """
-    he = hom_ext(x, x)
-    if not he.ext.is_zero:
+    if euler_form(x.quiver, x.dims, x.dims) != 1:
         return False
-    if not (he.hom.is_free and he.hom.free_rank == 1):
-        return False
-    ring = x.ring
-    gen = _unflatten_vertex(x, x, he._hom_vecs[0])
-    # r * gen = id forces r * u = 1 for any diagonal entry u of gen, so gen
-    # must be u * id for that unit u.
-    u = next(m.entries[0][0] for m in gen if m.rows)
-    return ring.is_unit(u) and all(
-        m == ExactMatrix.identity(ring, m.rows).scale(u) for m in gen)
+    d = differential(x, x)
+    rest = tuple(row[1:] for row in d.entries)
+    return is_invertible(ExactMatrix._of(x.ring, d.rows, d.cols - 1, rest))
+
+
+@lru_cache(maxsize=None)
+def _orthogonal(y: Rep, x: Rep) -> bool:
+    """True when Hom(Y, X) = Ext^1(Y, X) = 0: D(Y, X) is invertible, since
+    its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
+    rows, so a pair with nonzero Euler form fails on its shape alone, and a
+    pair hom_ext refuses raises the same error here."""
+    return is_invertible(differential(y, x))
 
 
 def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:

@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     TheoremViolation,
 )
-from .homology import hom_ext, is_exceptional
+from .homology import _orthogonal, hom_ext, is_exceptional
 from .quiver import (
     Quiver,
     Rep,
@@ -53,11 +53,13 @@ from .rings import ExactMatrix, RingSpec, block_diag, cokernel, kernel_basis
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
-    """Both exceptional and no maps or extensions from y back to x."""
-    if not is_exceptional(x) or not is_exceptional(y):
-        return False
-    back = hom_ext(y, x)
-    return back.hom.is_zero and back.ext.is_zero
+    """Both exceptional and no maps or extensions from y back to x.
+
+    Each is one invertible square matrix: a self-differential with one
+    column removed per member, and the differential D(y, x) for the pair
+    (homology.is_exceptional, homology._orthogonal).
+    """
+    return is_exceptional(x) and is_exceptional(y) and _orthogonal(y, x)
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,13 @@ def right_mutate(x: Rep, y: Rep) -> MutationResult:
 
 @dataclass(frozen=True)
 class ExcSequence:
-    """Sequence of exceptional representations with no backwards Hom or Ext."""
+    """Sequence of exceptional representations with no backwards Hom or Ext.
+
+    Construction checks each member (is_exceptional) and each backward
+    pair (homology._orthogonal) as one invertible square matrix, so it
+    builds no Hom or Ext module and caches no backward differential in
+    hom_ext.
+    """
 
     items: tuple
 
@@ -267,8 +275,7 @@ class ExcSequence:
                     "member %d is not exceptional" % (j + 1))
         for i in range(len(items)):
             for j in range(i + 1, len(items)):
-                back = hom_ext(items[j], items[i])
-                if not (back.hom.is_zero and back.ext.is_zero):
+                if not _orthogonal(items[j], items[i]):
                     raise PreconditionViolated(
                         "backwards Hom or Ext from member %d to %d" % (
                             j + 1, i + 1))

@@ -30,7 +30,8 @@ right transform on the diagonal solution.  :func:`kernel_data`,
 :func:`kernel_basis`, :func:`cokernel_data`, and Hom and Ext of a quiver
 pair (which share one elimination) replay them on a few columns of the
 right or inverse left transform.  :func:`is_invertible` and
-:func:`cokernel` read the diagonal alone.
+:func:`cokernel` read the diagonal alone; over Feps, a local ring,
+:func:`is_invertible` reads the rank over the residue field F_p instead.
 
 Over Q and F_p all of these instead read off one Gauss-Jordan row
 reduction with no column operations and no transforms (fraction-free over
@@ -1054,9 +1055,16 @@ class _Worksheet:
         size = self._divisibility_size(n[s][s])
         while True:
             gcdex_step = False
+            # A unit pivot a divides every entry, and the quotient by a unit
+            # is unique, so -b/a is b times one -1/a per pass: the value
+            # solve_scalar and neg would give.  No gcdex step follows.
+            neg_inv = ring.neg(ring.inv(n[s][s])) if size == 1 else None
             for i in range(s + 1, self.rows):
                 b = n[i][s]
                 if b == zero:
+                    continue
+                if neg_inv is not None:
+                    self._row((i, s, ring.mul(neg_inv, b)))
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1072,6 +1080,10 @@ class _Worksheet:
             for j in range(s + 1, self.cols):
                 b = n[s][j]
                 if b == zero:
+                    continue
+                if neg_inv is not None:
+                    self.col_ops.append((s, j, ring.mul(neg_inv, b)))
+                    n[s][j] = zero
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1275,11 +1287,16 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
+    """Square with a unit determinant.  Over F_p[e]/(e^n), a local ring,
+    that is decided over its residue field F_p (Nakayama): the determinant
+    is a unit exactly when its constant term is nonzero."""
     if mat.rows != mat.cols:
         return False
     ring = mat.ring
     if ring.is_field:
         return len(_field_reduce(mat)[0]) == mat.rows
+    if ring.kind == "Feps":
+        return is_invertible(apply_hom(canonical_hom(ring, GF(ring.p)), mat))
     ws = _diagonal_sheet(mat)
     return all(ring.is_unit(d) for d in ws.diagonal(mat.rows))
 

@@ -222,16 +222,20 @@ def test_one_diagonalisation_per_hom_ext(monkeypatch):
     diagonalize = rings._Worksheet.diagonalize
 
     def counted(ws):
-        calls.append(ws.ring)
+        calls.append((ws.rows, ws.cols))
         return diagonalize(ws)
 
     monkeypatch.setattr(rings._Worksheet, "diagonalize", counted)
     homology._hom_ext_cached.cache_clear()
+    homology.is_exceptional.cache_clear()
     x = projective_rep(Zmod(6), K2, 1)
     hom_ext(x, x)
     assert len(calls) == 1
+    # exceptionality is one square sheet of its own, read without hom_ext
     assert is_exceptional(x)
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[1][0] == calls[1][1]
+    assert is_exceptional(x)
+    assert len(calls) == 2
 
 
 def _exceptional_by_solve(x):

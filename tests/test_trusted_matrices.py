@@ -116,6 +116,7 @@ def _checking():
     results get rebuilt under the checker."""
     homology._hom_ext_cached.cache_clear()
     homology.is_exceptional.cache_clear()
+    homology._orthogonal.cache_clear()
     mutation._dims_orbit.cache_clear()
     structure._BUILT.clear()
     ExactMatrix._of = staticmethod(_checked_of)
