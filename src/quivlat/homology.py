@@ -15,7 +15,7 @@ C0 and by arrow in C1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     IncompatibleBase,
@@ -96,48 +96,55 @@ def _unflatten_vertex(x: Rep, y: Rep, vec):
 
 
 class HomExtResult:
-    """Hom and Ext of a fixed pair, with explicit witnesses available.
+    """Hom and Ext of a fixed pair, with explicit witnesses built on demand.
 
     hom and ext are module presentations with canonical invariant factors.
     hom_generators lists one morphism per Hom invariant factor, in the same
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
     a C1 tuple of matrices mapping onto that generator of the cokernel.
 
-    Construction eliminates the differential exactly once.  Over Z, Z/m
-    and Feps it diagonalises, then replays its recorded operations on just
-    the wanted columns of the right transform (the Hom generators) and of
-    the inverse left transform (the Ext cocycles).  Over Q and F_p it
-    row-reduces with no transform: the Hom generators are the reduced
-    kernel basis, one per non-pivot column, and the Ext cocycles are the
-    unit vectors at the rows that are not pivot rows.  Both modules are
-    read off that one pass.
+    Construction eliminates the differential exactly once, and both
+    modules are read off that one pass.  The witnesses are built on first
+    read.  Over Z, Z/m and Feps the construction diagonalises; the first
+    read of hom_generators replays the recorded operations on just the
+    wanted columns of the right transform, and the first read of
+    ext_cocycles on those of the inverse left transform.  Until then each
+    side keeps only its own operation list (none when its module is zero),
+    and after its read none.  Over Q and F_p it row-reduces with no
+    transform: the Hom generators are the reduced kernel basis, one per
+    non-pivot column, and the Ext cocycles are the unit vectors at the rows
+    that are not pivot rows.
     """
 
     def __init__(self, x: Rep, y: Rep):
         self.x = x
         self.y = y
         self.differential = differential(x, y)
-        self.hom, self._hom_vecs, self.ext, self._ext_vecs = _hom_ext_data(self.differential)
-        self._hom_gens = None
-        self._ext_cocycles = None
+        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(self.differential)
 
-    @property
+    @cached_property
+    def _hom_vecs(self):
+        vecs = self._read_hom()
+        del self._read_hom
+        return vecs
+
+    @cached_property
+    def _ext_vecs(self):
+        vecs = self._read_ext()
+        del self._read_ext
+        return vecs
+
+    @cached_property
     def hom_generators(self):
-        if self._hom_gens is None:
-            self._hom_gens = tuple(
-                RepMorphism(self.x, self.y, _unflatten_vertex(self.x, self.y, v))
-                for v in self._hom_vecs)
-        return self._hom_gens
+        return tuple(RepMorphism(self.x, self.y, _unflatten_vertex(self.x, self.y, v))
+                     for v in self._hom_vecs)
 
-    @property
+    @cached_property
     def ext_cocycles(self):
-        if self._ext_cocycles is None:
-            q = self.x.quiver   # one C1 block per arrow
-            shapes = [(self.y.dims[q.head(a)], self.x.dims[q.tail(a)])
-                      for a in range(q.arrow_count)]
-            self._ext_cocycles = tuple(
-                _unflatten(self.x, shapes, v) for v in self._ext_vecs)
-        return self._ext_cocycles
+        q = self.x.quiver   # one C1 block per arrow
+        shapes = [(self.y.dims[q.head(a)], self.x.dims[q.tail(a)])
+                  for a in range(q.arrow_count)]
+        return tuple(_unflatten(self.x, shapes, v) for v in self._ext_vecs)
 
     def __repr__(self):
         return "HomExtResult(hom=%r, ext=%r)" % (

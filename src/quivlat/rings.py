@@ -27,11 +27,14 @@ just what it reads.  :func:`normal_form` replays them on identities, for
 all four transforms, and :func:`cokernel_projection` for the left one.
 :func:`solve` replays the left transform on the right-hand side and the
 right transform on the diagonal solution.  :func:`kernel_data`,
-:func:`kernel_basis`, :func:`cokernel_data`, and Hom and Ext of a quiver
-pair (which share one elimination) replay them on a few columns of the
-right or inverse left transform.  :func:`is_invertible` and
-:func:`cokernel` read the diagonal alone; over Feps, a local ring,
-:func:`is_invertible` reads the rank over the residue field F_p instead.
+:func:`kernel_basis` and :func:`cokernel_data` replay them on a few
+columns of the right or inverse left transform.  Hom and Ext of a quiver
+pair share one elimination and read both modules off its diagonal; each
+side's replay is deferred until its vectors (the Hom generators or Ext
+cocycles) are first read, and until then that side keeps only its own
+operation list.  :func:`is_invertible` and :func:`cokernel` read the
+diagonal alone; over Feps, a local ring, :func:`is_invertible` reads the
+rank over the residue field F_p instead.
 
 Over Q and F_p all of these instead read off one Gauss-Jordan row
 reduction with no column operations and no transforms (fraction-free over
@@ -65,7 +68,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -947,18 +950,20 @@ class _Worksheet:
     F_1 ... F_L, so right = F_1 ... F_L.  Each operation is stored as the
     row operation that builds its own matrix from the identity, so a
     column operation col_j += c*col_k is stored as row_k += c*row_j, and
-    ``apply`` replays either list on the rows of any matrix X:
+    ``_replay`` replays either list on the rows of any matrix X:
 
-    * left * X = apply(X, row_ops)
-    * left^-1 * X = apply(X, reversed(row_ops), True)
-    * right * X = apply(X, reversed(col_ops))
-    * right^-1 * X = apply(X, col_ops, True)
+    * left * X = _replay(ring, X, row_ops)
+    * left^-1 * X = _replay(ring, X, reversed(row_ops), True)
+    * right * X = _replay(ring, X, reversed(col_ops))
+    * right^-1 * X = _replay(ring, X, col_ops, True)
 
     No transform is built unless a caller replays one, and callers replay
-    only what they read: over Z the transforms' entries can run to many
-    thousands of digits while N stays small.  Every operation runs through
-    the ring's two row kernels, a column operation on the columns it
-    touches, save the column step that only zeroes an entry (_clear_position).
+    only what they read, when they read it: over Z the transforms' entries
+    can run to many thousands of digits while N stays small.  A replay
+    needs the ring and one operation list, not the sheet, so a caller that
+    defers one keeps no N.  Every operation runs through the ring's two
+    row kernels, a column operation on the columns it touches, save the
+    column step that only zeroes an entry (_clear_position).
 
     An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
     row j to row i, which for i == j scales row i by the unit 1 + c; or
@@ -974,34 +979,10 @@ class _Worksheet:
         self.row_ops = []
         self.col_ops = []
 
-    def apply(self, x, ops, inverse=False):
-        """Do the operations ops in order, each inverted if inverse, on the
-        rows of x (a list of row lists) in place; return x."""
-        ring = self.ring
-        for op in ops:
-            if len(op) == 2:
-                i, j = op
-                x[i], x[j] = x[j], x[i]
-            elif len(op) == 3:
-                i, j, c = op
-                if inverse:
-                    c = (ring.sub(ring.inv(ring.add(ring.one, c)), ring.one)
-                         if i == j else ring.neg(c))
-                x[i] = ring.row_axpy(x[i], x[j], c)
-            else:
-                i, j, s, t, u, v = op
-                if inverse:
-                    mul = ring.mul
-                    dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
-                    s, t, u, v = (mul(dinv, v), ring.neg(mul(dinv, t)),
-                                  ring.neg(mul(dinv, u)), mul(dinv, s))
-                x[i], x[j] = ring.row_comb(x[i], x[j], s, t, u, v)
-        return x
-
     def _row(self, op):
         """N <- E N for the row operation op, recorded."""
         self.row_ops.append(op)
-        self.apply(self.n, (op,))
+        _replay(self.ring, self.n, (op,))
 
     def _col(self, op):
         """N <- N F for the matrix F that op builds from the identity,
@@ -1146,26 +1127,6 @@ class _Worksheet:
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
 
-    def right_columns(self, js) -> list:
-        """Columns js of right, as tuples: the column operations replayed in
-        reverse on just those columns of the identity."""
-        if not js:
-            return []
-        x = self.apply(self._unit_columns(self.cols, js), reversed(self.col_ops))
-        return list(zip(*x))
-
-    def left_inv_columns(self, idx) -> list:
-        """Columns idx of left^-1, as tuples, replayed likewise."""
-        if not idx:
-            return []
-        x = self.apply(self._unit_columns(self.rows, idx), reversed(self.row_ops), True)
-        return list(zip(*x))
-
-    def _unit_columns(self, size, picks) -> list:
-        """The rows of the matrix whose columns are e_p (p in picks)."""
-        zero, one = self.ring.zero, self.ring.one
-        return [[one if p == r else zero for p in picks] for r in range(size)]
-
     def diagonal(self, length: int) -> list:
         """The diagonal of N, padded with zeros to the given length."""
         limit = min(self.rows, self.cols)
@@ -1181,6 +1142,51 @@ def _diagonal_sheet(mat: ExactMatrix) -> _Worksheet:
     ws = _Worksheet(mat)
     ws.diagonalize()
     return ws
+
+
+def _replay(ring: RingSpec, x, ops, inverse=False):
+    """Do the operations ops in order, each inverted if inverse, on the
+    rows of x (a list of row lists) in place; return x."""
+    for op in ops:
+        if len(op) == 2:
+            i, j = op
+            x[i], x[j] = x[j], x[i]
+        elif len(op) == 3:
+            i, j, c = op
+            if inverse:
+                c = (ring.sub(ring.inv(ring.add(ring.one, c)), ring.one)
+                     if i == j else ring.neg(c))
+            x[i] = ring.row_axpy(x[i], x[j], c)
+        else:
+            i, j, s, t, u, v = op
+            if inverse:
+                mul = ring.mul
+                dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
+                s, t, u, v = (mul(dinv, v), ring.neg(mul(dinv, t)),
+                              ring.neg(mul(dinv, u)), mul(dinv, s))
+            x[i], x[j] = ring.row_comb(x[i], x[j], s, t, u, v)
+    return x
+
+
+def _unit_columns(ring: RingSpec, size, picks) -> list:
+    """The rows of the size-row matrix whose columns are e_p (p in picks)."""
+    zero, one = ring.zero, ring.one
+    return [[one if p == r else zero for p in picks] for r in range(size)]
+
+
+def _right_columns(ring: RingSpec, cols, col_ops, js) -> list:
+    """Columns js of right, as tuples: the column operations replayed in
+    reverse on just those columns of the identity."""
+    if not js:
+        return []
+    return list(zip(*_replay(ring, _unit_columns(ring, cols, js), reversed(col_ops))))
+
+
+def _left_inv_columns(ring: RingSpec, rows, row_ops, idx) -> list:
+    """Columns idx of left^-1, as tuples, replayed likewise."""
+    if not idx:
+        return []
+    return list(zip(*_replay(ring, _unit_columns(ring, rows, idx), reversed(row_ops), True)))
 
 
 def _field_rref(a: ExactMatrix) -> tuple:
@@ -1239,7 +1245,7 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     ws = _diagonal_sheet(mat)
 
     def replayed(size, ops, inverse=False):
-        rows = ws.apply(ws._unit_columns(size, range(size)), ops, inverse)
+        rows = _replay(ring, _unit_columns(ring, size, range(size)), ops, inverse)
         return ExactMatrix._of(ring, size, size, tuple(tuple(r) for r in rows))
 
     kind = "Smith" if ring.kind == "Z" else "Howell"
@@ -1269,7 +1275,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
             x[c] = tuple(row[a.cols:])
         return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
     ws = _diagonal_sheet(a)
-    c = ws.apply([list(row) for row in b.entries], ws.row_ops)
+    c = _replay(ring, [list(row) for row in b.entries], ws.row_ops)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
         for jc in range(b.cols):
@@ -1282,7 +1288,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
             if val is None:
                 return None
             y[i][jc] = val
-    x = ws.apply(y, reversed(ws.col_ops))
+    x = _replay(ring, y, reversed(ws.col_ops))
     return ExactMatrix._of(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
 
 
@@ -1415,23 +1421,33 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 
 
 def _kernel_read(ws: _Worksheet) -> tuple:
-    """kernel_data read off a diagonalised sheet."""
+    """kernel_data read off a diagonalised sheet, its vectors deferred.
+
+    Returns the presentation and a function that returns the vectors,
+    replaying the column operations when called.  The function keeps those
+    operations and not N; for a zero kernel it keeps nothing.
+    """
     ring = ws.ring
-    torsion_factors = []
-    torsion_gens = []
-    free_gens = []
     anns = [(j, ring.ann_gen(d)) for j, d in enumerate(ws.diagonal(ws.cols))]
     anns = [(j, g) for j, g in anns if not ring.is_zero(g)]
-    for (j, g), col in zip(anns, ws.right_columns([j for j, _ in anns])):
-        if ring.is_unit(g):
-            free_gens.append(col)
-        else:
-            torsion_factors.append(ring.ann_gen(g))
-            torsion_gens.append(tuple(ring.mul(g, x) for x in col))
+    torsion = [g for _, g in anns if not ring.is_unit(g)]
     # The diagonal is a canonical divisibility chain with zeros last, so
     # these factors are already the invariant factors: no second elimination.
-    factors = tuple(torsion_factors) + (ring.zero,) * len(free_gens)
-    return _kernel_presentation(ring, factors), torsion_gens + free_gens
+    factors = (tuple(ring.ann_gen(g) for g in torsion)
+               + (ring.zero,) * (len(anns) - len(torsion)))
+    if not anns:
+        return _kernel_presentation(ring, factors), list
+    cols, col_ops = ws.cols, ws.col_ops
+
+    def vectors():
+        torsion_gens, free_gens = [], []
+        for (j, g), col in zip(anns, _right_columns(ring, cols, col_ops, [j for j, _ in anns])):
+            if ring.is_unit(g):
+                free_gens.append(col)
+            else:
+                torsion_gens.append(tuple(ring.mul(g, x) for x in col))
+        return torsion_gens + free_gens
+    return _kernel_presentation(ring, factors), vectors
 
 
 def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation":
@@ -1499,14 +1515,16 @@ def _field_reduce(a: ExactMatrix) -> tuple:
 
 
 def _field_hom_ext(a: ExactMatrix) -> tuple:
-    """kernel_data(a) + cokernel_data(a) over Q or F_p, read off _field_reduce.
+    """_hom_ext_data(a) over Q or F_p, read off _field_reduce.
 
     The kernel vectors are the reduced kernel basis: one per non-pivot
     column f, with 1 at f and -R[k][f] / R[k][pc_k] at each pivot column
     pc_k.  The cokernel vectors are the unit vectors at the rows that are
     not pivot rows.  The pivot rows of a have full rank, so a column of a
     that vanishes on them vanishes, and these vectors complement the column
-    span.  Every invariant factor is zero.
+    span.  Every invariant factor is zero.  The vectors are read at once,
+    for they cost little beside the reduction, and returned behind
+    functions like the other rings' deferred replays.
     """
     ring = a.ring
     rational = ring.kind == "Q"
@@ -1523,8 +1541,8 @@ def _field_hom_ext(a: ExactMatrix) -> tuple:
         hom_vecs.append(tuple(vec))
     ext_vecs = [tuple(one if k == i else zero for k in range(a.rows))
                 for i in sorted(set(range(a.rows)).difference(pivot_rows))]
-    return (_kernel_presentation(ring, (zero,) * len(hom_vecs)), hom_vecs,
-            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_vecs)), ext_vecs)
+    return (_kernel_presentation(ring, (zero,) * len(hom_vecs)), lambda: hom_vecs,
+            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_vecs)), lambda: ext_vecs)
 
 
 def kernel_data(a: ExactMatrix) -> tuple:
@@ -1541,8 +1559,10 @@ def kernel_data(a: ExactMatrix) -> tuple:
     transform-free row reduction.
     """
     if a.ring.is_field:
-        return _field_hom_ext(a)[:2]
-    return _kernel_read(_diagonal_sheet(a))
+        pres, vectors = _field_hom_ext(a)[:2]
+    else:
+        pres, vectors = _kernel_read(_diagonal_sheet(a))
+    return pres, vectors()
 
 
 def kernel_basis(a: ExactMatrix) -> ExactMatrix:
@@ -1613,6 +1633,16 @@ def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
     return ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), idx
 
 
+def _cokernel_vectors(ws: _Worksheet, idx) -> Callable[[], list]:
+    """A function that returns columns idx of left^-1, replaying the row
+    operations when called.  Like _kernel_read's, it keeps those operations
+    and not N, and nothing when idx is empty."""
+    if not idx:
+        return list
+    ring, rows, row_ops = ws.ring, ws.rows, ws.row_ops
+    return lambda: _left_inv_columns(ring, rows, row_ops, idx)
+
+
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
     if a.ring.is_field:
@@ -1629,10 +1659,12 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     fields they are unit vectors, read off one transform-free row reduction.
     """
     if a.ring.is_field:
-        return _field_hom_ext(a)[2:]
-    ws = _diagonal_sheet(a)
-    pres, idx = _cokernel_read(ws, a)
-    return pres, ws.left_inv_columns(idx)
+        pres, vectors = _field_hom_ext(a)[2:]
+    else:
+        ws = _diagonal_sheet(a)
+        pres, idx = _cokernel_read(ws, a)
+        vectors = _cokernel_vectors(ws, idx)
+    return pres, vectors()
 
 
 def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
@@ -1653,24 +1685,26 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
         pres, idx = _cokernel_read(ws, a)
         if not pres.is_free:
             return None
-        left = ws.apply(ws._unit_columns(a.rows, range(a.rows)), ws.row_ops)
+        left = _replay(ring, _unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
         rows = [tuple(left[i]) for i in idx]
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
 def _hom_ext_data(a: ExactMatrix) -> tuple:
-    """kernel_data(a) + cokernel_data(a) from one elimination of a.
+    """The kernel and cokernel presentations of a from one elimination, each
+    followed by a zero-argument function that returns kernel_data's or
+    cokernel_data's vectors.
 
     Over the fields that is one transform-free row reduction
-    (_field_reduce); over the other rings one diagonalisation, whose
-    operations are replayed on the wanted columns of the right and inverse
-    left transforms.
+    (_field_reduce); over the other rings one diagonalisation, read off its
+    diagonal.  Its operations are replayed on the wanted columns of the
+    right and inverse left transforms only when a function is called.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)
     ws = _diagonal_sheet(a)
     pres, idx = _cokernel_read(ws, a)
-    return _kernel_read(ws) + (pres, ws.left_inv_columns(idx))
+    return _kernel_read(ws) + (pres, _cokernel_vectors(ws, idx))
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:

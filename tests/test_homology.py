@@ -5,7 +5,10 @@ Frozen values below were computed by hand from the defining equations
 and double-checked against brute-force enumeration over small finite rings.
 """
 
+import gc
 import random
+import types
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -236,6 +239,100 @@ def test_one_diagonalisation_per_hom_ext(monkeypatch):
     assert len(calls) == 2 and calls[1][0] == calls[1][1]
     assert is_exceptional(x)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6), Feps(2, 2)], ids=str)
+def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
+    """Hom and Ext as modules replay no transform: hom_ext, is_rigid and
+    rigid_hom_ext_ranks read the diagonal alone.  The first read of the Hom
+    generators replays the right transform once, the first read of the Ext
+    cocycles the inverse left one once, and a zero side replays nothing."""
+    from quivlat import homology, rings
+    calls = Counter()
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(rings._Worksheet, "diagonalize",
+                        counted("diagonalize", rings._Worksheet.diagonalize))
+    for name in ("_right_columns", "_left_inv_columns"):
+        monkeypatch.setattr(rings, name, counted(name, getattr(rings, name)))
+    homology._hom_ext_cached.cache_clear()
+    s1, s2 = Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2)
+    p1 = projective_rep(ring, K2, 1)
+    for x, y in ((s1, s2), (s2, p1)):
+        he = hom_ext(x, y)
+        assert he.hom.is_free and he.ext.is_free
+        assert is_rigid(x) and is_rigid(y)
+        rigid_hom_ext_ranks(x, y)
+    misses = homology._hom_ext_cached.cache_info().misses
+    assert misses == 5 and calls == {"diagonalize": misses}
+    ext_pair, hom_pair = hom_ext(s1, s2), hom_ext(s2, p1)
+    assert ext_pair.hom.is_zero and ext_pair.ext.free_rank == 2
+    assert hom_pair.hom.free_rank == 2 and hom_pair.ext.is_zero
+    for _ in range(2):
+        assert len(hom_pair.hom_generators) == 2
+        assert calls["_right_columns"] == 1
+        assert len(ext_pair.ext_cocycles) == 2
+        assert calls["_left_inv_columns"] == 1
+    assert ext_pair.hom_generators == () and hom_pair.ext_cocycles == ()
+    assert calls == {"diagonalize": misses, "_right_columns": 1, "_left_inv_columns": 1}
+
+
+def _reachable(root):
+    """{id: object} of what root holds, through instance dicts, containers
+    and closures; not through classes, modules or a function's globals."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_cached_result_keeps_no_worksheet(monkeypatch):
+    """An exceptional self-pair over Z (Hom free of rank 1, Ext zero) keeps
+    neither the worksheet's N nor its row operations, and once its Hom
+    generators are read, no operation list at all.  A pair with Ext alone
+    keeps only the row operations, until its cocycles are read."""
+    from quivlat import homology, rings
+    sheets = []
+    diagonal_sheet = rings._diagonal_sheet
+
+    def recorded(a):
+        sheets.append(diagonal_sheet(a))
+        return sheets[-1]
+
+    monkeypatch.setattr(rings, "_diagonal_sheet", recorded)
+    homology._hom_ext_cached.cache_clear()
+    x = projective_rep(ZZ, K2, 1)
+    he = hom_ext(x, x)
+    (ws,) = sheets
+    assert he.hom.is_free and he.hom.free_rank == 1 and he.ext.is_zero
+    assert ws.row_ops and ws.col_ops
+    held = _reachable(homology._hom_ext_cached(x, x))
+    assert not {id(ws), id(ws.n), id(ws.row_ops)} & held.keys()
+    assert not {id(row) for row in ws.n} & held.keys()
+    assert id(ws.col_ops) in held   # until the Hom generators are read
+    assert len(he.hom_generators) == 1
+    held = _reachable(he)
+    assert not {id(ws), id(ws.row_ops), id(ws.col_ops)} & held.keys()
+    # a nonzero Ext waits with the row operations alone
+    he = hom_ext(Rep.simple(ZZ, K2, 1), Rep.simple(ZZ, K2, 2))
+    ws = sheets[-1]
+    held = _reachable(he)
+    assert he.hom.is_zero and id(ws.row_ops) in held
+    assert not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
+    assert len(he.ext_cocycles) == 2
+    assert id(ws.row_ops) not in _reachable(he)
 
 
 def _exceptional_by_solve(x):

@@ -4,10 +4,10 @@ Each ring has two row kernels, row_axpy and row_comb; the worksheet runs
 its column operations through them too, on the columns they touch, except
 the step that clears an entry of the pivot row while the pivot column is
 clean, which only zeroes that entry.  _ElementwiseWorksheet does the
-worksheet's row and column operations with ring.add and ring.mul per
-element, as the reference: its ``apply`` replays row operations on any
-matrix (N and every transform) and its ``_col`` does column operations on
-N.  Every result read off an elimination must be identical (equal and of
+worksheet's column operations on N with ring.add and ring.mul per
+element, as the reference, and _elementwise_replay, swapped in for
+``rings._replay``, its row operations on any matrix (N and every
+transform).  Every result read off an elimination must be identical (equal and of
 equal repr, so equal types too) whichever of the two worksheets ran it.  The worksheet serves Z, Z/m and Feps; over Q and F_p
 the eliminations are a row reduction that never builds one, so the
 elimination comparisons run on the other rings.
@@ -48,41 +48,43 @@ QUIVERS = (
 )
 
 
-class _ElementwiseWorksheet(rings._Worksheet):
-    """apply and _col with per-element ring arithmetic; counts its calls."""
+CALLS = Counter()
 
-    calls = Counter()
 
-    def apply(self, x, ops, inverse=False):
-        _ElementwiseWorksheet.calls["apply"] += 1
-        ring = self.ring
-        add, mul, neg = ring.add, ring.mul, ring.neg
-        for op in ops:
-            if len(op) == 2:
-                i, j = op
-                x[i], x[j] = x[j], x[i]
-            elif len(op) == 3:
-                i, j, c = op
-                if i == j:   # scaling by the unit 1 + c
-                    u = add(ring.one, c)
-                    u = ring.inv(u) if inverse else u
-                    x[i] = [mul(u, y) for y in x[i]]
-                else:
-                    c = neg(c) if inverse else c
-                    x[i] = [add(y, mul(c, z)) for y, z in zip(x[i], x[j])]
+def _elementwise_replay(ring, x, ops, inverse=False):
+    """rings._replay with per-element ring arithmetic; counts its calls."""
+    CALLS["_replay"] += 1
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    for op in ops:
+        if len(op) == 2:
+            i, j = op
+            x[i], x[j] = x[j], x[i]
+        elif len(op) == 3:
+            i, j, c = op
+            if i == j:   # scaling by the unit 1 + c
+                u = add(ring.one, c)
+                u = ring.inv(u) if inverse else u
+                x[i] = [mul(u, y) for y in x[i]]
             else:
-                i, j, s, t, u, v = op
-                if inverse:
-                    dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
-                    s, t, u, v = (mul(dinv, v), neg(mul(dinv, t)),
-                                  neg(mul(dinv, u)), mul(dinv, s))
-                x[i], x[j] = ([add(mul(s, y), mul(t, z)) for y, z in zip(x[i], x[j])],
-                              [add(mul(u, y), mul(v, z)) for y, z in zip(x[i], x[j])])
-        return x
+                c = neg(c) if inverse else c
+                x[i] = [add(y, mul(c, z)) for y, z in zip(x[i], x[j])]
+        else:
+            i, j, s, t, u, v = op
+            if inverse:
+                dinv = ring.inv(ring.sub(mul(s, v), mul(t, u)))
+                s, t, u, v = (mul(dinv, v), neg(mul(dinv, t)),
+                              neg(mul(dinv, u)), mul(dinv, s))
+            x[i], x[j] = ([add(mul(s, y), mul(t, z)) for y, z in zip(x[i], x[j])],
+                          [add(mul(u, y), mul(v, z)) for y, z in zip(x[i], x[j])])
+    return x
+
+
+class _ElementwiseWorksheet(rings._Worksheet):
+    """_col with per-element ring arithmetic; counts its calls."""
 
     def _col(self, op):
         """N <- N F, F the matrix op builds from the identity."""
-        _ElementwiseWorksheet.calls["_col"] += 1
+        CALLS["_col"] += 1
         self.col_ops.append(op)
         ring = self.ring
         add, mul = ring.add, ring.mul
@@ -101,12 +103,12 @@ class _ElementwiseWorksheet(rings._Worksheet):
 
 @contextmanager
 def _elementwise():
-    saved = rings._Worksheet
-    rings._Worksheet = _ElementwiseWorksheet
+    saved = rings._Worksheet, rings._replay
+    rings._Worksheet, rings._replay = _ElementwiseWorksheet, _elementwise_replay
     try:
         yield
     finally:
-        rings._Worksheet = saved
+        rings._Worksheet, rings._replay = saved
 
 
 def _assert_identical(new, ref, what):
@@ -243,18 +245,18 @@ def test_reference_is_in_use():
     for ring in SHEET_RINGS:
         a = ExactMatrix(ring, 2, 3, ((2, 4, 1), (6, 3, 5)))
         for name, run in _entry_points(a, 0).items():
-            _ElementwiseWorksheet.calls.clear()
+            CALLS.clear()
             with _elementwise():
                 run()
-            assert _ElementwiseWorksheet.calls["apply"] > 0, (ring, name)
-            assert _ElementwiseWorksheet.calls["_col"] > 0, (ring, name)
-    _ElementwiseWorksheet.calls.clear()
+            assert CALLS["_replay"] > 0, (ring, name)
+            assert CALLS["_col"] > 0, (ring, name)
+    CALLS.clear()
     _hom_ext_results(x, y)
-    assert not _ElementwiseWorksheet.calls
+    assert not CALLS
     with _elementwise():
         _hom_ext_results(x, y)
-    assert _ElementwiseWorksheet.calls["apply"] > 0
-    assert _ElementwiseWorksheet.calls["_col"] > 0
+    assert CALLS["_replay"] > 0
+    assert CALLS["_col"] > 0
 
 
 if __name__ == "__main__":
