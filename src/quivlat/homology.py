@@ -110,10 +110,12 @@ class HomExtResult:
     wanted columns of the right transform, and the first read of
     ext_cocycles on those of the inverse left transform.  Until then each
     side keeps only its own operation list (none when its module is zero),
-    and after its read none.  Over Q and F_p it row-reduces with no
-    transform: the Hom generators are the reduced kernel basis, one per
-    non-pivot column, and the Ext cocycles are the unit vectors at the rows
-    that are not pivot rows.
+    and after its read none.  Over Q and F_p it runs one forward
+    elimination with no transform and reads both modules off its rank
+    profile.  The Hom generators are the reduced kernel basis, one per
+    non-pivot column; until their first read the Hom side keeps the echelon
+    rows, and that read back-substitutes them.  The Ext cocycles are the
+    unit vectors at the rows that are not pivot rows.
     """
 
     def __init__(self, x: Rep, y: Rep):
@@ -181,8 +183,9 @@ def is_exceptional(x: Rep) -> bool:
     nonzero vertex, column 0, since the vertices before it have no cells.
     A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
     the rest square; any other d (the zero rep too) is not exceptional.
-    Cached like hom_ext: every sequence check and every construction asks
-    it again.
+    is_invertible decides that by one forward elimination, with no
+    diagonalisation and no transform on any ring.  Cached like hom_ext:
+    every sequence check and every construction asks it again.
     """
     if euler_form(x.quiver, x.dims, x.dims) != 1:
         return False
@@ -196,7 +199,8 @@ def _orthogonal(y: Rep, x: Rep) -> bool:
     """True when Hom(Y, X) = Ext^1(Y, X) = 0: D(Y, X) is invertible, since
     its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
     rows, so a pair with nonzero Euler form fails on its shape alone, and a
-    pair hom_ext refuses raises the same error here."""
+    pair hom_ext refuses raises the same error here.  Like is_exceptional
+    it runs one forward elimination and builds no Hom or Ext module."""
     return is_invertible(differential(y, x))
 
 

@@ -32,15 +32,18 @@ columns of the right or inverse left transform.  Hom and Ext of a quiver
 pair share one elimination and read both modules off its diagonal; each
 side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
-operation list.  :func:`is_invertible` and :func:`cokernel` read the
-diagonal alone; over Feps, a local ring, :func:`is_invertible` reads the
-rank over the residue field F_p instead.
+operation list.  :func:`cokernel` reads the diagonal alone.
 
-Over Q and F_p all of these instead read off one Gauss-Jordan row
-reduction with no column operations and no transforms (fraction-free over
-Q): of the matrix itself for the rank, kernels, cokernels, Hom and Ext,
-which follow from its rank profile; of [a | I] for :func:`normal_form` and
-:func:`cokernel_projection`; and of [a | b] for :func:`solve`.
+Over Q and F_p all of these instead run one forward elimination with no
+row moves, column operations or transforms (fraction-free over Q), which
+updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext as
+modules follow from its rank profile; the kernel vectors back-substitute
+its echelon rows at the non-pivot columns, and Hom does so only when its
+generators are first read.  :func:`normal_form` and
+:func:`cokernel_projection` back-substitute [a | I], and :func:`solve`
+[a | b].  :func:`is_invertible` is that one forward pass on every ring, and
+builds no worksheet: over Feps on the constant terms mod p, and over Z and
+Z/m fraction-free, reading the determinant off its last pivot.
 ``ModulePresentation.from_invariant_factors`` eliminates its diagonal
 relation matrix once, to canonicalise arbitrary input.
 
@@ -1195,7 +1198,8 @@ def _field_rref(a: ExactMatrix) -> tuple:
     pivot_cols, _, reduced = _field_reduce(a)
     if a.ring.kind == "F":   # the pivots are 1 already
         return pivot_cols, reduced
-    return pivot_cols, [[Fraction(x, row[c]) for x in row]
+    zero = a.ring.zero
+    return pivot_cols, [[Fraction(x, row[c]) if x else zero for x in row]
                         for c, row in zip(pivot_cols, reduced)]
 
 
@@ -1293,18 +1297,18 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
-    """Square with a unit determinant.  Over F_p[e]/(e^n), a local ring,
-    that is decided over its residue field F_p (Nakayama): the determinant
-    is a unit exactly when its constant term is nonzero."""
+    """Square with a unit determinant, decided by one _forward: full rank
+    over Q and F_p; over F_p[e]/(e^n), a local ring, full rank of the
+    constant terms mod p (Nakayama); over Z and Z/m full rank with a last
+    pivot, +-det, of +-1 or coprime to m."""
     if mat.rows != mat.cols:
         return False
-    ring = mat.ring
-    if ring.is_field:
-        return len(_field_reduce(mat)[0]) == mat.rows
-    if ring.kind == "Feps":
-        return is_invertible(apply_hom(canonical_hom(ring, GF(ring.p)), mat))
-    ws = _diagonal_sheet(mat)
-    return all(ring.is_unit(d) for d in ws.diagonal(mat.rows))
+    pivot_rows, rows = _forward(mat)[1:3]
+    if len(pivot_rows) < mat.rows:
+        return False
+    if mat.ring.kind in ("Z", "Zmod") and rows:
+        return mat.ring.is_unit(rows[pivot_rows[-1]][-1])
+    return True
 
 
 def invert(mat: ExactMatrix) -> ExactMatrix:
@@ -1455,94 +1459,146 @@ def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation"
     return ModulePresentation(ring, len(factors), relations, factors)
 
 
-def _field_reduce(a: ExactMatrix) -> tuple:
-    """Gauss-Jordan row reduction over Q or F_p, tracking no transform.
+def _forward(mat: ExactMatrix) -> tuple:
+    """Forward elimination of mat's rows as ints, with no transform.
 
-    Returns the pivot columns, the original indices of the pivot rows and
-    the reduced pivot rows.  No row moves and no column operation is done;
-    each column's pivot is the candidate row with the fewest nonzeros.  Over
-    F_p every pivot is scaled to 1.  Over Q each row is first scaled by the
-    lcm of its denominators, and the reduction is fraction-free Gauss-Jordan
-    on those ints (Bareiss), every update dividing exactly by the previous
-    pivot.  A step leaves a row with zero in its column as it is, tagged
-    with the pivot it was last updated at, and the next step that touches
-    the row folds in the skipped exact rescaling; so each returned row is a
-    nonzero multiple of its fraction-free value.
+    Returns the pivot columns, the indices of the pivot rows, the int rows
+    and the prime p they were reduced mod, or 0.  Over F_p, and over
+    F_p[e]/(e^n) on the constant terms, it works mod p and scales each pivot
+    row to pivot 1.  Over Q (each row scaled by the lcm of its denominators),
+    Z and Z/m (on the ints in [0, m)) it is fraction-free over Z (Bareiss).
+    Only the rows that are not yet pivots are updated and no row moves; each
+    column's pivot is the candidate row with the fewest nonzeros.  A step
+    leaves a row with zero in its column as it is, tagged with the pivot it
+    was last updated at, and the next step that touches the row, or picks
+    it, folds in the skipped exact rescaling.  So each pivot row ends as its
+    fraction-free value, of minors, and the last pivot is the leading minor
+    of the pivot rows and columns: +-det for a square matrix of full rank.
     """
-    rows = [list(row) for row in a.entries]
-    rational = a.ring.kind == "Q"
-    if rational:
-        for i, row in enumerate(rows):
-            lcm = math.lcm(*[x.denominator for x in row])
-            rows[i] = [x.numerator * (lcm // x.denominator) for x in row]
-        stamp = [1] * a.rows
-        den = 1
+    ring, p = mat.ring, mat.ring.p   # p is 0 for Z and Z/m
+    if ring.kind == "Q":
+        zero, rows = ring.zero, []
+        for row in mat.entries:   # most zeros are the one ring.zero
+            lcm = math.lcm(*[x.denominator for x in row if x is not zero])
+            rows.append([0 if x is zero else x.numerator * (lcm // x.denominator)
+                         for x in row])
+    elif ring.kind == "Feps":
+        rows = [[x[0] for x in row] for row in mat.entries]
     else:
-        p = a.ring.p
+        rows = [list(row) for row in mat.entries]
     pivot_cols, pivot_rows = [], []
-    free = list(range(a.rows))
-    for c in range(a.cols):
+    free = list(range(mat.rows))
+    stamp, den = [1] * mat.rows, 1
+    for c in range(mat.cols):
         cands = [i for i in free if rows[i][c]]
         if not cands:
             continue
         r = max(cands, key=lambda i: rows[i].count(0))
         free.remove(r)
+        cands.remove(r)
         pivot_cols.append(c)
         pivot_rows.append(r)
         piv = rows[r]
-        if rational:
-            if stamp[r] != den:
-                piv = rows[r] = [x * den // stamp[r] for x in piv]
-            den = stamp[r] = piv[c]
-            for j, row in enumerate(rows):
-                f = row[c]
-                if f and j != r:
-                    # Bareiss's (den*t - t[c]*piv) / previous, for the row
-                    # t = row*previous/s brought up to date, is this, exactly
-                    s = stamp[j]
-                    rows[j] = [(den * x - f * y) // s if x or y else 0
-                               for x, y in zip(row, piv)]
-                    stamp[j] = den
-        else:
+        if p:
             if piv[c] != 1:
                 inv = pow(piv[c], -1, p)
                 piv = rows[r] = [x * inv % p for x in piv]
-            for j, row in enumerate(rows):
-                f = row[c]
-                if f and j != r:
-                    rows[j] = [(x - f * y) % p if y else x for x, y in zip(row, piv)]
-    return pivot_cols, pivot_rows, [rows[r] for r in pivot_rows]
+            for j in cands:
+                f = rows[j][c]
+                rows[j] = [(x - f * y) % p if y else x for x, y in zip(rows[j], piv)]
+            continue
+        if stamp[r] != den:
+            piv = rows[r] = [x * den // stamp[r] for x in piv]
+        den = piv[c]
+        for j in cands:
+            # Bareiss's (den*t - t[c]*piv) / previous, for the row
+            # t = row*previous/s brought up to date, is this, exactly
+            row, s = rows[j], stamp[j]
+            f = row[c]
+            rows[j] = [(den * x - f * y) // s if x or y else 0 for x, y in zip(row, piv)]
+            stamp[j] = den
+    return pivot_cols, pivot_rows, rows, p
+
+
+def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
+    """Clear _forward's echelon rows above each pivot, at the free
+    (non-pivot) columns only.
+
+    Returns (w, d): w[i] lists, at free_cols, d times row i of the reduced
+    row echelon form, whose pivot columns hold d at its own pivot and zero
+    elsewhere.  Mod p, d is 1.  Over Z, d is the last pivot D and the rows
+    come bottom up as R_i = (D*U_i - sum_{k>i} U_i[pc_k]*R_k) / U_i[pc_i],
+    exactly: each R_k is of minors (Cramer), so no entry exceeds Hadamard's
+    bound and no intermediate one its square.
+    """
+    r = len(echelon)
+    d = echelon[-1][pivot_cols[-1]] if r and not p else 1
+    w = [None] * r
+    for i in range(r - 1, -1, -1):
+        row = echelon[i]
+        acc = [row[f] * d for f in free_cols]
+        for k in range(i + 1, r):
+            c = row[pivot_cols[k]]
+            if c:
+                acc = [x - c * y if y else x for x, y in zip(acc, w[k])]
+        w[i] = [x % p for x in acc] if p else [x // row[pivot_cols[i]] for x in acc]
+    return w, d
+
+
+def _field_reduce(a: ExactMatrix) -> tuple:
+    """Row reduction over Q or F_p with no transform: _forward, then
+    _back_substitute.  Returns the pivot columns, the indices of the pivot
+    rows and the reduced rows, d times those of the reduced row echelon
+    form: over F_p that form, over Q ints within Hadamard's bound."""
+    pivot_cols, pivot_rows, rows, p = _forward(a)
+    free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
+    w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, p)
+    reduced = [[0] * a.cols for _ in w]
+    for row, c, part in zip(reduced, pivot_cols, w):
+        row[c] = d
+        for f, x in zip(free_cols, part):
+            row[f] = x
+    return pivot_cols, pivot_rows, reduced
 
 
 def _field_hom_ext(a: ExactMatrix) -> tuple:
-    """_hom_ext_data(a) over Q or F_p, read off _field_reduce.
+    """_hom_ext_data(a) over Q or F_p, read off _forward's rank profile.
 
-    The kernel vectors are the reduced kernel basis: one per non-pivot
-    column f, with 1 at f and -R[k][f] / R[k][pc_k] at each pivot column
-    pc_k.  The cokernel vectors are the unit vectors at the rows that are
-    not pivot rows.  The pivot rows of a have full rank, so a column of a
-    that vanishes on them vanishes, and these vectors complement the column
-    span.  Every invariant factor is zero.  The vectors are read at once,
-    for they cost little beside the reduction, and returned behind
-    functions like the other rings' deferred replays.
+    Every invariant factor is zero.  The kernel vectors are the reduced
+    kernel basis: one per non-pivot column f, with 1 at f and minus the
+    reduced row echelon form's entry at f at each pivot column; their
+    function keeps the echelon rows and back-substitutes when called.  The
+    cokernel vectors are the unit vectors at the rows that are not pivot
+    rows: the pivot rows of a have full rank, so a column of a that
+    vanishes on them vanishes, and these vectors complement the column span.
     """
     ring = a.ring
-    rational = ring.kind == "Q"
-    pivot_cols, pivot_rows, reduced = _field_reduce(a)
+    pivot_cols, pivot_rows, rows, p = _forward(a)
     zero, one = ring.zero, ring.one
-    hom_vecs = []
-    for f in sorted(set(range(a.cols)).difference(pivot_cols)):
-        vec = [zero] * a.cols
-        vec[f] = one
-        for pc, row in zip(pivot_cols, reduced):
-            if row[f]:
-                # the pivots are 1 over F_p
-                vec[pc] = Fraction(-row[f], row[pc]) if rational else -row[f] % ring.p
-        hom_vecs.append(tuple(vec))
-    ext_vecs = [tuple(one if k == i else zero for k in range(a.rows))
-                for i in sorted(set(range(a.rows)).difference(pivot_rows))]
-    return (_kernel_presentation(ring, (zero,) * len(hom_vecs)), lambda: hom_vecs,
-            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_vecs)), lambda: ext_vecs)
+    free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
+    ext_rows = sorted(set(range(a.rows)).difference(pivot_rows))
+    read_hom = read_ext = list
+    if free_cols:
+        width, echelon = a.cols, [rows[r] for r in pivot_rows]
+
+        def read_hom():
+            w, d = _back_substitute(pivot_cols, echelon, free_cols, p)
+            vecs = []
+            for t, f in enumerate(free_cols):
+                vec = [zero] * width
+                vec[f] = one
+                for pc, part in zip(pivot_cols, w):
+                    if part[t]:
+                        vec[pc] = -part[t] % p if p else Fraction(-part[t], d)
+                vecs.append(tuple(vec))
+            return vecs
+    if ext_rows:
+        height = a.rows
+
+        def read_ext():
+            return [tuple(one if k == i else zero for k in range(height)) for i in ext_rows]
+    return (_kernel_presentation(ring, (zero,) * len(free_cols)), read_hom,
+            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_rows)), read_ext)
 
 
 def kernel_data(a: ExactMatrix) -> tuple:
@@ -1555,8 +1611,8 @@ def kernel_data(a: ExactMatrix) -> tuple:
     (every nonzero d over a domain) contributes nothing.  The k-th returned
     vector generates the summand of the k-th invariant factor (torsion in
     chain order, then one vector per free summand), matching cokernel_data.
-    Over the fields the vectors are the reduced kernel basis of one
-    transform-free row reduction.
+    Over the fields the vectors are the reduced kernel basis, from one
+    forward elimination and its back-substitution.
     """
     if a.ring.is_field:
         pres, vectors = _field_hom_ext(a)[:2]
@@ -1656,7 +1712,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     The k-th returned vector maps onto the k-th listed invariant-factor
     generator of the cokernel under the projection R^rows -> coker: the
     column of left^-1 at that generator's diagonal position.  Over the
-    fields they are unit vectors, read off one transform-free row reduction.
+    fields they are unit vectors, read off one forward elimination.
     """
     if a.ring.is_field:
         pres, vectors = _field_hom_ext(a)[2:]
@@ -1695,10 +1751,11 @@ def _hom_ext_data(a: ExactMatrix) -> tuple:
     followed by a zero-argument function that returns kernel_data's or
     cokernel_data's vectors.
 
-    Over the fields that is one transform-free row reduction
-    (_field_reduce); over the other rings one diagonalisation, read off its
-    diagonal.  Its operations are replayed on the wanted columns of the
-    right and inverse left transforms only when a function is called.
+    Over the fields that is one forward elimination (_field_hom_ext),
+    whose kernel function back-substitutes when called; over the other
+    rings one diagonalisation, read off its diagonal, whose operations are
+    replayed on the wanted columns of the right and inverse left transforms
+    only when a function is called.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)

@@ -1,8 +1,12 @@
-"""The transform-free row reduction that serves the whole normal-form API
-over Q and F_p.
+"""The transform-free elimination that serves the whole normal-form API
+over Q and F_p: one forward pass, which alone gives the rank profile, then
+a back-substitution at the non-pivot columns where reduced rows are read.
 
-The reduction itself is checked against a plain reduced row echelon form
-written here.  The reference for the read-offs is the two-sided
+The reduction, forward pass and back-substitution together, is checked
+against a plain reduced row echelon form written here, each returned row a
+multiple of its reduced row within the square of Hadamard's bound over Q.
+Field Hom and Ext, and is_invertible on every ring, build no worksheet.
+The reference for the read-offs is the two-sided
 diagonalisation they used before (``_diagonal_sheet`` with
 ``_kernel_read`` and ``_cokernel_read``), which still serves the other
 rings.  The read-off must give the reference's presentations exactly; its
@@ -215,7 +219,7 @@ def _sheet_matrix(ring, rows, cols, rng):
     def entry():
         if rng.random() > 0.7:
             return ring.zero
-        return rng.randint(-3, 3) if ring == ZZ else rng.choice(list(ring.elements()))
+        return rng.randint(-3, 3) if not ring.is_finite else rng.choice(list(ring.elements()))
     return ExactMatrix(ring, rows, cols, tuple(tuple(entry() for _ in range(cols))
                                                for _ in range(rows)))
 
@@ -292,17 +296,28 @@ def test_deferred_read_off_matches_eager_vectors():
                 _unflatten(x, shapes, v) for v in ext_vecs), ring)
 
 
+INVERTIBILITY_RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 3))
+
+
 def test_field_hom_ext_never_diagonalises():
-    calls = []
-    diagonalize = rings._Worksheet.diagonalize
+    """Field Hom and Ext, and is_invertible on every ring, build no
+    _Worksheet: they run one forward elimination instead."""
+    calls, built = [], []
+    diagonalize, build = rings._Worksheet.diagonalize, rings._Worksheet.__init__
 
     def counted(ws):
         calls.append(ws.ring)
         return diagonalize(ws)
 
+    def counted_build(ws, mat):
+        built.append(mat.ring)
+        build(ws, mat)
+
     rings._Worksheet.diagonalize = counted
+    rings._Worksheet.__init__ = counted_build
     try:
         homology._hom_ext_cached.cache_clear()
+        is_exceptional.cache_clear()
         for ring in (QQ, GF(3)):
             x = projective_rep(ring, KRONECKER, 1)
             hom_ext(x, x)
@@ -311,14 +326,23 @@ def test_field_hom_ext_never_diagonalises():
             kind = "fractional" if ring == QQ else "field"
             for quiver in (KRONECKER, A3):
                 hom_ext(*_random_pair(kind, ring, quiver, rng))
-        assert calls == []
+        for ring in INVERTIBILITY_RINGS:
+            rng = random.Random("invertible:%s" % ring)
+            x = projective_rep(ring, KRONECKER, 2)
+            assert is_exceptional(x) and not is_exceptional(Rep.zero(ring, KRONECKER))
+            for n in (0, 1, 3, 6):
+                assert is_invertible(ExactMatrix.identity(ring, n))
+                is_invertible(_sheet_matrix(ring, n, n, rng))
+            assert not is_invertible(_sheet_matrix(ring, 2, 3, rng))
+        assert calls == [] and built == []
         # the counter is live: a non-field ring still diagonalises once
         x = projective_rep(Zmod(6), KRONECKER, 1)
         hom_ext(x, x)
-        assert calls == [Zmod(6)]
+        assert calls == built == [Zmod(6)]
     finally:
-        rings._Worksheet.diagonalize = diagonalize
+        rings._Worksheet.diagonalize, rings._Worksheet.__init__ = diagonalize, build
         homology._hom_ext_cached.cache_clear()
+        is_exceptional.cache_clear()
 
 
 class _NoWorksheet(rings._Worksheet):

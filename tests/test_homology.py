@@ -234,19 +234,22 @@ def test_one_diagonalisation_per_hom_ext(monkeypatch):
     x = projective_rep(Zmod(6), K2, 1)
     hom_ext(x, x)
     assert len(calls) == 1
-    # exceptionality is one square sheet of its own, read without hom_ext
+    # exceptionality is read without hom_ext, and diagonalises nothing more
     assert is_exceptional(x)
-    assert len(calls) == 2 and calls[1][0] == calls[1][1]
+    assert len(calls) == 1
     assert is_exceptional(x)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(6), Feps(2, 2)], ids=str)
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6), Feps(2, 2), QQ, GF(3)], ids=str)
 def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
-    """Hom and Ext as modules replay no transform: hom_ext, is_rigid and
-    rigid_hom_ext_ranks read the diagonal alone.  The first read of the Hom
-    generators replays the right transform once, the first read of the Ext
-    cocycles the inverse left one once, and a zero side replays nothing."""
+    """Hom and Ext as modules replay no transform: hom_ext, is_rigid,
+    rigid_hom_ext_ranks and cokernel read the diagonal alone, or over the
+    fields the rank profile of one forward elimination, with no
+    back-substitution.  The first read of the Hom generators replays the
+    right transform once, or back-substitutes once, the first read of the
+    Ext cocycles the inverse left one once (over the fields they are unit
+    vectors, and need nothing), and a zero side replays nothing."""
     from quivlat import homology, rings
     calls = Counter()
 
@@ -258,7 +261,7 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
 
     monkeypatch.setattr(rings._Worksheet, "diagonalize",
                         counted("diagonalize", rings._Worksheet.diagonalize))
-    for name in ("_right_columns", "_left_inv_columns"):
+    for name in ("_right_columns", "_left_inv_columns", "_forward", "_back_substitute"):
         monkeypatch.setattr(rings, name, counted(name, getattr(rings, name)))
     homology._hom_ext_cached.cache_clear()
     s1, s2 = Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2)
@@ -269,17 +272,23 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
         assert is_rigid(x) and is_rigid(y)
         rigid_hom_ext_ranks(x, y)
     misses = homology._hom_ext_cached.cache_info().misses
-    assert misses == 5 and calls == {"diagonalize": misses}
+    elimination = "_forward" if ring.is_field else "diagonalize"
+    assert misses == 5 and calls == {elimination: misses}
     ext_pair, hom_pair = hom_ext(s1, s2), hom_ext(s2, p1)
+    for he in (ext_pair, hom_pair):
+        assert rings.cokernel(he.differential) == he.ext
+    assert calls == {elimination: misses + 2}
     assert ext_pair.hom.is_zero and ext_pair.ext.free_rank == 2
     assert hom_pair.hom.free_rank == 2 and hom_pair.ext.is_zero
+    hom_replay = "_back_substitute" if ring.is_field else "_right_columns"
+    ext_replays = {} if ring.is_field else {"_left_inv_columns": 1}
     for _ in range(2):
         assert len(hom_pair.hom_generators) == 2
-        assert calls["_right_columns"] == 1
+        assert calls[hom_replay] == 1
         assert len(ext_pair.ext_cocycles) == 2
-        assert calls["_left_inv_columns"] == 1
+        assert calls["_left_inv_columns"] == len(ext_replays)
     assert ext_pair.hom_generators == () and hom_pair.ext_cocycles == ()
-    assert calls == {"diagonalize": misses, "_right_columns": 1, "_left_inv_columns": 1}
+    assert calls == {elimination: misses + 2, hom_replay: 1, **ext_replays}
 
 
 def _reachable(root):
@@ -333,6 +342,39 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     assert not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
     assert len(he.ext_cocycles) == 2
     assert id(ws.row_ops) not in _reachable(he)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)
+def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
+    """Over a field the Hom side keeps the forward pass's echelon rows for
+    its back-substitution until the Hom generators are read, and then none;
+    the Ext side keeps no rows at all, and a zero Hom keeps none either."""
+    from quivlat import homology, rings
+    passes = []
+    forward = rings._forward
+
+    def recorded(mat):
+        out = forward(mat)
+        passes.append(out[2])
+        return out
+
+    monkeypatch.setattr(rings, "_forward", recorded)
+    homology._hom_ext_cached.cache_clear()
+
+    def rows_held(he, rows):
+        return {id(row) for row in rows} & _reachable(he).keys()
+
+    p1 = projective_rep(ring, K2, 1)
+    he = hom_ext(p1, p1)
+    (rows,) = passes
+    assert he.hom.free_rank == 1 and he.ext.is_zero
+    assert rows_held(he, rows)
+    assert len(he.hom_generators) == 1 and he.ext_cocycles == ()
+    assert not rows_held(he, rows)
+    he = hom_ext(Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2))
+    assert he.hom.is_zero and he.ext.free_rank == 2
+    assert not rows_held(he, passes[-1])
+    assert len(he.ext_cocycles) == 2 and not rows_held(he, passes[-1])
 
 
 def _exceptional_by_solve(x):
