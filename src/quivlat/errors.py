@@ -46,7 +46,8 @@ class NotComputable(QuivlatError):
 
 
 class NonFreeCokernel(QuivlatError):
-    """Vertexwise cokernel has torsion, so no representation on free modules exists."""
+    """A vertexwise cokernel or kernel is not free (torsion, or projective
+    but not free), so no representation on free modules presents it."""
 
     code = "NonFreeCokernel"
 

@@ -1,16 +1,17 @@
 """Mutation of exceptional pairs and the braid action on exceptional sequences.
 
 An exceptional pair (X, Y) has both members exceptional and no morphisms or
-extensions backwards: Hom(Y, X) = Ext(Y, X) = 0.  Over Z, Q and the prime
-fields the forward direction then falls into exactly one of three cases,
+extensions backwards: Hom(Y, X) = Ext(Y, X) = 0.  Over every supported
+ring the forward direction then falls into exactly one of three cases,
 Hom and Ext cannot both be nonzero, and the mutated object is built from
 explicit witnesses:
 
   - Hom = Ext = 0: nothing to do, the pair simply transposes.
   - Ext(X, Y) free of rank d: the universal extension of X^d by Y.
   - Hom(X, Y) free of rank h: the universal evaluation map X^h -> Y, which
-    is forced to be vertexwise injective or vertexwise surjective; the
-    mutation is its cokernel or kernel.
+    is forced to be split injective or split surjective at every vertex;
+    the mutation is its cokernel or kernel, and the mutation's dimension
+    vector, fixed by the Euler form (_mutated_dims), says which.
 
 Right mutation is the transpose dual of left mutation on the opposite
 quiver, so the case split above is written once.  Every mutation
@@ -34,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     NeitherMonoNorEpi,
     NonFreeCokernel,
-    NotComputable,
     PreconditionViolated,
     TheoremViolation,
 )
@@ -49,7 +49,7 @@ from .quiver import (
     kernel_rep,
     tensor_free,
 )
-from .rings import ExactMatrix, RingSpec, _hom_ext_data, block_diag
+from .rings import ExactMatrix, RingSpec, block_diag
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
@@ -81,15 +81,8 @@ class MutationResult:
     witness_out: Optional[RepMorphism] = None
 
 
-def _require_domain(ring: RingSpec) -> None:
-    if not ring.is_domain:
-        raise NotComputable(
-            "mutation needs Z, Q or a prime field, not %s" % ring)
-
-
 def _pair_hom_ext(x: Rep, y: Rep):
-    """hom_ext(x, y) once the ring and the pair are checked fit to mutate."""
-    _require_domain(x.ring)
+    """hom_ext(x, y) once the pair is checked to be exceptional."""
     if not is_exceptional_pair(x, y):
         raise PreconditionViolated("(x, y) is not an exceptional pair")
     return hom_ext(x, y)
@@ -164,28 +157,23 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
         win, wout = _sub_quot_witnesses(y, middle, tensor_free(x, d))
         return MutationResult("UniversalExtension", middle,
                               witness_in=win, witness_out=wout)
-    _free_rank_or_violation(hom, "Hom")
+    h = _free_rank_or_violation(hom, "Hom")
     ev = _evaluation_map(x, y, gens)
-    # one elimination per vertex map gives its kernel and its cokernel
-    sides = [_hom_ext_data(m)[::2] for m in ev.vertex_maps]
-    mono = all(ker.is_zero for ker, _ in sides)
-    epi = all(coker.is_zero for _, coker in sides)
-    if mono and epi:
-        raise TheoremViolation("universal map is an isomorphism")
+    # the mutation's dimension vector says which side the map is split on
+    dims = _mutated_dims(y.dims, x.dims, h)
+    epi = dims != tuple(b - h * a for a, b in zip(x.dims, y.dims))
+    try:
+        out, witness = (kernel_rep if epi else cokernel_rep)(ev)
+    except NonFreeCokernel:
+        out = None
+    if out is None or out.dims != dims:
+        raise NeitherMonoNorEpi("universal map is not split %s" % (
+            "surjective" if epi else "injective"))
     if epi:
-        ker, incl = kernel_rep(ev)
-        return MutationResult("KernelOfUniversalMap", ker,
-                              universal_map=ev, witness_in=incl)
-    if mono:
-        try:
-            cok, proj = cokernel_rep(ev)
-        except NonFreeCokernel as exc:
-            raise TheoremViolation(
-                "universal map has torsion cokernel: %s" % exc) from exc
-        return MutationResult("CokernelOfUniversalMap", cok,
-                              universal_map=ev, witness_out=proj)
-    raise NeitherMonoNorEpi(
-        "universal map is neither injective nor surjective")
+        return MutationResult("KernelOfUniversalMap", out,
+                              universal_map=ev, witness_in=witness)
+    return MutationResult("CokernelOfUniversalMap", out,
+                          universal_map=ev, witness_out=witness)
 
 
 def _dual(x: Rep) -> Rep:
@@ -408,9 +396,6 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
         target_dims = _exact_dims(target_dims)
     dims = start.dims_tuple()
     steps, first = _dims_orbit(start[0].quiver, bound, dims)
-    if len(start) > 1 and target_dims not in dims:
-        # an answer past the start's members needs a mutation
-        _require_domain(start[0].ring)
     memo = {dims: start}
     found = {alpha: _orbit_sequence(steps, memo, state)[state.index(alpha)]
              for alpha, state in first.items() if target_dims in (None, alpha)}

@@ -20,7 +20,6 @@ from .errors import (
     IncompatibleBase,
     IncompatibleRing,
     NonFreeCokernel,
-    NotComputable,
     ParseError,
     TheoremViolation,
 )
@@ -31,7 +30,6 @@ from .rings import (
     apply_hom,
     block_diag,
     is_invertible,
-    kernel_basis,
     solve,
 )
 from . import rings as _rings
@@ -443,13 +441,19 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
 
 
 def kernel_rep(f: RepMorphism) -> tuple:
-    """Kernel subrepresentation and its inclusion; ring must be a field or Z."""
+    """Kernel subrepresentation and its inclusion, whose columns are
+    kernel_data's vectors.  Like cokernel_rep, works over every ring exactly
+    when every vertexwise kernel is free, as it always is over a field or
+    Z, and raises NonFreeCokernel otherwise."""
     ring = f.source.ring
-    if not ring.is_domain:
-        raise NotComputable("representation kernels need a field or Z, not %s" % ring)
     x = f.source
     q = x.quiver
-    incls = [kernel_basis(m) for m in f.vertex_maps]
+    incls = []
+    for i, m in enumerate(f.vertex_maps):
+        pres, gens = _rings.kernel_data(m)
+        if not pres.is_free:
+            raise NonFreeCokernel("vertex %d kernel is not free" % (i + 1))
+        incls.append(ExactMatrix._of(ring, len(gens), m.cols, tuple(gens)).transpose())
     dims = tuple(m.cols for m in incls)
     mats = []
     for a in range(q.arrow_count):

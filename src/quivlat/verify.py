@@ -146,10 +146,12 @@ def _iso_items(a: ExcSequence, b: ExcSequence) -> bool:
 def _suite_braid(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, A4)
+    rings = (ZZ, Zmod(4), Feps(2, 2))
     passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
-        seq = standard_sequence(ZZ, q)
+        ring = rings[k // len(quivers) % len(rings)]
+        seq = standard_sequence(ring, q)
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(1, len(seq) - 1)
             seq = braid_act(seq, i, inverse=rng.choice((False, True)))
@@ -174,7 +176,7 @@ def _suite_braid(seed, size):
         else:
             failures += 1
             if ce is None:
-                ce = {"quiver": q.to_json(), "failed": bad,
+                ce = {"quiver": q.to_json(), "ring": str(ring), "failed": bad,
                       "sequence": [list(d) for d in seq.dims_tuple()]}
     return _report("braid", seed, size, passes, failures, ce)
 

@@ -9,8 +9,8 @@ import pytest
 
 from quivlat import cli
 from quivlat.cli import main
-from quivlat.quiver import Quiver, Rep, direct_sum
-from quivlat.rings import GF, ZZ
+from quivlat.quiver import Quiver, Rep, direct_sum, projective_rep
+from quivlat.rings import Feps, GF, ZZ
 from quivlat.structure import exceptional_lattice
 
 A2 = Quiver(2, ((1, 2),))
@@ -141,6 +141,34 @@ def test_braid_word(files, capsys):
     assert code == 2
     code, rep = run_json(capsys, "braid", "--quiver", files["a2"], "--word", "2")
     assert code == 1 and rep["error"] == "DimensionMismatch"
+
+
+def test_mutate_and_braid_answer_over_non_domains(files, tmp_path, capsys):
+    # Feps:2:2 and Zmod:4 are not domains; mutation answers over them
+    ring = Feps(2, 2)
+    paths = {}
+    for name, rep in (("s1", Rep.simple(ring, A2, 1)), ("s2", Rep.simple(ring, A2, 2)),
+                      ("p1", projective_rep(ring, A2, 1))):
+        path = tmp_path / ("%s_feps.json" % name)
+        path.write_text(json.dumps(rep.to_json()))
+        paths[name] = str(path)
+    for x, y, side, kind, dims in (
+            ("s1", "s2", "left", "UniversalExtension", [1, 1]),
+            ("s1", "s2", "right", "UniversalExtension", [1, 1]),
+            ("p1", "s1", "left", "KernelOfUniversalMap", [0, 1])):
+        code, rep = run_json(capsys, "mutate", "--rep-x", paths[x],
+                             "--rep-y", paths[y], "--side", side)
+        assert code == 0 and rep["kind"] == kind and rep["dims"] == dims
+        assert Rep.from_json(rep["rep"]).ring == ring
+    code, rep = run_json(capsys, "braid", "--quiver", files["k2"],
+                         "--ring", "Zmod:4", "--word", "1,-1")
+    assert code == 0 and rep["ring"] == "Zmod:4"
+    assert rep["dims"] == [[1, 0], [0, 1]]
+    code, over_z = run_json(capsys, "braid", "--quiver", files["k2"], "--word", "1,1")
+    assert code == 0
+    code, rep = run_json(capsys, "braid", "--quiver", files["k2"],
+                         "--ring", "Zmod:4", "--word", "1,1")
+    assert code == 0 and rep["dims"] == over_z["dims"] == [[3, 2], [2, 1]]
 
 
 def test_decompose_report(files, capsys):

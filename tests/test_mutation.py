@@ -10,12 +10,13 @@ import pytest
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
-    NotComputable,
+    NeitherMonoNorEpi,
     PreconditionViolated,
 )
 from quivlat.homology import hom_ext, is_exceptional
 from quivlat.mutation import (
     ExcSequence,
+    _left_mutation,
     braid_act,
     is_exceptional_pair,
     left_mutate,
@@ -26,11 +27,21 @@ from quivlat.mutation import (
 from quivlat.quiver import (
     Quiver,
     Rep,
+    RepMorphism,
     projective_rep,
     tensor_free,
     tits_form,
 )
-from quivlat.rings import GF, QQ, ZZ, Zmod, cokernel, kernel_basis
+from quivlat.rings import (
+    ExactMatrix,
+    GF,
+    ModulePresentation,
+    QQ,
+    ZZ,
+    Zmod,
+    cokernel,
+    kernel_basis,
+)
 from quivlat.structure import is_isomorphic_rigid
 
 A2 = Quiver(2, ((1, 2),))
@@ -38,6 +49,7 @@ A3 = Quiver(3, ((1, 2), (2, 3)))
 K2 = Quiver(2, ((1, 2), (1, 2)))
 K3 = Quiver(2, ((1, 2), (1, 2), (1, 2)))
 FREE2 = Quiver(2, ())
+POINT = Quiver(1, ())
 
 
 def trio(ring):
@@ -122,10 +134,31 @@ def test_mutation_guards():
         left_mutate(s2, s1)
     with pytest.raises(PreconditionViolated):
         left_mutate(p1, s2)
+    # a non-domain is no refusal: Zmod:4 mutates like Z
     z4 = Rep.simple(Zmod(4), A2, 1)
     w4 = Rep.simple(Zmod(4), A2, 2)
-    with pytest.raises(NotComputable):
-        left_mutate(z4, w4)
+    out = left_mutate(z4, w4)
+    assert out.kind == "UniversalExtension" and out.rep.dims == (1, 1)
+    assert out.rep.ring == Zmod(4) and is_exceptional_pair(out.rep, z4)
+
+
+@pytest.mark.parametrize("ring, dx, dy, rows", [
+    (QQ, 1, 2, ((0,), (0,))),     # cokernel case, but not injective
+    (QQ, 2, 1, ((0, 0),)),        # kernel case, but not surjective
+    (ZZ, 1, 2, ((2,), (0,))),     # injective, torsion cokernel
+    (Zmod(4), 1, 2, ((2,), (0,))),
+    (Zmod(4), 2, 1, ((2, 0),)),
+], ids=str)
+def test_left_mutation_refuses_a_universal_map_neither_split_mono_nor_epi(
+        ring, dx, dy, rows):
+    # hand-built Hom case: one generator X -> Y on the one-vertex quiver,
+    # the dimension vector asks for one side and the map is not split there
+    x, y = Rep(ring, POINT, (dx,), ()), Rep(ring, POINT, (dy,), ())
+    gen = RepMorphism(x, y, (ExactMatrix(ring, dy, dx, rows),))
+    hom = ModulePresentation.from_invariant_factors(ring, [ring.zero])
+    ext = ModulePresentation.from_invariant_factors(ring, [])
+    with pytest.raises(NeitherMonoNorEpi):
+        _left_mutation(x, y, hom, ext, (gen,), ())
 
 
 def test_mutation_witnesses_compose_to_zero():

@@ -16,7 +16,6 @@ Stdlib only, so it also runs without pytest:
 import signal
 from collections import deque
 
-from quivlat.errors import NotComputable
 from quivlat.mutation import braid_act, orbit_search, standard_sequence
 from quivlat.quiver import Quiver
 from quivlat.rings import Feps, QQ, ZZ, Zmod
@@ -112,17 +111,19 @@ def test_non_root_at_the_default_bound_is_answered_from_dimension_vectors():
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_rings_mutation_refuses_raise_once_the_walk_leaves_the_start():
+def test_non_domain_walks_answer_once_they_leave_the_start():
+    # mutation runs over every ring, so answers past the start's members
+    # are members over the start's ring, with the Z orbit's dims
+    z_dims = list(orbit_search(standard_sequence(ZZ, K2), bound=12))
     for ring in (Zmod(4), Feps(2, 2)):
         start = standard_sequence(ring, K2)
         for k, dims in enumerate(start.dims_tuple()):
             assert orbit_search(start, dims) is start[k]
-        for target in ((1, 1), (1, 2), None):
-            try:
-                orbit_search(start, target)
-            except NotComputable:
-                continue
-            raise AssertionError("no NotComputable over %s for %r" % (ring, target))
+        for target in ((1, 2), (2, 1)):
+            found = orbit_search(start, target)
+            assert found.ring == ring and found.dims == target
+        assert orbit_search(start, (1, 1)) is None
+        assert list(orbit_search(start, bound=12)) == z_dims
 
 
 if __name__ == "__main__":

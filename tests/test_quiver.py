@@ -13,7 +13,6 @@ from quivlat.errors import (
     IncompatibleBase,
     IncompatibleRing,
     NonFreeCokernel,
-    NotComputable,
     NotRigid,
     ParseError,
 )
@@ -334,12 +333,21 @@ def test_cokernel_rep_torsion_rejected():
         cokernel_rep(RepMorphism(six, six, (ExactMatrix(Zmod(6), 1, 1, ((3,),)),)))
 
 
-def test_kernel_rep_unsupported_ring():
+def test_kernel_rep_refuses_non_free_kernels():
     single = Quiver(1, ())
-    two = Rep(Zmod(4), single, (1,), ())
-    f = RepMorphism(two, two, (ExactMatrix(Zmod(4), 1, 1, ((2,),)),))
-    with pytest.raises(NotComputable):
-        kernel_rep(f)
+    # ker(2) over Zmod:4 is 2R, torsion; ker(3) over Zmod:6 is 2R, which is
+    # projective (R = 2R + 3R) but not free
+    for ring, c in ((Zmod(4), 2), (Zmod(6), 3)):
+        line = Rep(ring, single, (1,), ())
+        f = RepMorphism(line, line, (ExactMatrix(ring, 1, 1, ((c,),)),))
+        with pytest.raises(NonFreeCokernel):
+            kernel_rep(f)
+    # a split surjection has a free kernel on every ring
+    for ring in (Zmod(4), Zmod(6), Feps(2, 2)):
+        x, y = Rep.simple(ring, A2, 1), projective_rep(ring, A2, 1)
+        f = RepMorphism(y, x, (ExactMatrix.identity(ring, 1), ExactMatrix.zeros(ring, 0, 1)))
+        ker, incl = kernel_rep(f)
+        assert ker == Rep.simple(ring, A2, 2) and f.compose(incl).is_zero
 
 
 # ---------------------------------------------------------------------------
