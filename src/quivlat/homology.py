@@ -110,7 +110,11 @@ class HomExtResult:
     wanted columns of the right transform, and the first read of
     ext_cocycles on those of the inverse left transform.  Until then each
     side keeps only its own operation list (none when its module is zero),
-    and after its read none.  Over Q and F_p it runs one forward
+    and after its read none.  Over Z the construction pivots on units
+    only and reads the factors of what is left modulo a multiple of them
+    (rings._Worksheet._smith_residual), keeping no operations; then the
+    first witness read diagonalises once more in full, and the other side
+    keeps that run's operation list.  Over Q and F_p it runs one forward
     elimination with no transform and reads both modules off its rank
     profile.  The Hom generators are the reduced kernel basis, one per
     non-pivot column; until their first read the Hom side keeps the echelon

@@ -49,7 +49,7 @@ from .quiver import (
     kernel_rep,
     tensor_free,
 )
-from .rings import ExactMatrix, RingSpec, block_diag
+from .rings import ExactMatrix, RingSpec, block_diag, cokernel
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
@@ -166,7 +166,10 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
         out, witness = (kernel_rep if epi else cokernel_rep)(ev)
     except NonFreeCokernel:
         out = None
-    if out is None or out.dims != dims:
+    # a free kernel of the right rank does not make a map onto over Z:
+    # (2 4) has one, so a split epi needs every cokernel zero as well
+    if (out is None or out.dims != dims
+            or epi and not all(cokernel(m).is_zero for m in ev.vertex_maps)):
         raise NeitherMonoNorEpi("universal map is not split %s" % (
             "surjective" if epi else "injective"))
     if epi:

@@ -32,7 +32,11 @@ columns of the right or inverse left transform.  Hom and Ext of a quiver
 pair share one elimination and read both modules off its diagonal; each
 side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
-operation list.  :func:`cokernel` reads the diagonal alone.
+operation list.  :func:`cokernel` reads the diagonal alone.  Over Z those
+two diagonalise with unit pivots only, which keeps every entry a minor of
+the input, and read the residual's invariant factors off its diagonal over
+Z/2|D|, for D a nonzero minor of it of order its rank; a witness read then
+diagonalises once more, in full, to replay the operations.
 
 Over Q and F_p all of these instead run one forward elimination with no
 row moves, column operations or transforms (fraction-free over Q), which
@@ -52,9 +56,10 @@ Each ring is an instance of one class per family: integers (Z), rationals
 implementation) and truncated (Feps).  The class holds the element
 arithmetic and the two row kernels that elimination, its replays and Howell
 canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
-m per entry over Z/m, a truncated product over Feps.  A column operation
-runs them on the two columns it touches, unless all it does is zero one
-entry of the pivot row.  The kernels skip zero multiplicands, which
+m per entry over Z/m, a truncated product over Feps, looked up in tables
+of all products and sums when the ring has at most 25 elements.  A column
+operation runs them on the two columns it touches, unless all it does is
+zero one entry of the pivot row.  The kernels skip zero multiplicands, which
 dominate the sparse differentials and the identity-like transforms, and
 the values they store are bit-identical to element-wise ``add``/``mul``.
 A ring hom is fixed by its two rings and picks its per-entry map once.
@@ -65,6 +70,7 @@ input, and internal producers use the trusted ``ExactMatrix._of``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -568,7 +574,11 @@ class _Truncated(RingSpec):
 
     Its row kernels unpack each multiplier once into the (i, c_i, range(n - i))
     of its nonzero coefficients and reduce each entry mod p once, at the
-    end; a zero entry is one equal to the zero tuple.
+    end; a zero entry is one equal to the zero tuple.  A ring of at most
+    _FEPS_TABLE_SIZE elements instead reads mul and both row kernels off
+    tables of all its products and sums (_table_kernels), one entry as
+    sum[x][prod_c[y]]; they hold the loops' own values, and are kept out of
+    pickles and copies, which rebuild them.
     """
 
     is_field = is_domain = False
@@ -587,6 +597,14 @@ class _Truncated(RingSpec):
                 "Feps truncation order %d exceeds the bound %d" % (n, _FEPS_MAX_ORDER))
         self.__dict__.update(zero=(0,) * n, one=(1,) + (0,) * (n - 1),
                              _ranges=tuple(range(n - i) for i in range(n)))
+        self.__dict__.update(_table_kernels(self))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in _TABLE_KERNELS}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__dict__.update(_table_kernels(self))
 
     @property
     def size(self) -> int:
@@ -755,6 +773,40 @@ class _Truncated(RingSpec):
         pairs = list(zip(ri, rj))
         return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
                 [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
+
+
+# Feps:p:n up to this many elements runs mul and its row kernels on tables:
+# the full tables take 0.09 MB and about 13 ms to build at 25 (Feps:5:2),
+# 0.15 MB at 27 and 0.24 MB at 32.
+_FEPS_TABLE_SIZE = 25
+_TABLE_KERNELS = ("mul", "row_axpy", "row_comb")
+
+
+@functools.lru_cache(maxsize=None)
+def _table_kernels(ring: _Truncated) -> dict:
+    """mul, row_axpy and row_comb of a small Feps ring, on tables of its
+    products prod[c][y] and sums total[x][z], values shared with elements();
+    none for a larger ring."""
+    if ring.size > _FEPS_TABLE_SIZE:
+        return {}
+    elements = {x: x for x in ring.elements()}
+    prod = {c: {y: elements[_Truncated.mul(ring, c, y)] for y in elements} for c in elements}
+    total = {x: {z: elements[ring.add(x, z)] for z in elements} for x in elements}
+    zero = ring.zero
+
+    def mul(a, b):
+        return prod[a][b]
+
+    def row_axpy(dst, src, c):
+        pc = prod[c]
+        return [x if y == zero else total[x][pc[y]] for x, y in zip(dst, src)]
+
+    def row_comb(ri, rj, s, t, u, v):
+        ps, pt, pu, pv = prod[s], prod[t], prod[u], prod[v]
+        pairs = list(zip(ri, rj))
+        return ([x if x == y == zero else total[ps[x]][pt[y]] for x, y in pairs],
+                [y if x == y == zero else total[pu[x]][pv[y]] for x, y in pairs])
+    return dict(zip(_TABLE_KERNELS, (mul, row_axpy, row_comb)))
 
 
 # kind -> (the class of its rings, the parameters its spec takes)
@@ -974,7 +1026,9 @@ class _Worksheet:
     u*row_i + v*row_j, with s*v - t*u a unit.
     """
 
-    def __init__(self, mat: ExactMatrix):
+    def __init__(self, mat: ExactMatrix, factors_only=False):
+        # over Z a factors-only sheet takes unit pivots only (diagonalize)
+        self.units_only = factors_only and mat.ring.kind == "Z"
         self.ring = mat.ring
         self.rows = mat.rows
         self.cols = mat.cols
@@ -1099,12 +1153,17 @@ class _Worksheet:
             size = new_size
 
     def diagonalize(self):
+        """Bring N to its canonical diagonal.  On a units_only sheet the
+        pivot steps stop at the first pivot that is not a unit, and
+        _smith_residual finishes N from there."""
         ring = self.ring
         limit = min(self.rows, self.cols)
         for s in range(limit):
             piv = self._find_pivot(s)
             if piv is None:
                 break
+            if self.units_only and not ring.is_unit(self.n[piv[0]][piv[1]]):
+                return self._smith_residual(s)
             if piv[0] != s:
                 self._row((s, piv[0]))
             if piv[1] != s:
@@ -1130,6 +1189,29 @@ class _Worksheet:
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
 
+    def _smith_residual(self, s):
+        """Over Z, after s unit pivot steps: replace N by its Smith form and
+        drop both operation lists, which no longer build it.
+
+        The residual S = N[s:, s:] is of minors of M, since every pivot so
+        far was +-1, while its full diagonalisation blows them up.  Its last
+        _forward pivot D is a nonzero r-minor for r = rank S, so every
+        nonzero invariant factor of S divides D, and is below 2|D|: the
+        canonical diagonal of S over Z/2|D| is that of S over Z (the
+        modular determinant method of Domich, Kannan and Trotter).
+        """
+        res = ExactMatrix._of(self.ring, self.rows - s, self.cols - s,
+                              tuple(tuple(row[s:]) for row in self.n[s:]))
+        pivot_cols, pivot_rows, rows = _forward(res)[:3]
+        m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
+        mod = _diagonal_sheet(ExactMatrix._of(
+            Zmod(m), res.rows, res.cols, tuple(tuple(x % m for x in row) for row in res.entries)))
+        diag = [1] * s + mod.diagonal(len(pivot_rows))
+        self.n = [[0] * self.cols for _ in range(self.rows)]
+        for i, d in enumerate(diag):
+            self.n[i][i] = d
+        self.row_ops = self.col_ops = None
+
     def diagonal(self, length: int) -> list:
         """The diagonal of N, padded with zeros to the given length."""
         limit = min(self.rows, self.cols)
@@ -1141,8 +1223,10 @@ class _Worksheet:
                                tuple(tuple(r) for r in self.n))
 
 
-def _diagonal_sheet(mat: ExactMatrix) -> _Worksheet:
-    ws = _Worksheet(mat)
+def _diagonal_sheet(mat: ExactMatrix, factors_only=False) -> _Worksheet:
+    """mat diagonalised, its operations recorded.  A factors_only sheet over
+    Z may hold no operations (_smith_residual), only the diagonal."""
+    ws = _Worksheet(mat, factors_only)
     ws.diagonalize()
     return ws
 
@@ -1424,12 +1508,14 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
-def _kernel_read(ws: _Worksheet) -> tuple:
+def _kernel_read(ws: _Worksheet, rebuild: Callable = None) -> tuple:
     """kernel_data read off a diagonalised sheet, its vectors deferred.
 
     Returns the presentation and a function that returns the vectors,
     replaying the column operations when called.  The function keeps those
-    operations and not N; for a zero kernel it keeps nothing.
+    operations and not N; for a zero kernel it keeps nothing.  A sheet with
+    no operations left (_smith_residual) takes them from rebuild (_full_ops)
+    when the function is called.
     """
     ring = ws.ring
     anns = [(j, ring.ann_gen(d)) for j, d in enumerate(ws.diagonal(ws.cols))]
@@ -1444,8 +1530,9 @@ def _kernel_read(ws: _Worksheet) -> tuple:
     cols, col_ops = ws.cols, ws.col_ops
 
     def vectors():
+        ops = rebuild("col_ops") if col_ops is None else col_ops
         torsion_gens, free_gens = [], []
-        for (j, g), col in zip(anns, _right_columns(ring, cols, col_ops, [j for j, _ in anns])):
+        for (j, g), col in zip(anns, _right_columns(ring, cols, ops, [j for j, _ in anns])):
             if ring.is_unit(g):
                 free_gens.append(col)
             else:
@@ -1689,21 +1776,23 @@ def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
     return ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), idx
 
 
-def _cokernel_vectors(ws: _Worksheet, idx) -> Callable[[], list]:
+def _cokernel_vectors(ws: _Worksheet, idx, rebuild: Callable = None) -> Callable[[], list]:
     """A function that returns columns idx of left^-1, replaying the row
     operations when called.  Like _kernel_read's, it keeps those operations
-    and not N, and nothing when idx is empty."""
+    and not N, and nothing when idx is empty, and takes them from rebuild
+    when the sheet holds none."""
     if not idx:
         return list
     ring, rows, row_ops = ws.ring, ws.rows, ws.row_ops
-    return lambda: _left_inv_columns(ring, rows, row_ops, idx)
+    return lambda: _left_inv_columns(
+        ring, rows, rebuild("row_ops") if row_ops is None else row_ops, idx)
 
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
     if a.ring.is_field:
         return _field_hom_ext(a)[2]
-    return _cokernel_read(_diagonal_sheet(a), a)[0]
+    return _cokernel_read(_diagonal_sheet(a, True), a)[0]
 
 
 def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
@@ -1755,13 +1844,31 @@ def _hom_ext_data(a: ExactMatrix) -> tuple:
     whose kernel function back-substitutes when called; over the other
     rings one diagonalisation, read off its diagonal, whose operations are
     replayed on the wanted columns of the right and inverse left transforms
-    only when a function is called.
+    only when a function is called.  Over Z that diagonalisation is a
+    factors-only one.  Where it ran out of unit pivots, the first function
+    called diagonalises a again in full, so the vectors are the same, and
+    leaves the other side only its own operation list.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)
-    ws = _diagonal_sheet(a)
+    ws = _diagonal_sheet(a, True)
     pres, idx = _cokernel_read(ws, a)
-    return _kernel_read(ws) + (pres, _cokernel_vectors(ws, idx))
+    rebuild = None if ws.row_ops is not None else _full_ops(a)
+    return _kernel_read(ws, rebuild) + (pres, _cokernel_vectors(ws, idx, rebuild))
+
+
+def _full_ops(a: ExactMatrix) -> Callable:
+    """rebuild(side) -> the "row_ops" or "col_ops" of a's full
+    diagonalisation.  The first call runs it and keeps only the other
+    side's list, for that side's call."""
+    full = {}
+
+    def rebuild(side):
+        if side not in full:
+            sheet = _diagonal_sheet(a)
+            full.update(row_ops=sheet.row_ops, col_ops=sheet.col_ops)
+        return full.pop(side)
+    return rebuild
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:

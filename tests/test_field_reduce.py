@@ -309,9 +309,9 @@ def test_field_hom_ext_never_diagonalises():
         calls.append(ws.ring)
         return diagonalize(ws)
 
-    def counted_build(ws, mat):
+    def counted_build(ws, mat, *mode):
         built.append(mat.ring)
-        build(ws, mat)
+        build(ws, mat, *mode)
 
     rings._Worksheet.diagonalize = counted
     rings._Worksheet.__init__ = counted_build

@@ -316,8 +316,8 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     sheets = []
     diagonal_sheet = rings._diagonal_sheet
 
-    def recorded(a):
-        sheets.append(diagonal_sheet(a))
+    def recorded(a, *mode):
+        sheets.append(diagonal_sheet(a, *mode))
         return sheets[-1]
 
     monkeypatch.setattr(rings, "_diagonal_sheet", recorded)

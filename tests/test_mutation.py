@@ -146,6 +146,7 @@ def test_mutation_guards():
     (QQ, 1, 2, ((0,), (0,))),     # cokernel case, but not injective
     (QQ, 2, 1, ((0, 0),)),        # kernel case, but not surjective
     (ZZ, 1, 2, ((2,), (0,))),     # injective, torsion cokernel
+    (ZZ, 2, 1, ((2, 4),)),        # free kernel of rank 1, onto over Q only
     (Zmod(4), 1, 2, ((2,), (0,))),
     (Zmod(4), 2, 1, ((2, 0),)),
 ], ids=str)

@@ -1,0 +1,140 @@
+"""Invariant factors over Z from unit pivots and a modular residual.
+
+hom_ext and cokernel read Z's invariant factors off a factors-only sheet
+(_diagonal_sheet(a, True)): the diagonalisation runs while its pivots are
+units, and the residual S left is diagonalised over Z/2|D|, D the last
+pivot of _forward on S (_Worksheet._smith_residual).  Here that reading is
+checked against the full integral diagonalisation, on Kronecker (4,5)
+pairs from verify.random_rep, on matrices with no unit entry, and on the
+edge cases: the zero matrix, all-unit pivots, [6], diag(2,6), a last
+factor equal to |D|, a rank-deficient residual and one with D = +-1.
+The Hom generators and Ext cocycles, rebuilt from one full
+diagonalisation when a residual was met, must be the full sheet's.  Where sympy imports,
+its Smith normal form is a third opinion.
+
+Stdlib only (sympy when it imports), so it also runs without pytest:
+    PYTHONPATH=src python tests/test_z_invariants.py
+"""
+
+import random
+
+from quivlat import rings
+from quivlat.homology import differential
+from quivlat.quiver import Quiver
+from quivlat.rings import ZZ, ExactMatrix, _diagonal_sheet, _forward
+from quivlat.verify import random_rep
+
+KRONECKER = Quiver(2, ((1, 2), (1, 2)))
+
+try:
+    from sympy import Matrix
+    from sympy import ZZ as SYMPY_ZZ
+    from sympy.matrices.normalforms import invariant_factors
+except ImportError:   # sympy is a test extra, not a dependency
+    invariant_factors = None
+
+
+def _mat(rows):
+    rows = tuple(tuple(r) for r in rows)
+    return ExactMatrix(ZZ, len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def _check(a, witnesses=True, smith=True):
+    """The factors-only reading of a equals the one off the full
+    diagonalisation; returns whether it met a residual and dropped its
+    operations.  smith asks sympy too (slow on the larger matrices)."""
+    fast, full = _diagonal_sheet(a, True), _diagonal_sheet(a)
+    hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
+    (kpres, kvec), (cpres, idx) = rings._kernel_read(full), rings._cokernel_read(full, a)
+    assert hom == kpres and ext == cpres, (a, hom, kpres, ext, cpres)
+    assert rings.cokernel(a) == cpres
+    assert fast.diagonal(a.rows) == full.diagonal(a.rows)
+    if witnesses:
+        assert read_hom() == kvec()
+        assert read_ext() == rings._cokernel_vectors(full, idx)()
+    if smith and invariant_factors is not None:
+        theirs = [int(abs(d)) for d in invariant_factors(Matrix(a.rows, a.cols, [
+            x for row in a.entries for x in row]), domain=SYMPY_ZZ)] if a.rows and a.cols else []
+        nonzero = [d for d in theirs if d]
+        assert list(ext.invariant_factors) == (
+            [d for d in nonzero if d != 1] + [0] * (a.rows - len(nonzero))), (a, theirs)
+    return fast.row_ops is None
+
+
+def _last_pivot(a):
+    pivot_cols, pivot_rows, rows = _forward(a)[:3]
+    return rows[pivot_rows[-1]][pivot_cols[-1]]
+
+
+def test_kronecker_pairs_match_the_full_diagonalisation():
+    residuals = 0
+    for seed in range(60):
+        rng = random.Random("z-invariants:%d" % seed)
+        x = random_rep(ZZ, KRONECKER, (4, 5), rng)
+        y = random_rep(ZZ, KRONECKER, (4, 5), rng)
+        residuals += _check(differential(x, y), witnesses=seed < 12, smith=seed < 4)
+    assert residuals >= 20   # most of these run out of unit pivots
+
+
+def test_matrices_with_no_unit_entry():
+    rng = random.Random("no-units")
+    for _ in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        a = _mat([[rng.choice((-6, -4, -3, -2, 0, 0, 2, 3, 4, 6, 9)) for _ in range(c)]
+                  for _ in range(r)])
+        _check(a)
+
+
+def test_witness_reads_diagonalise_in_full_once():
+    """After a residual, the first witness read diagonalises a in full,
+    and the second reads the other operation list of that same run."""
+    a = _mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]])
+    for hom_first in (True, False):
+        hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
+        assert hom.free_rank == 2 and ext.invariant_factors == (2, 0, 0)
+        full, calls = _diagonal_sheet, []
+
+        def counted(mat, *mode):
+            calls.append((mat, mode))
+            return full(mat, *mode)
+        rings._diagonal_sheet = counted
+        try:
+            reads = (read_hom, read_ext) if hom_first else (read_ext, read_hom)
+            vecs = [read() for read in reads]
+        finally:
+            rings._diagonal_sheet = full
+        assert calls == [(a, ())]
+        ws = full(a)
+        expected = [rings._kernel_read(ws)[1](),
+                    rings._cokernel_vectors(ws, rings._cokernel_read(ws, a)[1])()]
+        assert vecs == (expected if hom_first else expected[::-1])
+
+
+def test_edge_cases():
+    cases = [
+        # (matrix, Ext invariant factors, met a residual)
+        (_mat([[0, 0, 0], [0, 0, 0]]), (0, 0), False),
+        (_mat([[1, 2, 3], [0, -1, 5], [0, 0, 1]]), (), False),   # all units
+        (_mat([[6]]), (6,), True),
+        (_mat([[2, 0], [0, 6]]), (2, 6), True),
+        (_mat([[2, 3], [4, 0]]), (12,), True),                    # d_r = |D|
+        (_mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]]), (2, 0, 0), True),   # rank 1
+        (_mat([[2, 3], [3, 5]]), (), True),                       # |D| = 1
+        (_mat([[1, 0, 0], [0, 2, 4], [0, 4, 8]]), (2, 0), True),  # a unit, then rank 1
+        (ExactMatrix(ZZ, 0, 3, ()), (), False),
+        (ExactMatrix(ZZ, 2, 0, ((), ())), (0, 0), False),
+    ]
+    for a, factors, residual in cases:
+        assert _check(a) is residual, a
+        assert rings.cokernel(a).invariant_factors == factors, a
+    assert abs(_last_pivot(_mat([[2, 3], [3, 5]]))) == 1
+    assert abs(_last_pivot(_mat([[2, 3], [4, 0]]))) == 12
+
+
+if __name__ == "__main__":
+    import sys
+    for name, fn in sorted(globals().items()):
+        if name.startswith("test_") and callable(fn):
+            fn()
+            print("ok", name)
+    print("all passed on Python", sys.version.split()[0])
