@@ -152,10 +152,11 @@ def _cmd_braid(args) -> dict:
     quiver = _load_quiver(args.quiver)
     ring = RingSpec.parse(args.ring) if args.ring else ZZ
     seq = standard_sequence(ring, quiver)
-    for letter in _parse_word(args.word):
+    word = _parse_word(args.word)
+    for letter in word:
         seq = braid_act(seq, abs(letter), inverse=letter < 0)
     return {"schema": SCHEMA, "verb": "braid", "ring": str(ring),
-            "word": list(_parse_word(args.word)),
+            "word": list(word),
             "dims": [list(d) for d in seq.dims_tuple()],
             "items": [item.to_json() for item in seq.items]}
 

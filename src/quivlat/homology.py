@@ -17,14 +17,8 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .errors import (
-    IncompatibleBase,
-    IncompatibleRing,
-    NotProjective,
-    PreconditionViolated,
-    TheoremViolation,
-)
-from .quiver import Rep, RepMorphism, base_change, euler_form
+from .errors import NotProjective, PreconditionViolated, TheoremViolation
+from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
 from .rings import (
     ExactMatrix,
     RingHom,
@@ -49,10 +43,7 @@ def differential(x: Rep, y: Rep) -> ExactMatrix:
     the block of its tail and column c of -X_a in the block of its head.
     The two overlap in one cell only when a is a loop, where they add.
     """
-    if x.quiver != y.quiver:
-        raise IncompatibleBase("representations of different quivers")
-    if x.ring != y.ring:
-        raise IncompatibleRing("representations over %s and %s" % (x.ring, y.ring))
+    _check_compatible(x, y)
     ring = x.ring
     q = x.quiver
     n = q.vertex_count
@@ -110,16 +101,16 @@ class HomExtResult:
     wanted columns of the right transform, and the first read of
     ext_cocycles on those of the inverse left transform.  Until then each
     side keeps only its own operation list (none when its module is zero),
-    and after its read none.  Over Z the construction pivots on units
-    only and reads the factors of what is left modulo a multiple of them
-    (rings._Worksheet._smith_residual), keeping no operations; then the
-    first witness read diagonalises once more in full, and the other side
-    keeps that run's operation list.  Over Q and F_p it runs one forward
-    elimination with no transform and reads both modules off its rank
-    profile.  The Hom generators are the reduced kernel basis, one per
-    non-pivot column; until their first read the Hom side keeps the echelon
-    rows, and that read back-substitutes them.  The Ext cocycles are the
-    unit vectors at the rows that are not pivot rows.
+    and after its read none.  Over Z the construction pauses the
+    diagonalisation at its first pivot that is not a unit and reads the
+    factors of what is left modulo a multiple of them
+    (rings._Worksheet.diagonal); both sides then keep the paused sheet,
+    until the first witness read resumes it where it paused and lets it go.
+    Over Q and F_p it runs one forward elimination with no transform and
+    reads both modules off its rank profile.  The Hom generators are the reduced kernel
+    basis, one per non-pivot column; until their first read the Hom side
+    keeps the echelon rows, and that read back-substitutes them.  The Ext
+    cocycles are the unit vectors at the rows that are not pivot rows.
     """
 
     def __init__(self, x: Rep, y: Rep):
@@ -164,10 +155,7 @@ def _hom_ext_cached(x: Rep, y: Rep) -> HomExtResult:
 
 def hom_ext(x: Rep, y: Rep) -> HomExtResult:
     """Hom(X, Y) and Ext^1(X, Y) with witnesses; results are cached."""
-    if x.quiver != y.quiver:
-        raise IncompatibleBase("representations of different quivers")
-    if x.ring != y.ring:
-        raise IncompatibleRing("representations over %s and %s" % (x.ring, y.ring))
+    _check_compatible(x, y)
     return _hom_ext_cached(x, y)
 
 

@@ -33,10 +33,10 @@ pair share one elimination and read both modules off its diagonal; each
 side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
 operation list.  :func:`cokernel` reads the diagonal alone.  Over Z those
-two diagonalise with unit pivots only, which keeps every entry a minor of
-the input, and read the residual's invariant factors off its diagonal over
-Z/2|D|, for D a nonzero minor of it of order its rank; a witness read then
-diagonalises once more, in full, to replay the operations.
+two pause the diagonalisation at its first pivot that is not a unit, which
+keeps every entry a minor of the input, and read the residual's invariant
+factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
+its rank; the first witness read resumes it from there.
 
 Over Q and F_p all of these instead run one forward elimination with no
 row moves, column operations or transforms (fraction-free over Q), which
@@ -77,7 +77,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -1016,7 +1016,8 @@ class _Worksheet:
     only what they read, when they read it: over Z the transforms' entries
     can run to many thousands of digits while N stays small.  A replay
     needs the ring and one operation list, not the sheet, so a caller that
-    defers one keeps no N.  Every operation runs through the ring's two
+    defers one keeps no N, unless the sheet paused (diagonalize) and the
+    caller keeps it to resume.  Every operation runs through the ring's two
     row kernels, a column operation on the columns it touches, save the
     column step that only zeroes an entry (_clear_position).
 
@@ -1027,8 +1028,9 @@ class _Worksheet:
     """
 
     def __init__(self, mat: ExactMatrix, factors_only=False):
-        # over Z a factors-only sheet takes unit pivots only (diagonalize)
+        # over Z a factors-only sheet pauses at a non-unit pivot (diagonalize)
         self.units_only = factors_only and mat.ring.kind == "Z"
+        self.paused = None   # the pivot step a units_only sheet paused at
         self.ring = mat.ring
         self.rows = mat.rows
         self.cols = mat.cols
@@ -1153,17 +1155,20 @@ class _Worksheet:
             size = new_size
 
     def diagonalize(self):
-        """Bring N to its canonical diagonal.  On a units_only sheet the
-        pivot steps stop at the first pivot that is not a unit, and
-        _smith_residual finishes N from there."""
+        """Bring N to its canonical diagonal.  A units_only sheet pauses
+        instead at the first pivot that is not a unit: N = left*M*right
+        holds there as after every step, diagonal() reads the factors, and
+        resume() goes on from that step."""
         ring = self.ring
         limit = min(self.rows, self.cols)
-        for s in range(limit):
+        start, self.paused = self.paused or 0, None
+        for s in range(start, limit):
             piv = self._find_pivot(s)
             if piv is None:
                 break
             if self.units_only and not ring.is_unit(self.n[piv[0]][piv[1]]):
-                return self._smith_residual(s)
+                self.paused = s
+                return
             if piv[0] != s:
                 self._row((s, piv[0]))
             if piv[1] != s:
@@ -1189,34 +1194,36 @@ class _Worksheet:
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
 
-    def _smith_residual(self, s):
-        """Over Z, after s unit pivot steps: replace N by its Smith form and
-        drop both operation lists, which no longer build it.
-
-        The residual S = N[s:, s:] is of minors of M, since every pivot so
-        far was +-1, while its full diagonalisation blows them up.  Its last
-        _forward pivot D is a nonzero r-minor for r = rank S, so every
-        nonzero invariant factor of S divides D, and is below 2|D|: the
-        canonical diagonal of S over Z/2|D| is that of S over Z (the
-        modular determinant method of Domich, Kannan and Trotter).
-        """
-        res = ExactMatrix._of(self.ring, self.rows - s, self.cols - s,
-                              tuple(tuple(row[s:]) for row in self.n[s:]))
-        pivot_cols, pivot_rows, rows = _forward(res)[:3]
-        m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
-        mod = _diagonal_sheet(ExactMatrix._of(
-            Zmod(m), res.rows, res.cols, tuple(tuple(x % m for x in row) for row in res.entries)))
-        diag = [1] * s + mod.diagonal(len(pivot_rows))
-        self.n = [[0] * self.cols for _ in range(self.rows)]
-        for i, d in enumerate(diag):
-            self.n[i][i] = d
-        self.row_ops = self.col_ops = None
+    def resume(self):
+        """Finish a paused sheet from the step it paused at: the operations
+        a full diagonalisation runs, since the steps before were its own."""
+        if self.paused is not None:
+            self.units_only = False
+            self.diagonalize()
 
     def diagonal(self, length: int) -> list:
-        """The diagonal of N, padded with zeros to the given length."""
-        limit = min(self.rows, self.cols)
-        zero = self.ring.zero
-        return [self.n[i][i] if i < limit else zero for i in range(length)]
+        """The canonical diagonal, padded with zeros to the given length.
+
+        On a sheet paused after s unit pivot steps, the residual S =
+        N[s:, s:] is of minors of M, since every pivot so far was +-1,
+        while its full diagonalisation blows them up.  Its last _forward
+        pivot D is a nonzero r-minor for r = rank S, so every nonzero
+        invariant factor of S divides D, and is below 2|D|: the canonical
+        diagonal of S over Z/2|D| is that of S over Z (the modular
+        determinant method of Domich, Kannan and Trotter).
+        """
+        s = self.paused
+        if s is None:
+            diag = [self.n[i][i] for i in range(min(self.rows, self.cols))]
+        else:
+            res = ExactMatrix._of(self.ring, self.rows - s, self.cols - s,
+                                  tuple(tuple(row[s:]) for row in self.n[s:]))
+            pivot_cols, pivot_rows, rows = _forward(res)[:3]
+            m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
+            mod = _diagonal_sheet(ExactMatrix._of(
+                Zmod(m), res.rows, res.cols, tuple(tuple(x % m for x in row) for row in res.entries)))
+            diag = [1] * s + mod.diagonal(len(pivot_rows))
+        return diag[:length] + [self.ring.zero] * (length - len(diag))
 
     def matrix(self) -> ExactMatrix:
         return ExactMatrix._of(self.ring, self.rows, self.cols,
@@ -1225,7 +1232,7 @@ class _Worksheet:
 
 def _diagonal_sheet(mat: ExactMatrix, factors_only=False) -> _Worksheet:
     """mat diagonalised, its operations recorded.  A factors_only sheet over
-    Z may hold no operations (_smith_residual), only the diagonal."""
+    Z may be paused (diagonalize)."""
     ws = _Worksheet(mat, factors_only)
     ws.diagonalize()
     return ws
@@ -1508,39 +1515,6 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
-def _kernel_read(ws: _Worksheet, rebuild: Callable = None) -> tuple:
-    """kernel_data read off a diagonalised sheet, its vectors deferred.
-
-    Returns the presentation and a function that returns the vectors,
-    replaying the column operations when called.  The function keeps those
-    operations and not N; for a zero kernel it keeps nothing.  A sheet with
-    no operations left (_smith_residual) takes them from rebuild (_full_ops)
-    when the function is called.
-    """
-    ring = ws.ring
-    anns = [(j, ring.ann_gen(d)) for j, d in enumerate(ws.diagonal(ws.cols))]
-    anns = [(j, g) for j, g in anns if not ring.is_zero(g)]
-    torsion = [g for _, g in anns if not ring.is_unit(g)]
-    # The diagonal is a canonical divisibility chain with zeros last, so
-    # these factors are already the invariant factors: no second elimination.
-    factors = (tuple(ring.ann_gen(g) for g in torsion)
-               + (ring.zero,) * (len(anns) - len(torsion)))
-    if not anns:
-        return _kernel_presentation(ring, factors), list
-    cols, col_ops = ws.cols, ws.col_ops
-
-    def vectors():
-        ops = rebuild("col_ops") if col_ops is None else col_ops
-        torsion_gens, free_gens = [], []
-        for (j, g), col in zip(anns, _right_columns(ring, cols, ops, [j for j, _ in anns])):
-            if ring.is_unit(g):
-                free_gens.append(col)
-            else:
-                torsion_gens.append(tuple(ring.mul(g, x) for x in col))
-        return torsion_gens + free_gens
-    return _kernel_presentation(ring, factors), vectors
-
-
 def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation":
     relations = block_diag(ring, [ExactMatrix._of(ring, 1, 1, ((d,),)) for d in factors])
     return ModulePresentation(ring, len(factors), relations, factors)
@@ -1701,10 +1675,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     Over the fields the vectors are the reduced kernel basis, from one
     forward elimination and its back-substitution.
     """
-    if a.ring.is_field:
-        pres, vectors = _field_hom_ext(a)[:2]
-    else:
-        pres, vectors = _kernel_read(_diagonal_sheet(a))
+    pres, vectors = _hom_ext_data(a, False)[:2]
     return pres, vectors()
 
 
@@ -1756,43 +1727,21 @@ class ModulePresentation:
         return cokernel(block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors]))
 
 
+def _chain_order(ring: RingSpec, diag: Sequence) -> list:
+    """The positions of a canonical diagonal's invariant factors: the
+    torsion ones in chain order, then the zeros; units are dropped."""
+    return ([i for i, d in enumerate(diag) if not ring.is_zero(d) and not ring.is_unit(d)]
+            + [i for i, d in enumerate(diag) if ring.is_zero(d)])
+
+
 def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
     """Invariant factors from a canonical diagonal: drop units, zeros last."""
-    torsion = [d for d in diag if not ring.is_zero(d) and not ring.is_unit(d)]
-    free = sum(1 for d in diag if ring.is_zero(d))
-    return tuple(torsion + [ring.zero] * free)
-
-
-def _cokernel_read(ws: _Worksheet, a: ExactMatrix) -> tuple:
-    """Cokernel presentation of a and the diagonal positions of its generators.
-
-    Read off a diagonalised sheet of a.  The generators sit at the non-unit
-    diagonal positions, torsion in chain order and then the free ones.
-    """
-    ring = a.ring
-    diag = ws.diagonal(a.rows)
-    idx = ([i for i, d in enumerate(diag) if not ring.is_zero(d) and not ring.is_unit(d)]
-           + [i for i, d in enumerate(diag) if ring.is_zero(d)])
-    return ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), idx
-
-
-def _cokernel_vectors(ws: _Worksheet, idx, rebuild: Callable = None) -> Callable[[], list]:
-    """A function that returns columns idx of left^-1, replaying the row
-    operations when called.  Like _kernel_read's, it keeps those operations
-    and not N, and nothing when idx is empty, and takes them from rebuild
-    when the sheet holds none."""
-    if not idx:
-        return list
-    ring, rows, row_ops = ws.ring, ws.rows, ws.row_ops
-    return lambda: _left_inv_columns(
-        ring, rows, rebuild("row_ops") if row_ops is None else row_ops, idx)
+    return tuple(diag[i] for i in _chain_order(ring, diag))
 
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
-    if a.ring.is_field:
-        return _field_hom_ext(a)[2]
-    return _cokernel_read(_diagonal_sheet(a, True), a)[0]
+    return _hom_ext_data(a)[2]
 
 
 def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
@@ -1803,12 +1752,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     column of left^-1 at that generator's diagonal position.  Over the
     fields they are unit vectors, read off one forward elimination.
     """
-    if a.ring.is_field:
-        pres, vectors = _field_hom_ext(a)[2:]
-    else:
-        ws = _diagonal_sheet(a)
-        pres, idx = _cokernel_read(ws, a)
-        vectors = _cokernel_vectors(ws, idx)
+    pres, vectors = _hom_ext_data(a, False)[2:]
     return pres, vectors()
 
 
@@ -1827,48 +1771,72 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
                 if all(map(ring.is_zero, row))]
     else:
         ws = _diagonal_sheet(a)
-        pres, idx = _cokernel_read(ws, a)
-        if not pres.is_free:
+        diag = ws.diagonal(a.rows)
+        idx = _chain_order(ring, diag)
+        if not all(ring.is_zero(diag[i]) for i in idx):
             return None
         left = _replay(ring, _unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
         rows = [tuple(left[i]) for i in idx]
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
-def _hom_ext_data(a: ExactMatrix) -> tuple:
+def _hom_ext_data(a: ExactMatrix, factors_only=True) -> tuple:
     """The kernel and cokernel presentations of a from one elimination, each
     followed by a zero-argument function that returns kernel_data's or
-    cokernel_data's vectors.
-
-    Over the fields that is one forward elimination (_field_hom_ext),
-    whose kernel function back-substitutes when called; over the other
-    rings one diagonalisation, read off its diagonal, whose operations are
-    replayed on the wanted columns of the right and inverse left transforms
-    only when a function is called.  Over Z that diagonalisation is a
-    factors-only one.  Where it ran out of unit pivots, the first function
-    called diagonalises a again in full, so the vectors are the same, and
-    leaves the other side only its own operation list.
+    cokernel_data's vectors: _field_hom_ext over Q and F_p, _sheet_hom_ext
+    over the other rings.  factors_only lets a sheet over Z pause at its
+    first pivot that is not a unit; kernel_data and cokernel_data, which
+    read their vectors at once, diagonalise in full instead.
     """
     if a.ring.is_field:
         return _field_hom_ext(a)
-    ws = _diagonal_sheet(a, True)
-    pres, idx = _cokernel_read(ws, a)
-    rebuild = None if ws.row_ops is not None else _full_ops(a)
-    return _kernel_read(ws, rebuild) + (pres, _cokernel_vectors(ws, idx, rebuild))
+    return _sheet_hom_ext(a, factors_only)
 
 
-def _full_ops(a: ExactMatrix) -> Callable:
-    """rebuild(side) -> the "row_ops" or "col_ops" of a's full
-    diagonalisation.  The first call runs it and keeps only the other
-    side's list, for that side's call."""
-    full = {}
+def _sheet_hom_ext(a: ExactMatrix, factors_only: bool) -> tuple:
+    """_hom_ext_data(a) over Z, Z/m and Feps, read off one diagonalisation.
 
-    def rebuild(side):
-        if side not in full:
-            sheet = _diagonal_sheet(a)
-            full.update(row_ops=sheet.row_ops, col_ops=sheet.col_ops)
-        return full.pop(side)
-    return rebuild
+    With N = left * a * right diagonal, the kernel of a is right times that
+    of N: one cyclic summand per column j, the annihilator of N's entry
+    d_j.  It is generated by g_j = ann_gen(d_j) and is R / ann(g_j), so its
+    factor is ann_gen(g_j): a unit, dropped, when d_j is a non-zero-divisor,
+    and zero, a free summand, when d_j is zero.  Its vector is g_j times
+    column j of right.  The cokernel's generators sit at the non-unit
+    diagonal positions, their vectors the columns of left^-1 there.  Both
+    sides list torsion in chain order, then the free summands.
+
+    The diagonal is read without building a transform, and each function
+    replays the operations on just the wanted columns when called.  It
+    keeps its own operation list and not N, and nothing for a zero module.
+    Until one of them is called, both also keep a paused sheet; the first
+    call resumes it, so the vectors are a full diagonalisation's, and lets
+    it go.
+    """
+    ring = a.ring
+    ws = _diagonal_sheet(a, factors_only)
+    diag = ws.diagonal(max(a.rows, a.cols))
+    gens = [ring.ann_gen(d) for d in diag[:a.cols]]
+    hom_diag = [ring.ann_gen(g) for g in gens]
+    js, idx = _chain_order(ring, hom_diag), _chain_order(ring, diag[:a.rows])
+    row_ops, col_ops = ws.row_ops, ws.col_ops
+    paused = [ws] if ws.paused is not None else []   # until the first read
+
+    def resume():
+        if paused:
+            paused.pop().resume()
+
+    read_hom = read_ext = list
+    if js:
+        def read_hom():
+            resume()
+            return [col if ring.is_zero(hom_diag[j]) else tuple(ring.mul(gens[j], x) for x in col)
+                    for j, col in zip(js, _right_columns(ring, a.cols, col_ops, js))]
+    if idx:
+        def read_ext():
+            resume()
+            return _left_inv_columns(ring, a.rows, row_ops, idx)
+    return (_kernel_presentation(ring, tuple(hom_diag[j] for j in js)), read_hom,
+            ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), read_ext)
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:

@@ -71,7 +71,17 @@ def conjugate_rep(x: Rep, mats, inverses) -> Rep:
     return Rep(x.ring, q, x.dims, new)
 
 
-def _report(name, seed, size, passes, failures, counterexample):
+def _report(name, seed, size, outcomes):
+    """The report of a suite from its cases' outcomes: None for a passing
+    case, a counterexample for a failing one, of which the first is kept."""
+    passes, failures, counterexample = 0, 0, None
+    for ce in outcomes:
+        if ce is None:
+            passes += 1
+        else:
+            failures += 1
+            if counterexample is None:
+                counterexample = ce
     return {"suite": name, "seed": seed, "size": size,
             "cases": passes + failures, "passes": passes,
             "failures": failures, "counterexample": counterexample}
@@ -81,7 +91,6 @@ def _suite_euler(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, KRONECKER)
     rings = (GF(2), GF(3), GF(5))
-    passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
         ring = rings[(k // len(quivers)) % len(rings)]
@@ -91,47 +100,38 @@ def _suite_euler(seed, size):
         y = random_rep(ring, q, dy, rng)
         he = hom_ext(x, y)
         if he.hom.free_rank - he.ext.free_rank == euler_form(q, dx, dy):
-            passes += 1
+            yield None
         else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": q.to_json(), "ring": str(ring),
-                      "dimsX": list(dx), "dimsY": list(dy)}
-    return _report("euler", seed, size, passes, failures, ce)
+            yield {"quiver": q.to_json(), "ring": str(ring),
+                   "dimsX": list(dx), "dimsY": list(dy)}
 
 
 def _suite_basechange(seed, size):
     rng = random.Random(seed)
     quivers = (A2, KRONECKER, LOOP)
     homs = [canonical_hom(ZZ, t) for t in (GF(2), GF(3), Zmod(4), QQ)]
-    passes, failures, ce = 0, 0, None
 
     def run_case(x, y, hom):
-        nonlocal passes, failures, ce
         rep = check_base_change(x, y, hom)
         if rep["ok"]:
-            passes += 1
-        else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": x.quiver.to_json(), "target": str(hom.target),
-                      "dimsX": list(x.dims), "dimsY": list(y.dims),
-                      "transported": [str(d) for d in rep["transported"].invariant_factors],
-                      "direct": [str(d) for d in rep["direct"].invariant_factors]}
+            return None
+        return {"quiver": x.quiver.to_json(), "target": str(hom.target),
+                "dimsX": list(x.dims), "dimsY": list(y.dims),
+                "transported": [str(d) for d in rep["transported"].invariant_factors],
+                "direct": [str(d) for d in rep["direct"].invariant_factors]}
 
     # pinned witness: loop-quiver pair with Hom = 0 and Ext = Z/2
     wx = Rep.from_matrix_rows(ZZ, LOOP, (1,), [[[0]]])
     wy = Rep.from_matrix_rows(ZZ, LOOP, (1,), [[[2]]])
     for target in (GF(2), GF(3)):
-        run_case(wx, wy, canonical_hom(ZZ, target))
+        yield run_case(wx, wy, canonical_hom(ZZ, target))
     for k in range(size):
         q = quivers[k % len(quivers)]
         dx = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
         dy = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
         x = random_rep(ZZ, q, dx, rng)
         y = random_rep(ZZ, q, dy, rng)
-        run_case(x, y, homs[k % len(homs)])
-    return _report("basechange", seed, size, passes, failures, ce)
+        yield run_case(x, y, homs[k % len(homs)])
 
 
 def _iso_items(a: ExcSequence, b: ExcSequence) -> bool:
@@ -147,7 +147,6 @@ def _suite_braid(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, A4)
     rings = (ZZ, Zmod(4), Feps(2, 2))
-    passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
         ring = rings[k // len(quivers) % len(rings)]
@@ -172,13 +171,10 @@ def _suite_braid(seed, size):
             checks.append(("commute", _iso_items(lhs, rhs)))
         bad = [name for name, ok in checks if not ok]
         if not bad:
-            passes += 1
+            yield None
         else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": q.to_json(), "ring": str(ring), "failed": bad,
-                      "sequence": [list(d) for d in seq.dims_tuple()]}
-    return _report("braid", seed, size, passes, failures, ce)
+            yield {"quiver": q.to_json(), "ring": str(ring), "failed": bad,
+                   "sequence": [list(d) for d in seq.dims_tuple()]}
 
 
 def _roots_for(quiver: Quiver, bound: int = 8):
@@ -188,7 +184,6 @@ def _roots_for(quiver: Quiver, bound: int = 8):
 def _suite_theorem_a(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, KRONECKER)
-    passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
         roots = _roots_for(q)
@@ -203,20 +198,15 @@ def _suite_theorem_a(seed, size):
         except QuivlatError:
             ok = False
         if ok:
-            passes += 1
+            yield None
         else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": q.to_json(), "alpha": list(alpha),
-                      "beta": list(beta)}
-    return _report("theoremA", seed, size, passes, failures, ce)
+            yield {"quiver": q.to_json(), "alpha": list(alpha), "beta": list(beta)}
 
 
 def _suite_theorem_b(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, KRONECKER)
     rings = (ZZ, Zmod(4), Zmod(6), GF(3), Feps(2, 2))
-    passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
         roots = _roots_for(q)
@@ -238,13 +228,9 @@ def _suite_theorem_b(seed, size):
         except QuivlatError:
             ok = False
         if ok:
-            passes += 1
+            yield None
         else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": q.to_json(), "alpha": list(alpha),
-                      "ring": str(ring)}
-    return _report("theoremB", seed, size, passes, failures, ce)
+            yield {"quiver": q.to_json(), "alpha": list(alpha), "ring": str(ring)}
 
 
 def _orthogonal_multiset(q: Quiver, rng: random.Random, bound: int = 6):
@@ -284,7 +270,6 @@ def _suite_theorem_c(seed, size):
     rng = random.Random(seed)
     quivers = (A2, A3, KRONECKER)
     rings = (GF(3), Zmod(6), Feps(2, 2), QQ)
-    passes, failures, ce = 0, 0, None
     for k in range(size):
         q = quivers[k % len(quivers)]
         planted = _orthogonal_multiset(q, rng)
@@ -304,13 +289,10 @@ def _suite_theorem_c(seed, size):
         except QuivlatError:
             ok = False
         if ok:
-            passes += 1
+            yield None
         else:
-            failures += 1
-            if ce is None:
-                ce = {"quiver": q.to_json(), "ring": str(ring), "planted": [
-                    {"dims": list(r), "multiplicity": m} for r, m, _ in planted]}
-    return _report("theoremC", seed, size, passes, failures, ce)
+            yield {"quiver": q.to_json(), "ring": str(ring), "planted": [
+                {"dims": list(r), "multiplicity": m} for r, m, _ in planted]}
 
 
 _RUNNERS = {
@@ -329,4 +311,4 @@ def run_suite(name: str, seed: int = 0, size: int = 20) -> dict:
         from .errors import ParseError
         raise ParseError("unknown suite %r; choose from %s" % (
             name, ", ".join(SUITES)))
-    return _RUNNERS[name](seed, size)
+    return _report(name, seed, size, _RUNNERS[name](seed, size))

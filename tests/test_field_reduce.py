@@ -7,15 +7,14 @@ against a plain reduced row echelon form written here, each returned row a
 multiple of its reduced row within the square of Hadamard's bound over Q.
 Field Hom and Ext, and is_invertible on every ring, build no worksheet.
 The reference for the read-offs is the two-sided
-diagonalisation they used before (``_diagonal_sheet`` with
-``_kernel_read`` and ``_cokernel_read``), which still serves the other
-rings.  The read-off must give the reference's presentations exactly; its
-vectors are a different basis, so they are checked by their defining
-properties instead: the Hom vectors are cols - rank independent vectors of
-the kernel, and the Ext vectors complement the column span.  Over Z, Z/m
-and Feps the read-off defers its replays; the vectors it returns when
-asked are checked bit for bit against the eager read-off of normal_form's
-transforms.
+diagonalisation they used before (``_sheet_hom_ext``), which still serves
+the other rings.  The read-off must give the reference's presentations
+exactly; its vectors are a different basis, so they are checked by their
+defining properties instead: the Hom vectors are cols - rank independent
+vectors of the kernel, and the Ext vectors complement the column span.
+Over Z, Z/m and Feps the read-off defers its replays; the vectors it
+returns when asked are checked bit for bit against the eager read-off of
+normal_form's transforms.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_field_reduce.py
@@ -177,8 +176,7 @@ def check_read_off(a):
     ring = a.ring
     hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
     hom_vecs, ext_vecs = read_hom(), read_ext()
-    ws = rings._diagonal_sheet(a)
-    ref_hom, ref_ext = rings._kernel_read(ws)[0], rings._cokernel_read(ws, a)[0]
+    ref_hom, _, ref_ext, _ = rings._sheet_hom_ext(a, False)
     for new, ref in ((hom, ref_hom), (ext, ref_ext)):
         assert new == ref and repr(new) == repr(ref), (new, ref)
     rank = _rank(a)

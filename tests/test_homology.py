@@ -311,7 +311,9 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     """An exceptional self-pair over Z (Hom free of rank 1, Ext zero) keeps
     neither the worksheet's N nor its row operations, and once its Hom
     generators are read, no operation list at all.  A pair with Ext alone
-    keeps only the row operations, until its cocycles are read."""
+    keeps only the row operations, until its cocycles are read.  A pair
+    whose sheet paused at a residual keeps that sheet until its first
+    witness read, which resumes it, and then neither N nor the sheet."""
     from quivlat import homology, rings
     sheets = []
     diagonal_sheet = rings._diagonal_sheet
@@ -342,6 +344,20 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     assert not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
     assert len(he.ext_cocycles) == 2
     assert id(ws.row_ops) not in _reachable(he)
+    # D = [[2, -2], [0, 0]] has no unit entry: its sheet pauses at step 0
+    x = Rep.from_matrix_rows(ZZ, K2, (1, 1), [[[2]], [[0]]])
+    first = len(sheets)
+    he = hom_ext(x, x)
+    ws = sheets[first]
+    assert ws.paused == 0 and he.hom.free_rank == 1 and he.ext.invariant_factors == (2, 0)
+    assert id(ws) in _reachable(he)
+    assert len(he.hom_generators) == 1 and ws.paused is None
+    held = _reachable(he)   # the Ext side waits with the row operations alone
+    assert id(ws.row_ops) in held and not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
+    assert len(he.ext_cocycles) == 2
+    held = _reachable(he)
+    assert not {id(ws), id(ws.n), id(ws.row_ops), id(ws.col_ops)} & held.keys()
+    assert not {id(row) for row in ws.n} & held.keys()
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)

@@ -1,16 +1,17 @@
 """Invariant factors over Z from unit pivots and a modular residual.
 
 hom_ext and cokernel read Z's invariant factors off a factors-only sheet
-(_diagonal_sheet(a, True)): the diagonalisation runs while its pivots are
-units, and the residual S left is diagonalised over Z/2|D|, D the last
-pivot of _forward on S (_Worksheet._smith_residual).  Here that reading is
-checked against the full integral diagonalisation, on Kronecker (4,5)
+(_diagonal_sheet(a, True)): the diagonalisation pauses at its first pivot
+that is not a unit, and the residual S left is diagonalised over Z/2|D|,
+D the last pivot of _forward on S (_Worksheet.diagonal).  Here that reading
+is checked against the full integral diagonalisation, on Kronecker (4,5)
 pairs from verify.random_rep, on matrices with no unit entry, and on the
 edge cases: the zero matrix, all-unit pivots, [6], diag(2,6), a last
 factor equal to |D|, a rank-deficient residual and one with D = +-1.
-The Hom generators and Ext cocycles, rebuilt from one full
-diagonalisation when a residual was met, must be the full sheet's.  Where sympy imports,
-its Smith normal form is a third opinion.
+A paused sheet keeps N = left * M * right, and resuming it runs the full
+sheet's operations: the Hom generators and Ext cocycles read off it must be
+the full sheet's, and two reads resume it once.  Where sympy imports, its
+Smith normal form is a third opinion.
 
 Stdlib only (sympy when it imports), so it also runs without pytest:
     PYTHONPATH=src python tests/test_z_invariants.py
@@ -41,24 +42,37 @@ def _mat(rows):
 
 def _check(a, witnesses=True, smith=True):
     """The factors-only reading of a equals the one off the full
-    diagonalisation; returns whether it met a residual and dropped its
-    operations.  smith asks sympy too (slow on the larger matrices)."""
+    diagonalisation; returns whether it met a residual and paused.  smith
+    asks sympy too (slow on the larger matrices)."""
     fast, full = _diagonal_sheet(a, True), _diagonal_sheet(a)
     hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
-    (kpres, kvec), (cpres, idx) = rings._kernel_read(full), rings._cokernel_read(full, a)
+    kpres, kvec, cpres, cvec = rings._hom_ext_data(a, False)
     assert hom == kpres and ext == cpres, (a, hom, kpres, ext, cpres)
     assert rings.cokernel(a) == cpres
     assert fast.diagonal(a.rows) == full.diagonal(a.rows)
+    paused = fast.paused is not None
     if witnesses:
         assert read_hom() == kvec()
-        assert read_ext() == rings._cokernel_vectors(full, idx)()
+        assert read_ext() == cvec()
+        fast.resume()
+        assert (fast.n, fast.row_ops, fast.col_ops) == (full.n, full.row_ops, full.col_ops)
     if smith and invariant_factors is not None:
         theirs = [int(abs(d)) for d in invariant_factors(Matrix(a.rows, a.cols, [
             x for row in a.entries for x in row]), domain=SYMPY_ZZ)] if a.rows and a.cols else []
         nonzero = [d for d in theirs if d]
         assert list(ext.invariant_factors) == (
             [d for d in nonzero if d != 1] + [0] * (a.rows - len(nonzero))), (a, theirs)
-    return fast.row_ops is None
+    return paused
+
+
+def _assert_transforms_hold(ws, a):
+    """N = left * a * right, left and right built from the operation lists."""
+    ring = a.ring
+    left = rings._replay(ring, rings._unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
+    right = rings._replay(ring, rings._unit_columns(ring, a.cols, range(a.cols)),
+                          reversed(ws.col_ops))
+    left, right = (ExactMatrix(ring, len(m), len(m), tuple(map(tuple, m))) for m in (left, right))
+    assert left.mul(a).mul(right) == ws.matrix(), a
 
 
 def _last_pivot(a):
@@ -86,28 +100,70 @@ def test_matrices_with_no_unit_entry():
 
 
 def test_witness_reads_diagonalise_in_full_once():
-    """After a residual, the first witness read diagonalises a in full,
-    and the second reads the other operation list of that same run."""
-    a = _mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]])
-    for hom_first in (True, False):
-        hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
-        assert hom.free_rank == 2 and ext.invariant_factors == (2, 0, 0)
-        full, calls = _diagonal_sheet, []
+    """After a residual the sheet pauses, and the first witness read
+    resumes it: in either order the two reads build no new sheet, every
+    unit pivot step before the pause runs once, and the vectors are the
+    full sheet's."""
+    cases = [  # (matrix, Hom free rank, Ext invariant factors)
+        (_mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]]), 2, (2, 0, 0)),    # pauses at step 0
+        (_mat([[1, 2, 3, 4], [2, 6, 8, 10], [3, 8, 13, 16]]), 1, (2, 2)),   # at step 1
+    ]
+    for a, hom_rank, ext_factors in cases:
+        for hom_first in (True, False):
+            built, steps = [], []
+            init, find = rings._Worksheet.__init__, rings._Worksheet._find_pivot
 
-        def counted(mat, *mode):
-            calls.append((mat, mode))
-            return full(mat, *mode)
-        rings._diagonal_sheet = counted
-        try:
-            reads = (read_hom, read_ext) if hom_first else (read_ext, read_hom)
-            vecs = [read() for read in reads]
-        finally:
-            rings._diagonal_sheet = full
-        assert calls == [(a, ())]
-        ws = full(a)
-        expected = [rings._kernel_read(ws)[1](),
-                    rings._cokernel_vectors(ws, rings._cokernel_read(ws, a)[1])()]
-        assert vecs == (expected if hom_first else expected[::-1])
+            def counted_init(ws, mat, *mode):
+                built.append(ws)
+                init(ws, mat, *mode)
+
+            def counted_find(ws, s):
+                steps.append((ws, s))
+                return find(ws, s)
+            rings._Worksheet.__init__, rings._Worksheet._find_pivot = counted_init, counted_find
+            try:
+                hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
+                sheet, built_before = built[0], len(built)
+                pause = sheet.paused
+                reads = (read_hom, read_ext) if hom_first else (read_ext, read_hom)
+                vecs = [read() for read in reads]
+            finally:
+                rings._Worksheet.__init__, rings._Worksheet._find_pivot = init, find
+            assert pause is not None and sheet.paused is None
+            assert hom.free_rank == hom_rank and ext.invariant_factors == ext_factors
+            assert len(built) == built_before
+            own = [s for ws, s in steps if ws is sheet]
+            assert own[:pause + 1] == list(range(pause + 1))
+            assert all(own.count(s) == 1 for s in range(pause))
+            _, kvec, _, cvec = rings._hom_ext_data(a, False)
+            expected = [kvec(), cvec()]
+            assert vecs == (expected if hom_first else expected[::-1])
+    assert [_diagonal_sheet(a, True).paused for a, _, _ in cases] == [0, 1]
+
+
+def test_paused_and_resumed_sheets_keep_their_transforms():
+    """N = left * M * right on a paused sheet and after it resumes, on
+    matrices with no unit entry and on Kronecker (3,4) pairs that meet a
+    residual (the (4,5) ones take seconds to multiply out)."""
+    rng = random.Random("transforms")
+    mats = [_mat([[rng.choice((-6, -4, -2, 0, 2, 3, 4, 9)) for _ in range(5)]
+                  for _ in range(4)]) for _ in range(10)]
+    for seed in range(8):
+        pair_rng = random.Random("z-invariants:%d" % seed)
+        x = random_rep(ZZ, KRONECKER, (3, 4), pair_rng)
+        mats.append(differential(x, random_rep(ZZ, KRONECKER, (3, 4), pair_rng)))
+    paused = 0
+    for a in mats:
+        ws = _diagonal_sheet(a, True)
+        if ws.paused is None:
+            continue
+        paused += 1
+        ws.diagonal(a.rows)   # reading the factors leaves the sheet as it was
+        _assert_transforms_hold(ws, a)
+        ws.resume()
+        assert ws.paused is None
+        _assert_transforms_hold(ws, a)
+    assert paused >= 12
 
 
 def test_edge_cases():
