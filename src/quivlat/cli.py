@@ -218,19 +218,26 @@ def _cmd_verify(args) -> dict:
     return report
 
 
-_HANDLERS = {
-    "ext": _cmd_ext,
-    "hom": _cmd_ext,
-    "rigid": _cmd_rigid,
-    "exceptional": _cmd_exceptional,
-    "mutate": _cmd_mutate,
-    "braid": _cmd_braid,
-    "schur": _cmd_schur,
-    "construct": _cmd_construct,
-    "decompose": _cmd_decompose,
-    "lift": _cmd_lift,
-    "basechange": _cmd_basechange,
-    "verify": _cmd_verify,
+# verb -> (help line, handler, common flags for _add_common)
+_VERBS = {
+    "ext": ("Hom and Ext invariants of a pair", _cmd_ext, ("quiver", "pair", "ring")),
+    "hom": ("Hom and Ext invariants of a pair", _cmd_ext, ("quiver", "pair", "ring")),
+    "rigid": ("test vanishing of self-extensions", _cmd_rigid, ("quiver", "rep", "ring")),
+    "exceptional": ("test rigidity plus trivial endomorphisms", _cmd_exceptional,
+                    ("quiver", "rep", "ring")),
+    "mutate": ("mutate an exceptional pair", _cmd_mutate, ("quiver", "pair", "ring")),
+    "braid": ("act on the standard exceptional sequence", _cmd_braid,
+              ("needs-quiver", "ring")),
+    "schur": ("classify a dimension vector", _cmd_schur, ("needs-quiver", "dims", "bound")),
+    "construct": ("build the exceptional representation of a root", _cmd_construct,
+                  ("needs-quiver", "dims", "ring", "bound")),
+    "decompose": ("split a rigid representation into exceptional summands", _cmd_decompose,
+                  ("quiver", "rep", "ring", "bound")),
+    "lift": ("lift a rigid representation along a nilpotent reduction", _cmd_lift,
+             ("rep", "ring")),
+    "basechange": ("compare transported and recomputed invariants", _cmd_basechange,
+                   ("quiver", "pair", "ring")),
+    "verify": ("run a randomized self-check suite", _cmd_verify, ()),
 }
 
 
@@ -253,8 +260,9 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
     if "bound" in names:
         sub.add_argument("--bound",
                          help="total-dimension search bound (default 60 or QUIVLAT_BOUND)")
+    # verify, the one verb with no common flags, has never shown a --format help line
     sub.add_argument("--format", choices=("text", "json"), default="text",
-                     help="output format (default text)")
+                     help="output format (default text)" if names else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,37 +271,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homological invariants and structure theory of quiver "
                     "representations over exact rings.")
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    for verb in ("ext", "hom"):
-        sub = verbs.add_parser(verb, help="Hom and Ext invariants of a pair")
-        _add_common(sub, "quiver", "pair", "ring")
-    sub = verbs.add_parser("rigid", help="test vanishing of self-extensions")
-    _add_common(sub, "quiver", "rep", "ring")
-    sub = verbs.add_parser("exceptional", help="test rigidity plus trivial endomorphisms")
-    _add_common(sub, "quiver", "rep", "ring")
-    sub = verbs.add_parser("mutate", help="mutate an exceptional pair")
-    _add_common(sub, "quiver", "pair", "ring")
-    sub.add_argument("--side", choices=("left", "right"), default="left",
-                     help="mutation side (default left)")
-    sub = verbs.add_parser("braid", help="act on the standard exceptional sequence")
-    _add_common(sub, "needs-quiver", "ring")
-    sub.add_argument("--word", default="1",
-                     help="comma-separated braid letters; negative means inverse (default 1)")
-    sub = verbs.add_parser("schur", help="classify a dimension vector")
-    _add_common(sub, "needs-quiver", "dims", "bound")
-    sub = verbs.add_parser("construct", help="build the exceptional representation of a root")
-    _add_common(sub, "needs-quiver", "dims", "ring", "bound")
-    sub = verbs.add_parser("decompose", help="split a rigid representation into exceptional summands")
-    _add_common(sub, "quiver", "rep", "ring", "bound")
-    sub = verbs.add_parser("lift", help="lift a rigid representation along a nilpotent reduction")
-    _add_common(sub, "rep", "ring")
-    sub = verbs.add_parser("basechange", help="compare transported and recomputed invariants")
-    _add_common(sub, "quiver", "pair", "ring")
-    sub = verbs.add_parser("verify", help="run a randomized self-check suite")
-    sub.add_argument("suite", choices=SUITES)
-    sub.add_argument("--seed", default="0")
-    sub.add_argument("--size", default="20")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    for verb, (text, _, names) in _VERBS.items():
+        sub = verbs.add_parser(verb, help=text)
+        if verb == "verify":
+            sub.add_argument("suite", choices=SUITES)
+            sub.add_argument("--seed", default="0")
+            sub.add_argument("--size", default="20")
+        _add_common(sub, *names)
+        if verb == "mutate":
+            sub.add_argument("--side", choices=("left", "right"), default="left",
+                             help="mutation side (default left)")
+        elif verb == "braid":
+            sub.add_argument("--word", default="1",
+                             help="comma-separated braid letters; negative means inverse "
+                                  "(default 1)")
     return parser
 
 
@@ -313,7 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        report = _HANDLERS[args.verb](args)
+        report = _VERBS[args.verb][1](args)
     except FileNotFoundError as exc:
         _emit({"schema": SCHEMA, "error": "FileNotFound",
                "message": str(exc)}, fmt)

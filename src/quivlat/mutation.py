@@ -98,16 +98,10 @@ def _free_rank_or_violation(pres, label: str) -> int:
 
 def _evaluation_map(x: Rep, y: Rep, gens) -> RepMorphism:
     """Universal map X^h -> Y with block columns the Hom generators."""
-    ring = x.ring
-    h = len(gens)
-    src = tensor_free(x, h)
-    maps = []
-    for i in range(x.quiver.vertex_count):
-        m = ExactMatrix.zeros(ring, y.dims[i], 0)
-        for g in gens:
-            m = m.hstack(g.vertex_maps[i])
-        maps.append(m)
-    return RepMorphism(src, y, tuple(maps))
+    src = tensor_free(x, len(gens))
+    maps = tuple(ExactMatrix.zeros(x.ring, y.dims[i], 0).hstack(*(g.vertex_maps[i] for g in gens))
+                 for i in range(x.quiver.vertex_count))
+    return RepMorphism(src, y, maps)
 
 
 def _extension_middle(x: Rep, y: Rep, cocycles) -> Rep:
@@ -119,10 +113,7 @@ def _extension_middle(x: Rep, y: Rep, cocycles) -> Rep:
     mats = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
-        c = ExactMatrix.zeros(ring, y.dims[h], 0)
-        for z in cocycles:
-            c = c.hstack(z[a])
-        top = y.mats[a].hstack(c)
+        top = y.mats[a].hstack(*(z[a] for z in cocycles))
         bottom = ExactMatrix.zeros(ring, d * x.dims[h], y.dims[t]).hstack(
             block_diag(ring, [x.mats[a]] * d))
         mats.append(top.vstack(bottom))

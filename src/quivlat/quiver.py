@@ -274,7 +274,7 @@ class Rep:
                 raise ParseError("arrow %d needs %d entries" % (a, r * c))
             entries = [ring.entry_from_json(x) for x in flat]
             rows = tuple(tuple(entries[i * c:(i + 1) * c]) for i in range(r))
-            mats.append(ExactMatrix(ring, r, c, rows))
+            mats.append(ExactMatrix._of(ring, r, c, rows))   # entries are canonical
         return Rep(ring, quiver, dims, tuple(mats))
 
 
@@ -346,20 +346,20 @@ def _check_compatible(x: Rep, y: Rep):
 
 
 def direct_sum(x: Rep, y: Rep) -> Rep:
-    _check_compatible(x, y)
-    dims = tuple(a + b for a, b in zip(x.dims, y.dims))
-    mats = tuple(block_diag(x.ring, [x.mats[a], y.mats[a]])
-                 for a in range(x.quiver.arrow_count))
-    return Rep(x.ring, x.quiver, dims, mats)
+    return direct_sum_many([x, y])
 
 
 def direct_sum_many(reps: Sequence[Rep]) -> Rep:
+    """The direct sum in the listed order: one block_diag per arrow."""
     if not reps:
         raise DimensionMismatch("empty direct sum needs an ambient quiver")
-    out = reps[0]
+    x = reps[0]
     for r in reps[1:]:
-        out = direct_sum(out, r)
-    return out
+        _check_compatible(x, r)
+    dims = tuple(map(sum, zip(*(r.dims for r in reps))))
+    mats = tuple(block_diag(x.ring, [r.mats[a] for r in reps])
+                 for a in range(x.quiver.arrow_count))
+    return Rep(x.ring, x.quiver, dims, mats)
 
 
 def direct_sum_injections(x: Rep, y: Rep) -> tuple:
@@ -389,10 +389,7 @@ def tensor_free(x: Rep, k: int) -> Rep:
         raise DimensionMismatch("negative multiplicity")
     if k == 0:
         return Rep.zero(x.ring, x.quiver)
-    dims = tuple(d * k for d in x.dims)
-    mats = tuple(block_diag(x.ring, [x.mats[a]] * k)
-                 for a in range(x.quiver.arrow_count))
-    return Rep(x.ring, x.quiver, dims, mats)
+    return direct_sum_many([x] * k)
 
 
 def base_change(x: Rep, hom: RingHom) -> Rep:

@@ -951,13 +951,15 @@ class ExactMatrix:
             data = tuple(() for _ in range(self.cols))
         return ExactMatrix._of(self.ring, self.cols, self.rows, data)
 
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ring != other.ring:
-            raise IncompatibleRing("mixed rings")
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts %d vs %d" % (self.rows, other.rows))
-        data = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        return ExactMatrix._of(self.ring, self.rows, self.cols + other.cols, data)
+    def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
+        """self and the others side by side, in one copy."""
+        for other in others:
+            if self.ring != other.ring:
+                raise IncompatibleRing("mixed rings")
+            if self.rows != other.rows:
+                raise DimensionMismatch("row counts %d vs %d" % (self.rows, other.rows))
+        data = tuple(sum(parts, ()) for parts in zip(self.entries, *(m.entries for m in others)))
+        return ExactMatrix._of(self.ring, self.rows, self.cols + sum(m.cols for m in others), data)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ring != other.ring:
@@ -1428,68 +1430,58 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     Only meaningful over Z/m and the truncated rings, where row spans
     classify submodules of free modules.  The result is canonical: any two
     generating sets of the same span produce identical output.
+
+    One pass over a queue of rows fills one echelon slot per leading column,
+    saturating as it triangulates (Storjohann and Mulders, ESA 1998).  A row
+    whose column has a slot is merged into it by a gcdex transform, and the
+    other output row, zero in that column, goes back on the queue.  When the
+    queue runs dry, the leftmost slot row whose annihilator multiple
+    ann_gen(pivot) * row has not been queued yet queues it, unless it is
+    zero.  Rows queued from then on lead further right, so that slot row is
+    final; a slot row replaced before its turn needs no multiple, since its
+    multiple combines the multiple of its replacement and the other output
+    row of the merge.  So every span element whose first j entries vanish
+    combines the slot rows leading at j or later: the Howell property.  Each
+    row that arrives at a column sends at most two rows on to later columns,
+    so the pass ends, by induction on the columns.  Last, each pivot becomes
+    its canonical associate and the entries above it their residues modulo
+    it; this normalised form of a span is unique (Howell, 1986).
     """
     if ring.is_domain:
         raise IncompatibleRing("Howell form needs a finite principal ideal ring")
     width = None
-    work = []
+    queue = []
     for row in rows:
         row = tuple(ring.canon(x) for x in row)
         width = len(row) if width is None else width
         if len(row) != width:
             raise DimensionMismatch("ragged rows")
         if any(not ring.is_zero(x) for x in row):
-            work.append(list(row))
+            queue.append(list(row))
     if width is None:
         return []
-
-    def triangulate(items):
-        # one echelon slot per leading column, merged by gcdex transforms
-        slots: dict[int, list] = {}
-        queue = list(items)
-        while queue:
-            row = queue.pop()
-            lead = _lead_index(ring, row)
-            if lead == width:
-                continue
-            if lead not in slots:
-                slots[lead] = row
-                continue
-            other = slots[lead]
-            g, s, t, u, v = ring.gcdex(other[lead], row[lead])
-            slots[lead], row = ring.row_comb(other, row, s, t, u, v)
-            queue.append(row)
-        return slots
-
-    slots = triangulate(work)
-    # saturate: annihilator multiples of each pivot row stay in the span
-    while True:
-        extra = []
-        for lead, row in slots.items():
+    slots: dict[int, list] = {}
+    fresh = set()   # leads of slot rows whose annihilator multiple is not queued yet
+    while queue or fresh:
+        if not queue:
+            lead = min(fresh)
+            fresh.remove(lead)
+            row = slots[lead]
             ann = ring.ann_gen(row[lead])
-            if ring.is_zero(ann):
-                continue
-            cand = [ring.mul(ann, x) for x in row]
-            clead = _lead_index(ring, cand)
-            if clead == width:
-                continue
-            # reduce against existing slots to test novelty
-            red = cand
-            while True:
-                rl = _lead_index(ring, red)
-                if rl == width or rl not in slots:
-                    break
-                piv = slots[rl][rl]
-                q = ring.solve_scalar(piv, red[rl])
-                if q is None:
-                    break
-                red = ring.row_axpy(red, slots[rl], ring.neg(q))
-            if _lead_index(ring, red) < width:
-                extra.append(cand)
-        if not extra:
-            break
-        merged = list(slots.values()) + extra
-        slots = triangulate(merged)
+            if not ring.is_zero(ann):
+                queue.append([ring.mul(ann, x) for x in row])
+            continue
+        row = queue.pop()
+        lead = _lead_index(ring, row)
+        if lead == width:
+            continue
+        if lead in slots:
+            other = slots[lead]
+            _, s, t, u, v = ring.gcdex(other[lead], row[lead])
+            row, rest = ring.row_comb(other, row, s, t, u, v)
+            queue.append(rest)
+        slots[lead] = row
+        fresh.add(lead)
     # normalise pivots and reduce entries above each pivot
     order = sorted(slots)
     out = [slots[lead] for lead in order]
@@ -1765,10 +1757,9 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     left transform at the zero rows of the normal form.
     """
     ring = a.ring
-    if ring.is_field:
-        res = normal_form(a)
-        rows = [left for left, row in zip(res.left.entries, res.nf.entries)
-                if all(map(ring.is_zero, row))]
+    if ring.is_field:   # left is the identity block of the rref of [a | I]
+        pivots, reduced = _field_rref(a.hstack(ExactMatrix.identity(ring, a.rows)))
+        rows = [tuple(r[a.cols:]) for c, r in zip(pivots, reduced) if c >= a.cols]
     else:
         ws = _diagonal_sheet(a)
         diag = ws.diagonal(a.rows)

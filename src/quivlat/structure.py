@@ -398,13 +398,9 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     summands = tuple((lattices[r], multiplicity[r]) for r in roots)
     total = direct_sum_many([tensor_free(lattices[r], multiplicity[r])
                              for r in roots])
-    maps = []
-    for i in range(quiver.vertex_count):
-        m = ExactMatrix.zeros(ring, x.dims[i], 0)
-        for r in roots:
-            m = m.hstack(partial[r].vertex_maps[i])
-        maps.append(m)
-    certificate = RepMorphism(total, x, tuple(maps))
+    maps = tuple(ExactMatrix.zeros(ring, x.dims[i], 0).hstack(
+        *(partial[r].vertex_maps[i] for r in roots)) for i in range(quiver.vertex_count))
+    certificate = RepMorphism(total, x, maps)
     if not certificate.is_isomorphism():
         raise TheoremViolation("assembled decomposition map is not invertible")
     return RigidDecomposition(summands, tuple(roots), certificate,

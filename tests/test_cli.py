@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, and byte-stable JSON."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -396,3 +397,34 @@ def test_malformed_bound_environment_exits_two_without_traceback(files, argv):
                            files["s1"], "--rep-y", files["s2"], "--format", "json"],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
+
+
+# SHA-256 of `quivlat [verb] --help` at COLUMNS=80, recorded on Python 3.11;
+# argparse lays out help differently from one Python minor version to another
+HELP_SHA256 = {
+    "": "dc8743a43ed4fded98600e71dfdad3478ca5c055fc6b96b1678d038a0b402d14",
+    "ext": "dffa5387f0eca87f7dcbf93df058c24ca9d0a3d7ea7eaec9dd562b08d9d38921",
+    "hom": "1c12909563d7a650c1ab3961f48e3c56c3cae9d9e82b1a87523e7ccf94332f6a",
+    "rigid": "f31734f5824b771e34a44b6f8ebe532e956e28e97fb7cca9ac79f30bbe0361ba",
+    "exceptional": "3e538ae924479a6cee4e93508eba48bcafe388d5f2787a8313cf2800ad7212d0",
+    "mutate": "ee69f737397c683501debffd470430421a1545bc34b7afc716d6696b853ea7bd",
+    "braid": "b22974aef138658116dd148028c7761df7567c0015e42d90b4b49ec2278d238b",
+    "schur": "c5292db5ca18365a1bb5500172a095c8da8475e99ed5bb449a8a83047fb32a96",
+    "construct": "b561fda59bb28c433bfa79c68b1a374e3e1be95b56bedb73ac4dcd17daaf2bbc",
+    "decompose": "9b1d7a167a9b0d8b35be6302093a49cad879c394b090be52cc341da4afc773f3",
+    "lift": "5032d5f5eea5d0a94e4a53158a145d747dc60de3bca8c4a9fbbcc0560d373ce2",
+    "basechange": "9ff8532295032dbdf9cfa727580eb169a0016e7e07edea4e9706f9546d0e4830",
+    "verify": "83bd1ec534a094bea1e17386ae9e521fa312b76baaf4f55e6987ac42e44c5a4b",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help snapshot recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("verb", sorted(HELP_SHA256))
+def test_help_text_is_unchanged(verb, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(([verb] if verb else []) + ["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[verb], text

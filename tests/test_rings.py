@@ -491,6 +491,33 @@ def test_howell_rows_canonical_span(ring):
         assert howell_rows(ring, shuffled) == h
 
 
+@pytest.mark.parametrize("ring", [Zmod(4), Zmod(6), Zmod(8), Feps(2, 2), Feps(3, 2)], ids=str)
+def test_howell_rows_have_the_howell_property(ring):
+    """Brute force over the whole span: every span element whose first j
+    entries vanish combines the output rows leading at j or later, each
+    pivot is its canonical generator, and each entry above a pivot is the
+    first element, in ring.elements() order, of its coset modulo the pivot."""
+    rng = random.Random(11)
+    elements = list(ring.elements())
+    for _ in range(40):
+        width = rng.randint(1, 3)
+        rows = [tuple(ring.zero if rng.random() < 0.3 else rng.choice(elements)
+                      for _ in range(width)) for _ in range(rng.randint(0, 3))]
+        h = howell_rows(ring, rows)
+        leads = [next(j for j, x in enumerate(r) if not ring.is_zero(x)) for r in h]
+        assert leads == sorted(set(leads)), (rows, h)
+        span = span_closure(ring, rows, width)
+        for j in range(width + 1):
+            tail = span_closure(ring, [r for r, lead in zip(h, leads) if lead >= j], width)
+            assert tail == {v for v in span if all(map(ring.is_zero, v[:j]))}, (rows, h, j)
+        for i, (row, lead) in enumerate(zip(h, leads)):
+            piv = row[lead]
+            assert piv == ring.canonical_gen(piv), (rows, h)
+            for above in h[:i]:
+                coset = {ring.add(above[lead], ring.mul(c, piv)) for c in elements}
+                assert above[lead] == next(e for e in elements if e in coset), (rows, h)
+
+
 def test_howell_rows_sees_hidden_submodule():
     # over Z/4 the span of (2,) contains (2,) which plain echelon scaling loses
     ring = Zmod(4)

@@ -194,6 +194,30 @@ def test_structure_and_mutation_build_canonical_matrices():
         assert _checked_of.calls[str(ring)] > 0, ring
 
 
+def test_rep_from_json_builds_canonical_matrices():
+    """Rep.from_json builds on the trusted path, since entry_from_json
+    returns canonical entries, also from JSON entries that are not
+    canonical; it reads back what to_json wrote."""
+    def loose(ring, v):   # an equal JSON entry in a form canon rewrites
+        if ring.kind == "Q":
+            v = Fraction(v)
+            return "%d/%d" % (2 * v.numerator, 2 * v.denominator)
+        if ring.kind == "Feps":
+            return [c + ring.p for c in v] + [0]
+        return v + 2 * ring.size if ring.is_finite else v
+
+    rng = random.Random("from_json")
+    for ring in RINGS:
+        x = _rep(ring, MIXED, (2, 3), rng)
+        data = x.to_json()
+        data["mats"][1] = [loose(ring, v) for v in data["mats"][1]]
+        _checked_of.calls.clear()
+        with _checking():
+            got = Rep.from_json(data)
+        assert got == x and repr(got.mats) == repr(x.mats), ring
+        assert _checked_of.calls[str(ring)] > 0, ring
+
+
 def test_apply_hom_builds_canonical_matrices():
     """apply_hom builds on the trusted path, since every hom's per-entry map
     returns canonical target entries; the result is the public
