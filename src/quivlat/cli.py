@@ -100,10 +100,12 @@ def _factors_json(pres) -> list:
     return [pres.ring.entry_to_json(d) for d in pres.invariant_factors]
 
 
-def _hom_ext_report(x: Rep, y: Rep) -> dict:
+def _cmd_ext(args) -> dict:
+    x = _override_ring(_load_rep(args.rep_x), args.ring)
+    y = _override_ring(_load_rep(args.rep_y), args.ring)
+    _check_quiver(args, x, y)
     he = hom_ext(x, y)
     return {
-        "schema": SCHEMA,
         "ring": str(x.ring),
         "homInvariants": _factors_json(he.hom),
         "homIsFree": he.hom.is_free,
@@ -114,27 +116,16 @@ def _hom_ext_report(x: Rep, y: Rep) -> dict:
     }
 
 
-def _cmd_ext(args) -> dict:
-    x = _override_ring(_load_rep(args.rep_x), args.ring)
-    y = _override_ring(_load_rep(args.rep_y), args.ring)
-    _check_quiver(args, x, y)
-    report = _hom_ext_report(x, y)
-    report["verb"] = args.verb
-    return report
-
-
 def _cmd_rigid(args) -> dict:
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
-    return {"schema": SCHEMA, "verb": "rigid", "ring": str(x.ring),
-            "dims": list(x.dims), "rigid": is_rigid(x)}
+    return {"ring": str(x.ring), "dims": list(x.dims), "rigid": is_rigid(x)}
 
 
 def _cmd_exceptional(args) -> dict:
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
-    return {"schema": SCHEMA, "verb": "exceptional", "ring": str(x.ring),
-            "dims": list(x.dims), "exceptional": is_exceptional(x)}
+    return {"ring": str(x.ring), "dims": list(x.dims), "exceptional": is_exceptional(x)}
 
 
 def _cmd_mutate(args) -> dict:
@@ -143,8 +134,7 @@ def _cmd_mutate(args) -> dict:
     _check_quiver(args, x, y)
     mutate = left_mutate if args.side == "left" else right_mutate
     result: MutationResult = mutate(x, y)
-    return {"schema": SCHEMA, "verb": "mutate", "side": args.side,
-            "kind": result.kind, "dims": list(result.rep.dims),
+    return {"side": args.side, "kind": result.kind, "dims": list(result.rep.dims),
             "rep": result.rep.to_json()}
 
 
@@ -155,8 +145,7 @@ def _cmd_braid(args) -> dict:
     word = _parse_word(args.word)
     for letter in word:
         seq = braid_act(seq, abs(letter), inverse=letter < 0)
-    return {"schema": SCHEMA, "verb": "braid", "ring": str(ring),
-            "word": list(word),
+    return {"ring": str(ring), "word": list(word),
             "dims": [list(d) for d in seq.dims_tuple()],
             "items": [item.to_json() for item in seq.items]}
 
@@ -164,8 +153,7 @@ def _cmd_braid(args) -> dict:
 def _cmd_schur(args) -> dict:
     quiver = _load_quiver(args.quiver)
     dims = _require_real_schur(quiver, _parse_dims(args.dims), _bound(args))
-    return {"schema": SCHEMA, "verb": "schur", "dims": list(dims),
-            "isRealSchurRoot": True, "status": SCHUR_REAL}
+    return {"dims": list(dims), "isRealSchurRoot": True, "status": SCHUR_REAL}
 
 
 def _cmd_construct(args) -> dict:
@@ -173,17 +161,14 @@ def _cmd_construct(args) -> dict:
     dims = _parse_dims(args.dims)
     ring = RingSpec.parse(args.ring) if args.ring else ZZ
     rep = exceptional_lattice(quiver, dims, ring, bound=_bound(args))
-    return {"schema": SCHEMA, "verb": "construct", "ring": str(ring),
-            "dims": list(dims), "exceptional": True, "rep": rep.to_json()}
+    return {"ring": str(ring), "dims": list(dims), "exceptional": True,
+            "rep": rep.to_json()}
 
 
 def _cmd_decompose(args) -> dict:
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
-    result = decompose_rigid(x, bound=_bound(args))
-    report = result.to_json()
-    report.update({"schema": SCHEMA, "verb": "decompose", "ring": str(x.ring)})
-    return report
+    return dict(decompose_rigid(x, bound=_bound(args)).to_json(), ring=str(x.ring))
 
 
 def _cmd_lift(args) -> dict:
@@ -192,8 +177,8 @@ def _cmd_lift(args) -> dict:
         raise ParseError("lift requires --ring with the ring to lift to")
     source = RingSpec.parse(args.ring)
     lifted = lift_rigid(x, canonical_hom(source, x.ring))
-    return {"schema": SCHEMA, "verb": "lift", "ring": str(source),
-            "dims": list(lifted.dims), "rigid": True, "rep": lifted.to_json()}
+    return {"ring": str(source), "dims": list(lifted.dims), "rigid": True,
+            "rep": lifted.to_json()}
 
 
 def _cmd_basechange(args) -> dict:
@@ -204,18 +189,14 @@ def _cmd_basechange(args) -> dict:
         raise ParseError("basechange requires --ring with the target ring")
     target = RingSpec.parse(args.ring)
     report = check_base_change(x, y, canonical_hom(x.ring, target))
-    return {"schema": SCHEMA, "verb": "basechange",
-            "source": str(x.ring), "target": str(target), "ok": report["ok"],
+    return {"source": str(x.ring), "target": str(target), "ok": report["ok"],
             "transported": _factors_json(report["transported"]),
             "direct": _factors_json(report["direct"])}
 
 
 def _cmd_verify(args) -> dict:
-    report = run_suite(args.suite, seed=_parse_int(args.seed, "--seed"),
-                       size=_parse_int(args.size, "--size"))
-    report["schema"] = SCHEMA
-    report["verb"] = "verify"
-    return report
+    return run_suite(args.suite, seed=_parse_int(args.seed, "--seed"),
+                     size=_parse_int(args.size, "--size"))
 
 
 # verb -> (help line, handler, common flags for _add_common)
@@ -315,7 +296,7 @@ def main(argv=None) -> int:
     except QuivlatError as exc:
         _emit({"schema": SCHEMA, "error": exc.code, "message": str(exc)}, fmt)
         return 1
-    _emit(report, fmt)
+    _emit(dict(report, schema=SCHEMA, verb=args.verb), fmt)   # one envelope for every verb
     return 0
 
 

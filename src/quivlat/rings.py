@@ -1833,40 +1833,24 @@ def _sheet_hom_ext(a: ExactMatrix, factors_only: bool) -> tuple:
 def constant_rank(pres: ModulePresentation) -> Optional[int]:
     """Local free rank when the module is projective of constant rank.
 
-    Returns None when projective with differing local ranks (possible only
-    over Z/m with composite m); raises NotProjective otherwise.
+    A finitely presented module is projective exactly when it is locally
+    free.  Over the principal ideal domains Z, Q and F_p and the local
+    rings F_p[e]/(e^n) that means free, so the module is its own one part.
+    Z/m is the product of the local rings Z/q^k, and the parts are the base
+    changes along Z/m -> Z/q^k.  Raises NotProjective when a part is not
+    free; returns the parts' common free rank, or None when they differ
+    (possible only over Z/m with composite m).
     """
     ring = pres.ring
-    factors = pres.invariant_factors
-    if ring.kind != "Zmod":
-        # local or domain cases: projective means free here
-        for d in factors:
-            if not ring.is_zero(d):
-                raise NotProjective(
-                    "invariant factor %r obstructs projectivity over %s" % (d, ring))
-        return pres.free_rank
-    ranks = []
-    for q, k in _factorize(ring.m):
-        qk = q ** k
-        rank = 0
-        for d in factors:
-            if ring.is_zero(d):
-                rank += 1
-                continue
-            v = 0
-            x = d
-            while x % q == 0:
-                x //= q
-                v += 1
-            if v >= k:
-                rank += 1
-            elif v > 0:
-                raise NotProjective(
-                    "factor %r is %d-divisible but not fully at %d^%d" % (d, q, q, k))
-        ranks.append(rank)
-    if all(r == ranks[0] for r in ranks):
-        return ranks[0]
-    return None
+    parts = [pres] if ring.kind != "Zmod" else [
+        presentation_base_change(pres, RingHom(ring, Zmod(q ** k)))
+        for q, k in _factorize(ring.m)]
+    for part in parts:
+        if not part.is_free:
+            raise NotProjective("not free over %s: invariant factors %r" % (
+                part.ring, list(part.invariant_factors)))
+    ranks = {part.free_rank for part in parts}
+    return ranks.pop() if len(ranks) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -1964,7 +1948,6 @@ def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePr
             pres.ring, hom.source))
     tring = hom.target
     mapped = [tring.canonical_gen(hom.apply(d)) for d in pres.invariant_factors]
-    kept = [d for d in mapped if d != tring.one]
     return ModulePresentation(tring, pres.generators,
                               apply_hom(hom, pres.relations),
-                              _chain_factors(tring, kept))
+                              _chain_factors(tring, mapped))

@@ -69,6 +69,7 @@ from .rings import (
     RingHom,
     RingSpec,
     ZZ,
+    block_diag,
     canonical_hom,
     invert,
     solve,
@@ -208,38 +209,22 @@ class RigidDecomposition:
 def _splitting_section(proj: RepMorphism) -> RepMorphism:
     """Morphism section of a projection whose kernel has no extensions back.
 
-    Solves the combined linear system: commutation with every arrow plus
-    vertexwise proj * section = identity.
+    Solves the combined linear system: commutation with every arrow (the
+    differential of Hom(quot, mid)) plus vertexwise proj * section =
+    identity, one block of proj's vertex map per column of the section.
     """
     mid, quot = proj.source, proj.target
     ring = mid.ring
-    q = mid.quiver
-    comm = differential(quot, mid)
-    sec_rows = []
-    rhs_entries = []
-    n0 = comm.cols
-    off = [0]
-    for i in range(q.vertex_count):
-        off.append(off[-1] + quot.dims[i] * mid.dims[i])
-    for i in range(q.vertex_count):
-        pi = proj.vertex_maps[i]
-        for c in range(quot.dims[i]):
-            for rr in range(quot.dims[i]):
-                row = [ring.zero] * n0
-                for k in range(mid.dims[i]):
-                    row[off[i] + c * mid.dims[i] + k] = pi.entries[rr][k]
-                sec_rows.append(tuple(row))
-                rhs_entries.append(ring.one if rr == c else ring.zero)
-    a = ExactMatrix._of(ring, comm.rows + len(sec_rows), n0,
-                        comm.entries + tuple(sec_rows))
-    b = ExactMatrix._of(ring, a.rows, 1,
-                        tuple((ring.zero,) for _ in range(comm.rows))
-                        + tuple((v,) for v in rhs_entries))
+    a = differential(quot, mid).vstack(block_diag(ring, [
+        pi for pi, d in zip(proj.vertex_maps, quot.dims) for _ in range(d)]))
+    # vec of each identity, the same read by rows or by columns
+    ones = tuple((ring.one if r == c else ring.zero,)
+                 for d in quot.dims for c in range(d) for r in range(d))
+    b = ExactMatrix._of(ring, a.rows, 1, ((ring.zero,),) * (a.rows - len(ones)) + ones)
     sol = solve(a, b)
     if sol is None:
         raise PeelFailure("projection admits no morphism section")
-    vec = tuple(sol.entries[k][0] for k in range(n0))
-    return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, vec))
+    return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, [x for x, in sol.entries]))
 
 
 # quiver -> {dimension vector: its generic subdimension vectors}

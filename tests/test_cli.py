@@ -428,3 +428,73 @@ def test_help_text_is_unchanged(verb, capsys, monkeypatch):
     assert stop.value.code == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[verb], text
+
+
+# Every verb's stdout on the fixture's files, in both formats: (argv with
+# fixture keys for the files, expected exit code).  None of these reports
+# prints a file path, so the bytes do not depend on where the files live.
+STDOUT_CASES = {
+    "ext": (["ext", "--quiver", "a2", "--rep-x", "s1", "--rep-y", "s2"], 0),
+    "hom": (["hom", "--rep-x", "s2", "--rep-y", "s1"], 0),
+    "hom-ring": (["hom", "--rep-x", "p1z", "--rep-y", "p1z", "--ring", "Zmod:4"], 0),
+    "rigid": (["rigid", "--rep", "rigidk"], 0),
+    "exceptional": (["exceptional", "--rep", "p1f2"], 0),
+    "mutate-left": (["mutate", "--rep-x", "s1", "--rep-y", "s2", "--side", "left"], 0),
+    "mutate-right": (["mutate", "--rep-x", "s1", "--rep-y", "s2", "--side", "right"], 0),
+    "mutate-bad-pair": (["mutate", "--rep-x", "s2", "--rep-y", "s1"], 1),
+    "braid": (["braid", "--quiver", "k2", "--ring", "Zmod:4", "--word", "1,1,-1,1"], 0),
+    "schur": (["schur", "--quiver", "k2", "--dims", "2,3"], 0),
+    "schur-not-root": (["schur", "--quiver", "k2", "--dims", "1,1"], 1),
+    "construct": (["construct", "--quiver", "k2", "--dims", "1,2", "--ring", "Zmod:4"], 0),
+    "decompose": (["decompose", "--rep", "rigidk", "--ring", "F:3"], 0),
+    "lift": (["lift", "--rep", "p1f2", "--ring", "Feps:2:2"], 0),
+    "basechange": (["basechange", "--rep-x", "p1z", "--rep-y", "p1z", "--ring", "F:2"], 0),
+    "verify": (["verify", "euler", "--seed", "1", "--size", "5"], 0),
+}
+
+# SHA-256 of each case's stdout, "<case>.<format>" -> digest, recorded at
+# 4f8bf55.  A change that alters a report on purpose updates it and says so
+# in CHANGES.md.
+STDOUT_SHA256 = {
+    "basechange.json": "904bc174deaf03e881ae7b09d18cbebc2d06df524743b177c1d987f2614374ce",
+    "basechange.text": "9f41c4466ace1e2698c7dc74ce3e0b970a65a268d3c904fb5cc1be964eba578b",
+    "braid.json": "a7248f5e3a9b3f2afef35e977dbd17c8791debcd2ac90ccfdd9c8a46185870c9",
+    "braid.text": "2b8c1f7d2529ce47c9b9a4e7cc92650c67a22e29579bede1bee88dcfa46b1333",
+    "construct.json": "c2365b7a3df12751f16979631246f6cc3b9529ac5399a375741323dbed92692b",
+    "construct.text": "eed7004ee186b246d55f210593b036041509d2cf696ca2b0b5722a9b9c78beca",
+    "decompose.json": "592a044286a13b317c7f0b3c6da5721ed64798f68ca220be8bf334e2bddba596",
+    "decompose.text": "a37912d345dc6deb678576e756dc59ab1ff5190a4760d76d1eb7e6558bb2e85f",
+    "exceptional.json": "d907ed44c120cb10164ee45439146c62d9cacd1f8c94b32f53555f545321d407",
+    "exceptional.text": "7988186afc646d243aff8b2852f681bb9e702bd95fa155828e88989e855acb7c",
+    "ext.json": "477847ac3c4bd0b2c9c65eca65012f4c75d2551d382404c4249a388a0c3f795c",
+    "ext.text": "dfe1f7653cf234d34a33808ba1529c83cad36370b041eabf6ce765c33a8906a5",
+    "hom.json": "eaf59bcf9a2225cf4e480a165a52d12f276edd21c8125a97a1ab4cd6bf406f25",
+    "hom.text": "1011b0b1ca6b60512b7bc41b56133ab3e64b5f4e5ae2f1d93ef38faa4867c742",
+    "hom-ring.json": "19abb8d356169f68b8e595d36b7811ddd1975015bbfe5083f1ca917338322f1b",
+    "hom-ring.text": "6e95f0aa6ef4ea506b3bcbcaa2f39d5fadf43abdae7e99c6704bda8b543b8ac8",
+    "lift.json": "0d66dd659bce8e0a087c825fa4196b927f4b47dfc520571ebf32d980cbf1de4e",
+    "lift.text": "ce8c0ee110a54cc3b35b5cf8bab260073b8d3da81ac63eacd74e25b4dcacb930",
+    "mutate-bad-pair.json": "120e8f5d4025270df215f58cc2acea10f21da474965f2a2fc38bb6bdd1105312",
+    "mutate-bad-pair.text": "14a825c2716f383cb68158f24d590d12917116662598c3426714d27915df61cf",
+    "mutate-left.json": "fca4d31e14d6c5c2547c230101f4f1fa2c259abbb3d995fd9ca21a04a90350f8",
+    "mutate-left.text": "a8e0bb8b30b9e9cdc3a7fad9d21898ea974ee37570d2b0327cf5769a0ebbf194",
+    "mutate-right.json": "c5d39cd9b375775fa7daa7e8721aa40e1a80714d72d7d4549bc9061b0ab0ea3c",
+    "mutate-right.text": "95f87d10bb2da06f24449e6c28e2f7c37d9b564aceb4081a48f6f8bd94127b10",
+    "rigid.json": "bc392e1ec9d6dd9ac4e985e74d7044e903c838ed4afbf38ab3082657aa74fbf0",
+    "rigid.text": "549962c860fb34a80fb77cc49337c97f18f6fe258c45b8d9653fdd4d9764dcf4",
+    "schur.json": "00f613c637ab103a3c3391597cb4df61569aeb895928d8382d24ffafdc9be201",
+    "schur.text": "476277ab648878dbd2b3478becc29471a8b5a2d500a915ac1c1e23e974524b4e",
+    "schur-not-root.json": "152edad29dc1646a8fd5b681b4a4909de0115257acab7849bf811386b381fec9",
+    "schur-not-root.text": "55156051fece698907f65612f90011c4765001ca4f2dafd4cb3d05d6ee404c9f",
+    "verify.json": "2a950aee23e873831b012a8f72a320372f37e176e21ff685881f10080c49a690",
+    "verify.text": "71f49503c6649cb615c83fb561d939b3159d76af97f4c34f790c6b3ef1b354a9",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", sorted(STDOUT_CASES))
+def test_stdout_is_unchanged(files, capsys, case, fmt):
+    argv, want_code = STDOUT_CASES[case]
+    code, out = run(capsys, *(files.get(a, a) for a in argv), "--format", fmt)
+    assert code == want_code, out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[case + "." + fmt], out

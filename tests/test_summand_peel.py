@@ -6,18 +6,23 @@ search it replaced: every multiset of pairwise ext-orthogonal real Schur
 roots summing to the vector.  For every vector up to total 12 the peel must
 end with nothing left exactly when the search finds one multiset, and then
 take that multiset.  The second generic Ext the peel reads, ext(rest, beta)
-off beta's table alone, must equal structure._generic_ext everywhere.
+off beta's table alone, must equal structure._generic_ext everywhere.  And
+every splitting section decompose_rigid takes on planted sums is a morphism
+with proj * section the identity.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_summand_peel.py
 """
 
 import itertools
+import random
 
 from quivlat import structure
 from quivlat.errors import BoundExceeded
 from quivlat.mutation import _dims_orbit
-from quivlat.quiver import Quiver
+from quivlat.quiver import Quiver, RepMorphism, base_change, direct_sum_many, tensor_free
+from quivlat.rings import ZZ, RingSpec, canonical_hom, invert
+from quivlat.verify import conjugate_rep, random_unimodular
 
 QUIVERS = {
     "A2": Quiver(2, ((1, 2),)),
@@ -87,6 +92,49 @@ def test_ext_off_the_second_table_is_generic_ext():
         for alpha, beta in itertools.product(vectors, repeat=2):
             assert (structure._generic_ext_into(quiver, alpha, beta)
                     == structure._generic_ext(quiver, alpha, beta)), (name, alpha, beta)
+
+
+# quiver, then (summand root, multiplicity) of a planted sum of exceptional
+# lattices
+PLANTED = (("kronecker", (((1, 2), 2), ((0, 1), 1))),
+           ("A3", (((0, 1, 1), 2), ((1, 1, 1), 1))),
+           ("triangle", (((0, 0, 1), 2), ((0, 1, 1), 1), ((1, 1, 2), 1))))
+
+
+def test_splitting_sections_split_the_projections():
+    sections = []
+    structure_section = structure._splitting_section
+
+    def spy(proj):
+        section = structure_section(proj)
+        sections.append((proj, section))
+        return section
+
+    structure._splitting_section = spy
+    rng = random.Random(5)
+    try:
+        for name, planted in PLANTED:
+            quiver = QUIVERS[name]
+            x = direct_sum_many([tensor_free(structure.exceptional_lattice(quiver, root), m)
+                                 for root, m in planted])
+            mats = [random_unimodular(d, rng, 2) for d in x.dims]
+            x = conjugate_rep(x, mats, [invert(m) for m in mats])
+            for spec in ("Z", "Q", "F:3", "Zmod:6", "Feps:2:2"):
+                ring = RingSpec.parse(spec)
+                y = x if ring == ZZ else base_change(x, canonical_hom(ZZ, ring))
+                del sections[:]
+                structure.decompose_rigid(y)
+                assert len(sections) == len(planted), (name, spec)
+                for proj, section in sections:
+                    assert (proj.compose(section).vertex_maps
+                            == RepMorphism.identity(proj.target).vertex_maps), (name, spec)
+                    mid, quot, maps = proj.source, proj.target, section.vertex_maps
+                    for a in range(quiver.arrow_count):
+                        t, h = quiver.tail(a), quiver.head(a)
+                        assert (maps[h].mul(quot.mats[a]).entries
+                                == mid.mats[a].mul(maps[t]).entries), (name, spec, a)
+    finally:
+        structure._splitting_section = structure_section
 
 
 if __name__ == "__main__":
