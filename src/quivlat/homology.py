@@ -16,6 +16,7 @@ C0 and by arrow in C1.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .errors import NotProjective, PreconditionViolated, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
@@ -23,17 +24,16 @@ from .rings import (
     ExactMatrix,
     RingHom,
     _hom_ext_data,
+    _sparse_forward,
     constant_rank,
-    is_invertible,
     presentation_base_change,
 )
 
 
-def _offsets(sizes):
-    out = [0]
-    for s in sizes:
-        out.append(out[-1] + s)
-    return out
+def _c0_offsets(x: Rep, y: Rep) -> list:
+    """C0's block offsets, one per vertex, then its rank; the pair checked."""
+    _check_compatible(x, y)
+    return list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
 
 
 def differential(x: Rep, y: Rep) -> ExactMatrix:
@@ -43,13 +43,8 @@ def differential(x: Rep, y: Rep) -> ExactMatrix:
     the block of its tail and column c of -X_a in the block of its head.
     The two overlap in one cell only when a is a loop, where they add.
     """
-    _check_compatible(x, y)
-    ring = x.ring
-    q = x.quiver
-    n = q.vertex_count
-    off0 = _offsets([x.dims[i] * y.dims[i] for i in range(n)])
-    cols = off0[-1]
-    zero = ring.zero
+    off0 = _c0_offsets(x, y)
+    ring, q, cols, zero = x.ring, x.quiver, off0[-1], x.ring.zero
     data = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
@@ -67,6 +62,26 @@ def differential(x: Rep, y: Rep) -> ExactMatrix:
                     row[start + r] = ring.add(ya[r][r], neg_col[c])
                 data.append(tuple(row))
     return ExactMatrix._of(ring, len(data), cols, tuple(data))
+
+
+def _differential_rows(x: Rep, y: Rep) -> tuple:
+    """differential(x, y) as (rows, cols), each row a dict from column to
+    nonzero entry, placed from the nonzero entries of Y_a and -X_a alone."""
+    off0 = _c0_offsets(x, y)
+    q, zero, add, neg = x.quiver, x.ring.zero, x.ring.add, x.ring.neg
+    rows = []
+    for a in range(q.arrow_count):
+        t, h = q.tail(a), q.head(a)
+        yt, yh = y.dims[t], y.dims[h]
+        ya = [[(off0[t] + k, v) for k, v in enumerate(w) if v != zero] for w in y.mats[a].entries]
+        for c, col in enumerate(x.mats[a].transpose().entries):
+            neg_col = [(off0[h] + i * yh, neg(v)) for i, v in enumerate(col) if v != zero]
+            for r in range(yh):
+                row = {k + c * yt: v for k, v in ya[r]}
+                for k, v in neg_col:   # the terms meet only in a loop's cell (c, r)
+                    row[k + r] = add(row[k + r], v) if k + r in row else v
+                rows.append({k: v for k, v in row.items() if v != zero} if t == h else row)
+    return rows, off0[-1]
 
 
 def _unflatten(x: Rep, shapes, vec):
@@ -175,15 +190,15 @@ def is_exceptional(x: Rep) -> bool:
     nonzero vertex, column 0, since the vertices before it have no cells.
     A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
     the rest square; any other d (the zero rep too) is not exceptional.
-    is_invertible decides that by one forward elimination, with no
-    diagonalisation and no transform on any ring.  Cached like hom_ext:
-    every sequence check and every construction asks it again.
+    One forward elimination on sparse rows decides that (_sparse_forward),
+    with no dense differential and no transform on any ring.  Cached like
+    hom_ext: every sequence check and every construction asks it again.
     """
     if euler_form(x.quiver, x.dims, x.dims) != 1:
         return False
-    d = differential(x, x)
-    rest = tuple(row[1:] for row in d.entries)
-    return is_invertible(ExactMatrix._of(x.ring, d.rows, d.cols - 1, rest))
+    rows, cols = _differential_rows(x, x)
+    rest = [{k - 1: v for k, v in row.items() if k} for row in rows]
+    return _sparse_forward(x.ring, rest, cols - 1)[3]
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +207,8 @@ def _orthogonal(y: Rep, x: Rep) -> bool:
     its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
     rows, so a pair with nonzero Euler form fails on its shape alone, and a
     pair hom_ext refuses raises the same error here.  Like is_exceptional
-    it runs one forward elimination and builds no Hom or Ext module."""
-    return is_invertible(differential(y, x))
+    it eliminates sparse rows once and builds no Hom or Ext module."""
+    return _sparse_forward(y.ring, *_differential_rows(y, x))[3]
 
 
 def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:

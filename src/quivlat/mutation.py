@@ -237,9 +237,9 @@ class ExcSequence:
     """Sequence of exceptional representations with no backwards Hom or Ext.
 
     Construction checks each member (is_exceptional) and each backward
-    pair (homology._orthogonal) as one invertible square matrix, so it
-    builds no Hom or Ext module and caches no backward differential in
-    hom_ext.
+    pair (homology._orthogonal) as one invertible square matrix of sparse
+    rows, so it builds no Hom or Ext module and caches no backward
+    differential in hom_ext.
     """
 
     items: tuple
@@ -335,6 +335,7 @@ def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tu
     start = start or tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
                            for v in quiver.topological_order())
     steps, first = {start: None}, {}
+    moves = {}   # (e, f) -> its generator's pair and its inverse's, once per walk
     queue = deque([start])
     while queue:
         state = queue.popleft()
@@ -342,10 +343,10 @@ def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tu
             first.setdefault(dims, state)
         for i in range(1, len(state)):
             e, f = state[i - 1], state[i]
-            c = euler_form(quiver, e, f)
-            for inverse in (False, True):
-                pair = (f, _mutated_dims(e, f, c)) if inverse else (
-                    _mutated_dims(f, e, c), e)
+            if (e, f) not in moves:
+                c = euler_form(quiver, e, f)
+                moves[e, f] = (_mutated_dims(f, e, c), e), (f, _mutated_dims(e, f, c))
+            for inverse, pair in zip((False, True), moves[e, f]):
                 nxt = state[:i - 1] + pair + state[i + 1:]
                 if nxt not in steps and max(map(sum, nxt)) <= bound:
                     steps[nxt] = (state, i, inverse)

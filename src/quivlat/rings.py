@@ -45,9 +45,7 @@ modules follow from its rank profile; the kernel vectors back-substitute
 its echelon rows at the non-pivot columns, and Hom does so only when its
 generators are first read.  :func:`normal_form` and
 :func:`cokernel_projection` back-substitute [a | I], and :func:`solve`
-[a | b].  :func:`is_invertible` is that one forward pass on every ring, and
-builds no worksheet: over Feps on the constant terms mod p, and over Z and
-Z/m fraction-free, reading the determinant off its last pivot.
+[a | b].  :func:`is_invertible` runs that pass on every ring, on sparse rows.
 ``ModulePresentation.from_invariant_factors`` eliminates its diagonal
 relation matrix once, to canonicalise arbitrary input.
 
@@ -216,7 +214,7 @@ class RingSpec:
     * zero, one, is_field, is_domain, is_finite, and size and elements()
       of a finite ring;
     * canon(x), the canonical element of liberal input; add, neg, sub, mul;
-      dot(xs, ys), a sum of products; is_zero, is_unit, inv;
+      is_zero, is_unit, inv;
     * solve_scalar(a, c), some x with a*x = c, or None; divides;
       gcdex(a, b) = (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
       s*v - t*u a unit, so the 2x2 transform is invertible;
@@ -341,9 +339,6 @@ class _Integers(RingSpec):
 
     def mul(self, a, b):
         return a * b
-
-    def dot(self, xs, ys):
-        return sum([x * y for x, y in zip(xs, ys)], self.zero)
 
     def is_unit(self, a) -> bool:
         return a in (1, -1)
@@ -492,9 +487,6 @@ class _Modular(RingSpec):
 
     def mul(self, a, b):
         return a * b % self._mod
-
-    def dot(self, xs, ys):
-        return sum(x * y for x, y in zip(xs, ys)) % self._mod
 
     def is_unit(self, a) -> bool:
         return math.gcd(a, self._mod) == 1
@@ -653,17 +645,6 @@ class _Truncated(RingSpec):
                     if bj:
                         out[i + j] = (out[i + j] + ai * bj) % p
         return tuple(out)
-
-    def dot(self, xs, ys):
-        p, n = self.p, self.n
-        out = [0] * n
-        for a, b in zip(xs, ys):
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(n - i):
-                        if b[j]:
-                            out[i + j] += ai * b[j]
-        return tuple(c % p for c in out)
 
     def is_zero(self, a) -> bool:
         return not any(a)
@@ -936,12 +917,15 @@ class ExactMatrix:
             raise IncompatibleRing("mixed rings %s and %s" % (self.ring, other.ring))
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions %d vs %d" % (self.cols, other.rows))
-        if self.cols == 0:
-            return ExactMatrix.zeros(self.ring, self.rows, other.cols)
-        dot = self.ring.dot
-        bt = tuple(zip(*other.entries))
-        data = tuple(tuple(dot(row, col) for col in bt) for row in self.entries)
-        return ExactMatrix._of(self.ring, self.rows, other.cols, data)
+        ring, zero = self.ring, self.ring.zero
+        data = []
+        for row in self.entries:   # the sum of x * (row k of other), x = row[k] nonzero
+            acc = [zero] * other.cols
+            for x, other_row in zip(row, other.entries):
+                if x != zero:
+                    acc = ring.row_axpy(acc, other_row, x)
+            data.append(tuple(acc))
+        return ExactMatrix._of(ring, self.rows, other.cols, tuple(data))
 
     def transpose(self) -> "ExactMatrix":
         if self.rows and self.cols:
@@ -1390,18 +1374,71 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
-    """Square with a unit determinant, decided by one _forward: full rank
-    over Q and F_p; over F_p[e]/(e^n), a local ring, full rank of the
-    constant terms mod p (Nakayama); over Z and Z/m full rank with a last
-    pivot, +-det, of +-1 or coprime to m."""
-    if mat.rows != mat.cols:
-        return False
-    pivot_rows, rows = _forward(mat)[1:3]
-    if len(pivot_rows) < mat.rows:
-        return False
-    if mat.ring.kind in ("Z", "Zmod") and rows:
-        return mat.ring.is_unit(rows[pivot_rows[-1]][-1])
-    return True
+    """Square with a unit determinant: full rank over Q and F_p; over
+    F_p[e]/(e^n), a local ring, full rank of the constant terms mod p
+    (Nakayama); over Z and Z/m full rank with a last pivot, +-det, of +-1
+    or coprime to m.  One _sparse_forward on mat's nonzeros decides it: these
+    matrices, as the mutation checks', have few nonzeros and little fill-in."""
+    zero = mat.ring.zero
+    rows = [{j: x for j, x in enumerate(row) if x != zero} for row in mat.entries]
+    return mat.rows == mat.cols and _sparse_forward(mat.ring, rows, mat.cols)[3]
+
+
+def _sparse_forward(ring: RingSpec, rows: list, cols: int) -> tuple:
+    """_forward on rows that are dicts from column to nonzero entry, with its
+    pivots and values, but over Z/m on least absolute residues: they move the
+    determinant by a multiple of m and keep the minors as small as over Z.
+    Returns the pivot columns and rows, the rows and is_invertible's answer."""
+    p, m = ring.p, ring.m   # p is 0 for Z, Q and Z/m
+    if ring.kind == "Q":   # each row scaled by the lcm of its denominators
+        ints = [{k: x.numerator * (lcm // x.denominator) for k, x in row.items()}
+                for row in rows for lcm in [math.lcm(*[x.denominator for x in row.values()])]]
+    elif ring.kind == "Feps":
+        ints = [{k: x[0] for k, x in row.items() if x[0]} for row in rows]
+    else:   # Z and F_p take the rows as they are, and consume them
+        ints = rows if not m else [
+            {k: x - m if 2 * x > m else x for k, x in row.items()} for row in rows]
+    col_rows = [set() for _ in range(cols)]   # the rows not yet pivots, by column
+    for i, row in enumerate(ints):
+        for k in row:
+            col_rows[k].add(i)
+    pivot_cols, pivot_rows, stamp, den = [], [], [1] * len(ints), 1
+    for c in range(cols):
+        cands = col_rows[c]
+        if not cands:
+            continue
+        r = min([(len(ints[i]), i) for i in cands])[1]
+        pivot_cols.append(c)
+        pivot_rows.append(r)
+        piv = ints[r]
+        for k in piv:   # r leaves the index, and cands
+            col_rows[k].discard(r)
+        if p and piv[c] != 1:
+            inv = pow(piv[c], -1, p)
+            piv = ints[r] = {k: x * inv % p for k, x in piv.items()}
+        elif not p:
+            if stamp[r] != den:
+                piv = ints[r] = {k: x * den // stamp[r] for k, x in piv.items()}
+            den = piv[c]
+        rest = [(k, y) for k, y in piv.items() if k != c]
+        for j in cands:
+            row, f = ints[j], ints[j].pop(c)
+            if not p and den != 1:   # _forward's exact Bareiss step, on the nonzeros
+                row = {k: den * x for k, x in row.items()}
+            for k, y in rest:
+                x = row.get(k, 0) - f * y
+                x = x % p if p else x
+                if x:
+                    row[k] = x
+                    col_rows[k].add(j)
+                else:
+                    del row[k]
+                    col_rows[k].discard(j)
+            if not p:
+                s, stamp[j] = stamp[j], den
+                ints[j] = {k: x // s for k, x in row.items()} if s != 1 else row
+    return pivot_cols, pivot_rows, ints, len(pivot_rows) == cols == len(ints) and (
+        ring.kind not in ("Z", "Zmod") or ring.is_unit(den))
 
 
 def invert(mat: ExactMatrix) -> ExactMatrix:
@@ -1516,27 +1553,26 @@ def _forward(mat: ExactMatrix) -> tuple:
     """Forward elimination of mat's rows as ints, with no transform.
 
     Returns the pivot columns, the indices of the pivot rows, the int rows
-    and the prime p they were reduced mod, or 0.  Over F_p, and over
-    F_p[e]/(e^n) on the constant terms, it works mod p and scales each pivot
-    row to pivot 1.  Over Q (each row scaled by the lcm of its denominators),
-    Z and Z/m (on the ints in [0, m)) it is fraction-free over Z (Bareiss).
-    Only the rows that are not yet pivots are updated and no row moves; each
-    column's pivot is the candidate row with the fewest nonzeros.  A step
-    leaves a row with zero in its column as it is, tagged with the pivot it
-    was last updated at, and the next step that touches the row, or picks
-    it, folds in the skipped exact rescaling.  So each pivot row ends as its
-    fraction-free value, of minors, and the last pivot is the leading minor
-    of the pivot rows and columns: +-det for a square matrix of full rank.
+    and the prime p they were reduced mod, or 0.  Over F_p it works mod p and
+    scales each pivot row to pivot 1.  Over Q (each row scaled by the lcm of
+    its denominators) and Z it is fraction-free over Z (Bareiss).  Only the
+    rows that are not yet pivots are updated and no row moves; each column's
+    pivot is the candidate row with the fewest nonzeros, the lowest index on
+    ties.  A step leaves a row with zero in its column as it is, tagged with
+    the pivot it was last updated at, and the next step that touches the
+    row, or picks it, folds in the skipped exact rescaling.  So each pivot
+    row ends as its fraction-free value, of minors, and the last pivot is the
+    leading minor of the pivot rows and columns: +-det for a square matrix of
+    full rank.  Its callers read echelon rows back or eliminate a Z residual,
+    which fill in: there lists beat _sparse_forward's dicts.
     """
-    ring, p = mat.ring, mat.ring.p   # p is 0 for Z and Z/m
+    ring, p = mat.ring, mat.ring.p   # p is 0 for Z
     if ring.kind == "Q":
         zero, rows = ring.zero, []
         for row in mat.entries:   # most zeros are the one ring.zero
             lcm = math.lcm(*[x.denominator for x in row if x is not zero])
             rows.append([0 if x is zero else x.numerator * (lcm // x.denominator)
                          for x in row])
-    elif ring.kind == "Feps":
-        rows = [[x[0] for x in row] for row in mat.entries]
     else:
         rows = [list(row) for row in mat.entries]
     pivot_cols, pivot_rows = [], []
@@ -1837,19 +1873,18 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
     free.  Over the principal ideal domains Z, Q and F_p and the local
     rings F_p[e]/(e^n) that means free, so the module is its own one part.
     Z/m is the product of the local rings Z/q^k, and the parts are the base
-    changes along Z/m -> Z/q^k.  Raises NotProjective when a part is not
-    free; returns the parts' common free rank, or None when they differ
-    (possible only over Z/m with composite m).
+    changes along Z/m -> Z/q^k, of which only the factors are mapped.  Raises
+    NotProjective when a part is not free; returns the parts' common free
+    rank, or None when they differ (possible only over Z/m with composite m).
     """
-    ring = pres.ring
-    parts = [pres] if ring.kind != "Zmod" else [
-        presentation_base_change(pres, RingHom(ring, Zmod(q ** k)))
-        for q, k in _factorize(ring.m)]
-    for part in parts:
-        if not part.is_free:
-            raise NotProjective("not free over %s: invariant factors %r" % (
-                part.ring, list(part.invariant_factors)))
-    ranks = {part.free_rank for part in parts}
+    ring, factors = pres.ring, pres.invariant_factors
+    parts = [(ring, factors)] if ring.kind != "Zmod" else [
+        (local, _mapped_factors(factors, RingHom(ring, local)))
+        for local in (Zmod(q ** k) for q, k in _factorize(ring.m))]
+    for local, part in parts:
+        if not all(local.is_zero(d) for d in part):
+            raise NotProjective("not free over %s: invariant factors %r" % (local, list(part)))
+    ranks = {len(part) for _, part in parts}
     return ranks.pop() if len(ranks) == 1 else None
 
 
@@ -1946,8 +1981,10 @@ def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePr
     if pres.ring != hom.source:
         raise IncompatibleBase("presentation over %s, hom expects %s" % (
             pres.ring, hom.source))
-    tring = hom.target
-    mapped = [tring.canonical_gen(hom.apply(d)) for d in pres.invariant_factors]
-    return ModulePresentation(tring, pres.generators,
-                              apply_hom(hom, pres.relations),
-                              _chain_factors(tring, mapped))
+    return ModulePresentation(hom.target, pres.generators, apply_hom(hom, pres.relations),
+                              _mapped_factors(pres.invariant_factors, hom))
+
+
+def _mapped_factors(factors: Sequence, hom: RingHom) -> tuple:
+    """Invariant factors of a module with these, tensored along the hom."""
+    return _chain_factors(hom.target, [hom.target.canonical_gen(hom.apply(d)) for d in factors])

@@ -14,7 +14,10 @@ Stdlib only, so it also runs without pytest:
 
 import itertools
 
+from quivlat import rings
 from quivlat.errors import NotProjective
+from quivlat.homology import hom_ext
+from quivlat.quiver import Quiver, Rep
 from quivlat.rings import ModulePresentation, Zmod, _factorize, constant_rank
 
 BIG = 65537   # a prime above the trial-division bound
@@ -71,6 +74,22 @@ def test_constant_rank_matches_valuations():
         assert _constant_rank(pres) == want, (m, factors, pres.invariant_factors)
         seen.add(type(want))
     assert seen == {int, type(None), str}
+
+
+def test_constant_rank_maps_only_the_invariant_factors():
+    """No relation matrix is transported: apply_hom is never called, so a
+    Hom module of rank 900, with 900 x 900 relations, costs 900 factors."""
+    def refuse(hom, mat):
+        raise AssertionError("constant_rank transported a relation matrix")
+    saved, rings.apply_hom = rings.apply_hom, refuse
+    try:
+        x = Rep(Zmod(30), Quiver(1, ()), (30,), ())
+        assert constant_rank(hom_ext(x, x).hom) == 900
+        for m, factors in ((12, (2, 0)), (30, (0, 0)), (30, (6, 0)), (36, (4, 9))):
+            pres = ModulePresentation.from_invariant_factors(Zmod(m), factors)
+            assert _constant_rank(pres) == _valuation_rank(pres), (m, factors)
+    finally:
+        rings.apply_hom = saved
 
 
 if __name__ == "__main__":

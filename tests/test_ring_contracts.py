@@ -128,7 +128,7 @@ def test_prime_field_agrees_with_integers_mod_p():
                 for name in ("add", "sub", "mul", "solve_scalar", "divides"):
                     assert getattr(field, name)(x, y) == getattr(mod, name)(x, y), (
                         name, p, x, y)
-                assert field.dot([x, y], [y, x]) == mod.dot([x, y], [y, x])
+                assert field.row_axpy([x, y], [y, x], x) == mod.row_axpy([x, y], [y, x], x)
 
 
 # ---------------------------------------------------------------------------
