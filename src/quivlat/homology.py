@@ -24,7 +24,7 @@ from .rings import (
     ExactMatrix,
     RingHom,
     _hom_ext_data,
-    _sparse_forward,
+    _forward,
     constant_rank,
     presentation_base_change,
 )
@@ -190,15 +190,15 @@ def is_exceptional(x: Rep) -> bool:
     nonzero vertex, column 0, since the vertices before it have no cells.
     A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
     the rest square; any other d (the zero rep too) is not exceptional.
-    One forward elimination on sparse rows decides that (_sparse_forward),
-    with no dense differential and no transform on any ring.  Cached like
-    hom_ext: every sequence check and every construction asks it again.
+    The one forward elimination, rings._forward, decides that on sparse
+    rows, with no dense differential and no transform on any ring.  Cached
+    like hom_ext: every sequence check and every construction asks it again.
     """
     if euler_form(x.quiver, x.dims, x.dims) != 1:
         return False
     rows, cols = _differential_rows(x, x)
     rest = [{k - 1: v for k, v in row.items() if k} for row in rows]
-    return _sparse_forward(x.ring, rest, cols - 1)[3]
+    return _forward(x.ring, rest, cols - 1)[3]
 
 
 @lru_cache(maxsize=None)
@@ -207,8 +207,8 @@ def _orthogonal(y: Rep, x: Rep) -> bool:
     its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
     rows, so a pair with nonzero Euler form fails on its shape alone, and a
     pair hom_ext refuses raises the same error here.  Like is_exceptional
-    it eliminates sparse rows once and builds no Hom or Ext module."""
-    return _sparse_forward(y.ring, *_differential_rows(y, x))[3]
+    it runs rings._forward once on sparse rows and builds no Hom or Ext."""
+    return _forward(y.ring, *_differential_rows(y, x))[3]
 
 
 def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:

@@ -36,16 +36,19 @@ operation list.  :func:`cokernel` reads the diagonal alone.  Over Z those
 two pause the diagonalisation at its first pivot that is not a unit, which
 keeps every entry a minor of the input, and read the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
-its rank; the first witness read resumes it from there.
+its rank, the last pivot of the one forward elimination below; the first
+witness read resumes it from there.
 
-Over Q and F_p all of these instead run one forward elimination with no
+Over Q and F_p all of these instead run the one forward elimination,
+``_forward``, on sparse rows (dicts from column to nonzero entry) with no
 row moves, column operations or transforms (fraction-free over Q), which
 updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext as
 modules follow from its rank profile; the kernel vectors back-substitute
 its echelon rows at the non-pivot columns, and Hom does so only when its
 generators are first read.  :func:`normal_form` and
 :func:`cokernel_projection` back-substitute [a | I], and :func:`solve`
-[a | b].  :func:`is_invertible` runs that pass on every ring, on sparse rows.
+[a | b].  :func:`is_invertible` and the mutation layer's exceptional checks
+run the same pass on every ring.
 ``ModulePresentation.from_invariant_factors`` eliminates its diagonal
 relation matrix once, to canonicalise arbitrary input.
 
@@ -1192,22 +1195,21 @@ class _Worksheet:
 
         On a sheet paused after s unit pivot steps, the residual S =
         N[s:, s:] is of minors of M, since every pivot so far was +-1,
-        while its full diagonalisation blows them up.  Its last _forward
-        pivot D is a nonzero r-minor for r = rank S, so every nonzero
-        invariant factor of S divides D, and is below 2|D|: the canonical
-        diagonal of S over Z/2|D| is that of S over Z (the modular
-        determinant method of Domich, Kannan and Trotter).
+        while its full diagonalisation blows them up.  Its last pivot D in
+        the one forward elimination, _forward, is a nonzero r-minor for r =
+        rank S, so every nonzero invariant factor of S divides D and is below
+        2|D|: the canonical diagonal of S over Z/2|D| is that of S over Z
+        (the modular determinant method of Domich, Kannan and Trotter).
         """
         s = self.paused
         if s is None:
             diag = [self.n[i][i] for i in range(min(self.rows, self.cols))]
         else:
-            res = ExactMatrix._of(self.ring, self.rows - s, self.cols - s,
-                                  tuple(tuple(row[s:]) for row in self.n[s:]))
-            pivot_cols, pivot_rows, rows = _forward(res)[:3]
+            res = [row[s:] for row in self.n[s:]]
+            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(res, 0), self.cols - s)[:3]
             m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
             mod = _diagonal_sheet(ExactMatrix._of(
-                Zmod(m), res.rows, res.cols, tuple(tuple(x % m for x in row) for row in res.entries)))
+                Zmod(m), len(res), self.cols - s, tuple(tuple(x % m for x in row) for row in res)))
             diag = [1] * s + mod.diagonal(len(pivot_rows))
         return diag[:length] + [self.ring.zero] * (length - len(diag))
 
@@ -1377,25 +1379,37 @@ def is_invertible(mat: ExactMatrix) -> bool:
     """Square with a unit determinant: full rank over Q and F_p; over
     F_p[e]/(e^n), a local ring, full rank of the constant terms mod p
     (Nakayama); over Z and Z/m full rank with a last pivot, +-det, of +-1
-    or coprime to m.  One _sparse_forward on mat's nonzeros decides it: these
-    matrices, as the mutation checks', have few nonzeros and little fill-in."""
+    or coprime to m.  The one forward elimination, _forward, on mat's
+    nonzeros decides it (!= zero, as Feps tuples are always truthy)."""
     zero = mat.ring.zero
     rows = [{j: x for j, x in enumerate(row) if x != zero} for row in mat.entries]
-    return mat.rows == mat.cols and _sparse_forward(mat.ring, rows, mat.cols)[3]
+    return mat.rows == mat.cols and _forward(mat.ring, rows, mat.cols)[3]
 
 
-def _sparse_forward(ring: RingSpec, rows: list, cols: int) -> tuple:
-    """_forward on rows that are dicts from column to nonzero entry, with its
-    pivots and values, but over Z/m on least absolute residues: they move the
-    determinant by a multiple of m and keep the minors as small as over Z.
-    Returns the pivot columns and rows, the rows and is_invertible's answer."""
+def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
+    """The one forward elimination, with no transform, of rows that are
+    dicts from column to nonzero entry.
+
+    Returns the pivot columns, the pivot rows' indices, the int rows and
+    is_invertible's answer.  Over F_p, and over Feps on the constant terms,
+    it works mod p, each pivot row scaled to pivot 1.  Over Q (rows scaled
+    by the lcm of their denominators), Z and Z/m (on least absolute
+    residues: they move the determinant by a multiple of m and keep the
+    minors as small as over Z) it is Bareiss.  Only rows not yet pivots are
+    updated, and none moves; a column's pivot is the candidate with the
+    fewest nonzeros, the lowest index on ties.  A row a step skips (zero in
+    its column) keeps the stamp of its last update, and the next step that
+    touches or picks it folds in the skipped exact rescaling.  So each pivot
+    row ends fraction-free, of minors, and the last pivot is the leading
+    minor of the pivot rows and columns: +-det at full square rank.
+    """
     p, m = ring.p, ring.m   # p is 0 for Z, Q and Z/m
-    if ring.kind == "Q":   # each row scaled by the lcm of its denominators
+    if ring.kind == "Q":
         ints = [{k: x.numerator * (lcm // x.denominator) for k, x in row.items()}
                 for row in rows for lcm in [math.lcm(*[x.denominator for x in row.values()])]]
     elif ring.kind == "Feps":
         ints = [{k: x[0] for k, x in row.items() if x[0]} for row in rows]
-    else:   # Z and F_p take the rows as they are, and consume them
+    else:   # Z and F_p rows are consumed
         ints = rows if not m else [
             {k: x - m if 2 * x > m else x for k, x in row.items()} for row in rows]
     col_rows = [set() for _ in range(cols)]   # the rows not yet pivots, by column
@@ -1423,20 +1437,28 @@ def _sparse_forward(ring: RingSpec, rows: list, cols: int) -> tuple:
         rest = [(k, y) for k, y in piv.items() if k != c]
         for j in cands:
             row, f = ints[j], ints[j].pop(c)
-            if not p and den != 1:   # _forward's exact Bareiss step, on the nonzeros
-                row = {k: den * x for k, x in row.items()}
-            for k, y in rest:
-                x = row.get(k, 0) - f * y
-                x = x % p if p else x
-                if x:
-                    row[k] = x
-                    col_rows[k].add(j)
-                else:
-                    del row[k]
+            if p:
+                for k, y in rest:
+                    x = (row.get(k, 0) - f * y) % p
+                    if x:
+                        row[k] = x
+                        col_rows[k].add(j)
+                    else:
+                        del row[k]
+                        col_rows[k].discard(j)
+                continue
+            # Bareiss's (den*t - t[c]*piv) / previous, for the row
+            # t = row*previous/s brought up to date, in one pass
+            s, stamp[j] = stamp[j], den
+            new = {k: x for k, v in row.items() if (x := (den * v - f * piv.get(k, 0)) // s)}
+            if len(new) < len(row):   # an entry cancelled
+                for k in row.keys() - new.keys():
                     col_rows[k].discard(j)
-            if not p:
-                s, stamp[j] = stamp[j], den
-                ints[j] = {k: x // s for k, x in row.items()} if s != 1 else row
+            for k, y in rest:
+                if k not in row:
+                    new[k] = -f * y // s
+                    col_rows[k].add(j)
+            ints[j] = new
     return pivot_cols, pivot_rows, ints, len(pivot_rows) == cols == len(ints) and (
         ring.kind not in ("Z", "Zmod") or ring.is_unit(den))
 
@@ -1549,69 +1571,9 @@ def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation"
     return ModulePresentation(ring, len(factors), relations, factors)
 
 
-def _forward(mat: ExactMatrix) -> tuple:
-    """Forward elimination of mat's rows as ints, with no transform.
-
-    Returns the pivot columns, the indices of the pivot rows, the int rows
-    and the prime p they were reduced mod, or 0.  Over F_p it works mod p and
-    scales each pivot row to pivot 1.  Over Q (each row scaled by the lcm of
-    its denominators) and Z it is fraction-free over Z (Bareiss).  Only the
-    rows that are not yet pivots are updated and no row moves; each column's
-    pivot is the candidate row with the fewest nonzeros, the lowest index on
-    ties.  A step leaves a row with zero in its column as it is, tagged with
-    the pivot it was last updated at, and the next step that touches the
-    row, or picks it, folds in the skipped exact rescaling.  So each pivot
-    row ends as its fraction-free value, of minors, and the last pivot is the
-    leading minor of the pivot rows and columns: +-det for a square matrix of
-    full rank.  Its callers read echelon rows back or eliminate a Z residual,
-    which fill in: there lists beat _sparse_forward's dicts.
-    """
-    ring, p = mat.ring, mat.ring.p   # p is 0 for Z
-    if ring.kind == "Q":
-        zero, rows = ring.zero, []
-        for row in mat.entries:   # most zeros are the one ring.zero
-            lcm = math.lcm(*[x.denominator for x in row if x is not zero])
-            rows.append([0 if x is zero else x.numerator * (lcm // x.denominator)
-                         for x in row])
-    else:
-        rows = [list(row) for row in mat.entries]
-    pivot_cols, pivot_rows = [], []
-    free = list(range(mat.rows))
-    stamp, den = [1] * mat.rows, 1
-    for c in range(mat.cols):
-        cands = [i for i in free if rows[i][c]]
-        if not cands:
-            continue
-        r = max(cands, key=lambda i: rows[i].count(0))
-        free.remove(r)
-        cands.remove(r)
-        pivot_cols.append(c)
-        pivot_rows.append(r)
-        piv = rows[r]
-        if p:
-            if piv[c] != 1:
-                inv = pow(piv[c], -1, p)
-                piv = rows[r] = [x * inv % p for x in piv]
-            for j in cands:
-                f = rows[j][c]
-                rows[j] = [(x - f * y) % p if y else x for x, y in zip(rows[j], piv)]
-            continue
-        if stamp[r] != den:
-            piv = rows[r] = [x * den // stamp[r] for x in piv]
-        den = piv[c]
-        for j in cands:
-            # Bareiss's (den*t - t[c]*piv) / previous, for the row
-            # t = row*previous/s brought up to date, is this, exactly
-            row, s = rows[j], stamp[j]
-            f = row[c]
-            rows[j] = [(den * x - f * y) // s if x or y else 0 for x, y in zip(row, piv)]
-            stamp[j] = den
-    return pivot_cols, pivot_rows, rows, p
-
-
 def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
     """Clear _forward's echelon rows above each pivot, at the free
-    (non-pivot) columns only.
+    (non-pivot) columns only, visiting each row's own nonzeros alone.
 
     Returns (w, d): w[i] lists, at free_cols, d times row i of the reduced
     row echelon form, whose pivot columns hold d at its own pivot and zero
@@ -1620,28 +1582,31 @@ def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -
     exactly: each R_k is of minors (Cramer), so no entry exceeds Hadamard's
     bound and no intermediate one its square.
     """
-    r = len(echelon)
-    d = echelon[-1][pivot_cols[-1]] if r and not p else 1
-    w = [None] * r
-    for i in range(r - 1, -1, -1):
-        row = echelon[i]
-        acc = [row[f] * d for f in free_cols]
-        for k in range(i + 1, r):
-            c = row[pivot_cols[k]]
-            if c:
-                acc = [x - c * y if y else x for x, y in zip(acc, w[k])]
-        w[i] = [x % p for x in acc] if p else [x // row[pivot_cols[i]] for x in acc]
+    d = echelon[-1][pivot_cols[-1]] if echelon and not p else 1
+    step = {c: k for k, c in enumerate(pivot_cols)}
+    at = {f: t for t, f in enumerate(free_cols)}
+    w = [None] * len(echelon)
+    for i in range(len(echelon) - 1, -1, -1):
+        row, pc = echelon[i], pivot_cols[i]
+        acc = [0] * len(free_cols)
+        for col, c in row.items():
+            t = at.get(col)
+            if t is not None:
+                acc[t] += c * d
+            elif col != pc:
+                acc = [x - c * y if y else x for x, y in zip(acc, w[step[col]])]
+        w[i] = [x % p for x in acc] if p else [x // row[pc] for x in acc]
     return w, d
 
 
 def _field_reduce(a: ExactMatrix) -> tuple:
-    """Row reduction over Q or F_p with no transform: _forward, then
-    _back_substitute.  Returns the pivot columns, the indices of the pivot
-    rows and the reduced rows, d times those of the reduced row echelon
-    form: over F_p that form, over Q ints within Hadamard's bound."""
-    pivot_cols, pivot_rows, rows, p = _forward(a)
+    """Row reduction over Q or F_p with no transform: the one forward
+    elimination, _forward, then _back_substitute.  Returns the pivot columns,
+    the pivot rows' indices and the reduced rows, d times those of the rref:
+    over F_p that form, over Q ints within Hadamard's bound."""
+    pivot_cols, pivot_rows, rows, _ = _forward(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)
     free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
-    w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, p)
+    w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, a.ring.p)
     reduced = [[0] * a.cols for _ in w]
     for row, c, part in zip(reduced, pivot_cols, w):
         row[c] = d
@@ -1650,20 +1615,25 @@ def _field_reduce(a: ExactMatrix) -> tuple:
     return pivot_cols, pivot_rows, reduced
 
 
-def _field_hom_ext(a: ExactMatrix) -> tuple:
-    """_hom_ext_data(a) over Q or F_p, read off _forward's rank profile.
+def _nonzeros(rows, zero) -> list:
+    """Rows over Z, Q or F_p as dicts from column to nonzero entry: most zeros
+    are the ring's own, and truthiness finds the rest (== calls a method)."""
+    return [{j: x for j, x in enumerate(row) if x is not zero and x} for row in rows]
 
-    Every invariant factor is zero.  The kernel vectors are the reduced
-    kernel basis: one per non-pivot column f, with 1 at f and minus the
-    reduced row echelon form's entry at f at each pivot column; their
+
+def _field_hom_ext(a: ExactMatrix) -> tuple:
+    """_hom_ext_data(a) over Q or F_p, read off the rank profile of the one
+    forward elimination, _forward.  Every invariant factor is zero.
+
+    The kernel vectors are the reduced kernel basis: one per non-pivot
+    column f, with 1 at f and minus the rref's entry at f at each pivot; their
     function keeps the echelon rows and back-substitutes when called.  The
     cokernel vectors are the unit vectors at the rows that are not pivot
     rows: the pivot rows of a have full rank, so a column of a that
     vanishes on them vanishes, and these vectors complement the column span.
     """
-    ring = a.ring
-    pivot_cols, pivot_rows, rows, p = _forward(a)
-    zero, one = ring.zero, ring.one
+    ring, p, zero, one = a.ring, a.ring.p, a.ring.zero, a.ring.one
+    pivot_cols, pivot_rows, rows, _ = _forward(ring, _nonzeros(a.entries, zero), a.cols)
     free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
     ext_rows = sorted(set(range(a.rows)).difference(pivot_rows))
     read_hom = read_ext = list

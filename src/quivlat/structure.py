@@ -344,7 +344,7 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     eff_bound = min(bound, sum(x.dims))
     lattices = {d: exceptional_lattice(quiver, d, ring, bound=eff_bound)
                 for d in roots}
-    for a, b in itertools.product(roots, repeat=2):
+    for a, b in itertools.permutations(roots, 2):   # each is exceptional, so rigid
         if not hom_ext(lattices[a], lattices[b]).ext.is_zero:
             raise TheoremViolation(
                 "summands %r and %r have extensions over %s" % (a, b, ring))

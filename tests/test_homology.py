@@ -369,8 +369,8 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
     passes = []
     forward = rings._forward
 
-    def recorded(mat):
-        out = forward(mat)
+    def recorded(ring, rows, cols):
+        out = forward(ring, rows, cols)
         passes.append(out[2])
         return out
 

@@ -4,33 +4,41 @@ replaced, kept here as the reference.
 Every replayed mutation asks is_exceptional of each member, _orthogonal of
 each backward pair and RepMorphism's commutativity check of each witness.
 They now run on sparse rows: homology._differential_rows places the
-nonzeros of the arrow matrices into one dict per row, rings._sparse_forward
+nonzeros of the arrow matrices into one dict per row, rings._forward
 eliminates those rows, ExactMatrix.mul adds one row of the right factor per
 nonzero of the left one, and _dims_orbit computes the two mutations of an
-adjacent pair once per walk.  Each must give exactly what the dense code
-gave:
+adjacent pair once per walk.  rings._forward is also the one forward pass of
+Hom/Ext over Q and F_p, of the field reductions and of the Z residual, which
+ran on dense lists before.  Each must give exactly what the dense code gave:
 
   (a) the sparse rows equal differential entry for entry, with column 0
       (_orthogonal) and without it (is_exceptional);
-  (b) is_invertible equals the dense _forward rule, with the same pivots
-      and the same last pivot up to sign, on random square matrices and on
-      every matrix the checks see while building exceptional lattices;
+  (b) _forward equals the dense forward pass kept here (_dense_forward),
+      with the same pivot columns, pivot rows and row values, and
+      _back_substitute the dense back-substitution, on random matrices, on
+      every matrix the checks see while building exceptional lattices, on
+      every field forward input of the output digest's matrix cases and on
+      Z residuals; is_invertible equals the dense rule;
   (c) mul equals the product of sums of products (the rings' old dot);
   (d) _dims_orbit equals the walk without the memo, insertion order
       included;
   (e) over Zmod:4 the (20,21) Kronecker lattice's pivots stay small, where
-      Bareiss on [0, m) grew 669-bit minors.
+      Bareiss on [0, m) grew 669-bit minors;
+  (f) rational zeros that are not QQ.zero (QQ.canon(0), the JSON literal
+      "0/7", a loop cell that cancels) never reach _forward's rows.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_sparse_checks.py
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
 
-from quivlat import homology, mutation, structure
-from quivlat.homology import _differential_rows, differential, is_exceptional
+from quivlat import homology, mutation, rings, structure
+from quivlat.errors import QuivlatError
+from quivlat.homology import _differential_rows, differential, hom_ext, is_exceptional
 from quivlat.mutation import _dims_orbit, _mutated_dims
 from quivlat.quiver import Quiver, Rep, base_change, euler_form
 from quivlat.rings import (
@@ -42,13 +50,16 @@ from quivlat.rings import (
     RingHom,
     RingSpec,
     Zmod,
+    _back_substitute,
+    _diagonal_sheet,
     _forward,
-    _sparse_forward,
     apply_hom,
     is_invertible,
+    kernel_data,
+    solve,
 )
 from quivlat.structure import exceptional_lattice
-from quivlat.verify import random_unimodular
+from quivlat.verify import random_rep, random_unimodular
 
 RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Feps(2, 2), Feps(3, 3))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -94,22 +105,23 @@ def _dense(ring, rows, cols):
 
 
 class _Recorder:
-    """Stands in for homology._sparse_forward and keeps what it is passed."""
+    """Stands in for module._forward and keeps what it is passed."""
 
-    def __init__(self):
+    def __init__(self, module=homology):
         self.seen = []
-        self.real = homology._sparse_forward
+        self.module = module
+        self.real = module._forward
 
     def __call__(self, ring, rows, cols):
         self.seen.append((ring, [dict(row) for row in rows], cols))
         return self.real(ring, rows, cols)
 
     def __enter__(self):
-        homology._sparse_forward = self
+        self.module._forward = self
         return self
 
     def __exit__(self, *exc):
-        homology._sparse_forward = self.real
+        self.module._forward = self.real
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +183,84 @@ def test_the_checks_eliminate_the_differential_with_and_without_column_0():
 # (b) the forward pass on sparse rows
 
 
+def _dense_forward(mat: ExactMatrix) -> tuple:
+    """The forward pass on dense lists that rings._forward replaced, as it
+    was: the pivot columns, the pivot rows, the int rows and p (0 for Z).
+    Over F_p it works mod p and scales each pivot row to pivot 1; over Q
+    (each row scaled by the lcm of its denominators) and Z it is Bareiss
+    with lazy stamps.  Each column's pivot is the candidate row with the
+    most zeros, the lowest index on ties."""
+    ring, p = mat.ring, mat.ring.p
+    if ring.kind == "Q":
+        zero, rows = ring.zero, []
+        for row in mat.entries:
+            lcm = math.lcm(*[x.denominator for x in row if x is not zero])
+            rows.append([0 if x is zero else x.numerator * (lcm // x.denominator)
+                         for x in row])
+    else:
+        rows = [list(row) for row in mat.entries]
+    pivot_cols, pivot_rows = [], []
+    free = list(range(mat.rows))
+    stamp, den = [1] * mat.rows, 1
+    for c in range(mat.cols):
+        cands = [i for i in free if rows[i][c]]
+        if not cands:
+            continue
+        r = max(cands, key=lambda i: rows[i].count(0))
+        free.remove(r)
+        cands.remove(r)
+        pivot_cols.append(c)
+        pivot_rows.append(r)
+        piv = rows[r]
+        if p:
+            if piv[c] != 1:
+                inv = pow(piv[c], -1, p)
+                piv = rows[r] = [x * inv % p for x in piv]
+            for j in cands:
+                f = rows[j][c]
+                rows[j] = [(x - f * y) % p if y else x for x, y in zip(rows[j], piv)]
+            continue
+        if stamp[r] != den:
+            piv = rows[r] = [x * den // stamp[r] for x in piv]
+        den = piv[c]
+        for j in cands:
+            row, s = rows[j], stamp[j]
+            f = row[c]
+            rows[j] = [(den * x - f * y) // s if x or y else 0 for x, y in zip(row, piv)]
+            stamp[j] = den
+    return pivot_cols, pivot_rows, rows, p
+
+
+def _dense_back_substitute(pivot_cols, echelon, free_cols, p):
+    """rings._back_substitute as it was, on dense echelon rows, scanning
+    every later pivot column."""
+    r = len(echelon)
+    d = echelon[-1][pivot_cols[-1]] if r and not p else 1
+    w = [None] * r
+    for i in range(r - 1, -1, -1):
+        row = echelon[i]
+        acc = [row[f] * d for f in free_cols]
+        for k in range(i + 1, r):
+            c = row[pivot_cols[k]]
+            if c:
+                acc = [x - c * y if y else x for x, y in zip(acc, w[k])]
+        w[i] = [x % p for x in acc] if p else [x // row[pivot_cols[i]] for x in acc]
+    return w, d
+
+
 def _constant_terms(mat):
     """A F_p[e]/(e^n) matrix mod e, over F_p."""
     return apply_hom(RingHom(mat.ring, GF(mat.ring.p)), mat)
 
 
 def _dense_is_invertible(mat):
-    """is_invertible as it was: one dense _forward, over Feps on the
+    """is_invertible as it was: one dense forward pass, over Feps on the
     constant terms."""
     if mat.ring.kind == "Feps":
         mat = _constant_terms(mat)
     if mat.rows != mat.cols:
         return False
-    pivot_rows, rows = _forward(mat)[1:3]
+    pivot_rows, rows = _dense_forward(mat)[1:3]
     if len(pivot_rows) < mat.rows:
         return False
     if mat.ring.kind in ("Z", "Zmod") and rows:
@@ -199,17 +276,19 @@ def _least_residues(mat):
 
 
 def _check_forward(mat):
-    """is_invertible against the dense rule, and _sparse_forward's pivot
-    positions and values against _forward's on what _sparse_forward
-    eliminates: over Z/m the least absolute residues, over Feps the
+    """is_invertible against the dense rule, and _forward's pivot positions,
+    row values and back-substitution against the dense pass's on what
+    _forward eliminates: over Z/m the least absolute residues, over Feps the
     constant terms."""
     assert is_invertible(mat) == _dense_is_invertible(mat), (str(mat.ring), mat)
-    pivot_cols, pivot_rows, rows, _ = _sparse_forward(mat.ring, _as_dicts(mat), mat.cols)
+    pivot_cols, pivot_rows, rows, _ = _forward(mat.ring, _as_dicts(mat), mat.cols)
     dense = {"Zmod": _least_residues, "Feps": _constant_terms}.get(mat.ring.kind, lambda a: a)(mat)
-    want_cols, want_rows, want = _forward(dense)[:3]
-    assert (pivot_cols, pivot_rows) == (want_cols, want_rows)
-    assert ([rows[r][c] for r, c in zip(pivot_rows, pivot_cols)]
-            == [want[r][c] for r, c in zip(want_rows, want_cols)])
+    want_cols, want_rows, want, p = _dense_forward(dense)
+    assert (pivot_cols, pivot_rows) == (want_cols, want_rows), (str(mat.ring), mat)
+    assert rows == [{k: x for k, x in enumerate(row) if x} for row in want], (str(mat.ring), mat)
+    free_cols = sorted(set(range(mat.cols)).difference(pivot_cols))
+    assert (_back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, p)
+            == _dense_back_substitute(pivot_cols, [want[r] for r in want_rows], free_cols, p))
 
 
 def test_sparse_forward_matches_the_dense_rule_on_random_matrices():
@@ -254,6 +333,40 @@ def test_sparse_forward_on_every_lattice_check():
     assert len(seen) > 100
     for ring, rows, cols in seen:
         _check_forward(_dense(ring, rows, cols))
+
+
+def test_forward_on_every_field_input_of_the_digest_matrix_cases():
+    """The forward inputs of normal_form, solve, kernel_data, cokernel_data,
+    cokernel_projection and the rest over Q, F:2 and F:3, on the seeded
+    matrices whose outputs tests/test_output_digest.py hashes."""
+    from test_output_digest import _matrix_cases
+    with _Recorder(rings) as rec:
+        for spec, _, run in _matrix_cases(random.Random(20261018)):
+            if spec in ("Q", "F:2", "F:3"):
+                try:
+                    run()
+                except QuivlatError:   # howell_rows refuses the fields
+                    pass
+    assert len(rec.seen) > 300
+    for ring, rows, cols in rec.seen:
+        assert all(x for row in rows for x in row.values())
+        _check_forward(_dense(ring, rows, cols))
+
+
+def test_forward_on_z_residuals():
+    """The Z residual a paused sheet hands _forward (_Worksheet.diagonal),
+    on the Kronecker (4,5) pairs of tests/test_z_invariants.py."""
+    residuals = 0
+    for seed in range(20):
+        rng = random.Random("z-invariants:%d" % seed)
+        x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
+        a = differential(x, y)
+        with _Recorder(rings) as rec:
+            _diagonal_sheet(a, True).diagonal(a.rows)
+        for ring, rows, cols in rec.seen:
+            residuals += 1
+            _check_forward(_dense(ring, rows, cols))
+    assert residuals >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +456,72 @@ def test_zmod_pivots_stay_small_on_the_20_21_lattice():
     x = base_change(exceptional_lattice(KRONECKER, (20, 21), ZZ), RingHom(ZZ, Zmod(4)))
     rows, cols = _differential_rows(x, x)
     rest = [{k - 1: v for k, v in row.items() if k} for row in rows]
-    pivot_cols, pivot_rows, ints, _ = _sparse_forward(x.ring, rest, cols - 1)
+    pivot_cols, pivot_rows, ints, _ = _forward(x.ring, rest, cols - 1)
     assert len(pivot_rows) == cols - 1 == 840
     assert max(abs(ints[r][c]).bit_length() for r, c in zip(pivot_rows, pivot_cols)) < 8
     assert is_exceptional(x)
+
+
+
+# ---------------------------------------------------------------------------
+# (f) rational zeros that are not QQ.zero
+
+
+def _fresh_zeros():
+    """Zeros as quivlat's inputs make them: none of them is QQ.zero."""
+    zeros = [QQ.canon(0), QQ.entry_from_json("0/7"), QQ.add(Fraction(2, 3), Fraction(-2, 3))]
+    assert all(z == 0 and z is not QQ.zero for z in zeros)
+    return zeros
+
+
+def _forward_runs(run):
+    """run's result and, per _forward call it makes, the rows passed and
+    the pivot columns, pivot rows and rows returned."""
+    with _Recorder(rings) as rec:
+        out = run()
+    return out, [(rows, rings._forward(ring, [dict(r) for r in rows], cols)[:3])
+                 for ring, rows, cols in rec.seen]
+
+
+def _assert_dense_forward(rows, got, a):
+    """The rows hold no zero, and _forward on them pivots and ends as the
+    dense pass on a."""
+    assert all(x for row in rows for x in row.values()), a
+    want_cols, want_rows, want, _ = _dense_forward(a)
+    assert got == (want_cols, want_rows, [{k: x for k, x in enumerate(r) if x} for r in want]), a
+
+
+def test_rational_zeros_that_are_not_qq_zero():
+    rng = random.Random(24)
+    zeros = _fresh_zeros()
+    nonzero = [Fraction(1, 2), Fraction(-2, 3), QQ.one, Fraction(3)]
+    for _ in range(40):
+        n, cols = rng.randint(1, 7), rng.randint(1, 7)
+        fresh = ExactMatrix._of(QQ, n, cols, tuple(
+            tuple(rng.choice(nonzero) if rng.random() < 0.3 else rng.choice(zeros)
+                  for _ in range(cols)) for _ in range(n)))
+        canon = ExactMatrix._of(QQ, n, cols, tuple(
+            tuple(x if x else QQ.zero for x in row) for row in fresh.entries))
+        b = ExactMatrix._of(QQ, n, 1, tuple((rng.choice(zeros + nonzero),) for _ in range(n)))
+        cases = [(lambda a=fresh: kernel_data(a), fresh),
+                 (lambda: solve(fresh, b), fresh.hstack(b))]
+        if n == cols:
+            cases.append((lambda: is_invertible(fresh), fresh))
+        for run, a in cases:
+            out, ((rows, got),) = _forward_runs(run)
+            _assert_dense_forward(rows, got, a)
+        assert kernel_data(fresh) == kernel_data(canon)
+        assert solve(fresh, b) == solve(canon, b)
+        assert is_invertible(fresh) == _dense_is_invertible(canon) == is_invertible(canon)
+    # a loop whose two terms cancel on the diagonal cells of the differential
+    xa = ExactMatrix._of(QQ, 2, 2, ((Fraction(1, 2), zeros[0]), (Fraction(3), Fraction(1, 2))))
+    loop = Rep(QQ, LOOP, (2,), (xa,))
+    d = differential(loop, loop)
+    assert sum(1 for row in d.entries for x in row if x == 0 and x is not QQ.zero) >= 2
+    homology._hom_ext_cached.cache_clear()
+    he, ((rows, got),) = _forward_runs(lambda: hom_ext(loop, loop))
+    _assert_dense_forward(rows, got, d)
+    assert he.hom.free_rank == 2 and he.ext.free_rank == 2
 
 
 if __name__ == "__main__":

@@ -76,7 +76,7 @@ def _assert_transforms_hold(ws, a):
 
 
 def _last_pivot(a):
-    pivot_cols, pivot_rows, rows = _forward(a)[:3]
+    pivot_cols, pivot_rows, rows = _forward(ZZ, rings._nonzeros(a.entries, 0), a.cols)[:3]
     return rows[pivot_rows[-1]][pivot_cols[-1]]
 
 
