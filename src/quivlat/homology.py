@@ -30,58 +30,47 @@ from .rings import (
 )
 
 
-def _c0_offsets(x: Rep, y: Rep) -> list:
-    """C0's block offsets, one per vertex, then its rank; the pair checked."""
-    _check_compatible(x, y)
-    return list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
-
-
-def differential(x: Rep, y: Rep) -> ExactMatrix:
-    """Matrix of f -> (Y_a f_tail - f_head X_a) over the flattened complex.
-
-    Built by placement: the row of arrow a at (c, r) holds row r of Y_a in
-    the block of its tail and column c of -X_a in the block of its head.
-    The two overlap in one cell only when a is a loop, where they add.
-    """
-    off0 = _c0_offsets(x, y)
-    ring, q, cols, zero = x.ring, x.quiver, off0[-1], x.ring.zero
-    data = []
-    for a in range(q.arrow_count):
-        t, h = q.tail(a), q.head(a)
-        yt, yh, xh = y.dims[t], y.dims[h], x.dims[h]
-        ya = y.mats[a].entries
-        neg_xa_cols = x.mats[a].neg().transpose().entries
-        for c in range(x.dims[t]):
-            start = off0[t] + c * yt
-            neg_col = neg_xa_cols[c]
-            for r in range(yh):
-                row = [zero] * cols
-                row[start:start + yt] = ya[r]
-                row[off0[h] + r:off0[h] + xh * yh:yh] = neg_col
-                if t == h:
-                    row[start + r] = ring.add(ya[r][r], neg_col[c])
-                data.append(tuple(row))
-    return ExactMatrix._of(ring, len(data), cols, tuple(data))
-
-
 def _differential_rows(x: Rep, y: Rep) -> tuple:
-    """differential(x, y) as (rows, cols), each row a dict from column to
-    nonzero entry, placed from the nonzero entries of Y_a and -X_a alone."""
-    off0 = _c0_offsets(x, y)
+    """The differential f -> (Y_a f_tail - f_head X_a) as (rows, cols), each
+    row a dict from column to nonzero entry, placed from the nonzeros of Y_a
+    and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
+    of its tail and column c of -X_a in the block of its head.  The two meet
+    in one cell only when a is a loop, where they add; a zero sum is no entry.
+    """
+    _check_compatible(x, y)
+    off0 = list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
     q, zero, add, neg = x.quiver, x.ring.zero, x.ring.add, x.ring.neg
+    # truthiness is 7x cheaper than != on Fractions, but Feps tuples are always truthy
+    nonzero = zero.__ne__ if x.ring.kind == "Feps" else bool
     rows = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
         yt, yh = y.dims[t], y.dims[h]
-        ya = [[(off0[t] + k, v) for k, v in enumerate(w) if v != zero] for w in y.mats[a].entries]
+        ya = [[(k, v) for k, v in enumerate(w, off0[t]) if nonzero(v)] for w in y.mats[a].entries]
         for c, col in enumerate(x.mats[a].transpose().entries):
-            neg_col = [(off0[h] + i * yh, neg(v)) for i, v in enumerate(col) if v != zero]
+            neg_col = [(off0[h] + i * yh, neg(v)) for i, v in enumerate(col) if nonzero(v)]
             for r in range(yh):
                 row = {k + c * yt: v for k, v in ya[r]}
                 for k, v in neg_col:   # the terms meet only in a loop's cell (c, r)
-                    row[k + r] = add(row[k + r], v) if k + r in row else v
-                rows.append({k: v for k, v in row.items() if v != zero} if t == h else row)
+                    k += r
+                    row[k] = add(row[k], v) if k in row else v
+                rows.append({k: v for k, v in row.items() if nonzero(v)} if t == h else row)
     return rows, off0[-1]
+
+
+def _densified(ring, rows, cols) -> ExactMatrix:
+    """The matrix of dict rows, each absent entry the ring's zero."""
+    dense = [[ring.zero] * cols for _ in rows]
+    for full, row in zip(dense, rows):
+        for k, v in row.items():
+            full[k] = v
+    return ExactMatrix._of(ring, len(dense), cols, tuple(map(tuple, dense)))
+
+
+def differential(x: Rep, y: Rep) -> ExactMatrix:
+    """_differential_rows(x, y) densified: the Hom complex's matrix, whose
+    placed rows HomExtResult also eliminates over Q and F_p."""
+    return _densified(x.ring, *_differential_rows(x, y))
 
 
 def _unflatten(x: Rep, shapes, vec):
@@ -109,30 +98,31 @@ class HomExtResult:
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
     a C1 tuple of matrices mapping onto that generator of the cokernel.
 
-    Construction eliminates the differential exactly once, and both
-    modules are read off that one pass.  The witnesses are built on first
-    read.  Over Z, Z/m and Feps the construction diagonalises; the first
-    read of hom_generators replays the recorded operations on just the
-    wanted columns of the right transform, and the first read of
+    Construction places the differential once (_differential_rows),
+    densifies it for self.differential, which is also ext.relations, and
+    eliminates it once; both modules are read off that one pass, and the
+    witnesses on first read.  Over Q and F_p that pass is one forward
+    elimination of the placed rows, with no transform; the Hom side keeps
+    the echelon rows until its generators, the reduced kernel basis (one
+    per non-pivot column), are first read and back-substitute them.  The
+    Ext cocycles are the unit vectors at the rows that are not pivot rows.
+    Over Z, Z/m and Feps the construction diagonalises the dense matrix;
+    the first read of hom_generators replays the recorded operations on
+    just the wanted columns of the right transform, and that of
     ext_cocycles on those of the inverse left transform.  Until then each
     side keeps only its own operation list (none when its module is zero),
-    and after its read none.  Over Z the construction pauses the
-    diagonalisation at its first pivot that is not a unit and reads the
-    factors of what is left modulo a multiple of them
-    (rings._Worksheet.diagonal); both sides then keep the paused sheet,
-    until the first witness read resumes it where it paused and lets it go.
-    Over Q and F_p it runs one forward elimination with no transform and
-    reads both modules off its rank profile.  The Hom generators are the reduced kernel
-    basis, one per non-pivot column; until their first read the Hom side
-    keeps the echelon rows, and that read back-substitutes them.  The Ext
-    cocycles are the unit vectors at the rows that are not pivot rows.
+    and after its read none.  Over Z the construction pauses at its first
+    pivot that is not a unit and reads the factors of what is left modulo
+    a multiple of them (rings._Worksheet.diagonal); both sides keep the
+    paused sheet until the first witness read resumes it and lets it go.
     """
 
     def __init__(self, x: Rep, y: Rep):
-        self.x = x
-        self.y = y
-        self.differential = differential(x, y)
-        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(self.differential)
+        self.x, self.y = x, y
+        rows, cols = _differential_rows(x, y)
+        self.differential = _densified(x.ring, rows, cols)   # before _forward consumes rows
+        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(
+            self.differential, True, rows)
 
     @cached_property
     def _hom_vecs(self):

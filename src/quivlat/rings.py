@@ -42,13 +42,13 @@ witness read resumes it from there.
 Over Q and F_p all of these instead run the one forward elimination,
 ``_forward``, on sparse rows (dicts from column to nonzero entry) with no
 row moves, column operations or transforms (fraction-free over Q), which
-updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext as
-modules follow from its rank profile; the kernel vectors back-substitute
-its echelon rows at the non-pivot columns, and Hom does so only when its
-generators are first read.  :func:`normal_form` and
-:func:`cokernel_projection` back-substitute [a | I], and :func:`solve`
-[a | b].  :func:`is_invertible` and the mutation layer's exceptional checks
-run the same pass on every ring.
+updates only the rows not yet pivots; Hom and Ext of a quiver pair hand it
+the rows the Hom complex is placed as.  Rank, cokernels, and Hom and Ext
+as modules follow from its rank profile; the kernel vectors back-substitute
+its echelon rows at the non-pivot columns, Hom's on first read.
+:func:`normal_form` and :func:`cokernel_projection` back-substitute
+[a | I], and :func:`solve` [a | b].  :func:`is_invertible` and the
+mutation layer's exceptional checks run the same pass on every ring.
 ``ModulePresentation.from_invariant_factors`` eliminates its diagonal
 relation matrix once, to canonicalise arbitrary input.
 
@@ -1621,9 +1621,9 @@ def _nonzeros(rows, zero) -> list:
     return [{j: x for j, x in enumerate(row) if x is not zero and x} for row in rows]
 
 
-def _field_hom_ext(a: ExactMatrix) -> tuple:
+def _field_hom_ext(a: ExactMatrix, rows: list) -> tuple:
     """_hom_ext_data(a) over Q or F_p, read off the rank profile of the one
-    forward elimination, _forward.  Every invariant factor is zero.
+    forward elimination, _forward, of rows.  Every invariant factor is zero.
 
     The kernel vectors are the reduced kernel basis: one per non-pivot
     column f, with 1 at f and minus the rref's entry at f at each pivot; their
@@ -1633,7 +1633,7 @@ def _field_hom_ext(a: ExactMatrix) -> tuple:
     vanishes on them vanishes, and these vectors complement the column span.
     """
     ring, p, zero, one = a.ring, a.ring.p, a.ring.zero, a.ring.one
-    pivot_cols, pivot_rows, rows, _ = _forward(ring, _nonzeros(a.entries, zero), a.cols)
+    pivot_cols, pivot_rows, rows, _ = _forward(ring, rows, a.cols)
     free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
     ext_rows = sorted(set(range(a.rows)).difference(pivot_rows))
     read_hom = read_ext = list
@@ -1777,16 +1777,16 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
-def _hom_ext_data(a: ExactMatrix, factors_only=True) -> tuple:
+def _hom_ext_data(a: ExactMatrix, factors_only=True, rows=None) -> tuple:
     """The kernel and cokernel presentations of a from one elimination, each
     followed by a zero-argument function that returns kernel_data's or
-    cokernel_data's vectors: _field_hom_ext over Q and F_p, _sheet_hom_ext
-    over the other rings.  factors_only lets a sheet over Z pause at its
-    first pivot that is not a unit; kernel_data and cokernel_data, which
-    read their vectors at once, diagonalise in full instead.
-    """
+    cokernel_data's vectors: _field_hom_ext over Q and F_p, on rows (a's
+    nonzeros) if given, and _sheet_hom_ext over the other rings.
+    factors_only lets a sheet over Z pause at its first pivot that is not
+    a unit; kernel_data and cokernel_data, which read their vectors at
+    once, diagonalise in full instead."""
     if a.ring.is_field:
-        return _field_hom_ext(a)
+        return _field_hom_ext(a, _nonzeros(a.entries, a.ring.zero) if rows is None else rows)
     return _sheet_hom_ext(a, factors_only)
 
 

@@ -11,8 +11,10 @@ adjacent pair once per walk.  rings._forward is also the one forward pass of
 Hom/Ext over Q and F_p, of the field reductions and of the Z residual, which
 ran on dense lists before.  Each must give exactly what the dense code gave:
 
-  (a) the sparse rows equal differential entry for entry, with column 0
-      (_orthogonal) and without it (is_exceptional);
+  (a) the sparse rows and homology.differential, which densifies them,
+      equal the dense placement they replaced (_dense_differential) entry
+      for entry, with column 0 (_orthogonal) and without it
+      (is_exceptional);
   (b) _forward equals the dense forward pass kept here (_dense_forward),
       with the same pivot columns, pivot rows and row values, and
       _back_substitute the dense back-substitution, on random matrices, on
@@ -25,7 +27,9 @@ ran on dense lists before.  Each must give exactly what the dense code gave:
   (e) over Zmod:4 the (20,21) Kronecker lattice's pivots stay small, where
       Bareiss on [0, m) grew 669-bit minors;
   (f) rational zeros that are not QQ.zero (QQ.canon(0), the JSON literal
-      "0/7", a loop cell that cancels) never reach _forward's rows.
+      "0/7", a loop cell that cancels) never reach _forward's rows, and
+      hom_ext over Q and F_p places each pair once and hands those rows to
+      _forward with no scan of the dense cells (rings._nonzeros).
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_sparse_checks.py
@@ -35,12 +39,13 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 
 from quivlat import homology, mutation, rings, structure
 from quivlat.errors import QuivlatError
 from quivlat.homology import _differential_rows, differential, hom_ext, is_exceptional
 from quivlat.mutation import _dims_orbit, _mutated_dims
-from quivlat.quiver import Quiver, Rep, base_change, euler_form
+from quivlat.quiver import Quiver, Rep, _check_compatible, base_change, euler_form
 from quivlat.rings import (
     QQ,
     ZZ,
@@ -134,6 +139,37 @@ SHAPES = ((KRONECKER, ((2, 3), (3, 2), (0, 2), (2, 0), (0, 0))),
           (CYCLE_WITH_LOOP, ((2, 3), (1, 0), (0, 2))))
 
 
+def _c0_offsets(x: Rep, y: Rep) -> list:
+    """C0's block offsets, one per vertex, then its rank; the pair checked."""
+    _check_compatible(x, y)
+    return list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
+
+
+def _dense_differential(x: Rep, y: Rep) -> ExactMatrix:
+    """homology.differential as it was, placed densely: the row of arrow a
+    at (c, r) holds row r of Y_a in the block of its tail and column c of
+    -X_a in the block of its head, added in a loop's one shared cell."""
+    off0 = _c0_offsets(x, y)
+    ring, q, cols, zero = x.ring, x.quiver, off0[-1], x.ring.zero
+    data = []
+    for a in range(q.arrow_count):
+        t, h = q.tail(a), q.head(a)
+        yt, yh, xh = y.dims[t], y.dims[h], x.dims[h]
+        ya = y.mats[a].entries
+        neg_xa_cols = x.mats[a].neg().transpose().entries
+        for c in range(x.dims[t]):
+            start = off0[t] + c * yt
+            neg_col = neg_xa_cols[c]
+            for r in range(yh):
+                row = [zero] * cols
+                row[start:start + yt] = ya[r]
+                row[off0[h] + r:off0[h] + xh * yh:yh] = neg_col
+                if t == h:
+                    row[start + r] = ring.add(ya[r][r], neg_col[c])
+                data.append(tuple(row))
+    return ExactMatrix._of(ring, len(data), cols, tuple(data))
+
+
 def test_sparse_rows_equal_the_differential():
     rng = random.Random(20)
     for ring in RINGS:
@@ -141,9 +177,12 @@ def test_sparse_rows_equal_the_differential():
             for dx in dims_list:
                 for dy in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dy, rng)
+                    want = _dense_differential(x, y)
                     d = differential(x, y)
+                    assert (d.rows, d.cols, d.entries) == (want.rows, want.cols, want.entries)
+                    assert all(type(v) is type(ring.zero) for row in d.entries for v in row)
                     rows, cols = _differential_rows(x, y)
-                    assert cols == d.cols and rows == _as_dicts(d), (str(ring), dx, dy)
+                    assert cols == want.cols and rows == _as_dicts(want), (str(ring), dx, dy)
                     assert all(v != ring.zero for row in rows for v in row.values())
 
 
@@ -160,7 +199,7 @@ def test_the_checks_eliminate_the_differential_with_and_without_column_0():
                 with _Recorder() as rec:
                     got = is_exceptional(x)
                 (_, rows, cols), = rec.seen
-                d = differential(x, x)
+                d = _dense_differential(x, x)
                 rest = ExactMatrix._of(ring, d.rows, d.cols - 1,
                                        tuple(row[1:] for row in d.entries))
                 assert cols == rest.cols and rows == _as_dicts(rest)
@@ -171,7 +210,7 @@ def test_the_checks_eliminate_the_differential_with_and_without_column_0():
                     with _Recorder() as rec:
                         got = homology._orthogonal(y, x)
                     (_, rows, cols), = rec.seen
-                    d = differential(y, x)
+                    d = _dense_differential(y, x)
                     assert cols == d.cols and rows == _as_dicts(d)
                     assert got == _dense_is_invertible(d)
     # a loop's two overlapping terms add, and a zero sum is no entry
@@ -513,16 +552,57 @@ def test_rational_zeros_that_are_not_qq_zero():
         assert kernel_data(fresh) == kernel_data(canon)
         assert solve(fresh, b) == solve(canon, b)
         assert is_invertible(fresh) == _dense_is_invertible(canon) == is_invertible(canon)
-    # a loop whose two terms cancel on the diagonal cells of the differential
+    # a loop whose two terms cancel on the diagonal cells of the differential:
+    # row (c, r) meets Y_a's row r and X_a's column c at column 2c + r
     xa = ExactMatrix._of(QQ, 2, 2, ((Fraction(1, 2), zeros[0]), (Fraction(3), Fraction(1, 2))))
     loop = Rep(QQ, LOOP, (2,), (xa,))
-    d = differential(loop, loop)
-    assert sum(1 for row in d.entries for x in row if x == 0 and x is not QQ.zero) >= 2
+    want = _dense_differential(loop, loop)
+    cancelled = [(i, i) for i in range(4)]
+    assert all(want.entries[i][k] == 0 for i, k in cancelled)
+    placed, cols = _differential_rows(loop, loop)
+    assert cols == 4 and not any(k in placed[i] for i, k in cancelled)
+    assert differential(loop, loop).entries == want.entries
     homology._hom_ext_cached.cache_clear()
     he, ((rows, got),) = _forward_runs(lambda: hom_ext(loop, loop))
-    _assert_dense_forward(rows, got, d)
+    assert he.differential.entries == want.entries and rows == placed == _as_dicts(want)
+    _assert_dense_forward(rows, got, want)
     assert he.hom.free_rank == 2 and he.ext.free_rank == 2
 
+
+def test_hom_ext_places_once_and_eliminates_the_placed_rows():
+    """hom_ext places each pair once and densifies that placement for its
+    differential; over Q and F_p it hands the same rows to _forward, and
+    rings._nonzeros never scans the dense cells."""
+    rng = random.Random(25)
+    placed, scanned = [], []
+    real_place, real_scan = homology._differential_rows, rings._nonzeros
+
+    def place(x, y):
+        rows, cols = real_place(x, y)
+        placed.append(([dict(row) for row in rows], cols))
+        return rows, cols
+
+    def scan(rows, zero):
+        scanned.append(rows)
+        return real_scan(rows, zero)
+
+    homology._differential_rows, rings._nonzeros = place, scan
+    try:
+        for ring in RINGS:
+            for quiver, dims_list in SHAPES:
+                for dx in dims_list:
+                    x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
+                    homology._hom_ext_cached.cache_clear()
+                    del placed[:], scanned[:]
+                    with _Recorder(rings) as rec:
+                        he = hom_ext(x, y)
+                    assert len(placed) == 1
+                    assert he.differential.entries == _dense_differential(x, y).entries
+                    if ring.is_field:
+                        assert [(rows, cols) for _, rows, cols in rec.seen] == placed
+                        assert not scanned, str(ring)
+    finally:
+        homology._differential_rows, rings._nonzeros = real_place, real_scan
 
 if __name__ == "__main__":
     for name, fn in list(globals().items()):

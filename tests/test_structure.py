@@ -44,7 +44,7 @@ from quivlat.structure import (
     rigid_isomorphism,
     schur_root_status,
 )
-from quivlat.verify import conjugate_rep, random_unimodular, run_suite
+from quivlat.verify import SUITES, conjugate_rep, random_unimodular, run_suite
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -406,10 +406,11 @@ def test_rigid_isomorphism_of_conjugated_sums_over_non_domains(ring):
             assert iso.source == x and iso.target == y and iso.is_isomorphism()
 
 
-@pytest.mark.parametrize("suite", ["braid", "theoremB", "theoremC"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_isomorphism_and_decomposition_suites_pass(suite):
+    """Every verify suite; basechange runs two pinned loop-quiver cases first."""
     report = run_suite(suite, seed=0, size=20)
-    assert report["cases"] == 20 and report["failures"] == 0, report
+    assert report["cases"] == 20 + 2 * (suite == "basechange") and report["failures"] == 0, report
 
 
 # ---------------------------------------------------------------------------
