@@ -17,10 +17,19 @@ shows only dimensions); a QuivlatError is hashed by its class and message.
 A change that alters values on purpose updates DIGEST and says so in
 CHANGES.md.
 
+INVARIANT_DIGEST hashes, over the same cases, only what no choice of
+pivots or witnesses can move: invariant factors and generator counts,
+normal forms and their kind, whether a system is solvable and a cokernel
+projection exists, Howell rows and the kernel generators of the rings that
+canonicalise them, orbit dimension vectors, and decomposition dimension
+vectors with multiplicities.  A change of elimination order may move
+DIGEST, never INVARIANT_DIGEST.
+
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_output_digest.py
 """
 
+import functools
 import hashlib
 import random
 import sys
@@ -49,6 +58,7 @@ from quivlat.structure import decompose_rigid, exceptional_lattice
 from quivlat.verify import conjugate_rep, random_rep, random_unimodular
 
 DIGEST = "2d156ec580395dccb6ba9e04084d48f583fda1c804549d08c1e2772aef674719"
+INVARIANT_DIGEST = "ec93c1b3b6d82723487f06c9114d1ba935cc1ac25e3098be659124eee9476ebc"
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -155,31 +165,64 @@ def _decompose_cases(rng):
             yield spec, "decompose_rigid", read
 
 
-def output_digest() -> str:
-    """SHA-256 over every case, in order: its ring, its entry point and the
-    repr of its result or error."""
+def _invariant(name, out):
+    """The part of a case's result that no pivot or witness choice moves."""
+    if name == "normal_form":
+        return out.nf.entries, out.kind
+    if name == "solve":
+        return out is None
+    if name in ("kernel_data", "cokernel_data"):
+        out = out[0]
+    if name in ("kernel_data", "cokernel_data", "cokernel"):
+        return out.generators, out.invariant_factors
+    if name == "kernel_basis":
+        return out.rows, out.cols, None if out.ring.is_domain else out.entries
+    if name == "cokernel_projection":
+        return out is None or (out.rows, out.cols)
+    if name == "hom_ext":
+        return out[0].invariant_factors, out[1].invariant_factors
+    if name == "orbit_search":
+        return sorted(out)
+    if name == "braid_act":
+        return out.dims_tuple()
+    if name == "decompose_rigid":
+        return tuple((rep.dims, m) for rep, m in out[0]), out[1]
+    return out   # howell_rows: canonical
+
+
+@functools.lru_cache(maxsize=None)
+def output_digests() -> tuple:
+    """SHA-256s over every case, in order: its ring, its entry point and
+    the repr of its result or error; then of its invariants alone."""
     rng = random.Random(20261018)
     old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if old is not None:
         sys.set_int_max_str_digits(0)   # Z cocycles outgrow the default limit
-    digest = hashlib.sha256()
+    digest, invariant = hashlib.sha256(), hashlib.sha256()
     try:
         for family in (_matrix_cases(rng), _hom_ext_cases(rng), _orbit_cases(),
                        _decompose_cases(rng)):
             for spec, name, run in family:
                 try:
-                    out = _plain(run())
+                    out = run()
+                    inv = _invariant(name, out)
+                    out = _plain(out)
                 except QuivlatError as exc:
-                    out = (type(exc).__name__, str(exc))
+                    out = inv = (type(exc).__name__, str(exc))
                 digest.update(repr((spec, name, out)).encode())
+                invariant.update(repr((spec, name, inv)).encode())
     finally:
         if old is not None:
             sys.set_int_max_str_digits(old)
-    return digest.hexdigest()
+    return digest.hexdigest(), invariant.hexdigest()
 
 
 def test_output_digest_is_frozen():
-    assert output_digest() == DIGEST
+    assert output_digests()[0] == DIGEST
+
+
+def test_invariant_digest_is_frozen():
+    assert output_digests()[1] == INVARIANT_DIGEST
 
 
 if __name__ == "__main__":
