@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .errors import NotProjective, PreconditionViolated, TheoremViolation
+from .errors import NotComputable, NotProjective, PreconditionViolated, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
 from .rings import (
     ExactMatrix,
@@ -30,16 +30,31 @@ from .rings import (
 )
 
 
+# Most cells hom_ext builds for one pair: the C1 x C0 differential and the
+# C0 x C0 relation matrix of Hom.  The Kronecker (30,29) self-pair of the
+# bound-60 orbit needs 6.1 million.
+_MAX_HOM_CELLS = 2 * 10 ** 7
+
+
 def _differential_rows(x: Rep, y: Rep) -> tuple:
     """The differential f -> (Y_a f_tail - f_head X_a) as (rows, cols), each
     row a dict from column to nonzero entry, placed from the nonzeros of Y_a
     and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
     of its tail and column c of -X_a in the block of its head.  The two meet
     in one cell only when a is a loop, where they add; a zero sum is no entry.
+    A pair that needs more than _MAX_HOM_CELLS cells is refused with
+    NotComputable before any row is placed.
     """
     _check_compatible(x, y)
     off0 = list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
     q, zero, add, neg = x.quiver, x.ring.zero, x.ring.add, x.ring.neg
+    cells = off0[-1]   # C0, then (C1 + C0) * C0
+    for t, h in q.arrows:
+        cells += x.dims[t - 1] * y.dims[h - 1]
+    cells *= off0[-1]
+    if cells > _MAX_HOM_CELLS:
+        raise NotComputable("the Hom complex of %r and %r needs %d cells, above the cap %d"
+                            % (x.dims, y.dims, cells, _MAX_HOM_CELLS))
     # truthiness is 7x cheaper than != on Fractions, but Feps tuples are always truthy
     nonzero = zero.__ne__ if x.ring.kind == "Feps" else bool
     rows = []
@@ -100,21 +115,23 @@ class HomExtResult:
 
     Construction places the differential once (_differential_rows),
     densifies it for self.differential, which is also ext.relations, and
-    eliminates it once; both modules are read off that one pass, and the
-    witnesses on first read.  Over Q and F_p that pass is one forward
-    elimination of the placed rows, with no transform; the Hom side keeps
-    the echelon rows until its generators, the reduced kernel basis (one
-    per non-pivot column), are first read and back-substitute them.  The
-    Ext cocycles are the unit vectors at the rows that are not pivot rows.
-    Over Z, Z/m and Feps the construction diagonalises the dense matrix;
-    the first read of hom_generators replays the recorded operations on
-    just the wanted columns of the right transform, and that of
-    ext_cocycles on those of the inverse left transform.  Until then each
-    side keeps only its own operation list (none when its module is zero),
-    and after its read none.  Over Z the construction pauses at its first
-    pivot that is not a unit and reads the factors of what is left modulo
-    a multiple of them (rings._Worksheet.diagonal); both sides keep the
-    paused sheet until the first witness read resumes it and lets it go.
+    eliminates the placed rows once, on every ring; both modules are read
+    off that one pass, and the witnesses on first read.  Over Q and F_p
+    that pass is one forward elimination, with no transform; the Hom side
+    keeps the echelon rows until its generators, the reduced kernel basis
+    (one per non-pivot column), are first read and back-substitute them.
+    The Ext cocycles are the unit vectors at the rows that are not pivot
+    rows.
+    Over Z, Z/m and Feps the construction diagonalises the placed rows:
+    every unit pivot on them, then only the unit-free residual densely
+    (rings._Worksheet).  The first read of hom_generators replays the
+    recorded operations on just the wanted columns of the right transform,
+    and that of ext_cocycles on those of the inverse left transform.  Until
+    then each side keeps only its own operation list (none when its module
+    is zero), and after its read none.  Over Z the construction pauses after
+    the unit pivots and reads the factors of the residual modulo a multiple
+    of them (rings._Worksheet.diagonal); both sides keep the paused sheet
+    until the first witness read resumes it and lets it go.
     """
 
     def __init__(self, x: Rep, y: Rep):
@@ -159,7 +176,8 @@ def _hom_ext_cached(x: Rep, y: Rep) -> HomExtResult:
 
 
 def hom_ext(x: Rep, y: Rep) -> HomExtResult:
-    """Hom(X, Y) and Ext^1(X, Y) with witnesses; results are cached."""
+    """Hom(X, Y) and Ext^1(X, Y) with witnesses; results are cached.  A
+    pair whose Hom complex is too large is refused (_differential_rows)."""
     _check_compatible(x, y)
     return _hom_ext_cached(x, y)
 

@@ -58,6 +58,12 @@ def _lex_least_order(nodes, succ):
     return order if len(order) == len(indeg) else None
 
 
+# Largest vertex dimension Rep.from_json reads.  A block of zero size has no
+# entries in the record, so a larger dimension would cost its rows while
+# parsing; hom_ext refuses far smaller ones (homology._MAX_HOM_CELLS).
+_MAX_DIMENSION = 10_000
+
+
 def _json_int(value) -> int:
     """An integer read from JSON; floats, bools and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -263,6 +269,10 @@ class Rep:
         if len(dims) != quiver.vertex_count:
             raise ParseError("need %d dimensions, got %d" % (
                 quiver.vertex_count, len(dims)))
+        for i, d in enumerate(dims, 1):
+            if d > _MAX_DIMENSION:
+                raise ParseError("dimension %d at vertex %d exceeds the cap %d"
+                                 % (d, i, _MAX_DIMENSION))
         if len(raw_mats) != quiver.arrow_count:
             raise ParseError("need %d arrow matrices, got %d" % (
                 quiver.arrow_count, len(raw_mats)))

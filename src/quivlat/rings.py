@@ -32,8 +32,10 @@ columns of the right or inverse left transform.  Hom and Ext of a quiver
 pair share one elimination and read both modules off its diagonal; each
 side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
-operation list.  :func:`cokernel` reads the diagonal alone.  Over Z those
-two pause the diagonalisation at its first pivot that is not a unit, which
+operation list.  :func:`cokernel` reads the diagonal alone.  The
+diagonalisation first eliminates every unit pivot on sparse rows, Hom and
+Ext of a quiver pair on the rows the Hom complex is placed as, and makes
+only the unit-free residual dense.  Over Z those two pause there, which
 keeps every entry a minor of the input, and read the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
 its rank, the last pivot of the one forward elimination below; the first
@@ -58,9 +60,10 @@ implementation) and truncated (Feps).  The class holds the element
 arithmetic and the two row kernels that elimination, its replays and Howell
 canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
 m per entry over Z/m, a truncated product over Feps, looked up in tables
-of all products and sums when the ring has at most 25 elements.  A column
-operation runs them on the two columns it touches, unless all it does is
-zero one entry of the pivot row.  The kernels skip zero multiplicands, which
+of all products and sums when the ring has at most 25 elements, and a third,
+``dict_axpy``, that the unit phase runs on sparse rows.  A column operation
+runs them on the two columns it touches, unless all it does is zero one
+entry of the pivot row.  The kernels skip zero multiplicands, which
 dominate the sparse differentials and the identity-like transforms, and
 the values they store are bit-identical to element-wise ``add``/``mul``.
 A ring hom is fixed by its two rings and picks its per-entry map once.
@@ -343,8 +346,7 @@ class _Integers(RingSpec):
     def mul(self, a, b):
         return a * b
 
-    def is_unit(self, a) -> bool:
-        return a in (1, -1)
+    is_unit = frozenset((1, -1)).__contains__   # a C call: the unit phase asks it often
 
     def inv(self, a):
         if a in (1, -1):
@@ -387,6 +389,22 @@ class _Integers(RingSpec):
         """(s*ri + t*rj, u*ri + v*rj)"""
         return ([s * x + t * y if x or y else x for x, y in zip(ri, rj)],
                 [u * x + v * y if x or y else y for x, y in zip(ri, rj)])
+
+    _mod = 0   # _Modular's modulus; Z and Q reduce nothing
+
+    def dict_axpy(self, row, items, c):
+        """row += c*src in place, on a dict row, for src's nonzero (column,
+        entry) items and c nonzero; an entry that cancels leaves row.
+        _Modular runs it too, reducing mod m."""
+        m, get = self._mod, row.get
+        for k, y in items:
+            x = get(k, 0) + c * y
+            if m:
+                x %= m
+            if x:
+                row[k] = x
+            else:
+                row.pop(k, None)
 
 
 class _Rationals(_Integers):
@@ -562,6 +580,8 @@ class _Modular(RingSpec):
         m = self._mod
         return ([(s * x + t * y) % m if x or y else x for x, y in zip(ri, rj)],
                 [(u * x + v * y) % m if x or y else y for x, y in zip(ri, rj)])
+
+    dict_axpy = _Integers.dict_axpy
 
 
 class _Truncated(RingSpec):
@@ -758,19 +778,28 @@ class _Truncated(RingSpec):
         return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
                 [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
 
+    def dict_axpy(self, row, items, c):
+        z, fma, tc, get = self.zero, self._fma, self._terms(c), row.get
+        for k, y in items:
+            x = fma(get(k, z), tc, y)
+            if x != z:
+                row[k] = x
+            else:
+                row.pop(k, None)
+
 
 # Feps:p:n up to this many elements runs mul and its row kernels on tables:
 # the full tables take 0.09 MB and about 13 ms to build at 25 (Feps:5:2),
 # 0.15 MB at 27 and 0.24 MB at 32.
 _FEPS_TABLE_SIZE = 25
-_TABLE_KERNELS = ("mul", "row_axpy", "row_comb")
+_TABLE_KERNELS = ("mul", "row_axpy", "row_comb", "dict_axpy")
 
 
 @functools.lru_cache(maxsize=None)
 def _table_kernels(ring: _Truncated) -> dict:
-    """mul, row_axpy and row_comb of a small Feps ring, on tables of its
-    products prod[c][y] and sums total[x][z], values shared with elements();
-    none for a larger ring."""
+    """The _TABLE_KERNELS of a small Feps ring, on tables of its products
+    prod[c][y] and sums total[x][z], values shared with elements(); none
+    for a larger ring."""
     if ring.size > _FEPS_TABLE_SIZE:
         return {}
     elements = {x: x for x in ring.elements()}
@@ -790,7 +819,18 @@ def _table_kernels(ring: _Truncated) -> dict:
         pairs = list(zip(ri, rj))
         return ([x if x == y == zero else total[ps[x]][pt[y]] for x, y in pairs],
                 [y if x == y == zero else total[pu[x]][pv[y]] for x, y in pairs])
-    return dict(zip(_TABLE_KERNELS, (mul, row_axpy, row_comb)))
+
+    zero_element = elements[zero]   # the zero the tables hand out
+
+    def dict_axpy(row, items, c):
+        pc, get = prod[c], row.get
+        for k, y in items:
+            x = total[get(k, zero)][pc[y]]
+            if x is not zero_element:
+                row[k] = x
+            else:
+                row.pop(k, None)
+    return dict(zip(_TABLE_KERNELS, (mul, row_axpy, row_comb, dict_axpy)))
 
 
 # kind -> (the class of its rings, the parameters its spec takes)
@@ -921,11 +961,12 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions %d vs %d" % (self.cols, other.rows))
         ring, zero = self.ring, self.ring.zero
+        nonzero = zero.__ne__ if ring.kind == "Feps" else bool   # Feps tuples are always truthy
         data = []
         for row in self.entries:   # the sum of x * (row k of other), x = row[k] nonzero
             acc = [zero] * other.cols
             for x, other_row in zip(row, other.entries):
-                if x != zero:
+                if nonzero(x):
                     acc = ring.row_axpy(acc, other_row, x)
             data.append(tuple(acc))
         return ExactMatrix._of(ring, self.rows, other.cols, tuple(data))
@@ -1005,10 +1046,25 @@ class _Worksheet:
     only what they read, when they read it: over Z the transforms' entries
     can run to many thousands of digits while N stays small.  A replay
     needs the ring and one operation list, not the sheet, so a caller that
-    defers one keeps no N, unless the sheet paused (diagonalize) and the
-    caller keeps it to resume.  Every operation runs through the ring's two
-    row kernels, a column operation on the columns it touches, save the
-    column step that only zeroes an entry (_clear_position).
+    defers one keeps no N, unless the sheet is paused (diagonalize) and the
+    caller keeps it to resume.
+
+    The sheet starts from M's nonzeros as dict rows (column -> entry) and
+    diagonalize first eliminates every unit pivot on them, with no gcd
+    step: for each column in turn, the unit candidate with the fewest
+    nonzeros, the lowest index on ties, as _forward picks, and sweeps
+    again until no unit is left, since a column can gain one after its
+    turn.  A column index of the rows finds the rows a step updates,
+    and each update visits only the pivot row's nonzeros.  The step's
+    column operations only zero the pivot row's other entries, so they are
+    recorded and not applied.  Swaps then put pivot t at (t, t), scaled to
+    its canonical generator, so N = I_t (+) S, and only the unit-free
+    residual S is made dense, as n.  resume() diagonalises S with the dense
+    steps below, recording their operations shifted by t; over Z a sheet
+    that needs only its factors reads them off S without (diagonal).  Every
+    dense operation runs through the ring's two row kernels, a column
+    operation on the columns it touches, save the column step that only
+    zeroes an entry (_clear_position).
 
     An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
     row j to row i, which for i == j scales row i by the unit 1 + c; or
@@ -1016,16 +1072,80 @@ class _Worksheet:
     u*row_i + v*row_j, with s*v - t*u a unit.
     """
 
-    def __init__(self, mat: ExactMatrix, factors_only=False):
-        # over Z a factors-only sheet pauses at a non-unit pivot (diagonalize)
-        self.units_only = factors_only and mat.ring.kind == "Z"
-        self.paused = None   # the pivot step a units_only sheet paused at
-        self.ring = mat.ring
-        self.rows = mat.rows
-        self.cols = mat.cols
-        self.n = [list(row) for row in mat.entries]
+    def __init__(self, mat: ExactMatrix, rows=None):
+        # n is M's nonzeros as dict rows (rows if given, consumed) until
+        # diagonalize, and the dense residual after it
+        self.ring, self.rows, self.cols = mat.ring, mat.rows, mat.cols
+        self.n = _nonzeros(mat.entries, mat.ring.zero) if rows is None else rows
+        self.t = 0           # the unit pivots, at (0, 0) ... (t-1, t-1)
+        self.paused = None   # t while the residual waits for resume
         self.row_ops = []
         self.col_ops = []
+
+    _unit_axpy = None   # the unit phase's row step, if not the ring's dict_axpy
+
+    def diagonalize(self):
+        """The unit phase.  Afterwards N = I_t (+) S, S unit-free and dense
+        in n, and the sheet is paused at step t unless S is zero."""
+        ring, rows, cols = self.ring, self.n, self.cols
+        zero, is_unit, mul = ring.zero, ring.is_unit, ring.mul
+        axpy = self._unit_axpy or ring.dict_axpy
+        # col_rows[k] holds every row not yet a pivot with an entry at k,
+        # and may hold rows whose entry there cancelled: a step adds the
+        # rows it updated to the columns of the pivot row's entries
+        col_rows = [set() for _ in range(cols)]
+        for i, row in enumerate(rows):
+            for k in row:
+                col_rows[k].add(i)
+        row_ops, col_ops, pivot_rows, pivot_cols, pivots = self.row_ops, self.col_ops, [], [], []
+        # a sweep scans the columns a step changed since their last scan, the
+        # others having no unit; it ends when there are none
+        dirty = [True] * cols
+        while True in dirty:
+            for c, cands in enumerate(col_rows):
+                if not dirty[c]:
+                    continue
+                dirty[c] = False
+                best = None   # (nonzeros, index) of the unit candidate
+                for i in cands:
+                    row = rows[i]
+                    if is_unit(row.get(c, zero)) and (best is None or (len(row), i) < best):
+                        best = len(row), i
+                if best is None:
+                    continue
+                r = best[1]
+                cands.discard(r)
+                items = rows[r]
+                rows[r] = {}   # a pivot row is a candidate no more
+                a = items.pop(c)
+                pivot_rows.append(r)
+                pivot_cols.append(c)
+                pivots.append(a)
+                neg_inv = ring.neg(ring.inv(a))
+                items = list(items.items())
+                updated = []
+                for j in cands:
+                    row = rows[j]
+                    b = row.pop(c, None)
+                    if b is not None:
+                        f = mul(neg_inv, b)
+                        row_ops.append((j, r, f))
+                        axpy(row, items, f)
+                        updated.append(j)
+                for k, y in items:
+                    if updated:
+                        col_rows[k].update(updated)
+                        dirty[k] = True
+                    col_ops.append((c, k, mul(neg_inv, y)))
+                cands.clear()
+        t = self.t = len(pivots)
+        res_rows = _moves(self.rows, pivot_rows, row_ops)[t:]
+        res_cols = _moves(cols, pivot_cols, col_ops)[t:]
+        for s, a in enumerate(pivots):
+            if a != ring.one:   # else a is its own canonical generator
+                row_ops.append((s, s, ring.sub(ring.unit_to_canonical(a), ring.one)))
+        self.n = [[rows[i].get(k, zero) for k in res_cols] for i in res_rows]
+        self.paused = t if any(rows[i] for i in res_rows) else None
 
     def _row(self, op):
         """N <- E N for the row operation op, recorded."""
@@ -1051,7 +1171,7 @@ class _Worksheet:
             for row, x, y in zip(n, ci, cj):
                 row[i], row[j] = x, y
 
-    # -- the reduction -------------------------------------------------------
+    # -- the dense steps, on the residual n ----------------------------------
     # Entries are canonical, so an entry is zero exactly when it equals
     # ring.zero: one comparison, where ring.is_zero would be a call.
 
@@ -1060,9 +1180,9 @@ class _Worksheet:
         zero = ring.zero
         best = None
         best_size = None
-        for i in range(s, self.rows):
+        for i in range(s, len(self.n)):
             row = self.n[i]
-            for j in range(s, self.cols):
+            for j in range(s, len(row)):
                 x = row[j]
                 if x == zero:
                     continue
@@ -1084,16 +1204,9 @@ class _Worksheet:
         size = self._divisibility_size(n[s][s])
         while True:
             gcdex_step = False
-            # A unit pivot a divides every entry, and the quotient by a unit
-            # is unique, so -b/a is b times one -1/a per pass: the value
-            # solve_scalar and neg would give.  No gcdex step follows.
-            neg_inv = ring.neg(ring.inv(n[s][s])) if size == 1 else None
-            for i in range(s + 1, self.rows):
+            for i in range(s + 1, len(n)):
                 b = n[i][s]
                 if b == zero:
-                    continue
-                if neg_inv is not None:
-                    self._row((i, s, ring.mul(neg_inv, b)))
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1106,13 +1219,9 @@ class _Worksheet:
             # The row steps leave column s as n[s][s]*e_s, so col_j += c*col_s
             # only zeroes n[s][j], until a gcdex column step mixes in col_j.
             clean = True
-            for j in range(s + 1, self.cols):
+            for j in range(s + 1, len(n[s])):
                 b = n[s][j]
                 if b == zero:
-                    continue
-                if neg_inv is not None:
-                    self.col_ops.append((s, j, ring.mul(neg_inv, b)))
-                    n[s][j] = zero
                     continue
                 a = n[s][s]
                 q = ring.solve_scalar(a, b)
@@ -1143,21 +1252,21 @@ class _Worksheet:
                     % (n[s][s], s, ring))
             size = new_size
 
-    def diagonalize(self):
-        """Bring N to its canonical diagonal.  A units_only sheet pauses
-        instead at the first pivot that is not a unit: N = left*M*right
-        holds there as after every step, diagonal() reads the factors, and
-        resume() goes on from that step."""
-        ring = self.ring
-        limit = min(self.rows, self.cols)
-        start, self.paused = self.paused or 0, None
-        for s in range(start, limit):
+    def resume(self):
+        """Diagonalise the residual of a paused sheet: its pivots, then the
+        divisibility chain with zeros sinking to the end, then canonical
+        generators on its diagonal, each operation recorded shifted by t."""
+        if self.paused is None:
+            return
+        self.paused = None
+        ring, n, t = self.ring, self.n, self.t
+        done = self.row_ops, self.col_ops
+        self.row_ops, self.col_ops = [], []
+        limit = min(len(n), self.cols - t)
+        for s in range(limit):
             piv = self._find_pivot(s)
             if piv is None:
                 break
-            if self.units_only and not ring.is_unit(self.n[piv[0]][piv[1]]):
-                self.paused = s
-                return
             if piv[0] != s:
                 self._row((s, piv[0]))
             if piv[1] != s:
@@ -1168,7 +1277,7 @@ class _Worksheet:
         while changed:
             changed = False
             for i in range(limit - 1):
-                a, b = self.n[i][i], self.n[i + 1][i + 1]
+                a, b = n[i][i], n[i + 1][i + 1]
                 if ring.divides(a, b):
                     continue
                 self._row((i, i + 1, ring.one))
@@ -1176,53 +1285,69 @@ class _Worksheet:
                 changed = True
         # canonical generators on the diagonal
         for i in range(limit):
-            d = self.n[i][i]
+            d = n[i][i]
             if ring.is_zero(d):
                 continue
             u = ring.unit_to_canonical(d)
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
-
-    def resume(self):
-        """Finish a paused sheet from the step it paused at: the operations
-        a full diagonalisation runs, since the steps before were its own."""
-        if self.paused is not None:
-            self.units_only = False
-            self.diagonalize()
+        for ops, own in zip(done, (self.row_ops, self.col_ops)):
+            ops += [(op[0] + t, op[1] + t) + op[2:] for op in own] if t else own
+        self.row_ops, self.col_ops = done
 
     def diagonal(self, length: int) -> list:
         """The canonical diagonal, padded with zeros to the given length.
 
-        On a sheet paused after s unit pivot steps, the residual S =
-        N[s:, s:] is of minors of M, since every pivot so far was +-1,
-        while its full diagonalisation blows them up.  Its last pivot D in
-        the one forward elimination, _forward, is a nonzero r-minor for r =
-        rank S, so every nonzero invariant factor of S divides D and is below
-        2|D|: the canonical diagonal of S over Z/2|D| is that of S over Z
-        (the modular determinant method of Domich, Kannan and Trotter).
+        On a paused sheet over Z the residual S is of minors of M, since
+        every pivot before it was +-1, while its full diagonalisation blows
+        them up.  Its last pivot D in the one forward elimination, _forward,
+        is a nonzero r-minor for r = rank S, so every nonzero invariant
+        factor of S divides D and is below 2|D|: the canonical diagonal of S
+        over Z/2|D| is that of S over Z (the modular determinant method of
+        Domich, Kannan and Trotter).
         """
-        s = self.paused
-        if s is None:
-            diag = [self.n[i][i] for i in range(min(self.rows, self.cols))]
+        n, width = self.n, self.cols - self.t
+        if self.paused is None:
+            diag = [n[i][i] for i in range(min(len(n), width))]
         else:
-            res = [row[s:] for row in self.n[s:]]
-            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(res, 0), self.cols - s)[:3]
+            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, 0), width)[:3]
             m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
-            mod = _diagonal_sheet(ExactMatrix._of(
-                Zmod(m), len(res), self.cols - s, tuple(tuple(x % m for x in row) for row in res)))
-            diag = [1] * s + mod.diagonal(len(pivot_rows))
+            diag = _diagonal_sheet(ExactMatrix._of(
+                Zmod(m), len(n), width, tuple(tuple(x % m for x in row) for row in n))
+            ).diagonal(len(pivot_rows))
+        diag = [self.ring.one] * self.t + diag
         return diag[:length] + [self.ring.zero] * (length - len(diag))
 
     def matrix(self) -> ExactMatrix:
-        return ExactMatrix._of(self.ring, self.rows, self.cols,
-                               tuple(tuple(r) for r in self.n))
+        """N: the unit pivots' identity block, then the residual."""
+        ring, t = self.ring, self.t
+        rows = _unit_columns(ring, self.rows, range(t))
+        for row, rest in zip(rows, [[ring.zero] * (self.cols - t)] * t + self.n):
+            row += rest
+        return ExactMatrix._of(ring, self.rows, self.cols, tuple(map(tuple, rows)))
 
 
-def _diagonal_sheet(mat: ExactMatrix, factors_only=False) -> _Worksheet:
-    """mat diagonalised, its operations recorded.  A factors_only sheet over
-    Z may be paused (diagonalize)."""
-    ws = _Worksheet(mat, factors_only)
+def _moves(size, targets, ops) -> list:
+    """Record in ops the swaps that bring index targets[t] to position t,
+    for each t in turn; return the order of the indices after them."""
+    order = list(range(size))
+    for t, i in enumerate(targets):
+        p = order.index(i, t)
+        if p != t:
+            ops.append((t, p))
+            order[t], order[p] = i, order[t]
+    return order
+
+
+def _diagonal_sheet(mat: ExactMatrix, factors_only=False, rows=None) -> _Worksheet:
+    """mat diagonalised, its operations recorded; rows, if given, are its
+    nonzeros as dict rows, consumed.  A factors_only sheet over Z stays
+    paused after its unit phase: diagonal reads its factors, and resume
+    finishes it."""
+    ws = _Worksheet(mat, rows)
     ws.diagonalize()
+    if not factors_only or mat.ring.kind != "Z":
+        ws.resume()
     return ws
 
 
@@ -1380,10 +1505,9 @@ def is_invertible(mat: ExactMatrix) -> bool:
     F_p[e]/(e^n), a local ring, full rank of the constant terms mod p
     (Nakayama); over Z and Z/m full rank with a last pivot, +-det, of +-1
     or coprime to m.  The one forward elimination, _forward, on mat's
-    nonzeros decides it (!= zero, as Feps tuples are always truthy)."""
-    zero = mat.ring.zero
-    rows = [{j: x for j, x in enumerate(row) if x != zero} for row in mat.entries]
-    return mat.rows == mat.cols and _forward(mat.ring, rows, mat.cols)[3]
+    nonzeros (_nonzeros) decides it."""
+    return mat.rows == mat.cols and _forward(mat.ring, _nonzeros(mat.entries, mat.ring.zero),
+                                             mat.cols)[3]
 
 
 def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
@@ -1616,8 +1740,11 @@ def _field_reduce(a: ExactMatrix) -> tuple:
 
 
 def _nonzeros(rows, zero) -> list:
-    """Rows over Z, Q or F_p as dicts from column to nonzero entry: most zeros
-    are the ring's own, and truthiness finds the rest (== calls a method)."""
+    """Rows as dicts from column to nonzero entry: most zeros are the
+    ring's own, and truthiness finds the rest (== calls a method), save
+    over Feps, whose tuples are always truthy."""
+    if type(zero) is tuple:
+        return [{j: x for j, x in enumerate(row) if x is not zero and x != zero} for row in rows]
     return [{j: x for j, x in enumerate(row) if x is not zero and x} for row in rows]
 
 
@@ -1780,18 +1907,20 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
 def _hom_ext_data(a: ExactMatrix, factors_only=True, rows=None) -> tuple:
     """The kernel and cokernel presentations of a from one elimination, each
     followed by a zero-argument function that returns kernel_data's or
-    cokernel_data's vectors: _field_hom_ext over Q and F_p, on rows (a's
-    nonzeros) if given, and _sheet_hom_ext over the other rings.
-    factors_only lets a sheet over Z pause at its first pivot that is not
-    a unit; kernel_data and cokernel_data, which read their vectors at
-    once, diagonalise in full instead."""
+    cokernel_data's vectors: _field_hom_ext over Q and F_p and
+    _sheet_hom_ext over the other rings, each on rows (a's nonzeros) if
+    given.  factors_only lets a sheet over Z pause after its unit pivots;
+    kernel_data and cokernel_data, which read their vectors at once,
+    diagonalise in full instead."""
     if a.ring.is_field:
         return _field_hom_ext(a, _nonzeros(a.entries, a.ring.zero) if rows is None else rows)
-    return _sheet_hom_ext(a, factors_only)
+    return _sheet_hom_ext(a, factors_only, rows)
 
 
-def _sheet_hom_ext(a: ExactMatrix, factors_only: bool) -> tuple:
-    """_hom_ext_data(a) over Z, Z/m and Feps, read off one diagonalisation.
+def _sheet_hom_ext(a: ExactMatrix, factors_only: bool, rows=None) -> tuple:
+    """_hom_ext_data(a) over Z, Z/m and Feps, read off one diagonalisation
+    of rows, a's nonzeros, if given (the unit pivots on them, then the
+    unit-free residual densely: _Worksheet).
 
     With N = left * a * right diagonal, the kernel of a is right times that
     of N: one cyclic summand per column j, the annihilator of N's entry
@@ -1810,7 +1939,7 @@ def _sheet_hom_ext(a: ExactMatrix, factors_only: bool) -> tuple:
     it go.
     """
     ring = a.ring
-    ws = _diagonal_sheet(a, factors_only)
+    ws = _diagonal_sheet(a, factors_only, rows)
     diag = ws.diagonal(max(a.rows, a.cols))
     gens = [ring.ann_gen(d) for d in diag[:a.cols]]
     hom_diag = [ring.ann_gen(g) for g in gens]

@@ -316,6 +316,31 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+@pytest.mark.parametrize("verb", ["rigid", "decompose"])
+@pytest.mark.parametrize("dim, code, error, says", [
+    pytest.param(2 ** 70, 2, "ParseError", "dimension 1180591620717411303424 at vertex 2 "
+                 "exceeds the cap", id="2**70"),
+    pytest.param(5000, 1, "NotComputable", "needs 625000000000000 cells, above the cap",
+                 id="5000")])
+def test_oversized_dimensions_exit_with_a_typed_error(tmp_path, verb, dim, code, error, says):
+    # A Kronecker record with no entries: 123 bytes at 2**70, which once
+    # allocated a row per unit of dimension.  The parse cap refuses it; a
+    # dimension below that cap meets hom_ext's cap on the Hom complex.  In a
+    # child process under a 1 GiB address-space limit, with a deadline.
+    path = tmp_path / "big.json"
+    path.write_text('{"ring": "Z", "quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]}, '
+                    '"dims": [0, %d], "mats": [[], []]}' % dim)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivlat.cli", verb, "--rep", str(path), "--format", "json"],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == error and says in report["message"]
+
+
 @pytest.mark.parametrize("ring", ["Feps:2:65", "Feps:2:300000000"])
 def test_oversized_feps_order_exits_without_traceback(files, ring):
     # In a child process under a 1 GiB address-space limit, where building

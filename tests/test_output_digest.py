@@ -57,7 +57,7 @@ from quivlat.rings import (
 from quivlat.structure import decompose_rigid, exceptional_lattice
 from quivlat.verify import conjugate_rep, random_rep, random_unimodular
 
-DIGEST = "2d156ec580395dccb6ba9e04084d48f583fda1c804549d08c1e2772aef674719"
+DIGEST = "8f67fb40ff94ca7c1117d90bac5c84e7c965b431a5466d299bc409712b74ff2a"
 INVARIANT_DIGEST = "ec93c1b3b6d82723487f06c9114d1ba935cc1ac25e3098be659124eee9476ebc"
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))

@@ -571,8 +571,10 @@ def test_rational_zeros_that_are_not_qq_zero():
 
 def test_hom_ext_places_once_and_eliminates_the_placed_rows():
     """hom_ext places each pair once and densifies that placement for its
-    differential; over Q and F_p it hands the same rows to _forward, and
-    rings._nonzeros never scans the dense cells."""
+    differential; over Q and F_p it hands the same rows to _forward.  On
+    every ring rings._nonzeros never scans the dense cells, as the sheet
+    rings eliminate the placed rows too; it scans only a Z sheet's paused
+    residual, for its invariant factors."""
     rng = random.Random(25)
     placed, scanned = [], []
     real_place, real_scan = homology._differential_rows, rings._nonzeros
@@ -586,23 +588,34 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         scanned.append(rows)
         return real_scan(rows, zero)
 
-    homology._differential_rows, rings._nonzeros = place, scan
+    sheet_class, sheets = rings._Worksheet, []
+
+    class Built(sheet_class):
+        def __init__(self, mat, rows=None):
+            sheets.append(rows)
+            super().__init__(mat, rows)
+
+    homology._differential_rows, rings._nonzeros, rings._Worksheet = place, scan, Built
     try:
         for ring in RINGS:
             for quiver, dims_list in SHAPES:
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
                     homology._hom_ext_cached.cache_clear()
-                    del placed[:], scanned[:]
+                    del placed[:], scanned[:], sheets[:]
                     with _Recorder(rings) as rec:
                         he = hom_ext(x, y)
                     assert len(placed) == 1
                     assert he.differential.entries == _dense_differential(x, y).entries
                     if ring.is_field:
                         assert [(rows, cols) for _, rows, cols in rec.seen] == placed
-                        assert not scanned, str(ring)
+                    else:   # the sheet starts from the placed rows
+                        assert isinstance(sheets[0], list), str(ring)
+                    assert not scanned or ring.kind == "Z", str(ring)
+                    assert not any(rows is he.differential.entries for rows in scanned)
     finally:
         homology._differential_rows, rings._nonzeros = real_place, real_scan
+        rings._Worksheet = sheet_class
 
 if __name__ == "__main__":
     for name, fn in list(globals().items()):

@@ -1,16 +1,18 @@
 """The per-ring row kernels of _Worksheet against element-wise ops.
 
 Each ring has two row kernels, row_axpy and row_comb; the worksheet runs
-its column operations through them too, on the columns they touch, except
-the step that clears an entry of the pivot row while the pivot column is
-clean, which only zeroes that entry.  _ElementwiseWorksheet does the
-worksheet's column operations on N with ring.add and ring.mul per
-element, as the reference, and _elementwise_replay, swapped in for
-``rings._replay``, its row operations on any matrix (N and every
-transform).  Every result read off an elimination must be identical (equal and of
-equal repr, so equal types too) whichever of the two worksheets ran it.  The worksheet serves Z, Z/m and Feps; over Q and F_p
-the eliminations are a row reduction that never builds one, so the
-elimination comparisons run on the other rings.
+its dense column operations through them too, on the columns they touch,
+except the step that clears an entry of the pivot row while the pivot
+column is clean, which only zeroes that entry.  Its unit phase updates dict
+rows by a third kernel, dict_axpy.  _ElementwiseWorksheet does the
+worksheet's dense column operations on N and its unit-phase row updates
+with ring.add and ring.mul per element, as the reference, and
+_elementwise_replay, swapped in for ``rings._replay``, its dense row
+operations on any matrix (N and every transform).  Every result read off
+an elimination must be identical (equal and of equal repr, so equal types
+too) whichever of the two worksheets ran it.  The worksheet serves Z, Z/m
+and Feps; over Q and F_p the eliminations are a row reduction that never
+builds one, so the elimination comparisons run on the other rings.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_worksheet_kernels.py
@@ -80,7 +82,18 @@ def _elementwise_replay(ring, x, ops, inverse=False):
 
 
 class _ElementwiseWorksheet(rings._Worksheet):
-    """_col with per-element ring arithmetic; counts its calls."""
+    """_col and _unit_axpy with per-element ring arithmetic; counts their calls."""
+
+    def _unit_axpy(self, row, items, c):
+        """row += c*src on a dict row, src as its nonzero (column, entry) items."""
+        CALLS["_unit_axpy"] += 1
+        ring = self.ring
+        for k, y in items:
+            x = ring.add(row.get(k, ring.zero), ring.mul(c, y))
+            if ring.is_zero(x):
+                row.pop(k, None)
+            else:
+                row[k] = x
 
     def _col(self, op):
         """N <- N F, F the matrix op builds from the identity."""
@@ -186,6 +199,13 @@ def test_each_kernel_matches_elementwise_arithmetic():
                 [add(mul(u, x), mul(v, y)) for x, y in zip(ri, rj)])
             for x in ri:
                 assert kern.is_zero(x) == ring.is_zero(x)
+            if ring.is_zero(s):
+                continue
+            row = {k: x for k, x in enumerate(ri) if not ring.is_zero(x)}
+            items = [(k, y) for k, y in enumerate(rj) if not ring.is_zero(y)]
+            kern.dict_axpy(row, items, s)
+            want = [add(x, mul(s, y)) for x, y in zip(ri, rj)]
+            assert row == {k: x for k, x in enumerate(want) if not ring.is_zero(x)}
 
 
 def test_elimination_matches_elementwise_ops():
@@ -239,15 +259,21 @@ def test_column_step_after_a_gcdex_column_step():
 
 
 def test_reference_is_in_use():
-    """Each entry point compared above runs its row and column operations
-    through the reference while it is swapped in, and not without it."""
+    """Each entry point compared above runs its unit-phase row updates and
+    its dense row and column operations through the reference while it is
+    swapped in, and not without it.  The matrix has a unit pivot whose
+    update cancels an entry, then a residual whose pivot sits off the
+    diagonal, so the dense steps move a column."""
     x = y = random_rep(ZZ, QUIVERS[0], (2, 3), random.Random("in use"))
     for ring in SHEET_RINGS:
-        a = ExactMatrix(ring, 2, 3, ((2, 4, 1), (6, 3, 5)))
+        d = ring.canon([0, 1] if ring.kind == "Feps" else 2)
+        a = ExactMatrix(ring, 3, 3, ((ring.one, ring.one, ring.zero), (ring.one, ring.one, d),
+                                     (ring.zero, ring.zero, d)))
         for name, run in _entry_points(a, 0).items():
             CALLS.clear()
             with _elementwise():
                 run()
+            assert CALLS["_unit_axpy"] > 0, (ring, name)
             assert CALLS["_replay"] > 0, (ring, name)
             assert CALLS["_col"] > 0, (ring, name)
     CALLS.clear()
@@ -255,6 +281,7 @@ def test_reference_is_in_use():
     assert not CALLS
     with _elementwise():
         _hom_ext_results(x, y)
+    assert CALLS["_unit_axpy"] > 0
     assert CALLS["_replay"] > 0
     assert CALLS["_col"] > 0
 

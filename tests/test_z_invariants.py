@@ -1,8 +1,8 @@
 """Invariant factors over Z from unit pivots and a modular residual.
 
 hom_ext and cokernel read Z's invariant factors off a factors-only sheet
-(_diagonal_sheet(a, True)): the diagonalisation pauses at its first pivot
-that is not a unit, and the residual S left is diagonalised over Z/2|D|,
+(_diagonal_sheet(a, True)): the sheet pauses after its unit phase, which
+eliminates every +-1 pivot, and the residual S left is diagonalised over Z/2|D|,
 D the last pivot of _forward on S (_Worksheet.diagonal).  Here that reading
 is checked against the full integral diagonalisation, on Kronecker (4,5)
 pairs from verify.random_rep, on matrices with no unit entry, and on the
@@ -101,40 +101,47 @@ def test_matrices_with_no_unit_entry():
 
 def test_witness_reads_diagonalise_in_full_once():
     """After a residual the sheet pauses, and the first witness read
-    resumes it: in either order the two reads build no new sheet, every
-    unit pivot step before the pause runs once, and the vectors are the
-    full sheet's."""
+    resumes it: in either order the two reads build no new sheet, the unit
+    phase runs once and its operations stay the head of the sheet's, each
+    dense step of the residual runs once, and the vectors are the full
+    sheet's."""
     cases = [  # (matrix, Hom free rank, Ext invariant factors)
-        (_mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]]), 2, (2, 0, 0)),    # pauses at step 0
-        (_mat([[1, 2, 3, 4], [2, 6, 8, 10], [3, 8, 13, 16]]), 1, (2, 2)),   # at step 1
+        (_mat([[2, 4, 6], [4, 8, 12], [6, 12, 18]]), 2, (2, 0, 0)),    # no unit pivot
+        (_mat([[1, 2, 3, 4], [2, 6, 8, 10], [3, 8, 13, 16]]), 1, (2, 2)),   # one
     ]
+    sheet_class = rings._Worksheet
     for a, hom_rank, ext_factors in cases:
         for hom_first in (True, False):
-            built, steps = [], []
-            init, find = rings._Worksheet.__init__, rings._Worksheet._find_pivot
+            built, phases, steps = [], [], []
 
-            def counted_init(ws, mat, *mode):
-                built.append(ws)
-                init(ws, mat, *mode)
+            class Counted(sheet_class):
+                def __init__(self, *args):
+                    built.append(self)
+                    super().__init__(*args)
 
-            def counted_find(ws, s):
-                steps.append((ws, s))
-                return find(ws, s)
-            rings._Worksheet.__init__, rings._Worksheet._find_pivot = counted_init, counted_find
+                def diagonalize(self):
+                    phases.append(self)
+                    super().diagonalize()
+
+                def _find_pivot(self, s):
+                    steps.append((self, s))
+                    return super()._find_pivot(s)
+            rings._Worksheet = Counted
             try:
                 hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
                 sheet, built_before = built[0], len(built)
-                pause = sheet.paused
+                pause, unit_ops = sheet.paused, (list(sheet.row_ops), list(sheet.col_ops))
                 reads = (read_hom, read_ext) if hom_first else (read_ext, read_hom)
                 vecs = [read() for read in reads]
             finally:
-                rings._Worksheet.__init__, rings._Worksheet._find_pivot = init, find
+                rings._Worksheet = sheet_class
             assert pause is not None and sheet.paused is None
             assert hom.free_rank == hom_rank and ext.invariant_factors == ext_factors
-            assert len(built) == built_before
+            assert len(built) == built_before and phases.count(sheet) == 1
+            for ops, head in zip((sheet.row_ops, sheet.col_ops), unit_ops):
+                assert ops[:len(head)] == head
             own = [s for ws, s in steps if ws is sheet]
-            assert own[:pause + 1] == list(range(pause + 1))
-            assert all(own.count(s) == 1 for s in range(pause))
+            assert own == list(range(len(own))) and own
             _, kvec, _, cvec = rings._hom_ext_data(a, False)
             expected = [kvec(), cvec()]
             assert vecs == (expected if hom_first else expected[::-1])
