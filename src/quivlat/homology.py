@@ -30,9 +30,9 @@ from .rings import (
 )
 
 
-# Most cells hom_ext builds for one pair: the C1 x C0 differential and the
-# C0 x C0 relation matrix of Hom.  The Kronecker (30,29) self-pair of the
-# bound-60 orbit needs 6.1 million.
+# Most cells one pair may need: the C1 x C0 differential _differential_rows
+# places and the C0 x C0 a read of the Hom generators fills.  The Kronecker
+# (30,29) self-pair of the bound-60 orbit needs 6.1 million.
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 
@@ -84,7 +84,7 @@ def _densified(ring, rows, cols) -> ExactMatrix:
 
 def differential(x: Rep, y: Rep) -> ExactMatrix:
     """_differential_rows(x, y) densified: the Hom complex's matrix, whose
-    placed rows HomExtResult also eliminates over Q and F_p."""
+    placed rows HomExtResult eliminates without densifying them."""
     return _densified(x.ring, *_differential_rows(x, y))
 
 
@@ -113,10 +113,10 @@ class HomExtResult:
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
     a C1 tuple of matrices mapping onto that generator of the cokernel.
 
-    Construction places the differential once (_differential_rows),
-    densifies it for self.differential, which is also ext.relations, and
-    eliminates the placed rows once, on every ring; both modules are read
-    off that one pass, and the witnesses on first read.  Over Q and F_p
+    Construction places the differential once (_differential_rows) and
+    eliminates the placed rows once, on every ring, densifying nothing;
+    both modules are read off that pass, the witnesses and the dense
+    self.differential each on its first read.  Over Q and F_p
     that pass is one forward elimination, with no transform; the Hom side
     keeps the echelon rows until its generators, the reduced kernel basis
     (one per non-pivot column), are first read and back-substitute them.
@@ -136,10 +136,12 @@ class HomExtResult:
 
     def __init__(self, x: Rep, y: Rep):
         self.x, self.y = x, y
-        rows, cols = _differential_rows(x, y)
-        self.differential = _densified(x.ring, rows, cols)   # before _forward consumes rows
         self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(
-            self.differential, True, rows)
+            x.ring, *_differential_rows(x, y))
+
+    @cached_property
+    def differential(self) -> ExactMatrix:
+        return differential(self.x, self.y)
 
     @cached_property
     def _hom_vecs(self):

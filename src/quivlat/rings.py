@@ -33,8 +33,7 @@ pair share one elimination and read both modules off its diagonal; each
 side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
 operation list.  :func:`cokernel` reads the diagonal alone.  The
-diagonalisation first eliminates every unit pivot on sparse rows, Hom and
-Ext of a quiver pair on the rows the Hom complex is placed as, and makes
+diagonalisation first eliminates every unit pivot on sparse rows and makes
 only the unit-free residual dense.  Over Z those two pause there, which
 keeps every entry a minor of the input, and read the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
@@ -44,15 +43,20 @@ witness read resumes it from there.
 Over Q and F_p all of these instead run the one forward elimination,
 ``_forward``, on sparse rows (dicts from column to nonzero entry) with no
 row moves, column operations or transforms (fraction-free over Q), which
-updates only the rows not yet pivots; Hom and Ext of a quiver pair hand it
-the rows the Hom complex is placed as.  Rank, cokernels, and Hom and Ext
+updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext
 as modules follow from its rank profile; the kernel vectors back-substitute
 its echelon rows at the non-pivot columns, Hom's on first read.
 :func:`normal_form` and :func:`cokernel_projection` back-substitute
 [a | I], and :func:`solve` [a | b].  :func:`is_invertible` and the
 mutation layer's exceptional checks run the same pass on every ring.
-``ModulePresentation.from_invariant_factors`` eliminates its diagonal
-relation matrix once, to canonicalise arbitrary input.
+
+Elimination takes one input on every ring: the ring, the rows as dicts
+from column to nonzero entry, and the column count.  A public matrix entry
+point reads its matrix's nonzeros once (``_nonzeros``); Hom and Ext of a
+quiver pair pass the rows the Hom complex is placed as, and densify
+nothing.  A :class:`ModulePresentation` is its ring, generator count and
+invariant factors; ``from_invariant_factors`` eliminates its diagonal once,
+to canonicalise arbitrary input.
 
 Each ring is an instance of one class per family: integers (Z), rationals
 (Q, with Z's arithmetic on Fractions), modular (F:p and Z/m in one
@@ -1072,11 +1076,10 @@ class _Worksheet:
     u*row_i + v*row_j, with s*v - t*u a unit.
     """
 
-    def __init__(self, mat: ExactMatrix, rows=None):
-        # n is M's nonzeros as dict rows (rows if given, consumed) until
-        # diagonalize, and the dense residual after it
-        self.ring, self.rows, self.cols = mat.ring, mat.rows, mat.cols
-        self.n = _nonzeros(mat.entries, mat.ring.zero) if rows is None else rows
+    def __init__(self, ring: RingSpec, rows: list, cols: int):
+        # n is M's nonzeros as dict rows (rows, consumed) until diagonalize,
+        # and the dense residual after it
+        self.ring, self.rows, self.cols, self.n = ring, len(rows), cols, rows
         self.t = 0           # the unit pivots, at (0, 0) ... (t-1, t-1)
         self.paused = None   # t while the residual waits for resume
         self.row_ops = []
@@ -1312,9 +1315,8 @@ class _Worksheet:
         else:
             pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, 0), width)[:3]
             m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
-            diag = _diagonal_sheet(ExactMatrix._of(
-                Zmod(m), len(n), width, tuple(tuple(x % m for x in row) for row in n))
-            ).diagonal(len(pivot_rows))
+            diag = _diagonal_sheet(Zmod(m), _nonzeros([[x % m for x in row] for row in n], 0),
+                                   width).diagonal(len(pivot_rows))
         diag = [self.ring.one] * self.t + diag
         return diag[:length] + [self.ring.zero] * (length - len(diag))
 
@@ -1339,14 +1341,14 @@ def _moves(size, targets, ops) -> list:
     return order
 
 
-def _diagonal_sheet(mat: ExactMatrix, factors_only=False, rows=None) -> _Worksheet:
-    """mat diagonalised, its operations recorded; rows, if given, are its
-    nonzeros as dict rows, consumed.  A factors_only sheet over Z stays
-    paused after its unit phase: diagonal reads its factors, and resume
-    finishes it."""
-    ws = _Worksheet(mat, rows)
+def _diagonal_sheet(ring: RingSpec, rows: list, cols: int, factors_only=False) -> _Worksheet:
+    """The matrix of rows, dicts from column to nonzero entry (consumed),
+    with cols columns, diagonalised, its operations recorded.  A
+    factors_only sheet over Z stays paused after its unit phase: diagonal
+    reads its factors, and resume finishes it."""
+    ws = _Worksheet(ring, rows, cols)
     ws.diagonalize()
-    if not factors_only or mat.ring.kind != "Z":
+    if not factors_only or ring.kind != "Z":
         ws.resume()
     return ws
 
@@ -1450,7 +1452,7 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
             ExactMatrix._of(ring, mat.rows, mat.rows,
                             tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
             ident)
-    ws = _diagonal_sheet(mat)
+    ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring.zero), mat.cols)
 
     def replayed(size, ops, inverse=False):
         rows = _replay(ring, _unit_columns(ring, size, range(size)), ops, inverse)
@@ -1482,7 +1484,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
         for c, row in zip(pivots, rows):
             x[c] = tuple(row[a.cols:])
         return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
-    ws = _diagonal_sheet(a)
+    ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
     c = _replay(ring, [list(row) for row in b.entries], ws.row_ops)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
@@ -1690,11 +1692,6 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
-def _kernel_presentation(ring: RingSpec, factors: tuple) -> "ModulePresentation":
-    relations = block_diag(ring, [ExactMatrix._of(ring, 1, 1, ((d,),)) for d in factors])
-    return ModulePresentation(ring, len(factors), relations, factors)
-
-
 def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
     """Clear _forward's echelon rows above each pivot, at the free
     (non-pivot) columns only, visiting each row's own nonzeros alone.
@@ -1748,30 +1745,30 @@ def _nonzeros(rows, zero) -> list:
     return [{j: x for j, x in enumerate(row) if x is not zero and x} for row in rows]
 
 
-def _field_hom_ext(a: ExactMatrix, rows: list) -> tuple:
-    """_hom_ext_data(a) over Q or F_p, read off the rank profile of the one
+def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
+    """_hom_ext_data over Q or F_p, read off the rank profile of the one
     forward elimination, _forward, of rows.  Every invariant factor is zero.
 
     The kernel vectors are the reduced kernel basis: one per non-pivot
     column f, with 1 at f and minus the rref's entry at f at each pivot; their
     function keeps the echelon rows and back-substitutes when called.  The
     cokernel vectors are the unit vectors at the rows that are not pivot
-    rows: the pivot rows of a have full rank, so a column of a that
-    vanishes on them vanishes, and these vectors complement the column span.
+    rows: the pivot rows have full rank, so a column that vanishes on them
+    vanishes, and these vectors complement the column span.
     """
-    ring, p, zero, one = a.ring, a.ring.p, a.ring.zero, a.ring.one
-    pivot_cols, pivot_rows, rows, _ = _forward(ring, rows, a.cols)
-    free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
-    ext_rows = sorted(set(range(a.rows)).difference(pivot_rows))
+    p, zero, one, height = ring.p, ring.zero, ring.one, len(rows)
+    pivot_cols, pivot_rows, rows, _ = _forward(ring, rows, cols)
+    free_cols = sorted(set(range(cols)).difference(pivot_cols))
+    ext_rows = sorted(set(range(height)).difference(pivot_rows))
     read_hom = read_ext = list
     if free_cols:
-        width, echelon = a.cols, [rows[r] for r in pivot_rows]
+        echelon = [rows[r] for r in pivot_rows]
 
         def read_hom():
             w, d = _back_substitute(pivot_cols, echelon, free_cols, p)
             vecs = []
             for t, f in enumerate(free_cols):
-                vec = [zero] * width
+                vec = [zero] * cols
                 vec[f] = one
                 for pc, part in zip(pivot_cols, w):
                     if part[t]:
@@ -1779,12 +1776,10 @@ def _field_hom_ext(a: ExactMatrix, rows: list) -> tuple:
                 vecs.append(tuple(vec))
             return vecs
     if ext_rows:
-        height = a.rows
-
         def read_ext():
             return [tuple(one if k == i else zero for k in range(height)) for i in ext_rows]
-    return (_kernel_presentation(ring, (zero,) * len(free_cols)), read_hom,
-            ModulePresentation(ring, a.rows, a, (zero,) * len(ext_rows)), read_ext)
+    return (ModulePresentation(ring, len(free_cols), (zero,) * len(free_cols)), read_hom,
+            ModulePresentation(ring, height, (zero,) * len(ext_rows)), read_ext)
 
 
 def kernel_data(a: ExactMatrix) -> tuple:
@@ -1800,7 +1795,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     Over the fields the vectors are the reduced kernel basis, from one
     forward elimination and its back-substitution.
     """
-    pres, vectors = _hom_ext_data(a, False)[:2]
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols, False)[:2]
     return pres, vectors()
 
 
@@ -1822,7 +1817,9 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
 
 @dataclass(frozen=True)
 class ModulePresentation:
-    """Finitely presented module R^generators / column span of relations.
+    """A finitely presented module, held as its invariant factors alone:
+    the direct sum of the R/(d).  generators counts the generators it was
+    presented on: a cokernel's matrix rows, or a kernel's factors.
 
     invariant_factors lists canonical ideal generators in divisibility
     order with units omitted; a zero stands for a free summand and zeros
@@ -1831,7 +1828,6 @@ class ModulePresentation:
 
     ring: RingSpec
     generators: int
-    relations: ExactMatrix
     invariant_factors: tuple
 
     @property
@@ -1849,7 +1845,9 @@ class ModulePresentation:
     @staticmethod
     def from_invariant_factors(ring: RingSpec, factors: Sequence) -> "ModulePresentation":
         """Presentation of a direct sum of cyclic modules R/(d)."""
-        return cokernel(block_diag(ring, [ExactMatrix(ring, 1, 1, ((d,),)) for d in factors]))
+        diag = [ring.canon(d) for d in factors]
+        return _hom_ext_data(ring, [{} if ring.is_zero(d) else {i: d} for i, d in enumerate(diag)],
+                             len(diag))[2]
 
 
 def _chain_order(ring: RingSpec, diag: Sequence) -> list:
@@ -1866,7 +1864,7 @@ def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
-    return _hom_ext_data(a)[2]
+    return _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[2]
 
 
 def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
@@ -1877,7 +1875,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     column of left^-1 at that generator's diagonal position.  Over the
     fields they are unit vectors, read off one forward elimination.
     """
-    pres, vectors = _hom_ext_data(a, False)[2:]
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols, False)[2:]
     return pres, vectors()
 
 
@@ -1894,7 +1892,7 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
         pivots, reduced = _field_rref(a.hstack(ExactMatrix.identity(ring, a.rows)))
         rows = [tuple(r[a.cols:]) for c, r in zip(pivots, reduced) if c >= a.cols]
     else:
-        ws = _diagonal_sheet(a)
+        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
         diag = ws.diagonal(a.rows)
         idx = _chain_order(ring, diag)
         if not all(ring.is_zero(diag[i]) for i in idx):
@@ -1904,23 +1902,22 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
-def _hom_ext_data(a: ExactMatrix, factors_only=True, rows=None) -> tuple:
-    """The kernel and cokernel presentations of a from one elimination, each
-    followed by a zero-argument function that returns kernel_data's or
-    cokernel_data's vectors: _field_hom_ext over Q and F_p and
-    _sheet_hom_ext over the other rings, each on rows (a's nonzeros) if
-    given.  factors_only lets a sheet over Z pause after its unit pivots;
-    kernel_data and cokernel_data, which read their vectors at once,
-    diagonalise in full instead."""
-    if a.ring.is_field:
-        return _field_hom_ext(a, _nonzeros(a.entries, a.ring.zero) if rows is None else rows)
-    return _sheet_hom_ext(a, factors_only, rows)
+def _hom_ext_data(ring: RingSpec, rows: list, cols: int, factors_only=True) -> tuple:
+    """The kernel and cokernel presentations of the matrix of rows (consumed)
+    with cols columns, from one elimination, each followed by a function
+    that returns kernel_data's or cokernel_data's vectors: _field_hom_ext
+    over Q and F_p, _sheet_hom_ext elsewhere.  factors_only lets a sheet over
+    Z pause after its unit pivots; kernel_data and cokernel_data, which read
+    their vectors at once, diagonalise in full instead."""
+    if ring.is_field:
+        return _field_hom_ext(ring, rows, cols)
+    return _sheet_hom_ext(ring, rows, cols, factors_only)
 
 
-def _sheet_hom_ext(a: ExactMatrix, factors_only: bool, rows=None) -> tuple:
-    """_hom_ext_data(a) over Z, Z/m and Feps, read off one diagonalisation
-    of rows, a's nonzeros, if given (the unit pivots on them, then the
-    unit-free residual densely: _Worksheet).
+def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int, factors_only: bool) -> tuple:
+    """_hom_ext_data over Z, Z/m and Feps, read off one diagonalisation of
+    rows (the unit pivots on them, then the unit-free residual densely:
+    _Worksheet).
 
     With N = left * a * right diagonal, the kernel of a is right times that
     of N: one cyclic summand per column j, the annihilator of N's entry
@@ -1938,12 +1935,12 @@ def _sheet_hom_ext(a: ExactMatrix, factors_only: bool, rows=None) -> tuple:
     call resumes it, so the vectors are a full diagonalisation's, and lets
     it go.
     """
-    ring = a.ring
-    ws = _diagonal_sheet(a, factors_only, rows)
-    diag = ws.diagonal(max(a.rows, a.cols))
-    gens = [ring.ann_gen(d) for d in diag[:a.cols]]
+    height = len(rows)
+    ws = _diagonal_sheet(ring, rows, cols, factors_only)
+    diag = ws.diagonal(max(height, cols))
+    gens = [ring.ann_gen(d) for d in diag[:cols]]
     hom_diag = [ring.ann_gen(g) for g in gens]
-    js, idx = _chain_order(ring, hom_diag), _chain_order(ring, diag[:a.rows])
+    js, idx = _chain_order(ring, hom_diag), _chain_order(ring, diag[:height])
     row_ops, col_ops = ws.row_ops, ws.col_ops
     paused = [ws] if ws.paused is not None else []   # until the first read
 
@@ -1956,13 +1953,13 @@ def _sheet_hom_ext(a: ExactMatrix, factors_only: bool, rows=None) -> tuple:
         def read_hom():
             resume()
             return [col if ring.is_zero(hom_diag[j]) else tuple(ring.mul(gens[j], x) for x in col)
-                    for j, col in zip(js, _right_columns(ring, a.cols, col_ops, js))]
+                    for j, col in zip(js, _right_columns(ring, cols, col_ops, js))]
     if idx:
         def read_ext():
             resume()
-            return _left_inv_columns(ring, a.rows, row_ops, idx)
-    return (_kernel_presentation(ring, tuple(hom_diag[j] for j in js)), read_hom,
-            ModulePresentation(ring, a.rows, a, tuple(diag[i] for i in idx)), read_ext)
+            return _left_inv_columns(ring, height, row_ops, idx)
+    return (ModulePresentation(ring, len(js), tuple(hom_diag[j] for j in js)), read_hom,
+            ModulePresentation(ring, height, tuple(diag[i] for i in idx)), read_ext)
 
 
 def constant_rank(pres: ModulePresentation) -> Optional[int]:
@@ -2080,7 +2077,7 @@ def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePr
     if pres.ring != hom.source:
         raise IncompatibleBase("presentation over %s, hom expects %s" % (
             pres.ring, hom.source))
-    return ModulePresentation(hom.target, pres.generators, apply_hom(hom, pres.relations),
+    return ModulePresentation(hom.target, pres.generators,
                               _mapped_factors(pres.invariant_factors, hom))
 
 

@@ -77,8 +77,8 @@ def test_constant_rank_matches_valuations():
 
 
 def test_constant_rank_maps_only_the_invariant_factors():
-    """No relation matrix is transported: apply_hom is never called, so a
-    Hom module of rank 900, with 900 x 900 relations, costs 900 factors."""
+    """Only the invariant factors are mapped: apply_hom is never called,
+    so a Hom module of rank 900 costs 900 factors and no 900 x 900 matrix."""
     def refuse(hom, mat):
         raise AssertionError("constant_rank transported a relation matrix")
     saved, rings.apply_hom = rings.apply_hom, refuse

@@ -24,7 +24,7 @@ from quivlat.homology import (
     rigid_hom_ext_ranks,
 )
 from quivlat.quiver import Quiver, Rep, euler_form, projective_rep, tensor_free, direct_sum
-from quivlat.rings import Feps, GF, QQ, ZZ, Zmod, canonical_hom
+from quivlat.rings import ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -313,14 +313,21 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     generators are read, no operation list at all.  A pair with Ext alone
     keeps only the row operations, until its cocycles are read.  A pair
     whose sheet paused at a residual keeps that sheet until its first
-    witness read, which resumes it, and then neither N nor the sheet."""
+    witness read, which resumes it, and then neither N nor the sheet.
+    None of them holds a matrix of the differential's shape until its
+    differential is first read."""
     from quivlat import homology, rings
     sheets = []
     diagonal_sheet = rings._diagonal_sheet
 
-    def recorded(a, *mode):
-        sheets.append(diagonal_sheet(a, *mode))
+    def recorded(*args):
+        sheets.append(diagonal_sheet(*args))
         return sheets[-1]
+
+    def dense_differentials(he):
+        d = homology.differential(he.x, he.y)
+        return [m for m in _reachable(he).values()
+                if isinstance(m, ExactMatrix) and (m.rows, m.cols) == (d.rows, d.cols)]
 
     monkeypatch.setattr(rings, "_diagonal_sheet", recorded)
     homology._hom_ext_cached.cache_clear()
@@ -333,9 +340,11 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     assert not {id(ws), id(ws.n), id(ws.row_ops)} & held.keys()
     assert not {id(row) for row in ws.n} & held.keys()
     assert id(ws.col_ops) in held   # until the Hom generators are read
+    assert dense_differentials(he) == []
     assert len(he.hom_generators) == 1
     held = _reachable(he)
     assert not {id(ws), id(ws.row_ops), id(ws.col_ops)} & held.keys()
+    assert dense_differentials(he) == []
     # a nonzero Ext waits with the row operations alone
     he = hom_ext(Rep.simple(ZZ, K2, 1), Rep.simple(ZZ, K2, 2))
     ws = sheets[-1]
@@ -344,13 +353,14 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     assert not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
     assert len(he.ext_cocycles) == 2
     assert id(ws.row_ops) not in _reachable(he)
+    assert dense_differentials(he) == []
     # D = [[2, -2], [0, 0]] has no unit entry: its sheet pauses at step 0
     x = Rep.from_matrix_rows(ZZ, K2, (1, 1), [[[2]], [[0]]])
     first = len(sheets)
     he = hom_ext(x, x)
     ws = sheets[first]
     assert ws.paused == 0 and he.hom.free_rank == 1 and he.ext.invariant_factors == (2, 0)
-    assert id(ws) in _reachable(he)
+    assert id(ws) in _reachable(he) and dense_differentials(he) == []
     assert len(he.hom_generators) == 1 and ws.paused is None
     held = _reachable(he)   # the Ext side waits with the row operations alone
     assert id(ws.row_ops) in held and not {id(ws), id(ws.n), id(ws.col_ops)} & held.keys()
@@ -358,6 +368,9 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
     held = _reachable(he)
     assert not {id(ws), id(ws.n), id(ws.row_ops), id(ws.col_ops)} & held.keys()
     assert not {id(row) for row in ws.n} & held.keys()
+    assert dense_differentials(he) == []
+    d = he.differential   # the first read builds it, and the result keeps it
+    assert dense_differentials(he) == [d] and d.entries == ((2, -2), (0, 0))
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(3)], ids=str)

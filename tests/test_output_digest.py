@@ -13,7 +13,8 @@ keep this digest.  It hashes the repr of:
 - decompose_rigid summands, certificates and evaluations on planted sums.
 
 Representations and morphisms are hashed by their entries (their own repr
-shows only dimensions); a QuivlatError is hashed by its class and message.
+shows only dimensions), module presentations by their ring, generator
+count and invariant factors; a QuivlatError is hashed by its class and message.
 A change that alters values on purpose updates DIGEST and says so in
 CHANGES.md.
 
@@ -41,6 +42,7 @@ from quivlat.mutation import ExcSequence, braid_act, orbit_search, standard_sequ
 from quivlat.quiver import Quiver, Rep, RepMorphism, base_change, direct_sum_many, tensor_free
 from quivlat.rings import (
     ExactMatrix,
+    ModulePresentation,
     RingSpec,
     ZZ,
     canonical_hom,
@@ -57,7 +59,7 @@ from quivlat.rings import (
 from quivlat.structure import decompose_rigid, exceptional_lattice
 from quivlat.verify import conjugate_rep, random_rep, random_unimodular
 
-DIGEST = "8f67fb40ff94ca7c1117d90bac5c84e7c965b431a5466d299bc409712b74ff2a"
+DIGEST = "5f991dd8a56629738b22a281f759d01cc33ad422c8fe8fe39f2c36fbcc71f1c8"
 INVARIANT_DIGEST = "ec93c1b3b6d82723487f06c9114d1ba935cc1ac25e3098be659124eee9476ebc"
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -74,7 +76,10 @@ PLANTED = ((KRONECKER, (((2, 3), 2), ((1, 2), 2))),
 
 
 def _plain(obj):
-    """obj with every Rep, RepMorphism and ExcSequence spelled out."""
+    """obj with every Rep, RepMorphism, ExcSequence and ModulePresentation
+    spelled out, the last as its ring, generators and invariant factors."""
+    if isinstance(obj, ModulePresentation):
+        return (str(obj.ring), obj.generators, obj.invariant_factors)
     if isinstance(obj, Rep):
         return (str(obj.ring), obj.dims, tuple(m.entries for m in obj.mats))
     if isinstance(obj, RepMorphism):

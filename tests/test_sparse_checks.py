@@ -58,6 +58,7 @@ from quivlat.rings import (
     _back_substitute,
     _diagonal_sheet,
     _forward,
+    _nonzeros,
     apply_hom,
     is_invertible,
     kernel_data,
@@ -401,7 +402,7 @@ def test_forward_on_z_residuals():
         x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
         a = differential(x, y)
         with _Recorder(rings) as rec:
-            _diagonal_sheet(a, True).diagonal(a.rows)
+            _diagonal_sheet(ZZ, _nonzeros(a.entries, 0), a.cols, True).diagonal(a.rows)
         for ring, rows, cols in rec.seen:
             residuals += 1
             _check_forward(_dense(ring, rows, cols))
@@ -570,14 +571,16 @@ def test_rational_zeros_that_are_not_qq_zero():
 
 
 def test_hom_ext_places_once_and_eliminates_the_placed_rows():
-    """hom_ext places each pair once and densifies that placement for its
-    differential; over Q and F_p it hands the same rows to _forward.  On
-    every ring rings._nonzeros never scans the dense cells, as the sheet
-    rings eliminate the placed rows too; it scans only a Z sheet's paused
-    residual, for its invariant factors."""
+    """hom_ext places each pair once and densifies nothing; over Q and F_p
+    it hands the placed rows to _forward, and the sheet rings start their
+    sheet from them.  On every ring rings._nonzeros never scans dense
+    cells, save a Z sheet's paused residual, for its invariant factors.
+    The differential is densified on its first read alone, and equals the
+    dense placement."""
     rng = random.Random(25)
-    placed, scanned = [], []
-    real_place, real_scan = homology._differential_rows, rings._nonzeros
+    placed, scanned, densified = [], [], []
+    real_place, real_scan, real_densify = (
+        homology._differential_rows, rings._nonzeros, homology._densified)
 
     def place(x, y):
         rows, cols = real_place(x, y)
@@ -588,34 +591,40 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         scanned.append(rows)
         return real_scan(rows, zero)
 
+    def densify(ring, rows, cols):
+        densified.append(cols)
+        return real_densify(ring, rows, cols)
+
     sheet_class, sheets = rings._Worksheet, []
 
     class Built(sheet_class):
-        def __init__(self, mat, rows=None):
-            sheets.append(rows)
-            super().__init__(mat, rows)
+        def __init__(self, ring, rows, cols):
+            sheets.append(([dict(row) for row in rows], cols))
+            super().__init__(ring, rows, cols)
 
     homology._differential_rows, rings._nonzeros, rings._Worksheet = place, scan, Built
+    homology._densified = densify
     try:
         for ring in RINGS:
             for quiver, dims_list in SHAPES:
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
                     homology._hom_ext_cached.cache_clear()
-                    del placed[:], scanned[:], sheets[:]
+                    del placed[:], scanned[:], sheets[:], densified[:]
                     with _Recorder(rings) as rec:
                         he = hom_ext(x, y)
-                    assert len(placed) == 1
-                    assert he.differential.entries == _dense_differential(x, y).entries
+                    assert len(placed) == 1 and densified == [], str(ring)
                     if ring.is_field:
                         assert [(rows, cols) for _, rows, cols in rec.seen] == placed
                     else:   # the sheet starts from the placed rows
-                        assert isinstance(sheets[0], list), str(ring)
+                        assert sheets[0] == placed[0], str(ring)
                     assert not scanned or ring.kind == "Z", str(ring)
+                    assert he.differential.entries == _dense_differential(x, y).entries
+                    assert len(densified) == 1 and he.differential is he.differential
                     assert not any(rows is he.differential.entries for rows in scanned)
     finally:
         homology._differential_rows, rings._nonzeros = real_place, real_scan
-        rings._Worksheet = sheet_class
+        homology._densified, rings._Worksheet = real_densify, sheet_class
 
 if __name__ == "__main__":
     for name, fn in list(globals().items()):

@@ -44,6 +44,7 @@ from quivlat.rings import (
     Feps,
     Zmod,
     _diagonal_sheet,
+    _nonzeros,
     _Worksheet,
     cokernel,
     cokernel_data,
@@ -176,7 +177,7 @@ def test_random_matrices_and_residuals():
         for _ in range(25):
             a = _random(ring, rng.randint(1, 6), rng.randint(1, 6), rng, rng.choice((0.3, 0.7, 1)))
             check_all(a)
-            ws = _Worksheet(a)
+            ws = _Worksheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
             ws.diagonalize()
             residuals[ring] = residuals.get(ring, 0) + (ws.paused is not None)
     assert all(residuals[ring] >= 3 for ring in RINGS), residuals
@@ -185,7 +186,7 @@ def test_random_matrices_and_residuals():
 def test_a_column_that_gains_a_unit_after_its_turn():
     for ring in (ZZ, Zmod(12)):   # over a local ring the non-units are an ideal
         a = _mat(ring, [[2, 1], [3, 1]])
-        ws = _diagonal_sheet(a)
+        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
         assert ws.t == 2 and ws.matrix() == _identity(ring, 2)
         assert ws.col_ops[0] == (1, 0, ring.canon(-2))   # the first pivot is in column 1
         check_all(a)

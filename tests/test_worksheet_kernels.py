@@ -242,7 +242,7 @@ def test_column_step_after_a_gcdex_column_step():
     through _col: the gcdex step mixes column 2 into the pivot column, so
     clearing the pivot row's last entry changes row 1 too."""
     a = ExactMatrix(ZZ, 2, 3, ((2, 3, 4), (6, 5, 8)))
-    ws = rings._diagonal_sheet(a)
+    ws = rings._diagonal_sheet(ZZ, rings._nonzeros(a.entries, 0), a.cols)
     assert [len(op) for op in ws.col_ops[:2]] == [6, 3]
     assert ws.col_ops[1] == (0, 2, -4)
     res = normal_form(a)

@@ -1,7 +1,7 @@
 """Invariant factors over Z from unit pivots and a modular residual.
 
 hom_ext and cokernel read Z's invariant factors off a factors-only sheet
-(_diagonal_sheet(a, True)): the sheet pauses after its unit phase, which
+(_diagonal_sheet with factors_only): the sheet pauses after its unit phase, which
 eliminates every +-1 pivot, and the residual S left is diagonalised over Z/2|D|,
 D the last pivot of _forward on S (_Worksheet.diagonal).  Here that reading
 is checked against the full integral diagonalisation, on Kronecker (4,5)
@@ -40,13 +40,19 @@ def _mat(rows):
     return ExactMatrix(ZZ, len(rows), len(rows[0]) if rows else 0, rows)
 
 
+def _elimination_input(a):
+    """a as the elimination internals take it: ring, dict rows, columns."""
+    return a.ring, rings._nonzeros(a.entries, a.ring.zero), a.cols
+
+
 def _check(a, witnesses=True, smith=True):
     """The factors-only reading of a equals the one off the full
     diagonalisation; returns whether it met a residual and paused.  smith
     asks sympy too (slow on the larger matrices)."""
-    fast, full = _diagonal_sheet(a, True), _diagonal_sheet(a)
-    hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
-    kpres, kvec, cpres, cvec = rings._hom_ext_data(a, False)
+    fast = _diagonal_sheet(*_elimination_input(a), True)
+    full = _diagonal_sheet(*_elimination_input(a))
+    hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
+    kpres, kvec, cpres, cvec = rings._hom_ext_data(*_elimination_input(a), False)
     assert hom == kpres and ext == cpres, (a, hom, kpres, ext, cpres)
     assert rings.cokernel(a) == cpres
     assert fast.diagonal(a.rows) == full.diagonal(a.rows)
@@ -128,7 +134,7 @@ def test_witness_reads_diagonalise_in_full_once():
                     return super()._find_pivot(s)
             rings._Worksheet = Counted
             try:
-                hom, read_hom, ext, read_ext = rings._hom_ext_data(a)
+                hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
                 sheet, built_before = built[0], len(built)
                 pause, unit_ops = sheet.paused, (list(sheet.row_ops), list(sheet.col_ops))
                 reads = (read_hom, read_ext) if hom_first else (read_ext, read_hom)
@@ -142,10 +148,10 @@ def test_witness_reads_diagonalise_in_full_once():
                 assert ops[:len(head)] == head
             own = [s for ws, s in steps if ws is sheet]
             assert own == list(range(len(own))) and own
-            _, kvec, _, cvec = rings._hom_ext_data(a, False)
+            _, kvec, _, cvec = rings._hom_ext_data(*_elimination_input(a), False)
             expected = [kvec(), cvec()]
             assert vecs == (expected if hom_first else expected[::-1])
-    assert [_diagonal_sheet(a, True).paused for a, _, _ in cases] == [0, 1]
+    assert [_diagonal_sheet(*_elimination_input(a), True).paused for a, _, _ in cases] == [0, 1]
 
 
 def test_paused_and_resumed_sheets_keep_their_transforms():
@@ -161,7 +167,7 @@ def test_paused_and_resumed_sheets_keep_their_transforms():
         mats.append(differential(x, random_rep(ZZ, KRONECKER, (3, 4), pair_rng)))
     paused = 0
     for a in mats:
-        ws = _diagonal_sheet(a, True)
+        ws = _diagonal_sheet(*_elimination_input(a), True)
         if ws.paused is None:
             continue
         paused += 1
