@@ -128,10 +128,12 @@ class HomExtResult:
     recorded operations on just the wanted columns of the right transform,
     and that of ext_cocycles on those of the inverse left transform.  Until
     then each side keeps only its own operation list (none when its module
-    is zero), and after its read none.  Over Z the construction pauses after
-    the unit pivots and reads the factors of the residual modulo a multiple
-    of them (rings._Worksheet.diagonal); both sides keep the paused sheet
-    until the first witness read resumes it and lets it go.
+    is zero), and after its read none.  The pause is the sheet's own: every
+    sheet pauses after its unit pivots, and reading its diagonal resumes it
+    on every ring but Z (rings._Worksheet.diagonal).  Over Z it reads the
+    factors of the residual modulo a multiple of them instead; both sides
+    keep the paused sheet until the first witness read resumes it and lets
+    it go.
     """
 
     def __init__(self, x: Rep, y: Rep):

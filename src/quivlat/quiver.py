@@ -106,13 +106,6 @@ class Quiver:
         """0-based head vertex of arrow a."""
         return self.arrows[a][1] - 1
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except CyclicQuiver:
-            return False
-
     def topological_order(self) -> tuple:
         """Lexicographically smallest topological order, 0-based vertices."""
         out = [[] for _ in range(self.vertex_count)]

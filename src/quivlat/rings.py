@@ -34,11 +34,13 @@ side's replay is deferred until its vectors (the Hom generators or Ext
 cocycles) are first read, and until then that side keeps only its own
 operation list.  :func:`cokernel` reads the diagonal alone.  The
 diagonalisation first eliminates every unit pivot on sparse rows and makes
-only the unit-free residual dense.  Over Z those two pause there, which
-keeps every entry a minor of the input, and read the residual's invariant
+only the unit-free residual dense, and every sheet pauses there.  Reading
+its diagonal resumes it, save over Z: there it stays paused, which keeps
+every entry a minor of the input, and reads the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
 its rank, the last pivot of the one forward elimination below; the first
-witness read resumes it from there.
+witness read resumes it from there.  One pass clears a pivot's column by
+row steps, and its row by the same pass on the residual transposed.
 
 Over Q and F_p all of these instead run the one forward elimination,
 ``_forward``, on sparse rows (dicts from column to nonzero entry) with no
@@ -66,10 +68,11 @@ canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
 m per entry over Z/m, a truncated product over Feps, looked up in tables
 of all products and sums when the ring has at most 25 elements, and a third,
 ``dict_axpy``, that the unit phase runs on sparse rows.  A column operation
-runs them on the two columns it touches, unless all it does is zero one
-entry of the pivot row.  The kernels skip zero multiplicands, which
-dominate the sparse differentials and the identity-like transforms, and
-the values they store are bit-identical to element-wise ``add``/``mul``.
+runs them as a row operation on the residual transposed, unless all it
+does is zero one entry of the pivot row or swap two columns.  The kernels
+skip zero multiplicands, which dominate the sparse differentials and the
+identity-like transforms, and the values they store are bit-identical to
+element-wise ``add``/``mul``.
 A ring hom is fixed by its two rings and picks its per-entry map once.
 
 Entries are canonicalised once: ``ExactMatrix(...)`` canonicalises outside
@@ -328,8 +331,9 @@ class _Integers(RingSpec):
     this arithmetic.  Each skips a position whose multiplicand is zero
     (row_comb one where both inputs are zero) and leaves its value as it
     is; element-wise arithmetic would compute that same value there, so the
-    results are identical to it.  Each returns new lists, of rows or of the
-    columns _Worksheet._col reads out.
+    results are identical to it.  Each returns new lists: rows of the
+    residual, of the residual transposed in a column pass, or of a replayed
+    transform.
     """
 
     zero, one = 0, 1
@@ -1063,11 +1067,13 @@ class _Worksheet:
     column operations only zero the pivot row's other entries, so they are
     recorded and not applied.  Swaps then put pivot t at (t, t), scaled to
     its canonical generator, so N = I_t (+) S, and only the unit-free
-    residual S is made dense, as n.  resume() diagonalises S with the dense
-    steps below, recording their operations shifted by t; over Z a sheet
-    that needs only its factors reads them off S without (diagonal).  Every
-    dense operation runs through the ring's two row kernels, a column
-    operation on the columns it touches, save the column step that only
+    residual S is made dense, as n.  Every sheet pauses there, and owns its
+    pause: resume() diagonalises S with the dense steps below, recording
+    their operations shifted by t, and diagonal() resumes the sheet on
+    every ring but Z, whose factors it reads off S without.  Every dense
+    operation runs through the ring's two row kernels: a row operation on
+    N, and a column operation as the row operation of its transpose on N
+    transposed (_pass), save a column swap and the column step that only
     zeroes an entry (_clear_position).
 
     An operation is (i, j), swapping rows i and j; (i, j, c), adding c times
@@ -1088,8 +1094,9 @@ class _Worksheet:
     _unit_axpy = None   # the unit phase's row step, if not the ring's dict_axpy
 
     def diagonalize(self):
-        """The unit phase.  Afterwards N = I_t (+) S, S unit-free and dense
-        in n, and the sheet is paused at step t unless S is zero."""
+        """The unit phase, where every sheet pauses.  Afterwards N = I_t (+)
+        S, S unit-free and dense in n, and the sheet is paused at step t
+        unless S is zero."""
         ring, rows, cols = self.ring, self.n, self.cols
         zero, is_unit, mul = ring.zero, ring.is_unit, ring.mul
         axpy = self._unit_axpy or ring.dict_axpy
@@ -1102,7 +1109,12 @@ class _Worksheet:
                 col_rows[k].add(i)
         row_ops, col_ops, pivot_rows, pivot_cols, pivots = self.row_ops, self.col_ops, [], [], []
         # a sweep scans the columns a step changed since their last scan, the
-        # others having no unit; it ends when there are none
+        # others having no unit; it ends when there are none.  The re-sweeps
+        # stay on measurement: over five seed-1 passes each of the
+        # homext-sweep and lattice-orbit benchmarks they took an extra unit
+        # pivot in 4 of the 85 distinct Z sheets, and with one sweep alone
+        # the Z factors of homext-sweep pairs ran about 3-8% slower
+        # in-process (the dense steps then take those pivots).
         dirty = [True] * cols
         while True in dirty:
             for c, cands in enumerate(col_rows):
@@ -1155,25 +1167,6 @@ class _Worksheet:
         self.row_ops.append(op)
         _replay(self.ring, self.n, (op,))
 
-    def _col(self, op):
-        """N <- N F for the matrix F that op builds from the identity,
-        recorded, by the row kernels on the columns op touches."""
-        self.col_ops.append(op)
-        n, ring = self.n, self.ring
-        if len(op) == 2:
-            i, j = op
-            for row in n:
-                row[i], row[j] = row[j], row[i]
-        elif len(op) == 3:   # col_j += c*col_k
-            k, j, c = op
-            for row, x in zip(n, ring.row_axpy([r[j] for r in n], [r[k] for r in n], c)):
-                row[j] = x
-        else:
-            i, j, s, t, u, v = op
-            ci, cj = ring.row_comb([r[i] for r in n], [r[j] for r in n], s, u, t, v)
-            for row, x, y in zip(n, ci, cj):
-                row[i], row[j] = x, y
-
     # -- the dense steps, on the residual n ----------------------------------
     # Entries are canonical, so an entry is zero exactly when it equals
     # ring.zero: one comparison, where ring.is_zero would be a call.
@@ -1200,46 +1193,53 @@ class _Worksheet:
         """pivot_size, with zero above every nonzero element."""
         return math.inf if x == self.ring.zero else self.ring.pivot_size(x)
 
-    def _clear_position(self, s):
-        ring = self.ring
+    def _pass(self, m, s, ops, transposed):
+        """Clear column s of m below row s by row steps, recorded in ops:
+        row_i -= q*row_s where m[s][s] divides the entry, q its quotient,
+        else a gcdex step on rows s and i.  m is N, or N transposed for a
+        column pass, whose row step is the column operation of its
+        transpose on N.  Returns whether a gcdex step ran."""
+        ring, gcdex_step = self.ring, False
         zero = ring.zero
-        n = self.n
-        size = self._divisibility_size(n[s][s])
+        for i in range(s + 1, len(m)):
+            b = m[i][s]
+            if b == zero:
+                continue
+            q = ring.solve_scalar(m[s][s], b)
+            if q is not None:
+                op = (i, s, ring.neg(q))
+                ops.append((s, i, op[2]) if transposed else op)
+            else:
+                _, sx, tx, ux, vx = ring.gcdex(m[s][s], b)
+                op = (s, i, sx, tx, ux, vx)
+                ops.append((s, i, sx, ux, tx, vx) if transposed else op)
+                gcdex_step = True
+            _replay(ring, m, (op,))
+        return gcdex_step
+
+    def _clear_position(self, s):
+        """Clear row and column s of n but for the pivot n[s][s]: a row
+        pass, then the column pass as a row pass on N transposed."""
+        ring, n = self.ring, self.n
+        zero, size = ring.zero, self._divisibility_size(n[s][s])
         while True:
-            gcdex_step = False
-            for i in range(s + 1, len(n)):
-                b = n[i][s]
+            gcdex_step = self._pass(n, s, self.row_ops, False)
+            # The row pass leaves column s as n[s][s]*e_s, so col_j += c*col_s
+            # only zeroes n[s][j], until a gcdex column step mixes in col_j:
+            # N is transposed only then, for the rest of the column pass.
+            row = n[s]
+            for j in range(s + 1, len(row)):
+                b = row[j]
                 if b == zero:
                     continue
-                a = n[s][s]
-                q = ring.solve_scalar(a, b)
-                if q is not None:
-                    self._row((i, s, ring.neg(q)))
-                else:
-                    g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self._row((s, i, sx, tx, ux, vx))
-                    gcdex_step = True
-            # The row steps leave column s as n[s][s]*e_s, so col_j += c*col_s
-            # only zeroes n[s][j], until a gcdex column step mixes in col_j.
-            clean = True
-            for j in range(s + 1, len(n[s])):
-                b = n[s][j]
-                if b == zero:
-                    continue
-                a = n[s][s]
-                q = ring.solve_scalar(a, b)
-                # col_j += c*col_s and (col_s, col_j) <- (sx*col_s + tx*col_j,
-                # ux*col_s + vx*col_j), stored as the row operations of their
-                # matrices
-                if q is None:
-                    g, sx, tx, ux, vx = ring.gcdex(a, b)
-                    self._col((s, j, sx, ux, tx, vx))
-                    gcdex_step, clean = True, False
-                elif clean:
-                    self.col_ops.append((s, j, ring.neg(q)))
-                    n[s][j] = zero
-                else:
-                    self._col((s, j, ring.neg(q)))
+                q = ring.solve_scalar(row[s], b)
+                if q is None:   # the pass starts with a gcdex step at j
+                    nt = list(map(list, zip(*n)))
+                    gcdex_step = self._pass(nt, s, self.col_ops, True)
+                    n[:] = map(list, zip(*nt))
+                    break
+                self.col_ops.append((s, j, ring.neg(q)))
+                row[j] = zero
             # A pass of solve_scalar steps alone leaves row and column s
             # clear: a row step changes no entry of row s, and a column step
             # no entry of column s.  A gcdex step can leave them unclear, so
@@ -1272,8 +1272,11 @@ class _Worksheet:
                 break
             if piv[0] != s:
                 self._row((s, piv[0]))
-            if piv[1] != s:
-                self._col((s, piv[1]))
+            if piv[1] != s:   # a column swap
+                j = piv[1]
+                self.col_ops.append((s, j))
+                for row in n:
+                    row[s], row[j] = row[j], row[s]
             self._clear_position(s)
         # divisibility chain, zeros sinking to the end
         changed = True
@@ -1301,7 +1304,9 @@ class _Worksheet:
     def diagonal(self, length: int) -> list:
         """The canonical diagonal, padded with zeros to the given length.
 
-        On a paused sheet over Z the residual S is of minors of M, since
+        The sheet owns its pause: over every ring but Z this resumes a
+        paused sheet and reads its diagonal.  A paused sheet over Z stays
+        paused, and its residual S is of minors of M, since
         every pivot before it was +-1, while its full diagonalisation blows
         them up.  Its last pivot D in the one forward elimination, _forward,
         is a nonzero r-minor for r = rank S, so every nonzero invariant
@@ -1309,6 +1314,8 @@ class _Worksheet:
         over Z/2|D| is that of S over Z (the modular determinant method of
         Domich, Kannan and Trotter).
         """
+        if self.ring.kind != "Z":
+            self.resume()
         n, width = self.n, self.cols - self.t
         if self.paused is None:
             diag = [n[i][i] for i in range(min(len(n), width))]
@@ -1341,15 +1348,12 @@ def _moves(size, targets, ops) -> list:
     return order
 
 
-def _diagonal_sheet(ring: RingSpec, rows: list, cols: int, factors_only=False) -> _Worksheet:
+def _diagonal_sheet(ring: RingSpec, rows: list, cols: int) -> _Worksheet:
     """The matrix of rows, dicts from column to nonzero entry (consumed),
-    with cols columns, diagonalised, its operations recorded.  A
-    factors_only sheet over Z stays paused after its unit phase: diagonal
-    reads its factors, and resume finishes it."""
+    with cols columns, diagonalised in full, its operations recorded."""
     ws = _Worksheet(ring, rows, cols)
     ws.diagonalize()
-    if not factors_only or ring.kind != "Z":
-        ws.resume()
+    ws.resume()
     return ws
 
 
@@ -1383,19 +1387,11 @@ def _unit_columns(ring: RingSpec, size, picks) -> list:
     return [[one if p == r else zero for p in picks] for r in range(size)]
 
 
-def _right_columns(ring: RingSpec, cols, col_ops, js) -> list:
-    """Columns js of right, as tuples: the column operations replayed in
-    reverse on just those columns of the identity."""
-    if not js:
-        return []
-    return list(zip(*_replay(ring, _unit_columns(ring, cols, js), reversed(col_ops))))
-
-
-def _left_inv_columns(ring: RingSpec, rows, row_ops, idx) -> list:
-    """Columns idx of left^-1, as tuples, replayed likewise."""
-    if not idx:
-        return []
-    return list(zip(*_replay(ring, _unit_columns(ring, rows, idx), reversed(row_ops), True)))
+def _replayed(ring: RingSpec, size, ops, picks, inverse=False) -> list:
+    """Columns picks of the transform the operations ops build from the
+    size x size identity (see _Worksheet), as tuples: ops replayed, each
+    inverted if inverse, on just those columns of the identity."""
+    return list(zip(*_replay(ring, _unit_columns(ring, size, picks), ops, inverse)))
 
 
 def _field_rref(a: ExactMatrix) -> tuple:
@@ -1455,8 +1451,8 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring.zero), mat.cols)
 
     def replayed(size, ops, inverse=False):
-        rows = _replay(ring, _unit_columns(ring, size, range(size)), ops, inverse)
-        return ExactMatrix._of(ring, size, size, tuple(tuple(r) for r in rows))
+        cols = _replayed(ring, size, ops, range(size), inverse)
+        return ExactMatrix._of(ring, size, size, tuple(zip(*cols)))
 
     kind = "Smith" if ring.kind == "Z" else "Howell"
     return NormalFormResult(
@@ -1795,7 +1791,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     Over the fields the vectors are the reduced kernel basis, from one
     forward elimination and its back-substitution.
     """
-    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols, False)[:2]
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[:2]
     return pres, vectors()
 
 
@@ -1875,7 +1871,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     column of left^-1 at that generator's diagonal position.  Over the
     fields they are unit vectors, read off one forward elimination.
     """
-    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols, False)[2:]
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[2:]
     return pres, vectors()
 
 
@@ -1897,24 +1893,24 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
         idx = _chain_order(ring, diag)
         if not all(ring.is_zero(diag[i]) for i in idx):
             return None
-        left = _replay(ring, _unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
-        rows = [tuple(left[i]) for i in idx]
+        left = list(zip(*_replayed(ring, a.rows, ws.row_ops, range(a.rows))))
+        rows = [left[i] for i in idx]
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
-def _hom_ext_data(ring: RingSpec, rows: list, cols: int, factors_only=True) -> tuple:
+def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
     """The kernel and cokernel presentations of the matrix of rows (consumed)
     with cols columns, from one elimination, each followed by a function
     that returns kernel_data's or cokernel_data's vectors: _field_hom_ext
-    over Q and F_p, _sheet_hom_ext elsewhere.  factors_only lets a sheet over
-    Z pause after its unit pivots; kernel_data and cokernel_data, which read
-    their vectors at once, diagonalise in full instead."""
+    over Q and F_p, _sheet_hom_ext elsewhere.  Where the sheet pauses is
+    the sheet's own concern (_Worksheet.diagonal): kernel_data and
+    cokernel_data, which read their vectors at once, resume it at once."""
     if ring.is_field:
         return _field_hom_ext(ring, rows, cols)
-    return _sheet_hom_ext(ring, rows, cols, factors_only)
+    return _sheet_hom_ext(ring, rows, cols)
 
 
-def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int, factors_only: bool) -> tuple:
+def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
     """_hom_ext_data over Z, Z/m and Feps, read off one diagonalisation of
     rows (the unit pivots on them, then the unit-free residual densely:
     _Worksheet).
@@ -1929,14 +1925,16 @@ def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int, factors_only: bool) ->
     sides list torsion in chain order, then the free summands.
 
     The diagonal is read without building a transform, and each function
-    replays the operations on just the wanted columns when called.  It
-    keeps its own operation list and not N, and nothing for a zero module.
-    Until one of them is called, both also keep a paused sheet; the first
-    call resumes it, so the vectors are a full diagonalisation's, and lets
-    it go.
+    replays the operations on just the wanted columns when called
+    (_replayed).  It keeps its own operation list and not N, and nothing
+    for a zero module.  The sheet pauses after its unit phase and reading
+    the diagonal resumes it, save over Z: there both functions keep the
+    paused sheet until one of them is called, and the first call resumes
+    it, so the vectors are a full diagonalisation's, and lets it go.
     """
     height = len(rows)
-    ws = _diagonal_sheet(ring, rows, cols, factors_only)
+    ws = _Worksheet(ring, rows, cols)
+    ws.diagonalize()
     diag = ws.diagonal(max(height, cols))
     gens = [ring.ann_gen(d) for d in diag[:cols]]
     hom_diag = [ring.ann_gen(g) for g in gens]
@@ -1953,11 +1951,11 @@ def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int, factors_only: bool) ->
         def read_hom():
             resume()
             return [col if ring.is_zero(hom_diag[j]) else tuple(ring.mul(gens[j], x) for x in col)
-                    for j, col in zip(js, _right_columns(ring, cols, col_ops, js))]
+                    for j, col in zip(js, _replayed(ring, cols, reversed(col_ops), js))]
     if idx:
         def read_ext():
             resume()
-            return _left_inv_columns(ring, height, row_ops, idx)
+            return _replayed(ring, height, reversed(row_ops), idx, True)
     return (ModulePresentation(ring, len(js), tuple(hom_diag[j] for j in js)), read_hom,
             ModulePresentation(ring, height, tuple(diag[i] for i in idx)), read_ext)
 

@@ -450,10 +450,10 @@ def test_replayed_transforms_match_elementary_products():
             left_inv = list(zip(*res.left_inverse.entries))
             right_cols = list(zip(*right.entries))
             picks = [j for j in range(a.cols) if rng.random() < 0.5][::-1]
-            assert (rings._right_columns(ring, a.cols, ws.col_ops, picks)
+            assert (rings._replayed(ring, a.cols, reversed(ws.col_ops), picks)
                     == [right_cols[j] for j in picks])
             picks = [i for i in range(a.rows) if rng.random() < 0.5][::-1]
-            assert (rings._left_inv_columns(ring, a.rows, ws.row_ops, picks)
+            assert (rings._replayed(ring, a.rows, reversed(ws.row_ops), picks, True)
                     == [left_inv[i] for i in picks])
 
 

@@ -56,9 +56,9 @@ from quivlat.rings import (
     RingSpec,
     Zmod,
     _back_substitute,
-    _diagonal_sheet,
     _forward,
     _nonzeros,
+    _Worksheet,
     apply_hom,
     is_invertible,
     kernel_data,
@@ -402,7 +402,9 @@ def test_forward_on_z_residuals():
         x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
         a = differential(x, y)
         with _Recorder(rings) as rec:
-            _diagonal_sheet(ZZ, _nonzeros(a.entries, 0), a.cols, True).diagonal(a.rows)
+            ws = _Worksheet(ZZ, _nonzeros(a.entries, 0), a.cols)
+            ws.diagonalize()
+            ws.diagonal(a.rows)
         for ring, rows, cols in rec.seen:
             residuals += 1
             _check_forward(_dense(ring, rows, cols))

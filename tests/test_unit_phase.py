@@ -27,7 +27,8 @@ factors is an isomorphism.
 
 The cases include 0xn, nx0 and 1x1 matrices, residuals, Hom complexes of
 random Kronecker and A3 pairs, and a column that gains a unit after its
-turn, so that the phase sweeps again.
+turn, so that the phase sweeps again.  A sheet paused after its unit phase
+must read the diagonal of the sheet diagonalised in full.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_unit_phase.py
@@ -170,17 +171,50 @@ def test_edge_shapes():
             check_all(a)
 
 
+def _random_matrices(ring):
+    rng = random.Random("unit phase:%s" % ring)
+    for _ in range(25):
+        yield _random(ring, rng.randint(1, 6), rng.randint(1, 6), rng, rng.choice((0.3, 0.7, 1)))
+
+
+def _paused_sheet(a):
+    """The sheet of a after its unit phase, where every sheet pauses."""
+    ws = _Worksheet(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)
+    ws.diagonalize()
+    return ws
+
+
 def test_random_matrices_and_residuals():
     residuals = {}
     for ring in RINGS:
-        rng = random.Random("unit phase:%s" % ring)
-        for _ in range(25):
-            a = _random(ring, rng.randint(1, 6), rng.randint(1, 6), rng, rng.choice((0.3, 0.7, 1)))
+        for a in _random_matrices(ring):
             check_all(a)
-            ws = _Worksheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
-            ws.diagonalize()
-            residuals[ring] = residuals.get(ring, 0) + (ws.paused is not None)
+            residuals[ring] = residuals.get(ring, 0) + (_paused_sheet(a).paused is not None)
     assert all(residuals[ring] >= 3 for ring in RINGS), residuals
+
+
+def test_a_paused_sheet_reads_the_full_diagonal():
+    """A sheet left after its unit phase reads the diagonal of the sheet
+    diagonalised in full: over Z off its residual modulo 2|D|, staying
+    paused, and over every other ring by resuming.  Over Z/12,
+    [[4, 6], [6, 4]] has diagonal [2, 2]; read modulo 2|D| as over Z it
+    would be [2, 10].  Over F_2[e]/(e^2), diag(e, e) has no integer
+    residual to read."""
+    feps = Feps(2, 2)
+    cases = [a for ring in RINGS for a in _random_matrices(ring)]
+    cases += [_mat(Zmod(12), [[4, 6], [6, 4]]), _mat(feps, [[[0, 1], 0], [0, [0, 1]]])]
+    residuals = {}
+    for a in cases:
+        ring, length = a.ring, max(a.rows, a.cols)
+        ws = _paused_sheet(a)
+        paused = ws.paused is not None
+        residuals[ring] = residuals.get(ring, 0) + paused
+        full = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
+        assert ws.diagonal(length) == full.diagonal(length), a
+        assert (ws.paused is not None) is (paused and ring == ZZ), a
+    assert all(residuals[ring] >= 3 for ring in RINGS), residuals
+    assert _paused_sheet(cases[-2]).diagonal(2) == [2, 2]
+    assert _paused_sheet(cases[-1]).diagonal(2) == [feps.canon([0, 1])] * 2
 
 
 def test_a_column_that_gains_a_unit_after_its_turn():

@@ -1,18 +1,19 @@
 """The per-ring row kernels of _Worksheet against element-wise ops.
 
 Each ring has two row kernels, row_axpy and row_comb; the worksheet runs
-its dense column operations through them too, on the columns they touch,
-except the step that clears an entry of the pivot row while the pivot
-column is clean, which only zeroes that entry.  Its unit phase updates dict
-rows by a third kernel, dict_axpy.  _ElementwiseWorksheet does the
-worksheet's dense column operations on N and its unit-phase row updates
-with ring.add and ring.mul per element, as the reference, and
+its dense column operations through them too, as row operations on N
+transposed, except the step that clears an entry of the pivot row while
+the pivot column is clean, which only zeroes that entry, and a column
+swap.  Its unit phase updates dict rows by a third kernel, dict_axpy.
+_ElementwiseWorksheet does the worksheet's unit-phase row updates with
+ring.add and ring.mul per element, as the reference, and
 _elementwise_replay, swapped in for ``rings._replay``, its dense row
-operations on any matrix (N and every transform).  Every result read off
-an elimination must be identical (equal and of equal repr, so equal types
-too) whichever of the two worksheets ran it.  The worksheet serves Z, Z/m
-and Feps; over Q and F_p the eliminations are a row reduction that never
-builds one, so the elimination comparisons run on the other rings.
+operations on any matrix (N, N transposed and every transform).  Every
+result read off an elimination must be identical (equal and of equal repr,
+so equal types too) whichever of the two worksheets ran it.  The worksheet
+serves Z, Z/m and Feps; over Q and F_p the eliminations are a row
+reduction that never builds one, so the elimination comparisons run on the
+other rings.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_worksheet_kernels.py
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from quivlat import rings
 from quivlat.homology import HomExtResult
-from quivlat.quiver import Quiver
+from quivlat.quiver import Quiver, Rep
 from quivlat.rings import (
     ExactMatrix,
     Feps,
@@ -82,7 +83,8 @@ def _elementwise_replay(ring, x, ops, inverse=False):
 
 
 class _ElementwiseWorksheet(rings._Worksheet):
-    """_col and _unit_axpy with per-element ring arithmetic; counts their calls."""
+    """_unit_axpy with per-element ring arithmetic; counts its calls, and
+    the replays the column passes run on N transposed."""
 
     def _unit_axpy(self, row, items, c):
         """row += c*src on a dict row, src as its nonzero (column, entry) items."""
@@ -95,23 +97,13 @@ class _ElementwiseWorksheet(rings._Worksheet):
             else:
                 row[k] = x
 
-    def _col(self, op):
-        """N <- N F, F the matrix op builds from the identity."""
-        CALLS["_col"] += 1
-        self.col_ops.append(op)
-        ring = self.ring
-        add, mul = ring.add, ring.mul
-        for row in self.n:
-            if len(op) == 2:
-                i, j = op
-                row[i], row[j] = row[j], row[i]
-            elif len(op) == 3:   # F = I + c e_k e_j^T
-                k, j, c = op
-                row[j] = add(row[j], mul(row[k], c))
-            else:                # F restricted to i, j is (s, t; u, v)
-                i, j, s, t, u, v = op
-                x, y = row[i], row[j]
-                row[i], row[j] = add(mul(x, s), mul(y, u)), add(mul(x, t), mul(y, v))
+    def _pass(self, m, s, ops, transposed):
+        """The worksheet's pass, counting the replays it runs on N transposed."""
+        before = CALLS["_replay"]
+        gcdex_step = super()._pass(m, s, ops, transposed)
+        if transposed:
+            CALLS["_replay on N transposed"] += CALLS["_replay"] - before
+        return gcdex_step
 
 
 @contextmanager
@@ -239,8 +231,8 @@ def test_hom_ext_matches_elementwise_ops():
 
 def test_column_step_after_a_gcdex_column_step():
     """A solve_scalar column step after a gcdex column step in one pass runs
-    through _col: the gcdex step mixes column 2 into the pivot column, so
-    clearing the pivot row's last entry changes row 1 too."""
+    as a row step on N transposed: the gcdex step mixes column 2 into the
+    pivot column, so clearing the pivot row's last entry changes row 1 too."""
     a = ExactMatrix(ZZ, 2, 3, ((2, 3, 4), (6, 5, 8)))
     ws = rings._diagonal_sheet(ZZ, rings._nonzeros(a.entries, 0), a.cols)
     assert [len(op) for op in ws.col_ops[:2]] == [6, 3]
@@ -263,27 +255,39 @@ def test_reference_is_in_use():
     its dense row and column operations through the reference while it is
     swapped in, and not without it.  The matrix has a unit pivot whose
     update cancels an entry, then a residual whose pivot sits off the
-    diagonal, so the dense steps move a column."""
+    diagonal, so the dense steps move a column.  Over Z, Z/6 and Z/12 the
+    pivot row then holds 3, which the pivot 2 does not divide, so the column
+    pass runs its row steps on N transposed through the reference.  Over
+    the local rings Z/4 and Feps the pivot, of least size, divides every
+    entry, so no column pass needs N transposed.  hom_ext runs the unit
+    phase on a random pair, and a column pass on N transposed on a pair
+    whose Hom complex is [[2, 3], [4, 5]]."""
     x = y = random_rep(ZZ, QUIVERS[0], (2, 3), random.Random("in use"))
+    gcd_pair = tuple(Rep.from_matrix_rows(ZZ, QUIVERS[0], (1, 1), arrows)
+                     for arrows in ([[[-3]], [[-5]]], [[[2]], [[4]]]))
     for ring in SHEET_RINGS:
         d = ring.canon([0, 1] if ring.kind == "Feps" else 2)
-        a = ExactMatrix(ring, 3, 3, ((ring.one, ring.one, ring.zero), (ring.one, ring.one, d),
-                                     (ring.zero, ring.zero, d)))
+        local = ring.kind == "Feps" or ring == Zmod(4)
+        e = d if local else ring.canon(3)
+        a = ExactMatrix(ring, 3, 4, ((ring.one, ring.one, ring.zero, ring.zero),
+                                     (ring.one, ring.one, d, e), (ring.zero, ring.zero, d, e)))
         for name, run in _entry_points(a, 0).items():
             CALLS.clear()
             with _elementwise():
                 run()
             assert CALLS["_unit_axpy"] > 0, (ring, name)
             assert CALLS["_replay"] > 0, (ring, name)
-            assert CALLS["_col"] > 0, (ring, name)
+            assert (CALLS["_replay on N transposed"] > 0) is not local, (ring, name)
     CALLS.clear()
     _hom_ext_results(x, y)
+    _hom_ext_results(*gcd_pair)
     assert not CALLS
     with _elementwise():
         _hom_ext_results(x, y)
-    assert CALLS["_unit_axpy"] > 0
-    assert CALLS["_replay"] > 0
-    assert CALLS["_col"] > 0
+        assert CALLS["_unit_axpy"] > 0
+        assert CALLS["_replay"] > 0
+        _hom_ext_results(*gcd_pair)
+    assert CALLS["_replay on N transposed"] > 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,18 @@
 """Invariant factors over Z from unit pivots and a modular residual.
 
-hom_ext and cokernel read Z's invariant factors off a factors-only sheet
-(_diagonal_sheet with factors_only): the sheet pauses after its unit phase, which
-eliminates every +-1 pivot, and the residual S left is diagonalised over Z/2|D|,
-D the last pivot of _forward on S (_Worksheet.diagonal).  Here that reading
-is checked against the full integral diagonalisation, on Kronecker (4,5)
-pairs from verify.random_rep, on matrices with no unit entry, and on the
-edge cases: the zero matrix, all-unit pivots, [6], diag(2,6), a last
-factor equal to |D|, a rank-deficient residual and one with D = +-1.
-A paused sheet keeps N = left * M * right, and resuming it runs the full
-sheet's operations: the Hom generators and Ext cocycles read off it must be
-the full sheet's, and two reads resume it once.  Where sympy imports, its
-Smith normal form is a third opinion.
+hom_ext and cokernel read Z's invariant factors off a paused sheet: every
+sheet pauses after its unit phase (_Worksheet.diagonalize), which over Z
+eliminates every +-1 pivot, and over Z the residual S left is diagonalised
+over Z/2|D|, D the last pivot of _forward on S (_Worksheet.diagonal).  Here
+that reading is checked against the full integral diagonalisation, on
+Kronecker (4,5) pairs from verify.random_rep, on matrices with no unit
+entry, and on the edge cases: the zero matrix, all-unit pivots, [6],
+diag(2,6), a last factor equal to |D|, a rank-deficient residual and one
+with D = +-1.  A paused sheet keeps N = left * M * right, and resuming it
+runs the full sheet's operations: the Hom generators and Ext cocycles read
+off it must be those kernel_data and cokernel_data read at once, and two
+reads resume it once.  Where sympy imports, its Smith normal form is a
+third opinion.
 
 Stdlib only (sympy when it imports), so it also runs without pytest:
     PYTHONPATH=src python tests/test_z_invariants.py
@@ -45,21 +46,28 @@ def _elimination_input(a):
     return a.ring, rings._nonzeros(a.entries, a.ring.zero), a.cols
 
 
+def _paused_sheet(a):
+    """a's sheet after its unit phase, where it pauses."""
+    ws = rings._Worksheet(*_elimination_input(a))
+    ws.diagonalize()
+    return ws
+
+
 def _check(a, witnesses=True, smith=True):
-    """The factors-only reading of a equals the one off the full
+    """The paused sheet's reading of a equals the one off the full
     diagonalisation; returns whether it met a residual and paused.  smith
     asks sympy too (slow on the larger matrices)."""
-    fast = _diagonal_sheet(*_elimination_input(a), True)
+    fast = _paused_sheet(a)
     full = _diagonal_sheet(*_elimination_input(a))
     hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
-    kpres, kvec, cpres, cvec = rings._hom_ext_data(*_elimination_input(a), False)
+    (kpres, kvec), (cpres, cvec) = rings.kernel_data(a), rings.cokernel_data(a)
     assert hom == kpres and ext == cpres, (a, hom, kpres, ext, cpres)
     assert rings.cokernel(a) == cpres
     assert fast.diagonal(a.rows) == full.diagonal(a.rows)
     paused = fast.paused is not None
     if witnesses:
-        assert read_hom() == kvec()
-        assert read_ext() == cvec()
+        assert read_hom() == kvec
+        assert read_ext() == cvec
         fast.resume()
         assert (fast.n, fast.row_ops, fast.col_ops) == (full.n, full.row_ops, full.col_ops)
     if smith and invariant_factors is not None:
@@ -148,10 +156,9 @@ def test_witness_reads_diagonalise_in_full_once():
                 assert ops[:len(head)] == head
             own = [s for ws, s in steps if ws is sheet]
             assert own == list(range(len(own))) and own
-            _, kvec, _, cvec = rings._hom_ext_data(*_elimination_input(a), False)
-            expected = [kvec(), cvec()]
+            expected = [rings.kernel_data(a)[1], rings.cokernel_data(a)[1]]
             assert vecs == (expected if hom_first else expected[::-1])
-    assert [_diagonal_sheet(*_elimination_input(a), True).paused for a, _, _ in cases] == [0, 1]
+    assert [_paused_sheet(a).paused for a, _, _ in cases] == [0, 1]
 
 
 def test_paused_and_resumed_sheets_keep_their_transforms():
@@ -167,7 +174,7 @@ def test_paused_and_resumed_sheets_keep_their_transforms():
         mats.append(differential(x, random_rep(ZZ, KRONECKER, (3, 4), pair_rng)))
     paused = 0
     for a in mats:
-        ws = _diagonal_sheet(*_elimination_input(a), True)
+        ws = _paused_sheet(a)
         if ws.paused is None:
             continue
         paused += 1
