@@ -39,7 +39,9 @@ its diagonal resumes it, save over Z: there it stays paused, which keeps
 every entry a minor of the input, and reads the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
 its rank, the last pivot of the one forward elimination below; the first
-witness read resumes it from there.  One pass clears a pivot's column by
+witness read resumes it from there.  :func:`kernel_data` and
+:func:`cokernel_data`, which read their vectors at once, diagonalise in
+full before they read the diagonal.  One pass clears a pivot's column by
 row steps, and its row by the same pass on the residual transposed.
 
 Over Q and F_p all of these instead run the one forward elimination,
@@ -233,8 +235,8 @@ class RingSpec:
       s*v - t*u a unit, so the 2x2 transform is invertible;
     * canonical_gen(x) and ann_gen(x), the canonical generators of the
       ideal (x) and of the annihilator of x; unit_to_canonical(x), a unit u
-      with u*x = canonical_gen(x); pivot_size(x), the pivoting weight of a
-      nonzero x, 1 exactly on units;
+      with u*x = canonical_gen(x), one when x is zero; pivot_size(x), the
+      pivoting weight of a nonzero x, 1 exactly on units;
     * entry_from_json and entry_to_json;
     * row_axpy and row_comb, the row kernels of elimination (see _Integers).
     """
@@ -1289,12 +1291,9 @@ class _Worksheet:
                 self._row((i, i + 1, ring.one))
                 self._clear_position(i)
                 changed = True
-        # canonical generators on the diagonal
+        # canonical generators on the diagonal (a zero's unit is one)
         for i in range(limit):
-            d = n[i][i]
-            if ring.is_zero(d):
-                continue
-            u = ring.unit_to_canonical(d)
+            u = ring.unit_to_canonical(n[i][i])
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
         for ops, own in zip(done, (self.row_ops, self.col_ops)):
@@ -1451,8 +1450,8 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring.zero), mat.cols)
 
     def replayed(size, ops, inverse=False):
-        cols = _replayed(ring, size, ops, range(size), inverse)
-        return ExactMatrix._of(ring, size, size, tuple(zip(*cols)))
+        rows = _replay(ring, _unit_columns(ring, size, range(size)), ops, inverse)
+        return ExactMatrix._of(ring, size, size, tuple(map(tuple, rows)))
 
     kind = "Smith" if ring.kind == "Z" else "Howell"
     return NormalFormResult(
@@ -1791,7 +1790,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     Over the fields the vectors are the reduced kernel basis, from one
     forward elimination and its back-substitution.
     """
-    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[:2]
+    pres, vectors = _read_at_once(a)[:2]
     return pres, vectors()
 
 
@@ -1853,11 +1852,6 @@ def _chain_order(ring: RingSpec, diag: Sequence) -> list:
             + [i for i, d in enumerate(diag) if ring.is_zero(d)])
 
 
-def _chain_factors(ring: RingSpec, diag: Sequence) -> tuple:
-    """Invariant factors from a canonical diagonal: drop units, zeros last."""
-    return tuple(diag[i] for i in _chain_order(ring, diag))
-
-
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
     return _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[2]
@@ -1871,7 +1865,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     column of left^-1 at that generator's diagonal position.  Over the
     fields they are unit vectors, read off one forward elimination.
     """
-    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[2:]
+    pres, vectors = _read_at_once(a)[2:]
     return pres, vectors()
 
 
@@ -1893,8 +1887,8 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
         idx = _chain_order(ring, diag)
         if not all(ring.is_zero(diag[i]) for i in idx):
             return None
-        left = list(zip(*_replayed(ring, a.rows, ws.row_ops, range(a.rows))))
-        rows = [left[i] for i in idx]
+        left = _replay(ring, _unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
+        rows = [tuple(left[i]) for i in idx]
     return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
 
 
@@ -1902,18 +1896,32 @@ def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
     """The kernel and cokernel presentations of the matrix of rows (consumed)
     with cols columns, from one elimination, each followed by a function
     that returns kernel_data's or cokernel_data's vectors: _field_hom_ext
-    over Q and F_p, _sheet_hom_ext elsewhere.  Where the sheet pauses is
-    the sheet's own concern (_Worksheet.diagonal): kernel_data and
-    cokernel_data, which read their vectors at once, resume it at once."""
+    over Q and F_p, _sheet_hom_ext elsewhere, on the sheet as it pauses
+    after its unit phase (_Worksheet.diagonalize).  Reading its diagonal
+    resumes it save over Z, and there it stays paused until a vector is
+    read."""
     if ring.is_field:
         return _field_hom_ext(ring, rows, cols)
-    return _sheet_hom_ext(ring, rows, cols)
+    ws = _Worksheet(ring, rows, cols)
+    ws.diagonalize()
+    return _sheet_hom_ext(ws)
 
 
-def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
-    """_hom_ext_data over Z, Z/m and Feps, read off one diagonalisation of
-    rows (the unit pivots on them, then the unit-free residual densely:
-    _Worksheet).
+def _read_at_once(a: ExactMatrix) -> tuple:
+    """_hom_ext_data of a for kernel_data and cokernel_data, which read
+    their vectors at once: the sheet is diagonalised in full before its
+    diagonal is read, so over Z it reads no factors modulo 2|D| that the
+    vector read would resume past."""
+    ring, rows = a.ring, _nonzeros(a.entries, a.ring.zero)
+    if ring.is_field:
+        return _field_hom_ext(ring, rows, a.cols)
+    return _sheet_hom_ext(_diagonal_sheet(ring, rows, a.cols))
+
+
+def _sheet_hom_ext(ws: _Worksheet) -> tuple:
+    """_hom_ext_data over Z, Z/m and Feps, read off the sheet ws: a matrix
+    after at least its unit phase (_Worksheet), paused or diagonalised in
+    full.
 
     With N = left * a * right diagonal, the kernel of a is right times that
     of N: one cyclic summand per column j, the annihilator of N's entry
@@ -1927,14 +1935,12 @@ def _sheet_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
     The diagonal is read without building a transform, and each function
     replays the operations on just the wanted columns when called
     (_replayed).  It keeps its own operation list and not N, and nothing
-    for a zero module.  The sheet pauses after its unit phase and reading
-    the diagonal resumes it, save over Z: there both functions keep the
-    paused sheet until one of them is called, and the first call resumes
-    it, so the vectors are a full diagonalisation's, and lets it go.
+    for a zero module.  Reading the diagonal resumes a paused sheet save
+    over Z (_Worksheet.diagonal): there both functions keep the paused
+    sheet until one of them is called, and the first call resumes it, so
+    the vectors are a full diagonalisation's, and lets it go.
     """
-    height = len(rows)
-    ws = _Worksheet(ring, rows, cols)
-    ws.diagonalize()
+    ring, height, cols = ws.ring, ws.rows, ws.cols
     diag = ws.diagonal(max(height, cols))
     gens = [ring.ann_gen(d) for d in diag[:cols]]
     hom_diag = [ring.ann_gen(g) for g in gens]
@@ -2080,5 +2086,7 @@ def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePr
 
 
 def _mapped_factors(factors: Sequence, hom: RingHom) -> tuple:
-    """Invariant factors of a module with these, tensored along the hom."""
-    return _chain_factors(hom.target, [hom.target.canonical_gen(hom.apply(d)) for d in factors])
+    """Invariant factors of a module with these, tensored along the hom:
+    the images' canonical generators, units dropped and zeros last."""
+    diag = [hom.target.canonical_gen(hom.apply(d)) for d in factors]
+    return tuple(diag[i] for i in _chain_order(hom.target, diag))

@@ -181,7 +181,7 @@ def check_read_off(a):
     ring = a.ring
     hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
     hom_vecs, ext_vecs = read_hom(), read_ext()
-    ref_hom, _, ref_ext, _ = rings._sheet_hom_ext(*_elimination_input(a))
+    ref_hom, _, ref_ext, _ = rings._sheet_hom_ext(rings._diagonal_sheet(*_elimination_input(a)))
     for new, ref in ((hom, ref_hom), (ext, ref_ext)):
         assert new == ref and repr(new) == repr(ref), (new, ref)
     rank = _rank(a)

@@ -105,7 +105,8 @@ def test_q_hom_ext_with_fractional_entries_matches_elementwise_ops():
         he = HomExtResult(_fractional_rep(q, dims_x, rng), _fractional_rep(q, dims_y, rng))
         a = he.differential
         with _elementwise():
-            ref = rings._sheet_hom_ext(QQ, rings._nonzeros(a.entries, QQ.zero), a.cols)[::2]
+            ref = rings._sheet_hom_ext(rings._diagonal_sheet(
+                QQ, rings._nonzeros(a.entries, QQ.zero), a.cols))[::2]
         _assert_identical((he.hom, he.ext), ref, "over Q, %r x %r" % (dims_x, dims_y))
         assert [len(he._hom_vecs), len(he._ext_vecs)] == [
             len(pres.invariant_factors) for pres in ref]

@@ -10,9 +10,9 @@ entry, and on the edge cases: the zero matrix, all-unit pivots, [6],
 diag(2,6), a last factor equal to |D|, a rank-deficient residual and one
 with D = +-1.  A paused sheet keeps N = left * M * right, and resuming it
 runs the full sheet's operations: the Hom generators and Ext cocycles read
-off it must be those kernel_data and cokernel_data read at once, and two
-reads resume it once.  Where sympy imports, its Smith normal form is a
-third opinion.
+off it must be the full sheet's, replayed here straight off its operation
+lists, as must kernel_data's and cokernel_data's, and two reads resume it
+once.  Where sympy imports, its Smith normal form is a third opinion.
 
 Stdlib only (sympy when it imports), so it also runs without pytest:
     PYTHONPATH=src python tests/test_z_invariants.py
@@ -53,6 +53,18 @@ def _paused_sheet(a):
     return ws
 
 
+def _full_witnesses(a):
+    """The Hom generators and Ext cocycles of a read straight off its full
+    diagonalisation: over Z the columns of right at the zero diagonal
+    entries, and of left^-1 at the non-unit ones in chain order."""
+    ws = _diagonal_sheet(*_elimination_input(a))
+    diag = ws.diagonal(max(a.rows, a.cols))
+    js = [j for j in range(a.cols) if diag[j] == 0]
+    idx = rings._chain_order(ZZ, diag[:a.rows])
+    return [rings._replayed(ZZ, a.cols, reversed(ws.col_ops), js),
+            rings._replayed(ZZ, a.rows, reversed(ws.row_ops), idx, True)]
+
+
 def _check(a, witnesses=True, smith=True):
     """The paused sheet's reading of a equals the one off the full
     diagonalisation; returns whether it met a residual and paused.  smith
@@ -66,8 +78,7 @@ def _check(a, witnesses=True, smith=True):
     assert fast.diagonal(a.rows) == full.diagonal(a.rows)
     paused = fast.paused is not None
     if witnesses:
-        assert read_hom() == kvec
-        assert read_ext() == cvec
+        assert [read_hom(), read_ext()] == [kvec, cvec] == _full_witnesses(a)
         fast.resume()
         assert (fast.n, fast.row_ops, fast.col_ops) == (full.n, full.row_ops, full.col_ops)
     if smith and invariant_factors is not None:
@@ -156,7 +167,7 @@ def test_witness_reads_diagonalise_in_full_once():
                 assert ops[:len(head)] == head
             own = [s for ws, s in steps if ws is sheet]
             assert own == list(range(len(own))) and own
-            expected = [rings.kernel_data(a)[1], rings.cokernel_data(a)[1]]
+            expected = _full_witnesses(a)
             assert vecs == (expected if hom_first else expected[::-1])
     assert [_paused_sheet(a).paused for a, _, _ in cases] == [0, 1]
 
