@@ -1,8 +1,10 @@
 """Error taxonomy shared by the whole package.
 
 Every failure that a caller can provoke raises a subclass of QuivlatError
-carrying a stable machine-readable ``code``.  The CLI maps these to exit
-status 1 and a structured error record; anything else escaping is a bug.
+carrying a stable machine-readable ``code``: the subclass's own name, which
+QuivlatError.__init_subclass__ sets, so no class states it.  The CLI maps
+these to exit status 1 and a structured error record; anything else
+escaping is a bug.
 Every class here is raised somewhere in the package; a class left with no
 raiser is dead taxonomy and tests/test_unused_imports.py rejects it.
 """
@@ -15,86 +17,74 @@ class QuivlatError(Exception):
 
     code = "Error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
     def __init__(self, message: str = ""):
         super().__init__(message or self.code)
 
 
 class DimensionMismatch(QuivlatError):
-    code = "DimensionMismatch"
+    """A dimension vector, matrix shape or index does not fit where it is used."""
 
 
 class IncompatibleRing(QuivlatError):
-    code = "IncompatibleRing"
+    """Objects over different rings were combined."""
 
 
 class IncompatibleBase(QuivlatError):
     """Ring hom endpoints do not match the objects being transported."""
 
-    code = "IncompatibleBase"
-
 
 class NotProjective(QuivlatError):
     """A module that was required to be projective is not."""
 
-    code = "NotProjective"
-
 
 class NotComputable(QuivlatError):
     """The requested operation is not defined over the given ring."""
-
-    code = "NotComputable"
 
 
 class NonFreeCokernel(QuivlatError):
     """A vertexwise cokernel or kernel is not free (torsion, or projective
     but not free), so no representation on free modules presents it."""
 
-    code = "NonFreeCokernel"
-
 
 class PreconditionViolated(QuivlatError):
-    code = "PreconditionViolated"
+    """An input lacks a property the operation requires."""
 
 
 class NeitherMonoNorEpi(QuivlatError):
     """Universal map dichotomy failed; signals a bug, not a caller error."""
 
-    code = "NeitherMonoNorEpi"
-
 
 class CyclicQuiver(QuivlatError):
-    code = "CyclicQuiver"
+    """The operation needs an acyclic quiver."""
 
 
 class NotSchurRoot(QuivlatError):
-    code = "NotSchurRoot"
+    """The dimension vector is not a real Schur root."""
 
 
 class BoundExceeded(QuivlatError):
-    code = "BoundExceeded"
+    """The search bound is too small to decide the question."""
 
 
 class NotRigid(QuivlatError):
-    code = "NotRigid"
+    """The representation has nonzero self-extensions."""
 
 
 class PeelFailure(QuivlatError):
     """Evaluation map failed to split off a summand; signals a bug."""
 
-    code = "PeelFailure"
-
 
 class NotNilpotentKernel(QuivlatError):
-    code = "NotNilpotentKernel"
+    """The ring hom to lift along has a kernel that is not nilpotent."""
 
 
 class TheoremViolation(QuivlatError):
     """An invariant guaranteed by the structure theory failed to hold."""
 
-    code = "TheoremViolation"
-
 
 class ParseError(QuivlatError):
     """Malformed external input (ring spec, quiver or representation file)."""
-
-    code = "ParseError"

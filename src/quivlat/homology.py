@@ -10,7 +10,10 @@ are finite free.
 
 Identifications are column-major throughout: a map into Hom(R^c, R^r) sits
 at flat index c * r_rows + r inside its block, blocks ordered by vertex in
-C0 and by arrow in C1.
+C0 and by arrow in C1.  That layout is known here alone: _differential_rows
+places the complex, _unflatten_vertex reads a C0 vector back as vertex maps,
+and _morphism_section solves the complex for the section of a projection
+that structure.decompose_rigid splits each summand off with.
 """
 
 from __future__ import annotations
@@ -25,14 +28,17 @@ from .rings import (
     RingHom,
     _hom_ext_data,
     _forward,
+    block_diag,
     constant_rank,
     presentation_base_change,
+    solve,
 )
 
 
 # Most cells one pair may need: the C1 x C0 differential _differential_rows
 # places and the C0 x C0 a read of the Hom generators fills.  The Kronecker
-# (30,29) self-pair of the bound-60 orbit needs 6.1 million.
+# (30,29) self-pair of the bound-60 orbit needs 6.1 million.  A read of the
+# Ext cocycles, C1 cells per Ext factor, is capped alike on its own.
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 
@@ -105,13 +111,36 @@ def _unflatten_vertex(x: Rep, y: Rep, vec):
     return _unflatten(x, zip(y.dims, x.dims), vec)
 
 
+def _morphism_section(proj: RepMorphism):
+    """A morphism section of a projection, or None when it has none (it
+    has one when its kernel has no extensions back).
+
+    Solves the combined linear system: commutation with every arrow (the
+    differential of Hom(quot, mid)) plus vertexwise proj * section =
+    identity, one block of proj's vertex map per column of the section.
+    """
+    mid, quot = proj.source, proj.target
+    ring = mid.ring
+    a = differential(quot, mid).vstack(block_diag(ring, [
+        pi for pi, d in zip(proj.vertex_maps, quot.dims) for _ in range(d)]))
+    # vec of each identity, the same read by rows or by columns
+    ones = tuple((ring.one if r == c else ring.zero,)
+                 for d in quot.dims for c in range(d) for r in range(d))
+    b = ExactMatrix._of(ring, a.rows, 1, ((ring.zero,),) * (a.rows - len(ones)) + ones)
+    sol = solve(a, b)
+    if sol is None:
+        return None
+    return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, [x for x, in sol.entries]))
+
+
 class HomExtResult:
     """Hom and Ext of a fixed pair, with explicit witnesses built on demand.
 
     hom and ext are module presentations with canonical invariant factors.
     hom_generators lists one morphism per Hom invariant factor, in the same
     order (torsion then free); ext_cocycles likewise lists, per Ext factor,
-    a C1 tuple of matrices mapping onto that generator of the cokernel.
+    a C1 tuple of matrices mapping onto that generator of the cokernel, and
+    refuses with NotComputable a read of more than _MAX_HOM_CELLS cells.
 
     Construction places the differential once (_differential_rows) and
     eliminates the placed rows once, on every ring, densifying nothing;
@@ -153,6 +182,10 @@ class HomExtResult:
 
     @cached_property
     def _ext_vecs(self):
+        cells = self.ext.generators * len(self.ext.invariant_factors)
+        if cells > _MAX_HOM_CELLS:   # C0 may be empty, so the cap above saw none
+            raise NotComputable("the Ext cocycles of %r and %r need %d cells, above the cap %d"
+                                % (self.x.dims, self.y.dims, cells, _MAX_HOM_CELLS))
         vecs = self._read_ext()
         del self._read_ext
         return vecs
@@ -181,7 +214,8 @@ def _hom_ext_cached(x: Rep, y: Rep) -> HomExtResult:
 
 def hom_ext(x: Rep, y: Rep) -> HomExtResult:
     """Hom(X, Y) and Ext^1(X, Y) with witnesses; results are cached.  A
-    pair whose Hom complex is too large is refused (_differential_rows)."""
+    pair whose Hom complex is too large is refused (_differential_rows), and
+    so is a read of Ext cocycles too large (_MAX_HOM_CELLS)."""
     _check_compatible(x, y)
     return _hom_ext_cached(x, y)
 

@@ -97,9 +97,11 @@ def _free_rank_or_violation(pres, label: str) -> int:
 
 
 def _evaluation_map(x: Rep, y: Rep, gens) -> RepMorphism:
-    """Universal map X^h -> Y with block columns the Hom generators."""
+    """Universal map X^h -> Y with block columns the Hom generators, each a
+    tuple of vertex maps.  It commutes with the arrows exactly when every
+    generator does, so its RepMorphism check is the generators' check."""
     src = tensor_free(x, len(gens))
-    maps = tuple(ExactMatrix.zeros(x.ring, y.dims[i], 0).hstack(*(g.vertex_maps[i] for g in gens))
+    maps = tuple(ExactMatrix.zeros(x.ring, y.dims[i], 0).hstack(*(g[i] for g in gens))
                  for i in range(x.quiver.vertex_count))
     return RepMorphism(src, y, maps)
 
@@ -136,7 +138,8 @@ def _sub_quot_witnesses(sub: Rep, middle: Rep, quot: Rep):
 
 def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
     """Left mutation of (X, Y) from the presentations of Hom(X, Y) and
-    Ext(X, Y), the Hom generators and the Ext cocycles."""
+    Ext(X, Y), the Hom generators and the Ext cocycles, each generator a
+    tuple of vertex maps and each cocycle one of arrow matrices."""
     if hom.is_zero and ext.is_zero:
         return MutationResult("Unchanged", y)
     if not hom.is_zero and not ext.is_zero:
@@ -195,8 +198,8 @@ _DUAL_KIND = {"KernelOfUniversalMap": "CokernelOfUniversalMap",
 def left_mutate(x: Rep, y: Rep) -> MutationResult:
     """Left mutation of the exceptional pair (X, Y); (L, X) is again exceptional."""
     he = _pair_hom_ext(x, y)
-    out = _left_mutation(x, y, he.hom, he.ext, he.hom_generators,
-                         he.ext_cocycles)
+    out = _left_mutation(x, y, he.hom, he.ext,
+                         tuple(g.vertex_maps for g in he.hom_generators), he.ext_cocycles)
     if not is_exceptional_pair(out.rep, x):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
@@ -210,11 +213,10 @@ def right_mutate(x: Rep, y: Rep) -> MutationResult:
     projections.  Hom(DY, DX) and Ext(DY, DX) are those of (X, Y) transposed.
     """
     he = _pair_hom_ext(x, y)
-    dx, dy = _dual(x), _dual(y)
-    duals = {x: dx, y: dy}
+    dx = _dual(x)
     dual = _left_mutation(
-        dy, dx, he.hom, he.ext,
-        tuple(_dual_map(g, duals) for g in he.hom_generators),
+        _dual(y), dx, he.hom, he.ext,
+        tuple(tuple(m.transpose() for m in g.vertex_maps) for g in he.hom_generators),
         tuple(tuple(m.transpose() for m in z) for z in he.ext_cocycles))
     rep = _dual(dual.rep)
     # the double dual of a representation is that representation

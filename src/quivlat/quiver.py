@@ -145,6 +145,19 @@ def _exact_dims(dims) -> tuple:
     return dims
 
 
+def _check_dims(quiver: Quiver, dims) -> tuple:
+    """A dimension vector of the quiver: exact ints, one per vertex, none
+    negative.  Rep and the root readers of structure all check here, so
+    each refusal reads the same whichever of them is called."""
+    dims = _exact_dims(dims)
+    if len(dims) != quiver.vertex_count:
+        raise DimensionMismatch("need %d dimensions, got %d" % (
+            quiver.vertex_count, len(dims)))
+    if any(d < 0 for d in dims):
+        raise DimensionMismatch("negative dimension")
+    return dims
+
+
 def euler_form(quiver: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """Bilinear form sum_i a_i b_i - sum_{arrows} a_tail b_head."""
     alpha, beta = tuple(alpha), tuple(beta)
@@ -170,12 +183,7 @@ class Rep:
     mats: tuple = ()
 
     def __post_init__(self):
-        dims = _exact_dims(self.dims)
-        if len(dims) != self.quiver.vertex_count:
-            raise DimensionMismatch("need %d dimensions, got %d" % (
-                self.quiver.vertex_count, len(dims)))
-        if any(d < 0 for d in dims):
-            raise DimensionMismatch("negative dimension")
+        dims = _check_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
         mats = tuple(self.mats)
         if len(mats) != self.quiver.arrow_count:
@@ -217,10 +225,7 @@ class Rep:
     @staticmethod
     def from_matrix_rows(ring: RingSpec, quiver: Quiver, dims: Sequence[int],
                          mats_rows: Sequence[Sequence[Sequence]]) -> "Rep":
-        dims = _exact_dims(dims)
-        if len(dims) != quiver.vertex_count:
-            raise DimensionMismatch("need %d dimensions, got %d" % (
-                quiver.vertex_count, len(dims)))
+        dims = _check_dims(quiver, dims)
         mats = []
         for a, rows in enumerate(mats_rows):
             r, c = dims[quiver.head(a)], dims[quiver.tail(a)]

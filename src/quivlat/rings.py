@@ -1464,7 +1464,11 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
     Over Q and F_p X is read off the reduced row echelon form of [a | b],
     with zero at every non-pivot column of a; the system is unsolvable
-    exactly when a pivot falls in b.
+    exactly when a pivot falls in b.  Over the other rings a sheet
+    diagonalises a, and each diagonal entry solves its row of the
+    transformed b by ring.solve_scalar alone: a zero pivot solves a zero
+    right-hand side, to zero, and nothing else.  The diagonal's rows past
+    a.cols are such zero padding.
     """
     if a.ring != b.ring:
         raise IncompatibleRing("mixed rings %s and %s" % (a.ring, b.ring))
@@ -1484,15 +1488,11 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
         for jc in range(b.cols):
-            rhs = c[i][jc]
-            if ring.is_zero(d):
-                if not ring.is_zero(rhs):
-                    return None
-                continue
-            val = ring.solve_scalar(d, rhs)
+            val = ring.solve_scalar(d, c[i][jc])
             if val is None:
                 return None
-            y[i][jc] = val
+            if i < a.cols:   # past a.cols, d is padding and val is zero
+                y[i][jc] = val
     x = _replay(ring, y, reversed(ws.col_ops))
     return ExactMatrix._of(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
 

@@ -14,7 +14,9 @@ The three constructive results living here:
     exceptional representations; the summand roots are peeled off the
     dimension vector with Kac's splitting criterion on generic Ext in
     integers, and the decomposition is certified by an explicit
-    isomorphism assembled from evaluation maps and splitting sections.
+    isomorphism assembled from evaluation maps (mutation._evaluation_map)
+    and splitting sections, which homology._morphism_section solves for in
+    the Hom complex, whose layout homology alone knows.
     Two rigid representations with one dimension vector are therefore
     isomorphic, through the certificates.
 
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
-    DimensionMismatch,
     IncompatibleBase,
     NonFreeCokernel,
     NotNilpotentKernel,
@@ -48,14 +49,14 @@ from .errors import (
     PeelFailure,
     TheoremViolation,
 )
-from .homology import differential, hom_ext, is_exceptional, is_rigid, _unflatten_vertex
+from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
 from .mutation import _dims_orbit, _evaluation_map, _orbit_sequence, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
     _check_compatible,
-    _exact_dims,
+    _check_dims,
     _lex_least_order,
     base_change,
     cokernel_rep,
@@ -64,16 +65,7 @@ from .quiver import (
     tensor_free,
     tits_form,
 )
-from .rings import (
-    ExactMatrix,
-    RingHom,
-    RingSpec,
-    ZZ,
-    block_diag,
-    canonical_hom,
-    invert,
-    solve,
-)
+from .rings import ExactMatrix, RingHom, RingSpec, ZZ, canonical_hom, invert
 
 SCHUR_REAL = "real_schur"
 SCHUR_PREFILTER_FALSE = "prefilter_false"
@@ -82,16 +74,6 @@ SCHUR_BOUNDED_FALSE = "bounded_false"
 
 # (quiver, bound) -> {state of _dims_orbit(quiver, bound): its integral ExcSequence}
 _BUILT = {}
-
-
-def _check_dim_vector(quiver: Quiver, alpha) -> tuple:
-    alpha = _exact_dims(alpha)
-    if len(alpha) != quiver.vertex_count:
-        raise DimensionMismatch("dimension vector length %d, need %d" % (
-            len(alpha), quiver.vertex_count))
-    if any(d < 0 for d in alpha):
-        raise DimensionMismatch("negative entry in dimension vector")
-    return alpha
 
 
 def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
@@ -103,7 +85,7 @@ def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
     which the mutation formulas determine, so no representation is built;
     exceptional_lattice replays a witness for alpha only when asked.
     """
-    alpha = _check_dim_vector(quiver, alpha)
+    alpha = _check_dims(quiver, alpha)
     if tits_form(quiver, alpha) != 1:
         return SCHUR_PREFILTER_FALSE
     if alpha in _dims_orbit(quiver, bound)[1]:
@@ -118,7 +100,7 @@ def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
 def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
     """alpha, checked; NotSchurRoot or BoundExceeded unless the orbit walk
     within bound reaches it.  No witness is replayed."""
-    alpha = _check_dim_vector(quiver, alpha)
+    alpha = _check_dims(quiver, alpha)
     status = schur_root_status(quiver, alpha, bound=bound)
     if status == SCHUR_PREFILTER_FALSE:
         raise NotSchurRoot("tits form of %r is %d, not 1" % (
@@ -204,27 +186,6 @@ class RigidDecomposition:
             "ordering": [list(d) for d in self.ordering],
             "verified": True,
         }
-
-
-def _splitting_section(proj: RepMorphism) -> RepMorphism:
-    """Morphism section of a projection whose kernel has no extensions back.
-
-    Solves the combined linear system: commutation with every arrow (the
-    differential of Hom(quot, mid)) plus vertexwise proj * section =
-    identity, one block of proj's vertex map per column of the section.
-    """
-    mid, quot = proj.source, proj.target
-    ring = mid.ring
-    a = differential(quot, mid).vstack(block_diag(ring, [
-        pi for pi, d in zip(proj.vertex_maps, quot.dims) for _ in range(d)]))
-    # vec of each identity, the same read by rows or by columns
-    ones = tuple((ring.one if r == c else ring.zero,)
-                 for d in quot.dims for c in range(d) for r in range(d))
-    b = ExactMatrix._of(ring, a.rows, 1, ((ring.zero,),) * (a.rows - len(ones)) + ones)
-    sol = solve(a, b)
-    if sol is None:
-        raise PeelFailure("projection admits no morphism section")
-    return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, [x for x, in sol.entries]))
 
 
 # quiver -> {dimension vector: its generic subdimension vectors}
@@ -360,7 +321,7 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
             raise PeelFailure(
                 "Hom(%r, rest) has presentation %r, expected free rank %d" % (
                     list(root), list(he.hom.invariant_factors), mi))
-        theta = _evaluation_map(xi, current, he.hom_generators)
+        theta = _evaluation_map(xi, current, tuple(g.vertex_maps for g in he.hom_generators))
         # On every shipped ring a map is split mono exactly when its
         # cokernel is free of rank rows - cols.
         try:
@@ -371,7 +332,9 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
                 map(operator.sub, current.dims, theta.source.dims)):
             raise PeelFailure("evaluation map of %r is not split mono" % (
                 list(root),))
-        section = _splitting_section(proj)
+        section = _morphism_section(proj)
+        if section is None:
+            raise PeelFailure("projection admits no morphism section")
         evaluations.append(theta)
         partial[root] = embed.compose(theta)
         embed = embed.compose(section)

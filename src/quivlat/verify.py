@@ -30,8 +30,6 @@ A4 = Quiver(4, ((1, 2), (2, 3), (3, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 LOOP = Quiver(1, ((1, 1),))
 
-SUITES = ("euler", "basechange", "braid", "theoremA", "theoremB", "theoremC")
-
 
 def _entry_pool(ring: RingSpec):
     if ring.is_finite:
@@ -303,6 +301,7 @@ _RUNNERS = {
     "theoremB": _suite_theorem_b,
     "theoremC": _suite_theorem_c,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0, size: int = 20) -> dict:

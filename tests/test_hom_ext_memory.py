@@ -8,10 +8,20 @@ differential and no relation matrix, which at 1600 x 1600 would take some
 20 MB of references alone.  Its tracemalloc peak stays below 2 MB, over
 F_2 (one forward elimination) and over Z (a worksheet).
 
+The Kronecker pair (1, 0), (0, 6000) has C0 = 0, so its Hom complex needs
+no cell, yet Ext is free of rank 12000 on 12000 generators: reading its
+cocycles would fill 144 million cells.  In a child process under a 1 GiB
+address-space limit the ranks answer and the read is refused with
+NotComputable, over Z and over F_2, where it once raised MemoryError.
+
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_hom_ext_memory.py
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 from quivlat import homology
@@ -43,6 +53,42 @@ def test_dimension_40_point_rep_peaks_below_2_mb():
         peak, he = hom_ext_peak(ring)
         assert he.hom.free_rank == 1600 and he.hom.is_free and he.ext.is_zero, str(ring)
         assert peak < PEAK_BYTES, (str(ring), peak)
+
+
+# Run in the child: one JSON line per ring, the Ext rank and what reading
+# the cocycles raised.
+EXT_READ = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.homology import hom_ext
+from quivlat.quiver import Quiver, Rep
+from quivlat.rings import ExactMatrix, RingSpec
+K = Quiver(2, ((1, 2), (1, 2)))
+for spec in ("Z", "F:2"):
+    ring = RingSpec.parse(spec)
+    x = Rep(ring, K, (1, 0), (ExactMatrix.zeros(ring, 0, 1),) * 2)
+    y = Rep(ring, K, (0, 6000), (ExactMatrix.zeros(ring, 6000, 0),) * 2)
+    he = hom_ext(x, y)
+    try:
+        he.ext_cocycles
+        raised = None
+    except Exception as exc:
+        raised = [type(exc).__name__, str(exc)]
+    print(json.dumps([spec, he.ext.free_rank, raised]))
+"""
+
+
+def test_an_ext_read_above_the_cap_is_refused_not_allocated():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", EXT_READ], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    says = "the Ext cocycles of (1, 0) and (0, 6000) need 144000000 cells, above the cap"
+    for line, spec in zip(proc.stdout.splitlines(), ("Z", "F:2"), strict=True):
+        ring, rank, raised = json.loads(line)
+        assert (ring, rank) == (spec, 12000)
+        assert raised is not None and raised[0] == "NotComputable", (spec, raised)
+        assert raised[1].startswith(says), (spec, raised)
 
 
 if __name__ == "__main__":

@@ -159,7 +159,7 @@ def test_left_mutation_refuses_a_universal_map_neither_split_mono_nor_epi(
     hom = ModulePresentation.from_invariant_factors(ring, [ring.zero])
     ext = ModulePresentation.from_invariant_factors(ring, [])
     with pytest.raises(NeitherMonoNorEpi):
-        _left_mutation(x, y, hom, ext, (gen,), ())
+        _left_mutation(x, y, hom, ext, (gen.vertex_maps,), ())
 
 
 def test_mutation_witnesses_compose_to_zero():

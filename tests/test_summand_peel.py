@@ -103,14 +103,14 @@ PLANTED = (("kronecker", (((1, 2), 2), ((0, 1), 1))),
 
 def test_splitting_sections_split_the_projections():
     sections = []
-    structure_section = structure._splitting_section
+    structure_section = structure._morphism_section
 
     def spy(proj):
         section = structure_section(proj)
         sections.append((proj, section))
         return section
 
-    structure._splitting_section = spy
+    structure._morphism_section = spy
     rng = random.Random(5)
     try:
         for name, planted in PLANTED:
@@ -134,7 +134,7 @@ def test_splitting_sections_split_the_projections():
                         assert (maps[h].mul(quot.mats[a]).entries
                                 == mid.mats[a].mul(maps[t]).entries), (name, spec, a)
     finally:
-        structure._splitting_section = structure_section
+        structure._morphism_section = structure_section
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Every name a quivlat module imports is read somewhere in that module,
 every private definition is read somewhere in the package, every method
 and class attribute of the ring classes is read somewhere in the package,
-and every error class is raised somewhere in the package.
+and every error class is raised somewhere in the package, with its own
+name for its code.
 
 The package's __init__.py re-exports names it never reads; those it lists
 in __all__ are exempt.  A private definition is a module-level function,
@@ -243,6 +244,15 @@ def test_every_error_class_is_raised():
     assert unraised_errors(sorted(PACKAGE.glob("*.py"))) == []
 
 
+def test_every_error_code_is_its_class_name():
+    # QuivlatError.__init_subclass__ sets each subclass's code
+    from quivlat import errors
+    names = error_classes(ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")))
+    assert names and {name: getattr(errors, name).code for name in names} == {
+        name: name for name in names}
+    assert errors.QuivlatError.code == "Error"
+
+
 def test_package_exports_only_bound_names():
     import quivlat
     assert all(hasattr(quivlat, name) for name in quivlat.__all__)
@@ -264,5 +274,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         test_scanner_sees_unraised_errors(pathlib.Path(tmp))
     test_every_error_class_is_raised()
+    test_every_error_code_is_its_class_name()
     test_package_exports_only_bound_names()
     print("all passed")
