@@ -4,6 +4,10 @@ One process runs one verb.  Reports go to standard output as text or as
 byte-stable JSON (sorted keys, fixed separators, ``"schema": 1``).  Exit
 status: 0 success, 1 domain error (structured record with the error code),
 2 parse errors and missing files.
+
+Parsing and every verb share only errors, rings and quiver; each verb
+imports the library module it runs when it runs, so ext never compiles
+mutation, structure or verify.
 """
 
 from __future__ import annotations
@@ -14,14 +18,10 @@ import os
 import re
 import sys
 
+from . import SUITES
 from .errors import IncompatibleBase, ParseError, QuivlatError
-from .homology import check_base_change, hom_ext, is_exceptional, is_rigid
-from .mutation import MutationResult, braid_act, left_mutate, right_mutate, standard_sequence
 from .quiver import Quiver, Rep, base_change
 from .rings import RingSpec, ZZ, canonical_hom
-from .structure import (SCHUR_REAL, _require_real_schur, decompose_rigid, exceptional_lattice,
-                        lift_rigid)
-from .verify import SUITES, run_suite
 
 SCHEMA = 1
 
@@ -101,6 +101,7 @@ def _factors_json(pres) -> list:
 
 
 def _cmd_ext(args) -> dict:
+    from .homology import hom_ext
     x = _override_ring(_load_rep(args.rep_x), args.ring)
     y = _override_ring(_load_rep(args.rep_y), args.ring)
     _check_quiver(args, x, y)
@@ -117,28 +118,32 @@ def _cmd_ext(args) -> dict:
 
 
 def _cmd_rigid(args) -> dict:
+    from .homology import is_rigid
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
     return {"ring": str(x.ring), "dims": list(x.dims), "rigid": is_rigid(x)}
 
 
 def _cmd_exceptional(args) -> dict:
+    from .homology import is_exceptional
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
     return {"ring": str(x.ring), "dims": list(x.dims), "exceptional": is_exceptional(x)}
 
 
 def _cmd_mutate(args) -> dict:
+    from .mutation import left_mutate, right_mutate
     x = _override_ring(_load_rep(args.rep_x), args.ring)
     y = _override_ring(_load_rep(args.rep_y), args.ring)
     _check_quiver(args, x, y)
     mutate = left_mutate if args.side == "left" else right_mutate
-    result: MutationResult = mutate(x, y)
+    result = mutate(x, y)
     return {"side": args.side, "kind": result.kind, "dims": list(result.rep.dims),
             "rep": result.rep.to_json()}
 
 
 def _cmd_braid(args) -> dict:
+    from .mutation import braid_act, standard_sequence
     quiver = _load_quiver(args.quiver)
     ring = RingSpec.parse(args.ring) if args.ring else ZZ
     seq = standard_sequence(ring, quiver)
@@ -151,12 +156,14 @@ def _cmd_braid(args) -> dict:
 
 
 def _cmd_schur(args) -> dict:
+    from .structure import SCHUR_REAL, _require_real_schur
     quiver = _load_quiver(args.quiver)
     dims = _require_real_schur(quiver, _parse_dims(args.dims), _bound(args))
     return {"dims": list(dims), "isRealSchurRoot": True, "status": SCHUR_REAL}
 
 
 def _cmd_construct(args) -> dict:
+    from .structure import exceptional_lattice
     quiver = _load_quiver(args.quiver)
     dims = _parse_dims(args.dims)
     ring = RingSpec.parse(args.ring) if args.ring else ZZ
@@ -166,12 +173,14 @@ def _cmd_construct(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
+    from .structure import decompose_rigid
     x = _override_ring(_load_rep(args.rep), args.ring)
     _check_quiver(args, x)
     return dict(decompose_rigid(x, bound=_bound(args)).to_json(), ring=str(x.ring))
 
 
 def _cmd_lift(args) -> dict:
+    from .structure import lift_rigid
     x = _load_rep(args.rep)
     if not args.ring:
         raise ParseError("lift requires --ring with the ring to lift to")
@@ -182,6 +191,7 @@ def _cmd_lift(args) -> dict:
 
 
 def _cmd_basechange(args) -> dict:
+    from .homology import check_base_change
     x = _load_rep(args.rep_x)
     y = _load_rep(args.rep_y)
     _check_quiver(args, x, y)
@@ -195,6 +205,7 @@ def _cmd_basechange(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .verify import run_suite
     return run_suite(args.suite, seed=_parse_int(args.seed, "--seed"),
                      size=_parse_int(args.size, "--size"))
 

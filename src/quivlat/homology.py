@@ -26,6 +26,8 @@ from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
 from .rings import (
     ExactMatrix,
     RingHom,
+    _MAX_HOM_CELLS,
+    _check_read,
     _hom_ext_data,
     _forward,
     block_diag,
@@ -33,13 +35,6 @@ from .rings import (
     presentation_base_change,
     solve,
 )
-
-
-# Most cells one pair may need: the C1 x C0 differential _differential_rows
-# places and the C0 x C0 a read of the Hom generators fills.  The Kronecker
-# (30,29) self-pair of the bound-60 orbit needs 6.1 million.  A read of the
-# Ext cocycles, C1 cells per Ext factor, is capped alike on its own.
-_MAX_HOM_CELLS = 2 * 10 ** 7
 
 
 def _differential_rows(x: Rep, y: Rep) -> tuple:
@@ -182,10 +177,9 @@ class HomExtResult:
 
     @cached_property
     def _ext_vecs(self):
-        cells = self.ext.generators * len(self.ext.invariant_factors)
-        if cells > _MAX_HOM_CELLS:   # C0 may be empty, so the cap above saw none
-            raise NotComputable("the Ext cocycles of %r and %r need %d cells, above the cap %d"
-                                % (self.x.dims, self.y.dims, cells, _MAX_HOM_CELLS))
+        # C1 cells per Ext factor; C0 may be empty, so the Hom complex's cap saw none
+        _check_read(len(self.ext.invariant_factors), self.ext.generators,
+                    "the Ext cocycles of %r and %r" % (self.x.dims, self.y.dims))
         vecs = self._read_ext()
         del self._read_ext
         return vecs

@@ -26,7 +26,6 @@ sequence by replaying the braid word that first reached it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .errors import (
     PreconditionViolated,
     TheoremViolation,
 )
+from ._record import Record
 from .homology import _orthogonal, hom_ext, is_exceptional
 from .quiver import (
     Quiver,
@@ -62,8 +62,7 @@ def is_exceptional_pair(x: Rep, y: Rep) -> bool:
     return is_exceptional(x) and is_exceptional(y) and _orthogonal(y, x)
 
 
-@dataclass(frozen=True)
-class MutationResult:
+class MutationResult(Record):
     """Mutated representation plus the witnesses that produced it.
 
     kind is one of Unchanged, UniversalExtension, KernelOfUniversalMap,
@@ -74,11 +73,13 @@ class MutationResult:
     (quotient projection, cokernel projection).
     """
 
-    kind: str
-    rep: Rep
-    universal_map: Optional[RepMorphism] = None
-    witness_in: Optional[RepMorphism] = None
-    witness_out: Optional[RepMorphism] = None
+    _fields = ("kind", "rep", "universal_map", "witness_in", "witness_out")
+
+    def __init__(self, kind: str, rep: Rep, universal_map: Optional[RepMorphism] = None,
+                 witness_in: Optional[RepMorphism] = None,
+                 witness_out: Optional[RepMorphism] = None):
+        self.__dict__.update(kind=kind, rep=rep, universal_map=universal_map,
+                             witness_in=witness_in, witness_out=witness_out)
 
 
 def _pair_hom_ext(x: Rep, y: Rep):
@@ -234,8 +235,7 @@ def right_mutate(x: Rep, y: Rep) -> MutationResult:
 # exceptional sequences and the braid action
 
 
-@dataclass(frozen=True)
-class ExcSequence:
+class ExcSequence(Record):
     """Sequence of exceptional representations with no backwards Hom or Ext.
 
     Construction checks each member (is_exceptional) and each backward
@@ -244,7 +244,11 @@ class ExcSequence:
     differential in hom_ext.
     """
 
-    items: tuple
+    _fields = ("items",)
+
+    def __init__(self, items: tuple):
+        self.__dict__["items"] = items
+        self.__post_init__()
 
     def __post_init__(self):
         items = tuple(self.items)

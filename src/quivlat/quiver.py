@@ -11,7 +11,6 @@ operation must cope with those.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     ParseError,
     TheoremViolation,
 )
+from ._record import Record
 from .rings import (
     ExactMatrix,
     RingHom,
@@ -60,7 +60,7 @@ def _lex_least_order(nodes, succ):
 
 # Largest vertex dimension Rep.from_json reads.  A block of zero size has no
 # entries in the record, so a larger dimension would cost its rows while
-# parsing; hom_ext refuses far smaller ones (homology._MAX_HOM_CELLS).
+# parsing; hom_ext refuses far smaller ones (rings._MAX_HOM_CELLS).
 _MAX_DIMENSION = 10_000
 
 
@@ -71,12 +71,24 @@ def _json_int(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """Finite quiver: vertex count plus a tuple of (tail, head) pairs, 1-based."""
 
-    vertex_count: int
-    arrows: tuple = ()
+    _fields = ("vertex_count", "arrows")
+
+    def __init__(self, vertex_count: int, arrows: tuple = ()):
+        self.__dict__.update(vertex_count=vertex_count, arrows=arrows)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.vertex_count, self.arrows) == (other.vertex_count, other.arrows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.arrows))
 
     def __post_init__(self):
         n = self.vertex_count
@@ -173,14 +185,12 @@ def tits_form(quiver: Quiver, alpha: Sequence[int]) -> int:
     return euler_form(quiver, alpha, alpha)
 
 
-@dataclass(frozen=True)
-class Rep:
+class Rep(Record):
     """Representation of a quiver on free modules over a fixed ring."""
 
-    ring: RingSpec
-    quiver: Quiver
-    dims: tuple
-    mats: tuple = ()
+    def __init__(self, ring: RingSpec, quiver: Quiver, dims: tuple, mats: tuple = ()):
+        self.__dict__.update(ring=ring, quiver=quiver, dims=dims, mats=mats)
+        self.__post_init__()
 
     def __post_init__(self):
         dims = _check_dims(self.quiver, self.dims)
@@ -201,6 +211,14 @@ class Rep:
 
     def __repr__(self):
         return "Rep(%s, dims=%r)" % (self.ring, list(self.dims))
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return ((self.ring, self.quiver, self.dims, self.mats)
+                    == (other.ring, other.quiver, other.dims, other.mats))
+        return NotImplemented
 
     def __hash__(self):
         # once per instance: every cached hom_ext lookup hashes its arguments
@@ -286,13 +304,21 @@ class Rep:
         return Rep(ring, quiver, dims, tuple(mats))
 
 
-@dataclass(frozen=True)
-class RepMorphism:
+class RepMorphism(Record):
     """Vertexwise linear maps commuting with every arrow; checked on construction."""
 
-    source: Rep
-    target: Rep
-    vertex_maps: tuple
+    def __init__(self, source: Rep, target: Rep, vertex_maps: tuple):
+        self.__dict__.update(source=source, target=target, vertex_maps=vertex_maps)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.vertex_maps)
+                    == (other.source, other.target, other.vertex_maps))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.vertex_maps))
 
     def __post_init__(self):
         x, y = self.source, self.target

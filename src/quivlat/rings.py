@@ -88,7 +88,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -101,6 +100,7 @@ from .errors import (
     ParseError,
     TheoremViolation,
 )
+from ._record import Record
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The least strong pseudoprime to all of _MR_WITNESSES (Sorenson & Webster,
@@ -217,8 +217,7 @@ def _check_prime_provable(p: int):
             "below %d" % (p, _PRIME_PROOF_BOUND))
 
 
-@dataclass(frozen=True, repr=False)
-class RingSpec:
+class RingSpec(Record):
     """One of the supported coefficient rings.
 
     kind is "Z", "Q", "F" (prime field, parameter p), "Zmod" (parameter m)
@@ -241,11 +240,6 @@ class RingSpec:
     * row_axpy and row_comb, the row kernels of elimination (see _Integers).
     """
 
-    kind: str
-    p: int = 0
-    m: int = 0
-    n: int = 0
-
     def __new__(cls, kind=None, p=0, m=0, n=0):
         # copy and pickle call the class of a kind with no arguments
         if cls is RingSpec:
@@ -253,6 +247,10 @@ class RingSpec:
                 raise ParseError("unknown ring kind %r" % (kind,))
             cls = _KINDS[kind][0]
         return object.__new__(cls)
+
+    def __init__(self, kind, p=0, m=0, n=0):
+        self.__dict__.update(kind=kind, p=p, m=m, n=n)
+        self.__post_init__()
 
     def __post_init__(self):
         # a kind takes exact ints for the parameters _KINDS lists, and no others
@@ -271,6 +269,16 @@ class RingSpec:
 
     def __repr__(self) -> str:
         return "RingSpec(kind=%r, p=%r, m=%r, n=%r)" % (self.kind, self.p, self.m, self.n)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return (self.kind, self.p, self.m, self.n) == (other.kind, other.p, other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self.m, self.n))
 
     @staticmethod
     def parse(text: str) -> "RingSpec":
@@ -878,15 +886,24 @@ def _check_shape(rows, cols):
             "matrix dimensions must be nonnegative ints, got %r x %r" % (rows, cols))
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """Immutable matrix over a RingSpec.  The constructor canonicalises
     outside input; code inside the package builds canonical entries with _of."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple = ()
+    _fields = ("ring", "rows", "cols", "entries")
+
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple = ()):
+        self.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ring, self.rows, self.cols, self.entries)
+                    == (other.ring, other.rows, other.cols, other.entries))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __post_init__(self):
         _check_shape(self.rows, self.cols)
@@ -1408,16 +1425,15 @@ def _field_rref(a: ExactMatrix) -> tuple:
 # public normal-form API
 
 
-@dataclass(frozen=True)
-class NormalFormResult:
+class NormalFormResult(Record):
     """Canonical form nf = left * input * right with invertible transforms."""
 
-    nf: ExactMatrix
-    left: ExactMatrix
-    right: ExactMatrix
-    kind: str
-    left_inverse: ExactMatrix
-    right_inverse: ExactMatrix
+    _fields = ("nf", "left", "right", "kind", "left_inverse", "right_inverse")
+
+    def __init__(self, nf: ExactMatrix, left: ExactMatrix, right: ExactMatrix, kind: str,
+                 left_inverse: ExactMatrix, right_inverse: ExactMatrix):
+        self.__dict__.update(nf=nf, left=left, right=right, kind=kind,
+                             left_inverse=left_inverse, right_inverse=right_inverse)
 
 
 def normal_form(mat: ExactMatrix) -> NormalFormResult:
@@ -1687,6 +1703,23 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
+# Most cells one Hom complex or one read of vectors may fill:
+# homology._differential_rows places the C1 x C0 differential and a read of
+# its Hom generators fills C0 x C0; the Kronecker (30,29) self-pair of the
+# bound-60 orbit needs 6.1 million.  A read of kernel, cokernel or Ext
+# vectors is capped alike on its own (_check_read), since a complex with
+# C0 = 0 needs no cell yet may have C1 free cokernel factors.
+_MAX_HOM_CELLS = 2 * 10 ** 7
+
+
+def _check_read(count: int, length: int, what: str) -> None:
+    """Refuse with NotComputable a read of count vectors of length entries
+    that fills more than _MAX_HOM_CELLS cells; what names the vectors."""
+    cells = count * length
+    if cells > _MAX_HOM_CELLS:
+        raise NotComputable("%s need %d cells, above the cap %d" % (what, cells, _MAX_HOM_CELLS))
+
+
 def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
     """Clear _forward's echelon rows above each pivot, at the free
     (non-pivot) columns only, visiting each row's own nonzeros alone.
@@ -1788,9 +1821,12 @@ def kernel_data(a: ExactMatrix) -> tuple:
     vector generates the summand of the k-th invariant factor (torsion in
     chain order, then one vector per free summand), matching cokernel_data.
     Over the fields the vectors are the reduced kernel basis, from one
-    forward elimination and its back-substitution.
+    forward elimination and its back-substitution.  A read of more than
+    _MAX_HOM_CELLS cells is refused with NotComputable.
     """
     pres, vectors = _read_at_once(a)[:2]
+    _check_read(len(pres.invariant_factors), a.cols,
+                "the kernel vectors of a %dx%d matrix" % (a.rows, a.cols))
     return pres, vectors()
 
 
@@ -1810,8 +1846,7 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._of(ring, a.cols, len(gens), tuple(zip(*gens)))
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
+class ModulePresentation(Record):
     """A finitely presented module, held as its invariant factors alone:
     the direct sum of the R/(d).  generators counts the generators it was
     presented on: a cokernel's matrix rows, or a kernel's factors.
@@ -1821,9 +1856,20 @@ class ModulePresentation:
     come last.
     """
 
-    ring: RingSpec
-    generators: int
-    invariant_factors: tuple
+    _fields = ("ring", "generators", "invariant_factors")
+
+    def __init__(self, ring: RingSpec, generators: int, invariant_factors: tuple):
+        self.__dict__.update(ring=ring, generators=generators,
+                             invariant_factors=invariant_factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ring, self.generators, self.invariant_factors)
+                    == (other.ring, other.generators, other.invariant_factors))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.generators, self.invariant_factors))
 
     @property
     def is_free(self) -> bool:
@@ -1863,9 +1909,12 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     The k-th returned vector maps onto the k-th listed invariant-factor
     generator of the cokernel under the projection R^rows -> coker: the
     column of left^-1 at that generator's diagonal position.  Over the
-    fields they are unit vectors, read off one forward elimination.
+    fields they are unit vectors, read off one forward elimination.  A read
+    of more than _MAX_HOM_CELLS cells is refused with NotComputable.
     """
     pres, vectors = _read_at_once(a)[2:]
+    _check_read(len(pres.invariant_factors), a.rows,
+                "the cokernel vectors of a %dx%d matrix" % (a.rows, a.cols))
     return pres, vectors()
 
 
@@ -1996,8 +2045,7 @@ def _identity(x):
     return x
 
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(Record):
     """The canonical unital homomorphism from source to target.
 
     The supported ones are the identity; Z -> any ring and F_p ->
@@ -2008,8 +2056,11 @@ class RingHom:
     source's class.
     """
 
-    source: RingSpec
-    target: RingSpec
+    _fields = ("source", "target")
+
+    def __init__(self, source: RingSpec, target: RingSpec):
+        self.__dict__.update(source=source, target=target)
+        self.__post_init__()
 
     def __post_init__(self):
         s, t = self.source, self.target

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -49,6 +48,7 @@ from .errors import (
     PeelFailure,
     TheoremViolation,
 )
+from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
 from .mutation import _dims_orbit, _evaluation_map, _orbit_sequence, standard_sequence
 from .quiver import (
@@ -139,12 +139,13 @@ def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
     return out
 
 
-@dataclass(frozen=True)
-class GenericDims:
+class GenericDims(Record):
     """Hom and Ext ranks of the exceptional pair for two real Schur roots."""
 
-    hom_rank: int
-    ext_rank: int
+    _fields = ("hom_rank", "ext_rank")
+
+    def __init__(self, hom_rank: int, ext_rank: int):
+        self.__dict__.update(hom_rank=hom_rank, ext_rank=ext_rank)
 
 
 def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
@@ -164,8 +165,7 @@ def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims
 # decomposition of rigid representations
 
 
-@dataclass(frozen=True)
-class RigidDecomposition:
+class RigidDecomposition(Record):
     """Summands with multiplicities, in an order with no backwards maps.
 
     certificate is a verified isomorphism from the direct sum of
@@ -174,10 +174,15 @@ class RigidDecomposition:
     while peeling, innermost last.
     """
 
-    summands: tuple          # ((Rep, multiplicity), ...)
-    ordering: tuple          # dimension vectors, same order
-    certificate: RepMorphism
-    evaluations: tuple       # RepMorphism per peel step
+    _fields = ("summands",      # ((Rep, multiplicity), ...)
+               "ordering",      # dimension vectors, same order
+               "certificate",   # RepMorphism
+               "evaluations")   # RepMorphism per peel step
+
+    def __init__(self, summands: tuple, ordering: tuple, certificate: RepMorphism,
+                 evaluations: tuple):
+        self.__dict__.update(summands=summands, ordering=ordering, certificate=certificate,
+                             evaluations=evaluations)
 
     def to_json(self) -> dict:
         return {

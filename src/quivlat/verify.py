@@ -3,13 +3,16 @@
 Each suite runs `size` independent cases from a seeded generator and
 reports pass/fail counts with the first counterexample, so failures are
 data rather than exceptions.  All suites are deterministic for a fixed
-seed and size.
+seed and size.  Their names, SUITES, are held by the package namespace,
+so that the command line offers them without loading this module;
+_RUNNERS pairs them, in order, with the suites.
 """
 
 from __future__ import annotations
 
 import random
 
+from . import SUITES
 from .errors import QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, rigid_hom_ext_ranks
 from .mutation import ExcSequence, _dims_orbit, braid_act, orbit_search, standard_sequence
@@ -293,15 +296,8 @@ def _suite_theorem_c(seed, size):
                 {"dims": list(r), "multiplicity": m} for r, m, _ in planted]}
 
 
-_RUNNERS = {
-    "euler": _suite_euler,
-    "basechange": _suite_basechange,
-    "braid": _suite_braid,
-    "theoremA": _suite_theorem_a,
-    "theoremB": _suite_theorem_b,
-    "theoremC": _suite_theorem_c,
-}
-SUITES = tuple(_RUNNERS)
+_RUNNERS = dict(zip(SUITES, (_suite_euler, _suite_basechange, _suite_braid, _suite_theorem_a,
+                             _suite_theorem_b, _suite_theorem_c), strict=True))
 
 
 def run_suite(name: str, seed: int = 0, size: int = 20) -> dict:

@@ -13,6 +13,9 @@ no cell, yet Ext is free of rank 12000 on 12000 generators: reading its
 cocycles would fill 144 million cells.  In a child process under a 1 GiB
 address-space limit the ranks answer and the read is refused with
 NotComputable, over Z and over F_2, where it once raised MemoryError.
+The same cap refuses a vector read on a bare matrix: the cokernel of the
+12000 x 0 zero matrix over Z and the kernel of the 0 x 12000 one over F_2,
+each 12000 vectors of length 12000.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_hom_ext_memory.py
@@ -78,17 +81,46 @@ for spec in ("Z", "F:2"):
 """
 
 
-def test_an_ext_read_above_the_cap_is_refused_not_allocated():
+def _run_capped(script: str) -> list:
+    """The JSON lines a script prints in a child under the 1 GiB limit."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", EXT_READ], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_an_ext_read_above_the_cap_is_refused_not_allocated():
+    lines = _run_capped(EXT_READ)
     says = "the Ext cocycles of (1, 0) and (0, 6000) need 144000000 cells, above the cap"
-    for line, spec in zip(proc.stdout.splitlines(), ("Z", "F:2"), strict=True):
-        ring, rank, raised = json.loads(line)
+    for (ring, rank, raised), spec in zip(lines, ("Z", "F:2"), strict=True):
         assert (ring, rank) == (spec, 12000)
         assert raised is not None and raised[0] == "NotComputable", (spec, raised)
         assert raised[1].startswith(says), (spec, raised)
+
+
+# Run in the child: one JSON line per read, what it raised.
+MATRIX_READ = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.rings import ExactMatrix, GF, ZZ, cokernel_data, kernel_data
+for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
+                  (kernel_data, ExactMatrix.zeros(GF(2), 0, 12000))):
+    try:
+        read(mat)
+        raised = None
+    except Exception as exc:
+        raised = [type(exc).__name__, str(exc)]
+    print(json.dumps(raised))
+"""
+
+
+def test_a_matrix_vector_read_above_the_cap_is_refused_not_allocated():
+    says = ("the cokernel vectors of a 12000x0 matrix need 144000000 cells, above the cap",
+            "the kernel vectors of a 0x12000 matrix need 144000000 cells, above the cap")
+    for raised, start in zip(_run_capped(MATRIX_READ), says, strict=True):
+        assert raised is not None and raised[0] == "NotComputable", raised
+        assert raised[1].startswith(start), raised
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ and class attribute of the ring classes is read somewhere in the package,
 and every error class is raised somewhere in the package, with its own
 name for its code.
 
-The package's __init__.py re-exports names it never reads; those it lists
-in __all__ are exempt.  A private definition is a module-level function,
-class or constant, or a method, whose name starts with one underscore (not
-a dunder); a leftover of a refactor that nothing calls any more is one.
+The package's __init__.py imports no name it exports (it reads each off
+its submodule on first use), so it is held to the same rule.  A private
+definition is a module-level function, class or constant, or a method,
+whose name starts with one underscore (not a dunder); a leftover of a
+refactor that nothing calls any more is one.
 Stdlib only (ast), so it also runs without pytest:
     python tests/test_unused_imports.py
 """
@@ -31,21 +32,11 @@ def _imported_names(tree):
     return out
 
 
-def _exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def unused_imports(path):
     """Sorted (line, name) of the names the module imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    if path.name == "__init__.py":
-        read |= _exported_names(tree)
     return sorted((line, name) for name, line in _imported_names(tree).items()
                   if name not in read)
 
