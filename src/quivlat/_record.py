@@ -5,9 +5,18 @@ A record sets its fields once, in its own ``__init__``, straight into its
 assignment or deletion raises AttributeError.  The generic methods here
 read the fields a class lists in ``_fields``: two records are equal when
 they are of one class and their fields are equal, they hash as the tuple
-of their fields, and the repr lists the fields by keyword.  The classes
-built most often state their own ``__eq__`` and ``__hash__`` on their
-fields, which run faster than these generic ones.
+of their fields, and the repr lists the fields by keyword.
+
+Four classes state their own ``__eq__`` and ``__hash__`` on their fields,
+because the benchmark traffic calls them.  Per lattice-orbit op (seed 1,
+passes 0-2, 276 ops), RingSpec takes 14.8 ``__eq__`` calls, Quiver 5.2 and
+4.9 hashes, ExactMatrix 1.4 and 2.3, and Rep 0.6 and 2.7.  The generic
+methods read through one ``operator.attrgetter`` per class measured about
+2x slower on CPython 3.11 (RingSpec ``__eq__`` 135 -> 300 ns, Rep 560 ->
+1300 ns), and 1.3-1.5x slower on a slower 2-core host (RingSpec 210 -> 280
+ns, Rep 1400 -> 2150 ns).  Every other record uses the methods here:
+ModulePresentation and RepMorphism took no ``__eq__`` or ``__hash__`` call
+in those ops, nor in 3 passes of homext-sweep (45 ops).
 """
 
 

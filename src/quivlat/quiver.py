@@ -307,18 +307,11 @@ class Rep(Record):
 class RepMorphism(Record):
     """Vertexwise linear maps commuting with every arrow; checked on construction."""
 
+    _fields = ("source", "target", "vertex_maps")
+
     def __init__(self, source: Rep, target: Rep, vertex_maps: tuple):
         self.__dict__.update(source=source, target=target, vertex_maps=vertex_maps)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.vertex_maps)
-                    == (other.source, other.target, other.vertex_maps))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.vertex_maps))
 
     def __post_init__(self):
         x, y = self.source, self.target

@@ -76,6 +76,8 @@ skip zero multiplicands, which dominate the sparse differentials and the
 identity-like transforms, and the values they store are bit-identical to
 element-wise ``add``/``mul``.
 A ring hom is fixed by its two rings and picks its per-entry map once.
+No algorithm reads a ring's kind: what the forward pass and the sheet ask
+of a ring are two contracts, stated in :class:`RingSpec`'s docstring.
 
 Entries are canonicalised once: ``ExactMatrix(...)`` canonicalises outside
 input, and internal producers use the trusted ``ExactMatrix._of``.
@@ -228,7 +230,7 @@ class RingSpec(Record):
     * zero, one, is_field, is_domain, is_finite, and size and elements()
       of a finite ring;
     * canon(x), the canonical element of liberal input; add, neg, sub, mul;
-      is_zero, is_unit, inv;
+      is_zero, nonzero (its negation), is_unit, inv;
     * solve_scalar(a, c), some x with a*x = c, or None; divides;
       gcdex(a, b) = (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
       s*v - t*u a unit, so the 2x2 transform is invertible;
@@ -238,6 +240,35 @@ class RingSpec(Record):
       pivoting weight of a nonzero x, 1 exactly on units;
     * entry_from_json and entry_to_json;
     * row_axpy and row_comb, the row kernels of elimination (see _Integers).
+
+    Only these classes read kind.  An algorithm asks a ring for what one of
+    two contracts lists, and tests/test_ring_contracts.py pins both:
+
+    1. The forward pass (_forward: is_invertible, the field reductions, and
+       Hom and Ext over Q and F_p) takes dict rows of nonzero entries,
+       which _nonzeros and homology._differential_rows build with
+       nonzero(x), true exactly when x is not zero.  It asks for p and
+       _forward_ints(rows).  When p is nonzero the pass works mod p, on
+       the rows' images in the residue field F_p, and a square matrix is
+       invertible when it has full rank there: the ring is F_p or local
+       over it.  When p is zero the pass is Bareiss on integer rows that
+       are the input's up to units (scaled over Q, least absolute
+       residues over Z/m), and is_unit(d) of the int d it ends on says
+       whether a matrix with determinant +-d is invertible.
+    2. The sheet (_Worksheet, and solve, normal_form, cokernel_projection
+       and Hom and Ext over the other rings, which read it) asks for a
+       principal ideal ring's arithmetic: canonical zero and one, add, neg,
+       sub, mul, is_zero, is_unit, inv, solve_scalar, divides, gcdex,
+       pivot_size, unit_to_canonical, canonical_gen and ann_gen, and the
+       kernels row_axpy, row_comb and dict_axpy.  A sheet over a finite
+       ring resumes when its diagonal is read.  One over an infinite ring
+       (only Z reaches a sheet) stays paused and reads the residual's
+       factors modulo 2|D|, so that ring meets the first contract with p
+       zero as well.
+
+    Past these, an algorithm reads is_field (the forward pass or a sheet),
+    is_domain (Smith or Howell form), p (the pass leaves F_p pivots at 1)
+    and m (constant_rank splits Z/m by the CRT).
     """
 
     def __new__(cls, kind=None, p=0, m=0, n=0):
@@ -298,6 +329,10 @@ class RingSpec(Record):
         return RingSpec(kind, **dict(zip(names, values)))
 
     # -- what every class shares ---------------------------------------------
+
+    # truthiness, 7x cheaper than != on Fractions; Feps tuples are always
+    # truthy, so _Truncated has its own
+    nonzero = bool
 
     @property
     def size(self) -> int:
@@ -397,6 +432,9 @@ class _Integers(RingSpec):
     def _map_to(self, target):
         return target.canon   # Z is initial: an integer goes to its image
 
+    def _forward_ints(self, rows):
+        return rows   # consumed
+
     # -- row kernels of elimination ------------------------------------------
 
     def row_axpy(self, dst, src, c):
@@ -477,6 +515,11 @@ class _Rationals(_Integers):
 
     def entry_to_json(self, x):
         return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+    def _forward_ints(self, rows):
+        # each row scaled by the lcm of its denominators
+        return [{k: x.numerator * (lcm // x.denominator) for k, x in row.items()}
+                for row in rows for lcm in [math.lcm(*[x.denominator for x in row.values()])]]
 
     def _map_to(self, target):
         return None
@@ -574,6 +617,14 @@ class _Modular(RingSpec):
 
     def pivot_size(self, x) -> int:
         return math.gcd(x, self._mod)
+
+    def _forward_ints(self, rows):
+        # F_p rows are consumed; Z/m ones lifted to least absolute residues,
+        # which move the determinant by a multiple of m and keep the minors
+        # as small as over Z
+        m = self.m
+        return rows if not m else [{k: x - m if 2 * x > m else x for k, x in row.items()}
+                                   for row in rows]
 
     def _residue(self, x, pivot):
         """Canonical residue of x modulo the ideal (pivot)."""
@@ -690,6 +741,8 @@ class _Truncated(RingSpec):
     def is_zero(self, a) -> bool:
         return not any(a)
 
+    nonzero = any   # a C call, cheaper than zero.__ne__
+
     def is_unit(self, a) -> bool:
         return a[0] != 0
 
@@ -754,6 +807,10 @@ class _Truncated(RingSpec):
 
     def pivot_size(self, x) -> int:
         return self._val(x) + 1
+
+    def _forward_ints(self, rows):
+        # the constant terms, the images in the residue field F_p
+        return [{k: x[0] for k, x in row.items() if x[0]} for row in rows]
 
     def _residue(self, x, pivot):
         """Canonical residue of x modulo the ideal (pivot): the coefficients
@@ -987,8 +1044,7 @@ class ExactMatrix(Record):
             raise IncompatibleRing("mixed rings %s and %s" % (self.ring, other.ring))
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions %d vs %d" % (self.cols, other.rows))
-        ring, zero = self.ring, self.ring.zero
-        nonzero = zero.__ne__ if ring.kind == "Feps" else bool   # Feps tuples are always truthy
+        ring, zero, nonzero = self.ring, self.ring.zero, self.ring.nonzero
         data = []
         for row in self.entries:   # the sum of x * (row k of other), x = row[k] nonzero
             acc = [zero] * other.cols
@@ -1330,15 +1386,16 @@ class _Worksheet:
         over Z/2|D| is that of S over Z (the modular determinant method of
         Domich, Kannan and Trotter).
         """
-        if self.ring.kind != "Z":
+        if self.ring.is_finite:
             self.resume()
         n, width = self.n, self.cols - self.t
         if self.paused is None:
             diag = [n[i][i] for i in range(min(len(n), width))]
         else:
-            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, 0), width)[:3]
+            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, self.ring), width)[:3]
             m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
-            diag = _diagonal_sheet(Zmod(m), _nonzeros([[x % m for x in row] for row in n], 0),
+            mod = Zmod(m)
+            diag = _diagonal_sheet(mod, _nonzeros([[x % m for x in row] for row in n], mod),
                                    width).diagonal(len(pivot_rows))
         diag = [self.ring.one] * self.t + diag
         return diag[:length] + [self.ring.zero] * (length - len(diag))
@@ -1414,7 +1471,7 @@ def _field_rref(a: ExactMatrix) -> tuple:
     """The pivot columns and the nonzero rows of the reduced row echelon
     form of a over Q or F_p, from one _field_reduce."""
     pivot_cols, _, reduced = _field_reduce(a)
-    if a.ring.kind == "F":   # the pivots are 1 already
+    if a.ring.p:   # the pivots are 1 already
         return pivot_cols, reduced
     zero = a.ring.zero
     return pivot_cols, [[Fraction(x, row[c]) if x else zero for x in row]
@@ -1463,13 +1520,13 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
             ExactMatrix._of(ring, mat.rows, mat.rows,
                             tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
             ident)
-    ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring.zero), mat.cols)
+    ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring), mat.cols)
 
     def replayed(size, ops, inverse=False):
         rows = _replay(ring, _unit_columns(ring, size, range(size)), ops, inverse)
         return ExactMatrix._of(ring, size, size, tuple(map(tuple, rows)))
 
-    kind = "Smith" if ring.kind == "Z" else "Howell"
+    kind = "Smith" if ring.is_domain else "Howell"
     return NormalFormResult(
         ws.matrix(), replayed(mat.rows, ws.row_ops), replayed(mat.cols, reversed(ws.col_ops)),
         kind, replayed(mat.rows, reversed(ws.row_ops), True), replayed(mat.cols, ws.col_ops, True))
@@ -1499,7 +1556,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
         for c, row in zip(pivots, rows):
             x[c] = tuple(row[a.cols:])
         return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
-    ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
+    ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
     c = _replay(ring, [list(row) for row in b.entries], ws.row_ops)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
@@ -1519,7 +1576,7 @@ def is_invertible(mat: ExactMatrix) -> bool:
     (Nakayama); over Z and Z/m full rank with a last pivot, +-det, of +-1
     or coprime to m.  The one forward elimination, _forward, on mat's
     nonzeros (_nonzeros) decides it."""
-    return mat.rows == mat.cols and _forward(mat.ring, _nonzeros(mat.entries, mat.ring.zero),
+    return mat.rows == mat.cols and _forward(mat.ring, _nonzeros(mat.entries, mat.ring),
                                              mat.cols)[3]
 
 
@@ -1528,11 +1585,11 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
     dicts from column to nonzero entry.
 
     Returns the pivot columns, the pivot rows' indices, the int rows and
-    is_invertible's answer.  Over F_p, and over Feps on the constant terms,
-    it works mod p, each pivot row scaled to pivot 1.  Over Q (rows scaled
-    by the lcm of their denominators), Z and Z/m (on least absolute
-    residues: they move the determinant by a multiple of m and keep the
-    minors as small as over Z) it is Bareiss.  Only rows not yet pivots are
+    is_invertible's answer.  It runs on ring._forward_ints(rows), the first
+    contract of RingSpec: mod p when ring.p is nonzero (over F_p, and over
+    Feps on the constant terms), each pivot row scaled to pivot 1, else
+    Bareiss (over Z, Q on rows scaled by the lcm of their denominators,
+    and Z/m on least absolute residues).  Only rows not yet pivots are
     updated, and none moves; a column's pivot is the candidate with the
     fewest nonzeros, the lowest index on ties.  A row a step skips (zero in
     its column) keeps the stamp of its last update, and the next step that
@@ -1540,15 +1597,7 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
     row ends fraction-free, of minors, and the last pivot is the leading
     minor of the pivot rows and columns: +-det at full square rank.
     """
-    p, m = ring.p, ring.m   # p is 0 for Z, Q and Z/m
-    if ring.kind == "Q":
-        ints = [{k: x.numerator * (lcm // x.denominator) for k, x in row.items()}
-                for row in rows for lcm in [math.lcm(*[x.denominator for x in row.values()])]]
-    elif ring.kind == "Feps":
-        ints = [{k: x[0] for k, x in row.items() if x[0]} for row in rows]
-    else:   # Z and F_p rows are consumed
-        ints = rows if not m else [
-            {k: x - m if 2 * x > m else x for k, x in row.items()} for row in rows]
+    p, ints = ring.p, ring._forward_ints(rows)   # p is 0 for Z, Q and Z/m
     col_rows = [set() for _ in range(cols)]   # the rows not yet pivots, by column
     for i, row in enumerate(ints):
         for k in row:
@@ -1597,7 +1646,7 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
                     col_rows[k].add(j)
             ints[j] = new
     return pivot_cols, pivot_rows, ints, len(pivot_rows) == cols == len(ints) and (
-        ring.kind not in ("Z", "Zmod") or ring.is_unit(den))
+        p != 0 or ring.is_unit(den))
 
 
 def invert(mat: ExactMatrix) -> ExactMatrix:
@@ -1753,7 +1802,7 @@ def _field_reduce(a: ExactMatrix) -> tuple:
     elimination, _forward, then _back_substitute.  Returns the pivot columns,
     the pivot rows' indices and the reduced rows, d times those of the rref:
     over F_p that form, over Q ints within Hadamard's bound."""
-    pivot_cols, pivot_rows, rows, _ = _forward(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)
+    pivot_cols, pivot_rows, rows, _ = _forward(a.ring, _nonzeros(a.entries, a.ring), a.cols)
     free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
     w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, a.ring.p)
     reduced = [[0] * a.cols for _ in w]
@@ -1764,13 +1813,11 @@ def _field_reduce(a: ExactMatrix) -> tuple:
     return pivot_cols, pivot_rows, reduced
 
 
-def _nonzeros(rows, zero) -> list:
+def _nonzeros(rows, ring) -> list:
     """Rows as dicts from column to nonzero entry: most zeros are the
-    ring's own, and truthiness finds the rest (== calls a method), save
-    over Feps, whose tuples are always truthy."""
-    if type(zero) is tuple:
-        return [{j: x for j, x in enumerate(row) if x is not zero and x != zero} for row in rows]
-    return [{j: x for j, x in enumerate(row) if x is not zero and x} for row in rows]
+    ring's own, and ring.nonzero finds the rest."""
+    zero, nonzero = ring.zero, ring.nonzero
+    return [{j: x for j, x in enumerate(row) if x is not zero and nonzero(x)} for row in rows]
 
 
 def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
@@ -1862,15 +1909,6 @@ class ModulePresentation(Record):
         self.__dict__.update(ring=ring, generators=generators,
                              invariant_factors=invariant_factors)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ring, self.generators, self.invariant_factors)
-                    == (other.ring, other.generators, other.invariant_factors))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.generators, self.invariant_factors))
-
     @property
     def is_free(self) -> bool:
         return all(self.ring.is_zero(d) for d in self.invariant_factors)
@@ -1900,7 +1938,7 @@ def _chain_order(ring: RingSpec, diag: Sequence) -> list:
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
-    return _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)[2]
+    return _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring), a.cols)[2]
 
 
 def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
@@ -1924,14 +1962,17 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     Returns a (free rank x rows) matrix pi with pi * a = 0 whose rows map
     R^rows onto coker(a), or None when the cokernel has a torsion summand
     and no such free presentation exists.  Its rows are the rows of the
-    left transform at the zero rows of the normal form.
+    left transform at the zero rows of the normal form.  Either way that
+    transform is built in full first, so more than _MAX_HOM_CELLS cells of
+    it are refused with NotComputable.
     """
     ring = a.ring
+    _check_read(a.rows, a.rows, "the left transform rows of a %dx%d matrix" % (a.rows, a.cols))
     if ring.is_field:   # left is the identity block of the rref of [a | I]
         pivots, reduced = _field_rref(a.hstack(ExactMatrix.identity(ring, a.rows)))
         rows = [tuple(r[a.cols:]) for c, r in zip(pivots, reduced) if c >= a.cols]
     else:
-        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
+        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
         diag = ws.diagonal(a.rows)
         idx = _chain_order(ring, diag)
         if not all(ring.is_zero(diag[i]) for i in idx):
@@ -1961,7 +2002,7 @@ def _read_at_once(a: ExactMatrix) -> tuple:
     their vectors at once: the sheet is diagonalised in full before its
     diagonal is read, so over Z it reads no factors modulo 2|D| that the
     vector read would resume past."""
-    ring, rows = a.ring, _nonzeros(a.entries, a.ring.zero)
+    ring, rows = a.ring, _nonzeros(a.entries, a.ring)
     if ring.is_field:
         return _field_hom_ext(ring, rows, a.cols)
     return _sheet_hom_ext(_diagonal_sheet(ring, rows, a.cols))
@@ -2027,7 +2068,7 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
     rank, or None when they differ (possible only over Z/m with composite m).
     """
     ring, factors = pres.ring, pres.invariant_factors
-    parts = [(ring, factors)] if ring.kind != "Zmod" else [
+    parts = [(ring, factors)] if not ring.m else [
         (local, _mapped_factors(factors, RingHom(ring, local)))
         for local in (Zmod(q ** k) for q, k in _factorize(ring.m))]
     for local, part in parts:

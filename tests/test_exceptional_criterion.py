@@ -153,7 +153,7 @@ def test_orthogonal_matches_hom_ext_on_orbit_pairs():
 
 
 def _invertible_by_diagonal(mat):
-    ws = _diagonal_sheet(mat.ring, _nonzeros(mat.entries, mat.ring.zero), mat.cols)
+    ws = _diagonal_sheet(mat.ring, _nonzeros(mat.entries, mat.ring), mat.cols)
     return all(mat.ring.is_unit(d) for d in ws.diagonal(mat.rows))
 
 

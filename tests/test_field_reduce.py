@@ -64,7 +64,7 @@ SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 12), (12, 
 
 def _elimination_input(a):
     """a as the elimination internals take it: ring, dict rows, columns."""
-    return a.ring, rings._nonzeros(a.entries, a.ring.zero), a.cols
+    return a.ring, rings._nonzeros(a.entries, a.ring), a.cols
 
 
 def _entry(kind, ring, rng):

@@ -15,7 +15,9 @@ address-space limit the ranks answer and the read is refused with
 NotComputable, over Z and over F_2, where it once raised MemoryError.
 The same cap refuses a vector read on a bare matrix: the cokernel of the
 12000 x 0 zero matrix over Z and the kernel of the 0 x 12000 one over F_2,
-each 12000 vectors of length 12000.
+each 12000 vectors of length 12000, and the cokernel projection of the
+12000 x 0 zero matrix over Z and over F_2, whose 12000 x 12000 left
+transform is refused before either branch builds it.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_hom_ext_memory.py
@@ -103,9 +105,11 @@ def test_an_ext_read_above_the_cap_is_refused_not_allocated():
 MATRIX_READ = """
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from quivlat.rings import ExactMatrix, GF, ZZ, cokernel_data, kernel_data
+from quivlat.rings import ExactMatrix, GF, ZZ, cokernel_data, cokernel_projection, kernel_data
 for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
-                  (kernel_data, ExactMatrix.zeros(GF(2), 0, 12000))):
+                  (kernel_data, ExactMatrix.zeros(GF(2), 0, 12000)),
+                  (cokernel_projection, ExactMatrix.zeros(ZZ, 12000, 0)),
+                  (cokernel_projection, ExactMatrix.zeros(GF(2), 12000, 0))):
     try:
         read(mat)
         raised = None
@@ -117,7 +121,9 @@ for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
 
 def test_a_matrix_vector_read_above_the_cap_is_refused_not_allocated():
     says = ("the cokernel vectors of a 12000x0 matrix need 144000000 cells, above the cap",
-            "the kernel vectors of a 0x12000 matrix need 144000000 cells, above the cap")
+            "the kernel vectors of a 0x12000 matrix need 144000000 cells, above the cap",
+            "the left transform rows of a 12000x0 matrix need 144000000 cells, above the cap",
+            "the left transform rows of a 12000x0 matrix need 144000000 cells, above the cap")
     for raised, start in zip(_run_capped(MATRIX_READ), says, strict=True):
         assert raised is not None and raised[0] == "NotComputable", raised
         assert raised[1].startswith(start), raised

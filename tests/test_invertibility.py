@@ -38,7 +38,7 @@ RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 3
 def _invertible_by_diagonal(mat):
     if mat.rows != mat.cols:
         return False
-    ws = _diagonal_sheet(mat.ring, _nonzeros(mat.entries, mat.ring.zero), mat.cols)
+    ws = _diagonal_sheet(mat.ring, _nonzeros(mat.entries, mat.ring), mat.cols)
     return all(mat.ring.is_unit(d) for d in ws.diagonal(mat.rows))
 
 

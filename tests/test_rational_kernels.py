@@ -106,7 +106,7 @@ def test_q_hom_ext_with_fractional_entries_matches_elementwise_ops():
         a = he.differential
         with _elementwise():
             ref = rings._sheet_hom_ext(rings._diagonal_sheet(
-                QQ, rings._nonzeros(a.entries, QQ.zero), a.cols))[::2]
+                QQ, rings._nonzeros(a.entries, QQ), a.cols))[::2]
         _assert_identical((he.hom, he.ext), ref, "over Q, %r x %r" % (dims_x, dims_y))
         assert [len(he._hom_vecs), len(he._ext_vecs)] == [
             len(pres.invariant_factors) for pres in ref]

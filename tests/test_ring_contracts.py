@@ -8,16 +8,36 @@
     parameters it does not take.
 (d) The canonical homs: their values, which are onto with a nilpotent
     kernel, which are bijective and which have a section.
+(e) The two contracts of RingSpec's docstring: what the forward pass asks
+    of a ring (nonzero, p, _forward_ints and the unit verdict) and what the
+    sheet asks (the arithmetic of (a), and p zero on an infinite ring).
+    No algorithm reads a ring's kind: an AST scan of the package finds no
+    .kind read of ring or *.ring outside the ring classes.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_ring_contracts.py
 """
 
+import ast
+import os
 import random
 from fractions import Fraction
 
+from quivlat import rings
 from quivlat.errors import IncompatibleBase, NotComputable, ParseError
-from quivlat.rings import Feps, GF, QQ, RingSpec, ZZ, Zmod, canonical_hom, identity_hom
+from quivlat.rings import (
+    ExactMatrix,
+    Feps,
+    GF,
+    QQ,
+    RingSpec,
+    ZZ,
+    Zmod,
+    _nonzeros,
+    canonical_hom,
+    identity_hom,
+    is_invertible,
+)
 
 FINITE = (GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 2))
 RINGS = (ZZ, QQ) + FINITE
@@ -240,6 +260,112 @@ def test_identity_hom_and_unsupported_pairs():
         assert identity_hom(ring).apply(ring.one) == ring.one
     for source, target in UNSUPPORTED:
         assert _raises(IncompatibleBase, canonical_hom, source, target), (source, target)
+
+
+# ---------------------------------------------------------------------------
+# (e) the forward pass's and the sheet's contracts
+
+
+FORWARD = ("nonzero", "p", "_forward_ints", "is_unit")
+SHEET = ("zero", "one", "add", "neg", "sub", "mul", "is_zero", "is_unit", "inv",
+         "solve_scalar", "divides", "gcdex", "pivot_size", "unit_to_canonical",
+         "canonical_gen", "ann_gen", "row_axpy", "row_comb", "dict_axpy", "is_finite")
+
+
+def _rows(ring, seed, height=6, width=5):
+    """Dict rows of a random matrix over ring, about half its cells zero."""
+    rng = random.Random("rows:%s:%d" % (ring, seed))
+    elems = _sample(ring)
+    cells = [[rng.choice(elems) if rng.random() < 0.5 else ring.zero for _ in range(width)]
+             for _ in range(height)]
+    return _nonzeros(cells, ring)
+
+
+def test_every_ring_has_both_contracts():
+    for ring in RINGS:
+        for name in FORWARD + (() if ring.is_field else SHEET):
+            assert hasattr(ring, name), (str(ring), name)
+        if not ring.is_field and not ring.is_finite:   # its sheet reads factors mod 2|D|
+            assert ring.p == 0, str(ring)
+
+
+def test_nonzero_is_the_negation_of_is_zero():
+    for ring in RINGS:
+        for x in _sample(ring):
+            assert ring.nonzero(x) == (not ring.is_zero(x)), (str(ring), x)
+
+
+def test_nonzeros_keeps_exactly_the_nonzero_cells():
+    for ring in RINGS:
+        rng = random.Random("cells:%s" % ring)
+        cells = [[rng.choice(_sample(ring)) for _ in range(4)] for _ in range(4)]
+        assert _nonzeros(cells, ring) == [
+            {j: x for j, x in enumerate(row) if not ring.is_zero(x)} for row in cells], str(ring)
+
+
+def test_forward_ints_gives_each_ring_what_it_needs():
+    for ring in RINGS:
+        for seed in range(5):
+            rows = _rows(ring, seed)
+            before = [dict(row) for row in rows]
+            ints = ring._forward_ints(rows)
+            what = "%s seed %d" % (ring, seed)
+            if ring == ZZ or ring.is_field and ring.p:   # Z and F:p: as they are
+                assert ints is rows and ints == before, what
+                continue
+            assert all(type(x) is int and x for row in ints for x in row.values()), what
+            if ring == QQ:   # integral multiples of the input rows
+                for row, out in zip(before, ints, strict=True):
+                    assert row.keys() == out.keys(), what
+                    scales = {Fraction(out[k]) / x for k, x in row.items()}
+                    assert len(scales) <= 1 and 0 not in scales, what
+            elif ring.m:   # least absolute residues, congruent mod m
+                m = ring.m
+                for row, out in zip(before, ints, strict=True):
+                    assert row.keys() == out.keys(), what
+                    assert all(out[k] % m == x and -m < 2 * out[k] <= m
+                               for k, x in row.items()), what
+            else:   # Feps: the constant terms
+                assert ring.p and ints == [{k: x[0] for k, x in row.items() if x[0]}
+                                           for row in before], what
+
+
+def test_the_forward_unit_verdict_is_is_unit():
+    """A 1x1 matrix is invertible exactly on a unit: mod p on the residue
+    field F_p, else by is_unit of the int the pass ends on."""
+    for ring in RINGS:
+        for x in _sample(ring):
+            mat = ExactMatrix(ring, 1, 1, ((x,),))
+            assert is_invertible(mat) is ring.is_unit(x), (str(ring), x)
+
+
+def _kind_reads(tree):
+    """The lines of .kind reads of ring or *.ring outside the ring classes."""
+    ring_classes = {"RingSpec"} | {cls.__name__ for cls, _ in rings._KINDS.values()}
+    lines, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name in ring_classes:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "ring"
+                    or isinstance(owner, ast.Attribute) and owner.attr == "ring"):
+                lines.append(node.lineno)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_no_algorithm_reads_a_ring_kind():
+    package = os.path.dirname(os.path.abspath(rings.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += ["%s:%d" % (name, line) for line in _kind_reads(tree)]
+    assert not found, "ring kind read outside the ring classes at " + ", ".join(found)
+    assert _kind_reads(ast.parse("def f(a, ring):\n    return a.ring.kind, ring.kind")) == [2, 2]
 
 
 if __name__ == "__main__":

@@ -436,7 +436,7 @@ def test_replayed_transforms_match_elementary_products():
         mats += [differential(random_rep(ring, kronecker, (2, 3), rng),
                               random_rep(ring, kronecker, (2, 3), rng)) for _ in range(2)]
         for a in mats:
-            ws = rings._diagonal_sheet(ring, rings._nonzeros(a.entries, ring.zero), a.cols)
+            ws = rings._diagonal_sheet(ring, rings._nonzeros(a.entries, ring), a.cols)
             left = ExactMatrix.identity(ring, a.rows)
             for op in ws.row_ops:
                 left = _elementary(ring, a.rows, op).mul(left)

@@ -402,7 +402,7 @@ def test_forward_on_z_residuals():
         x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
         a = differential(x, y)
         with _Recorder(rings) as rec:
-            ws = _Worksheet(ZZ, _nonzeros(a.entries, 0), a.cols)
+            ws = _Worksheet(ZZ, _nonzeros(a.entries, ZZ), a.cols)
             ws.diagonalize()
             ws.diagonal(a.rows)
         for ring, rows, cols in rec.seen:
@@ -589,9 +589,9 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         placed.append(([dict(row) for row in rows], cols))
         return rows, cols
 
-    def scan(rows, zero):
+    def scan(rows, ring):
         scanned.append(rows)
-        return real_scan(rows, zero)
+        return real_scan(rows, ring)
 
     def densify(ring, rows, cols):
         densified.append(cols)

@@ -179,7 +179,7 @@ def _random_matrices(ring):
 
 def _paused_sheet(a):
     """The sheet of a after its unit phase, where every sheet pauses."""
-    ws = _Worksheet(a.ring, _nonzeros(a.entries, a.ring.zero), a.cols)
+    ws = _Worksheet(a.ring, _nonzeros(a.entries, a.ring), a.cols)
     ws.diagonalize()
     return ws
 
@@ -209,7 +209,7 @@ def test_a_paused_sheet_reads_the_full_diagonal():
         ws = _paused_sheet(a)
         paused = ws.paused is not None
         residuals[ring] = residuals.get(ring, 0) + paused
-        full = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
+        full = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
         assert ws.diagonal(length) == full.diagonal(length), a
         assert (ws.paused is not None) is (paused and ring == ZZ), a
     assert all(residuals[ring] >= 3 for ring in RINGS), residuals
@@ -220,7 +220,7 @@ def test_a_paused_sheet_reads_the_full_diagonal():
 def test_a_column_that_gains_a_unit_after_its_turn():
     for ring in (ZZ, Zmod(12)):   # over a local ring the non-units are an ideal
         a = _mat(ring, [[2, 1], [3, 1]])
-        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring.zero), a.cols)
+        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
         assert ws.t == 2 and ws.matrix() == _identity(ring, 2)
         assert ws.col_ops[0] == (1, 0, ring.canon(-2))   # the first pivot is in column 1
         check_all(a)

@@ -43,7 +43,7 @@ def _mat(rows):
 
 def _elimination_input(a):
     """a as the elimination internals take it: ring, dict rows, columns."""
-    return a.ring, rings._nonzeros(a.entries, a.ring.zero), a.cols
+    return a.ring, rings._nonzeros(a.entries, a.ring), a.cols
 
 
 def _paused_sheet(a):
@@ -101,7 +101,7 @@ def _assert_transforms_hold(ws, a):
 
 
 def _last_pivot(a):
-    pivot_cols, pivot_rows, rows = _forward(ZZ, rings._nonzeros(a.entries, 0), a.cols)[:3]
+    pivot_cols, pivot_rows, rows = _forward(ZZ, rings._nonzeros(a.entries, ZZ), a.cols)[:3]
     return rows[pivot_rows[-1]][pivot_cols[-1]]
 
 
