@@ -96,15 +96,21 @@ def _check_quiver(args, *reps) -> None:
                 raise IncompatibleBase("representation does not live on the given quiver")
 
 
+def _load_reps(args, *names) -> list:
+    """The representations at the named path arguments, each loaded and
+    moved to --ring in turn, then checked to live on --quiver."""
+    reps = [_override_ring(_load_rep(getattr(args, name)), args.ring) for name in names]
+    _check_quiver(args, *reps)
+    return reps
+
+
 def _factors_json(pres) -> list:
     return [pres.ring.entry_to_json(d) for d in pres.invariant_factors]
 
 
 def _cmd_ext(args) -> dict:
     from .homology import hom_ext
-    x = _override_ring(_load_rep(args.rep_x), args.ring)
-    y = _override_ring(_load_rep(args.rep_y), args.ring)
-    _check_quiver(args, x, y)
+    x, y = _load_reps(args, "rep_x", "rep_y")
     he = hom_ext(x, y)
     return {
         "ring": str(x.ring),
@@ -119,23 +125,19 @@ def _cmd_ext(args) -> dict:
 
 def _cmd_rigid(args) -> dict:
     from .homology import is_rigid
-    x = _override_ring(_load_rep(args.rep), args.ring)
-    _check_quiver(args, x)
+    x, = _load_reps(args, "rep")
     return {"ring": str(x.ring), "dims": list(x.dims), "rigid": is_rigid(x)}
 
 
 def _cmd_exceptional(args) -> dict:
     from .homology import is_exceptional
-    x = _override_ring(_load_rep(args.rep), args.ring)
-    _check_quiver(args, x)
+    x, = _load_reps(args, "rep")
     return {"ring": str(x.ring), "dims": list(x.dims), "exceptional": is_exceptional(x)}
 
 
 def _cmd_mutate(args) -> dict:
     from .mutation import left_mutate, right_mutate
-    x = _override_ring(_load_rep(args.rep_x), args.ring)
-    y = _override_ring(_load_rep(args.rep_y), args.ring)
-    _check_quiver(args, x, y)
+    x, y = _load_reps(args, "rep_x", "rep_y")
     mutate = left_mutate if args.side == "left" else right_mutate
     result = mutate(x, y)
     return {"side": args.side, "kind": result.kind, "dims": list(result.rep.dims),
@@ -174,8 +176,7 @@ def _cmd_construct(args) -> dict:
 
 def _cmd_decompose(args) -> dict:
     from .structure import decompose_rigid
-    x = _override_ring(_load_rep(args.rep), args.ring)
-    _check_quiver(args, x)
+    x, = _load_reps(args, "rep")
     return dict(decompose_rigid(x, bound=_bound(args)).to_json(), ring=str(x.ring))
 
 
@@ -297,16 +298,11 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         report = _VERBS[args.verb][1](args)
-    except FileNotFoundError as exc:
-        _emit({"schema": SCHEMA, "error": "FileNotFound",
+    except (FileNotFoundError, QuivlatError) as exc:
+        missing = isinstance(exc, FileNotFoundError)
+        _emit({"schema": SCHEMA, "error": "FileNotFound" if missing else exc.code,
                "message": str(exc)}, fmt)
-        return 2
-    except ParseError as exc:
-        _emit({"schema": SCHEMA, "error": exc.code, "message": str(exc)}, fmt)
-        return 2
-    except QuivlatError as exc:
-        _emit({"schema": SCHEMA, "error": exc.code, "message": str(exc)}, fmt)
-        return 1
+        return 2 if missing or isinstance(exc, ParseError) else 1
     _emit(dict(report, schema=SCHEMA, verb=args.verb), fmt)   # one envelope for every verb
     return 0
 

@@ -21,12 +21,11 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .errors import NotComputable, NotProjective, PreconditionViolated, TheoremViolation
+from .errors import NotProjective, PreconditionViolated, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
 from .rings import (
     ExactMatrix,
     RingHom,
-    _MAX_HOM_CELLS,
     _check_read,
     _hom_ext_data,
     _forward,
@@ -43,19 +42,16 @@ def _differential_rows(x: Rep, y: Rep) -> tuple:
     and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
     of its tail and column c of -X_a in the block of its head.  The two meet
     in one cell only when a is a loop, where they add; a zero sum is no entry.
-    A pair that needs more than _MAX_HOM_CELLS cells is refused with
-    NotComputable before any row is placed.
+    A pair whose C1 x C0 differential and C0 x C0 read of Hom generators
+    fill more than rings._MAX_HOM_CELLS cells is refused with NotComputable
+    (rings._check_read) before any row is placed.
     """
     _check_compatible(x, y)
     off0 = list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
     q, add, neg, nonzero = x.quiver, x.ring.add, x.ring.neg, x.ring.nonzero
-    cells = off0[-1]   # C0, then (C1 + C0) * C0
-    for t, h in q.arrows:
-        cells += x.dims[t - 1] * y.dims[h - 1]
-    cells *= off0[-1]
-    if cells > _MAX_HOM_CELLS:
-        raise NotComputable("the Hom complex of %r and %r needs %d cells, above the cap %d"
-                            % (x.dims, y.dims, cells, _MAX_HOM_CELLS))
+    c1 = sum(x.dims[t - 1] * y.dims[h - 1] for t, h in q.arrows)
+    _check_read(c1 + off0[-1], off0[-1], "the Hom complex and Hom generators of %r and %r",
+                x.dims, y.dims)
     rows = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
@@ -131,9 +127,14 @@ class HomExtResult:
 
     hom and ext are module presentations with canonical invariant factors.
     hom_generators lists one morphism per Hom invariant factor, in the same
-    order (torsion then free); ext_cocycles likewise lists, per Ext factor,
-    a C1 tuple of matrices mapping onto that generator of the cokernel, and
-    refuses with NotComputable a read of more than _MAX_HOM_CELLS cells.
+    order (torsion then free), each checked to commute as a RepMorphism;
+    ext_cocycles likewise lists, per Ext factor, a C1 tuple of matrices
+    mapping onto that generator of the cokernel, and refuses with
+    NotComputable a read of more than _MAX_HOM_CELLS cells.  Inside the
+    package the generators are read unchecked, as tuples of vertex maps
+    (_generator_maps): left_mutate, right_mutate and decompose_rigid hand
+    them to mutation._evaluation_map, whose one RepMorphism check is the
+    check that they all commute.
 
     Construction places the differential once (_differential_rows) and
     eliminates the placed rows once, on every ring, densifying nothing;
@@ -177,15 +178,18 @@ class HomExtResult:
     def _ext_vecs(self):
         # C1 cells per Ext factor; C0 may be empty, so the Hom complex's cap saw none
         _check_read(len(self.ext.invariant_factors), self.ext.generators,
-                    "the Ext cocycles of %r and %r" % (self.x.dims, self.y.dims))
+                    "the Ext cocycles of %r and %r", self.x.dims, self.y.dims)
         vecs = self._read_ext()
         del self._read_ext
         return vecs
 
     @cached_property
+    def _generator_maps(self):
+        return tuple(_unflatten_vertex(self.x, self.y, v) for v in self._hom_vecs)
+
+    @cached_property
     def hom_generators(self):
-        return tuple(RepMorphism(self.x, self.y, _unflatten_vertex(self.x, self.y, v))
-                     for v in self._hom_vecs)
+        return tuple(RepMorphism(self.x, self.y, maps) for maps in self._generator_maps)
 
     @cached_property
     def ext_cocycles(self):

@@ -199,8 +199,7 @@ _DUAL_KIND = {"KernelOfUniversalMap": "CokernelOfUniversalMap",
 def left_mutate(x: Rep, y: Rep) -> MutationResult:
     """Left mutation of the exceptional pair (X, Y); (L, X) is again exceptional."""
     he = _pair_hom_ext(x, y)
-    out = _left_mutation(x, y, he.hom, he.ext,
-                         tuple(g.vertex_maps for g in he.hom_generators), he.ext_cocycles)
+    out = _left_mutation(x, y, he.hom, he.ext, he._generator_maps, he.ext_cocycles)
     if not is_exceptional_pair(out.rep, x):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
@@ -217,7 +216,7 @@ def right_mutate(x: Rep, y: Rep) -> MutationResult:
     dx = _dual(x)
     dual = _left_mutation(
         _dual(y), dx, he.hom, he.ext,
-        tuple(tuple(m.transpose() for m in g.vertex_maps) for g in he.hom_generators),
+        tuple(tuple(m.transpose() for m in g) for g in he._generator_maps),
         tuple(tuple(m.transpose() for m in z) for z in he.ext_cocycles))
     rep = _dual(dual.rep)
     # the double dual of a representation is that representation

@@ -193,6 +193,10 @@ class Rep(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.ring, RingSpec):
+            raise ParseError("rep ring must be a RingSpec, got %r" % (self.ring,))
+        if not isinstance(self.quiver, Quiver):
+            raise ParseError("rep quiver must be a Quiver, got %r" % (self.quiver,))
         dims = _check_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
         mats = tuple(self.mats)
@@ -200,6 +204,8 @@ class Rep(Record):
             raise DimensionMismatch("need %d arrow matrices, got %d" % (
                 self.quiver.arrow_count, len(mats)))
         for a, m in enumerate(mats):
+            if not isinstance(m, ExactMatrix):
+                raise ParseError("arrow %d matrix must be an ExactMatrix, got %r" % (a, m))
             if m.ring != self.ring:
                 raise IncompatibleRing("arrow %d over %s, rep over %s" % (
                     a, m.ring, self.ring))
@@ -304,6 +310,16 @@ class Rep(Record):
         return Rep(ring, quiver, dims, tuple(mats))
 
 
+def _check_compatible(x: Rep, y: Rep):
+    """Two representations of one quiver over one ring, else refused."""
+    if not isinstance(x, Rep) or not isinstance(y, Rep):
+        raise ParseError("representation expected, got %r" % (y if isinstance(x, Rep) else x,))
+    if x.quiver != y.quiver:
+        raise IncompatibleBase("representations of different quivers")
+    if x.ring != y.ring:
+        raise IncompatibleRing("representations over %s and %s" % (x.ring, y.ring))
+
+
 class RepMorphism(Record):
     """Vertexwise linear maps commuting with every arrow; checked on construction."""
 
@@ -315,10 +331,7 @@ class RepMorphism(Record):
 
     def __post_init__(self):
         x, y = self.source, self.target
-        if x.quiver != y.quiver:
-            raise IncompatibleBase("morphism between different quivers")
-        if x.ring != y.ring:
-            raise IncompatibleRing("morphism between %s and %s" % (x.ring, y.ring))
+        _check_compatible(x, y)
         maps = tuple(self.vertex_maps)
         if len(maps) != x.quiver.vertex_count:
             raise DimensionMismatch("need one map per vertex")
@@ -363,13 +376,6 @@ class RepMorphism(Record):
 
 # ---------------------------------------------------------------------------
 # constructions
-
-
-def _check_compatible(x: Rep, y: Rep):
-    if x.quiver != y.quiver:
-        raise IncompatibleBase("representations of different quivers")
-    if x.ring != y.ring:
-        raise IncompatibleRing("representations over %s and %s" % (x.ring, y.ring))
 
 
 def direct_sum(x: Rep, y: Rep) -> Rep:
@@ -421,6 +427,8 @@ def tensor_free(x: Rep, k: int) -> Rep:
 
 def base_change(x: Rep, hom: RingHom) -> Rep:
     """Transport a representation along a ring hom, entry by entry."""
+    if not isinstance(hom, RingHom):
+        raise ParseError("ring hom expected, got %r" % (hom,))
     if x.ring != hom.source:
         raise IncompatibleBase("rep over %s, hom expects %s" % (x.ring, hom.source))
     mats = tuple(apply_hom(hom, m) for m in x.mats)

@@ -388,7 +388,7 @@ class _Integers(RingSpec):
     def canon(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
             raise ParseError("integer entry expected, got %r" % (x,))
-        return x
+        return int(x)   # a plain int: an int subclass would keep its own repr
 
     def add(self, a, b):
         return a + b
@@ -943,6 +943,12 @@ def _check_shape(rows, cols):
             "matrix dimensions must be nonnegative ints, got %r x %r" % (rows, cols))
 
 
+def _check_same_ring(ring: RingSpec, other: RingSpec) -> None:
+    """Refuse with IncompatibleRing to combine matrices over two rings."""
+    if ring != other:
+        raise IncompatibleRing("mixed rings %s and %s" % (ring, other))
+
+
 class ExactMatrix(Record):
     """Immutable matrix over a RingSpec.  The constructor canonicalises
     outside input; code inside the package builds canonical entries with _of."""
@@ -963,6 +969,8 @@ class ExactMatrix(Record):
         return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __post_init__(self):
+        if not isinstance(self.ring, RingSpec):
+            raise ParseError("matrix ring must be a RingSpec, got %r" % (self.ring,))
         _check_shape(self.rows, self.cols)
         data = self.entries
         if len(data) != self.rows:
@@ -1012,8 +1020,7 @@ class ExactMatrix(Record):
     # -- basic operations ----------------------------------------------------
 
     def _check_same_shape(self, other: "ExactMatrix"):
-        if self.ring != other.ring:
-            raise IncompatibleRing("mixed rings %s and %s" % (self.ring, other.ring))
+        _check_same_ring(self.ring, other.ring)
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape %dx%d vs %dx%d" % (
                 self.rows, self.cols, other.rows, other.cols))
@@ -1040,8 +1047,7 @@ class ExactMatrix(Record):
         return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ring != other.ring:
-            raise IncompatibleRing("mixed rings %s and %s" % (self.ring, other.ring))
+        _check_same_ring(self.ring, other.ring)
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions %d vs %d" % (self.cols, other.rows))
         ring, zero, nonzero = self.ring, self.ring.zero, self.ring.nonzero
@@ -1065,16 +1071,14 @@ class ExactMatrix(Record):
     def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
         """self and the others side by side, in one copy."""
         for other in others:
-            if self.ring != other.ring:
-                raise IncompatibleRing("mixed rings")
+            _check_same_ring(self.ring, other.ring)
             if self.rows != other.rows:
                 raise DimensionMismatch("row counts %d vs %d" % (self.rows, other.rows))
         data = tuple(sum(parts, ()) for parts in zip(self.entries, *(m.entries for m in others)))
         return ExactMatrix._of(self.ring, self.rows, self.cols + sum(m.cols for m in others), data)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ring != other.ring:
-            raise IncompatibleRing("mixed rings")
+        _check_same_ring(self.ring, other.ring)
         if self.cols != other.cols:
             raise DimensionMismatch("column counts %d vs %d" % (self.cols, other.cols))
         return ExactMatrix._of(self.ring, self.rows + other.rows, self.cols,
@@ -1096,8 +1100,7 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     data = [[z] * cols for _ in range(rows)]
     r0 = c0 = 0
     for b in blocks:
-        if b.ring != ring:
-            raise IncompatibleRing("mixed rings in block sum")
+        _check_same_ring(ring, b.ring)
         for i in range(b.rows):
             data[r0 + i][c0:c0 + b.cols] = b.entries[i]
         r0 += b.rows
@@ -1543,8 +1546,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     right-hand side, to zero, and nothing else.  The diagonal's rows past
     a.cols are such zero padding.
     """
-    if a.ring != b.ring:
-        raise IncompatibleRing("mixed rings %s and %s" % (a.ring, b.ring))
+    _check_same_ring(a.ring, b.ring)
     if a.rows != b.rows:
         raise DimensionMismatch("row counts %d vs %d" % (a.rows, b.rows))
     ring = a.ring
@@ -1662,13 +1664,6 @@ def invert(mat: ExactMatrix) -> ExactMatrix:
 # Howell canonicalisation of row spans (principal ideal rings)
 
 
-def _lead_index(ring: RingSpec, row) -> int:
-    for j, x in enumerate(row):
-        if not ring.is_zero(x):
-            return j
-    return len(row)
-
-
 def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     """Howell-canonical generating rows for the span of the given rows.
 
@@ -1717,7 +1712,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
                 queue.append([ring.mul(ann, x) for x in row])
             continue
         row = queue.pop()
-        lead = _lead_index(ring, row)
+        lead = next((j for j, x in enumerate(row) if ring.nonzero(x)), width)
         if lead == width:
             continue
         if lead in slots:
@@ -1761,12 +1756,14 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 
-def _check_read(count: int, length: int, what: str) -> None:
+def _check_read(count: int, length: int, what: str, *args) -> None:
     """Refuse with NotComputable a read of count vectors of length entries
-    that fills more than _MAX_HOM_CELLS cells; what names the vectors."""
+    that fills more than _MAX_HOM_CELLS cells; what % args names the
+    vectors, formatted only for a refusal."""
     cells = count * length
     if cells > _MAX_HOM_CELLS:
-        raise NotComputable("%s need %d cells, above the cap %d" % (what, cells, _MAX_HOM_CELLS))
+        raise NotComputable("%s need %d cells, above the cap %d"
+                            % (what % args, cells, _MAX_HOM_CELLS))
 
 
 def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
@@ -1873,7 +1870,7 @@ def kernel_data(a: ExactMatrix) -> tuple:
     """
     pres, vectors = _read_at_once(a)[:2]
     _check_read(len(pres.invariant_factors), a.cols,
-                "the kernel vectors of a %dx%d matrix" % (a.rows, a.cols))
+                "the kernel vectors of a %dx%d matrix", a.rows, a.cols)
     return pres, vectors()
 
 
@@ -1952,7 +1949,7 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     """
     pres, vectors = _read_at_once(a)[2:]
     _check_read(len(pres.invariant_factors), a.rows,
-                "the cokernel vectors of a %dx%d matrix" % (a.rows, a.cols))
+                "the cokernel vectors of a %dx%d matrix", a.rows, a.cols)
     return pres, vectors()
 
 
@@ -1967,7 +1964,7 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     it are refused with NotComputable.
     """
     ring = a.ring
-    _check_read(a.rows, a.rows, "the left transform rows of a %dx%d matrix" % (a.rows, a.cols))
+    _check_read(a.rows, a.rows, "the left transform rows of a %dx%d matrix", a.rows, a.cols)
     if ring.is_field:   # left is the identity block of the rref of [a | I]
         pivots, reduced = _field_rref(a.hstack(ExactMatrix.identity(ring, a.rows)))
         rows = [tuple(r[a.cols:]) for c, r in zip(pivots, reduced) if c >= a.cols]

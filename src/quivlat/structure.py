@@ -326,7 +326,7 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
             raise PeelFailure(
                 "Hom(%r, rest) has presentation %r, expected free rank %d" % (
                     list(root), list(he.hom.invariant_factors), mi))
-        theta = _evaluation_map(xi, current, tuple(g.vertex_maps for g in he.hom_generators))
+        theta = _evaluation_map(xi, current, he._generator_maps)
         # On every shipped ring a map is split mono exactly when its
         # cokernel is free of rank rows - cols.
         try:

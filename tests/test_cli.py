@@ -320,7 +320,8 @@ def _limit_address_space():
 @pytest.mark.parametrize("dim, code, error, says", [
     pytest.param(2 ** 70, 2, "ParseError", "dimension 1180591620717411303424 at vertex 2 "
                  "exceeds the cap", id="2**70"),
-    pytest.param(5000, 1, "NotComputable", "needs 625000000000000 cells, above the cap",
+    pytest.param(5000, 1, "NotComputable", "the Hom complex and Hom generators of (0, 5000) "
+                 "and (0, 5000) need 625000000000000 cells, above the cap",
                  id="5000")])
 def test_oversized_dimensions_exit_with_a_typed_error(tmp_path, verb, dim, code, error, says):
     # A Kronecker record with no entries: 123 bytes at 2**70, which once

@@ -7,6 +7,7 @@ Hom case is evaluation X^h -> Y whose kernel or cokernel is the answer.
 
 import pytest
 
+from quivlat import homology, mutation, structure
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
@@ -42,7 +43,7 @@ from quivlat.rings import (
     cokernel,
     kernel_basis,
 )
-from quivlat.structure import is_isomorphic_rigid
+from quivlat.structure import decompose_rigid, exceptional_lattice, is_isomorphic_rigid
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -231,6 +232,53 @@ def test_left_then_right_inverse_on_samples():
             forward = right_mutate(x, y)
             back = left_mutate(y, forward.rep)
             assert is_isomorphic_rigid(back.rep, x)
+
+
+def _record_checks(monkeypatch) -> list:
+    """From here on, every RepMorphism commutation check as a (source,
+    target, inside an evaluation map) triple."""
+    checks, inside = [], []
+    real_check, real_evaluation_map = RepMorphism.__post_init__, mutation._evaluation_map
+
+    def check(self):
+        checks.append((self.source, self.target, bool(inside)))
+        real_check(self)
+
+    def evaluation_map(*args):
+        inside.append(True)
+        try:
+            return real_evaluation_map(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(RepMorphism, "__post_init__", check)
+    for module in (mutation, structure):
+        monkeypatch.setattr(module, "_evaluation_map", evaluation_map)
+    return checks
+
+
+@pytest.mark.parametrize("mutate", [left_mutate, right_mutate])
+def test_hom_generators_are_checked_once_in_the_evaluation_map(monkeypatch, mutate):
+    # Hom((1,2), (2,3)) over Z is free of rank 2: the two generators commute
+    # exactly when the evaluation map X^2 -> Y does, so that is checked once
+    x, y = exceptional_lattice(K2, (1, 2)), exceptional_lattice(K2, (2, 3))
+    homology._hom_ext_cached.cache_clear()   # a fresh HomExtResult
+    checks = _record_checks(monkeypatch)
+    mutate(x, y)
+    assert hom_ext(x, y).hom.free_rank == 2
+    assert [inside for _, _, inside in checks].count(True) == 1
+    assert [(s, t) for s, t, _ in checks].count((x, y)) == 0
+
+
+def test_a_decompose_peel_checks_its_hom_generators_once(monkeypatch):
+    xi = exceptional_lattice(K2, (1, 2))
+    x = tensor_free(xi, 2)   # one summand of multiplicity 2: one peel
+    homology._hom_ext_cached.cache_clear()
+    checks = _record_checks(monkeypatch)
+    (summand, multiplicity), = decompose_rigid(x).summands
+    assert summand == xi and multiplicity == 2
+    assert [inside for _, _, inside in checks].count(True) == 1
+    assert [(s, t) for s, t, _ in checks].count((xi, x)) == 0
 
 
 # ---------------------------------------------------------------------------

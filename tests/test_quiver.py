@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from quivlat.errors import (
     NotRigid,
     ParseError,
 )
-from quivlat.homology import is_rigid
+from quivlat.homology import hom_ext, is_rigid
 from quivlat.quiver import (
     Quiver,
     Rep,
@@ -151,6 +152,25 @@ def test_rep_validation():
     x = mk(QQ, A2, (1, 1), [[[Fraction(1, 2)]]])
     with pytest.raises(IncompatibleRing):
         direct_sum(x, mk(ZZ, A2, (1, 1), [[[1]]]))
+
+
+S1 = Rep.simple(ZZ, A2, 1)
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: Rep(A2, ZZ, (1, 1), (ExactMatrix.zeros(ZZ, 1, 1),)), A2),
+    (lambda: Rep(ZZ, A2, (1, 1), (1,)), 1),
+    (lambda: hom_ext(S1, 3), 3),
+    (lambda: RepMorphism(None, S1, ()), None),
+    (lambda: is_rigid(None), None),
+    (lambda: base_change(S1, None), None),
+    (lambda: ExactMatrix(None, 1, 1, ((1,),)), None),
+], ids=["swapped-ring-quiver", "int-matrix", "hom_ext-int", "morphism-none",
+        "is_rigid-none", "base_change-none", "matrix-ring-none"])
+def test_values_of_the_wrong_type_are_refused_where_they_enter(call, bad):
+    # each once escaped as an AttributeError from deep inside
+    with pytest.raises(ParseError, match=re.escape(repr(bad))):
+        call()
 
 
 def test_rep_json_round_trip():

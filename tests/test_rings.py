@@ -140,7 +140,28 @@ def test_feps_matrix_entries_reject_non_int_coefficients(bad):
         ExactMatrix(Feps(2, 2), 1, 1, ((bad,),))
 
 
-PSI_12 = 318665857834031151167461     # least strong pseudoprime to bases 2..37
+def test_integer_entries_are_stored_as_plain_ints():
+    import enum
+
+    class E(enum.IntEnum):
+        A = 3
+
+    m, plain = ExactMatrix(ZZ, 1, 1, ((E.A,),)), ExactMatrix(ZZ, 1, 1, ((3,),))
+    assert type(m.entries[0][0]) is int
+    assert m == plain and repr(m) == repr(plain)
+
+
+@pytest.mark.parametrize("combine", [
+    lambda a, b: a.add(b), lambda a, b: a.mul(b), solve, lambda a, b: a.hstack(b),
+    lambda a, b: a.vstack(b), lambda a, b: block_diag(a.ring, [a, b])],
+    ids=["add", "mul", "solve", "hstack", "vstack", "block_diag"])
+def test_mixed_ring_refusals_name_both_rings(combine):
+    from quivlat.errors import IncompatibleRing
+    with pytest.raises(IncompatibleRing, match=r"^mixed rings Z and F:3$"):
+        combine(ExactMatrix.identity(ZZ, 1), ExactMatrix.identity(GF(3), 1))
+
+
+PSI_12 =318665857834031151167461     # least strong pseudoprime to bases 2..37
 PSI_13 = 3317044064679887385961981    # least strong pseudoprime to bases 2..41
 
 
