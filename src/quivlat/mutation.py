@@ -43,6 +43,8 @@ from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
+    _block_inclusions,
+    _dual,
     _exact_dims,
     cokernel_rep,
     euler_form,
@@ -125,16 +127,9 @@ def _extension_middle(x: Rep, y: Rep, cocycles) -> Rep:
 
 def _sub_quot_witnesses(sub: Rep, middle: Rep, quot: Rep):
     """Inclusion of the leading block and projection onto the trailing one."""
-    ring = middle.ring
-    incl, proj = [], []
-    for i in range(middle.quiver.vertex_count):
-        ds, dq = sub.dims[i], quot.dims[i]
-        incl.append(ExactMatrix.identity(ring, ds).vstack(
-            ExactMatrix.zeros(ring, dq, ds)))
-        proj.append(ExactMatrix.zeros(ring, dq, ds).hstack(
-            ExactMatrix.identity(ring, dq)))
-    return (RepMorphism(sub, middle, tuple(incl)),
-            RepMorphism(middle, quot, tuple(proj)))
+    incl, trail = _block_inclusions(middle.ring, sub.dims, quot.dims)
+    return (RepMorphism(sub, middle, incl),
+            RepMorphism(middle, quot, tuple(m.transpose() for m in trail)))
 
 
 def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
@@ -172,13 +167,6 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
                               universal_map=ev, witness_in=witness)
     return MutationResult("CokernelOfUniversalMap", out,
                           universal_map=ev, witness_out=witness)
-
-
-def _dual(x: Rep) -> Rep:
-    """Transpose dual on the opposite quiver: every arrow matrix transposed."""
-    opposite = Quiver(x.quiver.vertex_count,
-                      tuple((h, t) for t, h in x.quiver.arrows))
-    return Rep(x.ring, opposite, x.dims, tuple(m.transpose() for m in x.mats))
 
 
 def _dual_map(f: Optional[RepMorphism], duals: dict) -> Optional[RepMorphism]:

@@ -6,6 +6,12 @@ the tail of a to column vectors at its head, so composition of maps is
 matrix multiplication on the left.  Vertices are numbered from 1 in all
 external formats; zero-dimensional vertices give 0xk matrices and every
 operation must cope with those.
+
+Subrepresentations on the images of injective vertex maps are built in one
+place (_subrep), and a quotient is the transpose dual (_dual) of a
+subrepresentation of the dual: kernel_rep and cokernel_rep share that
+construction, and direct sums lay out their blocks in one place
+(_block_inclusions).
 """
 
 from __future__ import annotations
@@ -292,6 +298,8 @@ class Rep(Record):
             raise ParseError("need %d dimensions, got %d" % (
                 quiver.vertex_count, len(dims)))
         for i, d in enumerate(dims, 1):
+            if d < 0:
+                raise ParseError("negative dimension %d at vertex %d" % (d, i))
             if d > _MAX_DIMENSION:
                 raise ParseError("dimension %d at vertex %d exceeds the cap %d"
                                  % (d, i, _MAX_DIMENSION))
@@ -395,18 +403,20 @@ def direct_sum_many(reps: Sequence[Rep]) -> Rep:
     return Rep(x.ring, x.quiver, dims, mats)
 
 
+def _block_inclusions(ring: RingSpec, lead, trail) -> tuple:
+    """Per vertex i, the inclusions of R^lead[i] and R^trail[i] as the
+    leading and trailing blocks of R^(lead[i] + trail[i]): two tuples."""
+    eye, zeros = ExactMatrix.identity, ExactMatrix.zeros
+    pairs = tuple(zip(lead, trail))
+    return (tuple(eye(ring, m).vstack(zeros(ring, n, m)) for m, n in pairs),
+            tuple(zeros(ring, m, n).vstack(eye(ring, n)) for m, n in pairs))
+
+
 def direct_sum_injections(x: Rep, y: Rep) -> tuple:
     """Canonical injections of x and y into direct_sum(x, y)."""
     s = direct_sum(x, y)
-    ring = x.ring
-    inj_x, inj_y = [], []
-    for i in range(x.quiver.vertex_count):
-        dx, dy = x.dims[i], y.dims[i]
-        ix = ExactMatrix.identity(ring, dx).vstack(ExactMatrix.zeros(ring, dy, dx))
-        iy = ExactMatrix.zeros(ring, dx, dy).vstack(ExactMatrix.identity(ring, dy))
-        inj_x.append(ix)
-        inj_y.append(iy)
-    return RepMorphism(x, s, tuple(inj_x)), RepMorphism(y, s, tuple(inj_y))
+    inj_x, inj_y = _block_inclusions(x.ring, x.dims, y.dims)
+    return RepMorphism(x, s, inj_x), RepMorphism(y, s, inj_y)
 
 
 def direct_sum_projections(x: Rep, y: Rep) -> tuple:
@@ -427,10 +437,7 @@ def tensor_free(x: Rep, k: int) -> Rep:
 
 def base_change(x: Rep, hom: RingHom) -> Rep:
     """Transport a representation along a ring hom, entry by entry."""
-    if not isinstance(hom, RingHom):
-        raise ParseError("ring hom expected, got %r" % (hom,))
-    if x.ring != hom.source:
-        raise IncompatibleBase("rep over %s, hom expects %s" % (x.ring, hom.source))
+    _rings._check_hom(hom, x.ring)
     mats = tuple(apply_hom(hom, m) for m in x.mats)
     return Rep(hom.target, x.quiver, x.dims, mats)
 
@@ -472,60 +479,59 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
 # kernels and cokernels of morphisms
 
 
+def _dual(x: Rep) -> Rep:
+    """Transpose dual on the opposite quiver: every arrow matrix transposed."""
+    opposite = Quiver(x.quiver.vertex_count,
+                      tuple((h, t) for t, h in x.quiver.arrows))
+    return Rep(x.ring, opposite, x.dims, tuple(m.transpose() for m in x.mats))
+
+
+def _subrep(x: Rep, incls) -> Rep:
+    """The subrepresentation of x on the images of the injective vertex maps
+    incls, which the arrows must preserve.  Its arrow map k_a is the one
+    solution of incls[head] k_a = X_a incls[tail]."""
+    q = x.quiver
+    mats = []
+    for a in range(q.arrow_count):
+        k = solve(incls[q.head(a)], x.mats[a].mul(incls[q.tail(a)]))
+        if k is None:
+            raise TheoremViolation("subspaces are not arrow-stable")  # pragma: no cover
+        mats.append(k)
+    return Rep(x.ring, q, tuple(m.cols for m in incls), tuple(mats))
+
+
 def kernel_rep(f: RepMorphism) -> tuple:
     """Kernel subrepresentation and its inclusion, whose columns are
     kernel_data's vectors.  Like cokernel_rep, works over every ring exactly
     when every vertexwise kernel is free, as it always is over a field or
     Z, and raises NonFreeCokernel otherwise."""
-    ring = f.source.ring
-    x = f.source
-    q = x.quiver
     incls = []
     for i, m in enumerate(f.vertex_maps):
         pres, gens = _rings.kernel_data(m)
         if not pres.is_free:
             raise NonFreeCokernel("vertex %d kernel is not free" % (i + 1))
-        incls.append(ExactMatrix._of(ring, len(gens), m.cols, tuple(gens)).transpose())
-    dims = tuple(m.cols for m in incls)
-    mats = []
-    for a in range(q.arrow_count):
-        t, h = q.tail(a), q.head(a)
-        rhs = x.mats[a].mul(incls[t])
-        ka = solve(incls[h], rhs)
-        if ka is None:
-            raise TheoremViolation("kernel is not arrow-stable")  # pragma: no cover
-        mats.append(ka)
-    ker = Rep(ring, q, dims, tuple(mats))
-    incl = RepMorphism(ker, x, tuple(incls))
-    return ker, incl
+        incls.append(ExactMatrix._of(m.ring, len(gens), m.cols, tuple(gens)).transpose())
+    ker = _subrep(f.source, incls)
+    return ker, RepMorphism(ker, f.source, incls)
 
 
 def cokernel_rep(f: RepMorphism) -> tuple:
     """Cokernel representation and its projection.
 
-    Works over every supported ring exactly when every vertexwise cokernel
-    is free, as it always is over a field; otherwise the quotient carries
-    torsion or is projective but not free, no representation on free
-    modules presents it, and NonFreeCokernel is raised.
+    A quotient is the transpose dual of a subrepresentation: the rows of
+    each vertex's cokernel_projection span a submodule of the dual, which
+    the dual arrows preserve, and the cokernel is the dual of that
+    subrepresentation of the dual of the target.  Works over every
+    supported ring exactly when every vertexwise cokernel is free, as it
+    always is over a field; otherwise the quotient carries torsion or is
+    projective but not free, no representation on free modules presents
+    it, and NonFreeCokernel is raised.
     """
-    ring = f.source.ring
-    y = f.target
-    q = y.quiver
     projs = []
     for i, m in enumerate(f.vertex_maps):
         pi = _rings.cokernel_projection(m)
         if pi is None:
             raise NonFreeCokernel("vertex %d cokernel has torsion" % (i + 1))
         projs.append(pi)
-    dims = tuple(p.rows for p in projs)
-    mats = []
-    for a in range(q.arrow_count):
-        t, h = q.tail(a), q.head(a)
-        rhs = projs[h].mul(y.mats[a]).transpose()
-        ca_t = solve(projs[t].transpose(), rhs)
-        if ca_t is None:
-            raise TheoremViolation("cokernel maps do not descend")  # pragma: no cover
-        mats.append(ca_t.transpose())
-    cok = Rep(ring, q, dims, tuple(mats))
-    proj = RepMorphism(y, cok, tuple(projs))
-    return cok, proj
+    cok = _dual(_subrep(_dual(f.target), [p.transpose() for p in projs]))
+    return cok, RepMorphism(f.target, cok, projs)

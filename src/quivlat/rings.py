@@ -2102,6 +2102,8 @@ class RingHom(Record):
 
     def __post_init__(self):
         s, t = self.source, self.target
+        if not isinstance(s, RingSpec) or not isinstance(t, RingSpec):
+            raise ParseError("ring hom ends must be RingSpecs, got %r and %r" % (s, t))
         apply = _identity if s == t else s._map_to(t)
         if apply is None:
             raise IncompatibleBase("no canonical hom from %s to %s" % (s, t))
@@ -2146,6 +2148,15 @@ class RingHom(Record):
         return self.source.canon(x)
 
 
+def _check_hom(hom, ring: Optional[RingSpec] = None):
+    """A RingHom, and with ring given one whose source is ring, else
+    refused: the one check of every hom an entry point is handed."""
+    if not isinstance(hom, RingHom):
+        raise ParseError("ring hom expected, got %r" % (hom,))
+    if ring is not None and ring != hom.source:
+        raise IncompatibleBase("over %s, hom expects %s" % (ring, hom.source))
+
+
 def identity_hom(ring: RingSpec) -> RingHom:
     return RingHom(ring, ring)
 
@@ -2157,9 +2168,7 @@ def canonical_hom(source: RingSpec, target: RingSpec) -> RingHom:
 
 def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:
     """Entrywise transport of a matrix along a ring hom."""
-    if mat.ring != hom.source:
-        raise IncompatibleBase(
-            "matrix over %s, hom expects %s" % (mat.ring, hom.source))
+    _check_hom(hom, mat.ring)
     f = hom.apply   # every per-entry map returns canonical target entries
     data = tuple(tuple(f(x) for x in row) for row in mat.entries)
     return ExactMatrix._of(hom.target, mat.rows, mat.cols, data)
@@ -2167,9 +2176,7 @@ def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:
 
 def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePresentation:
     """Invariant factors of M tensored along the hom, recanonicalised."""
-    if pres.ring != hom.source:
-        raise IncompatibleBase("presentation over %s, hom expects %s" % (
-            pres.ring, hom.source))
+    _check_hom(hom, pres.ring)
     return ModulePresentation(hom.target, pres.generators,
                               _mapped_factors(pres.invariant_factors, hom))
 

@@ -65,7 +65,7 @@ from .quiver import (
     tensor_free,
     tits_form,
 )
-from .rings import ExactMatrix, RingHom, RingSpec, ZZ, canonical_hom, invert
+from .rings import ExactMatrix, RingHom, RingSpec, ZZ, _check_hom, canonical_hom, invert
 
 SCHUR_REAL = "real_schur"
 SCHUR_PREFILTER_FALSE = "prefilter_false"
@@ -299,10 +299,7 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     if not is_rigid(x):
         raise NotRigid("representation has nonzero self-extensions")
     if x.is_zero:
-        cert = RepMorphism(Rep.zero(ring, quiver), x,
-                           tuple(ExactMatrix.zeros(ring, 0, 0)
-                                 for _ in range(quiver.vertex_count)))
-        return RigidDecomposition((), (), cert, ())
+        return RigidDecomposition((), (), RepMorphism.identity(x), ())
 
     multiplicity = _summand_roots(quiver, x.dims, bound)
     roots = _hom_order(quiver, sorted(multiplicity))
@@ -391,6 +388,7 @@ def lift_rigid(x: Rep, hom: RingHom) -> Rep:
     Entries are lifted by the canonical section of the hom; the result maps
     back to the input exactly and inherits rigidity, which is re-verified.
     """
+    _check_hom(hom)
     if hom.target != x.ring:
         raise IncompatibleBase(
             "representation over %s, hom lands in %s" % (x.ring, hom.target))

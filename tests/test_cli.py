@@ -10,6 +10,7 @@ import pytest
 
 from quivlat import cli
 from quivlat.cli import main
+from quivlat.errors import ParseError
 from quivlat.quiver import Quiver, Rep, direct_sum, projective_rep
 from quivlat.rings import Feps, GF, ZZ
 from quivlat.structure import exceptional_lattice
@@ -340,6 +341,21 @@ def test_oversized_dimensions_exit_with_a_typed_error(tmp_path, verb, dim, code,
     assert "Traceback" not in proc.stderr
     report = json.loads(proc.stdout)
     assert report["error"] == error and says in report["message"]
+
+
+@pytest.mark.parametrize("dims, mats", [([-1, 5], [[], []]), ([-1, -2], [[1, 2], [3, 4]])])
+def test_negative_dimension_is_a_parse_error_naming_the_vertex(tmp_path, capsys, dims, mats):
+    # refused before any arrow is sized: [-1, 5] once asked arrow 0 for -5
+    # entries, and [-1, -2] reached Rep, which raised DimensionMismatch (exit 1)
+    record = {"ring": "Z", "quiver": K2.to_json(), "dims": dims, "mats": mats}
+    with pytest.raises(ParseError, match="negative dimension -1 at vertex 1$"):
+        Rep.from_json(record)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(record))
+    code, report = run_json(capsys, "rigid", "--rep", str(path))
+    assert code == 2
+    assert report["error"] == "ParseError"
+    assert report["message"] == "negative dimension -1 at vertex 1"
 
 
 @pytest.mark.parametrize("ring", ["Feps:2:65", "Feps:2:300000000"])

@@ -7,7 +7,9 @@
 (c) Ring specs round-trip through str and parse, and a kind refuses
     parameters it does not take.
 (d) The canonical homs: their values, which are onto with a nilpotent
-    kernel, which are bijective and which have a section.
+    kernel, which are bijective and which have a section; a ring map
+    argument that is not a hom, or not one out of the ring it is applied
+    over, is refused with ParseError or IncompatibleBase.
 (e) The two contracts of RingSpec's docstring: what the forward pass asks
     of a ring (nonzero, p, _forward_ints and the unit verdict) and what the
     sheet asks (the arithmetic of (a), and p zero on an infinite ring).
@@ -25,19 +27,25 @@ from fractions import Fraction
 
 from quivlat import rings
 from quivlat.errors import IncompatibleBase, NotComputable, ParseError
+from quivlat.homology import check_base_change, hom_ext
+from quivlat.quiver import Quiver, base_change
 from quivlat.rings import (
     ExactMatrix,
     Feps,
     GF,
     QQ,
+    RingHom,
     RingSpec,
     ZZ,
     Zmod,
     _nonzeros,
+    apply_hom,
     canonical_hom,
     identity_hom,
     is_invertible,
+    presentation_base_change,
 )
+from quivlat.structure import exceptional_lattice, lift_rigid
 
 FINITE = (GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 2))
 RINGS = (ZZ, QQ) + FINITE
@@ -260,6 +268,31 @@ def test_identity_hom_and_unsupported_pairs():
         assert identity_hom(ring).apply(ring.one) == ring.one
     for source, target in UNSUPPORTED:
         assert _raises(IncompatibleBase, canonical_hom, source, target), (source, target)
+
+
+def test_ring_map_arguments_are_refused_with_a_typed_error():
+    # RingHom owns its two ends, and rings._check_hom owns "a RingHom out of
+    # this ring" for every entry point handed one; each of these once
+    # escaped as AttributeError, and identity_hom(None) returned a hom
+    kronecker = Quiver(2, ((1, 2), (1, 2)))
+    x = exceptional_lattice(kronecker, (1, 2))
+    m = ExactMatrix.identity(ZZ, 2)
+    pres = hom_ext(x, x).hom
+    calls = (
+        (RingHom, ZZ, None), (RingHom, None, ZZ), (canonical_hom, "Z", ZZ),
+        (identity_hom, None), (exceptional_lattice, kronecker, (1, 2), "Z"),
+        (apply_hom, None, m), (presentation_base_change, pres, None),
+        (base_change, x, None), (check_base_change, x, x, None), (lift_rigid, x, None),
+    )
+    for f, *args in calls:
+        assert _raises(ParseError, f, *args), (f.__name__, args)
+    # a hom out of another ring is a mismatch, as before
+    hom = canonical_hom(ZZ, GF(2))
+    f2 = base_change(x, hom)
+    for f, *args in ((apply_hom, hom, apply_hom(hom, m)), (base_change, f2, hom),
+                     (presentation_base_change, hom_ext(f2, f2).hom, hom),
+                     (check_base_change, f2, f2, hom), (lift_rigid, x, hom)):
+        assert _raises(IncompatibleBase, f, *args), (f.__name__, args)
 
 
 # ---------------------------------------------------------------------------
