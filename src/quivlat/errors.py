@@ -70,8 +70,9 @@ class BoundExceeded(QuivlatError):
     """The search bound is too small to decide the question."""
 
 
-class NotRigid(QuivlatError):
-    """The representation has nonzero self-extensions."""
+class NotRigid(PreconditionViolated):
+    """The representation has nonzero self-extensions: the precondition
+    of every rigid operation."""
 
 
 class PeelFailure(QuivlatError):

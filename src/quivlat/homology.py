@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .errors import NotProjective, PreconditionViolated, TheoremViolation
+from .errors import NotProjective, NotRigid, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
 from .rings import (
     ExactMatrix,
@@ -258,13 +258,14 @@ def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:
 
     For rigid X and Y both modules are projective, so each has a local
     rank function; a rank entry is None when that function is non-constant
-    (possible only over Z/m with composite m).  Non-projective output for
+    (possible only over Z/m with composite m).  Raises NotRigid, naming
+    the argument, when x or y is not rigid.  Non-projective output for
     verified rigid input would falsify the theorem, hence TheoremViolation.
     """
     if not is_rigid(x):
-        raise PreconditionViolated("first representation is not rigid")
+        raise NotRigid("the first representation, x, is not rigid")
     if not is_rigid(y):
-        raise PreconditionViolated("second representation is not rigid")
+        raise NotRigid("the second representation, y, is not rigid")
     he = hom_ext(x, y)
     try:
         hr = constant_rank(he.hom)

@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     NeitherMonoNorEpi,
     NonFreeCokernel,
+    ParseError,
     PreconditionViolated,
     TheoremViolation,
 )
@@ -44,6 +45,7 @@ from .quiver import (
     Rep,
     RepMorphism,
     _block_inclusions,
+    _check_compatible,
     _dual,
     _exact_dims,
     cokernel_rep,
@@ -85,7 +87,9 @@ class MutationResult(Record):
 
 
 def _pair_hom_ext(x: Rep, y: Rep):
-    """hom_ext(x, y) once the pair is checked to be exceptional."""
+    """hom_ext(x, y) once the pair is checked to be compatible and
+    exceptional."""
+    _check_compatible(x, y)
     if not is_exceptional_pair(x, y):
         raise PreconditionViolated("(x, y) is not an exceptional pair")
     return hom_ext(x, y)
@@ -238,14 +242,13 @@ class ExcSequence(Record):
         self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.items, (tuple, list)):
+            raise ParseError("sequence of representations expected, got %r" % (self.items,))
         items = tuple(self.items)
         if not items:
             raise DimensionMismatch("empty sequence")
-        q, ring = items[0].quiver, items[0].ring
         for r in items:
-            if r.quiver != q or r.ring != ring:
-                raise PreconditionViolated(
-                    "sequence members must share quiver and ring")
+            _check_compatible(items[0], r)
         for j, r in enumerate(items):
             if not is_exceptional(r):
                 raise PreconditionViolated(
@@ -277,6 +280,8 @@ def standard_sequence(ring: RingSpec, quiver: Quiver) -> ExcSequence:
     Uses the lexicographically smallest topological order of the vertices;
     only acyclic quivers admit one.
     """
+    if not isinstance(ring, RingSpec) or not isinstance(quiver, Quiver):
+        raise ParseError("a ring and a quiver expected, got %r and %r" % (ring, quiver))
     order = quiver.topological_order()
     items = tuple(Rep.simple(ring, quiver, v + 1) for v in order)
     return ExcSequence(items)
@@ -288,6 +293,8 @@ def braid_act(seq: ExcSequence, i: int, *, inverse: bool = False) -> ExcSequence
     The generator replaces (X, Y) at positions i, i+1 by (left mutation, X);
     its inverse replaces them by (Y, right mutation).
     """
+    if not isinstance(seq, ExcSequence) or type(i) is not int:
+        raise ParseError("an ExcSequence and an int expected, got %r and %r" % (seq, i))
     if not 1 <= i <= len(seq) - 1:
         raise DimensionMismatch("generator index %d out of range" % i)
     x, y = seq.items[i - 1], seq.items[i]
@@ -380,6 +387,9 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
     vectors (_dims_orbit); only the states whose members are returned are
     replayed, through a memo that lives for this call.
     """
+    if not isinstance(start, ExcSequence) or type(bound) is not int:
+        raise ParseError("an ExcSequence and an int bound expected, got %r and %r"
+                         % (start, bound))
     if target_dims is not None:
         target_dims = _exact_dims(target_dims)
     dims = start.dims_tuple()

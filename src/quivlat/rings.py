@@ -156,56 +156,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-# Trial division in _factorize stops below this; a cofactor left below its
-# square has no two prime factors, so it is prime.
-_TRIAL_DIVISION_BOUND = 1 << 16
-
-
-def _iroot(n: int, k: int) -> int:
-    """Integer k-th root: the largest r with r ** k <= n, for n >= 1."""
-    if k == 2:
-        return math.isqrt(n)
-    r = 1 << -(-n.bit_length() // k)   # at least the root
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization of m >= 1 by trial division below
-    _TRIAL_DIVISION_BOUND.  The cofactor left is accepted when it is 1 or
-    an exact power q^k of a q proven prime by _is_prime (below the bound
-    squared it is prime); otherwise NotComputable is raised instead of
-    dividing on without end."""
-    out = []
-    n = m
-    d = 2
-    while d * d <= n and d < _TRIAL_DIVISION_BOUND:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        # every prime factor left exceeds the bound 2^16, so there are at
-        # most bit_length(n) / 16 of them
-        for k in range(1, n.bit_length() // 16 + 2):
-            q = _iroot(n, k)
-            if q ** k == n and q < _PRIME_PROOF_BOUND and _is_prime(q):
-                out.append((q, k))
-                break
-        else:
-            raise NotComputable(
-                "cannot factor %d: the cofactor %d has no prime factor below "
-                "%d and is not a power of a provable prime" % (
-                    m, n, _TRIAL_DIVISION_BOUND))
-    return out
-
-
 # Largest truncation order n of Feps:p:n.  Every element is a length-n tuple
 # and a product costs about n^2/2 coefficient products, so one matrix entry
 # of a larger order already takes longer than a whole small elimination.
@@ -268,7 +218,7 @@ class RingSpec(Record):
 
     Past these, an algorithm reads is_field (the forward pass or a sheet),
     is_domain (Smith or Howell form), p (the pass leaves F_p pivots at 1)
-    and m (constant_rank splits Z/m by the CRT).
+    and m (constant_rank reads Z/m's summands off gcds with m).
     """
 
     def __new__(cls, kind=None, p=0, m=0, n=0):
@@ -2058,20 +2008,34 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
 
     A finitely presented module is projective exactly when it is locally
     free.  Over the principal ideal domains Z, Q and F_p and the local
-    rings F_p[e]/(e^n) that means free, so the module is its own one part.
-    Z/m is the product of the local rings Z/q^k, and the parts are the base
-    changes along Z/m -> Z/q^k, of which only the factors are mapped.  Raises
-    NotProjective when a part is not free; returns the parts' common free
-    rank, or None when they differ (possible only over Z/m with composite m).
+    rings F_p[e]/(e^n) that means free: every factor is zero.  Over Z/m a
+    summand R/(d) is R/(g) with g = gcd(d, m): free when g = m, zero when
+    g = 1, and otherwise projective exactly when gcd(g, m/g) = 1, when it
+    is the summand of R on the primes of g.  The torsion g split m into
+    coprime parts by gcds alone (factor refinement, Bach, Driscoll &
+    Shallit 1993), each part b dividing or coprime to every g, so the rank
+    on b is the free count plus the number of g that b divides; no prime
+    of m is needed.  Raises NotProjective when a summand is not projective;
+    returns the parts' common rank, or None when they differ (possible
+    only over Z/m with composite m).
     """
-    ring, factors = pres.ring, pres.invariant_factors
-    parts = [(ring, factors)] if not ring.m else [
-        (local, _mapped_factors(factors, RingHom(ring, local)))
-        for local in (Zmod(q ** k) for q, k in _factorize(ring.m))]
-    for local, part in parts:
-        if not all(local.is_zero(d) for d in part):
-            raise NotProjective("not free over %s: invariant factors %r" % (local, list(part)))
-    ranks = {len(part) for _, part in parts}
+    ring, m, factors = pres.ring, pres.ring.m, pres.invariant_factors
+    if not m:
+        if not all(ring.is_zero(d) for d in factors):
+            raise NotProjective("not free over %s: invariant factors %r" % (ring, list(factors)))
+        return len(factors)
+    free, torsion = 0, []
+    for g in (math.gcd(d, m) for d in factors):
+        if g == m:
+            free += 1
+        elif g > 1:
+            if math.gcd(g, m // g) != 1:
+                raise NotProjective("not projective over %s: the summand R/(%d)" % (ring, g))
+            torsion.append(g)
+    parts = [m]
+    for g in torsion:
+        parts = [c for b in parts for c in (math.gcd(b, g), b // math.gcd(b, g)) if c > 1]
+    ranks = {free + sum(g % b == 0 for g in torsion) for b in parts}
     return ranks.pop() if len(ranks) == 1 else None
 
 
@@ -2119,16 +2083,17 @@ class RingHom(Record):
         """Onto with nonzero nilpotent kernel.
 
         The rings are finite here, and the kernel of an onto map of finite
-        rings is nilpotent exactly when every prime of the source's size
-        divides the target's.  For Z/m -> Z/m' that is every prime of m
-        dividing m' (the prime-power towers p^k -> p^j, j < k, are the
-        typical case); for the truncations it holds whenever the order
-        genuinely drops.
+        rings is nilpotent exactly when every prime of the source's size s
+        divides the target's size t, that is when s divides t^e for e the
+        bit length of s, which bounds every exponent in s; no prime of s is
+        needed.  For Z/m -> Z/m' that is every prime of m dividing m' (the
+        prime-power towers p^k -> p^j, j < k, are the typical case); for
+        the truncations it holds whenever the order genuinely drops.
         """
         if not self._onto or self.is_bijective:
             return False
-        radical = math.prod(q for q, _ in _factorize(self.source.size))
-        return self.target.size % radical == 0
+        s = self.source.size
+        return pow(self.target.size, s.bit_length(), s) == 0
 
     @property
     def is_bijective(self) -> bool:

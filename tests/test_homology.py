@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivlat.errors import IncompatibleRing, PreconditionViolated
+from quivlat.errors import IncompatibleRing, NotRigid, PreconditionViolated
 from quivlat.homology import (
     check_base_change,
     differential,
@@ -446,8 +446,12 @@ def test_rigid_hom_ext_ranks_contract():
     y = projective_rep(ZZ, K2, 1)
     assert rigid_hom_ext_ranks(x, y) == (2, 0)
     assert rigid_hom_ext_ranks(Rep.simple(ZZ, K2, 1), x) == (0, 2)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated) as refused:
         rigid_hom_ext_ranks(jordan(ZZ, 2), jordan(ZZ, 2))
+    # one refusal for non-rigid input, as decompose_rigid and lift_rigid raise
+    assert type(refused.value) is NotRigid and "first" in str(refused.value)
+    with pytest.raises(NotRigid, match="second"):
+        rigid_hom_ext_ranks(x, jordan(ZZ, 2))
     # projectivity of Hom over Z/6 holds even where ranks jump between primes
     x6 = Rep.simple(Zmod(6), K2, 2)
     y6 = projective_rep(Zmod(6), K2, 1)

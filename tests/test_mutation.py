@@ -11,7 +11,10 @@ from quivlat import homology, mutation, structure
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
+    IncompatibleBase,
+    IncompatibleRing,
     NeitherMonoNorEpi,
+    ParseError,
     PreconditionViolated,
 )
 from quivlat.homology import hom_ext, is_exceptional
@@ -364,6 +367,46 @@ def test_orbit_search_bound_guard():
 def test_orbit_search_target_needs_exact_ints(target):
     with pytest.raises(DimensionMismatch):
         orbit_search(standard_sequence(ZZ, K2), target, bound=9)
+
+
+SEQ = standard_sequence(ZZ, K2)
+
+# wrong-type arguments to the mutation entry points; each is refused with
+# ParseError where the value enters, not as an AttributeError or TypeError
+# from deeper in, and bools and floats are not taken for ints
+WRONG_TYPES = {
+    "ExcSequence((3,))": lambda: ExcSequence((3,)),
+    "ExcSequence((s1, 3))": lambda: ExcSequence((SEQ[0], 3)),
+    "ExcSequence(None)": lambda: ExcSequence(None),
+    "braid_act(seq, '1')": lambda: braid_act(SEQ, "1"),
+    "braid_act(seq, 1.0)": lambda: braid_act(SEQ, 1.0),
+    "braid_act(seq, True)": lambda: braid_act(SEQ, True),
+    "braid_act(3, 1)": lambda: braid_act(3, 1),
+    "orbit_search(3)": lambda: orbit_search(3),
+    "orbit_search(seq, bound='5')": lambda: orbit_search(SEQ, bound="5"),
+    "orbit_search(seq, bound=5.0)": lambda: orbit_search(SEQ, bound=5.0),
+    "left_mutate(s1, 3)": lambda: left_mutate(SEQ[0], 3),
+    "standard_sequence(ZZ, 3)": lambda: standard_sequence(ZZ, 3),
+    "standard_sequence(3, K2)": lambda: standard_sequence(3, K2),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_mutation_entry_points_refuse_wrong_types(call):
+    with pytest.raises(ParseError):
+        call()
+
+
+def test_mixed_members_are_refused_by_the_compatibility_check():
+    s1, s2, _ = trio(ZZ)
+    with pytest.raises(IncompatibleRing):
+        ExcSequence((s1, Rep.simple(GF(2), A2, 2)))
+    with pytest.raises(IncompatibleBase):
+        ExcSequence((s1, Rep.simple(ZZ, K2, 2)))
+    with pytest.raises(IncompatibleRing):
+        left_mutate(s1, Rep.simple(GF(2), A2, 2))
+    with pytest.raises(IncompatibleBase):
+        right_mutate(Rep.simple(ZZ, K2, 1), s2)
 
 
 @pytest.mark.parametrize("quiver,bound", [(A2, 12), (A3, 12), (K2, 12), (K3, 12)],

@@ -196,24 +196,28 @@ def _semiprime_above_proof_bound():
     return p, p * q
 
 
-def test_factorize_refuses_large_semiprimes_quickly():
+def test_large_semiprime_moduli_answer_exactly():
+    """Moduli with two primes above 2^16, once refused as unfactorable, now
+    answer exactly: constant_rank and has_nilpotent_kernel read gcds alone."""
     import signal
-    from quivlat.errors import NotComputable
 
     def hung(signum, frame):
-        raise AssertionError("factorization did not stop")
+        raise AssertionError("a large modulus did not answer")
 
     p, big = _semiprime_above_proof_bound()
-    below_proof_bound = 100000007 * 100000037
+    semiprime = 100000007 * 100000037
+    mersenne = (2 ** 61 - 1) * (2 ** 89 - 1)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        for m in (big, below_proof_bound):
-            free = ModulePresentation.from_invariant_factors(Zmod(m), [0])
-            with pytest.raises(NotComputable, match="%d" % m):
-                constant_rank(free)
-        with pytest.raises(NotComputable, match="%d" % big):
-            canonical_hom(Zmod(big), Zmod(p)).has_nilpotent_kernel
+        for m, q in ((big, p), (semiprime, 100000007), (mersenne, 2 ** 61 - 1)):
+            ring = Zmod(m)
+            assert constant_rank(ModulePresentation.from_invariant_factors(ring, [0])) == 1
+            assert constant_rank(ModulePresentation.from_invariant_factors(ring, [0, q])) is None
+            assert constant_rank(ModulePresentation.from_invariant_factors(
+                ring, [q, m // q])) == 1
+            assert not canonical_hom(ring, Zmod(q)).has_nilpotent_kernel
+            assert canonical_hom(Zmod(q * m), Zmod(m)).has_nilpotent_kernel
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -221,19 +225,7 @@ def test_factorize_refuses_large_semiprimes_quickly():
 
 def test_factorize_small_and_provably_prime_cofactors():
     from quivlat.errors import NotProjective
-    from quivlat.rings import _factorize
-    assert _factorize(4) == [(2, 2)]
-    assert _factorize(6) == [(2, 1), (3, 1)]
-    assert _factorize(8) == [(2, 3)]
-    assert _factorize(9) == [(3, 2)]
-    assert _factorize(12) == [(2, 2), (3, 1)]
-    assert _factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
-    assert _factorize(3 * (2 ** 61 - 1)) == [(3, 1), (2 ** 61 - 1, 1)]
     q = 65537
-    assert _factorize(q ** 2) == [(q, 2)]
-    assert _factorize(q ** 3) == [(q, 3)]
-    assert _factorize(3 * q ** 2) == [(3, 1), (q, 2)]
-    assert _factorize(5 * (2 ** 61 - 1) ** 7) == [(5, 1), (2 ** 61 - 1, 7)]
     big_square = Zmod(q ** 2)
     assert constant_rank(ModulePresentation.from_invariant_factors(
         big_square, [0, 0, 1])) == 2
