@@ -2,8 +2,9 @@
 
 One process runs one verb.  Reports go to standard output as text or as
 byte-stable JSON (sorted keys, fixed separators, ``"schema": 1``).  Exit
-status: 0 success, 1 domain error (structured record with the error code),
-2 parse errors and missing files.
+status: 0 success, 1 domain error (structured record with the error code)
+or a verify report that counts a failure (the report is printed), 2 parse
+errors and missing files.
 
 Parsing and every verb share only errors, rings and quiver; each verb
 imports the library module it runs when it runs, so ext never compiles
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
                "message": str(exc)}, fmt)
         return 2 if missing or isinstance(exc, ParseError) else 1
     _emit(dict(report, schema=SCHEMA, verb=args.verb), fmt)   # one envelope for every verb
-    return 0
+    return 1 if report.get("failures") else 0   # only verify reports count failures
 
 
 if __name__ == "__main__":

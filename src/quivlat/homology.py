@@ -42,16 +42,21 @@ def _differential_rows(x: Rep, y: Rep) -> tuple:
     and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
     of its tail and column c of -X_a in the block of its head.  The two meet
     in one cell only when a is a loop, where they add; a zero sum is no entry.
-    A pair whose C1 x C0 differential and C0 x C0 read of Hom generators
-    fill more than rings._MAX_HOM_CELLS cells is refused with NotComputable
-    (rings._check_read) before any row is placed.
+
+    The C1 rows over C0 columns bound what is built from them: the sheet's
+    dense residual, differential(), and the fill-in of rings._forward.  A
+    placed row is charged at least the size of a dict (8 cells) and a column
+    at least that of the set that indexes it in an elimination (32 cells),
+    so a complex with C0 or C1 empty still pays for the other.  A pair
+    whose (C1 + 32) x (C0 + 8) cells are more than rings._MAX_HOM_CELLS is
+    refused with NotComputable (rings._check_read) before any row is placed.
+    The Hom generators are charged when they are read.
     """
     _check_compatible(x, y)
     off0 = list(accumulate((a * b for a, b in zip(x.dims, y.dims)), initial=0))
     q, add, neg, nonzero = x.quiver, x.ring.add, x.ring.neg, x.ring.nonzero
     c1 = sum(x.dims[t - 1] * y.dims[h - 1] for t, h in q.arrows)
-    _check_read(c1 + off0[-1], off0[-1], "the Hom complex and Hom generators of %r and %r",
-                x.dims, y.dims)
+    _check_read(c1 + 32, off0[-1] + 8, "the Hom complex of %r and %r", x.dims, y.dims)
     rows = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
@@ -129,8 +134,9 @@ class HomExtResult:
     hom_generators lists one morphism per Hom invariant factor, in the same
     order (torsion then free), each checked to commute as a RepMorphism;
     ext_cocycles likewise lists, per Ext factor, a C1 tuple of matrices
-    mapping onto that generator of the cokernel, and refuses with
-    NotComputable a read of more than _MAX_HOM_CELLS cells.  Inside the
+    mapping onto that generator of the cokernel.  Each read charges the
+    cells it fills, and one of more than rings._MAX_HOM_CELLS cells is
+    refused with NotComputable; the invariant factors read none.  Inside the
     package the generators are read unchecked, as tuples of vertex maps
     (_generator_maps): left_mutate, right_mutate and decompose_rigid hand
     them to mutation._evaluation_map, whose one RepMorphism check is the
@@ -176,9 +182,6 @@ class HomExtResult:
 
     @cached_property
     def _ext_vecs(self):
-        # C1 cells per Ext factor; C0 may be empty, so the Hom complex's cap saw none
-        _check_read(len(self.ext.invariant_factors), self.ext.generators,
-                    "the Ext cocycles of %r and %r", self.x.dims, self.y.dims)
         vecs = self._read_ext()
         del self._read_ext
         return vecs
@@ -211,7 +214,8 @@ def _hom_ext_cached(x: Rep, y: Rep) -> HomExtResult:
 def hom_ext(x: Rep, y: Rep) -> HomExtResult:
     """Hom(X, Y) and Ext^1(X, Y) with witnesses; results are cached.  A
     pair whose Hom complex is too large is refused (_differential_rows), and
-    so is a read of Ext cocycles too large (_MAX_HOM_CELLS)."""
+    so is a read of Hom generators or Ext cocycles too large
+    (rings._MAX_HOM_CELLS)."""
     _check_compatible(x, y)
     return _hom_ext_cached(x, y)
 
@@ -236,6 +240,7 @@ def is_exceptional(x: Rep) -> bool:
     rows, with no dense differential and no transform on any ring.  Cached
     like hom_ext: every sequence check and every construction asks it again.
     """
+    _check_compatible(x, x)
     if euler_form(x.quiver, x.dims, x.dims) != 1:
         return False
     rows, cols = _differential_rows(x, x)

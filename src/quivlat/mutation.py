@@ -320,6 +320,15 @@ def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
     return tuple(abs(x) for x in v)
 
 
+def _check_bound(bound) -> None:
+    """The one check of an orbit walk's bound where an entry point takes
+    it: an exact int, not a bool or a float, else ParseError.  _dims_orbit
+    refuses a bound below 1 with BoundExceeded; being cached, it would take
+    True for 1 and 5.0 for 5, so it cannot own this check."""
+    if type(bound) is not int:
+        raise ParseError("an int bound expected, got %r" % (bound,))
+
+
 @lru_cache(maxsize=None)
 def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tuple:
     """orbit_search's walk from start, the dimension vectors of a sequence
@@ -387,9 +396,9 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
     vectors (_dims_orbit); only the states whose members are returned are
     replayed, through a memo that lives for this call.
     """
-    if not isinstance(start, ExcSequence) or type(bound) is not int:
-        raise ParseError("an ExcSequence and an int bound expected, got %r and %r"
-                         % (start, bound))
+    if not isinstance(start, ExcSequence):
+        raise ParseError("an ExcSequence expected, got %r" % (start,))
+    _check_bound(bound)
     if target_dims is not None:
         target_dims = _exact_dims(target_dims)
     dims = start.dims_tuple()

@@ -166,7 +166,10 @@ def _exact_dims(dims) -> tuple:
 def _check_dims(quiver: Quiver, dims) -> tuple:
     """A dimension vector of the quiver: exact ints, one per vertex, none
     negative.  Rep and the root readers of structure all check here, so
-    each refusal reads the same whichever of them is called."""
+    each refusal reads the same whichever of them is called; a quiver that
+    is not a Quiver is refused here too, with ParseError."""
+    if not isinstance(quiver, Quiver):
+        raise ParseError("quiver expected, got %r" % (quiver,))
     dims = _exact_dims(dims)
     if len(dims) != quiver.vertex_count:
         raise DimensionMismatch("need %d dimensions, got %d" % (
@@ -201,8 +204,6 @@ class Rep(Record):
     def __post_init__(self):
         if not isinstance(self.ring, RingSpec):
             raise ParseError("rep ring must be a RingSpec, got %r" % (self.ring,))
-        if not isinstance(self.quiver, Quiver):
-            raise ParseError("rep quiver must be a Quiver, got %r" % (self.quiver,))
         dims = _check_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
         mats = tuple(self.mats)

@@ -24,25 +24,25 @@ serve as the shape-preserving two-sided form.
 Over Z, Z/m and Feps one diagonalisation records its row and column
 operations and builds no transform; each caller replays the operations on
 just what it reads.  :func:`normal_form` replays them on identities, for
-all four transforms, and :func:`cokernel_projection` for the left one.
-:func:`solve` replays the left transform on the right-hand side and the
-right transform on the diagonal solution.  :func:`kernel_data`,
-:func:`kernel_basis` and :func:`cokernel_data` replay them on a few
-columns of the right or inverse left transform.  Hom and Ext of a quiver
-pair share one elimination and read both modules off its diagonal; each
-side's replay is deferred until its vectors (the Hom generators or Ext
-cocycles) are first read, and until then that side keeps only its own
-operation list.  :func:`cokernel` reads the diagonal alone.  The
+all four transforms.  :func:`solve` replays the left transform on the
+right-hand side and the right transform on the diagonal solution.
+:func:`kernel_data`, :func:`kernel_basis`, :func:`cokernel_data` and
+:func:`cokernel_projection` replay them on a few columns of the right or
+inverse left transform.  Hom and Ext of a quiver pair share one
+elimination and read both modules off its diagonal; each side's replay is
+deferred until its vectors (the Hom generators or Ext cocycles) are first
+read, and until then that side keeps only its own operation list.  :func:`cokernel` reads the diagonal alone.  The
 diagonalisation first eliminates every unit pivot on sparse rows and makes
 only the unit-free residual dense, and every sheet pauses there.  Reading
 its diagonal resumes it, save over Z: there it stays paused, which keeps
 every entry a minor of the input, and reads the residual's invariant
 factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
 its rank, the last pivot of the one forward elimination below; the first
-witness read resumes it from there.  :func:`kernel_data` and
-:func:`cokernel_data`, which read their vectors at once, diagonalise in
-full before they read the diagonal.  One pass clears a pivot's column by
-row steps, and its row by the same pass on the residual transposed.
+witness read resumes it from there.  :func:`kernel_data`,
+:func:`cokernel_data` and :func:`cokernel_projection`, which read their
+vectors at once, diagonalise in full before they read the diagonal.  One
+pass clears a pivot's column by row steps, and its row by the same pass
+on the residual transposed.
 
 Over Q and F_p all of these instead run the one forward elimination,
 ``_forward``, on sparse rows (dicts from column to nonzero entry) with no
@@ -50,9 +50,13 @@ row moves, column operations or transforms (fraction-free over Q), which
 updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext
 as modules follow from its rank profile; the kernel vectors back-substitute
 its echelon rows at the non-pivot columns, Hom's on first read.
-:func:`normal_form` and :func:`cokernel_projection` back-substitute
-[a | I], and :func:`solve` [a | b].  :func:`is_invertible` and the
-mutation layer's exceptional checks run the same pass on every ring.
+:func:`normal_form` back-substitutes [a | I], and :func:`solve` [a | b].
+:func:`is_invertible` and the mutation layer's exceptional checks run the
+same pass on every ring.  On every ring :func:`cokernel_projection` is the
+kernel read of a transposed, since Hom(coker a, R) = ker(a^T).
+
+Every read of vectors or of a transform charges the cells it fills
+against one cap, _MAX_HOM_CELLS (_check_read), where it fills them.
 
 Elimination takes one input on every ring: the ring, the rows as dicts
 from column to nonzero entry, and the column count.  A public matrix entry
@@ -1408,7 +1412,10 @@ def _replay(ring: RingSpec, x, ops, inverse=False):
 
 
 def _unit_columns(ring: RingSpec, size, picks) -> list:
-    """The rows of the size-row matrix whose columns are e_p (p in picks)."""
+    """The rows of the size-row matrix whose columns are e_p (p in picks).
+    Every read of a sheet's vectors or transforms starts here, so this
+    charges the cells it fills (_check_read)."""
+    _check_read(len(picks), size)
     zero, one = ring.zero, ring.one
     return [[one if p == r else zero for p in picks] for r in range(size)]
 
@@ -1463,6 +1470,8 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     ring = mat.ring
     if ring.is_field:
         k = mat.cols
+        # (rows + cols)^2 cells cover [mat | I] and the cols x cols right transform
+        _check_read(mat.rows + k, mat.rows + k)
         aug = mat.hstack(ExactMatrix.identity(ring, mat.rows))
         pivots, rows = _field_rref(aug)
         ident = ExactMatrix.identity(ring, k)
@@ -1697,23 +1706,25 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # kernels, cokernels, module presentations
 
 
-# Most cells one Hom complex or one read of vectors may fill:
-# homology._differential_rows places the C1 x C0 differential and a read of
-# its Hom generators fills C0 x C0; the Kronecker (30,29) self-pair of the
-# bound-60 orbit needs 6.1 million.  A read of kernel, cokernel or Ext
-# vectors is capped alike on its own (_check_read), since a complex with
-# C0 = 0 needs no cell yet may have C1 free cokernel factors.
+# Most cells, object references, one allocation may fill.  Each is charged
+# where it is filled: homology._differential_rows charges the Hom complex it
+# places, and a read of vectors or of a transform charges what it reads, in
+# _unit_columns on a sheet and in _field_hom_ext's readers and normal_form
+# over Q and F_p.  A decision (invariant factors, is_rigid) reads no vector,
+# so it pays for its complex alone; that of the Kronecker (30,29) self-pair
+# of the bound-60 orbit is charged 3.1 million cells.
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 
-def _check_read(count: int, length: int, what: str, *args) -> None:
-    """Refuse with NotComputable a read of count vectors of length entries
-    that fills more than _MAX_HOM_CELLS cells; what % args names the
-    vectors, formatted only for a refusal."""
+def _check_read(count: int, length: int, what: str = "%d vectors of %d entries",
+                *args) -> None:
+    """Refuse with NotComputable to fill count vectors of length entries
+    when that is more than _MAX_HOM_CELLS cells; what % args, by default
+    what % (count, length), names them, formatted only for a refusal."""
     cells = count * length
     if cells > _MAX_HOM_CELLS:
-        raise NotComputable("%s need %d cells, above the cap %d"
-                            % (what % args, cells, _MAX_HOM_CELLS))
+        raise NotComputable("%s would fill %d cells, above the cap %d"
+                            % (what % (args or (count, length)), cells, _MAX_HOM_CELLS))
 
 
 def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -> tuple:
@@ -1787,6 +1798,7 @@ def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
         echelon = [rows[r] for r in pivot_rows]
 
         def read_hom():
+            _check_read(len(free_cols), cols)
             w, d = _back_substitute(pivot_cols, echelon, free_cols, p)
             vecs = []
             for t, f in enumerate(free_cols):
@@ -1799,6 +1811,7 @@ def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
             return vecs
     if ext_rows:
         def read_ext():
+            _check_read(len(ext_rows), height)
             return [tuple(one if k == i else zero for k in range(height)) for i in ext_rows]
     return (ModulePresentation(ring, len(free_cols), (zero,) * len(free_cols)), read_hom,
             ModulePresentation(ring, height, (zero,) * len(ext_rows)), read_ext)
@@ -1819,8 +1832,6 @@ def kernel_data(a: ExactMatrix) -> tuple:
     _MAX_HOM_CELLS cells is refused with NotComputable.
     """
     pres, vectors = _read_at_once(a)[:2]
-    _check_read(len(pres.invariant_factors), a.cols,
-                "the kernel vectors of a %dx%d matrix", a.rows, a.cols)
     return pres, vectors()
 
 
@@ -1898,8 +1909,6 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
     of more than _MAX_HOM_CELLS cells is refused with NotComputable.
     """
     pres, vectors = _read_at_once(a)[2:]
-    _check_read(len(pres.invariant_factors), a.rows,
-                "the cokernel vectors of a %dx%d matrix", a.rows, a.cols)
     return pres, vectors()
 
 
@@ -1908,25 +1917,18 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
 
     Returns a (free rank x rows) matrix pi with pi * a = 0 whose rows map
     R^rows onto coker(a), or None when the cokernel has a torsion summand
-    and no such free presentation exists.  Its rows are the rows of the
-    left transform at the zero rows of the normal form.  Either way that
-    transform is built in full first, so more than _MAX_HOM_CELLS cells of
-    it are refused with NotComputable.
+    and no such free presentation exists.  Hom(coker a, R) is the kernel
+    of a transposed, and a free cokernel is its own double dual, so the
+    rows of pi are the kernel vectors of a transposed (kernel_data).  a and
+    its transpose share their torsion, so the cokernel of a is free exactly
+    when that of a transposed is.  A read of more than _MAX_HOM_CELLS cells
+    is refused with NotComputable.
     """
-    ring = a.ring
-    _check_read(a.rows, a.rows, "the left transform rows of a %dx%d matrix", a.rows, a.cols)
-    if ring.is_field:   # left is the identity block of the rref of [a | I]
-        pivots, reduced = _field_rref(a.hstack(ExactMatrix.identity(ring, a.rows)))
-        rows = [tuple(r[a.cols:]) for c, r in zip(pivots, reduced) if c >= a.cols]
-    else:
-        ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
-        diag = ws.diagonal(a.rows)
-        idx = _chain_order(ring, diag)
-        if not all(ring.is_zero(diag[i]) for i in idx):
-            return None
-        left = _replay(ring, _unit_columns(ring, a.rows, range(a.rows)), ws.row_ops)
-        rows = [tuple(left[i]) for i in idx]
-    return ExactMatrix._of(ring, len(rows), a.rows, tuple(rows))
+    _, vectors, coker = _read_at_once(a.transpose())[:3]
+    if not coker.is_free:
+        return None
+    rows = vectors()
+    return ExactMatrix._of(a.ring, len(rows), a.rows, tuple(rows))
 
 
 def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
@@ -1945,10 +1947,10 @@ def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
 
 
 def _read_at_once(a: ExactMatrix) -> tuple:
-    """_hom_ext_data of a for kernel_data and cokernel_data, which read
-    their vectors at once: the sheet is diagonalised in full before its
-    diagonal is read, so over Z it reads no factors modulo 2|D| that the
-    vector read would resume past."""
+    """_hom_ext_data of a for kernel_data, cokernel_data and
+    cokernel_projection, which read their vectors at once: the sheet is
+    diagonalised in full before its diagonal is read, so over Z it reads no
+    factors modulo 2|D| that the vector read would resume past."""
     ring, rows = a.ring, _nonzeros(a.entries, a.ring)
     if ring.is_field:
         return _field_hom_ext(ring, rows, a.cols)
@@ -2008,22 +2010,23 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
 
     A finitely presented module is projective exactly when it is locally
     free.  Over the principal ideal domains Z, Q and F_p and the local
-    rings F_p[e]/(e^n) that means free: every factor is zero.  Over Z/m a
-    summand R/(d) is R/(g) with g = gcd(d, m): free when g = m, zero when
-    g = 1, and otherwise projective exactly when gcd(g, m/g) = 1, when it
-    is the summand of R on the primes of g.  The torsion g split m into
-    coprime parts by gcds alone (factor refinement, Bach, Driscoll &
-    Shallit 1993), each part b dividing or coprime to every g, so the rank
-    on b is the free count plus the number of g that b divides; no prime
-    of m is needed.  Raises NotProjective when a summand is not projective;
-    returns the parts' common rank, or None when they differ (possible
-    only over Z/m with composite m).
+    rings F_p[e]/(e^n) that means free: every factor is zero or a unit,
+    whose summand R/(u) is zero.  Over Z/m a summand R/(d) is R/(g) with
+    g = gcd(d, m): free when g = m, zero when g = 1, and otherwise
+    projective exactly when gcd(g, m/g) = 1, when it is the summand of R on
+    the primes of g.  The torsion g split m into coprime parts by gcds
+    alone (factor refinement, Bach, Driscoll & Shallit 1993), each part b
+    dividing or coprime to every g, so the rank on b is the free count
+    plus the number of g that b divides; no prime of m is needed.  Raises
+    NotProjective when a summand is not projective; returns the parts'
+    common rank, or None when they differ (possible only over Z/m with
+    composite m).
     """
     ring, m, factors = pres.ring, pres.ring.m, pres.invariant_factors
     if not m:
-        if not all(ring.is_zero(d) for d in factors):
+        if any(not ring.is_zero(d) and not ring.is_unit(d) for d in factors):
             raise NotProjective("not free over %s: invariant factors %r" % (ring, list(factors)))
-        return len(factors)
+        return pres.free_rank
     free, torsion = 0, []
     for g in (math.gcd(d, m) for d in factors):
         if g == m:

@@ -50,7 +50,8 @@ from .errors import (
 )
 from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
-from .mutation import _dims_orbit, _evaluation_map, _orbit_sequence, standard_sequence
+from .mutation import (_check_bound, _dims_orbit, _evaluation_map, _orbit_sequence,
+                       standard_sequence)
 from .quiver import (
     Quiver,
     Rep,
@@ -85,12 +86,17 @@ def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
     which the mutation formulas determine, so no representation is built;
     exceptional_lattice replays a witness for alpha only when asked.
     """
+    return _status(quiver, alpha, bound)[1]
+
+
+def _status(quiver: Quiver, alpha, bound: int) -> tuple:
+    """alpha, checked, and its schur_root_status: the bound and alpha are
+    checked here once for every root reader of this module."""
+    _check_bound(bound)
     alpha = _check_dims(quiver, alpha)
     if tits_form(quiver, alpha) != 1:
-        return SCHUR_PREFILTER_FALSE
-    if alpha in _dims_orbit(quiver, bound)[1]:
-        return SCHUR_REAL
-    return SCHUR_BOUNDED_FALSE
+        return alpha, SCHUR_PREFILTER_FALSE
+    return alpha, SCHUR_REAL if alpha in _dims_orbit(quiver, bound)[1] else SCHUR_BOUNDED_FALSE
 
 
 def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
@@ -100,8 +106,7 @@ def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
 def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
     """alpha, checked; NotSchurRoot or BoundExceeded unless the orbit walk
     within bound reaches it.  No witness is replayed."""
-    alpha = _check_dims(quiver, alpha)
-    status = schur_root_status(quiver, alpha, bound=bound)
+    alpha, status = _status(quiver, alpha, bound)
     if status == SCHUR_PREFILTER_FALSE:
         raise NotSchurRoot("tits form of %r is %d, not 1" % (
             list(alpha), tits_form(quiver, alpha)))
@@ -293,6 +298,8 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     extensions there, peeled off by split evaluation maps, and reassembled
     into an isomorphism that is checked vertexwise.
     """
+    _check_compatible(x, x)
+    _check_bound(bound)
     ring = x.ring
     quiver = x.quiver
     quiver.topological_order()
@@ -388,6 +395,7 @@ def lift_rigid(x: Rep, hom: RingHom) -> Rep:
     Entries are lifted by the canonical section of the hom; the result maps
     back to the input exactly and inherits rigidity, which is re-verified.
     """
+    _check_compatible(x, x)
     _check_hom(hom)
     if hom.target != x.ring:
         raise IncompatibleBase(

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quivlat import cli
+from quivlat import cli, verify
 from quivlat.cli import main
 from quivlat.errors import ParseError
 from quivlat.quiver import Quiver, Rep, direct_sum, projective_rep
@@ -212,6 +212,16 @@ def test_verify_verb(files, capsys):
     assert rep["counterexample"] is None
 
 
+def test_verify_exits_1_when_its_report_counts_a_failure(monkeypatch, capsys):
+    # a suite whose second and third cases fail: the report is still printed
+    monkeypatch.setitem(verify._RUNNERS, "euler",
+                        lambda seed, size: [None, {"case": 1}, {"case": 2}])
+    code, rep = run_json(capsys, "verify", "euler", "--size", "3")
+    assert code == 1
+    assert (rep["cases"], rep["passes"], rep["failures"]) == (3, 1, 2)
+    assert rep["counterexample"] == {"case": 1}
+
+
 def test_quiver_cross_check(files, capsys):
     code, rep = run_json(capsys, "rigid", "--rep", files["s1"], "--quiver", files["k2"])
     assert code == 1 and rep["error"] == "IncompatibleBase"
@@ -321,8 +331,8 @@ def _limit_address_space():
 @pytest.mark.parametrize("dim, code, error, says", [
     pytest.param(2 ** 70, 2, "ParseError", "dimension 1180591620717411303424 at vertex 2 "
                  "exceeds the cap", id="2**70"),
-    pytest.param(5000, 1, "NotComputable", "the Hom complex and Hom generators of (0, 5000) "
-                 "and (0, 5000) need 625000000000000 cells, above the cap",
+    pytest.param(5000, 1, "NotComputable", "the Hom complex of (0, 5000) and (0, 5000) "
+                 "would fill 800000256 cells, above the cap",
                  id="5000")])
 def test_oversized_dimensions_exit_with_a_typed_error(tmp_path, verb, dim, code, error, says):
     # A Kronecker record with no entries: 123 bytes at 2**70, which once

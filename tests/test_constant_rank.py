@@ -125,6 +125,15 @@ def test_constant_rank_maps_only_the_invariant_factors():
         rings.apply_hom = saved
 
 
+def test_a_unit_factor_is_a_zero_summand_on_every_ring():
+    """R/(u) = 0 for a unit u, so a raw presentation with a unit factor is
+    free of rank 0 beside its free summands, on the rings with m = 0 as over
+    Z/m, where the gcd with m already drops it."""
+    for ring in (rings.ZZ, rings.QQ, GF(3), Feps(2, 2), Zmod(6)):
+        assert constant_rank(ModulePresentation(ring, 1, (ring.one,))) == 0, ring
+        assert constant_rank(ModulePresentation(ring, 2, (ring.one, ring.zero))) == 1, ring
+
+
 def test_nilpotent_kernel_matches_radicals():
     homs = [(Zmod(m), Zmod(d)) for m in range(2, 200)
             for d in range(2, m + 1) if m % d == 0]

@@ -8,16 +8,28 @@ differential and no relation matrix, which at 1600 x 1600 would take some
 20 MB of references alone.  Its tracemalloc peak stays below 2 MB, over
 F_2 (one forward elimination) and over Z (a worksheet).
 
-The Kronecker pair (1, 0), (0, 6000) has C0 = 0, so its Hom complex needs
-no cell, yet Ext is free of rank 12000 on 12000 generators: reading its
-cocycles would fill 144 million cells.  In a child process under a 1 GiB
-address-space limit the ranks answer and the read is refused with
-NotComputable, over Z and over F_2, where it once raised MemoryError.
-The same cap refuses a vector read on a bare matrix: the cokernel of the
-12000 x 0 zero matrix over Z and the kernel of the 0 x 12000 one over F_2,
-each 12000 vectors of length 12000, and the cokernel projection of the
-12000 x 0 zero matrix over Z and over F_2, whose 12000 x 12000 left
-transform is refused before either branch builds it.
+The Kronecker pair (1, 0), (0, 6000) has C0 = 0, so its Hom complex is
+12000 empty rows, yet Ext is free of rank 12000 on 12000 generators:
+reading its cocycles would fill 144 million cells.  In a child process
+under a 1 GiB address-space limit the ranks answer and the read is refused
+with NotComputable, over Z and over F_2, where it once raised MemoryError.
+Each read charges the cells it fills, so the same cap refuses a vector read
+on a bare matrix: the cokernel of the 12000 x 0 zero matrix over Z, the
+kernel of the 0 x 12000 one over F_2, and the cokernel projection of the
+12000 x 0 zero matrix over Z and over F_2, the kernel of its transpose,
+each 12000 vectors of length 12000; and the normal form of either zero
+matrix, whose transforms are 12000 x 12000.
+
+The Hom complex is charged at least a dict per placed row and a set per
+column, so a complex of many empty rows or columns is refused before it is
+placed: the Kronecker pairs (n, 0), (0, n) for n = 2000 and 3000 (C0 = 0,
+C1 = 2n^2 rows), which once raised MemoryError, and the one-vertex rep of
+dimension 2000 (C0 = 4 million columns, C1 = 0), in Python and through
+``quivlat ext``.  A decision that reads no vector pays for its complex
+alone, so three cheap inputs the cap once refused answer under the same
+limit: is_rigid of the one-vertex rep of dimension 67 and decompose_rigid
+of the Kronecker sum (20,21) + (21,22), each within 2 s, and the cokernel
+projection of the 4500 x 4500 identity over F_2, with no row.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_hom_ext_memory.py
@@ -27,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 from quivlat import homology
@@ -94,7 +107,7 @@ def _run_capped(script: str) -> list:
 
 def test_an_ext_read_above_the_cap_is_refused_not_allocated():
     lines = _run_capped(EXT_READ)
-    says = "the Ext cocycles of (1, 0) and (0, 6000) need 144000000 cells, above the cap"
+    says = "12000 vectors of 12000 entries would fill 144000000 cells, above the cap"
     for (ring, rank, raised), spec in zip(lines, ("Z", "F:2"), strict=True):
         assert (ring, rank) == (spec, 12000)
         assert raised is not None and raised[0] == "NotComputable", (spec, raised)
@@ -105,11 +118,16 @@ def test_an_ext_read_above_the_cap_is_refused_not_allocated():
 MATRIX_READ = """
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from quivlat.rings import ExactMatrix, GF, ZZ, cokernel_data, cokernel_projection, kernel_data
+from quivlat.rings import (ExactMatrix, GF, ZZ, cokernel_data, cokernel_projection,
+                           kernel_data, normal_form)
 for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
                   (kernel_data, ExactMatrix.zeros(GF(2), 0, 12000)),
                   (cokernel_projection, ExactMatrix.zeros(ZZ, 12000, 0)),
-                  (cokernel_projection, ExactMatrix.zeros(GF(2), 12000, 0))):
+                  (cokernel_projection, ExactMatrix.zeros(GF(2), 12000, 0)),
+                  (normal_form, ExactMatrix.zeros(ZZ, 12000, 0)),
+                  (normal_form, ExactMatrix.zeros(GF(2), 12000, 0)),
+                  (normal_form, ExactMatrix.zeros(ZZ, 0, 12000)),
+                  (normal_form, ExactMatrix.zeros(GF(2), 0, 12000))):
     try:
         read(mat)
         raised = None
@@ -120,13 +138,102 @@ for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
 
 
 def test_a_matrix_vector_read_above_the_cap_is_refused_not_allocated():
-    says = ("the cokernel vectors of a 12000x0 matrix need 144000000 cells, above the cap",
-            "the kernel vectors of a 0x12000 matrix need 144000000 cells, above the cap",
-            "the left transform rows of a 12000x0 matrix need 144000000 cells, above the cap",
-            "the left transform rows of a 12000x0 matrix need 144000000 cells, above the cap")
-    for raised, start in zip(_run_capped(MATRIX_READ), says, strict=True):
+    lines = _run_capped(MATRIX_READ)
+    assert len(lines) == 8
+    for raised in lines:
+        assert raised is not None and raised[0] == "NotComputable", raised
+        assert raised[1].startswith(
+            "12000 vectors of 12000 entries would fill 144000000 cells, above the cap"), raised
+
+
+# Run in the child: one JSON line per pair, what hom_ext raised.
+HOM_COMPLEX = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.homology import hom_ext
+from quivlat.quiver import Quiver, Rep
+from quivlat.rings import ExactMatrix, RingSpec
+K = Quiver(2, ((1, 2), (1, 2)))
+for spec in ("F:2", "Z"):
+    ring = RingSpec.parse(spec)
+    pairs = [(Rep(ring, K, (n, 0), (ExactMatrix.zeros(ring, 0, n),) * 2),
+              Rep(ring, K, (0, n), (ExactMatrix.zeros(ring, n, 0),) * 2)) for n in (2000, 3000)]
+    point = Rep(ring, Quiver(1, ()), (2000,), ())
+    for x, y in pairs + [(point, point)]:
+        try:
+            hom_ext(x, y)
+            raised = None
+        except Exception as exc:
+            raised = [type(exc).__name__, str(exc)]
+        print(json.dumps(raised))
+"""
+
+
+def test_a_hom_complex_of_empty_rows_or_columns_is_refused_not_placed():
+    says = ("the Hom complex of (2000, 0) and (0, 2000) would fill 64000256 cells",
+            "the Hom complex of (3000, 0) and (0, 3000) would fill 144000256 cells",
+            "the Hom complex of (2000,) and (2000,) would fill 128000256 cells")
+    for raised, start in zip(_run_capped(HOM_COMPLEX), says * 2, strict=True):
         assert raised is not None and raised[0] == "NotComputable", raised
         assert raised[1].startswith(start), raised
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_quivlat_ext_on_a_large_empty_kronecker_pair_exits_with_a_typed_error():
+    # two records of about 100 bytes each; the pair's 18 million Hom complex
+    # rows once raised MemoryError with a traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for dims in ((3000, 0), (0, 3000)):
+            paths.append(os.path.join(tmp, "%d_%d.json" % dims))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump({"ring": "Z", "quiver": {"vertices": 2, "arrows": [[1, 2], [1, 2]]},
+                           "dims": list(dims), "mats": [[], []]}, fh)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quivlat.cli", "ext", "--rep-x", paths[0],
+             "--rep-y", paths[1], "--format", "json"],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space,
+            env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["error"] == "NotComputable", report
+    assert report["message"].startswith(
+        "the Hom complex of (3000, 0) and (0, 3000) would fill 144000256 cells"), report
+
+
+# Run in the child: one JSON line per call, its answer and its seconds.
+CHEAP_ANSWERS = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.homology import is_rigid
+from quivlat.quiver import Quiver, Rep, direct_sum_many
+from quivlat.rings import ExactMatrix, GF, cokernel_projection
+from quivlat.structure import decompose_rigid, exceptional_lattice
+K = Quiver(2, ((1, 2), (1, 2)))
+point = Rep(GF(2), Quiver(1, ()), (67,), ())
+pair = direct_sum_many([exceptional_lattice(K, (20, 21)), exceptional_lattice(K, (21, 22))])
+eye = ExactMatrix.identity(GF(2), 4500)
+for run in (lambda: is_rigid(point),
+            lambda: [[list(rep.dims), m] for rep, m in decompose_rigid(pair).summands],
+            lambda: cokernel_projection(eye).rows):
+    start = time.perf_counter()
+    answer = run()
+    print(json.dumps([answer, time.perf_counter() - start]))
+"""
+
+
+def test_cheap_decisions_the_cap_once_refused_answer():
+    lines = _run_capped(CHEAP_ANSWERS)
+    (rigid, rigid_s), (summands, decompose_s), (rows, _) = lines
+    assert rigid is True and rigid_s < 2, lines
+    assert summands == [[[20, 21], 1], [[21, 22], 1]] and decompose_s < 2, lines
+    assert rows == 0, lines
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from quivlat.errors import (
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
+    ParseError,
     PeelFailure,
     TheoremViolation,
 )
@@ -51,6 +52,45 @@ A3 = Quiver(3, ((1, 2), (2, 3)))
 K2 = Quiver(2, ((1, 2), (1, 2)))
 
 ALL_RINGS = (ZZ, QQ, GF(3), Zmod(4), Zmod(6), Feps(2, 2))
+
+
+# ---------------------------------------------------------------------------
+# wrong-type arguments to the structure entry points
+
+RIGID = Rep.simple(ZZ, K2, 1)
+
+# each is refused with ParseError where the value enters, not as a TypeError
+# or AttributeError from deeper in, and bools and floats are not taken for
+# int bounds: mutation._check_bound owns the bound, quiver._check_dims the
+# quiver and quiver._check_compatible the representation
+WRONG_TYPES = {
+    "schur_root_status(K2, a, bound='5')": lambda: schur_root_status(K2, (1, 2), bound="5"),
+    "exceptional_lattice(K2, a, bound='5')": lambda: exceptional_lattice(K2, (1, 2), bound="5"),
+    "generic_dims(K2, a, b, bound='5')": lambda: generic_dims(K2, (0, 1), (1, 2), bound="5"),
+    "decompose_rigid(x, bound='5')": lambda: decompose_rigid(RIGID, bound="5"),
+    "is_real_schur_root(K2, a, bound=None)": lambda: is_real_schur_root(K2, (1, 2), bound=None),
+    "schur_root_status(None, a)": lambda: schur_root_status(None, (1, 2)),
+    "exceptional_lattice(None, a)": lambda: exceptional_lattice(None, (1, 2)),
+    "decompose_rigid(None)": lambda: decompose_rigid(None),
+    "lift_rigid(None, hom)": lambda: lift_rigid(None, canonical_hom(ZZ, GF(2))),
+    "is_exceptional(None)": lambda: is_exceptional(None),
+    "schur_root_status(K2, a, bound=5.0)": lambda: schur_root_status(K2, (1, 2), bound=5.0),
+    "schur_root_status(K2, a, bound=True)": lambda: schur_root_status(K2, (5, 6), bound=True),
+    "decompose_rigid(x, bound=2.5)": lambda: decompose_rigid(RIGID, bound=2.5),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_structure_entry_points_refuse_wrong_types(call):
+    with pytest.raises(ParseError):
+        call()
+
+
+def test_a_bound_below_one_is_bound_exceeded():
+    with pytest.raises(BoundExceeded):
+        schur_root_status(K2, (1, 2), bound=0)
+    with pytest.raises(BoundExceeded):
+        decompose_rigid(RIGID, bound=0)
 
 
 # ---------------------------------------------------------------------------

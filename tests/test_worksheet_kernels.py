@@ -261,7 +261,9 @@ def test_reference_is_in_use():
     the local rings Z/4 and Feps the pivot, of least size, divides every
     entry, so no column pass needs N transposed.  hom_ext runs the unit
     phase on a random pair, and a column pass on N transposed on a pair
-    whose Hom complex is [[2, 3], [4, 5]]."""
+    whose Hom complex is [[2, 3], [4, 5]].  cokernel_projection eliminates
+    its matrix transposed, so it is handed the matrix transposed, and
+    eliminates the matrix itself as the others do."""
     x = y = random_rep(ZZ, QUIVERS[0], (2, 3), random.Random("in use"))
     gcd_pair = tuple(Rep.from_matrix_rows(ZZ, QUIVERS[0], (1, 1), arrows)
                      for arrows in ([[[-3]], [[-5]]], [[[2]], [[4]]]))
@@ -271,7 +273,9 @@ def test_reference_is_in_use():
         e = d if local else ring.canon(3)
         a = ExactMatrix(ring, 3, 4, ((ring.one, ring.one, ring.zero, ring.zero),
                                      (ring.one, ring.one, d, e), (ring.zero, ring.zero, d, e)))
-        for name, run in _entry_points(a, 0).items():
+        points = _entry_points(a, 0)
+        points["cokernel_projection"] = lambda: cokernel_projection(a.transpose())
+        for name, run in points.items():
             CALLS.clear()
             with _elementwise():
                 run()
