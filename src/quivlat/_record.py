@@ -9,14 +9,18 @@ of their fields, and the repr lists the fields by keyword.
 
 Four classes state their own ``__eq__`` and ``__hash__`` on their fields,
 because the benchmark traffic calls them.  Per lattice-orbit op (seed 1,
-passes 0-2, 276 ops), RingSpec takes 14.8 ``__eq__`` calls, Quiver 5.2 and
-4.9 hashes, ExactMatrix 1.4 and 2.3, and Rep 0.6 and 2.7.  The generic
+passes 0-2, 276 ops, each pass in a fresh process), RingSpec takes 24.9
+``__eq__`` calls and 4.5 hashes, Quiver 9.4 and 4.4, ExactMatrix 0.5 and
+3.2, and Rep 0.2 and 5.6; the hashes come from lookups in the caches kept
+for the exceptionality checks, the walk and its replays.  The generic
 methods read through one ``operator.attrgetter`` per class measured about
 2x slower on CPython 3.11 (RingSpec ``__eq__`` 135 -> 300 ns, Rep 560 ->
 1300 ns), and 1.3-1.5x slower on a slower 2-core host (RingSpec 210 -> 280
 ns, Rep 1400 -> 2150 ns).  Every other record uses the methods here:
 ModulePresentation and RepMorphism took no ``__eq__`` or ``__hash__`` call
-in those ops, nor in 3 passes of homext-sweep (45 ops).
+in those ops, nor in 3 passes of homext-sweep (45 ops), where hom_ext,
+which caches nothing, hashes nothing either: an op takes 2 ``__eq__``
+calls each of Quiver and RingSpec, in its pair's compatibility checks.
 """
 
 

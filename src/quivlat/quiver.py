@@ -234,7 +234,7 @@ class Rep(Record):
         return NotImplemented
 
     def __hash__(self):
-        # once per instance: every cached hom_ext lookup hashes its arguments
+        # once per instance: every lookup in homology's caches hashes its arguments
         h = self.__dict__.get("_hash")
         if h is None:
             h = hash((self.ring, self.quiver, self.dims, self.mats))

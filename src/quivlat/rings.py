@@ -824,7 +824,9 @@ _FEPS_TABLE_SIZE = 25
 _TABLE_KERNELS = ("mul", "row_axpy", "row_comb", "dict_axpy")
 
 
-@functools.lru_cache(maxsize=None)
+# One entry per Feps ring built; the largest working set measured, on a
+# workload pass or a tier-1 test, is 26 rings (test_feps_tables).
+@functools.lru_cache(maxsize=128)
 def _table_kernels(ring: _Truncated) -> dict:
     """The _TABLE_KERNELS of a small Feps ring, on tables of its products
     prod[c][y] and sums total[x][z], values shared with elements(); none
@@ -1503,7 +1505,9 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     diagonalises a, and each diagonal entry solves its row of the
     transformed b by ring.solve_scalar alone: a zero pivot solves a zero
     right-hand side, to zero, and nothing else.  The diagonal's rows past
-    a.cols are such zero padding.
+    a.cols are such zero padding.  The a.cols x b.cols block the sheet
+    fills is charged first (_check_read); over Q and F_p the rows of X
+    that no pivot sets share one zero row.
     """
     _check_same_ring(a.ring, b.ring)
     if a.rows != b.rows:
@@ -1519,6 +1523,7 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
         return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
     ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
     c = _replay(ring, [list(row) for row in b.entries], ws.row_ops)
+    _check_read(a.cols, b.cols)
     y = [[ring.zero] * b.cols for _ in range(a.cols)]
     for i, d in enumerate(ws.diagonal(a.rows)):
         for jc in range(b.cols):
@@ -1710,9 +1715,10 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
 # where it is filled: homology._differential_rows charges the Hom complex it
 # places, and a read of vectors or of a transform charges what it reads, in
 # _unit_columns on a sheet and in _field_hom_ext's readers and normal_form
-# over Q and F_p.  A decision (invariant factors, is_rigid) reads no vector,
-# so it pays for its complex alone; that of the Kronecker (30,29) self-pair
-# of the bound-60 orbit is charged 3.1 million cells.
+# over Q and F_p; solve charges its solution block on a sheet.  A decision
+# (invariant factors, is_rigid) reads no vector, so it pays for its complex
+# alone; that of the Kronecker (30,29) self-pair of the bound-60 orbit is
+# charged 3.1 million cells.
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 

@@ -28,15 +28,16 @@ off, which read Schofield's recursion for generic Ext on dimension
 vectors.  A witness is built only by exceptional_lattice: the braid word
 that first reached its root is replayed over Z from the standard sequence
 (mutation._orbit_sequence), and every sequence built on the way is kept
-for later replays.  Nothing is searched over Q: mutation commutes with the
-flat base change Z -> Q, so both orbits pass through the same dimension
-vectors in the same order.
+for later replays (_built).  Nothing is searched over Q: mutation commutes
+with the flat base change Z -> Q, so both orbits pass through the same
+dimension vectors in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache
 
 from .errors import (
     BoundExceeded,
@@ -71,10 +72,6 @@ from .rings import ExactMatrix, RingHom, RingSpec, ZZ, _check_hom, canonical_hom
 SCHUR_REAL = "real_schur"
 SCHUR_PREFILTER_FALSE = "prefilter_false"
 SCHUR_BOUNDED_FALSE = "bounded_false"
-
-
-# (quiver, bound) -> {state of _dims_orbit(quiver, bound): its integral ExcSequence}
-_BUILT = {}
 
 
 def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
@@ -117,14 +114,22 @@ def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
     return alpha
 
 
+# Cached like the walk it replays; the largest working set measured, on a
+# workload pass or a tier-1 test, is 18 walks (test_acceptance).
+@lru_cache(maxsize=128)
+def _built(quiver: Quiver, bound: int) -> dict:
+    """{state of _dims_orbit(quiver, bound): its integral ExcSequence} for
+    the states replayed so far, from the walk's start, the standard
+    sequence."""
+    return {next(iter(_dims_orbit(quiver, bound)[0])): standard_sequence(ZZ, quiver)}
+
+
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
     """orbit_search's witness over Z for alpha; raises if there is none."""
     alpha = _require_real_schur(quiver, alpha, bound)
     steps, first = _dims_orbit(quiver, bound)
-    if (quiver, bound) not in _BUILT:   # steps begin at the standard sequence
-        _BUILT[quiver, bound] = {next(iter(steps)): standard_sequence(ZZ, quiver)}
     state = first[alpha]
-    return _orbit_sequence(steps, _BUILT[quiver, bound], state)[state.index(alpha)]
+    return _orbit_sequence(steps, _built(quiver, bound), state)[state.index(alpha)]
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
@@ -159,10 +164,10 @@ def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims
     Both roots must be reached by the orbit walk within the bound.  The Ext
     rank is Schofield's recursion on dimension vectors (_generic_ext), and
     the Hom rank follows from the Euler form, hom - ext = <alpha, beta>; no
-    witness is built.
+    witness is built, and the recursion's table lives for this call.
     """
     alpha, beta = (_require_real_schur(quiver, root, bound) for root in (alpha, beta))
-    ext = _generic_ext(quiver, alpha, beta)
+    ext = _generic_ext(quiver, alpha, beta, {})
     return GenericDims(ext + euler_form(quiver, alpha, beta), ext)
 
 
@@ -198,21 +203,18 @@ class RigidDecomposition(Record):
         }
 
 
-# quiver -> {dimension vector: its generic subdimension vectors}
-_SUBDIMS = {}
-
-
-def _generic_subdims(quiver: Quiver, alpha: tuple) -> tuple:
+def _generic_subdims(quiver: Quiver, alpha: tuple, table: dict) -> tuple:
     """The dimension vectors of the subrepresentations of a general
     representation of dimension alpha, alpha itself first.
 
     Schofield's recursion: beta is one exactly when ext(beta, alpha - beta)
     is 0, and ext(beta, gamma) is the largest -<beta', gamma> over the
-    generic subdimension vectors beta' of beta.  The table is filled for
-    every vector below alpha by increasing total, so each test reads only
-    finished entries and nothing recurses.
+    generic subdimension vectors beta' of beta.  table, {dimension vector:
+    its generic subdimension vectors} for this quiver, is the caller's and
+    lives for its call: it is filled for every vector below alpha by
+    increasing total, so each test reads only finished entries and nothing
+    recurses, and later calls on the same table read what is filled.
     """
-    table = _SUBDIMS.setdefault(quiver, {})
     if alpha in table:
         return table[alpha]
     arrows = [(quiver.tail(a), quiver.head(a)) for a in range(quiver.arrow_count)]
@@ -232,19 +234,19 @@ def _generic_subdims(quiver: Quiver, alpha: tuple) -> tuple:
     return table[alpha]
 
 
-def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
+def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
     """ext(alpha, beta), the rank of Ext between general representations;
     for real Schur roots, between their exceptional representations."""
     return max(-euler_form(quiver, sub, beta)
-               for sub in _generic_subdims(quiver, alpha))
+               for sub in _generic_subdims(quiver, alpha, table))
 
 
-def _generic_ext_into(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
+def _generic_ext_into(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
     """ext(alpha, beta) read off beta's table alone: the largest
     -<alpha, beta - beta'> over the generic subdimension vectors beta' of
     beta, since the generic quotients of beta are the beta - beta'."""
     return max(-euler_form(quiver, alpha, tuple(map(operator.sub, beta, sub)))
-               for sub in _generic_subdims(quiver, beta))
+               for sub in _generic_subdims(quiver, beta, table))
 
 
 def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
@@ -253,15 +255,16 @@ def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
     Kac: a general representation of dimension beta + rest splits as
     beta (+) rest exactly when ext(beta, rest) = 0 = ext(rest, beta).  So
     every real Schur root the orbit walk reaches is taken off the remainder
-    while that holds; both exts read only the root's table, never the
-    remainder's.  No summand is larger than dims, so the walk is capped
-    at sum(dims) whatever the bound.
+    while that holds; both exts read only the root's subdimension vectors,
+    never the remainder's, from one table that lives for this call.  No
+    summand is larger than dims, so the walk is capped at sum(dims)
+    whatever the bound.
     """
-    rem, taken = dims, {}
+    rem, taken, table = dims, {}, {}
     for beta in _dims_orbit(quiver, min(bound, sum(dims)))[1]:
         while any(beta) and all(b <= r for b, r in zip(beta, rem)):
             rest = tuple(map(operator.sub, rem, beta))
-            if _generic_ext(quiver, beta, rest) or _generic_ext_into(quiver, rest, beta):
+            if _generic_ext(quiver, beta, rest, table) or _generic_ext_into(quiver, rest, beta, table):
                 break
             taken[beta] = taken.get(beta, 0) + 1
             rem = rest

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from . import SUITES
-from .errors import QuivlatError
+from .errors import ParseError, QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, rigid_hom_ext_ranks
 from .mutation import ExcSequence, _dims_orbit, braid_act, orbit_search, standard_sequence
 from .quiver import (
@@ -301,9 +301,12 @@ _RUNNERS = dict(zip(SUITES, (_suite_euler, _suite_basechange, _suite_braid, _sui
 
 
 def run_suite(name: str, seed: int = 0, size: int = 20) -> dict:
-    """Run one named suite; unknown names raise ParseError."""
-    if name not in _RUNNERS:
-        from .errors import ParseError
+    """Run one named suite.  A name not in SUITES, or a seed or size that
+    is not an exact int (a bool, a float, None), raises ParseError before
+    anything runs, so a suite stays deterministic."""
+    if name not in SUITES:
         raise ParseError("unknown suite %r; choose from %s" % (
             name, ", ".join(SUITES)))
+    if type(seed) is not int or type(size) is not int:
+        raise ParseError("an int seed and size expected, got %r and %r" % (seed, size))
     return _report(name, seed, size, _RUNNERS[name](seed, size))

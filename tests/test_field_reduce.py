@@ -319,8 +319,7 @@ def test_field_hom_ext_never_diagonalises():
     rings._Worksheet.diagonalize = counted
     rings._Worksheet.__init__ = counted_build
     try:
-        homology._hom_ext_cached.cache_clear()
-        is_exceptional.cache_clear()
+        homology._exceptional.cache_clear()
         for ring in (QQ, GF(3)):
             x = projective_rep(ring, KRONECKER, 1)
             hom_ext(x, x)
@@ -344,8 +343,7 @@ def test_field_hom_ext_never_diagonalises():
         assert calls == built == [Zmod(6)]
     finally:
         rings._Worksheet.diagonalize, rings._Worksheet.__init__ = diagonalize, build
-        homology._hom_ext_cached.cache_clear()
-        is_exceptional.cache_clear()
+        homology._exceptional.cache_clear()
 
 
 class _NoWorksheet(rings._Worksheet):
@@ -357,7 +355,6 @@ def test_field_read_offs_build_no_worksheet():
     saved = rings._Worksheet
     rings._Worksheet = _NoWorksheet
     try:
-        homology._hom_ext_cached.cache_clear()
         for kind, ring in CASES:
             rng = random.Random("no-sheet:%s:%s" % (kind, ring))
             a = _random_matrix(kind, ring, 5, 7, 0.6, rng)
@@ -377,7 +374,6 @@ def test_field_read_offs_build_no_worksheet():
             hom_ext(*_random_pair(kind, ring, KRONECKER, rng))
     finally:
         rings._Worksheet = saved
-        homology._hom_ext_cached.cache_clear()
 
 
 if __name__ == "__main__":

@@ -183,10 +183,10 @@ def test_ext_cocycles_shape():
             assert (mat.rows, mat.cols) == (1, 1)
 
 
-def test_hom_ext_cached_and_checked():
+def test_hom_ext_checked():
     x = Rep.simple(ZZ, A2, 1)
     y = Rep.simple(ZZ, A2, 2)
-    assert hom_ext(x, y) is hom_ext(x, y)
+    assert hom_ext(x, y) is not hom_ext(x, y)   # no result is kept
     with pytest.raises(IncompatibleRing):
         hom_ext(x, Rep.simple(GF(2), A2, 2))
     from quivlat.errors import IncompatibleBase
@@ -229,8 +229,7 @@ def test_one_diagonalisation_per_hom_ext(monkeypatch):
         return diagonalize(ws)
 
     monkeypatch.setattr(rings._Worksheet, "diagonalize", counted)
-    homology._hom_ext_cached.cache_clear()
-    homology.is_exceptional.cache_clear()
+    homology._exceptional.cache_clear()
     x = projective_rep(Zmod(6), K2, 1)
     hom_ext(x, x)
     assert len(calls) == 1
@@ -250,7 +249,7 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
     right transform once, or back-substitutes once, the first read of the
     Ext cocycles the inverse left one once (over the fields they are unit
     vectors, and need nothing), and a zero side replays nothing."""
-    from quivlat import homology, rings
+    from quivlat import rings
     calls = Counter()
 
     def counted(name, fn):
@@ -263,7 +262,6 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
                         counted("diagonalize", rings._Worksheet.diagonalize))
     for name in ("_replayed", "_forward", "_back_substitute"):
         monkeypatch.setattr(rings, name, counted(name, getattr(rings, name)))
-    homology._hom_ext_cached.cache_clear()
     s1, s2 = Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2)
     p1 = projective_rep(ring, K2, 1)
     for x, y in ((s1, s2), (s2, p1)):
@@ -271,26 +269,29 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
         assert he.hom.is_free and he.ext.is_free
         assert is_rigid(x) and is_rigid(y)
         rigid_hom_ext_ranks(x, y)
-    misses = homology._hom_ext_cached.cache_info().misses
+    # one elimination per hom_ext call: each pair's own, two is_rigid, and
+    # rigid_hom_ext_ranks's two is_rigid and its hom_ext
+    calls_made = 2 * 6
     elimination = "_forward" if ring.is_field else "diagonalize"
-    assert misses == 5 and calls == {elimination: misses}
+    assert calls == {elimination: calls_made}
     ext_pair, hom_pair = hom_ext(s1, s2), hom_ext(s2, p1)
+    calls_made += 2
     for he in (ext_pair, hom_pair):
         assert rings.cokernel(he.differential) == he.ext
-    assert calls == {elimination: misses + 2}
+    assert calls == {elimination: calls_made + 2}
     assert ext_pair.hom.is_zero and ext_pair.ext.free_rank == 2
     assert hom_pair.hom.free_rank == 2 and hom_pair.ext.is_zero
     # over the sheet rings each side's first read is one _replayed
     hom_read = {"_back_substitute" if ring.is_field else "_replayed": 1}
     both_read = {"_back_substitute": 1} if ring.is_field else {"_replayed": 2}
     assert len(hom_pair.hom_generators) == 2
-    assert calls == {elimination: misses + 2, **hom_read}
+    assert calls == {elimination: calls_made + 2, **hom_read}
     for _ in range(2):
         assert len(ext_pair.ext_cocycles) == 2
         assert len(hom_pair.hom_generators) == 2
-        assert calls == {elimination: misses + 2, **both_read}
+        assert calls == {elimination: calls_made + 2, **both_read}
     assert ext_pair.hom_generators == () and hom_pair.ext_cocycles == ()
-    assert calls == {elimination: misses + 2, **both_read}
+    assert calls == {elimination: calls_made + 2, **both_read}
 
 
 def _reachable(root):
@@ -309,7 +310,7 @@ def _reachable(root):
     return seen
 
 
-def test_cached_result_keeps_no_worksheet(monkeypatch):
+def test_result_keeps_no_worksheet(monkeypatch):
     """An exceptional self-pair over Z (Hom free of rank 1, Ext zero) keeps
     neither the worksheet's N nor its row operations, and once its Hom
     generators are read, no operation list at all.  A pair with Ext alone
@@ -332,13 +333,12 @@ def test_cached_result_keeps_no_worksheet(monkeypatch):
                 if isinstance(m, ExactMatrix) and (m.rows, m.cols) == (d.rows, d.cols)]
 
     monkeypatch.setattr(rings, "_Worksheet", Recorded)
-    homology._hom_ext_cached.cache_clear()
     x = projective_rep(ZZ, K2, 1)
     he = hom_ext(x, x)
     (ws,) = sheets
     assert he.hom.is_free and he.hom.free_rank == 1 and he.ext.is_zero
     assert ws.row_ops and ws.col_ops
-    held = _reachable(homology._hom_ext_cached(x, x))
+    held = _reachable(he)
     assert not {id(ws), id(ws.n), id(ws.row_ops)} & held.keys()
     assert not {id(row) for row in ws.n} & held.keys()
     assert id(ws.col_ops) in held   # until the Hom generators are read
@@ -380,7 +380,7 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
     """Over a field the Hom side keeps the forward pass's echelon rows for
     its back-substitution until the Hom generators are read, and then none;
     the Ext side keeps no rows at all, and a zero Hom keeps none either."""
-    from quivlat import homology, rings
+    from quivlat import rings
     passes = []
     forward = rings._forward
 
@@ -390,7 +390,6 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
         return out
 
     monkeypatch.setattr(rings, "_forward", recorded)
-    homology._hom_ext_cached.cache_clear()
 
     def rows_held(he, rows):
         return {id(row) for row in rows} & _reachable(he).keys()

@@ -7,7 +7,7 @@ Hom case is evaluation X^h -> Y whose kernel or cokernel is the answer.
 
 import pytest
 
-from quivlat import homology, mutation, structure
+from quivlat import mutation, structure
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
@@ -265,7 +265,6 @@ def test_hom_generators_are_checked_once_in_the_evaluation_map(monkeypatch, muta
     # Hom((1,2), (2,3)) over Z is free of rank 2: the two generators commute
     # exactly when the evaluation map X^2 -> Y does, so that is checked once
     x, y = exceptional_lattice(K2, (1, 2)), exceptional_lattice(K2, (2, 3))
-    homology._hom_ext_cached.cache_clear()   # a fresh HomExtResult
     checks = _record_checks(monkeypatch)
     mutate(x, y)
     assert hom_ext(x, y).hom.free_rank == 2
@@ -276,7 +275,6 @@ def test_hom_generators_are_checked_once_in_the_evaluation_map(monkeypatch, muta
 def test_a_decompose_peel_checks_its_hom_generators_once(monkeypatch):
     xi = exceptional_lattice(K2, (1, 2))
     x = tensor_free(xi, 2)   # one summand of multiplicity 2: one peel
-    homology._hom_ext_cached.cache_clear()
     checks = _record_checks(monkeypatch)
     (summand, multiplicity), = decompose_rigid(x).summands
     assert summand == xi and multiplicity == 2
@@ -394,6 +392,34 @@ WRONG_TYPES = {
 @pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES)
 def test_mutation_entry_points_refuse_wrong_types(call):
     with pytest.raises(ParseError):
+        call()
+
+
+DOUBLED = tensor_free(Rep.simple(ZZ, K2, 1), 2)   # rigid, but End has rank 4
+
+# is_exceptional and is_exceptional_pair check their arguments before they
+# hash them or decide: an unhashable argument is refused, not hashed, and a
+# bad second member is refused whether or not the first is exceptional
+EXCEPTIONALITY_PROBES = {
+    "is_exceptional([1])": (lambda: is_exceptional([1]), ParseError),
+    "is_exceptional_pair([1], s1)": (lambda: is_exceptional_pair([1], SEQ[0]), ParseError),
+    "is_exceptional_pair(s1, [1])": (lambda: is_exceptional_pair(SEQ[0], [1]), ParseError),
+    "is_exceptional_pair(x, [1])": (lambda: is_exceptional_pair(DOUBLED, [1]), ParseError),
+    "is_exceptional_pair(x, None)": (lambda: is_exceptional_pair(DOUBLED, None), ParseError),
+    "is_exceptional_pair(x, y over F:2)": (
+        lambda: is_exceptional_pair(DOUBLED, Rep.simple(GF(2), K2, 2)), IncompatibleRing),
+    "is_exceptional_pair(s1, y over F:2)": (
+        lambda: is_exceptional_pair(SEQ[0], Rep.simple(GF(2), K2, 2)), IncompatibleRing),
+    "is_exceptional_pair(x, y on A2)": (
+        lambda: is_exceptional_pair(DOUBLED, Rep.simple(ZZ, A2, 2)), IncompatibleBase),
+}
+
+
+@pytest.mark.parametrize("call,error", EXCEPTIONALITY_PROBES.values(),
+                         ids=EXCEPTIONALITY_PROBES)
+def test_exceptionality_checks_refuse_before_they_hash_or_decide(call, error):
+    assert not is_exceptional(DOUBLED)
+    with pytest.raises(error):
         call()
 
 

@@ -196,7 +196,7 @@ def test_the_checks_eliminate_the_differential_with_and_without_column_0():
             reps = [_rep(ring, quiver, d, rng) for d in dims_list]
             for x in reps:
                 assert euler_form(quiver, x.dims, x.dims) == 1
-                homology.is_exceptional.cache_clear()
+                homology._exceptional.cache_clear()
                 with _Recorder() as rec:
                     got = is_exceptional(x)
                 (_, rows, cols), = rec.seen
@@ -357,10 +357,9 @@ def _lattice_pass_matrices():
              + [(A4, tuple(int(i <= v < j) for v in range(4)))
                 for i in range(4) for j in range(i + 1, 5)])
     roots.sort(key=lambda qr: -sum(qr[1]))
-    for cache in (homology.is_exceptional, homology._orthogonal,
-                  homology._hom_ext_cached, mutation._dims_orbit):
+    for cache in (homology._exceptional, homology._orthogonal, mutation._dims_orbit,
+                  structure._built):
         cache.cache_clear()
-    structure._BUILT.clear()
     with _Recorder() as rec:
         for quiver, root in roots:
             for ring in ("Z", "F:3", "Zmod:4", "Feps:2:2"):
@@ -565,7 +564,6 @@ def test_rational_zeros_that_are_not_qq_zero():
     placed, cols = _differential_rows(loop, loop)
     assert cols == 4 and not any(k in placed[i] for i, k in cancelled)
     assert differential(loop, loop).entries == want.entries
-    homology._hom_ext_cached.cache_clear()
     he, ((rows, got),) = _forward_runs(lambda: hom_ext(loop, loop))
     assert he.differential.entries == want.entries and rows == placed == _as_dicts(want)
     _assert_dense_forward(rows, got, want)
@@ -611,7 +609,6 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
             for quiver, dims_list in SHAPES:
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
-                    homology._hom_ext_cached.cache_clear()
                     del placed[:], scanned[:], sheets[:], densified[:]
                     with _Recorder(rings) as rec:
                         he = hom_ext(x, y)

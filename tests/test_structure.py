@@ -187,8 +187,8 @@ WALKED_IDS = ("kronecker", "A3", "A3-opposite", "3-kronecker", "triangle")
 
 
 @pytest.fixture
-def fresh_replays(monkeypatch):
-    monkeypatch.setattr(structure, "_BUILT", {})
+def fresh_replays():
+    structure._built.cache_clear()
 
 
 @pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
@@ -206,9 +206,9 @@ def test_shared_walk_gives_the_fresh_search_witnesses(fresh_replays, quiver, bou
     for alpha in sorted(orbit, key=sum, reverse=largest_first):
         assert exceptional_lattice(quiver, alpha, bound=bound) == orbit[alpha]
         assert schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
-    for (q, b), memo in structure._BUILT.items():
-        for state, seq in memo.items():
-            assert (q, b) == (quiver, bound) and seq.dims_tuple() == state
+    assert structure._built.cache_info().currsize == 1
+    for state, seq in structure._built(quiver, bound).items():
+        assert seq.dims_tuple() == state
 
 
 class _Deadline(BaseException):
@@ -230,8 +230,8 @@ def test_interrupted_replay_does_not_poison_later_queries(fresh_replays, monkeyp
         exceptional_lattice(K2, (5, 6), bound=12)
     assert len(calls) == 3
     # the start and the two sequences whose braid_act returned, nothing more
-    assert len(structure._BUILT[K2, 12]) == 3
-    for state, seq in structure._BUILT[K2, 12].items():
+    assert len(structure._built(K2, 12)) == 3
+    for state, seq in structure._built(K2, 12).items():
         assert seq.dims_tuple() == state
     orbit = orbit_search(standard_sequence(ZZ, K2), bound=12)
     for alpha in ((5, 6), (3, 4), (6, 5)):
@@ -283,15 +283,15 @@ def test_generic_ext_is_the_ext_of_the_exceptional_witnesses(quiver):
     roots = [r for r in mutation._dims_orbit(quiver, 12)[1] if any(r) and sum(r) <= 12]
     assert len(roots) >= 2
     witnesses = {r: exceptional_lattice(quiver, r, GF(2), bound=12) for r in roots}
+    table = {}
     for alpha in roots:
         for beta in roots:
             ext = hom_ext(witnesses[alpha], witnesses[beta]).ext.free_rank
-            assert structure._generic_ext(quiver, alpha, beta) == ext, (alpha, beta)
+            assert structure._generic_ext(quiver, alpha, beta, table) == ext, (alpha, beta)
 
 
 def test_generic_ext_fills_its_table_without_recursion(monkeypatch):
-    monkeypatch.setattr(structure, "_SUBDIMS", {})
-    original, calls = structure._generic_subdims, []
+    original, calls, table = structure._generic_subdims, [], {}
 
     def counting(*args):
         calls.append(args)
@@ -299,10 +299,30 @@ def test_generic_ext_fills_its_table_without_recursion(monkeypatch):
 
     # a recursive fill would call the module's _generic_subdims again
     monkeypatch.setattr(structure, "_generic_subdims", counting)
-    ext = structure._generic_ext(K2, (20, 21), (0, 1))
-    assert calls == [(K2, (20, 21))]
+    ext = structure._generic_ext(K2, (20, 21), (0, 1), table)
+    assert calls == [(K2, (20, 21), table)]
     assert ext == -euler_form(K2, (20, 21), (0, 1))
-    assert len(structure._SUBDIMS[K2]) == 21 * 22
+    assert len(table) == 21 * 22
+
+
+def test_generic_dims_keeps_no_table():
+    """The subdimension table lives for one generic_dims call: on the
+    triangle roots (8, 8, 9), (9, 8, 8) it holds 46,291 vectors, some
+    3.4 MB, while the call runs, and under 0.1 MB is left once it returns."""
+    import tracemalloc
+    # the walk is kept on purpose; the same call on the opposite quiver, whose
+    # table is as large, fills the interpreter's free lists, whose blocks
+    # tracemalloc would count as retained
+    mutation._dims_orbit(TRIANGLE, 60)
+    generic_dims(Quiver(3, ((2, 1), (3, 2), (3, 1))), (8, 8, 9), (9, 8, 8))
+    tracemalloc.start()
+    try:
+        dims = generic_dims(TRIANGLE, (8, 8, 9), (9, 8, 8))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (dims.hom_rank, dims.ext_rank) == (16, 0)
+    assert peak > 10 ** 6 and retained < 10 ** 5, (retained, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +471,15 @@ def test_isomorphism_and_decomposition_suites_pass(suite):
     """Every verify suite; basechange runs two pinned loop-quiver cases first."""
     report = run_suite(suite, seed=0, size=20)
     assert report["cases"] == 20 + 2 * (suite == "basechange") and report["failures"] == 0, report
+
+
+@pytest.mark.parametrize("args", [(["euler"],), ("nope",), ("euler", None), ("euler", 1.5),
+                                  ("euler", 0, None), ("euler", 0, "3"), ("euler", 0, 2.0),
+                                  ("euler", 0, True)], ids=repr)
+def test_run_suite_refuses_a_name_not_in_suites_and_a_seed_or_size_not_an_int(args):
+    # a None seed would make the suite nondeterministic, and True run one case
+    with pytest.raises(ParseError):
+        run_suite(*args)
 
 
 # ---------------------------------------------------------------------------

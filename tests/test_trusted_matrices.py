@@ -114,11 +114,10 @@ _checked_of.calls = Counter()
 def _checking():
     """Every trusted construction checked; caches emptied first, so cached
     results get rebuilt under the checker."""
-    homology._hom_ext_cached.cache_clear()
-    homology.is_exceptional.cache_clear()
+    homology._exceptional.cache_clear()
     homology._orthogonal.cache_clear()
     mutation._dims_orbit.cache_clear()
-    structure._BUILT.clear()
+    structure._built.cache_clear()
     ExactMatrix._of = staticmethod(_checked_of)
     try:
         yield
