@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .errors import NotProjective, NotRigid, TheoremViolation
-from .quiver import Rep, RepMorphism, _check_compatible, base_change, euler_form
+from .quiver import Rep, RepMorphism, _check_compatible, base_change, tits_form
 from .rings import (
     ExactMatrix,
     RingHom,
@@ -85,7 +85,8 @@ def _densified(ring, rows, cols) -> ExactMatrix:
 def differential(x: Rep, y: Rep) -> ExactMatrix:
     """_differential_rows(x, y) densified: the Hom complex's matrix, whose
     placed rows HomExtResult eliminates without densifying them."""
-    return _densified(x.ring, *_differential_rows(x, y))
+    rows, cols = _differential_rows(x, y)
+    return _densified(x.ring, rows, cols)
 
 
 def _unflatten(x: Rep, shapes, vec):
@@ -166,9 +167,9 @@ class HomExtResult:
     """
 
     def __init__(self, x: Rep, y: Rep):
+        rows, cols = _differential_rows(x, y)   # checks the pair before x.ring is read
         self.x, self.y = x, y
-        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(
-            x.ring, *_differential_rows(x, y))
+        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(x.ring, rows, cols)
 
     @cached_property
     def differential(self) -> ExactMatrix:
@@ -210,9 +211,9 @@ def hom_ext(x: Rep, y: Rep) -> HomExtResult:
     """Hom(X, Y) and Ext^1(X, Y) with witnesses, computed afresh on every
     call: nothing is cached, so a caller keeps the result to reuse it.  A
     pair that is not of one quiver over one ring is refused, and so is one
-    whose Hom complex is too large (_differential_rows), and a read of Hom
-    generators or Ext cocycles too large (rings._MAX_HOM_CELLS)."""
-    _check_compatible(x, y)
+    whose Hom complex is too large, both by _differential_rows before any
+    row is placed; and so is a read of Hom generators or Ext cocycles too
+    large (rings._MAX_HOM_CELLS)."""
     return HomExtResult(x, y)
 
 
@@ -244,7 +245,7 @@ def is_exceptional(x: Rep) -> bool:
 # workload pass or a tier-1 test, is 442 reps (test_exceptional_criterion).
 @lru_cache(maxsize=2048)
 def _exceptional(x: Rep) -> bool:
-    if euler_form(x.quiver, x.dims, x.dims) != 1:
+    if tits_form(x.quiver, x.dims) != 1:
         return False
     rows, cols = _differential_rows(x, x)
     rest = [{k - 1: v for k, v in row.items() if k} for row in rows]

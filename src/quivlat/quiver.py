@@ -163,35 +163,46 @@ def _exact_dims(dims) -> tuple:
     return dims
 
 
-def _check_dims(quiver: Quiver, dims) -> tuple:
-    """A dimension vector of the quiver: exact ints, one per vertex, none
-    negative.  Rep and the root readers of structure all check here, so
-    each refusal reads the same whichever of them is called; a quiver that
-    is not a Quiver is refused here too, with ParseError."""
+def _vector(quiver: Quiver, dims) -> tuple:
+    """A vector of the quiver's lattice: exact ints, one per vertex.  A
+    quiver that is not a Quiver is refused here, with ParseError.  The forms
+    take any such vector, differences of dimension vectors included."""
     if not isinstance(quiver, Quiver):
         raise ParseError("quiver expected, got %r" % (quiver,))
     dims = _exact_dims(dims)
     if len(dims) != quiver.vertex_count:
         raise DimensionMismatch("need %d dimensions, got %d" % (
             quiver.vertex_count, len(dims)))
+    return dims
+
+
+def _check_dims(quiver: Quiver, dims) -> tuple:
+    """A dimension vector of the quiver: a _vector with no negative entry.
+    Rep and the root readers of structure all check here, so each refusal
+    reads the same whichever of them is called."""
+    dims = _vector(quiver, dims)
     if any(d < 0 for d in dims):
         raise DimensionMismatch("negative dimension")
     return dims
 
 
 def euler_form(quiver: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
-    """Bilinear form sum_i a_i b_i - sum_{arrows} a_tail b_head."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if len(alpha) != quiver.vertex_count or len(beta) != quiver.vertex_count:
-        raise DimensionMismatch("dimension vector length mismatch")
-    total = sum(a * b for a, b in zip(alpha, beta))
-    for a in range(quiver.arrow_count):
-        total -= alpha[quiver.tail(a)] * beta[quiver.head(a)]
-    return total
+    """Bilinear form sum_i a_i b_i - sum_{arrows} a_tail b_head of two
+    _vectors of the quiver."""
+    return _euler_form(quiver, _vector(quiver, alpha), _vector(quiver, beta))
 
 
 def tits_form(quiver: Quiver, alpha: Sequence[int]) -> int:
-    return euler_form(quiver, alpha, alpha)
+    alpha = _vector(quiver, alpha)
+    return _euler_form(quiver, alpha, alpha)
+
+
+def _euler_form(quiver: Quiver, alpha: tuple, beta: tuple) -> int:
+    """euler_form of two vectors already checked."""
+    total = sum(a * b for a, b in zip(alpha, beta))
+    for t, h in quiver.arrows:
+        total -= alpha[t - 1] * beta[h - 1]
+    return total
 
 
 class Rep(Record):

@@ -11,26 +11,26 @@ The three constructive results living here:
     base-change the witness.
   - A rigid representation on free modules, over any supported ring,
     decomposes uniquely up to ordering as a direct sum of multiples of
-    exceptional representations; the summand roots are peeled off the
-    dimension vector with Kac's splitting criterion on generic Ext in
-    integers, and the decomposition is certified by an explicit
-    isomorphism assembled from evaluation maps (mutation._evaluation_map)
-    and splitting sections, which homology._morphism_section solves for in
-    the Hom complex, whose layout homology alone knows.
-    Two rigid representations with one dimension vector are therefore
-    isomorphic, through the certificates.
+    exceptional representations; the summand roots are the coordinates of
+    the dimension vector in one exceptional sequence of the orbit walk,
+    read with the Euler form alone, and the decomposition is certified by
+    an explicit isomorphism assembled from evaluation maps
+    (mutation._evaluation_map) and splitting sections, which
+    homology._morphism_section solves for in the Hom complex, whose layout
+    homology alone knows.  Two rigid representations with one dimension
+    vector are therefore isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
 vectors alone (mutation._dims_orbit, the walk orbit_search reads too), so
 schur_root_status and the summand roots of decompose_rigid build no
-representation; nor do generic_dims and the test whether a root splits
-off, which read Schofield's recursion for generic Ext on dimension
-vectors.  A witness is built only by exceptional_lattice: the braid word
-that first reached its root is replayed over Z from the standard sequence
-(mutation._orbit_sequence), and every sequence built on the way is kept
-for later replays (_built).  Nothing is searched over Q: mutation commutes
-with the flat base change Z -> Q, so both orbits pass through the same
-dimension vectors in the same order.
+representation; nor does generic_dims, which reads Schofield's recursion
+for generic Ext on dimension vectors.  A witness is built only by
+exceptional_lattice: the braid word that first reached its root is
+replayed over Z from the standard sequence (mutation._orbit_sequence), and
+every sequence built on the way is kept for later replays (_built).
+Nothing is searched over Q: mutation commutes with the flat base change
+Z -> Q, so both orbits pass through the same dimension vectors in the
+same order.
 """
 
 from __future__ import annotations
@@ -209,11 +209,12 @@ def _generic_subdims(quiver: Quiver, alpha: tuple, table: dict) -> tuple:
 
     Schofield's recursion: beta is one exactly when ext(beta, alpha - beta)
     is 0, and ext(beta, gamma) is the largest -<beta', gamma> over the
-    generic subdimension vectors beta' of beta.  table, {dimension vector:
-    its generic subdimension vectors} for this quiver, is the caller's and
-    lives for its call: it is filled for every vector below alpha by
-    increasing total, so each test reads only finished entries and nothing
-    recurses, and later calls on the same table read what is filled.
+    generic subdimension vectors beta' of beta.  Only generic_dims reads it.
+    table, {dimension vector: its generic subdimension vectors} for this
+    quiver, is the caller's and lives for its call: it is filled for every
+    vector below alpha by increasing total, so each test reads only
+    finished entries and nothing recurses, and later calls on the same
+    table read what is filled.
     """
     if alpha in table:
         return table[alpha]
@@ -241,37 +242,33 @@ def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
                for sub in _generic_subdims(quiver, alpha, table))
 
 
-def _generic_ext_into(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
-    """ext(alpha, beta) read off beta's table alone: the largest
-    -<alpha, beta - beta'> over the generic subdimension vectors beta' of
-    beta, since the generic quotients of beta are the beta - beta'."""
-    return max(-euler_form(quiver, alpha, tuple(map(operator.sub, beta, sub)))
-               for sub in _generic_subdims(quiver, beta, table))
-
-
 def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
-    """Summand roots of a rigid dimension vector, with multiplicities.
+    """Summand roots of a rigid dimension vector, with multiplicities, read
+    off one state of the orbit walk within bound; the caller caps the bound.
 
-    Kac: a general representation of dimension beta + rest splits as
-    beta (+) rest exactly when ext(beta, rest) = 0 = ext(rest, beta).  So
-    every real Schur root the orbit walk reaches is taken off the remainder
-    while that holds; both exts read only the root's subdimension vectors,
-    never the remainder's, from one table that lives for this call.  No
-    summand is larger than dims, so the walk is capped at sum(dims)
-    whatever the bound.
+    A state (b_1, ..., b_n) is an exceptional sequence, so <b_j, b_i> = 0
+    for j > i and <b_i, b_i> = 1: its vectors are a basis, and the
+    coordinates of dims are read from the last one back, c_i = <b_i, dims -
+    sum_{j>i} c_j b_j>.  The first state, in walk order, whose coordinates
+    are all nonnegative and with <b_i, b_j> >= 0 for i < j both used is
+    taken.  Hom and Ext are not both nonzero on an exceptional pair, so
+    those roots are pairwise ext-orthogonal real Schur roots summing to
+    dims: the canonical decomposition (Kac, Schofield), which is unique.
+    BoundExceeded, naming dims, when no state is taken.
     """
-    rem, taken, table = dims, {}, {}
-    for beta in _dims_orbit(quiver, min(bound, sum(dims)))[1]:
-        while any(beta) and all(b <= r for b, r in zip(beta, rem)):
-            rest = tuple(map(operator.sub, rem, beta))
-            if _generic_ext(quiver, beta, rest, table) or _generic_ext_into(quiver, rest, beta, table):
-                break
-            taken[beta] = taken.get(beta, 0) + 1
-            rem = rest
-    if any(rem):
-        raise BoundExceeded(
-            "summand roots of %r lie outside bound %d" % (list(rem), bound))
-    return taken
+    for state in _dims_orbit(quiver, bound)[0]:
+        rem, coords = dims, {}
+        for beta in reversed(state):
+            coords[beta] = c = euler_form(quiver, beta, rem)
+            rem = tuple(r - c * b for r, b in zip(rem, beta))
+        if any(rem):
+            raise TheoremViolation("walk state %r is not a basis" % (state,))
+        used = [b for b in state if coords[b]]
+        if min(coords.values()) >= 0 and all(
+                euler_form(quiver, a, b) >= 0 for a, b in itertools.combinations(used, 2)):
+            return {b: coords[b] for b in used}
+    raise BoundExceeded(
+        "summand roots of %r lie outside bound %d" % (list(dims), bound))
 
 
 def _hom_order(quiver: Quiver, roots):
@@ -294,9 +291,11 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     """Decompose a rigid representation into exceptional summands, certified.
 
     Works over every supported ring.  The summand roots are read off the
-    dimension vector: each real Schur root within the bound is split off
-    the remainder while generic Ext, computed in integers from the root
-    alone, vanishes both ways; BoundExceeded if a remainder is left.  The
+    dimension vector, as its coordinates in the first exceptional sequence
+    of the orbit walk in which they are nonnegative on members with no Ext
+    between them (_summand_roots); BoundExceeded, naming the vector, if no
+    sequence within the bound has that.  The walk and the lattices are
+    capped at the total dimension, since no summand is larger.  The
     summands are then built over the base ring, checked to have no
     extensions there, peeled off by split evaluation maps, and reassembled
     into an isomorphism that is checked vertexwise.
@@ -311,12 +310,10 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     if x.is_zero:
         return RigidDecomposition((), (), RepMorphism.identity(x), ())
 
-    multiplicity = _summand_roots(quiver, x.dims, bound)
+    cap = min(bound, sum(x.dims))     # no summand is larger than x
+    multiplicity = _summand_roots(quiver, x.dims, cap)
     roots = _hom_order(quiver, sorted(multiplicity))
-
-    eff_bound = min(bound, sum(x.dims))
-    lattices = {d: exceptional_lattice(quiver, d, ring, bound=eff_bound)
-                for d in roots}
+    lattices = {d: exceptional_lattice(quiver, d, ring, bound=cap) for d in roots}
     for a, b in itertools.permutations(roots, 2):   # each is exceptional, so rigid
         if not hom_ext(lattices[a], lattices[b]).ext.is_zero:
             raise TheoremViolation(

@@ -14,8 +14,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivlat.errors import IncompatibleRing, NotRigid, PreconditionViolated
+from quivlat.errors import IncompatibleRing, NotRigid, ParseError, PreconditionViolated
 from quivlat.homology import (
+    HomExtResult,
     check_base_change,
     differential,
     hom_ext,
@@ -192,6 +193,29 @@ def test_hom_ext_checked():
     from quivlat.errors import IncompatibleBase
     with pytest.raises(IncompatibleBase):
         hom_ext(x, Rep.simple(ZZ, A3, 1))
+
+
+# hom_ext, HomExtResult and differential check the pair, in
+# _differential_rows, before either member's ring is read
+S1 = Rep.simple(ZZ, A2, 1)
+PAIR_PROBES = {
+    "%s(%s)" % (fn.__name__, label): (fn, args, error)
+    for fn in (hom_ext, HomExtResult, differential)
+    for label, args, error in (
+        ("None, None", (None, None), ParseError),
+        ("None, x", (None, S1), ParseError),
+        ("x, None", (S1, None), ParseError),
+        ("[1], x", ([1], S1), ParseError),
+        ("x, [1]", (S1, [1]), ParseError),
+        ("x, y over F:2", (S1, Rep.simple(GF(2), A2, 2)), IncompatibleRing),
+    )
+}
+
+
+@pytest.mark.parametrize("fn,args,error", PAIR_PROBES.values(), ids=PAIR_PROBES)
+def test_pair_is_checked_before_its_ring_is_read(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,28 @@ def test_euler_and_tits_forms():
         euler_form(A2, (1,), (0, 1))
 
 
+@pytest.mark.parametrize("call,error", [
+    (lambda: euler_form(None, (1, 2), (1, 2)), ParseError),
+    (lambda: tits_form(None, (1, 2)), ParseError),
+    (lambda: tits_form("K2", (1, 2)), ParseError),
+    (lambda: euler_form(K2, None, (1, 2)), DimensionMismatch),
+    (lambda: euler_form(K2, (1, 2), 3), DimensionMismatch),
+    (lambda: euler_form(K2, (1, 2.0), (1, 2)), DimensionMismatch),
+    (lambda: tits_form(K2, (True, 2)), DimensionMismatch),
+    (lambda: tits_form(K2, ("1", 2)), DimensionMismatch),
+], ids=("euler(None)", "tits(None)", "tits(str)", "euler(K2, None)", "euler(K2, a, 3)",
+        "euler(K2, float)", "tits(K2, bool)", "tits(K2, str)"))
+def test_forms_refuse_what_is_not_a_vector_of_the_quiver(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_forms_take_vectors_with_negative_entries():
+    # structure._summand_roots reads coordinates off differences of vectors
+    assert euler_form(K2, (-1, 2), (3, -4)) == -3 - 8 - 2 * (-1) * (-4)
+    assert tits_form(A2, [1, -1]) == 3
+
+
 # ---------------------------------------------------------------------------
 # representations
 

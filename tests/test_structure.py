@@ -380,12 +380,43 @@ def test_decompose_rejects_non_rigid():
 
 
 def test_decompose_below_a_summand_root_exceeds_the_bound():
-    # the summand (2,3) is no candidate within bound 3 or 4
+    # the summand (2,3) is in no walk state within bound 3 or 4, so no state
+    # reads the vector (3,5) as a sum of its roots
     x = planted_sum(K2, [((1, 2), 1), ((2, 3), 1)])
     for bound in (3, 4):
-        with pytest.raises(BoundExceeded, match=r"\[2, 3\].*bound %d" % bound):
+        with pytest.raises(BoundExceeded, match=r"\[3, 5\].*bound %d" % bound):
             decompose_rigid(x, bound=bound)
     assert multiset(decompose_rigid(x, bound=5)) == [((1, 2), 1), ((2, 3), 1)]
+
+
+def test_decompose_reads_no_subdimension_table(monkeypatch):
+    # the summand roots are read off one walk state, so Schofield's table,
+    # which only generic_dims still reads, is never filled
+    def refuse(*args):
+        raise AssertionError("decompose_rigid filled a subdimension table")
+
+    monkeypatch.setattr(structure, "_generic_subdims", refuse)
+    for quiver, spec in ((K2, [((1, 2), 2), ((2, 3), 1)]),
+                         (K2, [((3, 4), 1), ((4, 5), 2)]),
+                         (TRIANGLE, [((0, 0, 1), 2), ((0, 1, 1), 1), ((1, 1, 2), 1)]),
+                         (TRIANGLE, [((2, 2, 3), 2)])):
+        out = decompose_rigid(planted_sum(quiver, spec))
+        assert multiset(out) == sorted(spec), (quiver, spec)
+
+
+@pytest.mark.parametrize("quiver,dims,roots", [
+    (TRIANGLE, (16, 16, 18), {(8, 8, 9): 2}),
+    (K2, (41, 43), {(20, 21): 1, (21, 22): 1}),
+], ids=("triangle", "kronecker"))
+def test_summand_roots_of_large_vectors(quiver, dims, roots):
+    assert structure._summand_roots(quiver, dims, 60) == roots
+
+
+def test_summand_roots_outside_the_walk_exceed_the_bound():
+    # (29,76) = (8,21) + (21,55) on the 3-Kronecker quiver, and (21,55) is
+    # first reached by the walk above bound 60
+    with pytest.raises(BoundExceeded, match=r"\[29, 76\].*bound 60"):
+        structure._summand_roots(K3, (29, 76), 60)
 
 
 def test_decompose_json_shape():
