@@ -28,7 +28,7 @@ from .rings import (
     RingHom,
     _check_read,
     _hom_ext_data,
-    _forward,
+    _invertible,
     block_diag,
     constant_rank,
     presentation_base_change,
@@ -232,9 +232,11 @@ def is_exceptional(x: Rep) -> bool:
     nonzero vertex, column 0, since the vertices before it have no cells.
     A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
     the rest square; any other d (the zero rep too) is not exceptional.
-    The one forward elimination, rings._forward, decides that on sparse
-    rows, with no dense differential and no transform on any ring.  The
-    argument is checked before the cached _exceptional hashes it.
+    The one invertibility check, rings._invertible, decides that on the
+    sparse rows with column 0 popped, with no dense differential and no
+    transform on any ring; peeling unit singleton rows decides every
+    lattice check measured.  The argument is checked before the cached
+    _exceptional hashes it.
     """
     _check_compatible(x, x)
     return _exceptional(x)
@@ -248,8 +250,9 @@ def _exceptional(x: Rep) -> bool:
     if tits_form(x.quiver, x.dims) != 1:
         return False
     rows, cols = _differential_rows(x, x)
-    rest = [{k - 1: v for k, v in row.items() if k} for row in rows]
-    return _forward(x.ring, rest, cols - 1)[3]
+    for row in rows:
+        row.pop(0, None)
+    return _invertible(x.ring, rows, cols, 1)
 
 
 # Lattice-orbit pass 0 hits it 73 times in 112 calls; the largest working set
@@ -260,8 +263,9 @@ def _orthogonal(y: Rep, x: Rep) -> bool:
     its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
     rows, so a pair with nonzero Euler form fails on its shape alone, and a
     pair hom_ext refuses raises the same error here.  Like is_exceptional
-    it runs rings._forward once on sparse rows and builds no Hom or Ext."""
-    return _forward(y.ring, *_differential_rows(y, x))[3]
+    it asks rings._invertible once, on sparse rows, and builds no Hom or
+    Ext."""
+    return _invertible(y.ring, *_differential_rows(y, x))
 
 
 def rigid_hom_ext_ranks(x: Rep, y: Rep) -> tuple:

@@ -222,8 +222,7 @@ class Rep(Record):
             raise DimensionMismatch("need %d arrow matrices, got %d" % (
                 self.quiver.arrow_count, len(mats)))
         for a, m in enumerate(mats):
-            if not isinstance(m, ExactMatrix):
-                raise ParseError("arrow %d matrix must be an ExactMatrix, got %r" % (a, m))
+            _rings._check_matrix(m)
             if m.ring != self.ring:
                 raise IncompatibleRing("arrow %d over %s, rep over %s" % (
                     a, m.ring, self.ring))
@@ -356,6 +355,7 @@ class RepMorphism(Record):
         if len(maps) != x.quiver.vertex_count:
             raise DimensionMismatch("need one map per vertex")
         for i, m in enumerate(maps):
+            _rings._check_matrix(m)
             if (m.rows, m.cols) != (y.dims[i], x.dims[i]):
                 raise DimensionMismatch("vertex %d map is %dx%d, want %dx%d" % (
                     i + 1, m.rows, m.cols, y.dims[i], x.dims[i]))

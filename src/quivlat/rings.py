@@ -51,9 +51,12 @@ updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext
 as modules follow from its rank profile; the kernel vectors back-substitute
 its echelon rows at the non-pivot columns, Hom's on first read.
 :func:`normal_form` back-substitutes [a | I], and :func:`solve` [a | b].
-:func:`is_invertible` and the mutation layer's exceptional checks run the
-same pass on every ring.  On every ring :func:`cokernel_projection` is the
-kernel read of a transposed, since Hom(coker a, R) = ker(a^T).
+:func:`is_invertible` and the mutation layer's exceptional checks ask one
+check, ``_invertible``, on every ring: it peels each row whose one entry is
+a unit (the singleton step of sparse direct solvers), which decides the
+exceptional checks alone, and runs the same pass on whatever is left.  On
+every ring :func:`cokernel_projection` is the kernel read of a transposed,
+since Hom(coker a, R) = ker(a^T).
 
 Every read of vectors or of a transform charges the cells it fills
 against one cap, _MAX_HOM_CELLS (_check_read), where it fills them.
@@ -198,17 +201,20 @@ class RingSpec(Record):
     Only these classes read kind.  An algorithm asks a ring for what one of
     two contracts lists, and tests/test_ring_contracts.py pins both:
 
-    1. The forward pass (_forward: is_invertible, the field reductions, and
-       Hom and Ext over Q and F_p) takes dict rows of nonzero entries,
-       which _nonzeros and homology._differential_rows build with
-       nonzero(x), true exactly when x is not zero.  It asks for p and
-       _forward_ints(rows).  When p is nonzero the pass works mod p, on
-       the rows' images in the residue field F_p, and a square matrix is
-       invertible when it has full rank there: the ring is F_p or local
-       over it.  When p is zero the pass is Bareiss on integer rows that
-       are the input's up to units (scaled over Q, least absolute
-       residues over Z/m), and is_unit(d) of the int d it ends on says
-       whether a matrix with determinant +-d is invertible.
+    1. The forward pass (_forward: the invertibility check _invertible,
+       the field reductions, and Hom and Ext over Q and F_p) takes dict
+       rows of nonzero entries, which _nonzeros and
+       homology._differential_rows build with nonzero(x), true exactly
+       when x is not zero.  It asks for p and _forward_ints(rows).  When p
+       is nonzero the pass works mod p, on the rows' images in the residue
+       field F_p, and a square matrix is invertible when it has full rank
+       there: the ring is F_p or local over it.  When p is zero the pass
+       is Bareiss on integer rows that are the input's up to units (scaled
+       over Q, least absolute residues over Z/m), and is_unit(d) of the
+       int d it ends on says whether a matrix with determinant +-d is
+       invertible.  Before the pass, _invertible asks is_unit of an entry
+       too, the one entry of a singleton row, which it peels when it is
+       a unit.
     2. The sheet (_Worksheet, and solve, normal_form, cokernel_projection
        and Hom and Ext over the other rings, which read it) asks for a
        principal ideal ring's arithmetic: canonical zero and one, add, neg,
@@ -905,6 +911,12 @@ def _check_same_ring(ring: RingSpec, other: RingSpec) -> None:
         raise IncompatibleRing("mixed rings %s and %s" % (ring, other))
 
 
+def _check_matrix(mat) -> None:
+    """Refuse with ParseError what is not an ExactMatrix."""
+    if not isinstance(mat, ExactMatrix):
+        raise ParseError("matrix expected, got %r" % (mat,))
+
+
 class ExactMatrix(Record):
     """Immutable matrix over a RingSpec.  The constructor canonicalises
     outside input; code inside the package builds canonical entries with _of."""
@@ -1351,7 +1363,7 @@ class _Worksheet:
         if self.paused is None:
             diag = [n[i][i] for i in range(min(len(n), width))]
         else:
-            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, self.ring), width)[:3]
+            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, self.ring), width)
             m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
             mod = Zmod(m)
             diag = _diagonal_sheet(mod, _nonzeros([[x % m for x in row] for row in n], mod),
@@ -1537,25 +1549,67 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
-    """Square with a unit determinant: full rank over Q and F_p; over
-    F_p[e]/(e^n), a local ring, full rank of the constant terms mod p
-    (Nakayama); over Z and Z/m full rank with a last pivot, +-det, of +-1
-    or coprime to m.  The one forward elimination, _forward, on mat's
-    nonzeros (_nonzeros) decides it."""
-    return mat.rows == mat.cols and _forward(mat.ring, _nonzeros(mat.entries, mat.ring),
-                                             mat.cols)[3]
+    """Square with a unit determinant, decided on mat's nonzeros
+    (_nonzeros) by the one invertibility check, _invertible."""
+    _check_matrix(mat)
+    return _invertible(mat.ring, _nonzeros(mat.entries, mat.ring), mat.cols)
+
+
+def _invertible(ring: RingSpec, rows: list, cols: int, first: int = 0) -> bool:
+    """Whether dict rows (consumed) on the columns first..cols-1 are a
+    square matrix with a unit determinant.
+
+    First the singleton step of sparse direct solvers: a row whose one
+    entry u, at column c, is a unit gives det = +-u * det(the rest without
+    row and column c), on any commutative ring, so it is peeled and c
+    dropped from every other row, which may leave another singleton.  A
+    singleton that is not a unit, or an emptied row, makes det a non-unit
+    multiple (a product is a unit only if each factor is).  What is left
+    goes to the one forward elimination, _forward: invertible when it has
+    full rank, mod p when ring.p is nonzero (Nakayama over Feps), else when
+    is_unit of its last pivot, +-det, holds.
+    """
+    if len(rows) != cols - first:
+        return False
+    queue = [i for i, row in enumerate(rows) if len(row) < 2]
+    if queue:
+        by_col = [[] for _ in range(cols)]
+        for i, row in enumerate(rows):
+            for k in row:
+                by_col[k].append(i)
+        while queue:
+            i = queue.pop()
+            if not rows[i]:
+                return False
+            c, u = rows[i].popitem()   # row i is done, and left empty
+            if not ring.is_unit(u):
+                return False
+            for j in by_col[c]:
+                if j != i:
+                    del rows[j][c]
+                    if len(rows[j]) == 1:   # an emptied row is queued already
+                        queue.append(j)
+        rows = [row for row in rows if row]
+        if len(set().union(*rows)) < len(rows):   # a zero column
+            return False
+    if not rows:
+        return True
+    pivot_cols, pivot_rows, ints = _forward(ring, rows, cols)
+    return len(pivot_rows) == len(rows) and (
+        ring.p != 0 or ring.is_unit(ints[pivot_rows[-1]][pivot_cols[-1]]))
 
 
 def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
     """The one forward elimination, with no transform, of rows that are
     dicts from column to nonzero entry.
 
-    Returns the pivot columns, the pivot rows' indices, the int rows and
-    is_invertible's answer.  It runs on ring._forward_ints(rows), the first
-    contract of RingSpec: mod p when ring.p is nonzero (over F_p, and over
-    Feps on the constant terms), each pivot row scaled to pivot 1, else
-    Bareiss (over Z, Q on rows scaled by the lcm of their denominators,
-    and Z/m on least absolute residues).  Only rows not yet pivots are
+    Returns the pivot columns, the pivot rows' indices and the int rows,
+    and no verdict: _invertible reads its own off them.  It runs on
+    ring._forward_ints(rows), the first contract of RingSpec: mod p when
+    ring.p is nonzero (over F_p, and over Feps on the constant terms),
+    each pivot row scaled to pivot 1, else Bareiss (over Z, Q on rows
+    scaled by the lcm of their denominators, and Z/m on least absolute
+    residues).  Only rows not yet pivots are
     updated, and none moves; a column's pivot is the candidate with the
     fewest nonzeros, the lowest index on ties.  A row a step skips (zero in
     its column) keeps the stamp of its last update, and the next step that
@@ -1611,11 +1665,11 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
                     new[k] = -f * y // s
                     col_rows[k].add(j)
             ints[j] = new
-    return pivot_cols, pivot_rows, ints, len(pivot_rows) == cols == len(ints) and (
-        p != 0 or ring.is_unit(den))
+    return pivot_cols, pivot_rows, ints
 
 
 def invert(mat: ExactMatrix) -> ExactMatrix:
+    _check_matrix(mat)
     if mat.rows != mat.cols:
         raise DimensionMismatch("only square matrices invert")
     out = solve(mat, ExactMatrix.identity(mat.ring, mat.rows))
@@ -1766,7 +1820,7 @@ def _field_reduce(a: ExactMatrix) -> tuple:
     elimination, _forward, then _back_substitute.  Returns the pivot columns,
     the pivot rows' indices and the reduced rows, d times those of the rref:
     over F_p that form, over Q ints within Hadamard's bound."""
-    pivot_cols, pivot_rows, rows, _ = _forward(a.ring, _nonzeros(a.entries, a.ring), a.cols)
+    pivot_cols, pivot_rows, rows = _forward(a.ring, _nonzeros(a.entries, a.ring), a.cols)
     free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
     w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, a.ring.p)
     reduced = [[0] * a.cols for _ in w]
@@ -1796,7 +1850,7 @@ def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
     vanishes, and these vectors complement the column span.
     """
     p, zero, one, height = ring.p, ring.zero, ring.one, len(rows)
-    pivot_cols, pivot_rows, rows, _ = _forward(ring, rows, cols)
+    pivot_cols, pivot_rows, rows = _forward(ring, rows, cols)
     free_cols = sorted(set(range(cols)).difference(pivot_cols))
     ext_rows = sorted(set(range(height)).difference(pivot_rows))
     read_hom = read_ext = list

@@ -13,6 +13,14 @@ its determinant the empty product) and non-square shapes (never).  All
 nine rings of test_homology.test_is_exceptional_matches_solve_rule are
 covered.
 
+Before the forward pass, rings._invertible peels every row whose one entry
+is a unit, and a singleton that is not a unit, or a row the peel empties,
+decides False.  Its cases: chains of unit singletons that decide everything
+with no forward pass, non-unit singletons (2 over Z, 3 over Z/6, e over
+F_2[e]/(e^2)), singletons that leave a zero row or a zero column, non-square
+row counts and rows on the columns from first=1 on, as the exceptional
+check hands them.
+
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_invertibility.py
 """
@@ -20,6 +28,7 @@ Stdlib only, so it also runs without pytest:
 import random
 from fractions import Fraction
 
+from quivlat import rings
 from quivlat.rings import (
     ExactMatrix,
     Feps,
@@ -28,6 +37,7 @@ from quivlat.rings import (
     ZZ,
     Zmod,
     _diagonal_sheet,
+    _invertible,
     _nonzeros,
     is_invertible,
 )
@@ -171,6 +181,134 @@ def test_rationals_with_huge_entries():
             rows[-1] = [x * Fraction(7, 3) for x in rows[0]]
             mats.append(ExactMatrix(QQ, n, n, rows))
     assert _check(mats) == {False, True}
+
+
+class _ForwardCount:
+    """Counts the forward passes rings._invertible enters while in use."""
+
+    def __enter__(self):
+        self.calls, self.real = 0, rings._forward
+
+        def counted(*args):
+            self.calls += 1
+            return self.real(*args)
+        rings._forward = counted
+        return self
+
+    def __exit__(self, *exc):
+        rings._forward = self.real
+
+
+def _triangular(ring, n, diagonal, rng, shuffle=True):
+    """Lower triangular with the given diagonal and random entries below
+    it, rows and columns permuted: each row is a singleton once the columns
+    of the rows above it are peeled."""
+    rows = [[diagonal[i] if i == j else _entry(ring, rng) if j < i else ring.zero
+             for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    if shuffle:
+        rng.shuffle(rows)
+        rng.shuffle(perm)
+    return ExactMatrix(ring, n, n, tuple(tuple(row[j] for j in perm) for row in rows))
+
+
+def _units(ring):
+    if ring in (ZZ, QQ):
+        return [ring.one, ring.neg(ring.one)] + ([Fraction(-2, 7)] if ring == QQ else [])
+    return [x for x in ring.elements() if ring.is_unit(x)]
+
+
+def test_chains_of_unit_singletons_decide_with_no_forward_pass():
+    for ring in RINGS:
+        rng = random.Random("chains:%s" % ring)
+        units = _units(ring)
+        mats = [_triangular(ring, n, [rng.choice(units) for _ in range(n)], rng)
+                for n in range(1, 9) for _ in range(4)]
+        with _ForwardCount() as count:
+            assert _check(mats) == {True}, str(ring)
+        assert count.calls == 0, str(ring)
+
+
+def test_a_singleton_that_is_not_a_unit_decides_false():
+    e = Feps(2, 2).canon([0, 1])
+    for ring, bad in ((ZZ, 2), (Zmod(6), 3), (Feps(2, 2), e), (Zmod(12), 8), (ZZ, 0)):
+        rng = random.Random("non-unit:%s" % ring)
+        units, mats = _units(ring), []
+        for n in range(1, 7):
+            for k in range(n):   # the non-unit sits on the chain at depth k
+                diagonal = [rng.choice(units) for _ in range(n)]
+                diagonal[k] = ring.canon(bad)
+                mats.append(_triangular(ring, n, diagonal, rng))
+        with _ForwardCount() as count:
+            assert _check(mats) == {False}, str(ring)
+        assert count.calls == 0, str(ring)
+        assert not _invertible(ring, [{0: ring.canon(bad)}], 1)
+
+
+def test_singletons_that_leave_a_zero_row_or_a_zero_column():
+    for ring in RINGS:
+        one, zero = ring.one, ring.zero
+        two = ring.add(one, one)
+        mats = [
+            # two singletons in one column: peeling either empties the other
+            ExactMatrix(ring, 2, 2, ((one, zero), (one, zero))),
+            ExactMatrix(ring, 3, 3, ((one, zero, zero), (one, zero, one), (zero, zero, one))),
+            # a zero row from the start, beside a singleton
+            ExactMatrix(ring, 2, 2, ((one, zero), (zero, zero))),
+            # after the peel three rows touch two columns: the last is zero
+            ExactMatrix(ring, 4, 4, ((one, zero, zero, zero), (one, one, one, zero),
+                                     (one, one, two, zero), (zero, one, one, zero))),
+        ]
+        with _ForwardCount() as count:
+            assert _check(mats) == {False}, str(ring)
+        assert count.calls == 0, str(ring)
+
+
+def test_what_the_peel_leaves_goes_to_the_forward_pass():
+    """A peeled chain above a dense block: the block alone decides."""
+    for ring in RINGS:
+        rng = random.Random("rest:%s" % ring)
+        units, mats = _units(ring), []
+        for n in range(2, 7):
+            for k in range(1, n):
+                block = _random(ring, n - k, n - k, 1.0, rng)
+                rows = [list(row) for row in _triangular(
+                    ring, n, [rng.choice(units) for _ in range(n)], rng, shuffle=False).entries]
+                for i in range(n - k):
+                    rows[k + i][k:] = block.entries[i]
+                mats.append(ExactMatrix(ring, n, n, rows))
+        with _ForwardCount() as count:
+            _check(mats)
+        assert count.calls > 0, str(ring)
+
+
+def test_row_counts_that_are_not_square_and_columns_from_first():
+    for ring in RINGS:
+        rng = random.Random("first:%s" % ring)
+        one = ring.one
+        # unit singletons alone, one row too many or too few
+        assert not _invertible(ring, [{0: one}, {1: one}, {0: one, 1: one}], 2)
+        assert not _invertible(ring, [{0: one}], 2)
+        assert _invertible(ring, [{1: one}], 2, 1)
+        assert _invertible(ring, [], 3, 3) and not _invertible(ring, [], 3, 2)
+        for n in range(1, 7):
+            for mat in (_random(ring, n, n, 0.4, rng),
+                        _triangular(ring, n, [rng.choice(_units(ring)) for _ in range(n)], rng)):
+                want = _invertible_by_diagonal(mat)
+                shifted = [{k + 1: x for k, x in row.items()}
+                           for row in _nonzeros(mat.entries, ring)]
+                assert _invertible(ring, shifted, n + 1, 1) == want, (str(ring), mat)
+                assert not _invertible(ring, _nonzeros(mat.entries, ring), n + 1, 0)
+
+
+def test_a_dense_check_reaches_the_forward_pass():
+    for ring in RINGS:
+        rng = random.Random("dense:%s" % ring)
+        mat = _random(ring, 5, 5, 1.0, rng,
+                      lambda r, g: g.choice([x for x in _units(r) if r.nonzero(x)]))
+        with _ForwardCount() as count:
+            _check([mat])
+        assert count.calls == 1, str(ring)
 
 
 if __name__ == "__main__":

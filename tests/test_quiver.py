@@ -34,7 +34,8 @@ from quivlat.quiver import (
     tensor_free,
     tits_form,
 )
-from quivlat.rings import ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom
+from quivlat.rings import (
+    ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom, invert, is_invertible)
 from quivlat.structure import is_isomorphic_rigid, rigid_isomorphism
 
 A2 = Quiver(2, ((1, 2),))
@@ -192,6 +193,25 @@ S1 = Rep.simple(ZZ, A2, 1)
 def test_values_of_the_wrong_type_are_refused_where_they_enter(call, bad):
     # each once escaped as an AttributeError from deep inside
     with pytest.raises(ParseError, match=re.escape(repr(bad))):
+        call()
+
+
+# a matrix argument that is not an ExactMatrix, refused by rings._check_matrix
+MATRIX_PROBES = {
+    "is_invertible-none": (lambda: is_invertible(None), None),
+    "is_invertible-rows": (lambda: is_invertible(((1, 0), (0, 1))), ((1, 0), (0, 1))),
+    "invert-list": (lambda: invert([1]), [1]),
+    "invert-none": (lambda: invert(None), None),
+    "morphism-none-maps": (lambda: RepMorphism(S1, S1, (None, None)), None),
+    "morphism-rows-map": (lambda: RepMorphism(S1, S1, (((1,),), ExactMatrix.zeros(ZZ, 0, 0))),
+                          ((1,),)),
+}
+
+
+@pytest.mark.parametrize("call, bad", MATRIX_PROBES.values(), ids=MATRIX_PROBES)
+def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, bad):
+    # each once escaped as an AttributeError or a TypeError
+    with pytest.raises(ParseError, match="^matrix expected, got " + re.escape(repr(bad)) + "$"):
         call()
 
 

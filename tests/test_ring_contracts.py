@@ -364,12 +364,37 @@ def test_forward_ints_gives_each_ring_what_it_needs():
 
 
 def test_the_forward_unit_verdict_is_is_unit():
-    """A 1x1 matrix is invertible exactly on a unit: mod p on the residue
-    field F_p, else by is_unit of the int the pass ends on."""
-    for ring in RINGS:
-        for x in _sample(ring):
-            mat = ExactMatrix(ring, 1, 1, ((x,),))
-            assert is_invertible(mat) is ring.is_unit(x), (str(ring), x)
+    """A 1x1 matrix is invertible exactly on a unit, which the peel of
+    rings._invertible asks of its one entry.  With no singleton row the
+    forward pass decides: [[1, 1], [y, y + x]], for a nonzero y with y + x
+    nonzero (F:2 has none when x is 1), and [[1, 1, 0], [0, 1, 1], [1, 1, x]]
+    have determinant x, and are invertible exactly when is_unit(x): mod p
+    on the residue field F_p, else by is_unit of the int the pass ends on."""
+    forward, entered = rings._forward, []
+
+    def counted(*args):
+        entered.append(args)
+        return forward(*args)
+
+    rings._forward = counted
+    try:
+        for ring in RINGS:
+            one, zero = ring.one, ring.zero
+            nonzero = [y for y in _sample(ring) if ring.nonzero(y)]
+            for x in _sample(ring):
+                mat = ExactMatrix(ring, 1, 1, ((x,),))
+                assert is_invertible(mat) is ring.is_unit(x), (str(ring), x)
+                mats = [ExactMatrix(ring, 3, 3, ((one, one, zero), (zero, one, one),
+                                                 (one, one, x)))]
+                y = next((y for y in nonzero if ring.nonzero(ring.add(y, x))), None)
+                if y is not None:
+                    mats.append(ExactMatrix(ring, 2, 2, ((one, one), (y, ring.add(y, x)))))
+                for mat in mats:
+                    del entered[:]
+                    assert is_invertible(mat) is ring.is_unit(x), (str(ring), x, mat)
+                    assert len(entered) == 1, (str(ring), x, mat)
+    finally:
+        rings._forward = forward
 
 
 def _kind_reads(tree):

@@ -4,8 +4,9 @@ replaced, kept here as the reference.
 Every replayed mutation asks is_exceptional of each member, _orthogonal of
 each backward pair and RepMorphism's commutativity check of each witness.
 They now run on sparse rows: homology._differential_rows places the
-nonzeros of the arrow matrices into one dict per row, rings._forward
-eliminates those rows, ExactMatrix.mul adds one row of the right factor per
+nonzeros of the arrow matrices into one dict per row, rings._invertible
+decides on those rows (it peels unit singleton rows and hands what is left
+to rings._forward), ExactMatrix.mul adds one row of the right factor per
 nonzero of the left one, and _dims_orbit computes the two mutations of an
 adjacent pair once per walk.  rings._forward is also the one forward pass of
 Hom/Ext over Q and F_p, of the field reductions and of the Z residual, which
@@ -18,9 +19,9 @@ ran on dense lists before.  Each must give exactly what the dense code gave:
   (b) _forward equals the dense forward pass kept here (_dense_forward),
       with the same pivot columns, pivot rows and row values, and
       _back_substitute the dense back-substitution, on random matrices, on
-      every matrix the checks see while building exceptional lattices, on
-      every field forward input of the output digest's matrix cases and on
-      Z residuals; is_invertible equals the dense rule;
+      every matrix the checks hand _invertible while building exceptional
+      lattices, on every field forward input of the output digest's matrix
+      cases and on Z residuals; is_invertible equals the dense rule;
   (c) mul equals the product of sums of products (the rings' old dot);
   (d) _dims_orbit equals the walk without the memo, insertion order
       included;
@@ -111,23 +112,26 @@ def _dense(ring, rows, cols):
 
 
 class _Recorder:
-    """Stands in for module._forward and keeps what it is passed."""
+    """Stands in for module.<name>, _forward or _invertible, and keeps the
+    matrix it is passed: its ring, its rows re-keyed from column 0 (an
+    _invertible call's columns start at first) and its column count."""
 
-    def __init__(self, module=homology):
+    def __init__(self, module=homology, name="_invertible"):
         self.seen = []
-        self.module = module
-        self.real = module._forward
+        self.module, self.name = module, name
+        self.real = getattr(module, name)
 
-    def __call__(self, ring, rows, cols):
-        self.seen.append((ring, [dict(row) for row in rows], cols))
-        return self.real(ring, rows, cols)
+    def __call__(self, ring, rows, cols, first=0):
+        self.seen.append((ring, [{k - first: v for k, v in row.items()} for row in rows],
+                          cols - first))
+        return self.real(ring, rows, cols, first) if first else self.real(ring, rows, cols)
 
     def __enter__(self):
-        self.module._forward = self
+        setattr(self.module, self.name, self)
         return self
 
     def __exit__(self, *exc):
-        self.module._forward = self.real
+        setattr(self.module, self.name, self.real)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def _check_forward(mat):
     _forward eliminates: over Z/m the least absolute residues, over Feps the
     constant terms."""
     assert is_invertible(mat) == _dense_is_invertible(mat), (str(mat.ring), mat)
-    pivot_cols, pivot_rows, rows, _ = _forward(mat.ring, _as_dicts(mat), mat.cols)
+    pivot_cols, pivot_rows, rows = _forward(mat.ring, _as_dicts(mat), mat.cols)
     dense = {"Zmod": _least_residues, "Feps": _constant_terms}.get(mat.ring.kind, lambda a: a)(mat)
     want_cols, want_rows, want, p = _dense_forward(dense)
     assert (pivot_cols, pivot_rows) == (want_cols, want_rows), (str(mat.ring), mat)
@@ -374,12 +378,54 @@ def test_sparse_forward_on_every_lattice_check():
         _check_forward(_dense(ring, rows, cols))
 
 
+def test_a_seeded_lattice_pass_decides_every_check_by_the_peel():
+    """The roots of a lattice-orbit pass, in a seeded order, largest first,
+    over the four rings of _lattice_pass_matrices, caches emptied: every
+    check _invertible answers is decided by peeling unit singleton rows,
+    and no forward pass is entered.  A dense random check still enters one."""
+    rng = random.Random("lattice-orbit:1:0")
+    roots = ([(KRONECKER, (n, n + k)) for n in range(7) for k in (1, -1) if n + k >= 0]
+             + [(A4, tuple(int(i <= v < j) for v in range(4)))
+                for i in range(4) for j in range(i + 1, 5)])
+    rng.shuffle(roots)
+    roots.sort(key=lambda qr: -sum(qr[1]))
+    for cache in (homology._exceptional, homology._orthogonal, mutation._dims_orbit,
+                  structure._built):
+        cache.cache_clear()
+    verdicts, entered, inside = [], [], []
+    real_check, real_forward = homology._invertible, rings._forward
+
+    def check(*args):
+        inside.append(True)
+        try:
+            verdicts.append(real_check(*args))
+        finally:
+            inside.pop()
+        return verdicts[-1]
+
+    def forward(*args):
+        entered.append(bool(inside))
+        return real_forward(*args)
+
+    homology._invertible, rings._forward = check, forward
+    try:
+        for quiver, root in roots:
+            for ring in ("Z", "F:3", "Zmod:4", "Feps:2:2"):
+                exceptional_lattice(quiver, root, RingSpec.parse(ring))
+        assert len(verdicts) > 100 and True in verdicts
+        assert True not in entered
+        mat = ExactMatrix(ZZ, 3, 3, ((1, 2, 3), (4, 5, 6), (7, 8, 10)))
+        assert is_invertible(mat) is False and entered[-1:] == [False]
+    finally:
+        homology._invertible, rings._forward = real_check, real_forward
+
+
 def test_forward_on_every_field_input_of_the_digest_matrix_cases():
     """The forward inputs of normal_form, solve, kernel_data, cokernel_data,
     cokernel_projection and the rest over Q, F:2 and F:3, on the seeded
     matrices whose outputs tests/test_output_digest.py hashes."""
     from test_output_digest import _matrix_cases
-    with _Recorder(rings) as rec:
+    with _Recorder(rings, "_forward") as rec:
         for spec, _, run in _matrix_cases(random.Random(20261018)):
             if spec in ("Q", "F:2", "F:3"):
                 try:
@@ -400,7 +446,7 @@ def test_forward_on_z_residuals():
         rng = random.Random("z-invariants:%d" % seed)
         x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
         a = differential(x, y)
-        with _Recorder(rings) as rec:
+        with _Recorder(rings, "_forward") as rec:
             ws = _Worksheet(ZZ, _nonzeros(a.entries, ZZ), a.cols)
             ws.diagonalize()
             ws.diagonal(a.rows)
@@ -497,7 +543,7 @@ def test_zmod_pivots_stay_small_on_the_20_21_lattice():
     x = base_change(exceptional_lattice(KRONECKER, (20, 21), ZZ), RingHom(ZZ, Zmod(4)))
     rows, cols = _differential_rows(x, x)
     rest = [{k - 1: v for k, v in row.items() if k} for row in rows]
-    pivot_cols, pivot_rows, ints, _ = _forward(x.ring, rest, cols - 1)
+    pivot_cols, pivot_rows, ints = _forward(x.ring, rest, cols - 1)
     assert len(pivot_rows) == cols - 1 == 840
     assert max(abs(ints[r][c]).bit_length() for r, c in zip(pivot_rows, pivot_cols)) < 8
     assert is_exceptional(x)
@@ -515,12 +561,12 @@ def _fresh_zeros():
     return zeros
 
 
-def _forward_runs(run):
-    """run's result and, per _forward call it makes, the rows passed and
-    the pivot columns, pivot rows and rows returned."""
-    with _Recorder(rings) as rec:
+def _forward_runs(run, name="_forward"):
+    """run's result and, per call of rings.<name> it makes, the rows passed
+    and the pivot columns, pivot rows and rows _forward returns on them."""
+    with _Recorder(rings, name) as rec:
         out = run()
-    return out, [(rows, rings._forward(ring, [dict(r) for r in rows], cols)[:3])
+    return out, [(rows, rings._forward(ring, [dict(r) for r in rows], cols))
                  for ring, rows, cols in rec.seen]
 
 
@@ -544,12 +590,12 @@ def test_rational_zeros_that_are_not_qq_zero():
         canon = ExactMatrix._of(QQ, n, cols, tuple(
             tuple(x if x else QQ.zero for x in row) for row in fresh.entries))
         b = ExactMatrix._of(QQ, n, 1, tuple((rng.choice(zeros + nonzero),) for _ in range(n)))
-        cases = [(lambda a=fresh: kernel_data(a), fresh),
-                 (lambda: solve(fresh, b), fresh.hstack(b))]
+        cases = [(lambda a=fresh: kernel_data(a), fresh, "_forward"),
+                 (lambda: solve(fresh, b), fresh.hstack(b), "_forward")]
         if n == cols:
-            cases.append((lambda: is_invertible(fresh), fresh))
-        for run, a in cases:
-            out, ((rows, got),) = _forward_runs(run)
+            cases.append((lambda: is_invertible(fresh), fresh, "_invertible"))
+        for run, a, name in cases:
+            out, ((rows, got),) = _forward_runs(run, name)
             _assert_dense_forward(rows, got, a)
         assert kernel_data(fresh) == kernel_data(canon)
         assert solve(fresh, b) == solve(canon, b)
@@ -610,7 +656,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
                     del placed[:], scanned[:], sheets[:], densified[:]
-                    with _Recorder(rings) as rec:
+                    with _Recorder(rings, "_forward") as rec:
                         he = hom_ext(x, y)
                     assert len(placed) == 1 and densified == [], str(ring)
                     if ring.is_field:
