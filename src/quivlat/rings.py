@@ -28,21 +28,22 @@ all four transforms.  :func:`solve` replays the left transform on the
 right-hand side and the right transform on the diagonal solution.
 :func:`kernel_data`, :func:`kernel_basis`, :func:`cokernel_data` and
 :func:`cokernel_projection` replay them on a few columns of the right or
-inverse left transform.  Hom and Ext of a quiver pair share one
-elimination and read both modules off its diagonal; each side's replay is
-deferred until its vectors (the Hom generators or Ext cocycles) are first
-read, and until then that side keeps only its own operation list.  :func:`cokernel` reads the diagonal alone.  The
-diagonalisation first eliminates every unit pivot on sparse rows and makes
-only the unit-free residual dense, and every sheet pauses there.  Reading
-its diagonal resumes it, save over Z: there it stays paused, which keeps
-every entry a minor of the input, and reads the residual's invariant
-factors off its diagonal over Z/2|D|, for D a nonzero minor of it of order
-its rank, the last pivot of the one forward elimination below; the first
-witness read resumes it from there.  :func:`kernel_data`,
-:func:`cokernel_data` and :func:`cokernel_projection`, which read their
-vectors at once, diagonalise in full before they read the diagonal.  One
-pass clears a pivot's column by row steps, and its row by the same pass
-on the residual transposed.
+inverse left transform.  These, :func:`cokernel`, and Hom and Ext of a
+quiver pair read one elimination, ``_hom_ext_data``, and both modules off
+its diagonal; each side's replay is deferred until its vectors (the
+kernel vectors or Hom generators, the cokernel vectors or Ext cocycles)
+are first read, and until then that side keeps only its own operation
+list.  The diagonalisation first eliminates every unit pivot on sparse
+rows and makes only the unit-free residual dense, and every sheet pauses
+there.  Reading its diagonal resumes it, save over Z: there it stays
+paused, which keeps every entry a minor of the input, and reads the
+residual's invariant factors off its diagonal over Z/2|D|, for D a
+nonzero minor of it of order its rank, the last pivot of the one forward
+elimination below; the first vector read resumes it from there.  Only
+:func:`solve` and :func:`normal_form`, which replay whole transforms,
+resume the sheet before they read its diagonal.  One pass clears a
+pivot's column by row steps, and its row by the same pass on the residual
+transposed.
 
 Over Q and F_p all of these instead run the one forward elimination,
 ``_forward``, on sparse rows (dicts from column to nonzero entry) with no
@@ -215,16 +216,17 @@ class RingSpec(Record):
        invertible.  Before the pass, _invertible asks is_unit of an entry
        too, the one entry of a singleton row, which it peels when it is
        a unit.
-    2. The sheet (_Worksheet, and solve, normal_form, cokernel_projection
-       and Hom and Ext over the other rings, which read it) asks for a
-       principal ideal ring's arithmetic: canonical zero and one, add, neg,
-       sub, mul, is_zero, is_unit, inv, solve_scalar, divides, gcdex,
-       pivot_size, unit_to_canonical, canonical_gen and ann_gen, and the
-       kernels row_axpy, row_comb and dict_axpy.  A sheet over a finite
-       ring resumes when its diagonal is read.  One over an infinite ring
-       (only Z reaches a sheet) stays paused and reads the residual's
-       factors modulo 2|D|, so that ring meets the first contract with p
-       zero as well.
+    2. The sheet (_Worksheet, and solve, normal_form, and the kernel,
+       cokernel, Hom and Ext reads over the other rings, which read it)
+       asks for a principal ideal ring's arithmetic: canonical zero and
+       one, add, neg, sub, mul, is_zero, is_unit, inv, solve_scalar,
+       divides, gcdex, pivot_size, unit_to_canonical, canonical_gen and
+       ann_gen, and the kernels row_axpy, row_comb and dict_axpy.  Every
+       sheet pauses after its unit phase.  One over a finite ring resumes
+       when its diagonal is read.  One over an infinite ring (only Z
+       reaches a sheet) stays paused until a vector is read, and reads the
+       residual's factors modulo 2|D|, so that ring meets the first
+       contract with p zero as well.
 
     Past these, an algorithm reads is_field (the forward pass or a sheet),
     is_domain (Smith or Howell form), p (the pass leaves F_p pivots at 1)
@@ -546,8 +548,6 @@ class _Modular(RingSpec):
         if c % g:
             return None
         mg = m // g
-        if mg == 1:
-            return 0
         return (c // g) * pow(a // g, -1, mg) % mg
 
     def _gcdex(self, a, b):
@@ -905,16 +905,14 @@ def _check_shape(rows, cols):
             "matrix dimensions must be nonnegative ints, got %r x %r" % (rows, cols))
 
 
-def _check_same_ring(ring: RingSpec, other: RingSpec) -> None:
-    """Refuse with IncompatibleRing to combine matrices over two rings."""
-    if ring != other:
-        raise IncompatibleRing("mixed rings %s and %s" % (ring, other))
-
-
-def _check_matrix(mat) -> None:
-    """Refuse with ParseError what is not an ExactMatrix."""
+def _check_matrix(mat, ring: Optional[RingSpec] = None) -> None:
+    """Refuse with ParseError what is not an ExactMatrix, and with
+    IncompatibleRing, given a ring, a matrix over another: the one check
+    of every matrix an entry point is handed, where it enters."""
     if not isinstance(mat, ExactMatrix):
         raise ParseError("matrix expected, got %r" % (mat,))
+    if ring is not None and ring != mat.ring:
+        raise IncompatibleRing("mixed rings %s and %s" % (ring, mat.ring))
 
 
 class ExactMatrix(Record):
@@ -988,7 +986,7 @@ class ExactMatrix(Record):
     # -- basic operations ----------------------------------------------------
 
     def _check_same_shape(self, other: "ExactMatrix"):
-        _check_same_ring(self.ring, other.ring)
+        _check_matrix(other, self.ring)
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("shape %dx%d vs %dx%d" % (
                 self.rows, self.cols, other.rows, other.cols))
@@ -1015,7 +1013,7 @@ class ExactMatrix(Record):
         return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        _check_same_ring(self.ring, other.ring)
+        _check_matrix(other, self.ring)
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions %d vs %d" % (self.cols, other.rows))
         ring, zero, nonzero = self.ring, self.ring.zero, self.ring.nonzero
@@ -1039,14 +1037,14 @@ class ExactMatrix(Record):
     def hstack(self, *others: "ExactMatrix") -> "ExactMatrix":
         """self and the others side by side, in one copy."""
         for other in others:
-            _check_same_ring(self.ring, other.ring)
+            _check_matrix(other, self.ring)
             if self.rows != other.rows:
                 raise DimensionMismatch("row counts %d vs %d" % (self.rows, other.rows))
         data = tuple(sum(parts, ()) for parts in zip(self.entries, *(m.entries for m in others)))
         return ExactMatrix._of(self.ring, self.rows, self.cols + sum(m.cols for m in others), data)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        _check_same_ring(self.ring, other.ring)
+        _check_matrix(other, self.ring)
         if self.cols != other.cols:
             raise DimensionMismatch("column counts %d vs %d" % (self.cols, other.cols))
         return ExactMatrix._of(self.ring, self.rows + other.rows, self.cols,
@@ -1062,13 +1060,14 @@ class ExactMatrix(Record):
 
 
 def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    for b in blocks:
+        _check_matrix(b, ring)
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
     z = ring.zero
     data = [[z] * cols for _ in range(rows)]
     r0 = c0 = 0
     for b in blocks:
-        _check_same_ring(ring, b.ring)
         for i in range(b.rows):
             data[r0 + i][c0:c0 + b.cols] = b.entries[i]
         r0 += b.rows
@@ -1481,6 +1480,7 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     three the transforms are the diagonalisation's operations replayed on
     identities.
     """
+    _check_matrix(mat)
     ring = mat.ring
     if ring.is_field:
         k = mat.cols
@@ -1521,7 +1521,8 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
     fills is charged first (_check_read); over Q and F_p the rows of X
     that no pivot sets share one zero row.
     """
-    _check_same_ring(a.ring, b.ring)
+    _check_matrix(a)
+    _check_matrix(b, a.ring)
     if a.rows != b.rows:
         raise DimensionMismatch("row counts %d vs %d" % (a.rows, b.rows))
     ring = a.ring
@@ -1705,6 +1706,8 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     its canonical associate and the entries above it their residues modulo
     it; this normalised form of a span is unique (Howell, 1986).
     """
+    if not isinstance(ring, RingSpec):
+        raise ParseError("ring expected, got %r" % (ring,))
     if ring.is_domain:
         raise IncompatibleRing("Howell form needs a finite principal ideal ring")
     width = None
@@ -1887,11 +1890,15 @@ def kernel_data(a: ExactMatrix) -> tuple:
     (every nonzero d over a domain) contributes nothing.  The k-th returned
     vector generates the summand of the k-th invariant factor (torsion in
     chain order, then one vector per free summand), matching cokernel_data.
+    Both are read off the one elimination of _hom_ext_data, as Hom is.
     Over the fields the vectors are the reduced kernel basis, from one
-    forward elimination and its back-substitution.  A read of more than
-    _MAX_HOM_CELLS cells is refused with NotComputable.
+    forward elimination and its back-substitution; over the other rings
+    they are columns of right, replayed once the sheet resumes from its
+    pause.  A read of more than _MAX_HOM_CELLS cells is refused with
+    NotComputable.
     """
-    pres, vectors = _read_at_once(a)[:2]
+    _check_matrix(a)
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring), a.cols)[:2]
     return pres, vectors()
 
 
@@ -1902,8 +1909,8 @@ def kernel_basis(a: ExactMatrix) -> ExactMatrix:
     Over Z/m and the truncated rings they are the Howell-canonical
     generating set of the kernel submodule.
     """
-    ring = a.ring
     _, gens = kernel_data(a)
+    ring = a.ring
     if not ring.is_domain:
         gens = howell_rows(ring, gens)
     if not gens:
@@ -1947,6 +1954,12 @@ class ModulePresentation(Record):
                              len(diag))[2]
 
 
+def _check_presentation(pres) -> None:
+    """Refuse with ParseError what is not a ModulePresentation."""
+    if not isinstance(pres, ModulePresentation):
+        raise ParseError("module presentation expected, got %r" % (pres,))
+
+
 def _chain_order(ring: RingSpec, diag: Sequence) -> list:
     """The positions of a canonical diagonal's invariant factors: the
     torsion ones in chain order, then the zeros; units are dropped."""
@@ -1956,6 +1969,7 @@ def _chain_order(ring: RingSpec, diag: Sequence) -> list:
 
 def cokernel(a: ExactMatrix) -> ModulePresentation:
     """Presentation of R^rows / (column span of a), invariant factors canonical."""
+    _check_matrix(a)
     return _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring), a.cols)[2]
 
 
@@ -1964,11 +1978,13 @@ def cokernel_data(a: ExactMatrix) -> tuple[ModulePresentation, list[tuple]]:
 
     The k-th returned vector maps onto the k-th listed invariant-factor
     generator of the cokernel under the projection R^rows -> coker: the
-    column of left^-1 at that generator's diagonal position.  Over the
-    fields they are unit vectors, read off one forward elimination.  A read
-    of more than _MAX_HOM_CELLS cells is refused with NotComputable.
+    column of left^-1 at that generator's diagonal position.  Both are
+    read off the one elimination of _hom_ext_data, as Ext is.  Over the
+    fields the vectors are unit vectors, read off one forward elimination.
+    A read of more than _MAX_HOM_CELLS cells is refused with NotComputable.
     """
-    pres, vectors = _read_at_once(a)[2:]
+    _check_matrix(a)
+    pres, vectors = _hom_ext_data(a.ring, _nonzeros(a.entries, a.ring), a.cols)[2:]
     return pres, vectors()
 
 
@@ -1981,10 +1997,13 @@ def cokernel_projection(a: ExactMatrix) -> Optional[ExactMatrix]:
     of a transposed, and a free cokernel is its own double dual, so the
     rows of pi are the kernel vectors of a transposed (kernel_data).  a and
     its transpose share their torsion, so the cokernel of a is free exactly
-    when that of a transposed is.  A read of more than _MAX_HOM_CELLS cells
-    is refused with NotComputable.
+    when that of a transposed is: one elimination of a transposed
+    (_hom_ext_data) reads both, and a torsion cokernel reads no vector.  A
+    read of more than _MAX_HOM_CELLS cells is refused with NotComputable.
     """
-    _, vectors, coker = _read_at_once(a.transpose())[:3]
+    _check_matrix(a)
+    _, vectors, coker = _hom_ext_data(a.ring, _nonzeros(a.transpose().entries, a.ring),
+                                      a.rows)[:3]
     if not coker.is_free:
         return None
     rows = vectors()
@@ -1998,7 +2017,9 @@ def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
     over Q and F_p, _sheet_hom_ext elsewhere, on the sheet as it pauses
     after its unit phase (_Worksheet.diagonalize).  Reading its diagonal
     resumes it save over Z, and there it stays paused until a vector is
-    read."""
+    read.  It is the one read of cokernel, kernel_data, cokernel_data,
+    cokernel_projection, from_invariant_factors and Hom and Ext: the
+    input, not the caller, decides how far the sheet runs."""
     if ring.is_field:
         return _field_hom_ext(ring, rows, cols)
     ws = _Worksheet(ring, rows, cols)
@@ -2006,21 +2027,10 @@ def _hom_ext_data(ring: RingSpec, rows: list, cols: int) -> tuple:
     return _sheet_hom_ext(ws)
 
 
-def _read_at_once(a: ExactMatrix) -> tuple:
-    """_hom_ext_data of a for kernel_data, cokernel_data and
-    cokernel_projection, which read their vectors at once: the sheet is
-    diagonalised in full before its diagonal is read, so over Z it reads no
-    factors modulo 2|D| that the vector read would resume past."""
-    ring, rows = a.ring, _nonzeros(a.entries, a.ring)
-    if ring.is_field:
-        return _field_hom_ext(ring, rows, a.cols)
-    return _sheet_hom_ext(_diagonal_sheet(ring, rows, a.cols))
-
-
 def _sheet_hom_ext(ws: _Worksheet) -> tuple:
     """_hom_ext_data over Z, Z/m and Feps, read off the sheet ws: a matrix
-    after at least its unit phase (_Worksheet), paused or diagonalised in
-    full.
+    after its unit phase (_Worksheet), paused there unless it had no
+    residual, or diagonalised in full.
 
     With N = left * a * right diagonal, the kernel of a is right times that
     of N: one cyclic summand per column j, the annihilator of N's entry
@@ -2082,6 +2092,7 @@ def constant_rank(pres: ModulePresentation) -> Optional[int]:
     common rank, or None when they differ (possible only over Z/m with
     composite m).
     """
+    _check_presentation(pres)
     ring, m, factors = pres.ring, pres.ring.m, pres.invariant_factors
     if not m:
         if any(not ring.is_zero(d) and not ring.is_unit(d) for d in factors):
@@ -2196,6 +2207,7 @@ def canonical_hom(source: RingSpec, target: RingSpec) -> RingHom:
 
 def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:
     """Entrywise transport of a matrix along a ring hom."""
+    _check_matrix(mat)
     _check_hom(hom, mat.ring)
     f = hom.apply   # every per-entry map returns canonical target entries
     data = tuple(tuple(f(x) for x in row) for row in mat.entries)
@@ -2204,6 +2216,7 @@ def apply_hom(hom: RingHom, mat: ExactMatrix) -> ExactMatrix:
 
 def presentation_base_change(pres: ModulePresentation, hom: RingHom) -> ModulePresentation:
     """Invariant factors of M tensored along the hom, recanonicalised."""
+    _check_presentation(pres)
     _check_hom(hom, pres.ring)
     return ModulePresentation(hom.target, pres.generators,
                               _mapped_factors(pres.invariant_factors, hom))

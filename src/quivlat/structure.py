@@ -244,7 +244,7 @@ def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
 
 def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
     """Summand roots of a rigid dimension vector, with multiplicities, read
-    off one state of the orbit walk within bound; the caller caps the bound.
+    off one state of the orbit walk within bound.
 
     A state (b_1, ..., b_n) is an exceptional sequence, so <b_j, b_i> = 0
     for j > i and <b_i, b_i> = 1: its vectors are a basis, and the
@@ -294,11 +294,12 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     dimension vector, as its coordinates in the first exceptional sequence
     of the orbit walk in which they are nonnegative on members with no Ext
     between them (_summand_roots); BoundExceeded, naming the vector, if no
-    sequence within the bound has that.  The walk and the lattices are
-    capped at the total dimension, since no summand is larger.  The
-    summands are then built over the base ring, checked to have no
-    extensions there, peeled off by split evaluation maps, and reassembled
-    into an isomorphism that is checked vertexwise.
+    sequence within the bound has that.  The summands are then
+    exceptional_lattice's over the base ring at the same bound, off the
+    same walk, so no witness it has built already is replayed again; they
+    are checked to have no extensions there, peeled off by split
+    evaluation maps, and reassembled into an isomorphism that is checked
+    vertexwise.
     """
     _check_compatible(x, x)
     _check_bound(bound)
@@ -310,10 +311,9 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     if x.is_zero:
         return RigidDecomposition((), (), RepMorphism.identity(x), ())
 
-    cap = min(bound, sum(x.dims))     # no summand is larger than x
-    multiplicity = _summand_roots(quiver, x.dims, cap)
+    multiplicity = _summand_roots(quiver, x.dims, bound)
     roots = _hom_order(quiver, sorted(multiplicity))
-    lattices = {d: exceptional_lattice(quiver, d, ring, bound=cap) for d in roots}
+    lattices = {d: exceptional_lattice(quiver, d, ring, bound=bound) for d in roots}
     for a, b in itertools.permutations(roots, 2):   # each is exceptional, so rigid
         if not hom_ext(lattices[a], lattices[b]).ext.is_zero:
             raise TheoremViolation(

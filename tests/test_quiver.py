@@ -17,6 +17,7 @@ from quivlat.errors import (
     NotRigid,
     ParseError,
 )
+from quivlat import rings
 from quivlat.homology import hom_ext, is_rigid
 from quivlat.quiver import (
     Quiver,
@@ -196,22 +197,44 @@ def test_values_of_the_wrong_type_are_refused_where_they_enter(call, bad):
         call()
 
 
-# a matrix argument that is not an ExactMatrix, refused by rings._check_matrix
+# an argument that is not an ExactMatrix, refused by rings._check_matrix where
+# it enters, and the presentation or ring argument of the module layer, with
+# the kind of value expected
+I2 = ExactMatrix.identity(ZZ, 2)
 MATRIX_PROBES = {
-    "is_invertible-none": (lambda: is_invertible(None), None),
-    "is_invertible-rows": (lambda: is_invertible(((1, 0), (0, 1))), ((1, 0), (0, 1))),
-    "invert-list": (lambda: invert([1]), [1]),
-    "invert-none": (lambda: invert(None), None),
-    "morphism-none-maps": (lambda: RepMorphism(S1, S1, (None, None)), None),
+    "is_invertible-none": (lambda: is_invertible(None), "matrix", None),
+    "is_invertible-rows": (lambda: is_invertible(((1, 0), (0, 1))), "matrix",
+                           ((1, 0), (0, 1))),
+    "invert-list": (lambda: invert([1]), "matrix", [1]),
+    "invert-none": (lambda: invert(None), "matrix", None),
+    "morphism-none-maps": (lambda: RepMorphism(S1, S1, (None, None)), "matrix", None),
     "morphism-rows-map": (lambda: RepMorphism(S1, S1, (((1,),), ExactMatrix.zeros(ZZ, 0, 0))),
-                          ((1,),)),
+                          "matrix", ((1,),)),
+    "solve-none-lhs": (lambda: rings.solve(None, I2), "matrix", None),
+    "solve-none-rhs": (lambda: rings.solve(I2, None), "matrix", None),
+    "normal_form-none": (lambda: rings.normal_form(None), "matrix", None),
+    "cokernel-none": (lambda: rings.cokernel(None), "matrix", None),
+    "cokernel_data-none": (lambda: rings.cokernel_data(None), "matrix", None),
+    "cokernel_projection-none": (lambda: rings.cokernel_projection(None), "matrix", None),
+    "kernel_basis-list": (lambda: rings.kernel_basis([1]), "matrix", [1]),
+    "mul-none": (lambda: I2.mul(None), "matrix", None),
+    "add-none": (lambda: I2.add(None), "matrix", None),
+    "hstack-none": (lambda: I2.hstack(None), "matrix", None),
+    "vstack-none": (lambda: I2.vstack(None), "matrix", None),
+    "block_diag-none": (lambda: rings.block_diag(ZZ, [None]), "matrix", None),
+    "apply_hom-none": (lambda: rings.apply_hom(rings.identity_hom(ZZ), None), "matrix", None),
+    "constant_rank-none": (lambda: rings.constant_rank(None), "module presentation", None),
+    "presentation_base_change-none": (
+        lambda: rings.presentation_base_change(None, rings.identity_hom(ZZ)),
+        "module presentation", None),
+    "howell_rows-none": (lambda: rings.howell_rows(None, []), "ring", None),
 }
 
 
-@pytest.mark.parametrize("call, bad", MATRIX_PROBES.values(), ids=MATRIX_PROBES)
-def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, bad):
+@pytest.mark.parametrize("call, what, bad", MATRIX_PROBES.values(), ids=MATRIX_PROBES)
+def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, what, bad):
     # each once escaped as an AttributeError or a TypeError
-    with pytest.raises(ParseError, match="^matrix expected, got " + re.escape(repr(bad)) + "$"):
+    with pytest.raises(ParseError, match="^%s expected, got %s$" % (what, re.escape(repr(bad)))):
         call()
 
 

@@ -389,6 +389,24 @@ def test_decompose_below_a_summand_root_exceeds_the_bound():
     assert multiset(decompose_rigid(x, bound=5)) == [((1, 2), 1), ((2, 3), 1)]
 
 
+def test_decompose_replays_no_summand_built_at_its_bound(fresh_replays, monkeypatch):
+    # the summands are read off the walk at the caller's bound, so the
+    # lattices exceptional_lattice built there are not replayed again
+    roots = [((n, n + 1), (n + 1, n + 2)) for n in range(2, 9)]
+    sums = [direct_sum_many([exceptional_lattice(K2, r, bound=60) for r in pair])
+            for pair in roots]
+    original, calls = mutation.braid_act, []
+
+    def braid_act_counting(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mutation, "braid_act", braid_act_counting)
+    for x, pair in zip(sums, roots):
+        assert multiset(decompose_rigid(x, bound=60)) == [(r, 1) for r in pair]
+    assert calls == []
+
+
 def test_decompose_reads_no_subdimension_table(monkeypatch):
     # the summand roots are read off one walk state, so Schofield's table,
     # which only generic_dims still reads, is never filled

@@ -12,7 +12,9 @@ with D = +-1.  A paused sheet keeps N = left * M * right, and resuming it
 runs the full sheet's operations: the Hom generators and Ext cocycles read
 off it must be the full sheet's, replayed here straight off its operation
 lists, as must kernel_data's and cokernel_data's, and two reads resume it
-once.  Where sympy imports, its Smith normal form is a third opinion.
+once.  kernel_data, cokernel_data and cokernel_projection read that same
+paused sheet, with no Z sheet diagonalised in full up front.  Where sympy
+imports, its Smith normal form is a third opinion.
 
 Stdlib only (sympy when it imports), so it also runs without pytest:
     PYTHONPATH=src python tests/test_z_invariants.py
@@ -170,6 +172,42 @@ def test_witness_reads_diagonalise_in_full_once():
             expected = _full_witnesses(a)
             assert vecs == (expected if hom_first else expected[::-1])
     assert [_paused_sheet(a).paused for a, _, _ in cases] == [0, 1]
+
+
+def test_kernel_and_cokernel_reads_share_the_paused_sheet():
+    """kernel_data, cokernel_data and cokernel_projection read one paused
+    sheet, as hom_ext does: on matrices with no unit entry they build no Z
+    sheet diagonalised in full up front, and read the factors and vectors
+    of the full diagonalisation all the same."""
+    rng = random.Random("paused reads")
+    mats = [_mat([[rng.choice((-6, -4, -3, -2, 0, 2, 3, 4, 6, 9)) for _ in range(c)]
+                  for _ in range(r)])
+            for r, c in [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(30)]]
+    mats += [ExactMatrix(ZZ, 0, 3, ()), ExactMatrix(ZZ, 3, 0, ((),) * 3), _mat([[2, 0], [0, 4]])]
+
+    def full_reads(a):
+        hom, read_hom, ext, read_ext = rings._sheet_hom_ext(
+            _diagonal_sheet(*_elimination_input(a)))
+        return (hom, read_hom()), (ext, read_ext())
+
+    expected = [(full_reads(a), full_reads(a.transpose())) for a in mats]
+    original = rings._diagonal_sheet
+
+    def refusing(ring, rows, cols):
+        assert ring != ZZ, "a Z sheet was diagonalised in full before its diagonal was read"
+        return original(ring, rows, cols)
+
+    rings._diagonal_sheet = refusing
+    try:
+        for a, (own, transposed) in zip(mats, expected):
+            assert rings.kernel_data(a) == own[0], a
+            assert rings.cokernel_data(a) == own[1], a
+            vecs = transposed[0][1]   # Hom(coker a, Z) = ker(a^T)
+            assert rings.cokernel_projection(a) == (ExactMatrix(
+                ZZ, len(vecs), a.rows, tuple(vecs)) if own[1][0].is_free else None), a
+    finally:
+        rings._diagonal_sheet = original
+    assert sum(_paused_sheet(a).paused is not None for a in mats) >= 25
 
 
 def test_paused_and_resumed_sheets_keep_their_transforms():
