@@ -46,6 +46,7 @@ from .quiver import (
     RepMorphism,
     _block_inclusions,
     _check_compatible,
+    _check_quiver,
     _dual,
     _exact_dims,
     cokernel_rep,
@@ -53,7 +54,7 @@ from .quiver import (
     kernel_rep,
     tensor_free,
 )
-from .rings import ExactMatrix, RingSpec, block_diag, cokernel
+from .rings import ExactMatrix, RingSpec, _check_ring, block_diag, cokernel
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
@@ -280,8 +281,8 @@ def standard_sequence(ring: RingSpec, quiver: Quiver) -> ExcSequence:
     Uses the lexicographically smallest topological order of the vertices;
     only acyclic quivers admit one.
     """
-    if not isinstance(ring, RingSpec) or not isinstance(quiver, Quiver):
-        raise ParseError("a ring and a quiver expected, got %r and %r" % (ring, quiver))
+    _check_ring(ring)
+    _check_quiver(quiver)
     order = quiver.topological_order()
     items = tuple(Rep.simple(ring, quiver, v + 1) for v in order)
     return ExcSequence(items)

@@ -163,12 +163,18 @@ def _exact_dims(dims) -> tuple:
     return dims
 
 
-def _vector(quiver: Quiver, dims) -> tuple:
-    """A vector of the quiver's lattice: exact ints, one per vertex.  A
-    quiver that is not a Quiver is refused here, with ParseError.  The forms
-    take any such vector, differences of dimension vectors included."""
+def _check_quiver(quiver) -> None:
+    """Refuse with ParseError what is not a Quiver: the one check of every
+    quiver an entry point is handed, where it enters."""
     if not isinstance(quiver, Quiver):
         raise ParseError("quiver expected, got %r" % (quiver,))
+
+
+def _vector(quiver: Quiver, dims) -> tuple:
+    """A vector of the quiver's lattice: exact ints, one per vertex, of a
+    checked quiver.  The forms take any such vector, differences of
+    dimension vectors included."""
+    _check_quiver(quiver)
     dims = _exact_dims(dims)
     if len(dims) != quiver.vertex_count:
         raise DimensionMismatch("need %d dimensions, got %d" % (
@@ -213,8 +219,7 @@ class Rep(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.ring, RingSpec):
-            raise ParseError("rep ring must be a RingSpec, got %r" % (self.ring,))
+        _rings._check_ring(self.ring)
         dims = _check_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
         mats = tuple(self.mats)
@@ -275,6 +280,7 @@ class Rep(Record):
 
     @staticmethod
     def zero(ring: RingSpec, quiver: Quiver) -> "Rep":
+        _check_quiver(quiver)
         dims = (0,) * quiver.vertex_count
         mats = tuple(ExactMatrix.zeros(ring, 0, 0) for _ in range(quiver.arrow_count))
         return Rep(ring, quiver, dims, mats)
@@ -282,6 +288,7 @@ class Rep(Record):
     @staticmethod
     def simple(ring: RingSpec, quiver: Quiver, vertex: int) -> "Rep":
         """Simple representation concentrated at a vertex (1-based)."""
+        _check_quiver(quiver)
         if not 1 <= vertex <= quiver.vertex_count:
             raise DimensionMismatch("vertex %d out of range" % vertex)
         dims = tuple(1 if v == vertex - 1 else 0 for v in range(quiver.vertex_count))
@@ -376,6 +383,7 @@ class RepMorphism(Record):
 
     @staticmethod
     def identity(rep: Rep) -> "RepMorphism":
+        _check_compatible(rep, rep)
         maps = tuple(ExactMatrix.identity(rep.ring, d) for d in rep.dims)
         return RepMorphism(rep, rep, maps)
 
@@ -440,6 +448,9 @@ def direct_sum_projections(x: Rep, y: Rep) -> tuple:
 
 def tensor_free(x: Rep, k: int) -> Rep:
     """x tensored with R^k: the k-fold direct sum in block-diagonal form."""
+    _check_compatible(x, x)
+    if type(k) is not int:
+        raise ParseError("multiplicity expected, got %r" % (k,))
     if k < 0:
         raise DimensionMismatch("negative multiplicity")
     if k == 0:
@@ -449,6 +460,7 @@ def tensor_free(x: Rep, k: int) -> Rep:
 
 def base_change(x: Rep, hom: RingHom) -> Rep:
     """Transport a representation along a ring hom, entry by entry."""
+    _check_compatible(x, x)
     _rings._check_hom(hom, x.ring)
     mats = tuple(apply_hom(hom, m) for m in x.mats)
     return Rep(hom.target, x.quiver, x.dims, mats)
@@ -460,6 +472,7 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
     Only defined for acyclic quivers, where path counts are finite.  The
     arrow a acts by appending a to paths ending at its tail.
     """
+    _check_quiver(quiver)
     quiver.topological_order()  # raises CyclicQuiver when not acyclic
     if not 1 <= vertex <= quiver.vertex_count:
         raise DimensionMismatch("vertex %d out of range" % vertex)
@@ -512,11 +525,18 @@ def _subrep(x: Rep, incls) -> Rep:
     return Rep(x.ring, q, tuple(m.cols for m in incls), tuple(mats))
 
 
+def _check_morphism(f) -> None:
+    """Refuse with ParseError what is not a RepMorphism."""
+    if not isinstance(f, RepMorphism):
+        raise ParseError("morphism expected, got %r" % (f,))
+
+
 def kernel_rep(f: RepMorphism) -> tuple:
     """Kernel subrepresentation and its inclusion, whose columns are
     kernel_data's vectors.  Like cokernel_rep, works over every ring exactly
     when every vertexwise kernel is free, as it always is over a field or
     Z, and raises NonFreeCokernel otherwise."""
+    _check_morphism(f)
     incls = []
     for i, m in enumerate(f.vertex_maps):
         pres, gens = _rings.kernel_data(m)
@@ -539,6 +559,7 @@ def cokernel_rep(f: RepMorphism) -> tuple:
     projective but not free, no representation on free modules presents
     it, and NonFreeCokernel is raised.
     """
+    _check_morphism(f)
     projs = []
     for i, m in enumerate(f.vertex_maps):
         pi = _rings.cokernel_projection(m)

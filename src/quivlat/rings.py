@@ -905,6 +905,22 @@ def _check_shape(rows, cols):
             "matrix dimensions must be nonnegative ints, got %r x %r" % (rows, cols))
 
 
+def _check_ring(ring) -> None:
+    """Refuse with ParseError what is not a RingSpec: the one check of
+    every ring an entry point is handed, where it enters."""
+    if not isinstance(ring, RingSpec):
+        raise ParseError("ring expected, got %r" % (ring,))
+
+
+def _items(values, what: str) -> tuple:
+    """values as a tuple, or ParseError naming what was expected when they
+    are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ParseError("%s expected, got %r" % (what, values)) from None
+
+
 def _check_matrix(mat, ring: Optional[RingSpec] = None) -> None:
     """Refuse with ParseError what is not an ExactMatrix, and with
     IncompatibleRing, given a ring, a matrix over another: the one check
@@ -935,8 +951,7 @@ class ExactMatrix(Record):
         return hash((self.ring, self.rows, self.cols, self.entries))
 
     def __post_init__(self):
-        if not isinstance(self.ring, RingSpec):
-            raise ParseError("matrix ring must be a RingSpec, got %r" % (self.ring,))
+        _check_ring(self.ring)
         _check_shape(self.rows, self.cols)
         data = self.entries
         if len(data) != self.rows:
@@ -965,18 +980,20 @@ class ExactMatrix(Record):
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
-        rows = [tuple(r) for r in rows]
+        rows = [tuple(r) for r in _items(rows, "rows")]
         ncols = len(rows[0]) if rows else 0
         return ExactMatrix(ring, len(rows), ncols, tuple(rows))
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "ExactMatrix":
+        _check_ring(ring)
         _check_shape(rows, cols)
         z = ring.zero
         return ExactMatrix._of(ring, rows, cols, ((z,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: RingSpec, size: int) -> "ExactMatrix":
+        _check_ring(ring)
         _check_shape(size, size)
         z, o = ring.zero, ring.one
         return ExactMatrix._of(
@@ -999,6 +1016,7 @@ class ExactMatrix(Record):
         return ExactMatrix._of(self.ring, self.rows, self.cols, data)
 
     def sub(self, other: "ExactMatrix") -> "ExactMatrix":
+        self._check_same_shape(other)
         return self.add(other.neg())
 
     def neg(self) -> "ExactMatrix":
@@ -1060,6 +1078,8 @@ class ExactMatrix(Record):
 
 
 def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    _check_ring(ring)
+    blocks = _items(blocks, "matrices")
     for b in blocks:
         _check_matrix(b, ring)
     rows = sum(b.rows for b in blocks)
@@ -1706,13 +1726,12 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     its canonical associate and the entries above it their residues modulo
     it; this normalised form of a span is unique (Howell, 1986).
     """
-    if not isinstance(ring, RingSpec):
-        raise ParseError("ring expected, got %r" % (ring,))
+    _check_ring(ring)
     if ring.is_domain:
         raise IncompatibleRing("Howell form needs a finite principal ideal ring")
     width = None
     queue = []
-    for row in rows:
+    for row in _items(rows, "rows"):
         row = tuple(ring.canon(x) for x in row)
         width = len(row) if width is None else width
         if len(row) != width:
@@ -1949,7 +1968,8 @@ class ModulePresentation(Record):
     @staticmethod
     def from_invariant_factors(ring: RingSpec, factors: Sequence) -> "ModulePresentation":
         """Presentation of a direct sum of cyclic modules R/(d)."""
-        diag = [ring.canon(d) for d in factors]
+        _check_ring(ring)
+        diag = [ring.canon(d) for d in _items(factors, "invariant factors")]
         return _hom_ext_data(ring, [{} if ring.is_zero(d) else {i: d} for i, d in enumerate(diag)],
                              len(diag))[2]
 

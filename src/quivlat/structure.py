@@ -23,11 +23,11 @@ The three constructive results living here:
 Classification walks the braid orbit of the standard sequence on dimension
 vectors alone (mutation._dims_orbit, the walk orbit_search reads too), so
 schur_root_status and the summand roots of decompose_rigid build no
-representation; nor does generic_dims, which reads Schofield's recursion
-for generic Ext on dimension vectors.  A witness is built only by
-exceptional_lattice: the braid word that first reached its root is
-replayed over Z from the standard sequence (mutation._orbit_sequence), and
-every sequence built on the way is kept for later replays (_built).
+representation.  A witness is built only by exceptional_lattice: the braid
+word that first reached its root is replayed over Z from the standard
+sequence (mutation._orbit_sequence), and every sequence built on the way is
+kept for later replays (_built).  generic_dims reads Hom and Ext off two
+such witnesses over Q, so hom_ext is the one route to both.
 Nothing is searched over Q: mutation commutes with the flat base change
 Z -> Q, so both orbits pass through the same dimension vectors in the
 same order.
@@ -67,7 +67,7 @@ from .quiver import (
     tensor_free,
     tits_form,
 )
-from .rings import ExactMatrix, RingHom, RingSpec, ZZ, _check_hom, canonical_hom, invert
+from .rings import ExactMatrix, QQ, RingHom, RingSpec, ZZ, _check_hom, canonical_hom, invert
 
 SCHUR_REAL = "real_schur"
 SCHUR_PREFILTER_FALSE = "prefilter_false"
@@ -161,14 +161,15 @@ class GenericDims(Record):
 def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
     """Hom and Ext ranks between the exceptional representations over Q.
 
-    Both roots must be reached by the orbit walk within the bound.  The Ext
-    rank is Schofield's recursion on dimension vectors (_generic_ext), and
-    the Hom rank follows from the Euler form, hom - ext = <alpha, beta>; no
-    witness is built, and the recursion's table lives for this call.
+    Both roots must be reached by the orbit walk within the bound, and are
+    checked before either witness is built.  The ranks are those of one
+    hom_ext of exceptional_lattice's witnesses over Q; by the source paper
+    they are also the ranks of Hom and Ext between the exceptional lattices
+    over any supported ring, which are projective.
     """
     alpha, beta = (_require_real_schur(quiver, root, bound) for root in (alpha, beta))
-    ext = _generic_ext(quiver, alpha, beta, {})
-    return GenericDims(ext + euler_form(quiver, alpha, beta), ext)
+    he = hom_ext(*(exceptional_lattice(quiver, root, QQ, bound=bound) for root in (alpha, beta)))
+    return GenericDims(he.hom.free_rank, he.ext.free_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +202,6 @@ class RigidDecomposition(Record):
             "ordering": [list(d) for d in self.ordering],
             "verified": True,
         }
-
-
-def _generic_subdims(quiver: Quiver, alpha: tuple, table: dict) -> tuple:
-    """The dimension vectors of the subrepresentations of a general
-    representation of dimension alpha, alpha itself first.
-
-    Schofield's recursion: beta is one exactly when ext(beta, alpha - beta)
-    is 0, and ext(beta, gamma) is the largest -<beta', gamma> over the
-    generic subdimension vectors beta' of beta.  Only generic_dims reads it.
-    table, {dimension vector: its generic subdimension vectors} for this
-    quiver, is the caller's and lives for its call: it is filled for every
-    vector below alpha by increasing total, so each test reads only
-    finished entries and nothing recurses, and later calls on the same
-    table read what is filled.
-    """
-    if alpha in table:
-        return table[alpha]
-    arrows = [(quiver.tail(a), quiver.head(a)) for a in range(quiver.arrow_count)]
-    for gamma in sorted(itertools.product(*(range(d + 1) for d in alpha)), key=sum):
-        if gamma in table:
-            continue
-        subs = [gamma]
-        for beta in itertools.product(*(range(d + 1) for d in gamma)):
-            rest = [g - b for g, b in zip(gamma, beta)]
-            w = rest[:]                 # <v, rest> is the dot product v . w
-            for t, h in arrows:
-                w[t] -= rest[h]
-            if beta != gamma and all(sum(map(operator.mul, v, w)) >= 0
-                                     for v in table[beta]):
-                subs.append(beta)
-        table[gamma] = tuple(subs)
-    return table[alpha]
-
-
-def _generic_ext(quiver: Quiver, alpha: tuple, beta: tuple, table: dict) -> int:
-    """ext(alpha, beta), the rank of Ext between general representations;
-    for real Schur roots, between their exceptional representations."""
-    return max(-euler_form(quiver, sub, beta)
-               for sub in _generic_subdims(quiver, alpha, table))
 
 
 def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
@@ -303,11 +265,17 @@ def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
     """
     _check_compatible(x, x)
     _check_bound(bound)
+    x.quiver.topological_order()
+    return _decompose(x, is_rigid(x), bound)
+
+
+def _decompose(x: Rep, rigid: bool, bound: int) -> RigidDecomposition:
+    """decompose_rigid's body, for x and bound checked and x's quiver
+    acyclic, with x's rigidity already read."""
+    if not rigid:
+        raise NotRigid("representation has nonzero self-extensions")
     ring = x.ring
     quiver = x.quiver
-    quiver.topological_order()
-    if not is_rigid(x):
-        raise NotRigid("representation has nonzero self-extensions")
     if x.is_zero:
         return RigidDecomposition((), (), RepMorphism.identity(x), ())
 
@@ -373,10 +341,14 @@ def rigid_isomorphism(x: Rep, y: Rep) -> RepMorphism | None:
     or exactly one of x and y is rigid; NotRigid when neither is.
     """
     _check_compatible(x, y)
-    if x.dims != y.dims or is_rigid(x) != is_rigid(y):
+    if x.dims != y.dims:
         return None
-    # decompose_rigid raises NotRigid when neither is rigid
-    to_x, to_y = decompose_rigid(x).certificate, decompose_rigid(y).certificate
+    rigid = is_rigid(x)
+    if rigid != is_rigid(y):
+        return None
+    x.quiver.topological_order()
+    # each rigidity is read once; _decompose raises NotRigid when neither is
+    to_x, to_y = (_decompose(z, rigid, 60).certificate for z in (x, y))
     iso = RepMorphism(x, y, tuple(b.mul(invert(a)) for a, b in zip(
         to_x.vertex_maps, to_y.vertex_maps)))
     if not iso.is_isomorphism():

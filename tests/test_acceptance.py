@@ -11,6 +11,7 @@ import time
 import pytest
 
 import test_rings as ring_oracles
+from test_summand_peel import generic_ext
 
 from quivlat import (
     ExactMatrix,
@@ -149,6 +150,7 @@ def test_acceptance_3_rigid_pair_ranks_match_generic_counts(capsys):
             roots = _real_roots(quiver, 11, bound=12)
             lattices = {root: exceptional_lattice(quiver, root, ZZ, bound=12)
                         for root in roots}
+            table = {}
             for a in roots:
                 for b in roots:
                     if sum(a) + sum(b) > 12:
@@ -156,6 +158,8 @@ def test_acceptance_3_rigid_pair_ranks_match_generic_counts(capsys):
                     ranks = rigid_hom_ext_ranks(lattices[a], lattices[b])
                     expected = generic_dims(quiver, a, b, bound=12)
                     assert ranks == (expected.hom_rank, expected.ext_rank), (a, b)
+                    # Schofield's recursion, independent of every lattice
+                    assert ranks[1] == generic_ext(quiver, a, b, table), (a, b)
                     if quiver is KRONECKER and a == (0, 1) and b == (1, 2):
                         kronecker_case = ranks
         assert kronecker_case == (2, 0)

@@ -8,8 +8,8 @@ Feps ring).  Each is an lru_cache with a constant maxsize, and keeps at
 most that many entries after more distinct calls than its bound; its
 cache_info() counts hits, misses and size.  No other function in the
 package is cached, and no module keeps a memo dict: hom_ext builds a new
-result on every call, and the subdimension table of generic Ext lives for
-one call.
+result on every call, and generic_dims reads one hom_ext of two witnesses
+replayed through structure._built.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_cache_bounds.py

@@ -228,12 +228,47 @@ MATRIX_PROBES = {
         lambda: rings.presentation_base_change(None, rings.identity_hom(ZZ)),
         "module presentation", None),
     "howell_rows-none": (lambda: rings.howell_rows(None, []), "ring", None),
+    "howell_rows-none-rows": (lambda: rings.howell_rows(Zmod(4), None), "rows", None),
+    "from_rows-none-rows": (lambda: ExactMatrix.from_rows(ZZ, None), "rows", None),
+    "sub-none": (lambda: I2.sub(None), "matrix", None),
+    "zeros-none": (lambda: ExactMatrix.zeros(None, 1, 1), "ring", None),
+    "identity-none": (lambda: ExactMatrix.identity(None, 1), "ring", None),
+    "block_diag-none-ring": (lambda: rings.block_diag(None, [I2]), "ring", None),
+    "block_diag-none-blocks": (lambda: rings.block_diag(ZZ, None), "matrices", None),
+    "from_invariant_factors-none": (
+        lambda: rings.ModulePresentation.from_invariant_factors(None, [1]), "ring", None),
 }
 
 
 @pytest.mark.parametrize("call, what, bad", MATRIX_PROBES.values(), ids=MATRIX_PROBES)
 def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, what, bad):
     # each once escaped as an AttributeError or a TypeError
+    with pytest.raises(ParseError, match="^%s expected, got %s$" % (what, re.escape(repr(bad)))):
+        call()
+
+
+# the same for the quiver layer: a representation refused by
+# _check_compatible, a quiver by _check_quiver, a morphism by _check_morphism
+# and a multiplicity that is not an exact int by tensor_free
+QUIVER_PROBES = {
+    "base_change-none": (lambda: base_change(None, rings.identity_hom(ZZ)),
+                         "representation", None),
+    "kernel_rep-none": (lambda: kernel_rep(None), "morphism", None),
+    "cokernel_rep-none": (lambda: cokernel_rep(None), "morphism", None),
+    "identity-none": (lambda: RepMorphism.identity(None), "representation", None),
+    "tensor_free-none": (lambda: tensor_free(None, 1), "representation", None),
+    "tensor_free-str": (lambda: tensor_free(S1, "a"), "multiplicity", "a"),
+    "tensor_free-bool": (lambda: tensor_free(S1, True), "multiplicity", True),
+    "projective_rep-none": (lambda: projective_rep(ZZ, None, 1), "quiver", None),
+    "simple-none": (lambda: Rep.simple(ZZ, None, 1), "quiver", None),
+    "zero-none": (lambda: Rep.zero(ZZ, None), "quiver", None),
+}
+
+
+@pytest.mark.parametrize("call, what, bad", QUIVER_PROBES.values(), ids=QUIVER_PROBES)
+def test_a_quiver_layer_argument_of_the_wrong_type_is_refused(call, what, bad):
+    # each once escaped as an AttributeError or a TypeError, or, for the
+    # bool multiplicity, was read as 1
     with pytest.raises(ParseError, match="^%s expected, got %s$" % (what, re.escape(repr(bad)))):
         call()
 

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from test_orbit_walk import _orbit_members
+from test_summand_peel import QUIVERS as PEEL_QUIVERS, TOTAL as PEEL_TOTAL
+from test_summand_peel import TOTALS as PEEL_TOTALS, generic_ext
 
 from quivlat import mutation, structure
 from quivlat.errors import (
@@ -274,55 +276,39 @@ def test_large_bounds_walk_and_replay_without_recursion(fresh_replays, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# generic Ext on dimension vectors
+# generic Hom and Ext, read off the exceptional witnesses over Q
 
 
-@pytest.mark.parametrize("quiver", [A2, A3, K2, K3, TRIANGLE],
-                         ids=("A2", "A3", "kronecker", "3-kronecker", "triangle"))
-def test_generic_ext_is_the_ext_of_the_exceptional_witnesses(quiver):
-    roots = [r for r in mutation._dims_orbit(quiver, 12)[1] if any(r) and sum(r) <= 12]
-    assert len(roots) >= 2
-    witnesses = {r: exceptional_lattice(quiver, r, GF(2), bound=12) for r in roots}
+@pytest.mark.parametrize("name", PEEL_QUIVERS)
+def test_generic_ext_is_the_ext_of_the_exceptional_witnesses(name):
+    """generic_dims against Schofield's recursion on every pair of roots up
+    to total 12 (8 on the four-vertex quivers): the Ext rank is the
+    recursion's, and hom - ext is the Euler form."""
+    quiver, total = PEEL_QUIVERS[name], PEEL_TOTALS.get(name, PEEL_TOTAL)
+    roots = [r for r in mutation._dims_orbit(quiver, total)[1] if any(r) and sum(r) <= total]
+    assert len(roots) >= 3
     table = {}
     for alpha in roots:
         for beta in roots:
-            ext = hom_ext(witnesses[alpha], witnesses[beta]).ext.free_rank
-            assert structure._generic_ext(quiver, alpha, beta, table) == ext, (alpha, beta)
+            gd = generic_dims(quiver, alpha, beta, bound=total)
+            assert gd.ext_rank == generic_ext(quiver, alpha, beta, table), (alpha, beta)
+            assert gd.hom_rank - gd.ext_rank == euler_form(quiver, alpha, beta), (alpha, beta)
 
 
-def test_generic_ext_fills_its_table_without_recursion(monkeypatch):
-    original, calls, table = structure._generic_subdims, [], {}
+def test_generic_dims_is_one_hom_ext_over_q(monkeypatch):
+    # Schofield's recursion on these roots tests up to (12 * 12 * 13)^2
+    # pairs of subdimension vectors; the witnesses need one hom_ext
+    calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(x, y):
+        calls.append((x, y))
+        return hom_ext(x, y)
 
-    # a recursive fill would call the module's _generic_subdims again
-    monkeypatch.setattr(structure, "_generic_subdims", counting)
-    ext = structure._generic_ext(K2, (20, 21), (0, 1), table)
-    assert calls == [(K2, (20, 21), table)]
-    assert ext == -euler_form(K2, (20, 21), (0, 1))
-    assert len(table) == 21 * 22
-
-
-def test_generic_dims_keeps_no_table():
-    """The subdimension table lives for one generic_dims call: on the
-    triangle roots (8, 8, 9), (9, 8, 8) it holds 46,291 vectors, some
-    3.4 MB, while the call runs, and under 0.1 MB is left once it returns."""
-    import tracemalloc
-    # the walk is kept on purpose; the same call on the opposite quiver, whose
-    # table is as large, fills the interpreter's free lists, whose blocks
-    # tracemalloc would count as retained
-    mutation._dims_orbit(TRIANGLE, 60)
-    generic_dims(Quiver(3, ((2, 1), (3, 2), (3, 1))), (8, 8, 9), (9, 8, 8))
-    tracemalloc.start()
-    try:
-        dims = generic_dims(TRIANGLE, (8, 8, 9), (9, 8, 8))
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (dims.hom_rank, dims.ext_rank) == (16, 0)
-    assert peak > 10 ** 6 and retained < 10 ** 5, (retained, peak)
+    monkeypatch.setattr(structure, "hom_ext", counting)
+    dims = generic_dims(TRIANGLE, (11, 11, 12), (12, 11, 11))
+    assert (dims.hom_rank, dims.ext_rank) == (22, 0)
+    assert [(x.ring, x.dims, y.ring, y.dims) for x, y in calls] == [
+        (QQ, (11, 11, 12), QQ, (12, 11, 11))]
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +391,6 @@ def test_decompose_replays_no_summand_built_at_its_bound(fresh_replays, monkeypa
     for x, pair in zip(sums, roots):
         assert multiset(decompose_rigid(x, bound=60)) == [(r, 1) for r in pair]
     assert calls == []
-
-
-def test_decompose_reads_no_subdimension_table(monkeypatch):
-    # the summand roots are read off one walk state, so Schofield's table,
-    # which only generic_dims still reads, is never filled
-    def refuse(*args):
-        raise AssertionError("decompose_rigid filled a subdimension table")
-
-    monkeypatch.setattr(structure, "_generic_subdims", refuse)
-    for quiver, spec in ((K2, [((1, 2), 2), ((2, 3), 1)]),
-                         (K2, [((3, 4), 1), ((4, 5), 2)]),
-                         (TRIANGLE, [((0, 0, 1), 2), ((0, 1, 1), 1), ((1, 1, 2), 1)]),
-                         (TRIANGLE, [((2, 2, 3), 2)])):
-        out = decompose_rigid(planted_sum(quiver, spec))
-        assert multiset(out) == sorted(spec), (quiver, spec)
 
 
 @pytest.mark.parametrize("quiver,dims,roots", [
@@ -513,6 +484,25 @@ def test_rigid_isomorphism_of_conjugated_sums_over_non_domains(ring):
             assert hom_ext(x, y).hom.free_rank >= 2
             iso = rigid_isomorphism(x, y)
             assert iso.source == x and iso.target == y and iso.is_isomorphism()
+
+
+def test_rigid_isomorphism_reads_each_rigidity_once(monkeypatch):
+    # hom_ext caches nothing, so each read is a fresh hom_ext(x, x); the
+    # decompositions reuse the two reads rigid_isomorphism makes itself
+    counts = {"is_rigid": 0, "rigid_isomorphism": 0}
+
+    def counting(name):
+        original = getattr(structure, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(structure, name, wrapper)
+
+    counting("is_rigid")
+    counting("rigid_isomorphism")
+    assert run_suite("braid", 0, 20)["failures"] == 0
+    assert counts == {"is_rigid": 374, "rigid_isomorphism": 187}
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -5,23 +5,28 @@ the first state of the orbit walk, an exceptional sequence, in whose basis
 the vector has nonnegative coordinates on members with no Ext between them.
 The reference is an exhaustive search: every multiset of pairwise
 ext-orthogonal real Schur roots summing to the vector, with Ext read off
-Schofield's subdimension table (structure._generic_ext).  For every vector
-up to total 12 (8 on the four-vertex quivers) the roots must be found
-exactly when the search finds one multiset, and must be that multiset.
-And every splitting section decompose_rigid takes on planted sums is a
-morphism with proj * section the identity.
+Schofield's recursion on dimension vectors (generic_ext, below).  The
+recursion lives here, not in the package, whose one route to Ext is
+hom_ext; the other tests read it from this file as their reference for
+generic Ext.  For every vector up to total 12 (8 on the four-vertex
+quivers) the roots must be found exactly when the search finds one
+multiset, and must be that multiset.  And every splitting section
+decompose_rigid takes on planted sums is a morphism with proj * section
+the identity.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_summand_peel.py
 """
 
 import itertools
+import operator
 import random
 
 from quivlat import structure
 from quivlat.errors import BoundExceeded
 from quivlat.mutation import _dims_orbit
-from quivlat.quiver import Quiver, RepMorphism, base_change, direct_sum_many, tensor_free
+from quivlat.quiver import (Quiver, RepMorphism, base_change, direct_sum_many, euler_form,
+                            tensor_free)
 from quivlat.rings import ZZ, RingSpec, canonical_hom, invert
 from quivlat.verify import conjugate_rep, random_unimodular
 
@@ -41,6 +46,47 @@ TOTAL = 12
 TOTALS = {"D4": 8, "A4-alternating": 8}
 
 
+def generic_subdims(quiver, alpha, table):
+    """The dimension vectors of the subrepresentations of a general
+    representation of dimension alpha, alpha itself first.
+
+    Schofield's recursion ("General representations of quivers", Proc. LMS
+    1992, section 6): beta is one exactly when ext(beta, alpha - beta) is 0,
+    and ext(beta, gamma) is the largest -<beta', gamma> over the generic
+    subdimension vectors beta' of beta.  table, {dimension vector: its
+    generic subdimension vectors} for this quiver, is the caller's: it is
+    filled for every vector below alpha by increasing total, so each test
+    reads only finished entries and nothing recurses, and later calls on
+    the same table read what is filled.  It holds up to prod(alpha_i + 1)
+    vectors, each tested against up to as many.
+    """
+    if alpha in table:
+        return table[alpha]
+    arrows = [(quiver.tail(a), quiver.head(a)) for a in range(quiver.arrow_count)]
+    for gamma in sorted(itertools.product(*(range(d + 1) for d in alpha)), key=sum):
+        if gamma in table:
+            continue
+        subs = [gamma]
+        for beta in itertools.product(*(range(d + 1) for d in gamma)):
+            rest = [g - b for g, b in zip(gamma, beta)]
+            w = rest[:]                 # <v, rest> is the dot product v . w
+            for t, h in arrows:
+                w[t] -= rest[h]
+            if beta != gamma and all(sum(map(operator.mul, v, w)) >= 0
+                                     for v in table[beta]):
+                subs.append(beta)
+        table[gamma] = tuple(subs)
+    return table[alpha]
+
+
+def generic_ext(quiver, alpha, beta, table):
+    """ext(alpha, beta), the rank of Ext between general representations;
+    for real Schur roots, between their exceptional representations.  table
+    is generic_subdims' table for this quiver."""
+    return max(-euler_form(quiver, sub, beta)
+               for sub in generic_subdims(quiver, alpha, table))
+
+
 def _vectors(quiver, total):
     return [d for d in itertools.product(range(total + 1), repeat=quiver.vertex_count)
             if 0 < sum(d) <= total]
@@ -52,7 +98,7 @@ def _root_combinations(quiver, dims, table):
     quiver's subdimension table, shared across calls."""
 
     def ext(quiver, alpha, beta):
-        return structure._generic_ext(quiver, alpha, beta, table)
+        return generic_ext(quiver, alpha, beta, table)
 
     cands = sorted(d for d in _dims_orbit(quiver, sum(dims))[1]
                    if any(d) and all(a <= b for a, b in zip(d, dims)))
