@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -40,11 +39,12 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _bound(args) -> int:
-    """--bound, else QUIVLAT_BOUND, else 60."""
-    if args.bound is not None:
-        return _parse_int(args.bound, "--bound")
-    raw = os.environ.get("QUIVLAT_BOUND")
-    return 60 if raw is None else _parse_int(raw, "QUIVLAT_BOUND")
+    """--bound, else the library's default walk bound, read in the verb so
+    that parsing imports no library module."""
+    if args.bound is None:
+        from .mutation import _DEFAULT_BOUND
+        return _DEFAULT_BOUND
+    return _parse_int(args.bound, "--bound")
 
 
 def _load_json(path: str):
@@ -253,7 +253,7 @@ def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
         sub.add_argument("--dims", required=True, help="dimension vector, e.g. 1,2,1")
     if "bound" in names:
         sub.add_argument("--bound",
-                         help="total-dimension search bound (default 60 or QUIVLAT_BOUND)")
+                         help="total-dimension search bound (default: the library default)")
     # verify, the one verb with no common flags, has never shown a --format help line
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      help="output format (default text)" if names else None)

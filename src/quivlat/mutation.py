@@ -11,7 +11,8 @@ explicit witnesses:
   - Hom(X, Y) free of rank h: the universal evaluation map X^h -> Y, which
     is forced to be split injective or split surjective at every vertex;
     the mutation is its cokernel or kernel, and the mutation's dimension
-    vector, fixed by the Euler form (_mutated_dims), says which.
+    vector, fixed by the Euler form (_mutated_dims), says which.  The split
+    test is quiver._split's, which the summand peel of structure shares.
 
 Right mutation is the transpose dual of left mutation on the opposite
 quiver, so the case split above is written once.  Every mutation
@@ -33,7 +34,6 @@ from .errors import (
     BoundExceeded,
     DimensionMismatch,
     NeitherMonoNorEpi,
-    NonFreeCokernel,
     ParseError,
     PreconditionViolated,
     TheoremViolation,
@@ -49,12 +49,15 @@ from .quiver import (
     _check_quiver,
     _dual,
     _exact_dims,
-    cokernel_rep,
+    _split,
     euler_form,
-    kernel_rep,
     tensor_free,
 )
-from .rings import ExactMatrix, RingSpec, _check_ring, block_diag, cokernel
+from .rings import ExactMatrix, RingSpec, _check_ring, block_diag
+
+# The total-dimension bound of every orbit walk a caller does not bound:
+# the one default of each public bound and of the CLI's --bound.
+_DEFAULT_BOUND = 60
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
@@ -156,18 +159,12 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
     h = _free_rank_or_violation(hom, "Hom")
     ev = _evaluation_map(x, y, gens)
     # the mutation's dimension vector says which side the map is split on
-    dims = _mutated_dims(y.dims, x.dims, h)
-    epi = dims != tuple(b - h * a for a, b in zip(x.dims, y.dims))
-    try:
-        out, witness = (kernel_rep if epi else cokernel_rep)(ev)
-    except NonFreeCokernel:
-        out = None
-    # a free kernel of the right rank does not make a map onto over Z:
-    # (2 4) has one, so a split epi needs every cokernel zero as well
-    if (out is None or out.dims != dims
-            or epi and not all(cokernel(m).is_zero for m in ev.vertex_maps)):
+    epi = _mutated_dims(y.dims, x.dims, h) != tuple(b - h * a for a, b in zip(x.dims, y.dims))
+    split = _split(ev, epi)
+    if split is None:
         raise NeitherMonoNorEpi("universal map is not split %s" % (
             "surjective" if epi else "injective"))
+    out, witness = split
     if epi:
         return MutationResult("KernelOfUniversalMap", out,
                               universal_map=ev, witness_in=witness)
@@ -322,12 +319,14 @@ def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
 
 
 def _check_bound(bound) -> None:
-    """The one check of an orbit walk's bound where an entry point takes
-    it: an exact int, not a bool or a float, else ParseError.  _dims_orbit
-    refuses a bound below 1 with BoundExceeded; being cached, it would take
-    True for 1 and 5.0 for 5, so it cannot own this check."""
+    """The one check of an orbit walk's bound, where an entry point takes
+    it: ParseError unless an exact int (a bool or a float is not one),
+    BoundExceeded below 1.  _dims_orbit, being cached, would take True for
+    1 and 5.0 for 5, so it checks nothing and is handed checked bounds."""
     if type(bound) is not int:
         raise ParseError("an int bound expected, got %r" % (bound,))
+    if bound < 1:
+        raise BoundExceeded("bound must be positive")
 
 
 # Lattice-orbit pass 0 hits it 182 times in 184 calls; the largest working
@@ -343,8 +342,6 @@ def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tu
     first maps each dimension vector to the state it is first seen in, in
     that order.
     """
-    if bound < 1:
-        raise BoundExceeded("bound must be positive")
     start = start or tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
                            for v in quiver.topological_order())
     steps, first = {start: None}, {}
@@ -386,7 +383,7 @@ def _orbit_sequence(steps: dict, memo: dict, state: tuple) -> ExcSequence:
     return seq
 
 
-def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = 60):
+def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_BOUND):
     """Breadth-first search of the braid orbit of a sequence.
 
     Explores generators in index order, each followed by its inverse, and

@@ -11,7 +11,9 @@ Subrepresentations on the images of injective vertex maps are built in one
 place (_subrep), and a quotient is the transpose dual (_dual) of a
 subrepresentation of the dual: kernel_rep and cokernel_rep share that
 construction, and direct sums lay out their blocks in one place
-(_block_inclusions).
+(_block_inclusions).  Whether a morphism is split mono or split epi at
+every vertex is decided in one place too (_split), for the mutation of
+exceptional pairs and the summand peel of rigid decomposition alike.
 """
 
 from __future__ import annotations
@@ -182,6 +184,18 @@ def _vector(quiver: Quiver, dims) -> tuple:
     return dims
 
 
+def _vertex(quiver: Quiver, v) -> int:
+    """The 0-based index of vertex v, 1-based, of a checked quiver:
+    ParseError unless v is an exact int (a bool is not one),
+    DimensionMismatch out of range."""
+    _check_quiver(quiver)
+    if type(v) is not int:
+        raise ParseError("vertex expected, got %r" % (v,))
+    if not 1 <= v <= quiver.vertex_count:
+        raise DimensionMismatch("vertex %d out of range" % v)
+    return v - 1
+
+
 def _check_dims(quiver: Quiver, dims) -> tuple:
     """A dimension vector of the quiver: a _vector with no negative entry.
     Rep and the root readers of structure all check here, so each refusal
@@ -222,7 +236,7 @@ class Rep(Record):
         _rings._check_ring(self.ring)
         dims = _check_dims(self.quiver, self.dims)
         object.__setattr__(self, "dims", dims)
-        mats = tuple(self.mats)
+        mats = _rings._items(self.mats, "arrow matrices")
         if len(mats) != self.quiver.arrow_count:
             raise DimensionMismatch("need %d arrow matrices, got %d" % (
                 self.quiver.arrow_count, len(mats)))
@@ -288,10 +302,8 @@ class Rep(Record):
     @staticmethod
     def simple(ring: RingSpec, quiver: Quiver, vertex: int) -> "Rep":
         """Simple representation concentrated at a vertex (1-based)."""
-        _check_quiver(quiver)
-        if not 1 <= vertex <= quiver.vertex_count:
-            raise DimensionMismatch("vertex %d out of range" % vertex)
-        dims = tuple(1 if v == vertex - 1 else 0 for v in range(quiver.vertex_count))
+        v0 = _vertex(quiver, vertex)
+        dims = tuple(1 if v == v0 else 0 for v in range(quiver.vertex_count))
         mats = tuple(
             ExactMatrix.zeros(ring, dims[quiver.head(a)], dims[quiver.tail(a)])
             for a in range(quiver.arrow_count))
@@ -389,6 +401,7 @@ class RepMorphism(Record):
 
     def compose(self, other: "RepMorphism") -> "RepMorphism":
         """self after other."""
+        _check_morphism(other)
         if other.target != self.source:
             raise IncompatibleBase("composition endpoints do not match")
         maps = tuple(a.mul(b) for a, b in zip(self.vertex_maps, other.vertex_maps))
@@ -415,7 +428,7 @@ def direct_sum_many(reps: Sequence[Rep]) -> Rep:
     if not reps:
         raise DimensionMismatch("empty direct sum needs an ambient quiver")
     x = reps[0]
-    for r in reps[1:]:
+    for r in reps:
         _check_compatible(x, r)
     dims = tuple(map(sum, zip(*(r.dims for r in reps))))
     mats = tuple(block_diag(x.ring, [r.mats[a] for r in reps])
@@ -472,11 +485,8 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
     Only defined for acyclic quivers, where path counts are finite.  The
     arrow a acts by appending a to paths ending at its tail.
     """
-    _check_quiver(quiver)
+    v0 = _vertex(quiver, vertex)
     quiver.topological_order()  # raises CyclicQuiver when not acyclic
-    if not 1 <= vertex <= quiver.vertex_count:
-        raise DimensionMismatch("vertex %d out of range" % vertex)
-    v0 = vertex - 1
     paths = {j: [] for j in range(quiver.vertex_count)}
     queue = [((), v0)]
     while queue:
@@ -568,3 +578,26 @@ def cokernel_rep(f: RepMorphism) -> tuple:
         projs.append(pi)
     cok = _dual(_subrep(_dual(f.target), [p.transpose() for p in projs]))
     return cok, RepMorphism(f.target, cok, projs)
+
+
+def _split(f: RepMorphism, epi: bool):
+    """kernel_rep(f) if epi, else cokernel_rep(f), when f is split epi, or
+    split mono, at every vertex; None otherwise.
+
+    Split means three things here: the kernel or cokernel is free, so its
+    representation exists; its dimension vector is source - target (epi)
+    or target - source (mono); and, for epi, every vertex map is onto.  A
+    free kernel of the right rank does not make a map onto: (2 4) over Z
+    has one.  With a free target, onto is split epi, and a free cokernel of
+    rank target - source is split mono.
+    """
+    try:
+        out = (kernel_rep if epi else cokernel_rep)(f)
+    except NonFreeCokernel:
+        return None
+    src, tgt = f.source.dims, f.target.dims
+    dims = tuple(a - b for a, b in (zip(src, tgt) if epi else zip(tgt, src)))
+    if out[0].dims != dims or epi and not all(
+            _rings.cokernel(m).is_zero for m in f.vertex_maps):
+        return None
+    return out

@@ -77,12 +77,14 @@ arithmetic and the two row kernels that elimination, its replays and Howell
 canonicalisation run on: plain ``x + c*y`` over Z and Q, one reduction mod
 m per entry over Z/m, a truncated product over Feps, looked up in tables
 of all products and sums when the ring has at most 25 elements, and a third,
-``dict_axpy``, that the unit phase runs on sparse rows.  A column operation
-runs them as a row operation on the residual transposed, unless all it
-does is zero one entry of the pivot row or swap two columns.  The kernels
-skip zero multiplicands, which dominate the sparse differentials and the
-identity-like transforms, and the values they store are bit-identical to
-element-wise ``add``/``mul``.
+``dict_axpy``, that the unit phase runs on sparse rows.  Over Feps the 2x2
+kernel, ``row_comb``, is element-wise ``add``/``mul``: a sheet over a local
+ring takes no gcdex step, so only Howell canonicalisation runs it there.
+A column operation runs the kernels as a row operation on the residual
+transposed, unless all it does is zero one entry of the pivot row or swap
+two columns.  The kernels skip zero multiplicands, which dominate the
+sparse differentials and the identity-like transforms, and the values they
+store are bit-identical to element-wise ``add``/``mul``.
 A ring hom is fixed by its two rings and picks its per-entry map once.
 No algorithm reads a ring's kind: what the forward pass and the sheet ask
 of a ring are two contracts, stated in :class:`RingSpec`'s docstring.
@@ -221,9 +223,12 @@ class RingSpec(Record):
        asks for a principal ideal ring's arithmetic: canonical zero and
        one, add, neg, sub, mul, is_zero, is_unit, inv, solve_scalar,
        divides, gcdex, pivot_size, unit_to_canonical, canonical_gen and
-       ann_gen, and the kernels row_axpy, row_comb and dict_axpy.  Every
-       sheet pauses after its unit phase.  One over a finite ring resumes
-       when its diagonal is read.  One over an infinite ring (only Z
+       ann_gen, and the kernels row_axpy, row_comb and dict_axpy; row_comb
+       only for a gcdex step, which a sheet over a local ring never takes
+       (its pivot, of least valuation, divides the whole block left), so
+       RingSpec's element-wise one serves Feps.  Every sheet pauses after
+       its unit phase.  One over a finite ring resumes when its diagonal
+       is read.  One over an infinite ring (only Z
        reaches a sheet) stays paused until a vector is read, and reads the
        residual's factors modulo 2|D|, so that ring meets the first
        contract with p zero as well.
@@ -316,6 +321,13 @@ class RingSpec(Record):
         if self.is_zero(a):
             return b, self.zero, self.one, self.one, self.zero
         return self._gcdex(a, b)
+
+    def row_comb(self, ri, rj, s, t, u, v):
+        """(s*ri + t*rj, u*ri + v*rj), entry by entry; Z, Q and Z/m run
+        their own, and Feps this one (contract 2 above)."""
+        add, mul = self.add, self.mul
+        return ([add(mul(s, x), mul(t, y)) for x, y in zip(ri, rj)],
+                [add(mul(u, x), mul(v, y)) for x, y in zip(ri, rj)])
 
     def entry_from_json(self, value):
         if isinstance(value, int) and not isinstance(value, bool):
@@ -616,13 +628,14 @@ class _Modular(RingSpec):
 class _Truncated(RingSpec):
     """F_p[e]/(e^n) on length-n tuples of coefficients in [0, p).
 
-    Its row kernels unpack each multiplier once into the (i, c_i, range(n - i))
-    of its nonzero coefficients and reduce each entry mod p once, at the
-    end; a zero entry is one equal to the zero tuple.  A ring of at most
-    _FEPS_TABLE_SIZE elements instead reads mul and both row kernels off
-    tables of all its products and sums (_table_kernels), one entry as
-    sum[x][prod_c[y]]; they hold the loops' own values, and are kept out of
-    pickles and copies, which rebuild them.
+    Its row_axpy and dict_axpy unpack each multiplier once into the
+    (i, c_i, range(n - i)) of its nonzero coefficients and reduce each entry
+    mod p once, at the end; a zero entry is one equal to the zero tuple.  A
+    ring of at most _FEPS_TABLE_SIZE elements instead reads mul and those
+    two kernels off tables of all its products and sums (_table_kernels),
+    one entry as sum[x][prod_c[y]]; they hold the loops' own values, and
+    are kept out of pickles and copies, which rebuild them.  Its row_comb
+    is RingSpec's element-wise one (contract 2 there).
     """
 
     is_field = is_domain = False
@@ -790,28 +803,18 @@ class _Truncated(RingSpec):
     def _terms(self, c):
         return [(i, ci, self._ranges[i]) for i, ci in enumerate(c) if ci]
 
-    def _fma(self, x, terms, y, terms2=(), y2=None):
-        """x + c*y (+ c2*y2) for multipliers unpacked by _terms."""
+    def _fma(self, x, terms, y):
+        """x + c*y for a multiplier c unpacked by _terms."""
         out = list(x)
         for i, ci, js in terms:
             for j in js:
                 out[i + j] += ci * y[j]
-        for i, ci, js in terms2:
-            for j in js:
-                out[i + j] += ci * y2[j]
         p = self.p
         return tuple([v % p for v in out])
 
     def row_axpy(self, dst, src, c):
         z, fma, tc = self.zero, self._fma, self._terms(c)
         return [x if y == z else fma(x, tc, y) for x, y in zip(dst, src)]
-
-    def row_comb(self, ri, rj, s, t, u, v):
-        z, fma = self.zero, self._fma
-        ts, tt, tu, tv = map(self._terms, (s, t, u, v))
-        pairs = list(zip(ri, rj))
-        return ([x if x == y == z else fma(z, ts, x, tt, y) for x, y in pairs],
-                [y if x == y == z else fma(z, tu, x, tv, y) for x, y in pairs])
 
     def dict_axpy(self, row, items, c):
         z, fma, tc, get = self.zero, self._fma, self._terms(c), row.get
@@ -823,11 +826,11 @@ class _Truncated(RingSpec):
                 row.pop(k, None)
 
 
-# Feps:p:n up to this many elements runs mul and its row kernels on tables:
+# Feps:p:n up to this many elements runs mul, row_axpy and dict_axpy on tables:
 # the full tables take 0.09 MB and about 13 ms to build at 25 (Feps:5:2),
 # 0.15 MB at 27 and 0.24 MB at 32.
 _FEPS_TABLE_SIZE = 25
-_TABLE_KERNELS = ("mul", "row_axpy", "row_comb", "dict_axpy")
+_TABLE_KERNELS = ("mul", "row_axpy", "dict_axpy")
 
 
 # One entry per Feps ring built; the largest working set measured, on a
@@ -851,12 +854,6 @@ def _table_kernels(ring: _Truncated) -> dict:
         pc = prod[c]
         return [x if y == zero else total[x][pc[y]] for x, y in zip(dst, src)]
 
-    def row_comb(ri, rj, s, t, u, v):
-        ps, pt, pu, pv = prod[s], prod[t], prod[u], prod[v]
-        pairs = list(zip(ri, rj))
-        return ([x if x == y == zero else total[ps[x]][pt[y]] for x, y in pairs],
-                [y if x == y == zero else total[pu[x]][pv[y]] for x, y in pairs])
-
     zero_element = elements[zero]   # the zero the tables hand out
 
     def dict_axpy(row, items, c):
@@ -867,7 +864,7 @@ def _table_kernels(ring: _Truncated) -> dict:
                 row[k] = x
             else:
                 row.pop(k, None)
-    return dict(zip(_TABLE_KERNELS, (mul, row_axpy, row_comb, dict_axpy)))
+    return dict(zip(_TABLE_KERNELS, (mul, row_axpy, dict_axpy)))
 
 
 # kind -> (the class of its rings, the parameters its spec takes)
@@ -953,14 +950,14 @@ class ExactMatrix(Record):
     def __post_init__(self):
         _check_ring(self.ring)
         _check_shape(self.rows, self.cols)
-        data = self.entries
+        data = _items(self.entries, "rows")
         if len(data) != self.rows:
             raise DimensionMismatch(
                 "expected %d rows, got %d" % (self.rows, len(data)))
         canon = self.ring.canon
         fixed = []
         for row in data:
-            row = tuple(canon(x) for x in row)
+            row = tuple(canon(x) for x in _items(row, "row"))
             if len(row) != self.cols:
                 raise DimensionMismatch(
                     "expected %d columns, got %d" % (self.cols, len(row)))
@@ -980,7 +977,7 @@ class ExactMatrix(Record):
 
     @staticmethod
     def from_rows(ring: RingSpec, rows: Sequence[Sequence]) -> "ExactMatrix":
-        rows = [tuple(r) for r in _items(rows, "rows")]
+        rows = [_items(r, "row") for r in _items(rows, "rows")]
         ncols = len(rows[0]) if rows else 0
         return ExactMatrix(ring, len(rows), ncols, tuple(rows))
 

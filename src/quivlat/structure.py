@@ -15,7 +15,8 @@ The three constructive results living here:
     the dimension vector in one exceptional sequence of the orbit walk,
     read with the Euler form alone, and the decomposition is certified by
     an explicit isomorphism assembled from evaluation maps
-    (mutation._evaluation_map) and splitting sections, which
+    (mutation._evaluation_map), split mono by the test mutation shares
+    (quiver._split), and splitting sections, which
     homology._morphism_section solves for in the Hom complex, whose layout
     homology alone knows.  Two rigid representations with one dimension
     vector are therefore isomorphic, through the certificates.
@@ -36,13 +37,11 @@ same order.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
 
 from .errors import (
     BoundExceeded,
     IncompatibleBase,
-    NonFreeCokernel,
     NotNilpotentKernel,
     NotRigid,
     NotSchurRoot,
@@ -51,8 +50,8 @@ from .errors import (
 )
 from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
-from .mutation import (_check_bound, _dims_orbit, _evaluation_map, _orbit_sequence,
-                       standard_sequence)
+from .mutation import (_DEFAULT_BOUND, _check_bound, _dims_orbit, _evaluation_map,
+                       _orbit_sequence, standard_sequence)
 from .quiver import (
     Quiver,
     Rep,
@@ -60,8 +59,8 @@ from .quiver import (
     _check_compatible,
     _check_dims,
     _lex_least_order,
+    _split,
     base_change,
-    cokernel_rep,
     direct_sum_many,
     euler_form,
     tensor_free,
@@ -74,7 +73,7 @@ SCHUR_PREFILTER_FALSE = "prefilter_false"
 SCHUR_BOUNDED_FALSE = "bounded_false"
 
 
-def schur_root_status(quiver: Quiver, alpha, *, bound: int = 60) -> str:
+def schur_root_status(quiver: Quiver, alpha, *, bound: int = _DEFAULT_BOUND) -> str:
     """Classify alpha: real Schur root, rejected by the Tits form, or unknown.
 
     "prefilter_false" is definitive (an exceptional representation forces
@@ -96,7 +95,7 @@ def _status(quiver: Quiver, alpha, bound: int) -> tuple:
     return alpha, SCHUR_REAL if alpha in _dims_orbit(quiver, bound)[1] else SCHUR_BOUNDED_FALSE
 
 
-def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = 60) -> bool:
+def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = _DEFAULT_BOUND) -> bool:
     return schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
 
 
@@ -133,7 +132,7 @@ def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
-                        *, bound: int = 60) -> Rep:
+                        *, bound: int = _DEFAULT_BOUND) -> Rep:
     """Exceptional representation of dimension vector alpha over the ring.
 
     The witness is the integral one that classified alpha, transported
@@ -158,7 +157,7 @@ class GenericDims(Record):
         self.__dict__.update(hom_rank=hom_rank, ext_rank=ext_rank)
 
 
-def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = 60) -> GenericDims:
+def generic_dims(quiver: Quiver, alpha, beta, *, bound: int = _DEFAULT_BOUND) -> GenericDims:
     """Hom and Ext ranks between the exceptional representations over Q.
 
     Both roots must be reached by the orbit walk within the bound, and are
@@ -249,7 +248,7 @@ def _hom_order(quiver: Quiver, roots):
     return out
 
 
-def decompose_rigid(x: Rep, *, bound: int = 60) -> RigidDecomposition:
+def decompose_rigid(x: Rep, *, bound: int = _DEFAULT_BOUND) -> RigidDecomposition:
     """Decompose a rigid representation into exceptional summands, certified.
 
     Works over every supported ring.  The summand roots are read off the
@@ -299,16 +298,11 @@ def _decompose(x: Rep, rigid: bool, bound: int) -> RigidDecomposition:
                 "Hom(%r, rest) has presentation %r, expected free rank %d" % (
                     list(root), list(he.hom.invariant_factors), mi))
         theta = _evaluation_map(xi, current, he._generator_maps)
-        # On every shipped ring a map is split mono exactly when its
-        # cokernel is free of rank rows - cols.
-        try:
-            quot, proj = cokernel_rep(theta)
-        except NonFreeCokernel:
-            quot = None
-        if quot is None or quot.dims != tuple(
-                map(operator.sub, current.dims, theta.source.dims)):
+        split = _split(theta, False)
+        if split is None:
             raise PeelFailure("evaluation map of %r is not split mono" % (
                 list(root),))
+        quot, proj = split
         section = _morphism_section(proj)
         if section is None:
             raise PeelFailure("projection admits no morphism section")
@@ -348,7 +342,7 @@ def rigid_isomorphism(x: Rep, y: Rep) -> RepMorphism | None:
         return None
     x.quiver.topological_order()
     # each rigidity is read once; _decompose raises NotRigid when neither is
-    to_x, to_y = (_decompose(z, rigid, 60).certificate for z in (x, y))
+    to_x, to_y = (_decompose(z, rigid, _DEFAULT_BOUND).certificate for z in (x, y))
     iso = RepMorphism(x, y, tuple(b.mul(invert(a)) for a, b in zip(
         to_x.vertex_maps, to_y.vertex_maps)))
     if not iso.is_isomorphism():

@@ -1,9 +1,11 @@
 """The table kernels of the small Feps rings against the loop kernels.
 
 A ring Feps:p:n with p**n at most rings._FEPS_TABLE_SIZE reads mul,
-row_axpy and row_comb off tables of all its products and sums
+row_axpy and dict_axpy off tables of all its products and sums
 (rings._table_kernels); a larger ring runs the loops of _Truncated, which
-stay the reference.  Every element and every multiplier of each ring up to
+stay the reference.  Every Feps ring runs RingSpec's element-wise row_comb,
+which only howell_rows calls: a sheet over a local ring takes no gcdex step
+(tests/test_worksheet_kernels.py).  Every element and every multiplier of each ring up to
 and at the cap is checked against them: equal values of equal repr.  The
 tables live in the instance only, so RingSpec equality, hash, copies and
 pickles are those of the fields and of the state without them, and an
@@ -63,14 +65,6 @@ def test_row_kernels_match_the_loops_on_every_element_and_multiplier():
         ys = [y for _ in els for y in els]
         for c in els:
             _same(ring.row_axpy(xs, ys, c), _Truncated.row_axpy(ring, xs, ys, c))
-        rng = random.Random(str(ring))
-        for s in els:
-            for t in els:
-                u, v = rng.choice(els), rng.choice(els)
-                _same(ring.row_comb(xs, ys, s, t, u, v),
-                      _Truncated.row_comb(ring, xs, ys, s, t, u, v))
-                _same(ring.row_comb(xs, ys, u, v, t, s),
-                      _Truncated.row_comb(ring, xs, ys, u, v, t, s))
 
 
 def test_rings_above_the_cap_run_the_loops():
@@ -78,7 +72,7 @@ def test_rings_above_the_cap_run_the_loops():
         assert ring.size > rings._FEPS_TABLE_SIZE
         assert not set(rings._TABLE_KERNELS) & ring.__dict__.keys()
         assert ring.row_axpy.__func__ is _Truncated.row_axpy
-        assert ring.row_comb.__func__ is _Truncated.row_comb
+        assert ring.row_comb.__func__ is RingSpec.row_comb
         assert ring.mul.__func__ is _Truncated.mul
 
 

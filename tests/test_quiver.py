@@ -237,6 +237,9 @@ MATRIX_PROBES = {
     "block_diag-none-blocks": (lambda: rings.block_diag(ZZ, None), "matrices", None),
     "from_invariant_factors-none": (
         lambda: rings.ModulePresentation.from_invariant_factors(None, [1]), "ring", None),
+    "matrix-none-entries": (lambda: ExactMatrix(ZZ, 1, 1, None), "rows", None),
+    "matrix-none-row": (lambda: ExactMatrix(ZZ, 1, 1, (None,)), "row", None),
+    "from_rows-none-row": (lambda: ExactMatrix.from_rows(ZZ, [None]), "row", None),
 }
 
 
@@ -248,8 +251,9 @@ def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, what, ba
 
 
 # the same for the quiver layer: a representation refused by
-# _check_compatible, a quiver by _check_quiver, a morphism by _check_morphism
-# and a multiplicity that is not an exact int by tensor_free
+# _check_compatible, a quiver by _check_quiver, a morphism by _check_morphism,
+# a vertex by _vertex, arrow matrices by rings._items and a multiplicity that
+# is not an exact int by tensor_free
 QUIVER_PROBES = {
     "base_change-none": (lambda: base_change(None, rings.identity_hom(ZZ)),
                          "representation", None),
@@ -262,13 +266,20 @@ QUIVER_PROBES = {
     "projective_rep-none": (lambda: projective_rep(ZZ, None, 1), "quiver", None),
     "simple-none": (lambda: Rep.simple(ZZ, None, 1), "quiver", None),
     "zero-none": (lambda: Rep.zero(ZZ, None), "quiver", None),
+    "simple-str": (lambda: Rep.simple(ZZ, K2, "a"), "vertex", "a"),
+    "simple-bool": (lambda: Rep.simple(ZZ, K2, True), "vertex", True),
+    "projective_rep-str": (lambda: projective_rep(ZZ, K2, "a"), "vertex", "a"),
+    "projective_rep-bool": (lambda: projective_rep(ZZ, K2, True), "vertex", True),
+    "compose-none": (lambda: RepMorphism.identity(S1).compose(None), "morphism", None),
+    "direct_sum_many-none": (lambda: direct_sum_many([None]), "representation", None),
+    "rep-none-mats": (lambda: Rep(ZZ, K2, (0, 0), None), "arrow matrices", None),
 }
 
 
 @pytest.mark.parametrize("call, what, bad", QUIVER_PROBES.values(), ids=QUIVER_PROBES)
 def test_a_quiver_layer_argument_of_the_wrong_type_is_refused(call, what, bad):
     # each once escaped as an AttributeError or a TypeError, or, for the
-    # bool multiplicity, was read as 1
+    # bool multiplicity and vertices, was read as 1
     with pytest.raises(ParseError, match="^%s expected, got %s$" % (what, re.escape(repr(bad)))):
         call()
 

@@ -88,6 +88,25 @@ def test_structure_entry_points_refuse_wrong_types(call):
         call()
 
 
+def test_every_default_bound_is_the_one_constant(monkeypatch):
+    # mutation._DEFAULT_BOUND is the one default: every public bound
+    # parameter reads it, and rigid_isomorphism, which takes none,
+    # decomposes at it
+    for fn in (schur_root_status, is_real_schur_root, exceptional_lattice, generic_dims,
+               decompose_rigid, orbit_search):
+        assert fn.__kwdefaults__ == {"bound": mutation._DEFAULT_BOUND}, fn.__name__
+    bounds = []
+    decompose = structure._decompose
+
+    def recording(x, rigid, bound):
+        bounds.append(bound)
+        return decompose(x, rigid, bound)
+
+    monkeypatch.setattr(structure, "_decompose", recording)
+    assert rigid_isomorphism(RIGID, RIGID) is not None
+    assert bounds == [mutation._DEFAULT_BOUND] * 2
+
+
 def test_a_bound_below_one_is_bound_exceeded():
     with pytest.raises(BoundExceeded):
         schur_root_status(K2, (1, 2), bound=0)
@@ -429,7 +448,8 @@ def test_decompose_respects_hom_order():
 
 
 def test_decompose_refuses_an_evaluation_map_that_is_not_split_mono(monkeypatch):
-    # split mono is read off the cokernel: free, of rank rows - cols
+    # split mono is read off the cokernel, by quiver._split: free, of rank
+    # rows - cols
     x = planted_sum(K2, [((0, 1), 1), ((1, 2), 2)])
 
     def torsion(theta):
@@ -439,7 +459,7 @@ def test_decompose_refuses_an_evaluation_map_that_is_not_split_mono(monkeypatch)
         return theta.target, None
 
     for fake in (torsion, wrong_rank):
-        monkeypatch.setattr(structure, "cokernel_rep", fake)
+        monkeypatch.setattr("quivlat.quiver.cokernel_rep", fake)
         with pytest.raises(PeelFailure, match=r"evaluation map of \[1, 2\] is not split mono"):
             decompose_rigid(x)
 

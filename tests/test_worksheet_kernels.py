@@ -250,6 +250,46 @@ def test_column_step_after_a_gcdex_column_step():
         _assert_identical(new[key], ref[key], key)
 
 
+def _sheets_and_gcdex_calls(ring, count):
+    """Full diagonalisations of count random matrices over ring, half of
+    them with every entry drawn from the non-units: how many kept a dense
+    residual after the unit phase, and how many gcdex calls all made."""
+    rng = random.Random("gcdex:%s" % ring)
+    non_units = [x for x in ring.elements() if not ring.is_unit(x)]
+    calls = Counter()
+    gcdex = rings.RingSpec.gcdex
+
+    def counting(self, a, b):
+        calls["gcdex"] += 1
+        return gcdex(self, a, b)
+
+    rings.RingSpec.gcdex = counting
+    try:
+        for k in range(count):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            pick = (lambda: rng.choice(non_units)) if k % 2 else (lambda: _entry(ring, rng))
+            cells = [[pick() for _ in range(cols)] for _ in range(rows)]
+            ws = rings._Worksheet(ring, rings._nonzeros(cells, ring), cols)
+            ws.diagonalize()
+            calls["dense"] += ws.paused is not None
+            ws.resume()
+    finally:
+        rings.RingSpec.gcdex = gcdex
+    return calls["dense"], calls["gcdex"]
+
+
+def test_full_sheets_over_local_rings_take_no_gcdex_step():
+    """Over a local ring the pivot the dense steps pick has the least
+    valuation, so it divides every entry of the block left and no gcdex
+    step runs; that is why Feps has no row_comb of its own.  Z/6 is not
+    local, and its sheets do take gcdex steps."""
+    for ring in (Feps(2, 2), Feps(3, 3), Zmod(4), Zmod(9)):
+        dense, gcdex = _sheets_and_gcdex_calls(ring, 200)
+        assert dense > 50 and gcdex == 0, (str(ring), dense, gcdex)
+    dense, gcdex = _sheets_and_gcdex_calls(Zmod(6), 200)
+    assert dense > 50 and gcdex > 0, (dense, gcdex)
+
+
 def test_reference_is_in_use():
     """Each entry point compared above runs its unit-phase row updates and
     its dense row and column operations through the reference while it is
