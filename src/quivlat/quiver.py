@@ -286,11 +286,12 @@ class Rep(Record):
     def from_matrix_rows(ring: RingSpec, quiver: Quiver, dims: Sequence[int],
                          mats_rows: Sequence[Sequence[Sequence]]) -> "Rep":
         dims = _check_dims(quiver, dims)
-        mats = []
-        for a, rows in enumerate(mats_rows):
-            r, c = dims[quiver.head(a)], dims[quiver.tail(a)]
-            mats.append(ExactMatrix(ring, r, c, tuple(tuple(row) for row in rows)))
-        return Rep(ring, quiver, dims, tuple(mats))
+        blocks = _rings._items(mats_rows, "arrow matrices")
+        if len(blocks) != quiver.arrow_count:   # refused as Rep refuses it
+            return Rep(ring, quiver, dims, blocks)
+        return Rep(ring, quiver, dims, tuple(
+            ExactMatrix(ring, dims[quiver.head(a)], dims[quiver.tail(a)], rows)
+            for a, rows in enumerate(blocks)))
 
     @staticmethod
     def zero(ring: RingSpec, quiver: Quiver) -> "Rep":
@@ -425,6 +426,7 @@ def direct_sum(x: Rep, y: Rep) -> Rep:
 
 def direct_sum_many(reps: Sequence[Rep]) -> Rep:
     """The direct sum in the listed order: one block_diag per arrow."""
+    reps = _rings._items(reps, "representations")
     if not reps:
         raise DimensionMismatch("empty direct sum needs an ambient quiver")
     x = reps[0]

@@ -59,7 +59,7 @@ from quivlat.rings import (
 from quivlat.structure import decompose_rigid, exceptional_lattice
 from quivlat.verify import conjugate_rep, random_rep, random_unimodular
 
-DIGEST = "3fc5f236490ebd20598c3c6d21163793e815c0d9e7af64765e1e1424dff599b0"
+DIGEST = "308f62c02fa36a678a973c4014946ed7ef2272a8fd4af84f98c2890ade615495"
 INVARIANT_DIGEST = "ec93c1b3b6d82723487f06c9114d1ba935cc1ac25e3098be659124eee9476ebc"
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))

@@ -273,7 +273,25 @@ QUIVER_PROBES = {
     "compose-none": (lambda: RepMorphism.identity(S1).compose(None), "morphism", None),
     "direct_sum_many-none": (lambda: direct_sum_many([None]), "representation", None),
     "rep-none-mats": (lambda: Rep(ZZ, K2, (0, 0), None), "arrow matrices", None),
+    "from_matrix_rows-none": (lambda: Rep.from_matrix_rows(ZZ, K2, (1, 1), None),
+                              "arrow matrices", None),
+    "from_matrix_rows-none-blocks": (
+        lambda: Rep.from_matrix_rows(ZZ, K2, (1, 1), [None, None]), "rows", None),
+    "from_matrix_rows-none-rows": (
+        lambda: Rep.from_matrix_rows(ZZ, K2, (1, 1), [[None], [None]]), "row", None),
+    "direct_sum_many-int": (lambda: direct_sum_many(5), "representations", 5),
 }
+
+
+def test_from_matrix_rows_refuses_a_wrong_arrow_count_as_rep_does():
+    # three blocks for two arrows once escaped as an IndexError from Quiver.head
+    one = [[1]]
+    for blocks in ([one] * 3, [one], []):
+        with pytest.raises(DimensionMismatch) as got:
+            Rep.from_matrix_rows(ZZ, K2, (1, 1), blocks)
+        with pytest.raises(DimensionMismatch) as want:
+            Rep(ZZ, K2, (1, 1), [ExactMatrix(ZZ, 1, 1, one)] * len(blocks))
+        assert str(got.value) == str(want.value) == "need 2 arrow matrices, got %d" % len(blocks)
 
 
 @pytest.mark.parametrize("call, what, bad", QUIVER_PROBES.values(), ids=QUIVER_PROBES)

@@ -624,13 +624,14 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
     The differential is densified on its first read alone, and equals the
     dense placement."""
     rng = random.Random(25)
-    placed, scanned, densified = [], [], []
+    placed, layouts, scanned, densified = [], [], [], []
     real_place, real_scan, real_densify = (
         homology._differential_rows, rings._nonzeros, homology._densified)
 
-    def place(x, y):
-        rows, cols = real_place(x, y)
+    def place(x, y, off0=None):
+        rows, cols = real_place(x, y, off0)
         placed.append(([dict(row) for row in rows], cols))
+        layouts.append(off0)
         return rows, cols
 
     def scan(rows, ring):
@@ -650,15 +651,25 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
 
     homology._differential_rows, rings._nonzeros, rings._Worksheet = place, scan, Built
     homology._densified = densify
+    moved = 0
     try:
         for ring in RINGS:
             for quiver, dims_list in SHAPES:
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
-                    del placed[:], scanned[:], sheets[:], densified[:]
+                    del placed[:], layouts[:], scanned[:], sheets[:], densified[:]
                     with _Recorder(rings, "_forward") as rec:
                         he = hom_ext(x, y)
                     assert len(placed) == 1 and densified == [], str(ring)
+                    # placed in the elimination layout: each C0 block of the
+                    # dense placement moved whole to its elimination offset
+                    vertex_off = _c0_offsets(x, y)
+                    off0 = vertex_off if layouts[0] is None else layouts[0]
+                    moved += layouts[0] is not None
+                    to = [off0[v] + k - vertex_off[v] for v in range(len(x.dims))
+                          for k in range(vertex_off[v], vertex_off[v + 1])]
+                    assert placed[0][0] == [{to[k]: v for k, v in row.items()}
+                                            for row in _as_dicts(_dense_differential(x, y))]
                     if ring.is_field:
                         assert [(rows, cols) for _, rows, cols in rec.seen] == placed
                     else:   # the sheet starts from the placed rows
@@ -667,6 +678,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
                     assert he.differential.entries == _dense_differential(x, y).entries
                     assert len(densified) == 1 and he.differential is he.differential
                     assert not any(rows is he.differential.entries for rows in scanned)
+        assert moved
     finally:
         homology._differential_rows, rings._nonzeros = real_place, real_scan
         homology._densified, rings._Worksheet = real_densify, sheet_class
