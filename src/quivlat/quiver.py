@@ -371,7 +371,7 @@ class RepMorphism(Record):
     def __post_init__(self):
         x, y = self.source, self.target
         _check_compatible(x, y)
-        maps = tuple(self.vertex_maps)
+        maps = _rings._items(self.vertex_maps, "vertex maps")
         if len(maps) != x.quiver.vertex_count:
             raise DimensionMismatch("need one map per vertex")
         for i, m in enumerate(maps):
@@ -470,6 +470,10 @@ def tensor_free(x: Rep, k: int) -> Rep:
         raise DimensionMismatch("negative multiplicity")
     if k == 0:
         return Rep.zero(x.ring, x.quiver)
+    # k copies fill at least k cells per unit of total dimension: charged
+    # before [x] * k, which overflows or runs out of memory on a huge k
+    total = sum(x.dims)
+    _rings._check_read(k, total or 1, "%d copies of a rep of total dimension %d", k, total)
     return direct_sum_many([x] * k)
 
 

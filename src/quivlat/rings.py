@@ -37,9 +37,9 @@ list.  The diagonalisation first eliminates every unit pivot on sparse
 rows and makes only the unit-free residual dense, and every sheet pauses
 there.  Reading its diagonal resumes it, save over Z: there it stays
 paused, which keeps every entry a minor of the input, and reads the
-residual's invariant factors off its diagonal over Z/2|D|, for D a
-nonzero minor of it of order its rank, the last pivot of the one forward
-elimination below; the first vector read resumes it from there.  Only
+residual's invariant factors modulo g, the gcd of the last pivot row of
+the one forward elimination below, minors of the residual of order its
+rank, with no worksheet; the first vector read resumes it from there.  Only
 :func:`solve` and :func:`normal_form`, which replay whole transforms,
 resume the sheet before they read its diagonal.  One pass clears a
 pivot's column by row steps, and its row by the same pass on the residual
@@ -230,8 +230,8 @@ class RingSpec(Record):
        its unit phase.  One over a finite ring resumes when its diagonal
        is read.  One over an infinite ring (only Z
        reaches a sheet) stays paused until a vector is read, and reads the
-       residual's factors modulo 2|D|, so that ring meets the first
-       contract with p zero as well.
+       residual's factors modulo the gcd of the minors the forward pass
+       leaves, so that ring meets the first contract with p zero as well.
 
     Past these, an algorithm reads is_field (the forward pass or a sheet),
     is_domain (Smith or Howell form), p (the pass leaves F_p pivots at 1)
@@ -1367,11 +1367,10 @@ class _Worksheet:
         paused sheet and reads its diagonal.  A paused sheet over Z stays
         paused, and its residual S is of minors of M, since
         every pivot before it was +-1, while its full diagonalisation blows
-        them up.  Its last pivot D in the one forward elimination, _forward,
-        is a nonzero r-minor for r = rank S, so every nonzero invariant
-        factor of S divides D and is below 2|D|: the canonical diagonal of S
-        over Z/2|D| is that of S over Z (the modular determinant method of
-        Domich, Kannan and Trotter).
+        them up.  The last pivot row of the one forward elimination,
+        _forward, holds r-minors of S for r = rank S, one nonzero, so their
+        gcd g is a nonzero multiple of every nonzero invariant factor of S,
+        which _smith_mod reads off S mod g with no worksheet.
         """
         if self.ring.is_finite:
             self.resume()
@@ -1379,11 +1378,8 @@ class _Worksheet:
         if self.paused is None:
             diag = [n[i][i] for i in range(min(len(n), width))]
         else:
-            pivot_cols, pivot_rows, rows = _forward(self.ring, _nonzeros(n, self.ring), width)
-            m = 2 * abs(rows[pivot_rows[-1]][pivot_cols[-1]])
-            mod = Zmod(m)
-            diag = _diagonal_sheet(mod, _nonzeros([[x % m for x in row] for row in n], mod),
-                                   width).diagonal(len(pivot_rows))
+            pivot_rows, rows = _forward(self.ring, _nonzeros(n, self.ring), width)[1:]
+            diag = _smith_mod(n, math.gcd(*rows[pivot_rows[-1]].values()), len(pivot_rows))
         diag = [self.ring.one] * self.t + diag
         return diag[:length] + [self.ring.zero] * (length - len(diag))
 
@@ -1406,6 +1402,43 @@ def _moves(size, targets, ops) -> list:
             ops.append((t, p))
             order[t], order[p] = i, order[t]
     return order
+
+
+def _smith_mod(rows: list, g: int, k: int) -> list:
+    """The first k invariant factors over Z of the int matrix rows (dense
+    lists), given that each divides g: its diagonal over Z/g, a factor
+    that reads zero being g (Dumas, Saunders and Villard read integer
+    Smith forms so, prime by prime).  It records no operation.  A unit
+    pivot mod g is one Schur-complement step, a factor 1.  With no unit
+    left, the block's content c divides out: Z/g becomes Z/(g/c), and the
+    factors still to read gain c.  At content 1 some entry x is neither a
+    unit nor divisible by every prime of g, so g = a*b, a the part of g
+    over x's primes, b prime to it, and the two chains multiply (CRT):
+    each part has fewer primes, which bounds the recursion."""
+    out, h = [], 1   # the factors read, and the content divided out so far
+    rows = [[x % g for x in row] for row in rows]
+    while len(out) < k and g > 1:
+        unit = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                     if math.gcd(x, g) == 1), None)
+        if unit:
+            i, j = unit
+            piv = rows.pop(i)
+            inv = pow(piv.pop(j), -1, g)
+            for row in rows:
+                f = row.pop(j) * inv % g
+                if f:
+                    row[:] = [(x - f * y) % g for x, y in zip(row, piv)]
+            out.append(h)
+            continue
+        c = math.gcd(g, *itertools.chain(*rows))
+        if c > 1:
+            g, h, rows = g // c, h * c, [[x // c for x in row] for row in rows]
+            continue
+        parts = (math.gcd(g, pow(x, g.bit_length(), g)) for x in itertools.chain(*rows))
+        a, rest = next(a for a in parts if 1 < a < g), k - len(out)
+        return out + [h * u * v for u, v in zip(_smith_mod(rows, a, rest),
+                                                _smith_mod(rows, g // a, rest))]
+    return out + [h] * (k - len(out))
 
 
 def _diagonal_sheet(ring: RingSpec, rows: list, cols: int) -> _Worksheet:

@@ -14,10 +14,11 @@ from quivlat.errors import (
     IncompatibleBase,
     IncompatibleRing,
     NonFreeCokernel,
+    NotComputable,
     NotRigid,
     ParseError,
 )
-from quivlat import rings
+from quivlat import quiver as quiver_module, rings
 from quivlat.homology import hom_ext, is_rigid
 from quivlat.quiver import (
     Quiver,
@@ -252,8 +253,8 @@ def test_a_matrix_argument_that_is_not_an_exact_matrix_is_refused(call, what, ba
 
 # the same for the quiver layer: a representation refused by
 # _check_compatible, a quiver by _check_quiver, a morphism by _check_morphism,
-# a vertex by _vertex, arrow matrices by rings._items and a multiplicity that
-# is not an exact int by tensor_free
+# a vertex by _vertex, arrow matrices and vertex maps by rings._items and a
+# multiplicity that is not an exact int by tensor_free
 QUIVER_PROBES = {
     "base_change-none": (lambda: base_change(None, rings.identity_hom(ZZ)),
                          "representation", None),
@@ -280,7 +281,28 @@ QUIVER_PROBES = {
     "from_matrix_rows-none-rows": (
         lambda: Rep.from_matrix_rows(ZZ, K2, (1, 1), [[None], [None]]), "row", None),
     "direct_sum_many-int": (lambda: direct_sum_many(5), "representations", 5),
+    "morphism-none-maps": (lambda: RepMorphism(S1, S1, None), "vertex maps", None),
+    "morphism-int-maps": (lambda: RepMorphism(S1, S1, -1), "vertex maps", -1),
+    "morphism-float-maps": (lambda: RepMorphism(S1, S1, 1.5), "vertex maps", 1.5),
+    "morphism-rep-maps": (lambda: RepMorphism(S1, S1, S1), "vertex maps", S1),
 }
+
+
+def test_tensor_free_refuses_a_multiplicity_past_the_cell_cap(monkeypatch):
+    # 10**30 once escaped from [x] * k as an OverflowError, 2**62 as a
+    # MemoryError; the charge is k times the total dimension
+    for k in (10 ** 30, 2 ** 62):
+        with pytest.raises(NotComputable, match="^%d copies of a rep of total dimension 1 "
+                           "would fill %d cells, above the cap" % (k, k)):
+            tensor_free(S1, k)
+    with pytest.raises(NotComputable, match="total dimension 0 would fill %d cells" % 10 ** 30):
+        tensor_free(Rep.zero(ZZ, K2), 10 ** 30)
+    # the charge admits 5000 copies of a Kronecker (1,1) rep, 10**4 cells,
+    # though their two 5000 x 5000 block diagonals are not built here
+    copies = []
+    monkeypatch.setattr(quiver_module, "direct_sum_many", copies.extend)
+    tensor_free(mk(ZZ, K2, (1, 1), [[[1]], [[0]]]), 5000)
+    assert len(copies) == 5000
 
 
 def test_from_matrix_rows_refuses_a_wrong_arrow_count_as_rep_does():

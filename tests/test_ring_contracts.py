@@ -318,7 +318,7 @@ def test_every_ring_has_both_contracts():
     for ring in RINGS:
         for name in FORWARD + (() if ring.is_field else SHEET):
             assert hasattr(ring, name), (str(ring), name)
-        if not ring.is_field and not ring.is_finite:   # its sheet reads factors mod 2|D|
+        if not ring.is_field and not ring.is_finite:   # its sheet reads factors mod a gcd of minors
             assert ring.p == 0, str(ring)
 
 

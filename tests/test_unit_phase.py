@@ -195,10 +195,10 @@ def test_random_matrices_and_residuals():
 
 def test_a_paused_sheet_reads_the_full_diagonal():
     """A sheet left after its unit phase reads the diagonal of the sheet
-    diagonalised in full: over Z off its residual modulo 2|D|, staying
-    paused, and over every other ring by resuming.  Over Z/12,
-    [[4, 6], [6, 4]] has diagonal [2, 2]; read modulo 2|D| as over Z it
-    would be [2, 10].  Over F_2[e]/(e^2), diag(e, e) has no integer
+    diagonalised in full: over Z off its residual modulo the gcd g of
+    _forward's last pivot row, staying paused, and over every other ring by
+    resuming.  Over Z/12, [[4, 6], [6, 4]] has diagonal [2, 2]; read
+    modulo g as over Z it would be [2, 10].  Over F_2[e]/(e^2), diag(e, e) has no integer
     residual to read."""
     feps = Feps(2, 2)
     cases = [a for ring in RINGS for a in _random_matrices(ring)]

@@ -2,17 +2,22 @@
 
 hom_ext and cokernel read Z's invariant factors off a paused sheet: every
 sheet pauses after its unit phase (_Worksheet.diagonalize), which over Z
-eliminates every +-1 pivot, and over Z the residual S left is diagonalised
-over Z/2|D|, D the last pivot of _forward on S (_Worksheet.diagonal).  Here
-that reading is checked against the full integral diagonalisation, on
-Kronecker (4,5) pairs from verify.random_rep, on matrices with no unit
-entry, and on the edge cases: the zero matrix, all-unit pivots, [6],
-diag(2,6), a last factor equal to |D|, a rank-deficient residual and one
-with D = +-1.  A paused sheet keeps N = left * M * right, and resuming it
-runs the full sheet's operations: the Hom generators and Ext cocycles read
-off it must be the full sheet's, replayed here straight off its operation
-lists, as must kernel_data's and cokernel_data's, and two reads resume it
-once.  kernel_data, cokernel_data and cokernel_projection read that same
+eliminates every +-1 pivot, and over Z the residual S left is read modulo
+g, the gcd of the last pivot row of _forward on S, by _smith_mod, which
+builds no worksheet (_Worksheet.diagonal).  Each branch of _smith_mod is
+pinned on a small case: g = 1, a unit mod g that is no unit over Z, a
+content step, a coprime split of g, a block zero mod g, a rank-deficient
+block and a g near 2**3000 of hundreds of primes, split one at a time.
+The reading is checked against the full integral diagonalisation, on
+Kronecker (4,5) pairs from verify.random_rep, on 2,000 seeded matrices
+with no unit entry, and on the edge cases: the zero matrix, all-unit
+pivots, [6], diag(2,6), a last factor equal to |D|, a rank-deficient
+residual and one with D = +-1; cokernel of a matrix with no unit entry
+builds one sheet, the Z sheet.  A paused sheet keeps N = left * M * right,
+and resuming it runs the full sheet's operations: the Hom generators and
+Ext cocycles read off it must be the full sheet's, replayed here straight
+off its operation lists, as must kernel_data's and cokernel_data's, and two
+reads resume it once.  kernel_data, cokernel_data and cokernel_projection read that same
 paused sheet, with no Z sheet diagonalised in full up front.  Where sympy
 imports, its Smith normal form is a third opinion.
 
@@ -20,12 +25,13 @@ Stdlib only (sympy when it imports), so it also runs without pytest:
     PYTHONPATH=src python tests/test_z_invariants.py
 """
 
+import math
 import random
 
 from quivlat import rings
 from quivlat.homology import differential
 from quivlat.quiver import Quiver
-from quivlat.rings import ZZ, ExactMatrix, _diagonal_sheet, _forward
+from quivlat.rings import ZZ, ExactMatrix, _diagonal_sheet, _forward, _smith_mod
 from quivlat.verify import random_rep
 
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -254,6 +260,111 @@ def test_edge_cases():
         assert rings.cokernel(a).invariant_factors == factors, a
     assert abs(_last_pivot(_mat([[2, 3], [3, 5]]))) == 1
     assert abs(_last_pivot(_mat([[2, 3], [4, 0]]))) == 12
+
+
+def _traced(rows, g, k):
+    """_smith_mod(rows, g, k), and the modulus of each call it made, its
+    own first: a coprime split shows as two calls below the one it split."""
+    moduli, inner = [], rings._smith_mod
+
+    def traced(rows, g, k):
+        moduli.append(g)
+        return inner(rows, g, k)
+    rings._smith_mod = traced   # the recursion calls the module's name
+    try:
+        return traced(rows, g, k), moduli
+    finally:
+        rings._smith_mod = inner
+
+
+def test_each_branch_of_the_modular_read():
+    cases = [
+        # (rows, g, factors, moduli of the calls)
+        ([[2, 3], [3, 5]], 1, [1, 1], [1]),            # g = 1: every factor is 1
+        ([[2, 9], [9, 2]], 77, [1, 77], [77]),         # 2, no unit over Z, is one mod 77
+        ([[2, 4], [6, 8]], 8, [2, 4], [8]),            # every entry even: content steps
+        ([[6, 4], [3, 0]], 12, [1, 12], [12, 4, 3]),   # content 1, no unit: 12 = 4 * 3
+        ([[6]], 6, [6], [6]),                          # zero mod g: the factor is g
+        ([[12, 18], [6, 12]], 6, [6, 6], [6]),
+        ([[2, 4, 6], [4, 8, 12], [6, 12, 18]], 2, [2], [2]),   # rank 1, three rows
+        ([[2, 0], [0, 6], [2, 6], [4, 6]], 6, [2, 6], [6]),    # rank 2, four rows
+    ]
+    for rows, g, factors, moduli in cases:
+        kept = [list(row) for row in rows]
+        assert _traced(rows, g, len(factors)) == (factors, moduli), rows
+        assert rows == kept   # the read works on its own copy
+        a = _mat(rows)
+        length = max(a.rows, a.cols)
+        assert _diagonal_sheet(*_elimination_input(a)).diagonal(length)[:len(factors)] == factors
+    # the same reads off a paused sheet, whose g is its own gcd of minors
+    assert rings.cokernel(_mat([[6, 4], [3, 0]])).invariant_factors == (12,)
+    assert rings.cokernel(_mat([[2, 9], [9, 2]])).invariant_factors == (77,)
+
+
+def test_a_modulus_near_2_to_the_3000_reads_without_deep_recursion():
+    assert _smith_mod([[2]], 2 ** 3000, 1) == [2]
+    assert _smith_mod([[2, 0], [0, 2 ** 2999]], 2 ** 3000, 2) == [2, 2 ** 2999]
+    # hundreds of primes, each entry divisible by all of them but one: each
+    # split peels one prime, so the recursion is as deep as g has primes
+    primes, g = [], 1
+    for p in range(2, 3000):
+        if all(p % q for q in primes):
+            if g * p >= 2 ** 3000:
+                break
+            primes.append(p)
+            g *= p
+    assert g > 2 ** 2980 and len(primes) > 300
+    factors, moduli = _traced([[g // p for p in primes]], g, 1)
+    assert factors == [1] and len(moduli) == 2 * len(primes) - 1
+
+
+UNIT_FREE = (0, 0, 2, -2, 3, -3, 4, 6, 9, 10, 12, 15, 35)
+
+
+def test_unit_free_matrices_read_the_full_diagonal():
+    """2,000 seeded matrices up to 7 x 7 with no unit entry, so the unit
+    phase takes nothing: the paused read against the resumed full Z sheet
+    and sympy's invariant factors."""
+    rng = random.Random("smith-mod")
+    paused = splits = 0
+    for _ in range(2000):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        a = _mat([[rng.choice(UNIT_FREE) for _ in range(c)] for _ in range(r)])
+        length = max(r, c)
+        ws = _paused_sheet(a)
+        if ws.paused is None:
+            assert a.is_zero(), a
+            continue
+        paused += 1
+        pivot_rows, ints = _forward(*_elimination_input(a))[1:]
+        factors, moduli = _traced(ws.n, math.gcd(*ints[pivot_rows[-1]].values()),
+                                  len(pivot_rows))
+        splits += len(moduli) > 1
+        diag = ws.diagonal(length)
+        assert ws.paused is not None and diag[:len(factors)] == factors, a
+        assert diag == _diagonal_sheet(*_elimination_input(a)).diagonal(length), a
+        if invariant_factors is not None:
+            theirs = invariant_factors(Matrix(r, c, [x for row in a.entries for x in row]),
+                                       domain=SYMPY_ZZ)
+            assert [abs(int(d)) for d in theirs if d] == factors, (a, theirs)
+    assert paused > 1900 and splits > 100, (paused, splits)
+
+
+def test_cokernel_of_a_unit_free_matrix_builds_only_the_z_sheet():
+    built, sheet_class = [], rings._Worksheet
+
+    class Counted(sheet_class):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+    rings._Worksheet = Counted
+    try:
+        pres = rings.cokernel(_mat([[6, 4, 10], [3, 0, 9], [2, 2, 6]]))
+    finally:
+        rings._Worksheet = sheet_class
+    assert [ws.ring for ws in built] == [ZZ] and built[0].paused == 0
+    assert pres.invariant_factors == rings.cokernel(rings.normal_form(
+        _mat([[6, 4, 10], [3, 0, 9], [2, 2, 6]])).nf).invariant_factors
 
 
 if __name__ == "__main__":
