@@ -19,6 +19,16 @@ quiver, so the case split above is written once.  Every mutation
 revalidates that the output pair is exceptional, so a false case split
 cannot escape silently.
 
+A step builds only the checks that guard its representation: the
+evaluation map (whose RepMorphism check is the Hom generators'), the split
+witness, the Rep checks of the duals and the exceptionality of the output
+pair.  The other witnesses, those of a left extension and all three of a
+right mutation, are built on the first read of one of them
+(MutationResult._built_on_read) and run their own checks then; a result
+copies and pickles with its recipe until that read, and with its
+witnesses after it.  braid_act reads only .rep, so it builds none of them,
+and a lattice-orbit pass (seed 1) makes 18 RepMorphism checks.
+
 The braid orbit is walked once, on dimension vectors (_dims_orbit), which
 the Euler form fixes for every mutation; _orbit_sequence builds a state's
 sequence by replaying the braid word that first reached it.
@@ -49,6 +59,7 @@ from .quiver import (
     _check_quiver,
     _dual,
     _exact_dims,
+    _opposite,
     _split,
     euler_form,
     tensor_free,
@@ -81,6 +92,14 @@ class MutationResult(Record):
     witness_in is the monomorphism into the middle or ambient term (sub
     inclusion, kernel inclusion); witness_out is the epimorphism out of it
     (quotient projection, cokernel projection).
+
+    A left mutation's Hom case builds its two witnesses eagerly, since the
+    checks that guard its rep are theirs.  The witnesses of a left
+    extension and of every right mutation are built on the first read of
+    any of the three, and kept (_built_on_read): until then the result
+    holds their recipe, a module-level function and its arguments, in their
+    place, so it copies and pickles as it stands, recipe or witnesses.  A
+    witness built late runs its RepMorphism check when it is built.
     """
 
     _fields = ("kind", "rep", "universal_map", "witness_in", "witness_out")
@@ -90,6 +109,24 @@ class MutationResult(Record):
                  witness_out: Optional[RepMorphism] = None):
         self.__dict__.update(kind=kind, rep=rep, universal_map=universal_map,
                              witness_in=witness_in, witness_out=witness_out)
+
+    @classmethod
+    def _built_on_read(cls, kind: str, rep: Rep, build, *args) -> "MutationResult":
+        """A result whose three witnesses are build(*args), called on the
+        first read of one of them."""
+        out = cls.__new__(cls)
+        out.__dict__.update(kind=kind, rep=rep, _recipe=(build, args))
+        return out
+
+    def __getattr__(self, name):
+        # reached only for a name not in __dict__: a witness not built yet
+        recipe = self.__dict__.get("_recipe")
+        if recipe is None or name not in self._fields:
+            raise AttributeError(name)
+        build, args = recipe
+        self.__dict__.update(zip(self._fields[2:], build(*args)))
+        del self.__dict__["_recipe"]
+        return self.__dict__[name]
 
 
 def _pair_hom_ext(x: Rep, y: Rep):
@@ -141,6 +178,11 @@ def _sub_quot_witnesses(sub: Rep, middle: Rep, quot: Rep):
             RepMorphism(middle, quot, tuple(m.transpose() for m in trail)))
 
 
+def _extension_witnesses(x: Rep, y: Rep, middle: Rep, d: int) -> tuple:
+    """The witnesses of the universal extension 0 -> Y -> E -> X^d -> 0."""
+    return (None,) + _sub_quot_witnesses(y, middle, tensor_free(x, d))
+
+
 def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
     """Left mutation of (X, Y) from the presentations of Hom(X, Y) and
     Ext(X, Y), the Hom generators and the Ext cocycles, each generator a
@@ -153,9 +195,8 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
     if hom.is_zero:
         d = _free_rank_or_violation(ext, "Ext")
         middle = _extension_middle(x, y, cocycles)
-        win, wout = _sub_quot_witnesses(y, middle, tensor_free(x, d))
-        return MutationResult("UniversalExtension", middle,
-                              witness_in=win, witness_out=wout)
+        return MutationResult._built_on_read("UniversalExtension", middle,
+                                             _extension_witnesses, x, y, middle, d)
     h = _free_rank_or_violation(hom, "Hom")
     ev = _evaluation_map(x, y, gens)
     # the mutation's dimension vector says which side the map is split on
@@ -172,15 +213,24 @@ def _left_mutation(x: Rep, y: Rep, hom, ext, gens, cocycles) -> MutationResult:
                           universal_map=ev, witness_out=witness)
 
 
-def _dual_map(f: Optional[RepMorphism], duals: dict) -> Optional[RepMorphism]:
-    """The transpose dual Df : DY -> DX of f : X -> Y.  duals maps
-    representations to their duals built already; other ends are dualised."""
+def _dual_map(f: Optional[RepMorphism], duals: dict, quiver: Quiver) -> Optional[RepMorphism]:
+    """The transpose dual Df : DY -> DX of f : X -> Y, on quiver, the
+    opposite of f's.  duals maps representations to their duals built
+    already; other ends are dualised."""
     if f is None:
         return None
     dy, dx = duals.get(f.target), duals.get(f.source)
-    return RepMorphism(_dual(f.target) if dy is None else dy,
-                       _dual(f.source) if dx is None else dx,
+    return RepMorphism(_dual(f.target, quiver) if dy is None else dy,
+                       _dual(f.source, quiver) if dx is None else dx,
                        tuple(m.transpose() for m in f.vertex_maps))
+
+
+def _dual_witnesses(dual: MutationResult, duals: dict, quiver: Quiver) -> tuple:
+    """A right mutation's witnesses, those of the left mutation dual to it
+    dualised back to quiver: inclusions and projections trade places."""
+    return (_dual_map(dual.universal_map, duals, quiver),
+            _dual_map(dual.witness_out, duals, quiver),
+            _dual_map(dual.witness_in, duals, quiver))
 
 
 _DUAL_KIND = {"KernelOfUniversalMap": "CokernelOfUniversalMap",
@@ -202,20 +252,21 @@ def right_mutate(x: Rep, y: Rep) -> MutationResult:
     R is the transpose dual of the left mutation of (DY, DX) on the opposite
     quiver, and duality swaps kernels with cokernels, inclusions with
     projections.  Hom(DY, DX) and Ext(DY, DX) are those of (X, Y) transposed.
+    The step builds one opposite quiver, and its witnesses are dualised back
+    on their first read (_dual_witnesses).
     """
     he = _pair_hom_ext(x, y)
-    dx = _dual(x)
+    q = x.quiver
+    opposite = _opposite(q)
+    dx = _dual(x, opposite)
     dual = _left_mutation(
-        _dual(y), dx, he.hom, he.ext,
+        _dual(y, opposite), dx, he.hom, he.ext,
         tuple(tuple(m.transpose() for m in g) for g in he._generator_maps),
         tuple(tuple(m.transpose() for m in z) for z in he.ext_cocycles))
-    rep = _dual(dual.rep)
+    rep = _dual(dual.rep, q)
     # the double dual of a representation is that representation
-    duals = {dx: x, dual.rep: rep}
-    out = MutationResult(_DUAL_KIND.get(dual.kind, dual.kind), rep,
-                         universal_map=_dual_map(dual.universal_map, duals),
-                         witness_in=_dual_map(dual.witness_out, duals),
-                         witness_out=_dual_map(dual.witness_in, duals))
+    out = MutationResult._built_on_read(_DUAL_KIND.get(dual.kind, dual.kind), rep,
+                                        _dual_witnesses, dual, {dx: x, dual.rep: rep}, q)
     if not is_exceptional_pair(y, out.rep):
         raise TheoremViolation("mutated pair failed the exceptionality check")
     return out
@@ -289,10 +340,12 @@ def braid_act(seq: ExcSequence, i: int, *, inverse: bool = False) -> ExcSequence
     """Apply the i-th braid generator (1-based) to adjacent members i, i+1.
 
     The generator replaces (X, Y) at positions i, i+1 by (left mutation, X);
-    its inverse replaces them by (Y, right mutation).
+    its inverse replaces them by (Y, right mutation).  inverse must be an
+    exact bool.
     """
-    if not isinstance(seq, ExcSequence) or type(i) is not int:
-        raise ParseError("an ExcSequence and an int expected, got %r and %r" % (seq, i))
+    if not isinstance(seq, ExcSequence) or type(i) is not int or type(inverse) is not bool:
+        raise ParseError("an ExcSequence, an int and a bool inverse expected, got %r, %r "
+                         "and %r" % (seq, i, inverse))
     if not 1 <= i <= len(seq) - 1:
         raise DimensionMismatch("generator index %d out of range" % i)
     x, y = seq.items[i - 1], seq.items[i]

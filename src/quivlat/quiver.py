@@ -13,7 +13,9 @@ subrepresentation of the dual: kernel_rep and cokernel_rep share that
 construction, and direct sums lay out their blocks in one place
 (_block_inclusions).  Whether a morphism is split mono or split epi at
 every vertex is decided in one place too (_split), for the mutation of
-exceptional pairs and the summand peel of rigid decomposition alike.
+exceptional pairs and the summand peel of rigid decomposition alike; its
+epi test eliminates each vertex map once, for its kernel and its cokernel
+together.
 """
 
 from __future__ import annotations
@@ -520,25 +522,41 @@ def projective_rep(ring: RingSpec, quiver: Quiver, vertex: int) -> Rep:
 # kernels and cokernels of morphisms
 
 
-def _dual(x: Rep) -> Rep:
-    """Transpose dual on the opposite quiver: every arrow matrix transposed."""
-    opposite = Quiver(x.quiver.vertex_count,
-                      tuple((h, t) for t, h in x.quiver.arrows))
+def _opposite(quiver: Quiver) -> Quiver:
+    """The quiver with every arrow reversed."""
+    return Quiver(quiver.vertex_count, tuple((h, t) for t, h in quiver.arrows))
+
+
+def _dual(x: Rep, opposite: Quiver) -> Rep:
+    """Transpose dual on the opposite quiver, which the caller holds: every
+    arrow matrix transposed.  A caller that dualises back hands in the
+    quiver it started from, so a dual pair builds one opposite quiver; the
+    result is validated as every Rep is."""
     return Rep(x.ring, opposite, x.dims, tuple(m.transpose() for m in x.mats))
 
 
 def _subrep(x: Rep, incls) -> Rep:
     """The subrepresentation of x on the images of the injective vertex maps
     incls, which the arrows must preserve.  Its arrow map k_a is the one
-    solution of incls[head] k_a = X_a incls[tail]."""
-    q = x.quiver
-    mats = []
+    solution of incls[head] k_a = X_a incls[tail]: one solve per head
+    vertex, on the right-hand sides of that head's arrows side by side,
+    whose solution is theirs side by side, since incls[head] is injective."""
+    q, ring = x.quiver, x.ring
+    into = {}   # head -> its arrows, in order
     for a in range(q.arrow_count):
-        k = solve(incls[q.head(a)], x.mats[a].mul(incls[q.tail(a)]))
+        into.setdefault(q.head(a), []).append(a)
+    mats = [None] * q.arrow_count
+    for h, arrows in into.items():
+        rhs = [x.mats[a].mul(incls[q.tail(a)]) for a in arrows]
+        k = solve(incls[h], rhs[0].hstack(*rhs[1:]) if len(rhs) > 1 else rhs[0])
         if k is None:
             raise TheoremViolation("subspaces are not arrow-stable")  # pragma: no cover
-        mats.append(k)
-    return Rep(x.ring, q, tuple(m.cols for m in incls), tuple(mats))
+        start = 0
+        for a, b in zip(arrows, rhs):
+            mats[a] = k if len(rhs) == 1 else ExactMatrix._of(
+                ring, k.rows, b.cols, tuple(row[start:start + b.cols] for row in k.entries))
+            start += b.cols
+    return Rep(ring, q, tuple(m.cols for m in incls), tuple(mats))
 
 
 def _check_morphism(f) -> None:
@@ -553,11 +571,23 @@ def kernel_rep(f: RepMorphism) -> tuple:
     when every vertexwise kernel is free, as it always is over a field or
     Z, and raises NonFreeCokernel otherwise."""
     _check_morphism(f)
+    return _kernel_rep(f, False)
+
+
+def _kernel_rep(f: RepMorphism, onto: bool):
+    """kernel_rep of a checked morphism.  Each vertex map is eliminated once
+    (rings._hom_ext_data), which gives its kernel's presentation and
+    vectors and its cokernel's presentation; with onto, None as soon as a
+    vertex map's cokernel is not zero."""
     incls = []
     for i, m in enumerate(f.vertex_maps):
-        pres, gens = _rings.kernel_data(m)
+        pres, vectors, coker, _ = _rings._hom_ext_data(
+            m.ring, _rings._nonzeros(m.entries, m.ring), m.cols)
+        if onto and not coker.is_zero:
+            return None
         if not pres.is_free:
             raise NonFreeCokernel("vertex %d kernel is not free" % (i + 1))
+        gens = vectors()
         incls.append(ExactMatrix._of(m.ring, len(gens), m.cols, tuple(gens)).transpose())
     ker = _subrep(f.source, incls)
     return ker, RepMorphism(ker, f.source, incls)
@@ -582,7 +612,9 @@ def cokernel_rep(f: RepMorphism) -> tuple:
         if pi is None:
             raise NonFreeCokernel("vertex %d cokernel has torsion" % (i + 1))
         projs.append(pi)
-    cok = _dual(_subrep(_dual(f.target), [p.transpose() for p in projs]))
+    q = f.target.quiver
+    sub = _subrep(_dual(f.target, _opposite(q)), [p.transpose() for p in projs])
+    cok = _dual(sub, q)
     return cok, RepMorphism(f.target, cok, projs)
 
 
@@ -595,15 +627,16 @@ def _split(f: RepMorphism, epi: bool):
     or target - source (mono); and, for epi, every vertex map is onto.  A
     free kernel of the right rank does not make a map onto: (2 4) over Z
     has one.  With a free target, onto is split epi, and a free cokernel of
-    rank target - source is split mono.
+    rank target - source is split mono.  The epi test reads each vertex
+    map's cokernel presentation off the one elimination that gives its
+    kernel (_kernel_rep); the mono test calls cokernel_rep.
     """
     try:
-        out = (kernel_rep if epi else cokernel_rep)(f)
+        out = _kernel_rep(f, True) if epi else cokernel_rep(f)
     except NonFreeCokernel:
         return None
     src, tgt = f.source.dims, f.target.dims
     dims = tuple(a - b for a, b in (zip(src, tgt) if epi else zip(tgt, src)))
-    if out[0].dims != dims or epi and not all(
-            _rings.cokernel(m).is_zero for m in f.vertex_maps):
+    if out is None or out[0].dims != dims:
         return None
     return out

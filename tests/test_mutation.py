@@ -282,6 +282,100 @@ def test_a_decompose_peel_checks_its_hom_generators_once(monkeypatch):
     assert [(s, t) for s, t, _ in checks].count((xi, x)) == 0
 
 
+A4 = Quiver(4, ((1, 2), (2, 3), (3, 4)))
+
+
+def _kind(x: Rep, y: Rep) -> str:
+    he = hom_ext(x, y)
+    return "Hom" if not he.hom.is_zero else "Ext" if not he.ext.is_zero else "Unchanged"
+
+
+def test_braid_act_builds_only_the_checks_that_guard_its_members(monkeypatch):
+    # the Z replays to the three deepest roots of a lattice-orbit pass, from
+    # a memo of their own, and two Unchanged steps: a Hom-case step builds its
+    # evaluation map and its split witness, and no other step builds a morphism
+    built = []   # (x, y, RepMorphism constructions) per braid_act call
+    counter = [0]
+    real_check, real_braid_act = RepMorphism.__post_init__, mutation.braid_act
+
+    def check(self):
+        counter[0] += 1
+        real_check(self)
+
+    def braid_act(seq, i, *, inverse=False):
+        counter[0] = 0
+        out = real_braid_act(seq, i, inverse=inverse)
+        built.append((seq[i - 1], seq[i], counter[0]))
+        return out
+
+    monkeypatch.setattr(RepMorphism, "__post_init__", check)
+    monkeypatch.setattr(mutation, "braid_act", braid_act)
+    for quiver, root in ((K2, (6, 7)), (K2, (6, 5)), (A4, (1, 1, 1, 1))):
+        steps, first = mutation._dims_orbit(quiver, mutation._DEFAULT_BOUND)
+        memo = {next(iter(steps)): standard_sequence(ZZ, quiver)}
+        state = first[root]
+        assert mutation._orbit_sequence(steps, memo, state)[state.index(root)].dims == root
+    for inverse in (False, True):   # an Unchanged step each way
+        mutation.braid_act(standard_sequence(ZZ, FREE2), 1, inverse=inverse)
+    monkeypatch.undo()
+    kinds = [(_kind(x, y), n) for x, y, n in built]
+    assert {kind for kind, _ in kinds} == {"Hom", "Ext", "Unchanged"}
+    assert all(n == (2 if kind == "Hom" else 0) for kind, n in kinds), kinds
+
+
+def _dual_rep(x: Rep, quiver: Quiver) -> Rep:
+    return Rep(x.ring, quiver, x.dims, tuple(m.transpose() for m in x.mats))
+
+
+def _eager_witnesses(mutate, x: Rep, y: Rep, out) -> tuple:
+    """The three witnesses of out, a left extension or a right mutation,
+    built at once from the parts they are made of: the extension blocks, or
+    the left mutation of (DY, DX) on the opposite quiver with each of its
+    witnesses dualised back."""
+    if mutate is left_mutate:
+        d = hom_ext(x, y).ext.free_rank
+        return (None,) + mutation._sub_quot_witnesses(y, out.rep, tensor_free(x, d))
+    q = x.quiver
+    opposite = Quiver(q.vertex_count, tuple((h, t) for t, h in q.arrows))
+    left = left_mutate(_dual_rep(y, opposite), _dual_rep(x, opposite))
+
+    def back(f):
+        return f and RepMorphism(_dual_rep(f.target, q), _dual_rep(f.source, q),
+                                 tuple(m.transpose() for m in f.vertex_maps))
+
+    return back(left.universal_map), back(left.witness_out), back(left.witness_in)
+
+
+WITNESS_FIELDS = ("universal_map", "witness_in", "witness_out")
+
+
+@pytest.mark.parametrize("mutate", [left_mutate, right_mutate], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ring", [ZZ, GF(3)], ids=str)
+def test_a_witness_read_later_runs_its_check_and_equals_an_eager_one(monkeypatch, mutate, ring):
+    s1, s2, p1 = trio(ring)
+    pairs = [(s1, s2), (p1, s1), (s2, p1),
+             (Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2)),
+             (Rep.simple(ring, FREE2, 1), Rep.simple(ring, FREE2, 2))]
+    for x, y in pairs:
+        out = mutate(x, y)
+        lazy = "_recipe" in out.__dict__
+        assert lazy == (mutate is right_mutate or out.kind == "UniversalExtension")
+        checked = []
+        real_check = RepMorphism.__post_init__
+        monkeypatch.setattr(RepMorphism, "__post_init__",
+                            lambda self: checked.append(self) or real_check(self))
+        got = [getattr(out, name) for name in WITNESS_FIELDS]
+        monkeypatch.undo()
+        assert "_recipe" not in out.__dict__
+        assert all(getattr(out, name) is w for name, w in zip(WITNESS_FIELDS, got))   # kept
+        for w in got:
+            if w is not None:
+                assert any(c is w for c in checked) == lazy, (out.kind, x.dims, y.dims)
+        if lazy:   # a left Hom case's witnesses are built with it, eagerly
+            assert tuple(got) == _eager_witnesses(mutate, x, y, out), (out.kind, x.dims)
+        assert sum(w is not None for w in got) == (0 if out.kind == "Unchanged" else 2)
+
+
 # ---------------------------------------------------------------------------
 # sequences and the braid action
 
@@ -380,6 +474,9 @@ WRONG_TYPES = {
     "braid_act(seq, 1.0)": lambda: braid_act(SEQ, 1.0),
     "braid_act(seq, True)": lambda: braid_act(SEQ, True),
     "braid_act(3, 1)": lambda: braid_act(3, 1),
+    "braid_act(seq, 1, inverse='no')": lambda: braid_act(SEQ, 1, inverse="no"),
+    "braid_act(seq, 1, inverse=None)": lambda: braid_act(SEQ, 1, inverse=None),
+    "braid_act(seq, 1, inverse=1)": lambda: braid_act(SEQ, 1, inverse=1),
     "orbit_search(3)": lambda: orbit_search(3),
     "orbit_search(seq, bound='5')": lambda: orbit_search(SEQ, bound="5"),
     "orbit_search(seq, bound=5.0)": lambda: orbit_search(SEQ, bound=5.0),

@@ -18,7 +18,13 @@ replaced gave:
       NonFreeCokernel from both at the same vertex;
   (b) direct_sum_injections and the _sub_quot_witnesses matrices equal the
       block matrices built by hand, on direct sums and on extension
-      middles.
+      middles;
+  (c) quiver._split, which reads each vertex map's cokernel presentation
+      off the elimination that gives its kernel, decides and answers as
+      the two-elimination rule did, kernel_rep then all(cokernel(m).is_zero
+      ...), and _subrep, one solve per head vertex, builds what one solve
+      per arrow built: on the morphisms of (a) and on a quiver with two
+      arrows into one head, a loop and a vertex with no incoming arrow.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_quotient_duality.py
@@ -34,6 +40,8 @@ from quivlat.quiver import (
     Quiver,
     Rep,
     RepMorphism,
+    _split,
+    _subrep,
     cokernel_rep,
     direct_sum,
     direct_sum_injections,
@@ -54,6 +62,10 @@ SHAPES = (
     (A3, ((1, 1, 1), (1, 2, 1), (0, 1, 2), (2, 1, 0))),
     (TRIANGLE, ((1, 1, 1), (1, 1, 2), (0, 2, 1))),
 )
+# arrows 1 -> 2 and the loop 2 -> 2 into vertex 2, two into vertex 3, none
+# into vertex 1
+LOOPED = Quiver(3, ((1, 2), (2, 2), (1, 3), (2, 3)))
+LOOPED_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 1), (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +204,19 @@ def _morphisms(ring, seed: int = 0) -> list:
     Zmod:4, Zmod:6 and Feps:2:2), and the evaluation maps of the Kronecker
     exceptional pairs."""
     rng = random.Random("quotients:%s:%d" % (ring, seed))
+    out = _random_morphisms(ring, rng, SHAPES)
+    for a, b in (((1, 0), (0, 1)), ((0, 1), (1, 2)), ((1, 2), (2, 3)), ((0, 1), (1, 0))):
+        x, y = exceptional_lattice(KRONECKER, a, ring), exceptional_lattice(KRONECKER, b, ring)
+        gens = hom_ext(x, y)._generator_maps
+        if gens:
+            out.append(_evaluation_map(x, y, gens))
+    return out
+
+
+def _random_morphisms(ring, rng: random.Random, shapes) -> list:
+    """_morphisms' combinations and scalar multiples on the given shapes."""
     out = []
-    for quiver, dims_list in SHAPES:
+    for quiver, dims_list in shapes:
         reps = [random_rep(ring, quiver, dims, rng) for dims in dims_list]
         for x in reps:
             for y in reps:
@@ -203,11 +226,6 @@ def _morphisms(ring, seed: int = 0) -> list:
             out += [_scalar(x, ring.canon(2)), _scalar(x, ring.canon(3))]
             if ring == Feps(2, 2):
                 out.append(_scalar(x, (0, 1)))
-    for a, b in (((1, 0), (0, 1)), ((0, 1), (1, 2)), ((1, 2), (2, 3)), ((0, 1), (1, 0))):
-        x, y = exceptional_lattice(KRONECKER, a, ring), exceptional_lattice(KRONECKER, b, ring)
-        gens = hom_ext(x, y)._generator_maps
-        if gens:
-            out.append(_evaluation_map(x, y, gens))
     return out
 
 
@@ -268,6 +286,89 @@ def test_sub_quot_witnesses_equal_the_blocks_built_by_hand():
                         old = tuple(map(_morphism_bits,
                                         _witnesses_as_they_were(sub, middle, quot)))
                         assert new == old, (str(ring), x.dims, y.dims)
+
+
+# ---------------------------------------------------------------------------
+# (c) the split test and _subrep against the eliminations and solves they
+# replaced
+
+
+def _split_as_it_was(f: RepMorphism, epi: bool):
+    """quiver._split as it was: the kernel or cokernel representation, its
+    dimension vector, and for epi a second elimination per vertex map."""
+    try:
+        out = (_kernel_rep_as_it_was if epi else _cokernel_rep_as_it_was)(f)
+    except NonFreeCokernel:
+        return None
+    src, tgt = f.source.dims, f.target.dims
+    dims = tuple(a - b for a, b in (zip(src, tgt) if epi else zip(tgt, src)))
+    if out[0].dims != dims or epi and not all(
+            rings.cokernel(m).is_zero for m in f.vertex_maps):
+        return None
+    return out
+
+
+def _subrep_as_it_was(x: Rep, incls) -> Rep:
+    """quiver._subrep as it was: one solve per arrow."""
+    q = x.quiver
+    mats = []
+    for a in range(q.arrow_count):
+        k = solve(incls[q.head(a)], x.mats[a].mul(incls[q.tail(a)]))
+        if k is None:
+            raise TheoremViolation("subspaces are not arrow-stable")
+        mats.append(k)
+    return Rep(x.ring, q, tuple(m.cols for m in incls), tuple(mats))
+
+
+def _oracle_morphisms(ring) -> list:
+    """The morphisms of (a), then those of the same kinds on LOOPED."""
+    return _morphisms(ring) + _random_morphisms(
+        ring, random.Random("looped:%s" % ring), ((LOOPED, LOOPED_DIMS),))
+
+
+def _split_bits(answer):
+    return None if answer is None else (_rep_bits(answer[0]), _morphism_bits(answer[1]))
+
+
+def test_split_decides_as_the_two_elimination_rule_did():
+    seen, count = set(), 0
+    for ring in RINGS:
+        for f in _oracle_morphisms(ring):
+            count += 1
+            for epi in (True, False):
+                answer = _split_bits(_split(f, epi))
+                assert answer == _split_bits(_split_as_it_was(f, epi)), (str(ring), epi, f)
+                seen.add((epi, answer is None, f.source.quiver == LOOPED))
+    assert count > 396
+    # both verdicts on both sides, on the file's quivers and on LOOPED
+    assert seen == {(epi, none, looped) for epi in (True, False)
+                    for none in (True, False) for looped in (True, False)}, seen
+
+
+def _dual_of(x: Rep) -> Rep:
+    q = x.quiver
+    return Rep(x.ring, Quiver(q.vertex_count, tuple((h, t) for t, h in q.arrows)),
+               x.dims, tuple(m.transpose() for m in x.mats))
+
+
+def test_subrep_solves_once_per_head_as_once_per_arrow():
+    looped = 0
+    for ring in RINGS:
+        for f in _oracle_morphisms(ring):
+            # the inclusions kernel_rep and cokernel_rep hand _subrep
+            for build, ambient, transpose in ((kernel_rep, f.source, False),
+                                              (cokernel_rep, f.target, True)):
+                try:
+                    witness = build(f)[1]
+                except NonFreeCokernel:
+                    continue
+                if transpose:
+                    ambient = _dual_of(ambient)
+                incls = [m.transpose() if transpose else m for m in witness.vertex_maps]
+                new, old = _subrep(ambient, incls), _subrep_as_it_was(ambient, incls)
+                assert _rep_bits(new) == _rep_bits(old), (str(ring), f)
+                looped += f.source.quiver == LOOPED
+    assert looped > 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ included; is equal only to an equal instance of its own class, with an
 equal hash; prints the repr the dataclass printed (the literals below are
 that repr); refuses assignment and deletion with AttributeError; and
 survives copy.deepcopy and pickle equal to itself, checked for every ring
-kind and for a Rep.
+kind and for a Rep, and for MutationResults whose witnesses are built on
+their first read, copied both before and after one is read.
 """
 
 import copy
@@ -13,8 +14,9 @@ import pickle
 
 import pytest
 
-from quivlat.mutation import ExcSequence, MutationResult, standard_sequence
-from quivlat.quiver import Quiver, Rep, RepMorphism
+from quivlat.mutation import (ExcSequence, MutationResult, left_mutate, right_mutate,
+                              standard_sequence)
+from quivlat.quiver import Quiver, Rep, RepMorphism, projective_rep
 from quivlat.rings import (QQ, ZZ, ExactMatrix, Feps, GF, ModulePresentation, NormalFormResult,
                            RingHom, RingSpec, Zmod, normal_form)
 from quivlat.structure import GenericDims, RigidDecomposition
@@ -109,6 +111,30 @@ def test_deepcopy_and_pickle_round_trips_are_equal(value):
     for twin in (copy.deepcopy(value), copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+S1, S2, P1 = Rep.simple(ZZ, A2, 1), Rep.simple(ZZ, A2, 2), projective_rep(ZZ, A2, 1)
+MUTATIONS = {
+    "left Hom case": lambda: left_mutate(P1, S1),
+    "left extension": lambda: left_mutate(S1, S2),
+    "right Hom case": lambda: right_mutate(P1, S1),
+    "right extension": lambda: right_mutate(S1, S2),
+}
+
+
+@pytest.mark.parametrize("read", [False, True], ids=("unread", "read"))
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+def test_mutation_results_round_trip_before_and_after_a_witness_is_read(mutate, read):
+    value = mutate()
+    if read:
+        value.witness_in
+    twins = (copy.deepcopy(value), copy.copy(value), pickle.loads(pickle.dumps(value)))
+    for twin in twins:
+        # a copy carries the recipe of witnesses not built yet, or the witnesses
+        assert ("_recipe" in twin.__dict__) == ("_recipe" in value.__dict__)
+    for twin in twins:
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value) and twin.witness_in is not None
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
