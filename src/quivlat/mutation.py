@@ -56,9 +56,9 @@ from .quiver import (
     RepMorphism,
     _block_inclusions,
     _check_compatible,
+    _check_dims,
     _check_quiver,
     _dual,
-    _exact_dims,
     _opposite,
     _split,
     euler_form,
@@ -443,18 +443,19 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
     never enqueues a sequence containing a member whose total dimension
     exceeds the bound (the start is always visited), which makes the
     reachable state space finite and the traversal deterministic.  With
-    target_dims set (exact ints), returns the first member representation
-    found with that dimension vector, or None when the pruned orbit is
-    exhausted.  Without it, returns a dict mapping each dimension vector
-    seen to its first witness representation.  The walk is on dimension
-    vectors (_dims_orbit); only the states whose members are returned are
-    replayed, through a memo that lives for this call.
+    target_dims set (a dimension vector of the start's quiver, refused with
+    DimensionMismatch as Rep refuses one), returns the first member
+    representation found with that dimension vector, or None when the
+    pruned orbit is exhausted.  Without it, returns a dict mapping each
+    dimension vector seen to its first witness representation.  The walk
+    is on dimension vectors (_dims_orbit); only the states whose members
+    are returned are replayed, through a memo that lives for this call.
     """
     if not isinstance(start, ExcSequence):
         raise ParseError("an ExcSequence expected, got %r" % (start,))
     _check_bound(bound)
     if target_dims is not None:
-        target_dims = _exact_dims(target_dims)
+        target_dims = _check_dims(start[0].quiver, target_dims)
     dims = start.dims_tuple()
     steps, first = _dims_orbit(start[0].quiver, bound, dims)
     memo = {dims: start}

@@ -185,21 +185,38 @@ class RingSpec(Record):
     kind is "Z", "Q", "F" (prime field, parameter p), "Zmod" (parameter m)
     or "Feps" (truncated polynomials, parameters p and n).  RingSpec(...)
     returns an instance of the class of its kind (_KINDS), which checks its
-    parameters and holds the element arithmetic:
+    parameters and states its own element arithmetic:
 
     * zero, one, is_field, is_domain, is_finite, and size and elements()
       of a finite ring;
-    * canon(x), the canonical element of liberal input; add, neg, sub, mul;
-      is_zero, nonzero (its negation), is_unit, inv;
-    * solve_scalar(a, c), some x with a*x = c, or None; divides;
-      gcdex(a, b) = (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
-      s*v - t*u a unit, so the 2x2 transform is invertible;
-    * canonical_gen(x) and ann_gen(x), the canonical generators of the
-      ideal (x) and of the annihilator of x; unit_to_canonical(x), a unit u
-      with u*x = canonical_gen(x), one when x is zero; pivot_size(x), the
-      pivoting weight of a nonzero x, 1 exactly on units;
+    * canon(x), the canonical element of liberal input; add, neg, mul;
+      is_unit;
+    * solve_scalar(a, c), some x with a*x = c, or None;
+    * ann_gen(x), the canonical generator of the annihilator of x;
+      unit_to_canonical(x), a unit u with u*x the canonical generator of
+      the ideal (x), one when x is zero; pivot_size(x), the pivoting weight
+      of a nonzero x, 1 exactly on units;
     * entry_from_json and entry_to_json;
-    * row_axpy and row_comb, the row kernels of elimination (see _Integers).
+    * row_axpy and dict_axpy, the row kernels of elimination (see _Integers).
+
+    RingSpec derives the rest from these, once for every class:
+
+    * sub(a, b) = add(a, neg(b)); divides(a, b), whether solve_scalar(a, b)
+      has a solution; inv(a), the solution of solve_scalar(a, one), or
+      IncompatibleRing when a is not a unit;
+    * canonical_gen(x) = mul(unit_to_canonical(x), x);
+    * gcdex(a, b) = (g, s, t, u, v) with s*a + t*b = g, u*a + v*b = 0 and
+      s*v - t*u a unit, so the 2x2 transform is invertible: its cases with
+      a zero argument, and otherwise _gcdex, whose default is the
+      divisibility step (a, 1, 0, -b/a, 1) or (b, 0, 1, 1, -a/b), the whole
+      gcd step of a field or a valuation ring (Q and Feps); Z runs Euclid,
+      and Z/m reduces Z's transform mod m;
+    * row_comb, the 2x2 row kernel, element-wise (Z, Q and Z/m run their
+      own);
+    * nonzero = bool and is_zero = not (Feps states its own).
+
+    Feps states its own inv too, power-series inversion, which its
+    solve_scalar reads.
 
     Only these classes read kind.  An algorithm asks a ring for what one of
     two contracts lists, and tests/test_ring_contracts.py pins both:
@@ -295,11 +312,12 @@ class RingSpec(Record):
             raise ParseError("bad ring spec %r" % text) from exc
         return RingSpec(kind, **dict(zip(names, values)))
 
-    # -- what every class shares ---------------------------------------------
+    # -- what every class derives from its own arithmetic ---------------------
 
     # truthiness, 7x cheaper than != on Fractions; Feps tuples are always
-    # truthy, so _Truncated has its own
+    # truthy, so _Truncated has its own nonzero and is_zero
     nonzero = bool
+    is_zero = staticmethod(operator.not_)
 
     @property
     def size(self) -> int:
@@ -315,12 +333,29 @@ class RingSpec(Record):
     def divides(self, a, b) -> bool:
         return self.solve_scalar(a, b) is not None
 
+    def inv(self, a):
+        x = self.solve_scalar(a, self.one)
+        if x is None:
+            raise IncompatibleRing("%r is not a unit of %s" % (a, self))
+        return x
+
+    def canonical_gen(self, x):
+        return self.mul(self.unit_to_canonical(x), x)
+
     def gcdex(self, a, b):
         if self.is_zero(b):
             return a, self.one, self.zero, self.zero, self.one
         if self.is_zero(a):
             return b, self.zero, self.one, self.one, self.zero
         return self._gcdex(a, b)
+
+    def _gcdex(self, a, b):
+        """The divisibility step of nonzero a and b, the whole gcd step of a
+        field or a valuation ring, where one of them divides the other."""
+        q = self.solve_scalar(a, b)
+        if q is not None:
+            return a, self.one, self.zero, self.neg(q), self.one
+        return b, self.zero, self.one, self.one, self.neg(self.solve_scalar(b, a))
 
     def row_comb(self, ri, rj, s, t, u, v):
         """(s*ri + t*rj, u*ri + v*rj), entry by entry; Z, Q and Z/m run
@@ -357,7 +392,6 @@ class _Integers(RingSpec):
 
     zero, one = 0, 1
     is_field, is_domain, is_finite = False, True, False
-    is_zero = staticmethod(operator.not_)
 
     def canon(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
@@ -375,11 +409,6 @@ class _Integers(RingSpec):
 
     is_unit = frozenset((1, -1)).__contains__   # a C call: the unit phase asks it often
 
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise IncompatibleRing("%r is not an integer unit" % a)
-
     def solve_scalar(self, a, c):
         if not c:
             return 0
@@ -390,9 +419,6 @@ class _Integers(RingSpec):
     def _gcdex(self, a, b):
         g, s, t = _egcd(a, b)
         return g, s, t, -(b // g), a // g
-
-    def canonical_gen(self, x):
-        return abs(x)
 
     def ann_gen(self, x):
         return self.zero if x else self.one
@@ -450,11 +476,7 @@ class _Rationals(_Integers):
             return Fraction(x)
         raise ParseError("rational entry expected, got %r" % (x,))
 
-    def is_unit(self, a) -> bool:
-        return a != 0
-
-    def inv(self, a):
-        return self.one / a
+    is_unit = bool
 
     def solve_scalar(self, a, c):
         if not c:
@@ -463,11 +485,7 @@ class _Rationals(_Integers):
             return None
         return self.one / a * c
 
-    def _gcdex(self, a, b):
-        return a, self.one, self.zero, -(b * (self.one / a)), self.one
-
-    def canonical_gen(self, x):
-        return self.one if x else self.zero
+    _gcdex = RingSpec._gcdex   # a field's step, not Z's Euclid on Fractions
 
     def unit_to_canonical(self, x):
         return self.one / x if x else self.one
@@ -510,7 +528,6 @@ class _Modular(RingSpec):
 
     zero, one = 0, 1
     is_finite = True
-    is_zero = staticmethod(operator.not_)
 
     def __post_init__(self):
         super().__post_init__()
@@ -547,14 +564,9 @@ class _Modular(RingSpec):
     def is_unit(self, a) -> bool:
         return math.gcd(a, self._mod) == 1
 
-    def inv(self, a):
-        return pow(a, -1, self._mod)
-
     def solve_scalar(self, a, c):
         if not c:
             return 0
-        if not a:
-            return None
         m = self._mod
         g = math.gcd(a, m)
         if c % g:
@@ -562,13 +574,8 @@ class _Modular(RingSpec):
         mg = m // g
         return (c // g) * pow(a // g, -1, mg) % mg
 
-    def _gcdex(self, a, b):
-        m = self._mod
-        g, s, t = _egcd(a, b)
-        return g % m, s % m, t % m, (-(b // g)) % m, (a // g) % m
-
-    def canonical_gen(self, x):
-        return math.gcd(x, self._mod) % self._mod
+    def _gcdex(self, a, b):   # Z's Bezout transform, reduced mod m
+        return tuple([x % self._mod for x in _Integers._gcdex(self, a, b)])
 
     def ann_gen(self, x):
         return (self._mod // math.gcd(x, self._mod)) % self._mod
@@ -578,9 +585,8 @@ class _Modular(RingSpec):
             return 1
         m = self._mod
         g = math.gcd(x, m)
-        d = x // g
         mg = m // g
-        w = 0 if mg == 1 else pow(d, -1, mg)
+        w = pow(x // g, -1, mg)
         for kk in range(g + 1):
             cand = w + kk * mg
             if math.gcd(cand % m, m) == 1:
@@ -635,7 +641,8 @@ class _Truncated(RingSpec):
     two kernels off tables of all its products and sums (_table_kernels),
     one entry as sum[x][prod_c[y]]; they hold the loops' own values, and
     are kept out of pickles and copies, which rebuild them.  Its row_comb
-    is RingSpec's element-wise one (contract 2 there).
+    is RingSpec's element-wise one (contract 2 there), and its gcd step
+    RingSpec's divisibility step: one of two elements divides the other.
     """
 
     is_field = is_domain = False
@@ -748,28 +755,13 @@ class _Truncated(RingSpec):
         va, vc = self._val(a), self._val(c)
         if va > vc:
             return None
-        unit = tuple(a[va:]) + (0,) * va
-        quot = self.mul(self.inv(unit), c)
+        quot = self.mul(self.unit_to_canonical(a), c)
         return tuple(quot[va:]) + (0,) * va
 
-    def _gcdex(self, a, b):
-        if self._val(a) <= self._val(b):
-            q = self.solve_scalar(a, b)
-            return a, self.one, self.zero, self.neg(q), self.one
-        q = self.solve_scalar(b, a)
-        return b, self.zero, self.one, self.one, self.neg(q)
-
-    def canonical_gen(self, x):
-        v = self._val(x)
-        if v >= self.n:
-            return self.zero
-        return tuple(1 if i == v else 0 for i in range(self.n))
-
     def ann_gen(self, x):
-        v = self._val(x)
-        w = self.n - v
+        w = self.n - self._val(x)
         if w >= self.n:
-            return self.one if v >= self.n else self.zero
+            return self.zero
         return tuple(1 if i == w else 0 for i in range(self.n))
 
     def unit_to_canonical(self, x):
@@ -1762,7 +1754,7 @@ def howell_rows(ring: RingSpec, rows: Iterable[Sequence]) -> list[tuple]:
     width = None
     queue = []
     for row in _items(rows, "rows"):
-        row = tuple(ring.canon(x) for x in row)
+        row = tuple(ring.canon(x) for x in _items(row, "row"))
         width = len(row) if width is None else width
         if len(row) != width:
             raise DimensionMismatch("ragged rows")

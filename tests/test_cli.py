@@ -227,6 +227,9 @@ def test_parse_failures_exit_two(files, capsys):
     assert code == 2 and rep["error"] == "FileNotFound"
     code, rep = run_json(capsys, "rigid", "--rep", files["s1"], "--ring", "F:6")
     assert code == 2 and rep["error"] == "ParseError"
+    code, rep = run_json(capsys, "basechange", "--rep-x", files["p1z"], "--rep-y", files["p1z"])
+    assert code == 2 and rep["error"] == "ParseError"
+    assert rep["message"].startswith("basechange requires --ring")
 
 
 def test_unreadable_files_exit_two(files, tmp_path, capsys):

@@ -5,6 +5,8 @@ The worked cases on A2 pin the orientation conventions: mutating the pair
 Hom case is evaluation X^h -> Y whose kernel or cokernel is the answer.
 """
 
+import re
+
 import pytest
 
 from quivlat import mutation, structure
@@ -517,6 +519,26 @@ EXCEPTIONALITY_PROBES = {
 def test_exceptionality_checks_refuse_before_they_hash_or_decide(call, error):
     assert not is_exceptional(DOUBLED)
     with pytest.raises(error):
+        call()
+
+
+# (call, error, message prefix) of the mutation layer's refusals that no
+# other test reaches; orbit_search reads its target through
+# quiver._check_dims, and once answered None for both of these
+MUTATION_REFUSALS = {
+    "ExcSequence-not-exceptional": (lambda: ExcSequence((DOUBLED,)), PreconditionViolated,
+                                    "member 1 is not exceptional"),
+    "orbit_search-wrong-length": (lambda: orbit_search(SEQ, (1, 2, 3)), DimensionMismatch,
+                                  "need 2 dimensions, got 3"),
+    "orbit_search-negative": (lambda: orbit_search(SEQ, (-1, 2)), DimensionMismatch,
+                              "negative dimension"),
+}
+
+
+@pytest.mark.parametrize("call, error, prefix", MUTATION_REFUSALS.values(),
+                         ids=MUTATION_REFUSALS)
+def test_mutation_refusals_name_their_error(call, error, prefix):
+    with pytest.raises(error, match="^" + re.escape(prefix)):
         call()
 
 

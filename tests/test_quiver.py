@@ -230,6 +230,7 @@ MATRIX_PROBES = {
         "module presentation", None),
     "howell_rows-none": (lambda: rings.howell_rows(None, []), "ring", None),
     "howell_rows-none-rows": (lambda: rings.howell_rows(Zmod(4), None), "rows", None),
+    "howell_rows-none-row": (lambda: rings.howell_rows(Zmod(4), [None]), "row", None),
     "from_rows-none-rows": (lambda: ExactMatrix.from_rows(ZZ, None), "rows", None),
     "sub-none": (lambda: I2.sub(None), "matrix", None),
     "zeros-none": (lambda: ExactMatrix.zeros(None, 1, 1), "ring", None),
@@ -321,6 +322,40 @@ def test_a_quiver_layer_argument_of_the_wrong_type_is_refused(call, what, bad):
     # each once escaped as an AttributeError or a TypeError, or, for the
     # bool multiplicity and vertices, was read as 1
     with pytest.raises(ParseError, match="^%s expected, got %s$" % (what, re.escape(repr(bad)))):
+        call()
+
+
+X11 = mk(ZZ, A2, (1, 1), [[[1]]])
+ONE, NONE = ExactMatrix.identity(ZZ, 1), ExactMatrix.zeros(ZZ, 0, 0)
+# (call, error, message prefix) of the quiver layer's refusals that no
+# other test reaches; the non-commuting maps reach the one check every
+# morphism, Hom generators included, passes on construction
+QUIVER_REFUSALS = {
+    "simple-out-of-range": (lambda: Rep.simple(ZZ, K2, 3), DimensionMismatch,
+                            "vertex 3 out of range"),
+    "rep-arrow-ring": (lambda: Rep(ZZ, A2, (1, 1), (ExactMatrix.identity(GF(2), 1),)),
+                       IncompatibleRing, "arrow 0 over F:2, rep over Z"),
+    "rep-arrow-shape": (lambda: Rep(ZZ, A2, (1, 1), (ExactMatrix.zeros(ZZ, 2, 1),)),
+                        DimensionMismatch, "arrow 0 matrix is 2x1, want 1x1"),
+    "morphism-one-map": (lambda: RepMorphism(S1, S1, (ONE,)), DimensionMismatch,
+                         "need one map per vertex"),
+    "morphism-map-ring": (lambda: RepMorphism(S1, S1, (ExactMatrix.identity(GF(2), 1), NONE)),
+                          IncompatibleRing, "vertex map ring mismatch"),
+    "morphism-not-commuting": (lambda: RepMorphism(X11, X11, (ONE, ExactMatrix.zeros(ZZ, 1, 1))),
+                               DimensionMismatch, "maps do not commute with arrow 1"),
+    "compose-endpoints": (
+        lambda: RepMorphism.identity(S1).compose(RepMorphism.identity(Rep.simple(ZZ, A2, 2))),
+        IncompatibleBase, "composition endpoints do not match"),
+    "direct_sum_many-empty": (lambda: direct_sum_many([]), DimensionMismatch,
+                              "empty direct sum needs an ambient quiver"),
+    "tensor_free-negative": (lambda: tensor_free(S1, -1), DimensionMismatch,
+                             "negative multiplicity"),
+}
+
+
+@pytest.mark.parametrize("call, error, prefix", QUIVER_REFUSALS.values(), ids=QUIVER_REFUSALS)
+def test_quiver_layer_refusals_name_their_error(call, error, prefix):
+    with pytest.raises(error, match="^" + re.escape(prefix)):
         call()
 
 

@@ -1,7 +1,9 @@
 """The element contracts of every ring class, and the ring-hom truth table.
 
 (a) gcdex, solve_scalar and unit_to_canonical satisfy their contracts,
-    exhaustively on the finite rings and on samples over Z and Q.
+    exhaustively on the finite rings and on samples over Z and Q; inv of
+    a non-unit is refused with IncompatibleRing on every ring, and Q takes
+    a field's divisibility step, not Z's Euclid on Fractions.
 (b) F:p and Zmod:p agree on every element method except gcdex, which over
     a field may pick any valid transform.
 (c) Ring specs round-trip through str and parse, and a kind refuses
@@ -14,7 +16,9 @@
     of a ring (nonzero, p, _forward_ints and the unit verdict) and what the
     sheet asks (the arithmetic of (a), and p zero on an infinite ring).
     No algorithm reads a ring's kind: an AST scan of the package finds no
-    .kind read of ring or *.ring outside the ring classes.
+    .kind read of ring or *.ring outside the ring classes.  A ring class
+    states only its own arithmetic: a scan of each class's own attributes
+    finds none of the rules RingSpec derives restated.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_ring_contracts.py
@@ -26,7 +30,7 @@ import random
 from fractions import Fraction
 
 from quivlat import rings
-from quivlat.errors import IncompatibleBase, NotComputable, ParseError
+from quivlat.errors import IncompatibleBase, IncompatibleRing, NotComputable, ParseError
 from quivlat.homology import check_base_change, hom_ext
 from quivlat.quiver import Quiver, base_change
 from quivlat.rings import (
@@ -130,6 +134,22 @@ def test_units_invert_and_elements_are_canonical():
                 assert ring.pivot_size(x) == 1
             elif not ring.is_zero(x):
                 assert ring.pivot_size(x) != 1
+
+
+def test_inv_of_a_non_unit_is_refused_on_every_ring():
+    # Z/m and F:p once let pow's ValueError escape, and Q a ZeroDivisionError
+    for ring in RINGS:
+        for x in _sample(ring):
+            if not ring.is_unit(x):
+                assert _raises(IncompatibleRing, ring.inv, x), (str(ring), x)
+
+
+def test_q_takes_the_divisibility_step():
+    # Q subclasses Z: without its own _gcdex it would run Z's Euclid on Fractions
+    nonzero = [a for a in _sample(QQ) if a]
+    for a in nonzero:
+        for b in nonzero:
+            assert QQ.gcdex(a, b) == (a, 1, 0, -b / a, 1), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +444,22 @@ def test_no_algorithm_reads_a_ring_kind():
             found += ["%s:%d" % (name, line) for line in _kind_reads(tree)]
     assert not found, "ring kind read outside the ring classes at " + ", ".join(found)
     assert _kind_reads(ast.parse("def f(a, ring):\n    return a.ring.kind, ring.kind")) == [2, 2]
+
+
+def test_ring_classes_restate_no_derived_rule():
+    """RingSpec derives canonical_gen, divides, inv, is_zero and the
+    divisibility _gcdex once; a class states its own only where its
+    arithmetic differs: Feps's power-series inv and its is_zero on tuples,
+    Z's Euclid and Z/m's reduction of it."""
+    classes = [cls for cls, _ in rings._KINDS.values()]
+
+    def own(name):
+        return {cls.__name__ for cls in classes if name in vars(cls)}
+
+    assert own("canonical_gen") == own("divides") == set()
+    assert own("inv") == own("is_zero") == {"_Truncated"}
+    assert own("_gcdex") == {"_Integers", "_Modular", "_Rationals"}
+    assert vars(rings._Rationals)["_gcdex"] is RingSpec._gcdex   # not a step of its own
 
 
 if __name__ == "__main__":

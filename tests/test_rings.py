@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from quivlat.errors import DimensionMismatch, ParseError
+from quivlat.errors import DimensionMismatch, IncompatibleRing, ParseError
 from quivlat.quiver import Rep
 from quivlat.rings import (
     ExactMatrix,
@@ -119,7 +119,7 @@ def test_units_and_inverses():
             if ring.is_unit(a):
                 assert ring.mul(a, ring.inv(a)) == ring.one
             else:
-                with pytest.raises(Exception):
+                with pytest.raises(IncompatibleRing):
                     ring.inv(a)
 
 
@@ -156,7 +156,6 @@ def test_integer_entries_are_stored_as_plain_ints():
     lambda a, b: a.vstack(b), lambda a, b: block_diag(a.ring, [a, b])],
     ids=["add", "mul", "solve", "hstack", "vstack", "block_diag"])
 def test_mixed_ring_refusals_name_both_rings(combine):
-    from quivlat.errors import IncompatibleRing
     with pytest.raises(IncompatibleRing, match=r"^mixed rings Z and F:3$"):
         combine(ExactMatrix.identity(ZZ, 1), ExactMatrix.identity(GF(3), 1))
 
@@ -871,6 +870,36 @@ def test_apply_hom_entrywise():
 def test_matrix_shapes_must_be_exact_ints(make):
     with pytest.raises(DimensionMismatch):
         make()
+
+
+I2, I3 = ExactMatrix.identity(ZZ, 2), ExactMatrix.identity(ZZ, 3)
+# (call, error, message prefix) of refusals that no other test reaches
+REFUSALS = {
+    "size-Z": (lambda: ZZ.size, IncompatibleRing, "ring Z is not finite"),
+    "elements-Q": (lambda: QQ.elements(), IncompatibleRing, "ring Q is not finite"),
+    "canon-Feps-too-long": (lambda: Feps(2, 2).canon((1, 0, 1)), ParseError,
+                            "coefficient list longer than truncation order"),
+    "matrix-short-row": (lambda: ExactMatrix(ZZ, 1, 2, ((1,),)), DimensionMismatch,
+                         "expected 2 columns, got 1"),
+    "add-shape": (lambda: I2.add(I3), DimensionMismatch, "shape 2x2 vs 3x3"),
+    "mul-inner": (lambda: I2.mul(I3), DimensionMismatch, "inner dimensions 2 vs 3"),
+    "hstack-rows": (lambda: I2.hstack(I3), DimensionMismatch, "row counts 2 vs 3"),
+    "vstack-cols": (lambda: I2.vstack(ExactMatrix.zeros(ZZ, 1, 3)), DimensionMismatch,
+                    "column counts 2 vs 3"),
+    "solve-rows": (lambda: solve(I2, I3), DimensionMismatch, "row counts 2 vs 3"),
+    "invert-not-square": (lambda: invert(ExactMatrix.zeros(ZZ, 1, 2)), DimensionMismatch,
+                          "only square matrices invert"),
+    "howell_rows-ragged": (lambda: howell_rows(Zmod(4), [[1, 2], [1]]), DimensionMismatch,
+                           "ragged rows"),
+    "invert-singular-Z": (lambda: invert(ExactMatrix(ZZ, 1, 1, ((2,),))), IncompatibleRing,
+                          "matrix is not invertible"),
+}
+
+
+@pytest.mark.parametrize("call, error, prefix", REFUSALS.values(), ids=REFUSALS)
+def test_refusals_name_their_error(call, error, prefix):
+    with pytest.raises(error, match="^" + re.escape(prefix)):
+        call()
 
 
 def test_block_diag_shape():
