@@ -80,6 +80,12 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
     and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
     of its tail and column c of -X_a in the block of its head.  The two meet
     in one cell only when a is a loop, where they add; a zero sum is no entry.
+    The rows of an arrow are allocated empty and the nonzeros scattered into
+    them (triplet assembly; Davis, Direct Methods for Sparse Linear Systems,
+    SIAM 2006, ch. 2): Y_a[r][k] into the rows (c, r) for every c < dim X_t,
+    then -X_a[i][c] into the rows (c, r) for every r < dim Y_h, so the work
+    is the nonzeros times those dims, with no pass per row, and each row's
+    keys come in the order a row-by-row build gives them.
     The block of vertex v starts at column off0[v], by default the vertex
     layout; HomExtResult hands in the elimination layout's offsets, so the
     rows are placed there in the one pass.
@@ -104,16 +110,21 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
     rows = []
     for a in range(q.arrow_count):
         t, h = q.tail(a), q.head(a)
-        yt, yh = y.dims[t], y.dims[h]
-        ya = [[(k, v) for k, v in enumerate(w, off0[t]) if nonzero(v)] for w in y.mats[a].entries]
-        for c, col in enumerate(x.mats[a].transpose().entries):
-            neg_col = [(off0[h] + i * yh, neg(v)) for i, v in enumerate(col) if nonzero(v)]
-            for r in range(yh):
-                row = {k + c * yt: v for k, v in ya[r]}
-                for k, v in neg_col:   # the terms meet only in a loop's cell (c, r)
-                    k += r
-                    row[k] = add(row[k], v) if k in row else v
-                rows.append({k: v for k, v in row.items() if nonzero(v)} if t == h else row)
+        xt, yt, yh = x.dims[t], y.dims[t], y.dims[h]
+        block = [{} for _ in range(xt * yh)]   # the row at (c, r) is block[c * yh + r]
+        for r, w in enumerate(y.mats[a].entries):
+            for k, v in enumerate(w, off0[t]):
+                if nonzero(v):   # into the rows (c, r), at column k + c * yt
+                    for row, key in zip(block[r::yh], range(k, k + xt * yt, yt)):
+                        row[key] = v
+        for i, w in enumerate(x.mats[a].entries):
+            for c, v in enumerate(w):
+                if nonzero(v):   # into the rows (c, r), at column off0[h] + i * yh + r
+                    v = neg(v)
+                    for key, row in enumerate(block[c * yh:c * yh + yh], off0[h] + i * yh):
+                        # the terms meet only in a loop's cell (c, r)
+                        row[key] = add(row[key], v) if t == h and key in row else v
+        rows += [{k: v for k, v in row.items() if nonzero(v)} for row in block] if t == h else block
     return rows, c0
 
 
@@ -207,7 +218,10 @@ class HomExtResult:
     rows.
     Over Z, Z/m and Feps the construction diagonalises the placed rows:
     every unit pivot on them, then only the unit-free residual densely
-    (rings._Worksheet).  The first read of hom_generators replays the
+    (rings._Worksheet).  The unit pivots' column operations and scalings
+    stay one record per pivot until a witness read expands them, and the
+    modules are read off the diagonal past the unit pivots' identity
+    block.  The first read of hom_generators replays the
     recorded operations on just the wanted columns of the right transform,
     and that of ext_cocycles on those of the inverse left transform.  Until
     then each side keeps only its own operation list (none when its module

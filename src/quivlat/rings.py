@@ -35,7 +35,12 @@ kernel vectors or Hom generators, the cokernel vectors or Ext cocycles)
 are first read, and until then that side keeps only its own operation
 list.  The diagonalisation first eliminates every unit pivot on sparse
 rows and makes only the unit-free residual dense, and every sheet pauses
-there.  Reading its diagonal resumes it, save over Z: there it stays
+there.  That unit phase records one entry per pivot for its column
+operations and one for the scaling of its pivots to canonical generators,
+and the first replay of a side, or read of its list, expands that side's
+records into operations, once; the unit pivots are read as one identity
+block, whose units Hom and Ext both drop, so the modules are read off the
+diagonal past it alone.  Reading its diagonal resumes it, save over Z: there it stays
 paused, which keeps every entry a minor of the input, and reads the
 residual's invariant factors modulo g, the gcd of the last pivot row of
 the one forward elimination below, minors of the residual of order its
@@ -1119,8 +1124,14 @@ class _Worksheet:
     turn.  A column index of the rows finds the rows a step updates,
     and each update visits only the pivot row's nonzeros.  The step's
     column operations only zero the pivot row's other entries, so they are
-    recorded and not applied.  Swaps then put pivot t at (t, t), scaled to
-    its canonical generator, so N = I_t (+) S, and only the unit-free
+    not applied, and are recorded as one record per pivot a at column c,
+    [c, -1/a, the pivot row's (column, entry) items], not one operation per
+    entry.  Swaps then put pivot t at (t, t), scaled to its canonical
+    generator, which is recorded as one record of the pivots, [pivots], so
+    N = I_t (+) S.  Reading row_ops or col_ops expands that list's records
+    in place into the operations they stand for (_expanded), at their
+    positions, once; a caller that defers a side holds the list itself,
+    records and all, and expands it when it replays.  Only the unit-free
     residual S is made dense, as n.  Every sheet pauses there, and owns its
     pause: resume() diagonalises S with the dense steps below, recording
     their operations shifted by t, and diagonal() resumes the sheet on
@@ -1142,8 +1153,11 @@ class _Worksheet:
         self.ring, self.rows, self.cols, self.n = ring, len(rows), cols, rows
         self.t = 0           # the unit pivots, at (0, 0) ... (t-1, t-1)
         self.paused = None   # t while the residual waits for resume
-        self.row_ops = []
-        self.col_ops = []
+        self._row_ops, self._col_ops = [], []   # with the unit phase's records
+
+    # a read of either list, as of any replay, expands the records (_expanded)
+    row_ops = property(lambda self: _expanded(self.ring, self._row_ops))
+    col_ops = property(lambda self: _expanded(self.ring, self._col_ops))
 
     _unit_axpy = None   # the unit phase's row step, if not the ring's dict_axpy
 
@@ -1161,7 +1175,7 @@ class _Worksheet:
         for i, row in enumerate(rows):
             for k in row:
                 col_rows[k].add(i)
-        row_ops, col_ops, pivot_rows, pivot_cols, pivots = self.row_ops, self.col_ops, [], [], []
+        row_ops, col_ops, pivot_rows, pivot_cols, pivots = self._row_ops, self._col_ops, [], [], []
         # a sweep scans the columns a step changed since their last scan, the
         # others having no unit; it ends when there are none.  The re-sweeps
         # stay on measurement: over five seed-1 passes each of the
@@ -1192,6 +1206,7 @@ class _Worksheet:
                 pivots.append(a)
                 neg_inv = ring.neg(ring.inv(a))
                 items = list(items.items())
+                col_ops.append([c, neg_inv, items])   # one record for the pivot row
                 updated = []
                 for j in cands:
                     row = rows[j]
@@ -1201,24 +1216,21 @@ class _Worksheet:
                         row_ops.append((j, r, f))
                         axpy(row, items, f)
                         updated.append(j)
-                for k, y in items:
-                    if updated:
+                if updated:
+                    for k, _ in items:
                         col_rows[k].update(updated)
                         dirty[k] = True
-                    col_ops.append((c, k, mul(neg_inv, y)))
                 cands.clear()
         t = self.t = len(pivots)
         res_rows = _moves(self.rows, pivot_rows, row_ops)[t:]
         res_cols = _moves(cols, pivot_cols, col_ops)[t:]
-        for s, a in enumerate(pivots):
-            if a != ring.one:   # else a is its own canonical generator
-                row_ops.append((s, s, ring.sub(ring.unit_to_canonical(a), ring.one)))
+        row_ops.append([pivots])   # the record of their scaling to canonical generators
         self.n = [[rows[i].get(k, zero) for k in res_cols] for i in res_rows]
         self.paused = t if any(rows[i] for i in res_rows) else None
 
     def _row(self, op):
         """N <- E N for the row operation op, recorded."""
-        self.row_ops.append(op)
+        self._row_ops.append(op)
         _replay(self.ring, self.n, (op,))
 
     # -- the dense steps, on the residual n ----------------------------------
@@ -1277,7 +1289,7 @@ class _Worksheet:
         ring, n = self.ring, self.n
         zero, size = ring.zero, self._divisibility_size(n[s][s])
         while True:
-            gcdex_step = self._pass(n, s, self.row_ops, False)
+            gcdex_step = self._pass(n, s, self._row_ops, False)
             # The row pass leaves column s as n[s][s]*e_s, so col_j += c*col_s
             # only zeroes n[s][j], until a gcdex column step mixes in col_j:
             # N is transposed only then, for the rest of the column pass.
@@ -1289,10 +1301,10 @@ class _Worksheet:
                 q = ring.solve_scalar(row[s], b)
                 if q is None:   # the pass starts with a gcdex step at j
                     nt = list(map(list, zip(*n)))
-                    gcdex_step = self._pass(nt, s, self.col_ops, True)
+                    gcdex_step = self._pass(nt, s, self._col_ops, True)
                     n[:] = map(list, zip(*nt))
                     break
-                self.col_ops.append((s, j, ring.neg(q)))
+                self._col_ops.append((s, j, ring.neg(q)))
                 row[j] = zero
             # A pass of solve_scalar steps alone leaves row and column s
             # clear: a row step changes no entry of row s, and a column step
@@ -1317,8 +1329,8 @@ class _Worksheet:
             return
         self.paused = None
         ring, n, t = self.ring, self.n, self.t
-        done = self.row_ops, self.col_ops
-        self.row_ops, self.col_ops = [], []
+        done = self._row_ops, self._col_ops
+        self._row_ops, self._col_ops = [], []
         limit = min(len(n), self.cols - t)
         for s in range(limit):
             piv = self._find_pivot(s)
@@ -1328,7 +1340,7 @@ class _Worksheet:
                 self._row((s, piv[0]))
             if piv[1] != s:   # a column swap
                 j = piv[1]
-                self.col_ops.append((s, j))
+                self._col_ops.append((s, j))
                 for row in n:
                     row[s], row[j] = row[j], row[s]
             self._clear_position(s)
@@ -1348,9 +1360,9 @@ class _Worksheet:
             u = ring.unit_to_canonical(n[i][i])
             if u != ring.one:
                 self._row((i, i, ring.sub(u, ring.one)))
-        for ops, own in zip(done, (self.row_ops, self.col_ops)):
+        for ops, own in zip(done, (self._row_ops, self._col_ops)):
             ops += [(op[0] + t, op[1] + t) + op[2:] for op in own] if t else own
-        self.row_ops, self.col_ops = done
+        self._row_ops, self._col_ops = done
 
     def diagonal(self, length: int) -> list:
         """The canonical diagonal, padded with zeros to the given length.
@@ -1382,6 +1394,24 @@ class _Worksheet:
         for row, rest in zip(rows, [[ring.zero] * (self.cols - t)] * t + self.n):
             row += rest
         return ExactMatrix._of(ring, self.rows, self.cols, tuple(map(tuple, rows)))
+
+
+def _expanded(ring: RingSpec, ops: list) -> list:
+    """ops, a sheet's row or column operations, with the records its unit
+    phase left in them expanded in place into the operations they stand
+    for, at their positions: [c, -1/a, items], of a pivot a at column c
+    whose row's other entries are items, into (c, k, -y/a) for each (k, y);
+    [pivots] into (s, s, u - 1) for the pivot a at s, u its
+    unit_to_canonical, where a is not one.  The first read expands them,
+    and a later one finds none."""
+    if list in map(type, ops):
+        mul, one = ring.mul, ring.one
+        ops[:] = [op for rec in ops for op in (
+            (rec,) if type(rec) is tuple
+            else [(rec[0], k, mul(rec[1], y)) for k, y in rec[2]] if len(rec) == 3
+            else [(s, s, ring.sub(ring.unit_to_canonical(a), one))
+                  for s, a in enumerate(rec[0]) if a != one])]
+    return ops
 
 
 def _moves(size, targets, ops) -> list:
@@ -2083,20 +2113,23 @@ def _sheet_hom_ext(ws: _Worksheet) -> tuple:
     diagonal positions, their vectors the columns of left^-1 there.  Both
     sides list torsion in chain order, then the free summands.
 
-    The diagonal is read without building a transform, and each function
-    replays the operations on just the wanted columns when called
-    (_replayed).  It keeps its own operation list and not N, and nothing
+    The diagonal's first t entries are the unit pivots, an identity block:
+    a unit's annihilator is zero and both sides drop units, so ann_gen and
+    the chain order run on the positions past it alone.  The diagonal is
+    read without building a transform, and each function expands the unit
+    phase's records in its own list (_expanded), once, and replays the
+    operations on just the wanted columns when called (_replayed).  It keeps its own operation list and not N, and nothing
     for a zero module.  Reading the diagonal resumes a paused sheet save
     over Z (_Worksheet.diagonal): there both functions keep the paused
     sheet until one of them is called, and the first call resumes it, so
     the vectors are a full diagonalisation's, and lets it go.
     """
-    ring, height, cols = ws.ring, ws.rows, ws.cols
-    diag = ws.diagonal(max(height, cols))
-    gens = [ring.ann_gen(d) for d in diag[:cols]]
+    ring, height, cols, t = ws.ring, ws.rows, ws.cols, ws.t
+    diag = ws.diagonal(max(height, cols))[t:]   # past I_t, whose units both sides drop
+    gens = [ring.ann_gen(d) for d in diag[:cols - t]]
     hom_diag = [ring.ann_gen(g) for g in gens]
-    js, idx = _chain_order(ring, hom_diag), _chain_order(ring, diag[:height])
-    row_ops, col_ops = ws.row_ops, ws.col_ops
+    js, idx = _chain_order(ring, hom_diag), _chain_order(ring, diag[:height - t])
+    row_ops, col_ops = ws._row_ops, ws._col_ops
     paused = [ws] if ws.paused is not None else []   # until the first read
 
     def resume():
@@ -2107,12 +2140,14 @@ def _sheet_hom_ext(ws: _Worksheet) -> tuple:
     if js:
         def read_hom():
             resume()
+            cols_read = _replayed(ring, cols, reversed(_expanded(ring, col_ops)), [t + j for j in js])
             return [col if ring.is_zero(hom_diag[j]) else tuple(ring.mul(gens[j], x) for x in col)
-                    for j, col in zip(js, _replayed(ring, cols, reversed(col_ops), js))]
+                    for j, col in zip(js, cols_read)]
     if idx:
         def read_ext():
             resume()
-            return _replayed(ring, height, reversed(row_ops), idx, True)
+            return _replayed(ring, height, reversed(_expanded(ring, row_ops)), [t + i for i in idx],
+                             True)
     return (ModulePresentation(ring, len(js), tuple(hom_diag[j] for j in js)), read_hom,
             ModulePresentation(ring, height, tuple(diag[i] for i in idx)), read_ext)
 

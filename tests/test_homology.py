@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from quivlat.errors import IncompatibleRing, NotRigid, ParseError, PreconditionViolated
 from quivlat.homology import (
     HomExtResult,
+    _differential_rows,
+    _elimination_offsets,
     check_base_change,
     differential,
     hom_ext,
@@ -94,6 +96,47 @@ def test_differential_matches_direct_computation():
                     for r in range(rows_h):
                         direct.append(comm[r][c])
             assert image == direct
+    # Over Z and F_2[e]/(e^2), on a loop and on two vertices with loops and
+    # parallel arrows, zero-dimensional vertices included: the placed rows,
+    # in the vertex layout and in the elimination layout, against the
+    # commutator Y_a f_t - f_h X_a multiplied out as matrices.
+    two = Quiver(2, ((1, 1), (1, 2), (1, 2), (2, 2)))
+    cases = [(LOOP, (2,), (3,)), (LOOP, (3,), (3,)), (LOOP, (0,), (2,)), (LOOP, (2,), (0,)),
+             (two, (2, 3), (3, 2)), (two, (1, 3), (1, 3)), (two, (2, 1), (3, 1)),
+             (two, (1, 2), (1, 3)), (two, (0, 3), (2, 1)), (two, (3, 0), (0, 2)),
+             (two, (1, 0), (2, 0))]
+    moved = 0
+    for ring in (ZZ, Feps(2, 2)):
+        pool = list(ring.elements()) if ring.is_finite else list(range(-4, 5))
+        for q, dims_x, dims_y in cases:
+            x = random_rep(ring, q, dims_x, rng)
+            y = random_rep(ring, q, dims_y, rng)
+            d = differential(x, y)
+            off0 = _elimination_offsets(x, y)
+            placed = _differential_rows(x, y, off0)[0]
+            assert all(ring.nonzero(v) for row in placed for v in row.values())
+            at = list(range(d.cols)) if off0 is None else [   # vertex column -> placed column
+                o + k for o, a, b in zip(off0, dims_x, dims_y) for k in range(a * b)]
+            moved += at != sorted(at)
+            for _ in range(3):
+                f = [ExactMatrix(ring, dims_y[v], dims_x[v], tuple(
+                    tuple(rng.choice(pool) for _ in range(dims_x[v])) for _ in range(dims_y[v])))
+                     for v in range(q.vertex_count)]
+                flat = [m.entries[r][c] for m in f for c in range(m.cols) for r in range(m.rows)]
+                direct = []
+                for a in range(q.arrow_count):
+                    t, h = q.tail(a), q.head(a)
+                    comm = y.mats[a].mul(f[t]).sub(f[h].mul(x.mats[a]))
+                    direct += [comm.entries[r][c] for c in range(comm.cols) for r in range(comm.rows)]
+                vec = ExactMatrix(ring, d.cols, 1, tuple((v,) for v in flat))
+                assert [v for v, in d.mul(vec).entries] == direct, (ring, dims_x, dims_y)
+                at_flat = dict(zip(at, flat))
+                image = [ring.zero] * len(placed)
+                for i, row in enumerate(placed):
+                    for k, v in row.items():
+                        image[i] = ring.add(image[i], ring.mul(v, at_flat[k]))
+                assert image == direct, (ring, dims_x, dims_y)
+    assert moved >= 4   # the elimination layout moved blocks
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,16 @@ random Kronecker and A3 pairs, and a column that gains a unit after its
 turn, so that the phase sweeps again.  A sheet paused after its unit phase
 must read the diagonal of the sheet diagonalised in full.
 
+The unit phase keeps one record per pivot for its column operations, and
+one for the scaling of its pivots to canonical generators, and expands
+them into operations on the first read of either list.  Over Z, Z/4, Z/12,
+F_2[e]/(e^2) and F_3[e]/(e^2), on 0xn, nx0, all-unit and unit-free
+matrices, matrices the unit phase empties and random ones, the transforms
+and vectors read off the expanded lists must satisfy nf = left * a *
+right, left * left^-1 = I, a * x = b and a * v = 0, and the lists must
+be expanded once: a read before the witness reads and one after return
+the same lists, unchanged.
+
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_unit_phase.py
 """
@@ -47,6 +57,7 @@ from quivlat.rings import (
     _diagonal_sheet,
     _nonzeros,
     _Worksheet,
+    _sheet_hom_ext,
     cokernel,
     cokernel_data,
     howell_rows,
@@ -224,6 +235,72 @@ def test_a_column_that_gains_a_unit_after_its_turn():
         assert ws.t == 2 and ws.matrix() == _identity(ring, 2)
         assert ws.col_ops[0] == (1, 0, ring.canon(-2))   # the first pivot is in column 1
         check_all(a)
+
+
+DEFERRED_RINGS = (ZZ, Zmod(4), Zmod(12), Feps(2, 2), Feps(3, 2))
+
+
+def _deferred_cases(ring):
+    """0xn and nx0 matrices, all-unit and unit-free ones, ones the unit
+    phase empties (a permuted unitriangular matrix) and random ones."""
+    rng = random.Random("deferred records:%s" % ring)
+    pool = list(ring.elements()) if ring.is_finite else list(range(-3, 4))
+    units = [x for x in pool if ring.is_unit(x)]
+    non_units = [x for x in pool if not ring.is_unit(x)]
+    yield _mat(ring, [], 4)
+    yield _mat(ring, [[], [], []], 0)
+    for r, c in ((3, 4), (4, 4), (2, 5)):
+        yield _mat(ring, [[rng.choice(units) for _ in range(c)] for _ in range(r)])
+        yield _mat(ring, [[rng.choice(non_units) for _ in range(c)] for _ in range(r)])
+    n = 4
+    upper = [[1 if i == j else rng.choice(pool) if i < j else 0 for j in range(n)]
+             for i in range(n)]
+    rng.shuffle(upper)
+    yield _mat(ring, upper)
+    for _ in range(12):
+        yield _random(ring, rng.randint(1, 6), rng.randint(1, 6), rng, rng.choice((0.3, 0.7, 1)))
+
+
+def test_deferred_records_replay_as_the_operations():
+    for ring in DEFERRED_RINGS:
+        rng = random.Random("deferred replays:%s" % ring)
+        emptied = 0
+        for a in _deferred_cases(ring):
+            res = normal_form(a)
+            assert res.nf == res.left.mul(a).mul(res.right), a
+            assert res.left.mul(res.left_inverse) == _identity(ring, a.rows), a
+            assert res.right.mul(res.right_inverse) == _identity(ring, a.cols), a
+            b = a.mul(_random(ring, a.cols, 2, rng))
+            x = solve(a, b)
+            assert x is not None and a.mul(x) == b, a
+            for v in kernel_data(a)[1]:
+                assert a.mul(_columns(ring, a.cols, [v])).is_zero(), a
+            ws = _paused_sheet(a)
+            emptied += ws.t > 0 and ws.paused is None
+        assert emptied >= 2, ring
+
+
+def test_deferred_records_expand_once():
+    """Until a read, the column operations are one record per unit
+    pivot; a read expands them, and a read of the lists before and after
+    _sheet_hom_ext's witness reads returns the same lists, unchanged.
+    Witness reads first and the lists after read the same operations."""
+    for ring in DEFERRED_RINGS:
+        for a in _deferred_cases(ring):
+            first, second = (_diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
+                             for _ in range(2))
+            assert sum(type(op) is list for op in first._col_ops) == first.t, a
+            ops = first.row_ops, first.col_ops
+            expanded = [list(o) for o in ops]
+            assert not any(type(op) is list for o in expanded for op in o), a
+            _, read_hom, _, read_ext = _sheet_hom_ext(first)
+            vecs = read_hom(), read_ext()
+            assert first.row_ops is ops[0] and first.col_ops is ops[1], a
+            assert [first.row_ops, first.col_ops] == expanded, a
+            assert [len(o) for o in ops] == [len(o) for o in expanded], a
+            _, read_hom, _, read_ext = _sheet_hom_ext(second)
+            assert (read_hom(), read_ext()) == vecs, a
+            assert [second.row_ops, second.col_ops] == expanded, a
 
 
 def test_hom_ext_witnesses():
