@@ -2118,8 +2118,9 @@ def _sheet_hom_ext(ws: _Worksheet) -> tuple:
     the chain order run on the positions past it alone.  The diagonal is
     read without building a transform, and each function expands the unit
     phase's records in its own list (_expanded), once, and replays the
-    operations on just the wanted columns when called (_replayed).  It keeps its own operation list and not N, and nothing
-    for a zero module.  Reading the diagonal resumes a paused sheet save
+    operations on just the wanted columns when called (_replayed).  It
+    keeps its own operation list and not N, and nothing for a zero
+    module.  Reading the diagonal resumes a paused sheet save
     over Z (_Worksheet.diagonal): there both functions keep the paused
     sheet until one of them is called, and the first call resumes it, so
     the vectors are a full diagonalisation's, and lets it go.
@@ -2140,9 +2141,10 @@ def _sheet_hom_ext(ws: _Worksheet) -> tuple:
     if js:
         def read_hom():
             resume()
-            cols_read = _replayed(ring, cols, reversed(_expanded(ring, col_ops)), [t + j for j in js])
+            picked = _replayed(ring, cols, reversed(_expanded(ring, col_ops)),
+                               [t + j for j in js])
             return [col if ring.is_zero(hom_diag[j]) else tuple(ring.mul(gens[j], x) for x in col)
-                    for j, col in zip(js, cols_read)]
+                    for j, col in zip(js, picked)]
     if idx:
         def read_ext():
             resume()

@@ -127,7 +127,8 @@ def test_differential_matches_direct_computation():
                 for a in range(q.arrow_count):
                     t, h = q.tail(a), q.head(a)
                     comm = y.mats[a].mul(f[t]).sub(f[h].mul(x.mats[a]))
-                    direct += [comm.entries[r][c] for c in range(comm.cols) for r in range(comm.rows)]
+                    direct += [comm.entries[r][c]
+                               for c in range(comm.cols) for r in range(comm.rows)]
                 vec = ExactMatrix(ring, d.cols, 1, tuple((v,) for v in flat))
                 assert [v for v, in d.mul(vec).entries] == direct, (ring, dims_x, dims_y)
                 at_flat = dict(zip(at, flat))
