@@ -29,14 +29,15 @@ copies and pickles with its recipe until that read, and with its
 witnesses after it.  braid_act reads only .rep, so it builds none of them,
 and a lattice-orbit pass (seed 1) makes 18 RepMorphism checks.
 
-The braid orbit is walked once, on dimension vectors (_dims_orbit), which
-the Euler form fixes for every mutation; _orbit_sequence builds a state's
-sequence by replaying the braid word that first reached it.
+The braid orbit is walked once, on dimension vectors, which the Euler form
+fixes for every mutation, and only as far as its readers ask (_OrbitWalk):
+a root's first state and the braid word that reached it are fixed once the
+breadth-first walk reaches it, so stopping there changes no answer.
+_orbit_sequence builds a state's sequence by replaying that word.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from typing import Optional
 
@@ -59,9 +60,9 @@ from .quiver import (
     _check_dims,
     _check_quiver,
     _dual,
+    _euler_form,
     _opposite,
     _split,
-    euler_form,
     tensor_free,
 )
 from .rings import ExactMatrix, RingSpec, _check_ring, block_diag
@@ -374,51 +375,112 @@ def _mutated_dims(f: tuple, e: tuple, c: int) -> tuple:
 def _check_bound(bound) -> None:
     """The one check of an orbit walk's bound, where an entry point takes
     it: ParseError unless an exact int (a bool or a float is not one),
-    BoundExceeded below 1.  _dims_orbit, being cached, would take True for
-    1 and 5.0 for 5, so it checks nothing and is handed checked bounds."""
+    BoundExceeded below 1.  _walk, being cached, would take True for 1
+    and 5.0 for 5, so it checks nothing and is handed checked bounds."""
     if type(bound) is not int:
         raise ParseError("an int bound expected, got %r" % (bound,))
     if bound < 1:
         raise BoundExceeded("bound must be positive")
 
 
-# Lattice-orbit pass 0 hits it 182 times in 184 calls; the largest working
+class _OrbitWalk:
+    """orbit_search's walk from start, the dimension vectors of a sequence
+    (by default the standard one), on dimension vectors alone, advanced
+    only as far as a reader asks.
+
+    steps maps each state reached to its parent state and the generator
+    (i, inverse) that first reached it, None for the start; first maps
+    each dimension vector to the state it is first seen in, in that order.
+    Both only grow, and reached states are expanded in the order they were
+    reached, a breadth-first walk: a state's parent chain and the state a
+    vector is first seen in are fixed once it is reached, the same whether
+    the walk stops there or runs on.  first is recorded when a state is
+    reached, not when it is expanded: the queue is FIFO, so the mapping
+    and its order are the same, and a lookup stops one level earlier.
+
+    Three reads: find(alpha), the state alpha is first seen in, expanding
+    until it is seen, or None once the walk is exhausted; states(), the
+    states in walk order, expanding as the iteration goes; full(), the
+    whole walk as (steps, first).  An expansion commits its successors
+    only once all are computed, so one interrupted by an exception leaves
+    the walk as it was; the move memo only gains pairs whose two mutations
+    were both computed.  expanded and reached count the states expanded
+    and reached so far, for a caller to read.
+    """
+
+    def __init__(self, quiver: Quiver, bound: int, start: tuple):
+        self.quiver, self.bound = quiver, bound
+        self.steps, self.first = {start: None}, dict.fromkeys(start, start)
+        self._states = [start]   # in walk order, the first self.expanded expanded
+        self._moves = {}   # (e, f) -> its generator's pair and its inverse's
+        self.expanded = 0
+
+    @property
+    def reached(self) -> int:
+        return len(self._states)
+
+    def _expand(self) -> None:
+        """Expand the next state, committing its successors at the end."""
+        state, steps, bound = self._states[self.expanded], self.steps, self.bound
+        new = {}
+        for i in range(1, len(state)):
+            e, f = state[i - 1], state[i]
+            moves = self._moves.get((e, f))
+            if moves is None:
+                c = _euler_form(self.quiver, e, f)
+                moves = self._moves[e, f] = ((_mutated_dims(f, e, c), e),
+                                             (f, _mutated_dims(e, f, c)))
+            for inverse, pair in zip((False, True), moves):
+                nxt = state[:i - 1] + pair + state[i + 1:]
+                if nxt not in steps and nxt not in new and max(map(sum, nxt)) <= bound:
+                    new[nxt] = (state, i, inverse)
+        steps.update(new)
+        self._states += new
+        for nxt in new:
+            for dims in nxt:
+                self.first.setdefault(dims, nxt)
+        self.expanded += 1
+
+    def find(self, alpha: tuple) -> Optional[tuple]:
+        while alpha not in self.first and self.expanded < len(self._states):
+            self._expand()
+        return self.first.get(alpha)
+
+    def states(self):
+        k = 0
+        while True:
+            while k == len(self._states) > self.expanded:
+                self._expand()
+            if k == len(self._states):
+                return
+            yield self._states[k]
+            k += 1
+
+    def full(self) -> tuple:
+        while self.expanded < len(self._states):
+            self._expand()
+        return self.steps, self.first
+
+
+# Lattice-orbit pass 0 hits it 184 times in 186 calls; the largest working
 # set measured, on a workload pass or a tier-1 test, is 109 walks
 # (test_summand_peel).
 @lru_cache(maxsize=512)
-def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tuple:
-    """orbit_search's walk from start, the dimension vectors of a sequence
-    (by default the standard one), on dimension vectors alone.
+def _walk(quiver: Quiver, bound: int, start: Optional[tuple]) -> _OrbitWalk:
+    """The one walk of quiver within bound from start, the standard
+    sequence's vectors when None, kept as far as it has been read."""
+    return _OrbitWalk(quiver, bound, start or tuple(
+        tuple(int(v == w) for w in range(quiver.vertex_count))
+        for v in quiver.topological_order()))
 
-    Returns (steps, first): steps maps each state to its parent state and
-    the generator (i, inverse) that first reached it, None for the start;
-    first maps each dimension vector to the state it is first seen in, in
-    that order.
-    """
-    start = start or tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
-                           for v in quiver.topological_order())
-    steps, first = {start: None}, {}
-    moves = {}   # (e, f) -> its generator's pair and its inverse's, once per walk
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for dims in state:
-            first.setdefault(dims, state)
-        for i in range(1, len(state)):
-            e, f = state[i - 1], state[i]
-            if (e, f) not in moves:
-                c = euler_form(quiver, e, f)
-                moves[e, f] = (_mutated_dims(f, e, c), e), (f, _mutated_dims(e, f, c))
-            for inverse, pair in zip((False, True), moves[e, f]):
-                nxt = state[:i - 1] + pair + state[i + 1:]
-                if nxt not in steps and max(map(sum, nxt)) <= bound:
-                    steps[nxt] = (state, i, inverse)
-                    queue.append(nxt)
-    return steps, first
+
+def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tuple:
+    """The whole walk (steps, first) of _walk(quiver, bound, start)."""
+    return _walk(quiver, bound, start).full()
 
 
 def _orbit_sequence(steps: dict, memo: dict, state: tuple) -> ExcSequence:
-    """The sequence of a state of the _dims_orbit walk with these steps.
+    """The sequence of a state of the orbit walk with these steps.
 
     Replays the braid word of the state's breadth-first parents from the
     nearest state in memo, which holds at least the start.  A sequence is
@@ -448,8 +510,9 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
     representation found with that dimension vector, or None when the
     pruned orbit is exhausted.  Without it, returns a dict mapping each
     dimension vector seen to its first witness representation.  The walk
-    is on dimension vectors (_dims_orbit); only the states whose members
-    are returned are replayed, through a memo that lives for this call.
+    is on dimension vectors (_OrbitWalk), read with a target only until
+    the target is seen; only the states whose members are returned are
+    replayed, through a memo that lives for this call.
     """
     if not isinstance(start, ExcSequence):
         raise ParseError("an ExcSequence expected, got %r" % (start,))
@@ -457,8 +520,12 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
     if target_dims is not None:
         target_dims = _check_dims(start[0].quiver, target_dims)
     dims = start.dims_tuple()
-    steps, first = _dims_orbit(start[0].quiver, bound, dims)
+    walk = _walk(start[0].quiver, bound, dims)
     memo = {dims: start}
-    found = {alpha: _orbit_sequence(steps, memo, state)[state.index(alpha)]
-             for alpha, state in first.items() if target_dims in (None, alpha)}
-    return found if target_dims is None else found.get(target_dims)
+    if target_dims is None:
+        steps, first = walk.full()
+        return {alpha: _orbit_sequence(steps, memo, state)[state.index(alpha)]
+                for alpha, state in first.items()}
+    state = walk.find(target_dims)
+    return None if state is None else (
+        _orbit_sequence(walk.steps, memo, state)[state.index(target_dims)])

@@ -1125,12 +1125,13 @@ class _Worksheet:
     and each update visits only the pivot row's nonzeros.  The step's
     column operations only zero the pivot row's other entries, so they are
     not applied, and are recorded as one record per pivot a at column c,
-    [c, -1/a, the pivot row's (column, entry) items], not one operation per
-    entry.  Swaps then put pivot t at (t, t), scaled to its canonical
-    generator, which is recorded as one record of the pivots, [pivots], so
-    N = I_t (+) S.  Reading row_ops or col_ops expands that list's records
-    in place into the operations they stand for (_expanded), at their
-    positions, once; a caller that defers a side holds the list itself,
+    [c, a, the pivot row's (column, entry) items], not one operation per
+    entry; -1/a is computed, and appended to it, only when some row has an
+    entry to clear in column c.  Swaps then put pivot t at (t, t), scaled to
+    its canonical generator, which is recorded as one record of the
+    pivots, [pivots], so N = I_t (+) S.  Reading row_ops or col_ops
+    expands that list's records in place into the operations they stand
+    for (_expanded), at their positions, once; a caller that defers a side holds the list itself,
     records and all, and expands it when it replays.  Only the unit-free
     residual S is made dense, as n.  Every sheet pauses there, and owns its
     pause: resume() diagonalises S with the dense steps below, recording
@@ -1204,14 +1205,17 @@ class _Worksheet:
                 pivot_rows.append(r)
                 pivot_cols.append(c)
                 pivots.append(a)
-                neg_inv = ring.neg(ring.inv(a))
                 items = list(items.items())
-                col_ops.append([c, neg_inv, items])   # one record for the pivot row
-                updated = []
+                rec = [c, a, items]   # the pivot row's one record
+                col_ops.append(rec)
+                updated, neg_inv = [], None
                 for j in cands:
                     row = rows[j]
                     b = row.pop(c, None)
                     if b is not None:
+                        if neg_inv is None:   # -1/a, once some row has an entry to clear
+                            neg_inv = ring.neg(ring.inv(a))
+                            rec.append(neg_inv)
                         f = mul(neg_inv, b)
                         row_ops.append((j, r, f))
                         axpy(row, items, f)
@@ -1399,8 +1403,9 @@ class _Worksheet:
 def _expanded(ring: RingSpec, ops: list) -> list:
     """ops, a sheet's row or column operations, with the records its unit
     phase left in them expanded in place into the operations they stand
-    for, at their positions: [c, -1/a, items], of a pivot a at column c
-    whose row's other entries are items, into (c, k, -y/a) for each (k, y);
+    for, at their positions: [c, a, items], of a pivot a at column c
+    whose row's other entries are items, -1/a appended or not, into
+    (c, k, -y/a) for each (k, y);
     [pivots] into (s, s, u - 1) for the pivot a at s, u its
     unit_to_canonical, where a is not one.  The first read expands them,
     and a later one finds none."""
@@ -1408,7 +1413,8 @@ def _expanded(ring: RingSpec, ops: list) -> list:
         mul, one = ring.mul, ring.one
         ops[:] = [op for rec in ops for op in (
             (rec,) if type(rec) is tuple
-            else [(rec[0], k, mul(rec[1], y)) for k, y in rec[2]] if len(rec) == 3
+            else [(rec[0], k, mul(f, y)) for f in rec[3:] or [ring.neg(ring.inv(rec[1]))]
+                  for k, y in rec[2]] if rec[1:]
             else [(s, s, ring.sub(ring.unit_to_canonical(a), one))
                   for s, a in enumerate(rec[0]) if a != one])]
     return ops

@@ -22,12 +22,16 @@ The three constructive results living here:
     vector are therefore isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
-vectors alone (mutation._dims_orbit, the walk orbit_search reads too), so
+vectors alone (mutation._walk, the walk orbit_search reads too), so
 schur_root_status and the summand roots of decompose_rigid build no
-representation.  A witness is built only by exceptional_lattice: the braid
-word that first reached its root is replayed over Z from the standard
-sequence (mutation._orbit_sequence), and every sequence built on the way is
-kept for later replays (_built).  generic_dims reads Hom and Ext off two
+representation.  Each reader advances the one cached walk only until it
+has its answer: the walk is breadth-first, so the state a root is first
+seen in, and the braid word to it, are the same whether the walk stops
+there or runs on, and no output depends on how far it has gone.  A
+witness is built only by exceptional_lattice: the braid word that first
+reached its root is replayed over Z from the standard sequence
+(mutation._orbit_sequence), and every sequence built on the way is kept
+for later replays (_built).  generic_dims reads Hom and Ext off two
 such witnesses over Q, so hom_ext is the one route to both.
 Nothing is searched over Q: mutation commutes with the flat base change
 Z -> Q, so both orbits pass through the same dimension vectors in the
@@ -50,14 +54,15 @@ from .errors import (
 )
 from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
-from .mutation import (_DEFAULT_BOUND, _check_bound, _dims_orbit, _evaluation_map,
-                       _orbit_sequence, standard_sequence)
+from .mutation import (_DEFAULT_BOUND, _check_bound, _evaluation_map, _orbit_sequence,
+                       _walk, standard_sequence)
 from .quiver import (
     Quiver,
     Rep,
     RepMorphism,
     _check_compatible,
     _check_dims,
+    _euler_form,
     _lex_least_order,
     _split,
     base_change,
@@ -87,12 +92,14 @@ def schur_root_status(quiver: Quiver, alpha, *, bound: int = _DEFAULT_BOUND) -> 
 
 def _status(quiver: Quiver, alpha, bound: int) -> tuple:
     """alpha, checked, and its schur_root_status: the bound and alpha are
-    checked here once for every root reader of this module."""
+    checked here once for every root reader of this module.  The walk is
+    advanced until it sees alpha, and exhausted only when it never does."""
     _check_bound(bound)
     alpha = _check_dims(quiver, alpha)
     if tits_form(quiver, alpha) != 1:
         return alpha, SCHUR_PREFILTER_FALSE
-    return alpha, SCHUR_REAL if alpha in _dims_orbit(quiver, bound)[1] else SCHUR_BOUNDED_FALSE
+    found = _walk(quiver, bound, None).find(alpha) is not None
+    return alpha, SCHUR_REAL if found else SCHUR_BOUNDED_FALSE
 
 
 def is_real_schur_root(quiver: Quiver, alpha, *, bound: int = _DEFAULT_BOUND) -> bool:
@@ -117,18 +124,22 @@ def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
 # workload pass or a tier-1 test, is 18 walks (test_acceptance).
 @lru_cache(maxsize=128)
 def _built(quiver: Quiver, bound: int) -> dict:
-    """{state of _dims_orbit(quiver, bound): its integral ExcSequence} for
-    the states replayed so far, from the walk's start, the standard
-    sequence."""
-    return {next(iter(_dims_orbit(quiver, bound)[0])): standard_sequence(ZZ, quiver)}
+    """{state of _walk(quiver, bound, None): its integral ExcSequence}
+    for the states replayed so far, from the walk's start, the standard
+    sequence.  It reads only the start, and expands nothing: a replayed
+    state's parent chain is fixed once the walk reaches it."""
+    return {next(iter(_walk(quiver, bound, None).steps)): standard_sequence(ZZ, quiver)}
 
 
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
-    """orbit_search's witness over Z for alpha; raises if there is none."""
+    """orbit_search's witness over Z for alpha; raises if there is none.
+    The walk is read only as far as alpha's first state, which
+    _require_real_schur has reached, and that state's parent chain is
+    replayed."""
     alpha = _require_real_schur(quiver, alpha, bound)
-    steps, first = _dims_orbit(quiver, bound)
-    state = first[alpha]
-    return _orbit_sequence(steps, _built(quiver, bound), state)[state.index(alpha)]
+    walk = _walk(quiver, bound, None)
+    state = walk.find(alpha)
+    return _orbit_sequence(walk.steps, _built(quiver, bound), state)[state.index(alpha)]
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,
@@ -215,18 +226,21 @@ def _summand_roots(quiver: Quiver, dims: tuple, bound: int) -> dict:
     taken.  Hom and Ext are not both nonzero on an exceptional pair, so
     those roots are pairwise ext-orthogonal real Schur roots summing to
     dims: the canonical decomposition (Kac, Schofield), which is unique.
-    BoundExceeded, naming dims, when no state is taken.
+    The walk is expanded only as the iteration reaches its end, so it stops
+    at the state taken; the walk order is fixed, so that state is the one
+    the whole walk gives.  BoundExceeded, naming dims, when no state is
+    taken, the walk then exhausted.
     """
-    for state in _dims_orbit(quiver, bound)[0]:
+    for state in _walk(quiver, bound, None).states():
         rem, coords = dims, {}
         for beta in reversed(state):
-            coords[beta] = c = euler_form(quiver, beta, rem)
+            coords[beta] = c = _euler_form(quiver, beta, rem)
             rem = tuple(r - c * b for r, b in zip(rem, beta))
         if any(rem):
             raise TheoremViolation("walk state %r is not a basis" % (state,))
         used = [b for b in state if coords[b]]
         if min(coords.values()) >= 0 and all(
-                euler_form(quiver, a, b) >= 0 for a, b in itertools.combinations(used, 2)):
+                _euler_form(quiver, a, b) >= 0 for a, b in itertools.combinations(used, 2)):
             return {b: coords[b] for b in used}
     raise BoundExceeded(
         "summand roots of %r lie outside bound %d" % (list(dims), bound))

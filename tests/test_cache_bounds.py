@@ -2,8 +2,8 @@
 
 Five caches stay, each because the benchmark traffic re-reads it:
 homology._exceptional and homology._orthogonal (every sequence check asks
-again), mutation._dims_orbit and structure._built (the walk and the
-sequences replayed on it), and rings._table_kernels (one entry per small
+again), mutation._walk and structure._built (the walk, kept as far as it
+has been read, and the sequences replayed on it), and rings._table_kernels (one entry per small
 Feps ring).  Each is an lru_cache with a constant maxsize, and keeps at
 most that many entries after more distinct calls than its bound; its
 cache_info() counts hits, misses and size.  No other function in the
@@ -36,7 +36,7 @@ CACHES = {
     "homology._exceptional": (homology._exceptional, lambda k: homology._exceptional(_point(k))),
     "homology._orthogonal": (homology._orthogonal,
                              lambda k: homology._orthogonal(_point(k), _point(1))),
-    "mutation._dims_orbit": (mutation._dims_orbit, lambda k: mutation._dims_orbit(A2, k + 1)),
+    "mutation._walk": (mutation._walk, lambda k: mutation._walk(A2, k + 1, None)),
     "structure._built": (structure._built, lambda k: structure._built(A2, k + 1)),
     "rings._table_kernels": (rings._table_kernels,
                              lambda k: Feps((2, 3, 5)[k % 3], k // 3 + 1)),

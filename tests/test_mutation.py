@@ -18,6 +18,7 @@ from quivlat.errors import (
     NeitherMonoNorEpi,
     ParseError,
     PreconditionViolated,
+    TheoremViolation,
 )
 from quivlat.homology import hom_ext, is_exceptional
 from quivlat.mutation import (
@@ -49,6 +50,7 @@ from quivlat.rings import (
     kernel_basis,
 )
 from quivlat.structure import decompose_rigid, exceptional_lattice, is_isomorphic_rigid
+from test_sparse_checks import _old_dims_orbit
 
 A2 = Quiver(2, ((1, 2),))
 A3 = Quiver(3, ((1, 2), (2, 3)))
@@ -323,6 +325,53 @@ def test_braid_act_builds_only_the_checks_that_guard_its_members(monkeypatch):
     kinds = [(_kind(x, y), n) for x, y, n in built]
     assert {kind for kind, _ in kinds} == {"Hom", "Ext", "Unchanged"}
     assert all(n == (2 if kind == "Hom" else 0) for kind, n in kinds), kinds
+
+
+@pytest.mark.parametrize("quiver,root,most", ((K2, (6, 7), 11), (K2, (6, 5), 8),
+                                              (A4, (1, 1, 1, 1), 12)))
+def test_a_cold_lattice_walks_only_as_far_as_its_root(quiver, root, most):
+    # the three deepest replays of a lattice-orbit pass: their walks at the
+    # default bound hold 59 and 125 states, and are expanded only until the
+    # root is reached
+    mutation._walk.cache_clear()
+    structure._built.cache_clear()
+    assert exceptional_lattice(quiver, root).dims == root
+    walk = mutation._walk(quiver, mutation._DEFAULT_BOUND, None)
+    assert 0 < walk.expanded <= most, walk.expanded
+    assert walk.reached < len(_old_dims_orbit(quiver, mutation._DEFAULT_BOUND)[0])
+
+
+def test_an_expansion_that_raises_leaves_the_walk_as_it_was(monkeypatch):
+    # _mutated_dims raises once, in its k-th call, for each k up to 40, on a
+    # fresh walk of A4: at some k mid-expansion, after successors of the
+    # state were found.  The walk keeps the states it had, and the next read
+    # of the same cached walk is the walk read in one go
+    want_steps, want_first = _old_dims_orbit(A4, 12)
+    real = mutation._mutated_dims
+    for k in range(1, 41):
+        mutation._walk.cache_clear()
+        calls = []
+
+        def raising_once(f, e, c):
+            calls.append(None)
+            if len(calls) == k:
+                raise TheoremViolation("planted")
+            return real(f, e, c)
+
+        monkeypatch.setattr(mutation, "_mutated_dims", raising_once)
+        walk = mutation._walk(A4, 12, None)
+        seen = []
+        with pytest.raises(TheoremViolation, match="planted"):
+            for _ in walk.states():
+                seen.append((dict(walk.steps), dict(walk.first), walk.expanded))
+        steps, first, expanded = seen[-1]
+        assert walk.expanded == expanded and len(calls) == k
+        assert list(walk.steps.items()) == list(steps.items()) and walk.reached == len(steps)
+        assert list(walk.first.items()) == list(first.items())
+        assert mutation._walk(A4, 12, None) is walk
+        got_steps, got_first = mutation._dims_orbit(A4, 12)
+        assert list(got_steps.items()) == list(want_steps.items()), k
+        assert list(got_first.items()) == list(want_first.items()), k
 
 
 def _dual_rep(x: Rep, quiver: Quiver) -> Rep:

@@ -7,8 +7,9 @@ They now run on sparse rows: homology._differential_rows places the
 nonzeros of the arrow matrices into one dict per row, rings._invertible
 decides on those rows (it peels unit singleton rows and hands what is left
 to rings._forward), ExactMatrix.mul adds one row of the right factor per
-nonzero of the left one, and _dims_orbit computes the two mutations of an
-adjacent pair once per walk.  rings._forward is also the one forward pass of
+nonzero of the left one, and the orbit walk (mutation._OrbitWalk)
+computes the two mutations of an adjacent pair once per walk, and expands
+only as far as its reader asks.  rings._forward is also the one forward pass of
 Hom/Ext over Q and F_p, of the field reductions and of the Z residual, which
 ran on dense lists before.  Each must give exactly what the dense code gave:
 
@@ -23,8 +24,11 @@ ran on dense lists before.  Each must give exactly what the dense code gave:
       lattices, on every field forward input of the output digest's matrix
       cases and on Z residuals; is_invertible equals the dense rule;
   (c) mul equals the product of sums of products (the rings' old dot);
-  (d) _dims_orbit equals the walk without the memo, insertion order
-      included;
+  (d) the walk equals the walk without the memo, insertion order
+      included; read lazily, it finds each root in the oracle's state with
+      the oracle's parent chain, a vector of Tits form 1 off it exhausts it,
+      and the summand roots and orbit_search's targets read off it are
+      those read off the walk in full;
   (e) over Zmod:4 the (20,21) Kronecker lattice's pivots stay small, where
       Bareiss on [0, m) grew 669-bit minors;
   (f) rational zeros that are not QQ.zero (QQ.canon(0), the JSON literal
@@ -45,8 +49,8 @@ from itertools import accumulate
 from quivlat import homology, mutation, rings, structure
 from quivlat.errors import QuivlatError
 from quivlat.homology import _differential_rows, differential, hom_ext, is_exceptional
-from quivlat.mutation import _dims_orbit, _mutated_dims
-from quivlat.quiver import Quiver, Rep, _check_compatible, base_change, euler_form
+from quivlat.mutation import _dims_orbit, _mutated_dims, orbit_search, standard_sequence
+from quivlat.quiver import Quiver, Rep, _check_compatible, base_change, euler_form, tits_form
 from quivlat.rings import (
     QQ,
     ZZ,
@@ -67,6 +71,8 @@ from quivlat.rings import (
 )
 from quivlat.structure import exceptional_lattice
 from quivlat.verify import random_rep, random_unimodular
+from test_summand_peel import QUIVERS as PEEL_QUIVERS, TOTAL as PEEL_TOTAL, TOTALS as PEEL_TOTALS
+from test_summand_peel import _peel, _vectors as peel_vectors
 
 RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Feps(2, 2), Feps(3, 3))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
@@ -361,7 +367,7 @@ def _lattice_pass_matrices():
              + [(A4, tuple(int(i <= v < j) for v in range(4)))
                 for i in range(4) for j in range(i + 1, 5)])
     roots.sort(key=lambda qr: -sum(qr[1]))
-    for cache in (homology._exceptional, homology._orthogonal, mutation._dims_orbit,
+    for cache in (homology._exceptional, homology._orthogonal, mutation._walk,
                   structure._built):
         cache.cache_clear()
     with _Recorder() as rec:
@@ -389,7 +395,7 @@ def test_a_seeded_lattice_pass_decides_every_check_by_the_peel():
                 for i in range(4) for j in range(i + 1, 5)])
     rng.shuffle(roots)
     roots.sort(key=lambda qr: -sum(qr[1]))
-    for cache in (homology._exceptional, homology._orthogonal, mutation._dims_orbit,
+    for cache in (homology._exceptional, homology._orthogonal, mutation._walk,
                   structure._built):
         cache.cache_clear()
     verdicts, entered, inside = [], [], []
@@ -526,13 +532,83 @@ def _old_dims_orbit(quiver, bound):
     return steps, first
 
 
+WALKS = [(quiver, bound) for quiver in (KRONECKER, K3, A3, A3_OP, TRIANGLE, D4)
+         for bound in (1, 12, 60)]
+
+
 def test_dims_orbit_equals_the_walk_without_the_memo():
-    for quiver in (KRONECKER, K3, A3, A3_OP, TRIANGLE, D4):
-        for bound in (1, 12, 60):
-            steps, first = _dims_orbit.__wrapped__(quiver, bound)
-            want_steps, want_first = _old_dims_orbit(quiver, bound)
-            assert list(steps.items()) == list(want_steps.items()), (quiver, bound)
-            assert list(first.items()) == list(want_first.items()), (quiver, bound)
+    for quiver, bound in WALKS:
+        steps, first = mutation._walk.__wrapped__(quiver, bound, None).full()
+        want_steps, want_first = _old_dims_orbit(quiver, bound)
+        assert list(steps.items()) == list(want_steps.items()), (quiver, bound)
+        assert list(first.items()) == list(want_first.items()), (quiver, bound)
+
+
+def _chain(steps, state):
+    """state and its breadth-first parents back to the start, each with
+    the step that first reached it."""
+    out = [(state, steps[state])]
+    while out[-1][1] is not None:
+        state = out[-1][1][0]
+        out.append((state, steps[state]))
+    return out
+
+
+def test_the_lazy_walk_finds_each_root_where_the_exhaustive_one_does():
+    """A fresh walk, asked for every root of the oracle walk in a seeded
+    shuffled order, sees each first in the oracle's state, with the
+    oracle's parent chain, before it is exhausted at bound 60; read in full
+    afterwards it is the oracle, items and order."""
+    rng = random.Random("lazy walk")
+    for quiver, bound in WALKS:
+        want_steps, want_first = _old_dims_orbit(quiver, bound)
+        roots = list(want_first)
+        rng.shuffle(roots)
+        walk = mutation._walk.__wrapped__(quiver, bound, None)
+        for root in roots:
+            state = walk.find(root)
+            assert state == want_first[root], (quiver, bound, root)
+            assert _chain(walk.steps, state) == _chain(want_steps, state), (quiver, root)
+        assert walk.expanded < len(want_steps) or bound < 60, (quiver, bound)
+        steps, first = walk.full()
+        assert walk.expanded == walk.reached == len(want_steps), (quiver, bound)
+        assert list(steps.items()) == list(want_steps.items()), (quiver, bound)
+        assert list(first.items()) == list(want_first.items()), (quiver, bound)
+
+
+def test_a_tits_form_one_vector_off_the_walk_exhausts_it():
+    """(1, 2, 1) on the triangle has Tits form 1 and is no root: asking for
+    it exhausts the walk, which is then the oracle, and answers None."""
+    assert tits_form(TRIANGLE, (1, 2, 1)) == 1
+    for bound in (1, 12, 60):
+        walk = mutation._walk.__wrapped__(TRIANGLE, bound, None)
+        assert walk.find((1, 2, 1)) is None
+        assert walk.expanded == walk.reached
+        want_steps, want_first = _old_dims_orbit(TRIANGLE, bound)
+        assert list(walk.steps.items()) == list(want_steps.items()), bound
+        assert list(walk.first.items()) == list(want_first.items()), bound
+        mutation._walk.cache_clear()
+        assert structure.schur_root_status(TRIANGLE, (1, 2, 1), bound=bound) == "bounded_false"
+        assert orbit_search(standard_sequence(ZZ, TRIANGLE), (1, 2, 1), bound=bound) is None
+
+
+def test_summand_roots_and_targets_read_off_the_lazy_walk_as_off_the_full_one():
+    """On every vector of test_summand_peel, _summand_roots (bound 60) and
+    orbit_search with that target (bound the vectors' total), each on a
+    fresh walk that expands only as far as it reads, answer as they do on
+    the walk read in full."""
+    for name, quiver in PEEL_QUIVERS.items():
+        total = PEEL_TOTALS.get(name, PEEL_TOTAL)
+        start = standard_sequence(ZZ, quiver)
+        lazy = {}
+        for dims in peel_vectors(quiver, total):
+            mutation._walk.cache_clear()
+            lazy[dims] = _peel(quiver, dims), orbit_search(start, dims, bound=total)
+        _dims_orbit(quiver, 60)
+        found = orbit_search(start, bound=total)
+        for dims, (roots, rep) in lazy.items():
+            assert roots == _peel(quiver, dims), (name, dims)
+            assert rep == found.get(dims), (name, dims)
 
 
 # ---------------------------------------------------------------------------

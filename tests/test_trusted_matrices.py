@@ -116,7 +116,7 @@ def _checking():
     results get rebuilt under the checker."""
     homology._exceptional.cache_clear()
     homology._orthogonal.cache_clear()
-    mutation._dims_orbit.cache_clear()
+    mutation._walk.cache_clear()
     structure._built.cache_clear()
     ExactMatrix._of = staticmethod(_checked_of)
     try:
