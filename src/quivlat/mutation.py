@@ -32,8 +32,11 @@ and a lattice-orbit pass (seed 1) makes 18 RepMorphism checks.
 The braid orbit is walked once, on dimension vectors, which the Euler form
 fixes for every mutation, and only as far as its readers ask (_OrbitWalk):
 a root's first state and the braid word that reached it are fixed once the
-breadth-first walk reaches it, so stopping there changes no answer.
-_orbit_sequence builds a state's sequence by replaying that word.
+breadth-first walk reaches it, so stopping there changes no answer.  The
+walk is one cached object per orbit and bound (_walk): from the standard
+sequence's vectors it is the same for orbit_search over any ring and for
+structure's readers.  _orbit_sequence builds a state's sequence by
+replaying that word, and _first_member reads a root's witness off it.
 """
 
 from __future__ import annotations
@@ -404,12 +407,13 @@ class _OrbitWalk:
     whole walk as (steps, first).  An expansion commits its successors
     only once all are computed, so one interrupted by an exception leaves
     the walk as it was; the move memo only gains pairs whose two mutations
-    were both computed.  expanded and reached count the states expanded
-    and reached so far, for a caller to read.
+    were both computed.  start is the state the walk began from; expanded
+    and reached count the states expanded and reached so far, for a caller
+    to read.
     """
 
     def __init__(self, quiver: Quiver, bound: int, start: tuple):
-        self.quiver, self.bound = quiver, bound
+        self.quiver, self.bound, self.start = quiver, bound, start
         self.steps, self.first = {start: None}, dict.fromkeys(start, start)
         self._states = [start]   # in walk order, the first self.expanded expanded
         self._moves = {}   # (e, f) -> its generator's pair and its inverse's
@@ -468,15 +472,13 @@ class _OrbitWalk:
 @lru_cache(maxsize=512)
 def _walk(quiver: Quiver, bound: int, start: Optional[tuple]) -> _OrbitWalk:
     """The one walk of quiver within bound from start, the standard
-    sequence's vectors when None, kept as far as it has been read."""
+    sequence's vectors when None, kept as far as it has been read.  The
+    standard start is keyed None alone, whoever reads it and whatever the
+    ring of its sequence (orbit_search maps it there), so its orbit is
+    walked once."""
     return _OrbitWalk(quiver, bound, start or tuple(
         tuple(int(v == w) for w in range(quiver.vertex_count))
         for v in quiver.topological_order()))
-
-
-def _dims_orbit(quiver: Quiver, bound: int, start: Optional[tuple] = None) -> tuple:
-    """The whole walk (steps, first) of _walk(quiver, bound, start)."""
-    return _walk(quiver, bound, start).full()
 
 
 def _orbit_sequence(steps: dict, memo: dict, state: tuple) -> ExcSequence:
@@ -498,6 +500,15 @@ def _orbit_sequence(steps: dict, memo: dict, state: tuple) -> ExcSequence:
     return seq
 
 
+def _first_member(walk: _OrbitWalk, memo: dict, alpha: tuple) -> Optional[Rep]:
+    """The member with dimension vector alpha of the sequence of the state
+    walk first sees alpha in, replayed through memo (_orbit_sequence);
+    None when the walk never sees alpha.  orbit_search's witnesses and
+    structure's integral ones are all read here."""
+    state = walk.find(alpha)
+    return None if state is None else _orbit_sequence(walk.steps, memo, state)[state.index(alpha)]
+
+
 def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_BOUND):
     """Breadth-first search of the braid orbit of a sequence.
 
@@ -512,20 +523,24 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
     dimension vector seen to its first witness representation.  The walk
     is on dimension vectors (_OrbitWalk), read with a target only until
     the target is seen; only the states whose members are returned are
-    replayed, through a memo that lives for this call.
+    replayed, through a memo that lives for this call.  The walk depends on
+    the start's dimension vectors alone, so there is one per orbit and
+    bound: a start with the standard sequence's vectors, over any ring,
+    reads the walk structure's readers read, _walk(quiver, bound, None),
+    and any other start its own.
     """
     if not isinstance(start, ExcSequence):
         raise ParseError("an ExcSequence expected, got %r" % (start,))
+    quiver, dims = start[0].quiver, start.dims_tuple()
     _check_bound(bound)
     if target_dims is not None:
-        target_dims = _check_dims(start[0].quiver, target_dims)
-    dims = start.dims_tuple()
-    walk = _walk(start[0].quiver, bound, dims)
+        target_dims = _check_dims(quiver, target_dims)
+    # only n simples can be the standard start, and as a sequence they stand
+    # in a topological order: the quiver is acyclic, so the None walk exists
+    standard = len(dims) == quiver.vertex_count and max(map(sum, dims)) == 1 and (
+        _walk(quiver, bound, None).start == dims)
+    walk = _walk(quiver, bound, None if standard else dims)
     memo = {dims: start}
     if target_dims is None:
-        steps, first = walk.full()
-        return {alpha: _orbit_sequence(steps, memo, state)[state.index(alpha)]
-                for alpha, state in first.items()}
-    state = walk.find(target_dims)
-    return None if state is None else (
-        _orbit_sequence(walk.steps, memo, state)[state.index(target_dims)])
+        return {alpha: _first_member(walk, memo, alpha) for alpha in walk.full()[1]}
+    return _first_member(walk, memo, target_dims)

@@ -22,16 +22,17 @@ The three constructive results living here:
     vector are therefore isomorphic, through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
-vectors alone (mutation._walk, the walk orbit_search reads too), so
-schur_root_status and the summand roots of decompose_rigid build no
-representation.  Each reader advances the one cached walk only until it
-has its answer: the walk is breadth-first, so the state a root is first
-seen in, and the braid word to it, are the same whether the walk stops
-there or runs on, and no output depends on how far it has gone.  A
-witness is built only by exceptional_lattice: the braid word that first
-reached its root is replayed over Z from the standard sequence
-(mutation._orbit_sequence), and every sequence built on the way is kept
-for later replays (_built).  generic_dims reads Hom and Ext off two
+vectors alone (mutation._walk), so schur_root_status and the summand roots
+of decompose_rigid build no representation.  The orbit has one walk per
+bound: orbit_search from the standard sequence, over any ring, reads the
+same cached walk.  Each reader advances it only until it has its answer:
+the walk is breadth-first, so the state a root is first seen in, and the
+braid word to it, are the same whether the walk stops there or runs on,
+and no output depends on how far it has gone.  A witness is built only by
+exceptional_lattice: the braid word that first reached its root is
+replayed over Z from the standard sequence (mutation._first_member, the
+witness read orbit_search makes too), and every sequence built on the
+way is kept for later replays (_built).  generic_dims reads Hom and Ext off two
 such witnesses over Q, so hom_ext is the one route to both.
 Nothing is searched over Q: mutation commutes with the flat base change
 Z -> Q, so both orbits pass through the same dimension vectors in the
@@ -54,8 +55,8 @@ from .errors import (
 )
 from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
-from .mutation import (_DEFAULT_BOUND, _check_bound, _evaluation_map, _orbit_sequence,
-                       _walk, standard_sequence)
+from .mutation import (_DEFAULT_BOUND, _check_bound, _evaluation_map, _first_member, _walk,
+                       standard_sequence)
 from .quiver import (
     Quiver,
     Rep,
@@ -69,7 +70,6 @@ from .quiver import (
     direct_sum_many,
     euler_form,
     tensor_free,
-    tits_form,
 )
 from .rings import ExactMatrix, QQ, RingHom, RingSpec, ZZ, _check_hom, canonical_hom, invert
 
@@ -96,7 +96,7 @@ def _status(quiver: Quiver, alpha, bound: int) -> tuple:
     advanced until it sees alpha, and exhausted only when it never does."""
     _check_bound(bound)
     alpha = _check_dims(quiver, alpha)
-    if tits_form(quiver, alpha) != 1:
+    if _euler_form(quiver, alpha, alpha) != 1:   # the Tits form of the vector just checked
         return alpha, SCHUR_PREFILTER_FALSE
     found = _walk(quiver, bound, None).find(alpha) is not None
     return alpha, SCHUR_REAL if found else SCHUR_BOUNDED_FALSE
@@ -112,7 +112,7 @@ def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
     alpha, status = _status(quiver, alpha, bound)
     if status == SCHUR_PREFILTER_FALSE:
         raise NotSchurRoot("tits form of %r is %d, not 1" % (
-            list(alpha), tits_form(quiver, alpha)))
+            list(alpha), _euler_form(quiver, alpha, alpha)))
     if status == SCHUR_BOUNDED_FALSE:
         raise BoundExceeded(
             "no exceptional representation of %r found within bound %d" % (
@@ -128,18 +128,16 @@ def _built(quiver: Quiver, bound: int) -> dict:
     for the states replayed so far, from the walk's start, the standard
     sequence.  It reads only the start, and expands nothing: a replayed
     state's parent chain is fixed once the walk reaches it."""
-    return {next(iter(_walk(quiver, bound, None).steps)): standard_sequence(ZZ, quiver)}
+    return {_walk(quiver, bound, None).start: standard_sequence(ZZ, quiver)}
 
 
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
     """orbit_search's witness over Z for alpha; raises if there is none.
     The walk is read only as far as alpha's first state, which
     _require_real_schur has reached, and that state's parent chain is
-    replayed."""
+    replayed (mutation._first_member, orbit_search's witness read)."""
     alpha = _require_real_schur(quiver, alpha, bound)
-    walk = _walk(quiver, bound, None)
-    state = walk.find(alpha)
-    return _orbit_sequence(walk.steps, _built(quiver, bound), state)[state.index(alpha)]
+    return _first_member(_walk(quiver, bound, None), _built(quiver, bound), alpha)
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,

@@ -15,7 +15,7 @@ import random
 from . import SUITES
 from .errors import ParseError, QuivlatError
 from .homology import check_base_change, hom_ext, is_exceptional, rigid_hom_ext_ranks
-from .mutation import ExcSequence, _dims_orbit, braid_act, orbit_search, standard_sequence
+from .mutation import ExcSequence, _walk, braid_act, orbit_search, standard_sequence
 from .quiver import (
     Quiver,
     Rep,
@@ -32,6 +32,8 @@ A3 = Quiver(3, ((1, 2), (2, 3)))
 A4 = Quiver(4, ((1, 2), (2, 3), (3, 4)))
 KRONECKER = Quiver(2, ((1, 2), (1, 2)))
 LOOP = Quiver(1, ((1, 1),))
+_PLANTED_BOUND = 6      # the orbit bound of theoremC's planted roots and their lattices
+_CONJUGATE_LIMIT = 10   # the largest entry a conjugated theoremC input may have
 
 
 def _entry_pool(ring: RingSpec):
@@ -179,7 +181,7 @@ def _suite_braid(seed, size):
 
 
 def _roots_for(quiver: Quiver, bound: int = 8):
-    return sorted(_dims_orbit(quiver, bound)[1])
+    return sorted(_walk(quiver, bound, None).full()[1])
 
 
 def _suite_theorem_a(seed, size):
@@ -234,16 +236,16 @@ def _suite_theorem_b(seed, size):
             yield {"quiver": q.to_json(), "alpha": list(alpha), "ring": str(ring)}
 
 
-def _orthogonal_multiset(q: Quiver, rng: random.Random, bound: int = 6):
+def _orthogonal_multiset(q: Quiver, rng: random.Random):
     """Random ext-orthogonal roots with multiplicities, nonempty."""
-    roots = _roots_for(q, bound)
+    roots = _roots_for(q, _PLANTED_BOUND)
     rng.shuffle(roots)
     lattices = {}
     chosen = []
     for root in roots:
         if len(chosen) == 2:
             break
-        lattices.setdefault(root, exceptional_lattice(q, root, ZZ, bound=bound))
+        lattices.setdefault(root, exceptional_lattice(q, root, ZZ, bound=_PLANTED_BOUND))
         ok = True
         for other in chosen:
             a, b = lattices[root], lattices[other]
@@ -255,14 +257,14 @@ def _orthogonal_multiset(q: Quiver, rng: random.Random, bound: int = 6):
     return [(root, rng.randint(1, 2), lattices[root]) for root in chosen]
 
 
-def _bounded_conjugate(x: Rep, rng: random.Random, limit: int = 10) -> Rep:
+def _bounded_conjugate(x: Rep, rng: random.Random) -> Rep:
     for shears in (3, 2, 1, 0):
         mats = [random_unimodular(d, rng, shears) for d in x.dims]
         invs = [invert(m) for m in mats]
         out = conjugate_rep(x, mats, invs)
         worst = max((abs(v) for m in out.mats for row in m.entries for v in row),
                     default=0)
-        if worst <= limit:
+        if worst <= _CONJUGATE_LIMIT:
             return out
     return x
 

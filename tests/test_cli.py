@@ -10,7 +10,7 @@ import pytest
 
 from quivlat import cli, verify
 from quivlat.cli import main
-from quivlat.errors import ParseError
+from quivlat.errors import BoundExceeded, ParseError
 from quivlat.quiver import Quiver, Rep, direct_sum, projective_rep
 from quivlat.rings import Feps, GF, ZZ
 from quivlat.structure import exceptional_lattice
@@ -211,6 +211,36 @@ def test_verify_exits_1_when_its_report_counts_a_failure(monkeypatch, capsys):
     assert code == 1
     assert (rep["cases"], rep["passes"], rep["failures"]) == (3, 1, 2)
     assert rep["counterexample"] == {"case": 1}
+
+
+def _planted(*args, **kwargs):
+    raise BoundExceeded("planted")
+
+
+# per suite, the one name its cases check against, and a stand-in, made
+# from the real one, that answers wrongly or raises a QuivlatError
+PLANTED_FAULTS = {
+    "euler": ("euler_form", lambda real: lambda q, a, b: real(q, a, b) + 1),
+    "basechange": ("check_base_change",
+                   lambda real: lambda x, y, hom: dict(real(x, y, hom), ok=False)),
+    "braid": ("is_isomorphic_rigid", lambda real: lambda x, y: False),
+    "theoremA": ("generic_dims", lambda real: _planted),
+    "theoremB": ("orbit_search", lambda real: lambda *args, **kwargs: None),
+    "theoremC": ("decompose_rigid", lambda real: _planted),
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_every_suite_reports_a_failing_case_as_data(monkeypatch, capsys, suite):
+    # every case fails, the first counterexample is JSON, and verify exits 1
+    name, stand_in = PLANTED_FAULTS[suite]
+    monkeypatch.setattr(verify, name, stand_in(getattr(verify, name)))
+    report = verify.run_suite(suite, seed=0, size=3)
+    assert report["cases"] > 0 and report["failures"] == report["cases"]
+    json.dumps(report["counterexample"])
+    code, rep = run_json(capsys, "verify", suite, "--size", "3")
+    assert code == 1 and rep["failures"] == rep["cases"] == report["cases"]
+    assert rep["counterexample"] == report["counterexample"]
 
 
 def test_quiver_cross_check(files, capsys):

@@ -9,13 +9,14 @@ import re
 
 import pytest
 
-from quivlat import mutation, structure
+from quivlat import mutation, quiver as quiver_module, structure
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
     IncompatibleBase,
     IncompatibleRing,
     NeitherMonoNorEpi,
+    NotSchurRoot,
     ParseError,
     PreconditionViolated,
     TheoremViolation,
@@ -50,6 +51,7 @@ from quivlat.rings import (
     kernel_basis,
 )
 from quivlat.structure import decompose_rigid, exceptional_lattice, is_isomorphic_rigid
+from test_orbit_walk import _orbit_members
 from test_sparse_checks import _old_dims_orbit
 
 A2 = Quiver(2, ((1, 2),))
@@ -315,7 +317,7 @@ def test_braid_act_builds_only_the_checks_that_guard_its_members(monkeypatch):
     monkeypatch.setattr(RepMorphism, "__post_init__", check)
     monkeypatch.setattr(mutation, "braid_act", braid_act)
     for quiver, root in ((K2, (6, 7)), (K2, (6, 5)), (A4, (1, 1, 1, 1))):
-        steps, first = mutation._dims_orbit(quiver, mutation._DEFAULT_BOUND)
+        steps, first = mutation._walk(quiver, mutation._DEFAULT_BOUND, None).full()
         memo = {next(iter(steps)): standard_sequence(ZZ, quiver)}
         state = first[root]
         assert mutation._orbit_sequence(steps, memo, state)[state.index(root)].dims == root
@@ -369,9 +371,66 @@ def test_an_expansion_that_raises_leaves_the_walk_as_it_was(monkeypatch):
         assert list(walk.steps.items()) == list(steps.items()) and walk.reached == len(steps)
         assert list(walk.first.items()) == list(first.items())
         assert mutation._walk(A4, 12, None) is walk
-        got_steps, got_first = mutation._dims_orbit(A4, 12)
+        got_steps, got_first = mutation._walk(A4, 12, None).full()
         assert list(got_steps.items()) == list(want_steps.items()), k
         assert list(got_first.items()) == list(want_first.items()), k
+
+
+def test_the_standard_start_over_any_ring_reads_the_one_walk_of_its_orbit():
+    # orbit_search from the standard sequence, over Z or F:3, reads the walk
+    # exceptional_lattice advanced, keyed None, and expands nothing more
+    mutation._walk.cache_clear()
+    structure._built.cache_clear()
+    lattice = exceptional_lattice(K2, (6, 7))
+    walk = mutation._walk(K2, mutation._DEFAULT_BOUND, None)
+    expanded = walk.expanded
+    for ring in (ZZ, GF(3)):
+        found = orbit_search(standard_sequence(ring, K2), (6, 7))
+        assert found.ring == ring and found.dims == (6, 7)
+        assert ring != ZZ or found == lattice
+    assert mutation._walk.cache_info().currsize == 1
+    assert walk.expanded == expanded
+
+
+CYCLIC = Quiver(3, ((1, 2), (2, 3), (3, 2)))
+
+
+@pytest.mark.parametrize("start,bound,walks", [
+    (braid_act(standard_sequence(GF(3), K2), 1), 12, 1),
+    (braid_act(standard_sequence(ZZ, K2), 1, inverse=True), 12, 1),
+    # n simples in another order: the standard walk is read for its start
+    (braid_act(standard_sequence(ZZ, FREE2), 1), 4, 2),
+    (ExcSequence((Rep.simple(ZZ, CYCLIC, 1),)), 4, 1),   # no standard sequence
+], ids=("kronecker-F3", "kronecker-inverse", "free-swapped", "cyclic-partial"))
+def test_any_other_start_keeps_a_walk_of_its_own(start, bound, walks):
+    # the answers of the representation walk from that start, read off one
+    # cached walk keyed by the start's dimension vectors
+    mutation._walk.cache_clear()
+    want = {rep.dims: rep for rep in _orbit_members(start, bound)}
+    got = orbit_search(start, bound=bound)
+    assert list(got) == list(want) and all(got[d] == want[d] for d in want)
+    assert all(orbit_search(start, d, bound=bound) == want[d] for d in want)
+    assert mutation._walk.cache_info().currsize == walks
+    quiver, dims = start[0].quiver, start.dims_tuple()
+    own = mutation._walk(quiver, bound, dims)
+    assert own.start == dims and own.expanded == own.reached
+    if walks == 2:
+        assert mutation._walk(quiver, bound, None).expanded == 0
+    assert mutation._walk.cache_info().currsize == walks
+
+
+def test_a_warm_status_checks_its_root_once(monkeypatch):
+    # the Tits form is read off the vector _check_dims returned, also in
+    # the NotSchurRoot message of a vector it rejects
+    for alpha in ((6, 7), (1, 1)):
+        structure.schur_root_status(K2, alpha)
+    calls, real = [], quiver_module._vector
+    monkeypatch.setattr(quiver_module, "_vector", lambda q, d: calls.append(d) or real(q, d))
+    assert structure.schur_root_status(K2, (6, 7)) == structure.SCHUR_REAL
+    assert calls == [(6, 7)]
+    with pytest.raises(NotSchurRoot, match=re.escape("tits form of [1, 1] is 0, not 1")):
+        exceptional_lattice(K2, (1, 1))
+    assert calls == [(6, 7), (1, 1)]
 
 
 def _dual_rep(x: Rep, quiver: Quiver) -> Rep:

@@ -1,7 +1,7 @@
 """orbit_search against the representation walk it replaced.
 
 mutation.orbit_search walks the braid orbit on dimension vectors alone
-(_dims_orbit) and replays only the braid words of the states whose members
+(mutation._walk) and replays only the braid words of the states whose members
 it returns.  The reference is the breadth-first search that mutated
 representations on every edge: same generator order, each generator
 followed by its inverse, and a sequence with a member of total dimension

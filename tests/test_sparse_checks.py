@@ -49,7 +49,7 @@ from itertools import accumulate
 from quivlat import homology, mutation, rings, structure
 from quivlat.errors import QuivlatError
 from quivlat.homology import _differential_rows, differential, hom_ext, is_exceptional
-from quivlat.mutation import _dims_orbit, _mutated_dims, orbit_search, standard_sequence
+from quivlat.mutation import _mutated_dims, orbit_search, standard_sequence
 from quivlat.quiver import Quiver, Rep, _check_compatible, base_change, euler_form, tits_form
 from quivlat.rings import (
     QQ,
@@ -509,8 +509,8 @@ def test_mul_equals_the_sum_of_products():
 
 
 def _old_dims_orbit(quiver, bound):
-    """_dims_orbit from the standard start, each pair's mutations computed
-    at every visit."""
+    """The whole walk (steps, first) from the standard start, each pair's
+    mutations computed at every visit."""
     start = tuple(tuple(int(v == w) for w in range(quiver.vertex_count))
                   for v in quiver.topological_order())
     steps, first = {start: None}, {}
@@ -604,7 +604,7 @@ def test_summand_roots_and_targets_read_off_the_lazy_walk_as_off_the_full_one():
         for dims in peel_vectors(quiver, total):
             mutation._walk.cache_clear()
             lazy[dims] = _peel(quiver, dims), orbit_search(start, dims, bound=total)
-        _dims_orbit(quiver, 60)
+        mutation._walk(quiver, 60, None).full()
         found = orbit_search(start, bound=total)
         for dims, (roots, rep) in lazy.items():
             assert roots == _peel(quiver, dims), (name, dims)

@@ -215,7 +215,7 @@ def fresh_replays():
 @pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
 def test_dims_walk_visits_the_representation_walk_in_order(quiver, bound):
     members = _orbit_members(standard_sequence(ZZ, quiver), bound)
-    assert list(mutation._dims_orbit(quiver, bound)[1]) == [r.dims for r in members]
+    assert list(mutation._walk(quiver, bound, None).full()[1]) == [r.dims for r in members]
 
 
 @pytest.mark.parametrize("largest_first", (False, True), ids=("smallest", "largest"))
@@ -288,7 +288,7 @@ def test_large_bounds_walk_and_replay_without_recursion(fresh_replays, monkeypat
 
     # replaying a braid word of length 4999 only counts its letters here
     monkeypatch.setattr(mutation, "braid_act", braid_act_counting)
-    steps, first = mutation._dims_orbit(K2, 10000)
+    steps, first = mutation._walk(K2, 10000, None).full()
     start = {next(iter(steps)): standard_sequence(ZZ, K2)}
     mutation._orbit_sequence(steps, start, first[(4999, 5000)])
     assert len(calls) == 4999
@@ -304,7 +304,8 @@ def test_generic_ext_is_the_ext_of_the_exceptional_witnesses(name):
     to total 12 (8 on the four-vertex quivers): the Ext rank is the
     recursion's, and hom - ext is the Euler form."""
     quiver, total = PEEL_QUIVERS[name], PEEL_TOTALS.get(name, PEEL_TOTAL)
-    roots = [r for r in mutation._dims_orbit(quiver, total)[1] if any(r) and sum(r) <= total]
+    roots = [r for r in mutation._walk(quiver, total, None).full()[1]
+             if any(r) and sum(r) <= total]
     assert len(roots) >= 3
     table = {}
     for alpha in roots:

@@ -24,7 +24,7 @@ import random
 
 from quivlat import structure
 from quivlat.errors import BoundExceeded
-from quivlat.mutation import _dims_orbit
+from quivlat.mutation import _walk
 from quivlat.quiver import (Quiver, RepMorphism, base_change, direct_sum_many, euler_form,
                             tensor_free)
 from quivlat.rings import ZZ, RingSpec, canonical_hom, invert
@@ -100,7 +100,7 @@ def _root_combinations(quiver, dims, table):
     def ext(quiver, alpha, beta):
         return generic_ext(quiver, alpha, beta, table)
 
-    cands = sorted(d for d in _dims_orbit(quiver, sum(dims))[1]
+    cands = sorted(d for d in _walk(quiver, sum(dims), None).full()[1]
                    if any(d) and all(a <= b for a, b in zip(d, dims)))
     sols = []
 

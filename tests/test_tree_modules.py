@@ -15,7 +15,7 @@ Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_tree_modules.py
 """
 
-from quivlat.mutation import _dims_orbit
+from quivlat.mutation import _walk
 from quivlat.quiver import Quiver, Rep
 from quivlat.rings import ZZ
 from quivlat.structure import exceptional_lattice
@@ -51,7 +51,7 @@ def is_connected(dims, edges) -> bool:
 def test_every_lattice_at_bound_40_is_a_tree_module():
     counts = {}
     for name, quiver in QUIVERS.items():
-        roots = list(_dims_orbit(quiver, BOUND)[1])
+        roots = list(_walk(quiver, BOUND, None).full()[1])
         for dims in roots:
             x = exceptional_lattice(quiver, dims, ZZ, bound=BOUND)
             edges = coefficient_edges(x)
