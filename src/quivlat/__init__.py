@@ -25,11 +25,12 @@ _EXPORTS = {
         "NotNilpotentKernel", "NotProjective", "NotRigid", "NotSchurRoot", "ParseError",
         "PeelFailure", "PreconditionViolated", "QuivlatError", "TheoremViolation"),
     "rings": (
-        "ExactMatrix", "Feps", "GF", "ModulePresentation", "NormalFormResult", "QQ",
-        "RingHom", "RingSpec", "ZZ", "Zmod", "apply_hom", "block_diag", "canonical_hom",
-        "cokernel", "cokernel_data", "cokernel_projection", "constant_rank", "howell_rows",
-        "identity_hom", "invert", "is_invertible", "kernel_basis", "normal_form",
-        "presentation_base_change", "solve"),
+        "ExactMatrix", "Feps", "GF", "QQ", "RingHom", "RingSpec", "ZZ", "Zmod", "apply_hom",
+        "block_diag", "canonical_hom", "identity_hom"),
+    "elimination": (
+        "ModulePresentation", "NormalFormResult", "cokernel", "cokernel_data",
+        "cokernel_projection", "constant_rank", "howell_rows", "invert", "is_invertible",
+        "kernel_basis", "normal_form", "presentation_base_change", "solve"),
     "quiver": (
         "Quiver", "Rep", "RepMorphism", "base_change", "cokernel_rep", "direct_sum",
         "direct_sum_injections", "direct_sum_many", "direct_sum_projections", "euler_form",

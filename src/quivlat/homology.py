@@ -37,17 +37,14 @@ from itertools import accumulate
 
 from .errors import NotProjective, NotRigid, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, tits_form
-from .rings import (
-    ExactMatrix,
-    RingHom,
-    _check_read,
+from .elimination import (
     _hom_ext_data,
     _invertible,
-    block_diag,
     constant_rank,
     presentation_base_change,
     solve,
 )
+from .rings import ExactMatrix, RingHom, _check_read, block_diag
 
 
 def _elimination_offsets(x: Rep, y: Rep):
@@ -91,7 +88,7 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
     rows are placed there in the one pass.
 
     The C1 rows over C0 columns bound what is built from them: the sheet's
-    dense residual, differential(), and the fill-in of rings._forward.  A
+    dense residual, differential(), and the fill-in of elimination._forward.  A
     placed row is charged at least the size of a dict (8 cells) and a column
     at least that of the set that indexes it in an elimination (32 cells),
     so a complex with C0 or C1 empty still pays for the other.  A pair
@@ -218,7 +215,7 @@ class HomExtResult:
     rows.
     Over Z, Z/m and Feps the construction diagonalises the placed rows:
     every unit pivot on them, then only the unit-free residual densely
-    (rings._Worksheet).  The unit pivots' column operations and scalings
+    (elimination._Worksheet).  The unit pivots' column operations and scalings
     stay one record per pivot until a witness read expands them, and the
     modules are read off the diagonal past the unit pivots' identity
     block.  The first read of hom_generators replays the
@@ -227,7 +224,7 @@ class HomExtResult:
     then each side keeps only its own operation list (none when its module
     is zero), and after its read none.  The pause is the sheet's own: every
     sheet pauses after its unit pivots, and reading its diagonal resumes it
-    on every ring but Z (rings._Worksheet.diagonal).  Over Z it reads the
+    on every ring but Z (elimination._Worksheet.diagonal).  Over Z it reads the
     factors of the residual modulo a multiple of them instead; both sides
     keep the paused sheet until the first witness read resumes it and lets
     it go.
@@ -304,7 +301,7 @@ def is_exceptional(x: Rep) -> bool:
     nonzero vertex, column 0, since the vertices before it have no cells.
     A split exact 0 -> R -> C0 -> C1 -> 0 forces <d, d> = 1, which makes
     the rest square; any other d (the zero rep too) is not exceptional.
-    The one invertibility check, rings._invertible, decides that on the
+    The one invertibility check, elimination._invertible, decides that on the
     sparse rows with column 0 popped, with no dense differential and no
     transform on any ring; peeling unit singleton rows decides every
     lattice check measured.  The argument is checked before the cached
@@ -335,7 +332,7 @@ def _orthogonal(y: Rep, x: Rep) -> bool:
     its kernel is Hom and its cokernel Ext.  D has <y, x> more columns than
     rows, so a pair with nonzero Euler form fails on its shape alone, and a
     pair hom_ext refuses raises the same error here.  Like is_exceptional
-    it asks rings._invertible once, on sparse rows, and builds no Hom or
+    it asks elimination._invertible once, on sparse rows, and builds no Hom or
     Ext."""
     return _invertible(y.ring, *_differential_rows(y, x))
 

@@ -36,7 +36,11 @@ breadth-first walk reaches it, so stopping there changes no answer.  The
 walk is one cached object per orbit and bound (_walk): from the standard
 sequence's vectors it is the same for orbit_search over any ring and for
 structure's readers.  _orbit_sequence builds a state's sequence by
-replaying that word, and _first_member reads a root's witness off it.
+replaying that word, and _first_member reads a root's witness off it.  The
+walk from the standard sequence's vectors also keeps its replays over Z
+(_OrbitWalk.replays), the one memo of them, which structure's witnesses
+and orbit_search from the standard sequence over Z both read, so a braid
+word is replayed over Z once per walk.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from .quiver import (
     _split,
     tensor_free,
 )
-from .rings import ExactMatrix, RingSpec, _check_ring, block_diag
+from .rings import ExactMatrix, RingSpec, ZZ, _check_ring, block_diag
 
 # The total-dimension bound of every orbit walk a caller does not bound:
 # the one default of each public bound and of the CLI's --bound.
@@ -409,7 +413,8 @@ class _OrbitWalk:
     the walk as it was; the move memo only gains pairs whose two mutations
     were both computed.  start is the state the walk began from; expanded
     and reached count the states expanded and reached so far, for a caller
-    to read.
+    to read.  replays() is the memo of a walk from the standard sequence's
+    vectors: its states replayed over Z.
     """
 
     def __init__(self, quiver: Quiver, bound: int, start: tuple):
@@ -418,6 +423,7 @@ class _OrbitWalk:
         self._states = [start]   # in walk order, the first self.expanded expanded
         self._moves = {}   # (e, f) -> its generator's pair and its inverse's
         self.expanded = 0
+        self._replays = None   # built on the first replays()
 
     @property
     def reached(self) -> int:
@@ -464,6 +470,16 @@ class _OrbitWalk:
         while self.expanded < len(self._states):
             self._expand()
         return self.steps, self.first
+
+    def replays(self) -> dict:
+        """{state: its ExcSequence over Z} for the states replayed so far
+        (_orbit_sequence), from the start, the standard sequence over Z,
+        built on the first call: read only on a walk from the standard
+        sequence's vectors.  It expands nothing: a replayed state's parent
+        chain is fixed once the walk reaches it."""
+        if self._replays is None:
+            self._replays = {self.start: standard_sequence(ZZ, self.quiver)}
+        return self._replays
 
 
 # Lattice-orbit pass 0 hits it 184 times in 186 calls; the largest working
@@ -523,11 +539,12 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
     dimension vector seen to its first witness representation.  The walk
     is on dimension vectors (_OrbitWalk), read with a target only until
     the target is seen; only the states whose members are returned are
-    replayed, through a memo that lives for this call.  The walk depends on
-    the start's dimension vectors alone, so there is one per orbit and
-    bound: a start with the standard sequence's vectors, over any ring,
-    reads the walk structure's readers read, _walk(quiver, bound, None),
-    and any other start its own.
+    replayed, through a memo that lives for this call, save from the
+    standard sequence over Z, whose replays the walk keeps
+    (_OrbitWalk.replays).  The walk depends on the start's dimension
+    vectors alone, so there is one per orbit and bound: a start with the
+    standard sequence's vectors, over any ring, reads the walk structure's
+    readers read, _walk(quiver, bound, None), and any other start its own.
     """
     if not isinstance(start, ExcSequence):
         raise ParseError("an ExcSequence expected, got %r" % (start,))
@@ -541,6 +558,8 @@ def orbit_search(start: ExcSequence, target_dims=None, *, bound: int = _DEFAULT_
         _walk(quiver, bound, None).start == dims)
     walk = _walk(quiver, bound, None if standard else dims)
     memo = {dims: start}
+    if standard and start[0].ring == ZZ and walk.replays()[dims] == start:
+        memo = walk.replays()   # the replays structure's witness reads made
     if target_dims is None:
         return {alpha: _first_member(walk, memo, alpha) for alpha in walk.full()[1]}
     return _first_member(walk, memo, target_dims)

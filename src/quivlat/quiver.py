@@ -33,15 +33,15 @@ from .errors import (
     TheoremViolation,
 )
 from ._record import Record
+from .elimination import is_invertible, solve
 from .rings import (
     ExactMatrix,
     RingHom,
     RingSpec,
     apply_hom,
     block_diag,
-    is_invertible,
-    solve,
 )
+from . import elimination as _elimination
 from . import rings as _rings
 
 DimVector = tuple  # tuple[int, ...], one entry per vertex
@@ -426,8 +426,19 @@ def direct_sum(x: Rep, y: Rep) -> Rep:
     return direct_sum_many([x, y])
 
 
+def _check_blocks(quiver: Quiver, dims: DimVector) -> None:
+    """Refuse with NotComputable (rings._check_read) a direct sum of these
+    dims when the dense block it fills at some arrow, whole, is more than
+    the cap allows."""
+    for a, (tail, head) in enumerate(quiver.arrows, 1):
+        rows, cols = dims[head - 1], dims[tail - 1]
+        _rings._check_read(rows, cols, "the %d x %d block of arrow %d of a direct sum",
+                           rows, cols, a)
+
+
 def direct_sum_many(reps: Sequence[Rep]) -> Rep:
-    """The direct sum in the listed order: one block_diag per arrow."""
+    """The direct sum in the listed order: one block_diag per arrow, each
+    charged (_check_blocks) before any is built."""
     reps = _rings._items(reps, "representations")
     if not reps:
         raise DimensionMismatch("empty direct sum needs an ambient quiver")
@@ -435,6 +446,7 @@ def direct_sum_many(reps: Sequence[Rep]) -> Rep:
     for r in reps:
         _check_compatible(x, r)
     dims = tuple(map(sum, zip(*(r.dims for r in reps))))
+    _check_blocks(x.quiver, dims)
     mats = tuple(block_diag(x.ring, [r.mats[a] for r in reps])
                  for a in range(x.quiver.arrow_count))
     return Rep(x.ring, x.quiver, dims, mats)
@@ -472,10 +484,12 @@ def tensor_free(x: Rep, k: int) -> Rep:
         raise DimensionMismatch("negative multiplicity")
     if k == 0:
         return Rep.zero(x.ring, x.quiver)
-    # k copies fill at least k cells per unit of total dimension: charged
-    # before [x] * k, which overflows or runs out of memory on a huge k
+    # k copies fill at least k cells per unit of total dimension, and their
+    # sum a k-fold block at each arrow: both charged before [x] * k, which
+    # overflows or runs out of memory on a huge k
     total = sum(x.dims)
     _rings._check_read(k, total or 1, "%d copies of a rep of total dimension %d", k, total)
+    _check_blocks(x.quiver, tuple(k * d for d in x.dims))
     return direct_sum_many([x] * k)
 
 
@@ -576,13 +590,13 @@ def kernel_rep(f: RepMorphism) -> tuple:
 
 def _kernel_rep(f: RepMorphism, onto: bool):
     """kernel_rep of a checked morphism.  Each vertex map is eliminated once
-    (rings._hom_ext_data), which gives its kernel's presentation and
+    (elimination._hom_ext_data), which gives its kernel's presentation and
     vectors and its cokernel's presentation; with onto, None as soon as a
     vertex map's cokernel is not zero."""
     incls = []
     for i, m in enumerate(f.vertex_maps):
-        pres, vectors, coker, _ = _rings._hom_ext_data(
-            m.ring, _rings._nonzeros(m.entries, m.ring), m.cols)
+        pres, vectors, coker, _ = _elimination._hom_ext_data(
+            m.ring, _elimination._nonzeros(m.entries, m.ring), m.cols)
         if onto and not coker.is_zero:
             return None
         if not pres.is_free:
@@ -608,7 +622,7 @@ def cokernel_rep(f: RepMorphism) -> tuple:
     _check_morphism(f)
     projs = []
     for i, m in enumerate(f.vertex_maps):
-        pi = _rings.cokernel_projection(m)
+        pi = _elimination.cokernel_projection(m)
         if pi is None:
             raise NonFreeCokernel("vertex %d cokernel has torsion" % (i + 1))
         projs.append(pi)

@@ -32,8 +32,10 @@ and no output depends on how far it has gone.  A witness is built only by
 exceptional_lattice: the braid word that first reached its root is
 replayed over Z from the standard sequence (mutation._first_member, the
 witness read orbit_search makes too), and every sequence built on the
-way is kept for later replays (_built).  generic_dims reads Hom and Ext off two
-such witnesses over Q, so hom_ext is the one route to both.
+way is kept with the walk for later replays (mutation._OrbitWalk.replays),
+which orbit_search from the standard sequence over Z reads as well.
+generic_dims reads Hom and Ext off two such witnesses over Q, so hom_ext
+is the one route to both.
 Nothing is searched over Q: mutation commutes with the flat base change
 Z -> Q, so both orbits pass through the same dimension vectors in the
 same order.
@@ -42,7 +44,6 @@ same order.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .errors import (
     BoundExceeded,
@@ -55,8 +56,7 @@ from .errors import (
 )
 from ._record import Record
 from .homology import _morphism_section, hom_ext, is_exceptional, is_rigid
-from .mutation import (_DEFAULT_BOUND, _check_bound, _evaluation_map, _first_member, _walk,
-                       standard_sequence)
+from .mutation import _DEFAULT_BOUND, _check_bound, _evaluation_map, _first_member, _walk
 from .quiver import (
     Quiver,
     Rep,
@@ -71,7 +71,8 @@ from .quiver import (
     euler_form,
     tensor_free,
 )
-from .rings import ExactMatrix, QQ, RingHom, RingSpec, ZZ, _check_hom, canonical_hom, invert
+from .elimination import invert
+from .rings import ExactMatrix, QQ, RingHom, RingSpec, ZZ, _check_hom, canonical_hom
 
 SCHUR_REAL = "real_schur"
 SCHUR_PREFILTER_FALSE = "prefilter_false"
@@ -120,24 +121,15 @@ def _require_real_schur(quiver: Quiver, alpha, bound: int) -> tuple:
     return alpha
 
 
-# Cached like the walk it replays; the largest working set measured, on a
-# workload pass or a tier-1 test, is 18 walks (test_acceptance).
-@lru_cache(maxsize=128)
-def _built(quiver: Quiver, bound: int) -> dict:
-    """{state of _walk(quiver, bound, None): its integral ExcSequence}
-    for the states replayed so far, from the walk's start, the standard
-    sequence.  It reads only the start, and expands nothing: a replayed
-    state's parent chain is fixed once the walk reaches it."""
-    return {_walk(quiver, bound, None).start: standard_sequence(ZZ, quiver)}
-
-
 def _integral_witness(quiver: Quiver, alpha, bound: int) -> Rep:
     """orbit_search's witness over Z for alpha; raises if there is none.
     The walk is read only as far as alpha's first state, which
     _require_real_schur has reached, and that state's parent chain is
-    replayed (mutation._first_member, orbit_search's witness read)."""
+    replayed (mutation._first_member, orbit_search's witness read) through
+    the walk's replays over Z (mutation._OrbitWalk.replays)."""
     alpha = _require_real_schur(quiver, alpha, bound)
-    return _first_member(_walk(quiver, bound, None), _built(quiver, bound), alpha)
+    walk = _walk(quiver, bound, None)
+    return _first_member(walk, walk.replays(), alpha)
 
 
 def exceptional_lattice(quiver: Quiver, alpha, ring: RingSpec = ZZ,

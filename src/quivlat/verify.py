@@ -24,7 +24,8 @@ from .quiver import (
     euler_form,
     tensor_free,
 )
-from .rings import ExactMatrix, Feps, GF, QQ, RingSpec, ZZ, Zmod, canonical_hom, invert
+from .elimination import invert
+from .rings import ExactMatrix, Feps, GF, QQ, RingSpec, ZZ, Zmod, canonical_hom
 from .structure import decompose_rigid, exceptional_lattice, generic_dims, is_isomorphic_rigid
 
 A2 = Quiver(2, ((1, 2),))

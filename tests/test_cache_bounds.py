@@ -1,15 +1,16 @@
 """The caches quivlat keeps are bounded, and nothing else is kept.
 
-Five caches stay, each because the benchmark traffic re-reads it:
+Four caches stay, each because the benchmark traffic re-reads it:
 homology._exceptional and homology._orthogonal (every sequence check asks
-again), mutation._walk and structure._built (the walk, kept as far as it
-has been read, and the sequences replayed on it), and rings._table_kernels (one entry per small
-Feps ring).  Each is an lru_cache with a constant maxsize, and keeps at
-most that many entries after more distinct calls than its bound; its
-cache_info() counts hits, misses and size.  No other function in the
-package is cached, and no module keeps a memo dict: hom_ext builds a new
-result on every call, and generic_dims reads one hom_ext of two witnesses
-replayed through structure._built.
+again), mutation._walk (the walk, kept as far as it has been read, with
+the sequences replayed on it over Z from the standard sequence), and
+rings._table_kernels (one entry per small Feps ring).  Each is an
+lru_cache with a constant maxsize, and keeps at most that many entries
+after more distinct calls than its bound; its cache_info() counts hits,
+misses and size.  No other function in the package is cached, and no
+module keeps a memo dict: hom_ext builds a new result on every call, and
+generic_dims reads one hom_ext of two witnesses replayed through the
+walk's replays (mutation._OrbitWalk.replays).
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_cache_bounds.py
@@ -18,7 +19,7 @@ Stdlib only, so it also runs without pytest:
 import ast
 import pathlib
 
-from quivlat import homology, mutation, rings, structure
+from quivlat import homology, mutation, rings
 from quivlat.quiver import Quiver, Rep
 from quivlat.rings import ZZ, Feps
 
@@ -37,7 +38,6 @@ CACHES = {
     "homology._orthogonal": (homology._orthogonal,
                              lambda k: homology._orthogonal(_point(k), _point(1))),
     "mutation._walk": (mutation._walk, lambda k: mutation._walk(A2, k + 1, None)),
-    "structure._built": (structure._built, lambda k: structure._built(A2, k + 1)),
     "rings._table_kernels": (rings._table_kernels,
                              lambda k: Feps((2, 3, 5)[k % 3], k // 3 + 1)),
 }

@@ -1,8 +1,8 @@
 """constant_rank and has_nilpotent_kernel over Z/m against prime factors.
 
-rings.constant_rank reads the summands of a module over Z/m off gcds with
-m, and RingHom.has_nilpotent_kernel tests prime divisibility by a power; no
-prime of m is found in either.  The references here factor m by plain trial
+elimination.constant_rank reads the summands of a module over Z/m off gcds
+with m, and RingHom.has_nilpotent_kernel tests prime divisibility by a
+power; no prime of m is found in either.  The references here factor m by plain trial
 division and read the answers off the primes:
 
 * at each q^k exactly dividing m, a factor with v_q(d) >= k (or d = 0) is a
@@ -24,10 +24,11 @@ import math
 from functools import lru_cache
 
 from quivlat import rings
+from quivlat.elimination import ModulePresentation, constant_rank
 from quivlat.errors import NotProjective
 from quivlat.homology import hom_ext
 from quivlat.quiver import Quiver, Rep
-from quivlat.rings import Feps, GF, ModulePresentation, Zmod, canonical_hom, constant_rank
+from quivlat.rings import Feps, GF, Zmod, canonical_hom
 
 BIG = 65537   # a prime above 2^16
 

@@ -19,10 +19,11 @@ Stdlib only, so it also runs without pytest:
 
 import random
 
-from quivlat import homology, rings
+from quivlat import elimination, homology
+from quivlat.elimination import cokernel, kernel_data
 from quivlat.homology import differential
 from quivlat.quiver import Quiver
-from quivlat.rings import ZZ, ExactMatrix, RingSpec, cokernel, kernel_data
+from quivlat.rings import ZZ, ExactMatrix, RingSpec
 from quivlat.verify import random_rep
 from test_output_digest import MATRIX_RINGS
 from test_unit_phase import check_cocycles, check_kernel
@@ -75,7 +76,7 @@ def _pairs(ring, rng):
 
 
 def test_hom_and_ext_match_the_vertex_layout_differential():
-    sheet_class, paused = rings._Worksheet, []
+    sheet_class, paused = elimination._Worksheet, []
 
     class Recorded(sheet_class):
         def diagonalize(self):
@@ -83,7 +84,7 @@ def test_hom_and_ext_match_the_vertex_layout_differential():
             paused.append(self.paused is not None)
 
     moved, z_sheets = 0, []
-    rings._Worksheet = Recorded
+    elimination._Worksheet = Recorded
     try:
         for spec in MATRIX_RINGS:
             ring = RingSpec.parse(spec)
@@ -103,7 +104,7 @@ def test_hom_and_ext_match_the_vertex_layout_differential():
                 check_kernel(d, he._hom_vecs)
                 check_cocycles(d, he.ext.invariant_factors, he._ext_vecs)
     finally:
-        rings._Worksheet = sheet_class
+        elimination._Worksheet = sheet_class
     assert moved >= len(MATRIX_RINGS) * PAIRS, moved
     # over Z both paths ran: sheets paused at a residual, and sheets not
     assert True in z_sheets and False in z_sheets, z_sheets

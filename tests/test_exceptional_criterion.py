@@ -6,7 +6,7 @@ its first column removed, is invertible; homology._orthogonal(y, x) whether
 the differential D(y, x) is.  The references read hom_ext: x is
 exceptional when Ext(x, x) = 0 and End(x) is free of rank one, generated by
 a unit multiple of the identity; y is orthogonal to x when Hom(y, x) and
-Ext(y, x) both vanish.  Over F_p[e]/(e^n) rings.is_invertible decides on
+Ext(y, x) both vanish.  Over F_p[e]/(e^n) elimination.is_invertible decides on
 the residue field F_p; its reference is the unit test on every diagonal
 entry of the diagonalised matrix.  All nine rings of
 test_homology.test_is_exceptional_matches_solve_rule are covered.
@@ -17,6 +17,11 @@ Stdlib only, so it also runs without pytest:
 
 import random
 
+from quivlat.elimination import (
+    _diagonal_sheet,
+    _nonzeros,
+    is_invertible,
+)
 from quivlat.homology import _orthogonal, _unflatten_vertex, hom_ext, is_exceptional
 from quivlat.mutation import braid_act, standard_sequence
 from quivlat.quiver import Quiver, Rep, base_change
@@ -27,10 +32,7 @@ from quivlat.rings import (
     QQ,
     ZZ,
     Zmod,
-    _diagonal_sheet,
-    _nonzeros,
     canonical_hom,
-    is_invertible,
 )
 from quivlat.structure import exceptional_lattice
 from quivlat.verify import random_rep

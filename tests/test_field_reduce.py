@@ -24,7 +24,18 @@ import math
 import random
 from fractions import Fraction
 
-from quivlat import homology, rings
+from quivlat import elimination, homology
+from quivlat.elimination import (
+    cokernel,
+    cokernel_data,
+    cokernel_projection,
+    invert,
+    is_invertible,
+    kernel_basis,
+    kernel_data,
+    normal_form,
+    solve,
+)
 from quivlat.homology import (
     HomExtResult,
     _unflatten,
@@ -41,15 +52,6 @@ from quivlat.rings import (
     ExactMatrix,
     Feps,
     Zmod,
-    cokernel,
-    cokernel_data,
-    cokernel_projection,
-    invert,
-    is_invertible,
-    kernel_basis,
-    kernel_data,
-    normal_form,
-    solve,
 )
 from quivlat.verify import random_rep
 
@@ -64,7 +66,7 @@ SHAPES = ((0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 12), (12, 
 
 def _elimination_input(a):
     """a as the elimination internals take it: ring, dict rows, columns."""
-    return a.ring, rings._nonzeros(a.entries, a.ring), a.cols
+    return a.ring, elimination._nonzeros(a.entries, a.ring), a.cols
 
 
 def _entry(kind, ring, rng):
@@ -117,7 +119,7 @@ def _columns(ring, height, vecs):
 
 def _rank(mat):
     """Rank by the reference diagonalisation."""
-    ws = rings._diagonal_sheet(*_elimination_input(mat))
+    ws = elimination._diagonal_sheet(*_elimination_input(mat))
     return sum(not mat.ring.is_zero(d) for d in ws.diagonal(min(mat.rows, mat.cols)))
 
 
@@ -154,7 +156,7 @@ def _hadamard_bits(a):
 
 def check_reduction(a):
     ring = a.ring
-    pivot_cols, pivot_rows, reduced = rings._field_reduce(a)
+    pivot_cols, pivot_rows, reduced = elimination._field_reduce(a)
     assert len(pivot_cols) == len(pivot_rows) == len(reduced) == _rank(a)
     assert pivot_cols == sorted(set(pivot_cols))
     assert len(set(pivot_rows)) == len(pivot_rows)
@@ -179,9 +181,10 @@ def check_reduction(a):
 def check_read_off(a):
     check_reduction(a)
     ring = a.ring
-    hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
+    hom, read_hom, ext, read_ext = elimination._hom_ext_data(*_elimination_input(a))
     hom_vecs, ext_vecs = read_hom(), read_ext()
-    ref_hom, _, ref_ext, _ = rings._sheet_hom_ext(rings._diagonal_sheet(*_elimination_input(a)))
+    ref_hom, _, ref_ext, _ = elimination._sheet_hom_ext(
+        elimination._diagonal_sheet(*_elimination_input(a)))
     for new, ref in ((hom, ref_hom), (ext, ref_ext)):
         assert new == ref and repr(new) == repr(ref), (new, ref)
     rank = _rank(a)
@@ -288,7 +291,7 @@ def test_deferred_read_off_matches_eager_vectors():
         mats += [differential(x, y) for x, y in pairs]
         torsion = [0, 0]
         for a in mats:
-            hom, read_hom, ext, read_ext = rings._hom_ext_data(*_elimination_input(a))
+            hom, read_hom, ext, read_ext = elimination._hom_ext_data(*_elimination_input(a))
             hom_vecs, ext_vecs = read_hom(), read_ext()
             what = (ring, a.rows, a.cols)
             _assert_identical((hom, hom_vecs), kernel_data(a), what)
@@ -324,7 +327,7 @@ def test_field_hom_ext_never_diagonalises():
     """Field Hom and Ext, and is_invertible on every ring, build no
     _Worksheet: they run one forward elimination instead."""
     calls, built = [], []
-    diagonalize, build = rings._Worksheet.diagonalize, rings._Worksheet.__init__
+    diagonalize, build = elimination._Worksheet.diagonalize, elimination._Worksheet.__init__
 
     def counted(ws):
         calls.append(ws.ring)
@@ -334,8 +337,8 @@ def test_field_hom_ext_never_diagonalises():
         built.append(ring)
         build(ws, ring, rows, cols)
 
-    rings._Worksheet.diagonalize = counted
-    rings._Worksheet.__init__ = counted_build
+    elimination._Worksheet.diagonalize = counted
+    elimination._Worksheet.__init__ = counted_build
     try:
         homology._exceptional.cache_clear()
         for ring in (QQ, GF(3)):
@@ -360,18 +363,18 @@ def test_field_hom_ext_never_diagonalises():
         hom_ext(x, x)
         assert calls == built == [Zmod(6)]
     finally:
-        rings._Worksheet.diagonalize, rings._Worksheet.__init__ = diagonalize, build
+        elimination._Worksheet.diagonalize, elimination._Worksheet.__init__ = diagonalize, build
         homology._exceptional.cache_clear()
 
 
-class _NoWorksheet(rings._Worksheet):
+class _NoWorksheet(elimination._Worksheet):
     def __init__(self, *args):
         raise AssertionError("a transform-free read-off over a field built a _Worksheet")
 
 
 def test_field_read_offs_build_no_worksheet():
-    saved = rings._Worksheet
-    rings._Worksheet = _NoWorksheet
+    saved = elimination._Worksheet
+    elimination._Worksheet = _NoWorksheet
     try:
         for kind, ring in CASES:
             rng = random.Random("no-sheet:%s:%s" % (kind, ring))
@@ -390,8 +393,14 @@ def test_field_read_offs_build_no_worksheet():
             assert is_invertible(unit_upper)
             invert(unit_upper)
             hom_ext(*_random_pair(kind, ring, KRONECKER, rng))
+        try:   # the stand-in is the one elimination reads: a sheet ring reaches it
+            kernel_data(ExactMatrix(ZZ, 1, 1, ((2,),)))
+        except AssertionError:
+            pass
+        else:
+            raise AssertionError("the _Worksheet stand-in is not the one elimination reads")
     finally:
-        rings._Worksheet = saved
+        elimination._Worksheet = saved
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ kernel of the 0 x 12000 one over F_2, and the cokernel projection of the
 each 12000 vectors of length 12000; the normal form of either zero
 matrix, whose transforms are 12000 x 12000; and solve of the 1 x 12000
 zero system over Z and Z/4, whose solution block is 12000 x 12000 (over
-F_2 its rows share one zero row, and it answers).
+F_2 its rows share one zero row, and it answers).  A direct sum charges the
+dense block it fills at each arrow before it builds any: tensor_free of a
+Kronecker (1, 1) rep with k = 10^6, which once raised MemoryError, and
+with k = 5000, two blocks of 25 million cells, is refused at once.
 
 hom_ext keeps no result, so a child reading the Ext cocycles of 1000
 distinct Z Kronecker (4, 5) pairs peaks below 60 MB RSS; it peaked at
@@ -121,8 +124,8 @@ def test_an_ext_read_above_the_cap_is_refused_not_allocated():
 MATRIX_READ = """
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from quivlat.rings import (ExactMatrix, GF, ZZ, cokernel_data, cokernel_projection,
-                           kernel_data, normal_form)
+from quivlat.elimination import cokernel_data, cokernel_projection, kernel_data, normal_form
+from quivlat.rings import ExactMatrix, GF, ZZ
 for read, mat in ((cokernel_data, ExactMatrix.zeros(ZZ, 12000, 0)),
                   (kernel_data, ExactMatrix.zeros(GF(2), 0, 12000)),
                   (cokernel_projection, ExactMatrix.zeros(ZZ, 12000, 0)),
@@ -181,12 +184,46 @@ def test_a_hom_complex_of_empty_rows_or_columns_is_refused_not_placed():
         assert raised[1].startswith(start), raised
 
 
+# Run in the child: one JSON line per call, the dims it answers or what it
+# raised, and its seconds.
+DIRECT_SUM = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.quiver import Quiver, Rep, direct_sum_many, tensor_free
+from quivlat.rings import ExactMatrix, ZZ
+K = Quiver(2, ((1, 2), (1, 2)))
+x = Rep(ZZ, K, (1, 1), (ExactMatrix(ZZ, 1, 1, ((1,),)), ExactMatrix(ZZ, 1, 1, ((0,),))))
+for run in (lambda: tensor_free(x, 10 ** 6), lambda: tensor_free(x, 5000),
+            lambda: direct_sum_many([x] * 5000), lambda: tensor_free(x, 100)):
+    start = time.perf_counter()
+    try:
+        out = [list(run().dims), None]
+    except Exception as exc:
+        out = [None, [type(exc).__name__, str(exc)]]
+    print(json.dumps(out + [time.perf_counter() - start]))
+"""
+
+
+def test_a_direct_sum_block_above_the_cap_is_refused_not_allocated():
+    # each arrow of the k-fold sum of a Kronecker (1, 1) rep is a k x k dense
+    # block: k = 10**6 once died with MemoryError, and k = 5000 fills
+    # 2 x 25 million cells; both are refused at once, k = 100 answers
+    huge, tensor, summed, small = _run_capped(DIRECT_SUM)
+    for (dims, raised, seconds), k in zip((huge, tensor, summed), (10 ** 6, 5000, 5000)):
+        assert dims is None and raised[0] == "NotComputable", raised
+        assert raised[1] == ("the %d x %d block of arrow 1 of a direct sum would fill %d "
+                             "cells, above the cap 20000000" % (k, k, k * k)), raised
+    assert huge[2] < 0.1 and tensor[2] < 0.1, (huge, tensor)
+    assert small[:2] == [[100, 100], None], small
+
+
 # Run in the child: one JSON line per ring, the shape solve answers or what
 # it raised.
 SOLVE = """
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from quivlat.rings import ExactMatrix, RingSpec, solve
+from quivlat.elimination import solve
+from quivlat.rings import ExactMatrix, RingSpec
 for spec in ("Z", "Zmod:4", "F:2"):
     a = ExactMatrix.zeros(RingSpec.parse(spec), 1, 12000)
     try:
@@ -283,7 +320,8 @@ import json, resource, time
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from quivlat.homology import is_rigid
 from quivlat.quiver import Quiver, Rep, direct_sum_many
-from quivlat.rings import ExactMatrix, GF, cokernel_projection
+from quivlat.elimination import cokernel_projection
+from quivlat.rings import ExactMatrix, GF
 from quivlat.structure import decompose_rigid, exceptional_lattice
 K = Quiver(2, ((1, 2), (1, 2)))
 point = Rep(GF(2), Quiver(1, ()), (67,), ())

@@ -288,15 +288,15 @@ def test_exceptional_basics(ring):
 
 
 def test_one_diagonalisation_per_hom_ext(monkeypatch):
-    from quivlat import homology, rings
+    from quivlat import elimination, homology
     calls = []
-    diagonalize = rings._Worksheet.diagonalize
+    diagonalize = elimination._Worksheet.diagonalize
 
     def counted(ws):
         calls.append((ws.rows, ws.cols))
         return diagonalize(ws)
 
-    monkeypatch.setattr(rings._Worksheet, "diagonalize", counted)
+    monkeypatch.setattr(elimination._Worksheet, "diagonalize", counted)
     homology._exceptional.cache_clear()
     x = projective_rep(Zmod(6), K2, 1)
     hom_ext(x, x)
@@ -317,7 +317,7 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
     right transform once, or back-substitutes once, the first read of the
     Ext cocycles the inverse left one once (over the fields they are unit
     vectors, and need nothing), and a zero side replays nothing."""
-    from quivlat import rings
+    from quivlat import elimination
     calls = Counter()
 
     def counted(name, fn):
@@ -326,10 +326,10 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
             return fn(*args)
         return run
 
-    monkeypatch.setattr(rings._Worksheet, "diagonalize",
-                        counted("diagonalize", rings._Worksheet.diagonalize))
+    monkeypatch.setattr(elimination._Worksheet, "diagonalize",
+                        counted("diagonalize", elimination._Worksheet.diagonalize))
     for name in ("_replayed", "_forward", "_back_substitute"):
-        monkeypatch.setattr(rings, name, counted(name, getattr(rings, name)))
+        monkeypatch.setattr(elimination, name, counted(name, getattr(elimination, name)))
     s1, s2 = Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2)
     p1 = projective_rep(ring, K2, 1)
     for x, y in ((s1, s2), (s2, p1)):
@@ -340,26 +340,26 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
     # one elimination per hom_ext call: each pair's own, two is_rigid, and
     # rigid_hom_ext_ranks's two is_rigid and its hom_ext
     calls_made = 2 * 6
-    elimination = "_forward" if ring.is_field else "diagonalize"
-    assert calls == {elimination: calls_made}
+    eliminated = "_forward" if ring.is_field else "diagonalize"
+    assert calls == {eliminated: calls_made}
     ext_pair, hom_pair = hom_ext(s1, s2), hom_ext(s2, p1)
     calls_made += 2
     for he in (ext_pair, hom_pair):
-        assert rings.cokernel(he.differential) == he.ext
-    assert calls == {elimination: calls_made + 2}
+        assert elimination.cokernel(he.differential) == he.ext
+    assert calls == {eliminated: calls_made + 2}
     assert ext_pair.hom.is_zero and ext_pair.ext.free_rank == 2
     assert hom_pair.hom.free_rank == 2 and hom_pair.ext.is_zero
     # over the sheet rings each side's first read is one _replayed
     hom_read = {"_back_substitute" if ring.is_field else "_replayed": 1}
     both_read = {"_back_substitute": 1} if ring.is_field else {"_replayed": 2}
     assert len(hom_pair.hom_generators) == 2
-    assert calls == {elimination: calls_made + 2, **hom_read}
+    assert calls == {eliminated: calls_made + 2, **hom_read}
     for _ in range(2):
         assert len(ext_pair.ext_cocycles) == 2
         assert len(hom_pair.hom_generators) == 2
-        assert calls == {elimination: calls_made + 2, **both_read}
+        assert calls == {eliminated: calls_made + 2, **both_read}
     assert ext_pair.hom_generators == () and hom_pair.ext_cocycles == ()
-    assert calls == {elimination: calls_made + 2, **both_read}
+    assert calls == {eliminated: calls_made + 2, **both_read}
 
 
 def _reachable(root):
@@ -387,10 +387,10 @@ def test_result_keeps_no_worksheet(monkeypatch):
     witness read, which resumes it, and then neither N nor the sheet.
     None of them holds a matrix of the differential's shape until its
     differential is first read."""
-    from quivlat import homology, rings
+    from quivlat import elimination, homology
     sheets = []
 
-    class Recorded(rings._Worksheet):
+    class Recorded(elimination._Worksheet):
         def __init__(self, *args):
             sheets.append(self)
             super().__init__(*args)
@@ -400,7 +400,7 @@ def test_result_keeps_no_worksheet(monkeypatch):
         return [m for m in _reachable(he).values()
                 if isinstance(m, ExactMatrix) and (m.rows, m.cols) == (d.rows, d.cols)]
 
-    monkeypatch.setattr(rings, "_Worksheet", Recorded)
+    monkeypatch.setattr(elimination, "_Worksheet", Recorded)
     x = projective_rep(ZZ, K2, 1)
     he = hom_ext(x, x)
     (ws,) = sheets
@@ -448,16 +448,16 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
     """Over a field the Hom side keeps the forward pass's echelon rows for
     its back-substitution until the Hom generators are read, and then none;
     the Ext side keeps no rows at all, and a zero Hom keeps none either."""
-    from quivlat import rings
+    from quivlat import elimination
     passes = []
-    forward = rings._forward
+    forward = elimination._forward
 
     def recorded(ring, rows, cols):
         out = forward(ring, rows, cols)
         passes.append(out[2])
         return out
 
-    monkeypatch.setattr(rings, "_forward", recorded)
+    monkeypatch.setattr(elimination, "_forward", recorded)
 
     def rows_held(he, rows):
         return {id(row) for row in rows} & _reachable(he).keys()
@@ -477,7 +477,8 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
 
 def _exceptional_by_solve(x):
     """is_exceptional as first written: solve r * generator = identity."""
-    from quivlat.rings import ExactMatrix, solve
+    from quivlat.elimination import solve
+    from quivlat.rings import ExactMatrix
     he = hom_ext(x, x)
     if not he.ext.is_zero or not (he.hom.is_free and he.hom.free_rank == 1):
         return False

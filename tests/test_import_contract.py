@@ -3,13 +3,16 @@
 ``import quivlat`` runs no submodule: each is entered in sys.modules as a
 LazyLoader module, whose source runs on its first attribute access, and a
 module still of that class (a subclass of ModuleType) has not run.  The
-command line runs only errors, rings and quiver to parse its arguments,
-and the ext verb adds homology alone: mutation, structure and verify never
-run.  No module imports dataclasses, and no function or method of the
-package was generated from a string by exec or eval, as a dataclass's
-are: each one's code comes from its module's file.  The package namespace
-resolves every name of __all__, lists them all in dir(), supports
-``from quivlat import *`` and refuses an unknown name with AttributeError.
+command line runs only errors, rings, elimination and quiver to parse its
+arguments, and the ext verb adds homology alone: mutation, structure and
+verify never run.  No module imports dataclasses, and no function or
+method of the package was generated from a string by exec or eval, as a
+dataclass's are: each one's code comes from its module's file.  The
+package namespace resolves every name of __all__, lists them all in dir(),
+supports ``from quivlat import *`` and refuses an unknown name with
+AttributeError.  Every public name quivlat.rings defined before the
+elimination layer moved to quivlat.elimination still resolves there, to
+the object the package calls, with no circular import.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_import_contract.py
@@ -47,9 +50,9 @@ def test_import_quivlat_runs_no_submodule():
 import quivlat
 print(json.dumps([ran(), sorted(n for n in sys.modules if n.startswith("quivlat."))]))
 """)
-    assert out == [[], ["quivlat.errors", "quivlat.homology", "quivlat.mutation",
-                        "quivlat.quiver", "quivlat.rings", "quivlat.structure",
-                        "quivlat.verify"]]
+    assert out == [[], ["quivlat.elimination", "quivlat.errors", "quivlat.homology",
+                        "quivlat.mutation", "quivlat.quiver", "quivlat.rings",
+                        "quivlat.structure", "quivlat.verify"]]
 
 
 def test_the_ext_verb_runs_no_mutation_structure_or_verify():
@@ -69,8 +72,8 @@ with contextlib.redirect_stdout(io.StringIO()) as text:
 print(json.dumps([parsed, code, json.loads(text.getvalue()), ran()]))
 """, path)
     parsed, code, report, after = out
-    assert parsed == ["quivlat._record", "quivlat.cli", "quivlat.errors", "quivlat.quiver",
-                      "quivlat.rings"]
+    assert parsed == ["quivlat._record", "quivlat.cli", "quivlat.elimination",
+                      "quivlat.errors", "quivlat.quiver", "quivlat.rings"]
     assert code == 0 and report["homFreeRank"] == 1 and report["extFreeRank"] == 0
     assert after == sorted(parsed + ["quivlat.homology"])
 
@@ -95,9 +98,10 @@ for name in sorted(os.listdir(package)):
 print(json.dumps([ran(), "dataclasses" in sys.modules, generated]))
 """, SRC)
     modules, dataclasses_loaded, generated = out
-    assert modules == ["quivlat._record", "quivlat.cli", "quivlat.errors", "quivlat.homology",
-                       "quivlat.mutation", "quivlat.quiver", "quivlat.rings",
-                       "quivlat.structure", "quivlat.verify"]
+    assert modules == ["quivlat._record", "quivlat.cli", "quivlat.elimination",
+                       "quivlat.errors", "quivlat.homology", "quivlat.mutation",
+                       "quivlat.quiver", "quivlat.rings", "quivlat.structure",
+                       "quivlat.verify"]
     assert not dataclasses_loaded
     assert generated == []
 
@@ -123,6 +127,52 @@ print(json.dumps([missing, unlisted, sorted(set(quivlat.__all__) - set(star)),
     assert count == distinct == 86
     assert refused == "module 'quivlat' has no attribute 'no_such_name'"
     assert same and suites
+
+
+# The public names quivlat.rings defined before quivlat.elimination was
+# split off from it; the last fourteen moved to elimination.
+RINGS_NAMES = (
+    "ExactMatrix", "Feps", "GF", "QQ", "RingHom", "RingSpec", "ZZ", "Zmod", "apply_hom",
+    "block_diag", "canonical_hom", "identity_hom",
+    "ModulePresentation", "NormalFormResult", "cokernel", "cokernel_data",
+    "cokernel_projection", "constant_rank", "howell_rows", "invert", "is_invertible",
+    "kernel_basis", "kernel_data", "normal_form", "presentation_base_change", "solve")
+
+
+def test_every_public_name_rings_defined_still_resolves_there():
+    # the child reads a moved name off quivlat.rings before anything else
+    # has run elimination, so a circular import would show; each name is
+    # the object its defining module holds, which the package calls, and
+    # for the names of __all__ the one the namespace hands out
+    out = _child("""
+import quivlat.rings as rings
+first = rings.solve.__module__
+from quivlat.rings import solve, kernel_data, cokernel_data, cokernel
+import quivlat
+from quivlat import elimination
+same, owners = [], {}
+for name in sys.argv[1:]:
+    value = getattr(rings, name)
+    owner = sys.modules[getattr(value, "__module__", None) or type(value).__module__]
+    owners[name] = owner.__name__
+    if value is getattr(owner, name) and (name not in quivlat.__all__
+                                          or value is getattr(quivlat, name)):
+        same.append(name)
+try:
+    rings.no_such_name
+    refused = None
+except AttributeError as exc:
+    refused = str(exc)
+print(json.dumps([first, solve is elimination.solve, same, owners, refused,
+                  hasattr(rings, "_Worksheet")]))
+""", *RINGS_NAMES)
+    first, imported, same, owners, refused, private = out
+    assert first == "quivlat.elimination" and imported
+    assert same == list(RINGS_NAMES)
+    assert [owners[name] for name in RINGS_NAMES] == (
+        ["quivlat.rings"] * 12 + ["quivlat.elimination"] * 14)
+    assert refused == "module 'quivlat.rings' has no attribute 'no_such_name'"
+    assert not private   # only the public names are forwarded
 
 
 if __name__ == "__main__":

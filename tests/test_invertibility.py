@@ -1,4 +1,4 @@
-"""rings.is_invertible against the rule it replaced: a square matrix is
+"""elimination.is_invertible against the rule it replaced: a square matrix is
 invertible when every diagonal entry of its two-sided diagonalisation
 (_diagonal_sheet) is a unit.
 
@@ -13,7 +13,7 @@ its determinant the empty product) and non-square shapes (never).  All
 nine rings of test_homology.test_is_exceptional_matches_solve_rule are
 covered.
 
-Before the forward pass, rings._invertible peels every row whose one entry
+Before the forward pass, elimination._invertible peels every row whose one entry
 is a unit, and a singleton that is not a unit, or a row the peel empties,
 decides False.  Its cases: chains of unit singletons that decide everything
 with no forward pass, non-unit singletons (2 over Z, 3 over Z/6, e over
@@ -28,7 +28,13 @@ Stdlib only, so it also runs without pytest:
 import random
 from fractions import Fraction
 
-from quivlat import rings
+from quivlat import elimination
+from quivlat.elimination import (
+    _diagonal_sheet,
+    _invertible,
+    _nonzeros,
+    is_invertible,
+)
 from quivlat.rings import (
     ExactMatrix,
     Feps,
@@ -36,10 +42,6 @@ from quivlat.rings import (
     QQ,
     ZZ,
     Zmod,
-    _diagonal_sheet,
-    _invertible,
-    _nonzeros,
-    is_invertible,
 )
 
 RINGS = (ZZ, QQ, GF(2), GF(3), Zmod(4), Zmod(6), Zmod(12), Feps(2, 2), Feps(3, 3))
@@ -184,19 +186,19 @@ def test_rationals_with_huge_entries():
 
 
 class _ForwardCount:
-    """Counts the forward passes rings._invertible enters while in use."""
+    """Counts the forward passes elimination._invertible enters while in use."""
 
     def __enter__(self):
-        self.calls, self.real = 0, rings._forward
+        self.calls, self.real = 0, elimination._forward
 
         def counted(*args):
             self.calls += 1
             return self.real(*args)
-        rings._forward = counted
+        elimination._forward = counted
         return self
 
     def __exit__(self, *exc):
-        rings._forward = self.real
+        elimination._forward = self.real
 
 
 def _triangular(ring, n, diagonal, rng, shuffle=True):

@@ -10,6 +10,11 @@ import re
 import pytest
 
 from quivlat import mutation, quiver as quiver_module, structure
+from quivlat.elimination import (
+    ModulePresentation,
+    cokernel,
+    kernel_basis,
+)
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
@@ -43,12 +48,9 @@ from quivlat.quiver import (
 from quivlat.rings import (
     ExactMatrix,
     GF,
-    ModulePresentation,
     QQ,
     ZZ,
     Zmod,
-    cokernel,
-    kernel_basis,
 )
 from quivlat.structure import decompose_rigid, exceptional_lattice, is_isomorphic_rigid
 from test_orbit_walk import _orbit_members
@@ -336,7 +338,6 @@ def test_a_cold_lattice_walks_only_as_far_as_its_root(quiver, root, most):
     # default bound hold 59 and 125 states, and are expanded only until the
     # root is reached
     mutation._walk.cache_clear()
-    structure._built.cache_clear()
     assert exceptional_lattice(quiver, root).dims == root
     walk = mutation._walk(quiver, mutation._DEFAULT_BOUND, None)
     assert 0 < walk.expanded <= most, walk.expanded
@@ -380,7 +381,6 @@ def test_the_standard_start_over_any_ring_reads_the_one_walk_of_its_orbit():
     # orbit_search from the standard sequence, over Z or F:3, reads the walk
     # exceptional_lattice advanced, keyed None, and expands nothing more
     mutation._walk.cache_clear()
-    structure._built.cache_clear()
     lattice = exceptional_lattice(K2, (6, 7))
     walk = mutation._walk(K2, mutation._DEFAULT_BOUND, None)
     expanded = walk.expanded
@@ -390,6 +390,27 @@ def test_the_standard_start_over_any_ring_reads_the_one_walk_of_its_orbit():
         assert ring != ZZ or found == lattice
     assert mutation._walk.cache_info().currsize == 1
     assert walk.expanded == expanded
+
+
+def test_the_standard_start_over_z_reads_the_replays_of_its_walk(monkeypatch):
+    # after a cold exceptional_lattice, orbit_search from the standard
+    # sequence over Z replays nothing: the walk keeps the sequences the
+    # lattice replayed (_OrbitWalk.replays), and the search reads them.
+    # Over F:3, or from a start equal to no member of them, it replays its own
+    mutation._walk.cache_clear()
+    built, real_check = [], RepMorphism.__post_init__
+    monkeypatch.setattr(RepMorphism, "__post_init__",
+                        lambda self: built.append(1) or real_check(self))
+    lattice = exceptional_lattice(K2, (6, 7))
+    assert len(built) > 0
+    del built[:]
+    found = orbit_search(standard_sequence(ZZ, K2), (6, 7))
+    assert found == lattice and len(built) == 0
+    walk = mutation._walk(K2, mutation._DEFAULT_BOUND, None)
+    assert found is walk.replays()[walk.find((6, 7))][walk.find((6, 7)).index((6, 7))]
+    replayed = len(walk.replays())
+    assert orbit_search(standard_sequence(GF(3), K2), (6, 7)).ring == GF(3) and built
+    assert len(walk.replays()) == replayed
 
 
 CYCLIC = Quiver(3, ((1, 2), (2, 3), (3, 2)))

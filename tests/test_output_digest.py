@@ -36,16 +36,8 @@ import random
 import sys
 from fractions import Fraction
 
-from quivlat.errors import QuivlatError
-from quivlat.homology import hom_ext
-from quivlat.mutation import ExcSequence, braid_act, orbit_search, standard_sequence
-from quivlat.quiver import Quiver, Rep, RepMorphism, base_change, direct_sum_many, tensor_free
-from quivlat.rings import (
-    ExactMatrix,
+from quivlat.elimination import (
     ModulePresentation,
-    RingSpec,
-    ZZ,
-    canonical_hom,
     cokernel,
     cokernel_data,
     cokernel_projection,
@@ -55,6 +47,16 @@ from quivlat.rings import (
     kernel_data,
     normal_form,
     solve,
+)
+from quivlat.errors import QuivlatError
+from quivlat.homology import hom_ext
+from quivlat.mutation import ExcSequence, braid_act, orbit_search, standard_sequence
+from quivlat.quiver import Quiver, Rep, RepMorphism, base_change, direct_sum_many, tensor_free
+from quivlat.rings import (
+    ExactMatrix,
+    RingSpec,
+    ZZ,
+    canonical_hom,
 )
 from quivlat.structure import decompose_rigid, exceptional_lattice
 from quivlat.verify import conjugate_rep, random_rep, random_unimodular

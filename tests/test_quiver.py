@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from quivlat.elimination import invert, is_invertible
 from quivlat.errors import (
     CyclicQuiver,
     DimensionMismatch,
@@ -18,7 +19,7 @@ from quivlat.errors import (
     NotRigid,
     ParseError,
 )
-from quivlat import quiver as quiver_module, rings
+from quivlat import elimination, quiver as quiver_module, rings
 from quivlat.homology import hom_ext, is_rigid
 from quivlat.quiver import (
     Quiver,
@@ -36,8 +37,7 @@ from quivlat.quiver import (
     tensor_free,
     tits_form,
 )
-from quivlat.rings import (
-    ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom, invert, is_invertible)
+from quivlat.rings import ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom
 from quivlat.structure import is_isomorphic_rigid, rigid_isomorphism
 
 A2 = Quiver(2, ((1, 2),))
@@ -211,26 +211,26 @@ MATRIX_PROBES = {
     "morphism-none-maps": (lambda: RepMorphism(S1, S1, (None, None)), "matrix", None),
     "morphism-rows-map": (lambda: RepMorphism(S1, S1, (((1,),), ExactMatrix.zeros(ZZ, 0, 0))),
                           "matrix", ((1,),)),
-    "solve-none-lhs": (lambda: rings.solve(None, I2), "matrix", None),
-    "solve-none-rhs": (lambda: rings.solve(I2, None), "matrix", None),
-    "normal_form-none": (lambda: rings.normal_form(None), "matrix", None),
-    "cokernel-none": (lambda: rings.cokernel(None), "matrix", None),
-    "cokernel_data-none": (lambda: rings.cokernel_data(None), "matrix", None),
-    "cokernel_projection-none": (lambda: rings.cokernel_projection(None), "matrix", None),
-    "kernel_basis-list": (lambda: rings.kernel_basis([1]), "matrix", [1]),
+    "solve-none-lhs": (lambda: elimination.solve(None, I2), "matrix", None),
+    "solve-none-rhs": (lambda: elimination.solve(I2, None), "matrix", None),
+    "normal_form-none": (lambda: elimination.normal_form(None), "matrix", None),
+    "cokernel-none": (lambda: elimination.cokernel(None), "matrix", None),
+    "cokernel_data-none": (lambda: elimination.cokernel_data(None), "matrix", None),
+    "cokernel_projection-none": (lambda: elimination.cokernel_projection(None), "matrix", None),
+    "kernel_basis-list": (lambda: elimination.kernel_basis([1]), "matrix", [1]),
     "mul-none": (lambda: I2.mul(None), "matrix", None),
     "add-none": (lambda: I2.add(None), "matrix", None),
     "hstack-none": (lambda: I2.hstack(None), "matrix", None),
     "vstack-none": (lambda: I2.vstack(None), "matrix", None),
     "block_diag-none": (lambda: rings.block_diag(ZZ, [None]), "matrix", None),
     "apply_hom-none": (lambda: rings.apply_hom(rings.identity_hom(ZZ), None), "matrix", None),
-    "constant_rank-none": (lambda: rings.constant_rank(None), "module presentation", None),
+    "constant_rank-none": (lambda: elimination.constant_rank(None), "module presentation", None),
     "presentation_base_change-none": (
-        lambda: rings.presentation_base_change(None, rings.identity_hom(ZZ)),
+        lambda: elimination.presentation_base_change(None, rings.identity_hom(ZZ)),
         "module presentation", None),
-    "howell_rows-none": (lambda: rings.howell_rows(None, []), "ring", None),
-    "howell_rows-none-rows": (lambda: rings.howell_rows(Zmod(4), None), "rows", None),
-    "howell_rows-none-row": (lambda: rings.howell_rows(Zmod(4), [None]), "row", None),
+    "howell_rows-none": (lambda: elimination.howell_rows(None, []), "ring", None),
+    "howell_rows-none-rows": (lambda: elimination.howell_rows(Zmod(4), None), "rows", None),
+    "howell_rows-none-row": (lambda: elimination.howell_rows(Zmod(4), [None]), "row", None),
     "from_rows-none-rows": (lambda: ExactMatrix.from_rows(ZZ, None), "rows", None),
     "sub-none": (lambda: I2.sub(None), "matrix", None),
     "zeros-none": (lambda: ExactMatrix.zeros(None, 1, 1), "ring", None),
@@ -238,7 +238,7 @@ MATRIX_PROBES = {
     "block_diag-none-ring": (lambda: rings.block_diag(None, [I2]), "ring", None),
     "block_diag-none-blocks": (lambda: rings.block_diag(ZZ, None), "matrices", None),
     "from_invariant_factors-none": (
-        lambda: rings.ModulePresentation.from_invariant_factors(None, [1]), "ring", None),
+        lambda: elimination.ModulePresentation.from_invariant_factors(None, [1]), "ring", None),
     "matrix-none-entries": (lambda: ExactMatrix(ZZ, 1, 1, None), "rows", None),
     "matrix-none-row": (lambda: ExactMatrix(ZZ, 1, 1, (None,)), "row", None),
     "from_rows-none-row": (lambda: ExactMatrix.from_rows(ZZ, [None]), "row", None),
@@ -298,12 +298,19 @@ def test_tensor_free_refuses_a_multiplicity_past_the_cell_cap(monkeypatch):
             tensor_free(S1, k)
     with pytest.raises(NotComputable, match="total dimension 0 would fill %d cells" % 10 ** 30):
         tensor_free(Rep.zero(ZZ, K2), 10 ** 30)
-    # the charge admits 5000 copies of a Kronecker (1,1) rep, 10**4 cells,
-    # though their two 5000 x 5000 block diagonals are not built here
+    # the k-fold sum's k x k block at each arrow is charged too: 5000 copies
+    # of a Kronecker (1,1) rep, 10**4 cells, would fill two blocks of 25
+    # million, and are refused before a copy is made; 4000 copies, two
+    # blocks of 16 million, are admitted (and not built here)
     copies = []
     monkeypatch.setattr(quiver_module, "direct_sum_many", copies.extend)
-    tensor_free(mk(ZZ, K2, (1, 1), [[[1]], [[0]]]), 5000)
-    assert len(copies) == 5000
+    kronecker = mk(ZZ, K2, (1, 1), [[[1]], [[0]]])
+    with pytest.raises(NotComputable, match="^the 5000 x 5000 block of arrow 1 of a direct "
+                       "sum would fill 25000000 cells, above the cap"):
+        tensor_free(kronecker, 5000)
+    assert copies == []
+    tensor_free(kronecker, 4000)
+    assert len(copies) == 4000
 
 
 def test_from_matrix_rows_refuses_a_wrong_arrow_count_as_rep_does():
@@ -617,7 +624,7 @@ def test_rigid_isomorphism_needs_a_rigid_input():
 def test_iso_rigid_unimodular_conjugation():
     rng = random.Random(3)
     from quivlat.verify import conjugate_rep, random_unimodular
-    from quivlat.rings import invert
+    from quivlat.elimination import invert
     x = direct_sum(projective_rep(ZZ, K2, 1), Rep.simple(ZZ, K2, 2))
     mats = [random_unimodular(d, rng) for d in x.dims]
     y = conjugate_rep(x, mats, [invert(m) for m in mats])

@@ -32,7 +32,8 @@ Stdlib only, so it also runs without pytest:
 
 import random
 
-from quivlat import rings
+from quivlat import elimination
+from quivlat.elimination import solve
 from quivlat.errors import NonFreeCokernel, TheoremViolation
 from quivlat.homology import hom_ext
 from quivlat.mutation import _evaluation_map, _extension_middle, _sub_quot_witnesses
@@ -48,7 +49,7 @@ from quivlat.quiver import (
     kernel_rep,
     tensor_free,
 )
-from quivlat.rings import QQ, ZZ, ExactMatrix, Feps, GF, Zmod, solve
+from quivlat.rings import QQ, ZZ, ExactMatrix, Feps, GF, Zmod
 from quivlat.structure import exceptional_lattice
 from quivlat.verify import _entry_pool, random_rep
 
@@ -79,7 +80,7 @@ def _kernel_rep_as_it_was(f: RepMorphism) -> tuple:
     q = x.quiver
     incls = []
     for i, m in enumerate(f.vertex_maps):
-        pres, gens = rings.kernel_data(m)
+        pres, gens = elimination.kernel_data(m)
         if not pres.is_free:
             raise NonFreeCokernel("vertex %d kernel is not free" % (i + 1))
         incls.append(ExactMatrix._of(ring, len(gens), m.cols, tuple(gens)).transpose())
@@ -103,7 +104,7 @@ def _cokernel_rep_as_it_was(f: RepMorphism) -> tuple:
     q = y.quiver
     projs = []
     for i, m in enumerate(f.vertex_maps):
-        pi = rings.cokernel_projection(m)
+        pi = elimination.cokernel_projection(m)
         if pi is None:
             raise NonFreeCokernel("vertex %d cokernel has torsion" % (i + 1))
         projs.append(pi)
@@ -303,7 +304,7 @@ def _split_as_it_was(f: RepMorphism, epi: bool):
     src, tgt = f.source.dims, f.target.dims
     dims = tuple(a - b for a, b in (zip(src, tgt) if epi else zip(tgt, src)))
     if out[0].dims != dims or epi and not all(
-            rings.cokernel(m).is_zero for m in f.vertex_maps):
+            elimination.cokernel(m).is_zero for m in f.vertex_maps):
         return None
     return out
 

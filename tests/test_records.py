@@ -14,11 +14,11 @@ import pickle
 
 import pytest
 
+from quivlat.elimination import ModulePresentation, NormalFormResult, normal_form
 from quivlat.mutation import (ExcSequence, MutationResult, left_mutate, right_mutate,
                               standard_sequence)
 from quivlat.quiver import Quiver, Rep, RepMorphism, projective_rep
-from quivlat.rings import (QQ, ZZ, ExactMatrix, Feps, GF, ModulePresentation, NormalFormResult,
-                           RingHom, RingSpec, Zmod, normal_form)
+from quivlat.rings import QQ, ZZ, ExactMatrix, Feps, GF, RingHom, RingSpec, Zmod
 from quivlat.structure import GenericDims, RigidDecomposition
 
 A2 = Quiver(2, ((1, 2),))

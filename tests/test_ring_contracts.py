@@ -19,6 +19,8 @@
     .kind read of ring or *.ring outside the ring classes.  A ring class
     states only its own arithmetic: a scan of each class's own attributes
     finds none of the rules RingSpec derives restated.
+(f) The ring layer, rings.py, defines no name the elimination layer,
+    elimination.py, defines, and every name rings forwards is one of those.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_ring_contracts.py
@@ -29,7 +31,12 @@ import os
 import random
 from fractions import Fraction
 
-from quivlat import rings
+from quivlat import elimination, rings
+from quivlat.elimination import (
+    _nonzeros,
+    is_invertible,
+    presentation_base_change,
+)
 from quivlat.errors import IncompatibleBase, IncompatibleRing, NotComputable, ParseError
 from quivlat.homology import check_base_change, hom_ext
 from quivlat.quiver import Quiver, base_change
@@ -42,12 +49,9 @@ from quivlat.rings import (
     RingSpec,
     ZZ,
     Zmod,
-    _nonzeros,
     apply_hom,
     canonical_hom,
     identity_hom,
-    is_invertible,
-    presentation_base_change,
 )
 from quivlat.structure import exceptional_lattice, lift_rigid
 
@@ -385,18 +389,18 @@ def test_forward_ints_gives_each_ring_what_it_needs():
 
 def test_the_forward_unit_verdict_is_is_unit():
     """A 1x1 matrix is invertible exactly on a unit, which the peel of
-    rings._invertible asks of its one entry.  With no singleton row the
+    elimination._invertible asks of its one entry.  With no singleton row the
     forward pass decides: [[1, 1], [y, y + x]], for a nonzero y with y + x
     nonzero (F:2 has none when x is 1), and [[1, 1, 0], [0, 1, 1], [1, 1, x]]
     have determinant x, and are invertible exactly when is_unit(x): mod p
     on the residue field F_p, else by is_unit of the int the pass ends on."""
-    forward, entered = rings._forward, []
+    forward, entered = elimination._forward, []
 
     def counted(*args):
         entered.append(args)
         return forward(*args)
 
-    rings._forward = counted
+    elimination._forward = counted
     try:
         for ring in RINGS:
             one, zero = ring.one, ring.zero
@@ -414,7 +418,7 @@ def test_the_forward_unit_verdict_is_is_unit():
                     assert is_invertible(mat) is ring.is_unit(x), (str(ring), x, mat)
                     assert len(entered) == 1, (str(ring), x, mat)
     finally:
-        rings._forward = forward
+        elimination._forward = forward
 
 
 def _kind_reads(tree):
@@ -460,6 +464,37 @@ def test_ring_classes_restate_no_derived_rule():
     assert own("inv") == own("is_zero") == {"_Truncated"}
     assert own("_gcdex") == {"_Integers", "_Modular", "_Rationals"}
     assert vars(rings._Rationals)["_gcdex"] is RingSpec._gcdex   # not a step of its own
+
+
+def _defined(tree):
+    """The names a module's top level defines: functions, classes and
+    assigned names."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def test_rings_defines_nothing_elimination_defines():
+    """The ring layer and the elimination layer split rings.py once: no
+    name is defined in both, and every name rings forwards to elimination
+    (rings._MOVED) is one elimination defines."""
+    package = os.path.dirname(os.path.abspath(rings.__file__))
+    defined = {}
+    for name in ("rings.py", "elimination.py"):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            defined[name] = _defined(ast.parse(fh.read()))
+    assert {"RingSpec", "ExactMatrix", "_check_read"} <= defined["rings.py"]
+    assert {"_Worksheet", "_forward", "solve"} <= defined["elimination.py"]
+    assert not defined["rings.py"] & defined["elimination.py"]
+    assert rings._MOVED <= defined["elimination.py"]
+    probe = "a, (b, c) = 1, (2, 3)\nd: int = 4\ndef e(): f = 5\nclass G: h = 6"
+    assert _defined(ast.parse(probe)) == {"a", "b", "c", "d", "e", "G"}
 
 
 if __name__ == "__main__":

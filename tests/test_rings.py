@@ -15,20 +15,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from quivlat.errors import DimensionMismatch, IncompatibleRing, ParseError
-from quivlat.quiver import Rep
-from quivlat.rings import (
-    ExactMatrix,
-    Feps,
-    GF,
+from quivlat.elimination import (
     ModulePresentation,
-    QQ,
-    RingSpec,
-    ZZ,
-    Zmod,
-    apply_hom,
-    block_diag,
-    canonical_hom,
     cokernel,
     cokernel_data,
     cokernel_projection,
@@ -41,6 +29,20 @@ from quivlat.rings import (
     normal_form,
     presentation_base_change,
     solve,
+)
+from quivlat.errors import DimensionMismatch, IncompatibleRing, ParseError
+from quivlat.quiver import Rep
+from quivlat.rings import (
+    ExactMatrix,
+    Feps,
+    GF,
+    QQ,
+    RingSpec,
+    ZZ,
+    Zmod,
+    apply_hom,
+    block_diag,
+    canonical_hom,
 )
 
 CHAIN_RINGS = (ZZ, Zmod(4), Zmod(6), Feps(2, 2))
@@ -435,7 +437,7 @@ def test_replayed_transforms_match_elementary_products():
     """The transforms replayed from a diagonalisation's recorded operations
     are the products of the operations' elementary matrices: left =
     E_K ... E_1 and right = F_1 ... F_L, multiplied out by ExactMatrix.mul."""
-    from quivlat import rings
+    from quivlat import elimination
     from quivlat.homology import differential
     from quivlat.quiver import Quiver
     from quivlat.verify import random_rep
@@ -448,7 +450,7 @@ def test_replayed_transforms_match_elementary_products():
         mats += [differential(random_rep(ring, kronecker, (2, 3), rng),
                               random_rep(ring, kronecker, (2, 3), rng)) for _ in range(2)]
         for a in mats:
-            ws = rings._diagonal_sheet(ring, rings._nonzeros(a.entries, ring), a.cols)
+            ws = elimination._diagonal_sheet(ring, elimination._nonzeros(a.entries, ring), a.cols)
             left = ExactMatrix.identity(ring, a.rows)
             for op in ws.row_ops:
                 left = _elementary(ring, a.rows, op).mul(left)
@@ -462,10 +464,10 @@ def test_replayed_transforms_match_elementary_products():
             left_inv = list(zip(*res.left_inverse.entries))
             right_cols = list(zip(*right.entries))
             picks = [j for j in range(a.cols) if rng.random() < 0.5][::-1]
-            assert (rings._replayed(ring, a.cols, reversed(ws.col_ops), picks)
+            assert (elimination._replayed(ring, a.cols, reversed(ws.col_ops), picks)
                     == [right_cols[j] for j in picks])
             picks = [i for i in range(a.rows) if rng.random() < 0.5][::-1]
-            assert (rings._replayed(ring, a.rows, reversed(ws.row_ops), picks, True)
+            assert (elimination._replayed(ring, a.rows, reversed(ws.row_ops), picks, True)
                     == [left_inv[i] for i in picks])
 
 

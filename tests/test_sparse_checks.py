@@ -4,12 +4,12 @@ replaced, kept here as the reference.
 Every replayed mutation asks is_exceptional of each member, _orthogonal of
 each backward pair and RepMorphism's commutativity check of each witness.
 They now run on sparse rows: homology._differential_rows places the
-nonzeros of the arrow matrices into one dict per row, rings._invertible
+nonzeros of the arrow matrices into one dict per row, elimination._invertible
 decides on those rows (it peels unit singleton rows and hands what is left
-to rings._forward), ExactMatrix.mul adds one row of the right factor per
+to elimination._forward), ExactMatrix.mul adds one row of the right factor per
 nonzero of the left one, and the orbit walk (mutation._OrbitWalk)
 computes the two mutations of an adjacent pair once per walk, and expands
-only as far as its reader asks.  rings._forward is also the one forward pass of
+only as far as its reader asks.  elimination._forward is also the one forward pass of
 Hom/Ext over Q and F_p, of the field reductions and of the Z residual, which
 ran on dense lists before.  Each must give exactly what the dense code gave:
 
@@ -34,7 +34,7 @@ ran on dense lists before.  Each must give exactly what the dense code gave:
   (f) rational zeros that are not QQ.zero (QQ.canon(0), the JSON literal
       "0/7", a loop cell that cancels) never reach _forward's rows, and
       hom_ext over Q and F_p places each pair once and hands those rows to
-      _forward with no scan of the dense cells (rings._nonzeros).
+      _forward with no scan of the dense cells (elimination._nonzeros).
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_sparse_checks.py
@@ -46,7 +46,16 @@ from collections import deque
 from fractions import Fraction
 from itertools import accumulate
 
-from quivlat import homology, mutation, rings, structure
+from quivlat import elimination, homology, mutation, structure
+from quivlat.elimination import (
+    _back_substitute,
+    _forward,
+    _nonzeros,
+    _Worksheet,
+    is_invertible,
+    kernel_data,
+    solve,
+)
 from quivlat.errors import QuivlatError
 from quivlat.homology import _differential_rows, differential, hom_ext, is_exceptional
 from quivlat.mutation import _mutated_dims, orbit_search, standard_sequence
@@ -60,14 +69,7 @@ from quivlat.rings import (
     RingHom,
     RingSpec,
     Zmod,
-    _back_substitute,
-    _forward,
-    _nonzeros,
-    _Worksheet,
     apply_hom,
-    is_invertible,
-    kernel_data,
-    solve,
 )
 from quivlat.structure import exceptional_lattice
 from quivlat.verify import random_rep, random_unimodular
@@ -234,7 +236,7 @@ def test_the_checks_eliminate_the_differential_with_and_without_column_0():
 
 
 def _dense_forward(mat: ExactMatrix) -> tuple:
-    """The forward pass on dense lists that rings._forward replaced, as it
+    """The forward pass on dense lists that elimination._forward replaced, as it
     was: the pivot columns, the pivot rows, the int rows and p (0 for Z).
     Over F_p it works mod p and scales each pivot row to pivot 1; over Q
     (each row scaled by the lcm of its denominators) and Z it is Bareiss
@@ -282,7 +284,7 @@ def _dense_forward(mat: ExactMatrix) -> tuple:
 
 
 def _dense_back_substitute(pivot_cols, echelon, free_cols, p):
-    """rings._back_substitute as it was, on dense echelon rows, scanning
+    """elimination._back_substitute as it was, on dense echelon rows, scanning
     every later pivot column."""
     r = len(echelon)
     d = echelon[-1][pivot_cols[-1]] if r and not p else 1
@@ -367,8 +369,7 @@ def _lattice_pass_matrices():
              + [(A4, tuple(int(i <= v < j) for v in range(4)))
                 for i in range(4) for j in range(i + 1, 5)])
     roots.sort(key=lambda qr: -sum(qr[1]))
-    for cache in (homology._exceptional, homology._orthogonal, mutation._walk,
-                  structure._built):
+    for cache in (homology._exceptional, homology._orthogonal, mutation._walk):
         cache.cache_clear()
     with _Recorder() as rec:
         for quiver, root in roots:
@@ -395,11 +396,10 @@ def test_a_seeded_lattice_pass_decides_every_check_by_the_peel():
                 for i in range(4) for j in range(i + 1, 5)])
     rng.shuffle(roots)
     roots.sort(key=lambda qr: -sum(qr[1]))
-    for cache in (homology._exceptional, homology._orthogonal, mutation._walk,
-                  structure._built):
+    for cache in (homology._exceptional, homology._orthogonal, mutation._walk):
         cache.cache_clear()
     verdicts, entered, inside = [], [], []
-    real_check, real_forward = homology._invertible, rings._forward
+    real_check, real_forward = homology._invertible, elimination._forward
 
     def check(*args):
         inside.append(True)
@@ -413,7 +413,7 @@ def test_a_seeded_lattice_pass_decides_every_check_by_the_peel():
         entered.append(bool(inside))
         return real_forward(*args)
 
-    homology._invertible, rings._forward = check, forward
+    homology._invertible, elimination._forward = check, forward
     try:
         for quiver, root in roots:
             for ring in ("Z", "F:3", "Zmod:4", "Feps:2:2"):
@@ -423,7 +423,7 @@ def test_a_seeded_lattice_pass_decides_every_check_by_the_peel():
         mat = ExactMatrix(ZZ, 3, 3, ((1, 2, 3), (4, 5, 6), (7, 8, 10)))
         assert is_invertible(mat) is False and entered[-1:] == [False]
     finally:
-        homology._invertible, rings._forward = real_check, real_forward
+        homology._invertible, elimination._forward = real_check, real_forward
 
 
 def test_forward_on_every_field_input_of_the_digest_matrix_cases():
@@ -431,7 +431,7 @@ def test_forward_on_every_field_input_of_the_digest_matrix_cases():
     cokernel_projection and the rest over Q, F:2 and F:3, on the seeded
     matrices whose outputs tests/test_output_digest.py hashes."""
     from test_output_digest import _matrix_cases
-    with _Recorder(rings, "_forward") as rec:
+    with _Recorder(elimination, "_forward") as rec:
         for spec, _, run in _matrix_cases(random.Random(20261018)):
             if spec in ("Q", "F:2", "F:3"):
                 try:
@@ -452,7 +452,7 @@ def test_forward_on_z_residuals():
         rng = random.Random("z-invariants:%d" % seed)
         x, y = (random_rep(ZZ, KRONECKER, (4, 5), rng) for _ in range(2))
         a = differential(x, y)
-        with _Recorder(rings, "_forward") as rec:
+        with _Recorder(elimination, "_forward") as rec:
             ws = _Worksheet(ZZ, _nonzeros(a.entries, ZZ), a.cols)
             ws.diagonalize()
             ws.diagonal(a.rows)
@@ -638,11 +638,11 @@ def _fresh_zeros():
 
 
 def _forward_runs(run, name="_forward"):
-    """run's result and, per call of rings.<name> it makes, the rows passed
+    """run's result and, per call of elimination.<name> it makes, the rows passed
     and the pivot columns, pivot rows and rows _forward returns on them."""
-    with _Recorder(rings, name) as rec:
+    with _Recorder(elimination, name) as rec:
         out = run()
-    return out, [(rows, rings._forward(ring, [dict(r) for r in rows], cols))
+    return out, [(rows, elimination._forward(ring, [dict(r) for r in rows], cols))
                  for ring, rows, cols in rec.seen]
 
 
@@ -695,14 +695,14 @@ def test_rational_zeros_that_are_not_qq_zero():
 def test_hom_ext_places_once_and_eliminates_the_placed_rows():
     """hom_ext places each pair once and densifies nothing; over Q and F_p
     it hands the placed rows to _forward, and the sheet rings start their
-    sheet from them.  On every ring rings._nonzeros never scans dense
+    sheet from them.  On every ring elimination._nonzeros never scans dense
     cells, save a Z sheet's paused residual, for its invariant factors.
     The differential is densified on its first read alone, and equals the
     dense placement."""
     rng = random.Random(25)
     placed, layouts, scanned, densified = [], [], [], []
     real_place, real_scan, real_densify = (
-        homology._differential_rows, rings._nonzeros, homology._densified)
+        homology._differential_rows, elimination._nonzeros, homology._densified)
 
     def place(x, y, off0=None):
         rows, cols = real_place(x, y, off0)
@@ -718,14 +718,14 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         densified.append(cols)
         return real_densify(ring, rows, cols)
 
-    sheet_class, sheets = rings._Worksheet, []
+    sheet_class, sheets = elimination._Worksheet, []
 
     class Built(sheet_class):
         def __init__(self, ring, rows, cols):
             sheets.append(([dict(row) for row in rows], cols))
             super().__init__(ring, rows, cols)
 
-    homology._differential_rows, rings._nonzeros, rings._Worksheet = place, scan, Built
+    homology._differential_rows, elimination._nonzeros, elimination._Worksheet = place, scan, Built
     homology._densified = densify
     moved = 0
     try:
@@ -734,7 +734,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
                     del placed[:], layouts[:], scanned[:], sheets[:], densified[:]
-                    with _Recorder(rings, "_forward") as rec:
+                    with _Recorder(elimination, "_forward") as rec:
                         he = hom_ext(x, y)
                     assert len(placed) == 1 and densified == [], str(ring)
                     # placed in the elimination layout: each C0 block of the
@@ -756,8 +756,8 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
                     assert not any(rows is he.differential.entries for rows in scanned)
         assert moved
     finally:
-        homology._differential_rows, rings._nonzeros = real_place, real_scan
-        homology._densified, rings._Worksheet = real_densify, sheet_class
+        homology._differential_rows, elimination._nonzeros = real_place, real_scan
+        homology._densified, elimination._Worksheet = real_densify, sheet_class
 
 if __name__ == "__main__":
     for name, fn in list(globals().items()):

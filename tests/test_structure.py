@@ -9,6 +9,7 @@ from test_summand_peel import QUIVERS as PEEL_QUIVERS, TOTAL as PEEL_TOTAL
 from test_summand_peel import TOTALS as PEEL_TOTALS, generic_ext
 
 from quivlat import mutation, structure
+from quivlat.elimination import invert, is_invertible
 from quivlat.errors import (
     BoundExceeded,
     DimensionMismatch,
@@ -31,9 +32,7 @@ from quivlat.quiver import (
     projective_rep,
     tensor_free,
 )
-from quivlat.rings import (
-    ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom, invert, is_invertible,
-)
+from quivlat.rings import ExactMatrix, Feps, GF, QQ, ZZ, Zmod, canonical_hom
 from quivlat.structure import (
     SCHUR_BOUNDED_FALSE,
     SCHUR_PREFILTER_FALSE,
@@ -209,7 +208,7 @@ WALKED_IDS = ("kronecker", "A3", "A3-opposite", "3-kronecker", "triangle")
 
 @pytest.fixture
 def fresh_replays():
-    structure._built.cache_clear()
+    mutation._walk.cache_clear()
 
 
 @pytest.mark.parametrize("quiver,bound", WALKED, ids=WALKED_IDS)
@@ -227,8 +226,8 @@ def test_shared_walk_gives_the_fresh_search_witnesses(fresh_replays, quiver, bou
     for alpha in sorted(orbit, key=sum, reverse=largest_first):
         assert exceptional_lattice(quiver, alpha, bound=bound) == orbit[alpha]
         assert schur_root_status(quiver, alpha, bound=bound) == SCHUR_REAL
-    assert structure._built.cache_info().currsize == 1
-    for state, seq in structure._built(quiver, bound).items():
+    assert mutation._walk.cache_info().currsize == 1
+    for state, seq in mutation._walk(quiver, bound, None).replays().items():
         assert seq.dims_tuple() == state
 
 
@@ -251,8 +250,8 @@ def test_interrupted_replay_does_not_poison_later_queries(fresh_replays, monkeyp
         exceptional_lattice(K2, (5, 6), bound=12)
     assert len(calls) == 3
     # the start and the two sequences whose braid_act returned, nothing more
-    assert len(structure._built(K2, 12)) == 3
-    for state, seq in structure._built(K2, 12).items():
+    assert len(mutation._walk(K2, 12, None).replays()) == 3
+    for state, seq in mutation._walk(K2, 12, None).replays().items():
         assert seq.dims_tuple() == state
     orbit = orbit_search(standard_sequence(ZZ, K2), bound=12)
     for alpha in ((5, 6), (3, 4), (6, 5)):

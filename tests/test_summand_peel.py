@@ -23,11 +23,12 @@ import operator
 import random
 
 from quivlat import structure
+from quivlat.elimination import invert
 from quivlat.errors import BoundExceeded
 from quivlat.mutation import _walk
 from quivlat.quiver import (Quiver, RepMorphism, base_change, direct_sum_many, euler_form,
                             tensor_free)
-from quivlat.rings import ZZ, RingSpec, canonical_hom, invert
+from quivlat.rings import ZZ, RingSpec, canonical_hom
 from quivlat.verify import conjugate_rep, random_unimodular
 
 QUIVERS = {

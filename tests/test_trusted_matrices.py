@@ -24,7 +24,13 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from quivlat import homology, mutation, structure
+from quivlat import homology, mutation
+from quivlat.elimination import (
+    cokernel_projection,
+    kernel_basis,
+    normal_form,
+    solve,
+)
 from quivlat.errors import ParseError
 from quivlat.homology import HomExtResult, differential
 from quivlat.mutation import left_mutate, right_mutate
@@ -38,11 +44,7 @@ from quivlat.rings import (
     Zmod,
     apply_hom,
     canonical_hom,
-    cokernel_projection,
     identity_hom,
-    kernel_basis,
-    normal_form,
-    solve,
 )
 from quivlat.structure import decompose_rigid, exceptional_lattice, lift_rigid
 
@@ -117,7 +119,6 @@ def _checking():
     homology._exceptional.cache_clear()
     homology._orthogonal.cache_clear()
     mutation._walk.cache_clear()
-    structure._built.cache_clear()
     ExactMatrix._of = staticmethod(_checked_of)
     try:
         yield

@@ -47,13 +47,7 @@ Stdlib only, so it also runs without pytest:
 import random
 from fractions import Fraction
 
-from quivlat.homology import HomExtResult
-from quivlat.quiver import Quiver
-from quivlat.rings import (
-    ZZ,
-    ExactMatrix,
-    Feps,
-    Zmod,
+from quivlat.elimination import (
     _diagonal_sheet,
     _nonzeros,
     _Worksheet,
@@ -64,6 +58,14 @@ from quivlat.rings import (
     kernel_data,
     normal_form,
     solve,
+)
+from quivlat.homology import HomExtResult
+from quivlat.quiver import Quiver
+from quivlat.rings import (
+    ZZ,
+    ExactMatrix,
+    Feps,
+    Zmod,
 )
 from quivlat.verify import random_rep
 

@@ -7,7 +7,7 @@ the pivot column is clean, which only zeroes that entry, and a column
 swap.  Its unit phase updates dict rows by a third kernel, dict_axpy.
 _ElementwiseWorksheet does the worksheet's unit-phase row updates with
 ring.add and ring.mul per element, as the reference, and
-_elementwise_replay, swapped in for ``rings._replay``, its dense row
+_elementwise_replay, swapped in for ``elimination._replay``, its dense row
 operations on any matrix (N, N transposed and every transform).  Every
 result read off an elimination must be identical (equal and of equal repr,
 so equal types too) whichever of the two worksheets ran it.  The worksheet
@@ -24,7 +24,14 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from quivlat import rings
+from quivlat import elimination, rings
+from quivlat.elimination import (
+    cokernel_data,
+    cokernel_projection,
+    kernel_data,
+    normal_form,
+    solve,
+)
 from quivlat.homology import HomExtResult
 from quivlat.quiver import Quiver, Rep
 from quivlat.rings import (
@@ -34,11 +41,6 @@ from quivlat.rings import (
     QQ,
     ZZ,
     Zmod,
-    cokernel_data,
-    cokernel_projection,
-    kernel_data,
-    normal_form,
-    solve,
 )
 from quivlat.verify import random_rep
 
@@ -55,7 +57,7 @@ CALLS = Counter()
 
 
 def _elementwise_replay(ring, x, ops, inverse=False):
-    """rings._replay with per-element ring arithmetic; counts its calls."""
+    """elimination._replay with per-element ring arithmetic; counts its calls."""
     CALLS["_replay"] += 1
     add, mul, neg = ring.add, ring.mul, ring.neg
     for op in ops:
@@ -82,7 +84,7 @@ def _elementwise_replay(ring, x, ops, inverse=False):
     return x
 
 
-class _ElementwiseWorksheet(rings._Worksheet):
+class _ElementwiseWorksheet(elimination._Worksheet):
     """_unit_axpy with per-element ring arithmetic; counts its calls, and
     the replays the column passes run on N transposed."""
 
@@ -108,12 +110,12 @@ class _ElementwiseWorksheet(rings._Worksheet):
 
 @contextmanager
 def _elementwise():
-    saved = rings._Worksheet, rings._replay
-    rings._Worksheet, rings._replay = _ElementwiseWorksheet, _elementwise_replay
+    saved = elimination._Worksheet, elimination._replay
+    elimination._Worksheet, elimination._replay = _ElementwiseWorksheet, _elementwise_replay
     try:
         yield
     finally:
-        rings._Worksheet, rings._replay = saved
+        elimination._Worksheet, elimination._replay = saved
 
 
 def _assert_identical(new, ref, what):
@@ -234,7 +236,7 @@ def test_column_step_after_a_gcdex_column_step():
     as a row step on N transposed: the gcdex step mixes column 2 into the
     pivot column, so clearing the pivot row's last entry changes row 1 too."""
     a = ExactMatrix(ZZ, 2, 3, ((2, 3, 4), (6, 5, 8)))
-    ws = rings._diagonal_sheet(ZZ, rings._nonzeros(a.entries, ZZ), a.cols)
+    ws = elimination._diagonal_sheet(ZZ, elimination._nonzeros(a.entries, ZZ), a.cols)
     assert [len(op) for op in ws.col_ops[:2]] == [6, 3]
     assert ws.col_ops[1] == (0, 2, -4)
     res = normal_form(a)
@@ -269,7 +271,7 @@ def _sheets_and_gcdex_calls(ring, count):
             rows, cols = rng.randint(1, 6), rng.randint(1, 6)
             pick = (lambda: rng.choice(non_units)) if k % 2 else (lambda: _entry(ring, rng))
             cells = [[pick() for _ in range(cols)] for _ in range(rows)]
-            ws = rings._Worksheet(ring, rings._nonzeros(cells, ring), cols)
+            ws = elimination._Worksheet(ring, elimination._nonzeros(cells, ring), cols)
             ws.diagonalize()
             calls["dense"] += ws.paused is not None
             ws.resume()
