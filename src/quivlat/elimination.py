@@ -46,7 +46,11 @@ Over Q and F_p all of these instead run the one forward elimination,
 row moves, column operations or transforms (fraction-free over Q), which
 updates only the rows not yet pivots.  Rank, cokernels, and Hom and Ext
 as modules follow from its rank profile; the kernel vectors back-substitute
-its echelon rows at the non-pivot columns, Hom's on first read.
+its echelon rows at the non-pivot columns, Hom's on first read.  Hom and
+Ext of a quiver pair over Q take int rows instead, each arrow's block
+scaled by one integer, and first read the rank off their image mod 32749
+(``_certified_hom_ext``): a full-rank image certifies both modules, and
+the exact pass then waits for the first witness read.
 :func:`normal_form` back-substitutes [a | I], and :func:`solve` [a | b].
 :func:`is_invertible` and the mutation layer's exceptional checks ask one
 check, ``_invertible``, on every ring: it peels each row whose one entry is
@@ -85,8 +89,10 @@ from .errors import (
 from ._record import Record
 from .rings import (
     ExactMatrix,
+    GF,
     RingHom,
     RingSpec,
+    ZZ,
     _check_hom,
     _check_matrix,
     _check_read,
@@ -712,7 +718,7 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
         cands = col_rows[c]
         if not cands:
             continue
-        r = min([(len(ints[i]), i) for i in cands])[1]
+        r = min([(len(ints[i]), i) for i in cands])[1] if len(cands) > 1 else next(iter(cands))
         pivot_cols.append(c)
         pivot_rows.append(r)
         piv = ints[r]
@@ -725,15 +731,19 @@ def _forward(ring: RingSpec, rows: list, cols: int) -> tuple:
             if stamp[r] != den:
                 piv = ints[r] = {k: x * den // stamp[r] for k, x in piv.items()}
             den = piv[c]
+        if not cands:   # no row to update
+            continue
         rest = [(k, y) for k, y in piv.items() if k != c]
         for j in cands:
             row, f = ints[j], ints[j].pop(c)
             if p:
                 for k, y in rest:
-                    x = (row.get(k, 0) - f * y) % p
-                    if x:
-                        row[k] = x
+                    x = row.get(k)
+                    if x is None:   # fill-in, nonzero: f and y are units mod p
+                        row[k] = -f * y % p
                         col_rows[k].add(j)
+                    elif x := (x - f * y) % p:
+                        row[k] = x
                     else:
                         del row[k]
                         col_rows[k].discard(j)
@@ -903,8 +913,18 @@ def _nonzeros(rows, ring) -> list:
 
 
 def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
-    """_hom_ext_data over Q or F_p, read off the rank profile of the one
-    forward elimination, _forward, of rows.  Every invariant factor is zero.
+    """_hom_ext_data over Q and F_p, read off the rank profile of the one
+    forward elimination, _forward, of rows (_field_modules).  Hom and Ext
+    of a quiver pair over Q run _certified_hom_ext on int rows instead,
+    which gives the same modules and vectors."""
+    return _field_modules(ring, *_forward(ring, rows, cols), cols)
+
+
+def _field_modules(ring: RingSpec, pivot_cols: list, pivot_rows: list, rows: list,
+                   cols: int) -> tuple:
+    """_hom_ext_data over Q or F_p, off the pivot columns, pivot rows and
+    rows of one forward elimination, _forward.  Every invariant factor is
+    zero.
 
     The kernel vectors are the reduced kernel basis: one per non-pivot
     column f, with 1 at f and minus the rref's entry at f at each pivot; their
@@ -914,7 +934,6 @@ def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
     vanishes, and these vectors complement the column span.
     """
     p, zero, one, height = ring.p, ring.zero, ring.one, len(rows)
-    pivot_cols, pivot_rows, rows = _forward(ring, rows, cols)
     free_cols = sorted(set(range(cols)).difference(pivot_cols))
     ext_rows = sorted(set(range(height)).difference(pivot_rows))
     read_hom = read_ext = list
@@ -939,6 +958,44 @@ def _field_hom_ext(ring: RingSpec, rows: list, cols: int) -> tuple:
             return [tuple(one if k == i else zero for k in range(height)) for i in ext_rows]
     return (ModulePresentation(ring, len(free_cols), (zero,) * len(free_cols)), read_hom,
             ModulePresentation(ring, height, (zero,) * len(ext_rows)), read_ext)
+
+
+# The prime of Q's rank certificate: the largest below 2**15, so the product
+# of two residues fits one 30-bit CPython digit (mod 2**31 - 1 needs two).
+_CERTIFIER = GF(32749)
+
+
+def _certified_hom_ext(ring: RingSpec, rows: list, cols: int, bound: int) -> tuple:
+    """_hom_ext_data over Q on int rows (consumed), the rows of a matrix
+    each scaled by a nonzero integer (homology.HomExtResult places them so),
+    which changes neither the kernel, nor the zero pattern, nor any pivot
+    choice; bound is an upper bound on the rank known beforehand.
+
+    An integer matrix's rank over Q is at least its rank mod p, since a
+    minor nonzero mod p is nonzero, so an image mod 32749 (_CERTIFIER) of
+    full rank, min(len(rows), cols), certifies that rank, and with it both
+    modules.  The image is read, by _forward over GF(32749) on a reduced
+    copy of the rows, unless bound is below full rank.  A full-rank matrix
+    has at most one nonzero module, and its rows wait for that module's
+    first read; any other goes to the exact pass at once.  That pass is
+    Bareiss on the ints (_forward over Z), and the modules and vectors are
+    _field_modules' off it, so they are _field_hom_ext's on Fraction rows.
+    """
+    height, rank = len(rows), min(len(rows), cols)
+    if bound >= rank:
+        q = _CERTIFIER.p
+        image = [{k: v for k, x in row.items() if (v := x % q)} for row in rows]
+        if len(_forward(_CERTIFIER, image, cols)[0]) == rank:
+            side, reader = 1 if rank < cols else 3, []   # the one side that can be nonzero
+
+            def read():
+                if not reader:   # the exact pass, once: it consumes the rows
+                    reader.append(_field_modules(ring, *_forward(ZZ, rows, cols), cols)[side])
+                return reader[0]()
+            hom, ext = cols - rank, height - rank
+            return (ModulePresentation(ring, hom, (ring.zero,) * hom), read if hom else list,
+                    ModulePresentation(ring, height, (ring.zero,) * ext), read if ext else list)
+    return _field_modules(ring, *_forward(ZZ, rows, cols), cols)
 
 
 def kernel_data(a: ExactMatrix) -> tuple:

@@ -32,12 +32,14 @@ order.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from .errors import NotProjective, NotRigid, TheoremViolation
 from .quiver import Rep, RepMorphism, _check_compatible, base_change, tits_form
 from .elimination import (
+    _certified_hom_ext,
     _hom_ext_data,
     _invertible,
     constant_rank,
@@ -71,7 +73,7 @@ def _elimination_offsets(x: Rep, y: Rep):
     return off0
 
 
-def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
+def _differential_rows(x: Rep, y: Rep, off0=None, integral=False) -> tuple:
     """The differential f -> (Y_a f_tail - f_head X_a) as (rows, cols), each
     row a dict from column to nonzero entry, placed from the nonzeros of Y_a
     and -X_a: the row of arrow a at (c, r) holds row r of Y_a in the block
@@ -85,7 +87,11 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
     keys come in the order a row-by-row build gives them.
     The block of vertex v starts at column off0[v], by default the vertex
     layout; HomExtResult hands in the elimination layout's offsets, so the
-    rows are placed there in the one pass.
+    rows are placed there in the one pass.  With integral, over Q, the rows
+    of arrow a are placed as ints, scaled by one integer, the lcm of the
+    denominators of X_a's and Y_a's entries (_integral_entries): a row
+    scaling, which keeps the kernel, the zero pattern and every pivot
+    choice, and which HomExtResult's elimination reads mod a prime.
 
     The C1 rows over C0 columns bound what is built from them: the sheet's
     dense residual, differential(), and the fill-in of elimination._forward.  A
@@ -109,12 +115,15 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
         t, h = q.tail(a), q.head(a)
         xt, yt, yh = x.dims[t], y.dims[t], y.dims[h]
         block = [{} for _ in range(xt * yh)]   # the row at (c, r) is block[c * yh + r]
-        for r, w in enumerate(y.mats[a].entries):
+        ya, xa = y.mats[a].entries, x.mats[a].entries
+        if integral:
+            ya, xa = _integral_entries(ya, xa)
+        for r, w in enumerate(ya):
             for k, v in enumerate(w, off0[t]):
                 if nonzero(v):   # into the rows (c, r), at column k + c * yt
                     for row, key in zip(block[r::yh], range(k, k + xt * yt, yt)):
                         row[key] = v
-        for i, w in enumerate(x.mats[a].entries):
+        for i, w in enumerate(xa):
             for c, v in enumerate(w):
                 if nonzero(v):   # into the rows (c, r), at column off0[h] + i * yh + r
                     v = neg(v)
@@ -123,6 +132,25 @@ def _differential_rows(x: Rep, y: Rep, off0=None) -> tuple:
                         row[key] = add(row[key], v) if t == h and key in row else v
         rows += [{k: v for k, v in row.items() if nonzero(v)} for row in block] if t == h else block
     return rows, c0
+
+
+def _integral_entries(*mats) -> list:
+    """The entries of the Fraction matrices mats as ints, all scaled by the
+    lcm of their denominators."""
+    lcm = math.lcm(*[v.denominator for m in mats for w in m for v in w])
+    if lcm == 1:   # integral already: no denominator to read again
+        return [[[v.numerator for v in w] for w in m] for m in mats]
+    return [[[v.numerator * (lcm // v.denominator) for v in w] for w in m] for m in mats]
+
+
+def _rank_bound(x: Rep, y: Rep) -> int:
+    """An upper bound on the rank of the differential, read off the dims:
+    the rows of arrow a span at most the maps Y_a g - h X_a, a space of
+    dimension x_t y_h - dim ker X_a * dim coker Y_a, and ker X_a has
+    dimension at least x_t - x_h, coker Y_a at least y_h - y_t."""
+    q, dx, dy = x.quiver, x.dims, y.dims
+    return sum(dx[t] * dy[h] - max(0, dx[t] - dx[h]) * max(0, dy[h] - dy[t])
+               for t, h in ((q.tail(a), q.head(a)) for a in range(q.arrow_count)))
 
 
 def _densified(ring, rows, cols) -> ExactMatrix:
@@ -212,7 +240,15 @@ class HomExtResult:
     keeps the echelon rows until its generators, the reduced kernel basis
     (one per non-pivot column), are first read and back-substitute them.
     The Ext cocycles are the unit vectors at the rows that are not pivot
-    rows.
+    rows.  Over Q the rows are placed as ints, each arrow's block scaled by
+    the lcm of the denominators of X_a's and Y_a's entries, a row scaling
+    that keeps every pivot choice, and the rank is first read off their
+    image mod 32749 (elimination._certified_hom_ext), unless the dims
+    bound it below full rank (_rank_bound).  A full-rank image certifies
+    both modules, and the exact pass, Bareiss on the ints, waits for the
+    first witness read; otherwise it runs at once.  Either way the modules
+    and witnesses are the exact pass's, on Fractions as before;
+    self.differential keeps its Fractions.
     Over Z, Z/m and Feps the construction diagonalises the placed rows:
     every unit pivot on them, then only the unit-free residual densely
     (elimination._Worksheet).  The unit pivots' column operations and scalings
@@ -232,9 +268,12 @@ class HomExtResult:
 
     def __init__(self, x: Rep, y: Rep):
         off0 = _elimination_offsets(x, y)   # checks the pair before x.ring is read
-        rows, cols = _differential_rows(x, y, off0)
+        integral = x.ring.is_field and not x.ring.p   # over Q
+        rows, cols = _differential_rows(x, y, off0, integral)
         self.x, self.y, self._off0 = x, y, off0
-        self.hom, self._read_hom, self.ext, self._read_ext = _hom_ext_data(x.ring, rows, cols)
+        self.hom, self._read_hom, self.ext, self._read_ext = (
+            _certified_hom_ext(x.ring, rows, cols, _rank_bound(x, y)) if integral
+            else _hom_ext_data(x.ring, rows, cols))
 
     @cached_property
     def differential(self) -> ExactMatrix:

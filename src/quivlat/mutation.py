@@ -52,6 +52,7 @@ from .errors import (
     BoundExceeded,
     DimensionMismatch,
     NeitherMonoNorEpi,
+    NotComputable,
     ParseError,
     PreconditionViolated,
     TheoremViolation,
@@ -77,6 +78,9 @@ from .rings import ExactMatrix, RingSpec, ZZ, _check_ring, block_diag
 # The total-dimension bound of every orbit walk a caller does not bound:
 # the one default of each public bound and of the CLI's --bound.
 _DEFAULT_BOUND = 60
+# The states one orbit walk may commit; the largest walk of the test suite
+# has 9,999, and a wild six-vertex star passes 10**5 at bound 10.
+_MAX_WALK_STATES = 10 ** 5
 
 
 def is_exceptional_pair(x: Rep, y: Rep) -> bool:
@@ -430,7 +434,8 @@ class _OrbitWalk:
         return len(self._states)
 
     def _expand(self) -> None:
-        """Expand the next state, committing its successors at the end."""
+        """Expand the next state, committing its successors at the end,
+        or none when they would take the walk past _MAX_WALK_STATES."""
         state, steps, bound = self._states[self.expanded], self.steps, self.bound
         new = {}
         for i in range(1, len(state)):
@@ -444,6 +449,10 @@ class _OrbitWalk:
                 nxt = state[:i - 1] + pair + state[i + 1:]
                 if nxt not in steps and nxt not in new and max(map(sum, nxt)) <= bound:
                     new[nxt] = (state, i, inverse)
+        if len(self._states) + len(new) > _MAX_WALK_STATES:   # refused before any is committed
+            raise NotComputable("the orbit walk at bound %d would hold %d states, above the "
+                                "cap %d" % (bound, len(self._states) + len(new),
+                                            _MAX_WALK_STATES))
         steps.update(new)
         self._states += new
         for nxt in new:

@@ -428,12 +428,10 @@ def direct_sum(x: Rep, y: Rep) -> Rep:
 
 def _check_blocks(quiver: Quiver, dims: DimVector) -> None:
     """Refuse with NotComputable (rings._check_read) a direct sum of these
-    dims when the dense block it fills at some arrow, whole, is more than
-    the cap allows."""
-    for a, (tail, head) in enumerate(quiver.arrows, 1):
-        rows, cols = dims[head - 1], dims[tail - 1]
-        _rings._check_read(rows, cols, "the %d x %d block of arrow %d of a direct sum",
-                           rows, cols, a)
+    dims when the dense blocks it fills at its arrows, together, are more
+    than the cap allows: the sum holds them all at once."""
+    cells = sum(dims[head - 1] * dims[tail - 1] for tail, head in quiver.arrows)
+    _rings._check_read(cells, 1, "the arrow blocks of a direct sum of dims %r", tuple(dims))
 
 
 def direct_sum_many(reps: Sequence[Rep]) -> Rep:

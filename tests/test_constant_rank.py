@@ -23,11 +23,12 @@ import itertools
 import math
 from functools import lru_cache
 
-from quivlat import rings
+from quivlat import elimination, rings
+from quivlat import quiver as quiver_module
 from quivlat.elimination import ModulePresentation, constant_rank
 from quivlat.errors import NotProjective
 from quivlat.homology import hom_ext
-from quivlat.quiver import Quiver, Rep
+from quivlat.quiver import Quiver, Rep, base_change
 from quivlat.rings import Feps, GF, Zmod, canonical_hom
 
 BIG = 65537   # a prime above 2^16
@@ -111,19 +112,35 @@ def test_constant_rank_matches_valuations():
 
 
 def test_constant_rank_maps_only_the_invariant_factors():
-    """Only the invariant factors are read: apply_hom is never called,
-    so a Hom module of rank 900 costs 900 factors and no 900 x 900 matrix."""
-    def refuse(hom, mat):
-        raise AssertionError("constant_rank transported a relation matrix")
-    saved, rings.apply_hom = rings.apply_hom, refuse
+    """Only the invariant factors are read: nothing is transported, so a
+    Hom module of rank 900 costs 900 factors and no 900 x 900 matrix.  The
+    stubs sit on the bindings a transport goes through: apply_hom as rings
+    defines it and as quiver calls it, and elimination's
+    presentation_base_change; base_change of a small rep shows they fire."""
+    def refuse(*args):
+        raise AssertionError("transported")
+    bindings = ((rings, "apply_hom"), (quiver_module, "apply_hom"),
+                (elimination, "presentation_base_change"))
+    saved = [getattr(module, name) for module, name in bindings]
+    for module, name in bindings:
+        setattr(module, name, refuse)
     try:
+        small = Rep(Zmod(4), Quiver(2, ((1, 2),)), (1, 1),
+                    (rings.ExactMatrix(Zmod(4), 1, 1, ((2,),)),))
+        try:   # the positive control: a transport meets the stub
+            base_change(small, canonical_hom(Zmod(4), Zmod(2)))
+        except AssertionError as exc:
+            assert str(exc) == "transported"
+        else:
+            raise AssertionError("the stub did not fire")
         x = Rep(Zmod(30), Quiver(1, ()), (30,), ())
         assert constant_rank(hom_ext(x, x).hom) == 900
         for m, factors in ((12, (2, 0)), (30, (0, 0)), (30, (6, 0)), (36, (4, 9))):
             pres = ModulePresentation.from_invariant_factors(Zmod(m), factors)
             assert _constant_rank(pres) == _valuation_rank(pres), (m, factors)
     finally:
-        rings.apply_hom = saved
+        for (module, name), value in zip(bindings, saved):
+            setattr(module, name, value)
 
 
 def test_a_unit_factor_is_a_zero_summand_on_every_ring():

@@ -211,10 +211,25 @@ def test_a_direct_sum_block_above_the_cap_is_refused_not_allocated():
     huge, tensor, summed, small = _run_capped(DIRECT_SUM)
     for (dims, raised, seconds), k in zip((huge, tensor, summed), (10 ** 6, 5000, 5000)):
         assert dims is None and raised[0] == "NotComputable", raised
-        assert raised[1] == ("the %d x %d block of arrow 1 of a direct sum would fill %d "
-                             "cells, above the cap 20000000" % (k, k, k * k)), raised
+        assert raised[1] == ("the arrow blocks of a direct sum of dims (%d, %d) would fill %d "
+                             "cells, above the cap 20000000" % (k, k, 2 * k * k)), raised
     assert huge[2] < 0.1 and tensor[2] < 0.1, (huge, tensor)
     assert small[:2] == [[100, 100], None], small
+
+
+def test_direct_sum_blocks_are_charged_together():
+    # at k = 4472 each of the two k x k blocks, 19,998,784 cells, is below
+    # the cap, and building both once ran a 400 MB child out of memory
+    # (MemoryError after 0.94 s); their sum is refused at once
+    script = DIRECT_SUM.replace("1 << 30, 1 << 30", "400 << 20, 400 << 20").replace(
+        "for run in (lambda: tensor_free(x, 10 ** 6), lambda: tensor_free(x, 5000),\n"
+        "            lambda: direct_sum_many([x] * 5000), lambda: tensor_free(x, 100)):",
+        "for run in (lambda: tensor_free(x, 4472),):")
+    (dims, raised, seconds), = _run_capped(script)
+    assert dims is None and raised == ["NotComputable", (
+        "the arrow blocks of a direct sum of dims (4472, 4472) would fill 39997568 cells, "
+        "above the cap 20000000")], raised
+    assert seconds < 0.1, seconds
 
 
 # Run in the child: one JSON line per ring, the shape solve answers or what

@@ -349,17 +349,20 @@ def test_witnesses_are_replayed_only_when_read(monkeypatch, ring):
     assert calls == {eliminated: calls_made + 2}
     assert ext_pair.hom.is_zero and ext_pair.ext.free_rank == 2
     assert hom_pair.hom.free_rank == 2 and hom_pair.ext.is_zero
-    # over the sheet rings each side's first read is one _replayed
+    # over the sheet rings each side's first read is one _replayed; over Q
+    # hom_ext's one _forward is the rank certificate mod 32749, which both
+    # pairs pass, and each side's first read also runs the exact _forward
     hom_read = {"_back_substitute" if ring.is_field else "_replayed": 1}
     both_read = {"_back_substitute": 1} if ring.is_field else {"_replayed": 2}
+    exact = ring.is_field and not ring.p
     assert len(hom_pair.hom_generators) == 2
-    assert calls == {eliminated: calls_made + 2, **hom_read}
+    assert calls == {eliminated: calls_made + 2 + exact, **hom_read}
     for _ in range(2):
         assert len(ext_pair.ext_cocycles) == 2
         assert len(hom_pair.hom_generators) == 2
-        assert calls == {eliminated: calls_made + 2, **both_read}
+        assert calls == {eliminated: calls_made + 2 + 2 * exact, **both_read}
     assert ext_pair.hom_generators == () and hom_pair.ext_cocycles == ()
-    assert calls == {eliminated: calls_made + 2, **both_read}
+    assert calls == {eliminated: calls_made + 2 + 2 * exact, **both_read}
 
 
 def _reachable(root):
@@ -466,9 +469,12 @@ def test_field_result_keeps_echelon_rows_until_read(monkeypatch, ring):
     he = hom_ext(p1, p1)
     (rows,) = passes
     assert he.hom.free_rank == 1 and he.ext.is_zero
-    assert rows_held(he, rows)
+    # over Q that pass is the rank certificate mod 32749, whose rows are let
+    # go, and the exact pass waits for the read
+    assert bool(rows_held(he, rows)) == bool(ring.p)
     assert len(he.hom_generators) == 1 and he.ext_cocycles == ()
-    assert not rows_held(he, rows)
+    assert len(passes) == 1 + (not ring.p)
+    assert not rows_held(he, rows) and not rows_held(he, passes[-1])
     he = hom_ext(Rep.simple(ring, K2, 1), Rep.simple(ring, K2, 2))
     assert he.hom.is_zero and he.ext.free_rank == 2
     assert not rows_held(he, passes[-1])

@@ -13,9 +13,17 @@ Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_orbit_walk.py
 """
 
+import json
+import os
 import signal
+import subprocess
+import sys
+import tempfile
+import time
 from collections import deque
 
+from quivlat import mutation
+from quivlat.errors import NotComputable
 from quivlat.mutation import braid_act, orbit_search, standard_sequence
 from quivlat.quiver import Quiver
 from quivlat.rings import Feps, QQ, ZZ, Zmod
@@ -126,8 +134,61 @@ def test_non_domain_walks_answer_once_they_leave_the_start():
         assert list(orbit_search(start, bound=12)) == z_dims
 
 
+# A wild star, centre 1 and arms 2..6 -> 1: at bound 10 its walk holds
+# 197,040 states, and at bound 30 2,581,320 (927 MB).
+STAR = '{"vertices": 6, "arrows": [[2, 1], [3, 1], [4, 1], [5, 1], [6, 1]]}'
+SCHUR_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from quivlat.cli import main
+sys.exit(main(["schur", "--quiver", sys.argv[1], "--dims", "3,0,1,1,2,2", "--format", "json"]))
+"""
+
+
+def test_a_walk_past_the_state_cap_is_refused_within_seconds():
+    # once this ran past 40 s and 608 MB; the walk now stops at its state cap
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "star.json")
+        with open(path, "w") as f:
+            f.write(STAR)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", SCHUR_CHILD, path], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        seconds = time.perf_counter() - start
+    report = json.loads(proc.stdout)
+    assert proc.returncode == 1 and report["error"] == "NotComputable", (proc.stdout, proc.stderr)
+    assert report["message"] == ("the orbit walk at bound 60 would hold 100002 states, above "
+                                 "the cap 100000"), report
+    assert seconds < 5, seconds
+
+
+def test_a_refused_expansion_commits_nothing():
+    original = mutation._MAX_WALK_STATES
+    mutation._MAX_WALK_STATES = 5
+    mutation._walk.cache_clear()   # a walk cached by another test is expanded already
+    try:
+        walk = mutation._walk(K2, 100, None)
+        try:
+            walk.full()
+        except NotComputable as exc:
+            assert "above the cap 5" in str(exc), exc
+        else:
+            raise AssertionError("the walk passed its cap")
+        states, expanded = list(walk._states), walk.expanded
+        assert len(states) <= 5 and len(walk.steps) == len(states)
+        assert set(walk.first.values()) <= set(states)
+        try:   # asked again, it refuses again and still commits nothing
+            walk.full()
+        except NotComputable:
+            pass
+        assert walk._states == states and walk.expanded == expanded
+    finally:
+        mutation._MAX_WALK_STATES = original
+        mutation._walk.cache_clear()
+
+
 if __name__ == "__main__":
-    import sys
     for name, fn in sorted(globals().items()):
         if name.startswith("test_") and callable(fn):
             fn()

@@ -298,19 +298,21 @@ def test_tensor_free_refuses_a_multiplicity_past_the_cell_cap(monkeypatch):
             tensor_free(S1, k)
     with pytest.raises(NotComputable, match="total dimension 0 would fill %d cells" % 10 ** 30):
         tensor_free(Rep.zero(ZZ, K2), 10 ** 30)
-    # the k-fold sum's k x k block at each arrow is charged too: 5000 copies
-    # of a Kronecker (1,1) rep, 10**4 cells, would fill two blocks of 25
-    # million, and are refused before a copy is made; 4000 copies, two
-    # blocks of 16 million, are admitted (and not built here)
+    # the k-fold sum's k x k blocks, one at each arrow, are charged too, all
+    # together: 5000 copies of a Kronecker (1,1) rep, 10**4 cells, would fill
+    # two blocks of 25 million, and 4472 copies two of 20.0 million, each
+    # just below the cap, and both are refused before a copy is made; 3000
+    # copies, two blocks of 9 million, are admitted (and not built here)
     copies = []
     monkeypatch.setattr(quiver_module, "direct_sum_many", copies.extend)
     kronecker = mk(ZZ, K2, (1, 1), [[[1]], [[0]]])
-    with pytest.raises(NotComputable, match="^the 5000 x 5000 block of arrow 1 of a direct "
-                       "sum would fill 25000000 cells, above the cap"):
-        tensor_free(kronecker, 5000)
+    for k in (5000, 4472):
+        with pytest.raises(NotComputable, match=r"^the arrow blocks of a direct sum of dims "
+                           r"\(%d, %d\) would fill %d cells, above the cap" % (k, k, 2 * k * k)):
+            tensor_free(kronecker, k)
     assert copies == []
-    tensor_free(kronecker, 4000)
-    assert len(copies) == 4000
+    tensor_free(kronecker, 3000)
+    assert len(copies) == 3000
 
 
 def test_from_matrix_rows_refuses_a_wrong_arrow_count_as_rep_does():

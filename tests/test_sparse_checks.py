@@ -87,6 +87,8 @@ D4 = Quiver(4, ((1, 4), (2, 4), (3, 4)))
 LOOP = Quiver(1, ((1, 1),))
 CYCLE_WITH_LOOP = Quiver(2, ((1, 2), (2, 1), (2, 2)))
 
+P = 32749   # the prime of Q's rank certificate (elimination._CERTIFIER)
+
 
 def _entry(ring, rng):
     """A random entry, zero half the time; over Q often a proper fraction."""
@@ -686,9 +688,14 @@ def test_rational_zeros_that_are_not_qq_zero():
     placed, cols = _differential_rows(loop, loop)
     assert cols == 4 and not any(k in placed[i] for i, k in cancelled)
     assert differential(loop, loop).entries == want.entries
-    he, ((rows, got),) = _forward_runs(lambda: hom_ext(loop, loop))
-    assert he.differential.entries == want.entries and rows == placed == _as_dicts(want)
-    _assert_dense_forward(rows, got, want)
+    # hom_ext places the loop's block scaled by 2, the lcm of its
+    # denominators; its image mod P falls short of full rank, so the exact
+    # pass runs on those int rows
+    he, (image, (rows, got)) = _forward_runs(lambda: hom_ext(loop, loop))
+    twice = ExactMatrix._of(QQ, 4, 4, tuple(tuple(2 * x for x in row) for row in want.entries))
+    assert he.differential.entries == want.entries and rows == _as_dicts(twice)
+    assert [r.keys() for r in rows] == [r.keys() for r in placed]
+    _assert_dense_forward(rows, got, twice)
     assert he.hom.free_rank == 2 and he.ext.free_rank == 2
 
 
@@ -700,13 +707,21 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
     The differential is densified on its first read alone, and equals the
     dense placement."""
     rng = random.Random(25)
-    placed, layouts, scanned, densified = [], [], [], []
+    placed, handed, layouts, scanned, densified = [], [], [], [], []
     real_place, real_scan, real_densify = (
         homology._differential_rows, elimination._nonzeros, homology._densified)
 
-    def place(x, y, off0=None):
-        rows, cols = real_place(x, y, off0)
-        placed.append(([dict(row) for row in rows], cols))
+    def place(x, y, off0=None, integral=False):
+        rows, cols = real_place(x, y, off0, integral)
+        # over Q the rows handed on are ints, each arrow's block scaled by
+        # one positive integer: the same keys, the same signs
+        fractions = real_place(x, y, off0)[0] if integral else rows
+        assert [r.keys() for r in rows] == [r.keys() for r in fractions]
+        assert not integral or all(
+            len({Fraction(v) / u for v, u in zip(r.values(), f.values())}) < 2
+            for r, f in zip(rows, fractions))
+        placed.append(([dict(row) for row in fractions], cols))
+        handed.append(([dict(row) for row in rows], cols))
         layouts.append(off0)
         return rows, cols
 
@@ -733,7 +748,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
             for quiver, dims_list in SHAPES:
                 for dx in dims_list:
                     x, y = _rep(ring, quiver, dx, rng), _rep(ring, quiver, dims_list[0], rng)
-                    del placed[:], layouts[:], scanned[:], sheets[:], densified[:]
+                    del placed[:], handed[:], layouts[:], scanned[:], sheets[:], densified[:]
                     with _Recorder(elimination, "_forward") as rec:
                         he = hom_ext(x, y)
                     assert len(placed) == 1 and densified == [], str(ring)
@@ -746,8 +761,14 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
                           for k in range(vertex_off[v], vertex_off[v + 1])]
                     assert placed[0][0] == [{to[k]: v for k, v in row.items()}
                                             for row in _as_dicts(_dense_differential(x, y))]
-                    if ring.is_field:
-                        assert [(rows, cols) for _, rows, cols in rec.seen] == placed
+                    seen = [(rows, cols) for _, rows, cols in rec.seen]
+                    if ring.is_field and ring.p:
+                        assert seen == placed
+                    elif ring.is_field:   # Q: the image mod P, unless the dims rule
+                        # out full rank, then the int rows, unless the image certifies
+                        image = [([{k: v % P for k, v in r.items() if v % P}
+                                   for r in handed[0][0]], handed[0][1])]
+                        assert seen in (image, image + handed, handed), str(ring)
                     else:   # the sheet starts from the placed rows
                         assert sheets[0] == placed[0], str(ring)
                     assert not scanned or ring.kind == "Z", str(ring)
