@@ -15,8 +15,9 @@ serve as the shape-preserving two-sided form.
 Over Z, Z/m and Feps one diagonalisation records its row and column
 operations and builds no transform; each caller replays the operations on
 just what it reads.  :func:`normal_form` replays them on identities, for
-all four transforms.  :func:`solve` replays the left transform on the
-right-hand side and the right transform on the diagonal solution.
+all four transforms.  :func:`solve`, through its dict-row core
+``_solve``, replays the left transform on the right-hand side and the
+right transform on the diagonal solution.
 :func:`kernel_data`, :func:`kernel_basis`, :func:`cokernel_data` and
 :func:`cokernel_projection` replay them on a few columns of the right or
 inverse left transform.  These, :func:`cokernel`, and Hom and Ext of a
@@ -51,7 +52,9 @@ Ext of a quiver pair over Q take int rows instead, each arrow's block
 scaled by one integer, and first read the rank off their image mod 32749
 (``_certified_hom_ext``): a full-rank image certifies both modules, and
 the exact pass then waits for the first witness read.
-:func:`normal_form` back-substitutes [a | I], and :func:`solve` [a | b].
+:func:`normal_form` back-substitutes [a | I], and ``_solve`` [a | b] at
+b's columns alone: the rows of a with the nonzeros of I, or of b, joined
+at columns a.cols..., with no dense [a | b] built.
 :func:`is_invertible` and the mutation layer's exceptional checks ask one
 check, ``_invertible``, on every ring: it peels each row whose one entry is
 a unit (the singleton step of sparse direct solvers), which decides the
@@ -65,11 +68,14 @@ them.
 
 Elimination takes one input on every ring: the ring, the rows as dicts
 from column to nonzero entry, and the column count.  A public matrix entry
-point reads its matrix's nonzeros once (``_nonzeros``); Hom and Ext of a
-quiver pair pass the rows the Hom complex is placed as, and densify
-nothing.  A :class:`ModulePresentation` is its ring, generator count and
-invariant factors; ``from_invariant_factors`` eliminates its diagonal once,
-to canonicalise arbitrary input.
+point reads its matrix's nonzeros once (``_nonzeros``); :func:`solve` is
+its checks and ``_solve``, the dict-row core, on them.  Hom and Ext of a
+quiver pair pass the rows the Hom complex is placed as, and so does the
+splitting section (homology._morphism_section), whose rows add the
+projection's to those of the complex and go to ``_solve``: neither
+densifies the complex.  A :class:`ModulePresentation` is its ring,
+generator count and invariant factors; ``from_invariant_factors``
+eliminates its diagonal once, to canonicalise arbitrary input.
 """
 
 from __future__ import annotations
@@ -433,14 +439,16 @@ def _expanded(ring: RingSpec, ops: list) -> list:
 
 
 def _moves(size, targets, ops) -> list:
-    """Record in ops the swaps that bring index targets[t] to position t,
-    for each t in turn; return the order of the indices after them."""
-    order = list(range(size))
+    """Record in ops the swaps that bring index targets[t] (distinct) to
+    position t, for each t in turn; return the order of the indices after
+    them.  where, the inverse of order, finds each index's position at
+    once, where a scan of order would make the placement quadratic."""
+    order, where = list(range(size)), list(range(size))
     for t, i in enumerate(targets):
-        p = order.index(i, t)
+        p, j = where[i], order[t]
         if p != t:
             ops.append((t, p))
-            order[t], order[p] = i, order[t]
+            order[t], order[p], where[i], where[j] = i, j, t, p
     return order
 
 
@@ -530,17 +538,6 @@ def _replayed(ring: RingSpec, size, ops, picks, inverse=False) -> list:
     return list(zip(*_replay(ring, _unit_columns(ring, size, picks), ops, inverse)))
 
 
-def _field_rref(a: ExactMatrix) -> tuple:
-    """The pivot columns and the nonzero rows of the reduced row echelon
-    form of a over Q or F_p, from one _field_reduce."""
-    pivot_cols, _, reduced = _field_reduce(a)
-    if a.ring.p:   # the pivots are 1 already
-        return pivot_cols, reduced
-    zero = a.ring.zero
-    return pivot_cols, [[Fraction(x, row[c]) if x else zero for x in row]
-                        for c, row in zip(pivot_cols, reduced)]
-
-
 # ---------------------------------------------------------------------------
 # public normal-form API
 
@@ -573,18 +570,22 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
     _check_matrix(mat)
     ring = mat.ring
     if ring.is_field:
-        k = mat.cols
+        k, height, one, zero = mat.cols, mat.rows, ring.one, ring.zero
         # (rows + cols)^2 cells cover [mat | I] and the cols x cols right transform
-        _check_read(mat.rows + k, mat.rows + k)
-        aug = mat.hstack(ExactMatrix.identity(ring, mat.rows))
-        pivots, rows = _field_rref(aug)
+        _check_read(height + k, height + k)
+        aug = [{**row, k + i: one} for i, row in enumerate(_nonzeros(mat.entries, ring))]
+        pivots, _, rows = _field_reduce(ring, aug, k + height)   # aug is [mat | I]
+        if not ring.p:   # d times R's rows, d at each pivot
+            rows = [[Fraction(x, row[c]) if x else zero for x in row]
+                    for c, row in zip(pivots, rows)]
         ident = ExactMatrix.identity(ring, k)
         return NormalFormResult(
-            ExactMatrix._of(ring, mat.rows, k, tuple(tuple(r[:k]) for r in rows)),
-            ExactMatrix._of(ring, mat.rows, mat.rows, tuple(tuple(r[k:]) for r in rows)),
+            ExactMatrix._of(ring, height, k, tuple(tuple(r[:k]) for r in rows)),
+            ExactMatrix._of(ring, height, height, tuple(tuple(r[k:]) for r in rows)),
             ident, "ReducedEchelon",
-            ExactMatrix._of(ring, mat.rows, mat.rows,
-                            tuple(tuple(r[c] for c in pivots) for r in aug.entries)),
+            ExactMatrix._of(ring, height, height, tuple(
+                tuple(r[c] if c < k else one if c == k + i else zero for c in pivots)
+                for i, r in enumerate(mat.entries))),
             ident)
     ws = _diagonal_sheet(ring, _nonzeros(mat.entries, ring), mat.cols)
 
@@ -599,44 +600,60 @@ def normal_form(mat: ExactMatrix) -> NormalFormResult:
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> Optional[ExactMatrix]:
-    """Some X with a*X = b, or None when the system is unsolvable.
-
-    Over Q and F_p X is read off the reduced row echelon form of [a | b],
-    with zero at every non-pivot column of a; the system is unsolvable
-    exactly when a pivot falls in b.  Over the other rings a sheet
-    diagonalises a, and each diagonal entry solves its row of the
-    transformed b by ring.solve_scalar alone: a zero pivot solves a zero
-    right-hand side, to zero, and nothing else.  The diagonal's rows past
-    a.cols are such zero padding.  The a.cols x b.cols block the sheet
-    fills is charged first (_check_read); over Q and F_p the rows of X
-    that no pivot sets share one zero row.
-    """
+    """Some X with a*X = b, or None when the system is unsolvable: _solve
+    on a's nonzeros (_nonzeros)."""
     _check_matrix(a)
     _check_matrix(b, a.ring)
     if a.rows != b.rows:
         raise DimensionMismatch("row counts %d vs %d" % (a.rows, b.rows))
-    ring = a.ring
+    return _solve(a.ring, _nonzeros(a.entries, a.ring), a.cols, b)
+
+
+def _solve(ring: RingSpec, rows: list, cols: int, b: ExactMatrix) -> Optional[ExactMatrix]:
+    """Some X with a*X = b, or None when the system is unsolvable, for a
+    the matrix of dict rows (consumed) with cols columns, one per row of b.
+
+    Over Q and F_p b's nonzeros join the rows at columns cols..., and X is
+    read off that [a | b], zero at every non-pivot column of a: its one
+    forward elimination, _forward, then _back_substitute of the echelon
+    rows at b's columns alone, which the zeros of X let drop a's non-pivot
+    columns.  The system is unsolvable exactly when a pivot falls in b, and
+    no dense [a | b] or reduced row is built.  Over the other rings a sheet
+    diagonalises a, and each diagonal entry solves its row of the
+    transformed b by ring.solve_scalar alone: a zero pivot solves a zero
+    right-hand side, to zero, and nothing else.  The diagonal's rows past
+    cols are such zero padding.  The cols x b.cols block the sheet fills is
+    charged first (_check_read); over Q and F_p the rows of X that no pivot
+    sets share one zero row.
+    """
+    zero = ring.zero
     if ring.is_field:
-        pivots, rows = _field_rref(a.hstack(b))
-        if pivots and pivots[-1] >= a.cols:
+        for row, rhs in zip(rows, _nonzeros(b.entries, ring)):   # [a | b]
+            row.update({cols + j: v for j, v in rhs.items()})
+        pivots, pivot_rows, rows = _forward(ring, rows, cols + b.cols)
+        if pivots and pivots[-1] >= cols:
             return None
-        x = [(ring.zero,) * b.cols] * a.cols
-        for c, row in zip(pivots, rows):
-            x[c] = tuple(row[a.cols:])
-        return ExactMatrix._of(ring, a.cols, b.cols, tuple(x))
-    ws = _diagonal_sheet(ring, _nonzeros(a.entries, ring), a.cols)
+        b_cols = range(cols, cols + b.cols)
+        keep = set(pivots).union(b_cols)
+        w, d = _back_substitute(pivots, [{k: v for k, v in rows[r].items() if k in keep}
+                                         for r in pivot_rows], b_cols, ring.p)
+        x = [(zero,) * b.cols] * cols
+        for c, part in zip(pivots, w):   # d times X's row c; mod p, d is 1
+            x[c] = tuple(part) if ring.p else tuple(Fraction(v, d) if v else zero for v in part)
+        return ExactMatrix._of(ring, cols, b.cols, tuple(x))
+    ws = _diagonal_sheet(ring, rows, cols)
     c = _replay(ring, [list(row) for row in b.entries], ws.row_ops)
-    _check_read(a.cols, b.cols)
-    y = [[ring.zero] * b.cols for _ in range(a.cols)]
-    for i, d in enumerate(ws.diagonal(a.rows)):
+    _check_read(cols, b.cols)
+    y = [[zero] * b.cols for _ in range(cols)]
+    for i, d in enumerate(ws.diagonal(b.rows)):
         for jc in range(b.cols):
             val = ring.solve_scalar(d, c[i][jc])
             if val is None:
                 return None
-            if i < a.cols:   # past a.cols, d is padding and val is zero
+            if i < cols:   # past cols, d is padding and val is zero
                 y[i][jc] = val
-    x = _replay(ring, y, reversed(ws.col_ops))
-    return ExactMatrix._of(ring, a.cols, b.cols, tuple(tuple(r) for r in x))
+    return ExactMatrix._of(ring, cols, b.cols,
+                           tuple(map(tuple, _replay(ring, y, reversed(ws.col_ops)))))
 
 
 def is_invertible(mat: ExactMatrix) -> bool:
@@ -889,15 +906,16 @@ def _back_substitute(pivot_cols: list, echelon: list, free_cols: list, p: int) -
     return w, d
 
 
-def _field_reduce(a: ExactMatrix) -> tuple:
-    """Row reduction over Q or F_p with no transform: the one forward
-    elimination, _forward, then _back_substitute.  Returns the pivot columns,
-    the pivot rows' indices and the reduced rows, d times those of the rref:
-    over F_p that form, over Q ints within Hadamard's bound."""
-    pivot_cols, pivot_rows, rows = _forward(a.ring, _nonzeros(a.entries, a.ring), a.cols)
-    free_cols = sorted(set(range(a.cols)).difference(pivot_cols))
-    w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, a.ring.p)
-    reduced = [[0] * a.cols for _ in w]
+def _field_reduce(ring: RingSpec, rows: list, cols: int) -> tuple:
+    """Row reduction over Q or F_p of the matrix of dict rows (consumed)
+    with cols columns, with no transform: the one forward elimination,
+    _forward, then _back_substitute.  Returns the pivot columns, the pivot
+    rows' indices and the reduced rows, d times those of the rref: over F_p
+    that form, over Q ints within Hadamard's bound."""
+    pivot_cols, pivot_rows, rows = _forward(ring, rows, cols)
+    free_cols = sorted(set(range(cols)).difference(pivot_cols))
+    w, d = _back_substitute(pivot_cols, [rows[r] for r in pivot_rows], free_cols, ring.p)
+    reduced = [[0] * cols for _ in w]
     for row, c, part in zip(reduced, pivot_cols, w):
         row[c] = d
         for f, x in zip(free_cols, part):

@@ -14,7 +14,9 @@ and, in the public vertex layout of differential() and of every vector read
 back, by vertex in C0.  That layout is known here alone: _differential_rows
 places the complex, _unflatten_vertex reads a C0 vector back as vertex maps,
 and _morphism_section solves the complex for the section of a projection
-that structure.decompose_rigid splits each summand off with.
+that structure.decompose_rigid splits each summand off with: on the placed
+rows, the projection's own rows added, with no dense matrix.  differential()
+alone densifies the complex, for its public readers.
 
 HomExtResult eliminates the rows in their own elimination layout instead,
 the C0 blocks in a fill-reducing order (_elimination_offsets): every
@@ -42,11 +44,12 @@ from .elimination import (
     _certified_hom_ext,
     _hom_ext_data,
     _invertible,
+    _nonzeros,
+    _solve,
     constant_rank,
     presentation_base_change,
-    solve,
 )
-from .rings import ExactMatrix, RingHom, _check_read, block_diag
+from .rings import ExactMatrix, RingHom, _check_read
 
 
 def _elimination_offsets(x: Rep, y: Rep):
@@ -153,20 +156,17 @@ def _rank_bound(x: Rep, y: Rep) -> int:
                for t, h in ((q.tail(a), q.head(a)) for a in range(q.arrow_count)))
 
 
-def _densified(ring, rows, cols) -> ExactMatrix:
-    """The matrix of dict rows, each absent entry the ring's zero."""
-    dense = [[ring.zero] * cols for _ in rows]
+def differential(x: Rep, y: Rep) -> ExactMatrix:
+    """The Hom complex's matrix in the vertex layout: _differential_rows(x,
+    y) densified, each absent entry the ring's zero.  In the package only
+    HomExtResult.differential reads it: every elimination of the complex
+    runs on the placed rows."""
+    rows, cols = _differential_rows(x, y)
+    dense = [[x.ring.zero] * cols for _ in rows]
     for full, row in zip(dense, rows):
         for k, v in row.items():
             full[k] = v
-    return ExactMatrix._of(ring, len(dense), cols, tuple(map(tuple, dense)))
-
-
-def differential(x: Rep, y: Rep) -> ExactMatrix:
-    """_differential_rows(x, y) densified: the Hom complex's matrix, whose
-    placed rows HomExtResult eliminates without densifying them."""
-    rows, cols = _differential_rows(x, y)
-    return _densified(x.ring, rows, cols)
+    return ExactMatrix._of(x.ring, len(dense), cols, tuple(map(tuple, dense)))
 
 
 def _unflatten(x: Rep, shapes, vec):
@@ -190,22 +190,25 @@ def _morphism_section(proj: RepMorphism):
     """A morphism section of a projection, or None when it has none (it
     has one when its kernel has no extensions back).
 
-    Solves the combined linear system: commutation with every arrow (the
-    differential of Hom(quot, mid)) plus vertexwise proj * section =
-    identity, one block of proj's vertex map per column of the section.
+    One system, solved on dict rows in the vertex layout
+    (elimination._solve): the rows of Hom(quot, mid)'s differential as
+    _differential_rows places them, for commutation with every arrow, then
+    proj_i * s_i = I column by column: for column c of s_i, the nonzeros of
+    proj's vertex map at vertex i, moved to that column's cells, against
+    e_c.  No dense matrix is built, save the right-hand side.
     """
-    mid, quot = proj.source, proj.target
-    ring = mid.ring
-    a = differential(quot, mid).vstack(block_diag(ring, [
-        pi for pi, d in zip(proj.vertex_maps, quot.dims) for _ in range(d)]))
-    # vec of each identity, the same read by rows or by columns
-    ones = tuple((ring.one if r == c else ring.zero,)
-                 for d in quot.dims for c in range(d) for r in range(d))
-    b = ExactMatrix._of(ring, a.rows, 1, ((ring.zero,),) * (a.rows - len(ones)) + ones)
-    sol = solve(a, b)
-    if sol is None:
-        return None
-    return RepMorphism(quot, mid, _unflatten_vertex(quot, mid, [x for x, in sol.entries]))
+    mid, quot, ring = proj.source, proj.target, proj.source.ring
+    rows, cols = _differential_rows(quot, mid)
+    rhs, off = [(ring.zero,)] * len(rows), 0   # zero on the commutation rows
+    for pi, q, m in zip(proj.vertex_maps, quot.dims, mid.dims):
+        nonzeros = _nonzeros(pi.entries, ring)
+        for c in range(q):   # column c of s_i, at columns off...
+            rows += [{k + off: v for k, v in row.items()} for row in nonzeros]
+            rhs += [(ring.one if r == c else ring.zero,) for r in range(q)]
+            off += m
+    sol = _solve(ring, rows, cols, ExactMatrix._of(ring, len(rows), 1, tuple(rhs)))
+    return None if sol is None else RepMorphism(
+        quot, mid, _unflatten_vertex(quot, mid, [x for x, in sol.entries]))
 
 
 class HomExtResult:

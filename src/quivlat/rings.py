@@ -1042,12 +1042,12 @@ def block_diag(ring: RingSpec, blocks: Sequence[ExactMatrix]) -> ExactMatrix:
 # where it is filled: homology._differential_rows charges the Hom complex it
 # places, quiver.direct_sum_many each arrow's dense block, and a read of
 # vectors or of a transform charges what it reads, in
-# elimination._unit_columns on a sheet and in elimination._field_hom_ext's
-# readers and elimination.normal_form over Q and F_p; elimination.solve
-# charges its solution block on a sheet.  A decision (invariant factors,
-# is_rigid) reads no vector, so it pays for its complex alone; that of the
-# Kronecker (30,29) self-pair of the bound-60 orbit is charged 3.1 million
-# cells.
+# elimination._unit_columns on a sheet and in elimination._field_modules'
+# readers and elimination.normal_form over Q and F_p; elimination._solve,
+# the core of solve and of the splitting sections, charges its solution
+# block on a sheet.  A decision (invariant factors, is_rigid) reads no
+# vector, so it pays for its complex alone; that of the Kronecker (30,29)
+# self-pair of the bound-60 orbit is charged 3.1 million cells.
 _MAX_HOM_CELLS = 2 * 10 ** 7
 
 

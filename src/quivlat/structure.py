@@ -18,8 +18,10 @@ The three constructive results living here:
     (mutation._evaluation_map), split mono by the test mutation shares
     (quiver._split), and splitting sections, which
     homology._morphism_section solves for in the Hom complex, whose layout
-    homology alone knows.  Two rigid representations with one dimension
-    vector are therefore isomorphic, through the certificates.
+    homology alone knows: on its placed sparse rows, with the projection's
+    rows beside them, and no dense copy of the complex.  Two rigid
+    representations with one dimension vector are therefore isomorphic,
+    through the certificates.
 
 Classification walks the braid orbit of the standard sequence on dimension
 vectors alone (mutation._walk), so schur_root_status and the summand roots

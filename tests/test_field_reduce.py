@@ -156,7 +156,7 @@ def _hadamard_bits(a):
 
 def check_reduction(a):
     ring = a.ring
-    pivot_cols, pivot_rows, reduced = elimination._field_reduce(a)
+    pivot_cols, pivot_rows, reduced = elimination._field_reduce(*_elimination_input(a))
     assert len(pivot_cols) == len(pivot_rows) == len(reduced) == _rank(a)
     assert pivot_cols == sorted(set(pivot_cols))
     assert len(set(pivot_rows)) == len(pivot_rows)

@@ -709,7 +709,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
     rng = random.Random(25)
     placed, handed, layouts, scanned, densified = [], [], [], [], []
     real_place, real_scan, real_densify = (
-        homology._differential_rows, elimination._nonzeros, homology._densified)
+        homology._differential_rows, elimination._nonzeros, homology.differential)
 
     def place(x, y, off0=None, integral=False):
         rows, cols = real_place(x, y, off0, integral)
@@ -729,9 +729,9 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         scanned.append(rows)
         return real_scan(rows, ring)
 
-    def densify(ring, rows, cols):
-        densified.append(cols)
-        return real_densify(ring, rows, cols)
+    def densify(x, y):
+        densified.append((x, y))
+        return real_densify(x, y)
 
     sheet_class, sheets = elimination._Worksheet, []
 
@@ -741,7 +741,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
             super().__init__(ring, rows, cols)
 
     homology._differential_rows, elimination._nonzeros, elimination._Worksheet = place, scan, Built
-    homology._densified = densify
+    homology.differential = densify
     moved = 0
     try:
         for ring in RINGS:
@@ -778,7 +778,7 @@ def test_hom_ext_places_once_and_eliminates_the_placed_rows():
         assert moved
     finally:
         homology._differential_rows, elimination._nonzeros = real_place, real_scan
-        homology._densified, elimination._Worksheet = real_densify, sheet_class
+        homology.differential, elimination._Worksheet = real_densify, sheet_class
 
 if __name__ == "__main__":
     for name, fn in list(globals().items()):

@@ -12,7 +12,8 @@ generic Ext.  For every vector up to total 12 (8 on the four-vertex
 quivers) the roots must be found exactly when the search finds one
 multiset, and must be that multiset.  And every splitting section
 decompose_rigid takes on planted sums is a morphism with proj * section
-the identity.
+the identity, equal to the section the dense system gives (_dense_section),
+and taken with no dense Hom complex.
 
 Stdlib only, so it also runs without pytest:
     PYTHONPATH=src python tests/test_summand_peel.py
@@ -22,13 +23,14 @@ import itertools
 import operator
 import random
 
-from quivlat import structure
-from quivlat.elimination import invert
+from quivlat import homology, structure
+from quivlat.elimination import invert, solve
 from quivlat.errors import BoundExceeded
+from quivlat.homology import _unflatten_vertex, differential, hom_ext
 from quivlat.mutation import _walk
 from quivlat.quiver import (Quiver, RepMorphism, base_change, direct_sum_many, euler_form,
                             tensor_free)
-from quivlat.rings import ZZ, RingSpec, canonical_hom
+from quivlat.rings import ZZ, ExactMatrix, RingSpec, block_diag, canonical_hom
 from quivlat.verify import conjugate_rep, random_unimodular
 
 QUIVERS = {
@@ -150,14 +152,37 @@ PLANTED = (("kronecker", (((1, 2), 2), ((0, 1), 1))),
            ("triangle", (((0, 0, 1), 2), ((0, 1, 1), 1), ((1, 1, 2), 1))))
 
 
+def _dense_section(proj):
+    """The reference section, as the vertex maps of the solution of the
+    dense system by the public solve: the differential of Hom(quot, mid)
+    over one block of proj's vertex map per column of the section, with
+    the vec of each identity on the right; None when it has none."""
+    mid, quot = proj.source, proj.target
+    ring = mid.ring
+    a = differential(quot, mid).vstack(block_diag(ring, [
+        pi for pi, d in zip(proj.vertex_maps, quot.dims) for _ in range(d)]))
+    ones = tuple((ring.one if r == c else ring.zero,)
+                 for d in quot.dims for c in range(d) for r in range(d))
+    b = ExactMatrix(ring, a.rows, 1, ((ring.zero,),) * (a.rows - len(ones)) + ones)
+    sol = solve(a, b)
+    return None if sol is None else _unflatten_vertex(quot, mid, [x for x, in sol.entries])
+
+
+class Densified(Exception):
+    pass
+
+
 def test_splitting_sections_split_the_projections():
     sections = []
-    structure_section = structure._morphism_section
+    structure_section, real_differential = structure._morphism_section, homology.differential
 
     def spy(proj):
         section = structure_section(proj)
         sections.append((proj, section))
         return section
+
+    def refuse(x, y):
+        raise Densified
 
     structure._morphism_section = spy
     rng = random.Random(5)
@@ -172,9 +197,17 @@ def test_splitting_sections_split_the_projections():
                 ring = RingSpec.parse(spec)
                 y = x if ring == ZZ else base_change(x, canonical_hom(ZZ, ring))
                 del sections[:]
-                structure.decompose_rigid(y)
+                homology.differential = refuse
+                try:   # the control: the dense read of the complex meets the stub
+                    hom_ext(y, y).differential
+                    raise AssertionError("homology.differential not stubbed")
+                except Densified:
+                    pass
+                structure.decompose_rigid(y)   # meets it nowhere
+                homology.differential = real_differential
                 assert len(sections) == len(planted), (name, spec)
                 for proj, section in sections:
+                    assert section.vertex_maps == _dense_section(proj), (name, spec)
                     assert (proj.compose(section).vertex_maps
                             == RepMorphism.identity(proj.target).vertex_maps), (name, spec)
                     mid, quot, maps = proj.source, proj.target, section.vertex_maps
@@ -183,7 +216,7 @@ def test_splitting_sections_split_the_projections():
                         assert (maps[h].mul(quot.mats[a]).entries
                                 == mid.mats[a].mul(maps[t]).entries), (name, spec, a)
     finally:
-        structure._morphism_section = structure_section
+        structure._morphism_section, homology.differential = structure_section, real_differential
 
 
 if __name__ == "__main__":
